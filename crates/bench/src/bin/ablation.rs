@@ -231,9 +231,4 @@ fn main() {
     if let Some(dir) = &args.trace {
         hmts_bench::traced::run_traced(dir, args.seed);
     }
-    // `--bench6 FILE`: section A on the real engine — throughput and
-    // end-to-end latency quantiles per batch size, as JSON.
-    if let Some(path) = &args.bench6 {
-        hmts_bench::bench6::emit_bench6(path, 2_000.0, args.seed);
-    }
 }

@@ -14,7 +14,6 @@
 //!   Prometheus metrics snapshot, a JSON scheduler-event journal, and a
 //!   CSV sampler series under `<dir>` (binaries that support it).
 
-pub mod bench6;
 pub mod fig9;
 pub mod obsrun;
 pub mod traced;
@@ -46,10 +45,6 @@ pub struct Args {
     /// workload with sampled tracing and write a Chrome/Perfetto
     /// `trace.json` plus a per-operator `latency_breakdown.csv` there.
     pub trace: Option<PathBuf>,
-    /// BENCH_6.json output path (`--bench6 <file>`): run the batch-size
-    /// sweep on the real engine and emit throughput + latency quantiles
-    /// per configuration. Only the `ablation` binary honours it.
-    pub bench6: Option<PathBuf>,
 }
 
 impl Default for Args {
@@ -62,7 +57,6 @@ impl Default for Args {
             seed: 1,
             metrics: None,
             trace: None,
-            bench6: None,
         }
     }
 }
@@ -98,14 +92,10 @@ pub fn parse_args(default_scale: f64) -> Args {
                 args.trace =
                     Some(PathBuf::from(it.next().unwrap_or_else(|| die("--trace needs a path"))))
             }
-            "--bench6" => {
-                args.bench6 =
-                    Some(PathBuf::from(it.next().unwrap_or_else(|| die("--bench6 needs a path"))))
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "options: --scale <k> | --paper | --quick | --seed <n> | --out <dir> \
-                     | --metrics <dir> | --trace <dir> | --bench6 <file>"
+                     | --metrics <dir> | --trace <dir>"
                 );
                 std::process::exit(0);
             }

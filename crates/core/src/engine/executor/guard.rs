@@ -1,0 +1,409 @@
+//! Fault isolation around operator callbacks: the unwind boundary, the
+//! supervisor's verdict on a caught panic, fault injection, and the
+//! liveness beacon.
+//!
+//! The core calls [`arm`] before and [`call`] + [`DomainExecutor::settle`]
+//! around `process` (its cost clock stops in between), [`DomainExecutor::guarded`]
+//! for `on_eos` / `flush` / `on_watermark`, and [`Guard::enter`] /
+//! [`Guard::exit`] around a chain reaction. Without a fault plan, a
+//! supervisor or a heartbeat, each of those is one `None` branch.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+use hmts_operators::traits::{Operator, Output};
+use hmts_streams::element::{Element, Message};
+use hmts_streams::error::{Result, StreamError};
+use hmts_streams::tuple::Tuple;
+use hmts_streams::value::Value;
+
+use super::DomainExecutor;
+use crate::chaos::{FaultAction, OperatorFaultState};
+use crate::supervisor::{panic_message, Heartbeat, Supervisor, Verdict};
+
+/// How a guarded callback ended: its own result, or the payload of the
+/// panic it raised.
+pub(super) type Caught = std::thread::Result<Result<()>>;
+
+/// Fault-injection state targeting one slot (see
+/// [`crate::chaos::FaultPlan`]).
+pub(super) type SlotFault = Option<Arc<OperatorFaultState>>;
+
+/// The supervision state of one executor.
+#[derive(Default)]
+pub(super) struct Guard {
+    pub(super) supervisor: Option<Arc<Supervisor>>,
+    pub(super) heartbeat: Option<Arc<Heartbeat>>,
+    /// Panics that terminated an operator without a restart (no
+    /// supervisor, or `DegradeMode::FailQuery`): `(operator, payload)`.
+    panics: Vec<(String, String)>,
+}
+
+impl Guard {
+    /// A chain reaction starts on this thread.
+    #[inline]
+    pub(super) fn enter(&self) {
+        if let Some(hb) = &self.heartbeat {
+            hb.enter();
+        }
+    }
+
+    /// The chain reaction returned.
+    #[inline]
+    pub(super) fn exit(&self) {
+        if let Some(hb) = &self.heartbeat {
+            hb.exit();
+        }
+    }
+}
+
+/// Before `process`: counts the invocation against the slot's fault plan
+/// and returns what [`call`] has to inject. A stall is served right here,
+/// ahead of the cost clock.
+#[inline]
+pub(super) fn arm(fault: &SlotFault) -> Option<FaultAction> {
+    let action = fault.as_ref()?.on_invocation()?;
+    if let FaultAction::Stall(d) = action {
+        std::thread::sleep(d);
+    }
+    Some(action)
+}
+
+/// Runs one callback of `op` behind the unwind boundary — the only one in
+/// the engine.
+///
+/// `Box<dyn Operator>` is not `UnwindSafe` because operators hold interior
+/// state; `AssertUnwindSafe` is sound here because after a caught panic the
+/// operator is either (a) retried — the built-in operators mutate their
+/// state only after computing outputs, so a panic mid-call leaves the state
+/// as if the call never happened — or (b) quarantined/failed, in which case
+/// nothing touches it again.
+#[inline]
+pub(super) fn call(
+    op: &mut dyn Operator,
+    out: &mut Output,
+    fault: Option<FaultAction>,
+    f: impl FnOnce(&mut dyn Operator, &mut Output) -> Result<()>,
+) -> Caught {
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        if fault == Some(FaultAction::Panic) {
+            panic!("chaos: injected panic in operator '{}'", op.name());
+        }
+        f(&mut *op, &mut *out)
+    }));
+    if fault == Some(FaultAction::Corrupt) && matches!(caught, Ok(Ok(()))) {
+        corrupt_outputs(out);
+    }
+    caught
+}
+
+impl DomainExecutor {
+    /// Drains the operator panics that were not (or could not be)
+    /// restarted: `(operator name, panic payload)` pairs.
+    pub fn take_panics(&mut self) -> Vec<(String, String)> {
+        std::mem::take(&mut self.guard.panics)
+    }
+
+    /// Books how a guarded callback ended and returns whether it
+    /// succeeded. On failure the pending outputs are discarded; an `Err` is
+    /// recorded as the domain's first error (the element is dropped), a
+    /// panic goes to [`on_panic`](Self::on_panic).
+    #[inline]
+    pub(super) fn settle(
+        &mut self,
+        i: usize,
+        caught: Caught,
+        retry: Option<(usize, &Element)>,
+    ) -> bool {
+        match caught {
+            Ok(Ok(())) => return true,
+            Ok(Err(e)) => {
+                self.out.clear();
+                self.record_error(e);
+            }
+            Err(payload) => {
+                self.out.clear();
+                self.on_panic(i, panic_message(payload.as_ref()), retry);
+            }
+        }
+        false
+    }
+
+    /// [`call`] + [`settle`](Self::settle) for the callbacks
+    /// that carry no element and are therefore never retried: `on_eos`,
+    /// `flush`, `on_watermark`.
+    pub(super) fn guarded(
+        &mut self,
+        i: usize,
+        f: impl FnOnce(&mut dyn Operator, &mut Output) -> Result<()>,
+    ) -> bool {
+        let caught = call(&mut *self.slots[i].state.op, &mut self.out, None, f);
+        self.settle(i, caught, None)
+    }
+
+    /// Applies the supervisor's verdict to a panic caught in slot `i`.
+    /// `retry` is the input `(port, element)` that was being processed, if
+    /// any: only a `process` call has something to redeliver. Every panic
+    /// counts toward the supervisor's quarantine window; without a
+    /// supervisor (or under `FailQuery`) the operator is closed and the
+    /// panic surfaces via [`take_panics`](Self::take_panics).
+    fn on_panic(&mut self, i: usize, msg: String, retry: Option<(usize, &Element)>) {
+        let operator = self.slots[i].state.op.name().to_string();
+        match self.guard.supervisor.as_ref().map(|s| s.on_panic(&operator, &msg)) {
+            Some(Verdict::Restart { backoff, .. }) => {
+                let Some((port, el)) = retry else {
+                    return;
+                };
+                std::thread::sleep(backoff);
+                self.align.rollback(&mut *self.slots[i].state.op);
+                // Retry the failed element next (LIFO): input order for
+                // this operator is preserved because its outputs were
+                // discarded and nothing downstream saw the element.
+                self.stack.push((self.slots[i].state.node, port, Message::Data(el.clone())));
+            }
+            Some(Verdict::Quarantine { failures }) => {
+                self.record_error(StreamError::Other(format!(
+                    "operator '{operator}' quarantined after {failures} failures: {msg}"
+                )));
+                self.close_slot(i);
+            }
+            Some(Verdict::Fail) | None => {
+                self.guard.panics.push((operator, msg));
+                self.close_slot(i);
+            }
+        }
+    }
+}
+
+/// Replaces every pending output with a null-field tuple of the same arity
+/// (the `FaultAction::Corrupt` silent-corruption model). Route tags survive
+/// corruption — the fault model garbles payloads, not the splitter's
+/// addressing.
+fn corrupt_outputs(out: &mut Output) {
+    let routes = out.take_routes();
+    let corrupted: Vec<Element> = out
+        .drain()
+        .map(|e| Element::new(Tuple::new(vec![Value::Null; e.tuple.arity()]), e.ts))
+        .collect();
+    for (idx, e) in corrupted.into_iter().enumerate() {
+        match routes.get(idx) {
+            Some(&r) if r != Output::BROADCAST => out.push_routed(r, e),
+            _ => out.push(e),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{data, slot};
+    use super::super::{Attach, ExecConfig, Target};
+    use super::*;
+    use crate::scheduler::strategy::StrategyKind;
+    use crate::supervisor::{DegradeMode, RestartPolicy};
+    use hmts_graph::graph::NodeId;
+    use hmts_obs::Obs;
+    use hmts_streams::element::Punctuation;
+    use hmts_streams::queue::StreamQueue;
+    use hmts_streams::time::Timestamp;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Callback {
+        Process,
+        OnEos,
+        Flush,
+        OnWatermark,
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Mode {
+        /// Returns `Err` from every invocation of the callback.
+        Err,
+        /// Panics in the first invocation of the callback only.
+        Panic,
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Supervision {
+        None,
+        Restart,
+        Quarantine,
+        FailQuery,
+    }
+
+    const JUNK: i64 = -1;
+    const FLUSHED: i64 = 999;
+
+    /// Passes its input through and emits [`FLUSHED`] at flush time, except
+    /// that `failing` emits [`JUNK`] and then fails per `mode`.
+    struct Faulty {
+        failing: Callback,
+        mode: Mode,
+        failed: bool,
+        /// `process` invocations, shared with the test.
+        processed: Arc<AtomicUsize>,
+        /// Invocations of `failing`, shared with the test.
+        invoked: Arc<AtomicUsize>,
+    }
+
+    impl Faulty {
+        fn maybe_fail(&mut self, here: Callback, out: &mut Output) -> Result<()> {
+            if here != self.failing {
+                return Ok(());
+            }
+            self.invoked.fetch_add(1, Ordering::Relaxed);
+            out.emit(Tuple::single(JUNK), Timestamp::from_micros(0));
+            match self.mode {
+                Mode::Err => Err(StreamError::Other(format!("boom in {here:?}"))),
+                Mode::Panic if !self.failed => {
+                    self.failed = true;
+                    panic!("boom in {here:?}");
+                }
+                Mode::Panic => {
+                    out.clear();
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    impl Operator for Faulty {
+        fn name(&self) -> &str {
+            "faulty"
+        }
+
+        fn process(&mut self, _port: usize, el: &Element, out: &mut Output) -> Result<()> {
+            self.processed.fetch_add(1, Ordering::Relaxed);
+            self.maybe_fail(Callback::Process, out)?;
+            out.push(el.clone());
+            Ok(())
+        }
+
+        fn on_eos(&mut self, _port: usize, out: &mut Output) -> Result<()> {
+            self.maybe_fail(Callback::OnEos, out)
+        }
+
+        fn flush(&mut self, out: &mut Output) -> Result<()> {
+            self.maybe_fail(Callback::Flush, out)?;
+            out.emit(Tuple::single(FLUSHED), Timestamp::from_micros(0));
+            Ok(())
+        }
+
+        fn on_watermark(&mut self, _port: usize, _wm: Timestamp, out: &mut Output) -> Result<()> {
+            self.maybe_fail(Callback::OnWatermark, out)
+        }
+    }
+
+    /// What reached the downstream queue, in order: data values, `W` for a
+    /// watermark, `E` for end-of-stream.
+    fn downstream(q: &StreamQueue) -> Vec<String> {
+        std::iter::from_fn(|| q.try_pop())
+            .map(|m| match m {
+                Message::Data(el) => el.tuple.field(0).as_int().unwrap().to_string(),
+                Message::Punct(Punctuation::Watermark(_)) => "W".into(),
+                Message::Punct(Punctuation::EndOfStream) => "E".into(),
+                Message::Punct(Punctuation::Barrier(_)) => "B".into(),
+            })
+            .collect()
+    }
+
+    /// Every operator callback goes through the same boundary, so a failure
+    /// in any of them is booked the same way: outputs discarded, `Err`
+    /// recorded as the first error, a panic counted by the supervisor and
+    /// answered by its verdict — of which only `process` can be retried —
+    /// and downstream still gets each punctuation exactly once, after
+    /// whatever a flush emitted.
+    #[test]
+    fn every_callback_fails_through_the_same_boundary() {
+        use Callback::*;
+        use Supervision::{FailQuery, Quarantine, Restart};
+        for failing in [Process, OnEos, Flush, OnWatermark] {
+            for mode in [Mode::Err, Mode::Panic] {
+                for supervision in [Supervision::None, Restart, Quarantine, FailQuery] {
+                    let case = format!("{failing:?} x {mode:?} x {supervision:?}");
+                    let obs = Obs::enabled();
+                    let policy = |max_restarts, degrade| RestartPolicy {
+                        max_restarts,
+                        degrade,
+                        base_backoff: Duration::from_micros(1),
+                        ..RestartPolicy::default()
+                    };
+                    let supervisor = match supervision {
+                        Supervision::None => None,
+                        Restart => Some(policy(3, DegradeMode::QuarantineBranch)),
+                        Quarantine => Some(policy(0, DegradeMode::QuarantineBranch)),
+                        FailQuery => Some(policy(0, DegradeMode::FailQuery)),
+                    }
+                    .map(|p| Arc::new(Supervisor::new(p, 7, obs.clone())));
+
+                    let (processed, invoked) = (Arc::default(), Arc::default());
+                    let op = Faulty {
+                        failing,
+                        mode,
+                        failed: false,
+                        processed: Arc::clone(&processed),
+                        invoked: Arc::clone(&invoked),
+                    };
+                    let q = StreamQueue::unbounded("out");
+                    let target = Target::Queue { queue: Arc::clone(&q), wake: None };
+                    let mut exec = DomainExecutor::new(
+                        "d",
+                        vec![slot(1, Box::new(op), vec![target])],
+                        vec![],
+                        StrategyKind::Fifo.build(None),
+                        ExecConfig::default(),
+                    );
+                    exec.attach(Attach { supervisor: supervisor.clone(), ..Attach::default() });
+                    let watermark = Punctuation::Watermark(Timestamp::from_micros(5));
+                    for msg in [data(1, 1), Message::Punct(watermark), data(2, 2), Message::eos()] {
+                        exec.inject(NodeId(1), 0, msg);
+                    }
+
+                    // A panic the supervisor does not answer with a restart
+                    // closes the slot at the failing callback.
+                    let panicked = mode == Mode::Panic;
+                    let terminal = panicked && supervision != Restart;
+                    let expected: &[&str] = match (failing, terminal) {
+                        (Process, true) => &["E"],
+                        (Process, false) if mode == Mode::Err => &["W", "999", "E"],
+                        (OnWatermark, true) => &["1", "E"],
+                        (OnEos, true) | (Flush, _) => &["1", "W", "2", "E"],
+                        _ => &["1", "W", "2", "999", "E"],
+                    };
+                    assert_eq!(downstream(&q), expected, "{case}: downstream");
+                    assert_eq!(exec.live_slots(), 0, "{case}: slot closed");
+
+                    let error = exec.error().map(|e| e.to_string()).unwrap_or_default();
+                    match (mode, supervision) {
+                        (Mode::Err, _) => assert!(error.contains("boom"), "{case}: {error}"),
+                        (_, Quarantine) => {
+                            assert!(error.contains("quarantined"), "{case}: {error}")
+                        }
+                        _ => assert_eq!(error, "", "{case}: no error"),
+                    }
+                    let unsupervised = matches!(supervision, Supervision::None | FailQuery);
+                    let reported = exec.take_panics().len();
+                    assert_eq!(reported, usize::from(panicked && unsupervised), "{case}: reported");
+                    let counted = obs.counter("supervisor_panics").get();
+                    let supervised = panicked && supervisor.is_some();
+                    assert_eq!(counted, u64::from(supervised), "{case}: counted in the window");
+                    let restarts = supervisor.map_or(0, |s| s.restarts());
+                    assert_eq!(restarts, u64::from(panicked && supervision == Restart), "{case}");
+
+                    // Only `process` is ever invoked again for the same input.
+                    let retried = failing == Process && panicked && supervision == Restart;
+                    let processed = processed.load(Ordering::Relaxed);
+                    let inputs_seen = match (failing, terminal) {
+                        (Process | OnWatermark, true) => 1,
+                        _ => 2,
+                    };
+                    assert_eq!(processed, inputs_seen + usize::from(retried), "{case}: process");
+                    if failing != Process {
+                        assert_eq!(invoked.load(Ordering::Relaxed), 1, "{case}: never retried");
+                    }
+                }
+            }
+        }
+    }
+}

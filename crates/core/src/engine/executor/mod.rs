@@ -1,0 +1,858 @@
+//! The domain executor: levels 1 and 2 of the HMTS architecture.
+//!
+//! A [`DomainExecutor`] owns the operators of one scheduling domain (one or
+//! more virtual operators) and their input queues. Execution follows the
+//! paper's push-based model (§2.4): an element injected at an operator
+//! triggers a *chain reaction* — a depth-first traversal through all
+//! directly connected successors — realized here with an explicit LIFO work
+//! stack (no recursion, no borrow gymnastics, no stack overflow on long
+//! chains). Edges to operators outside the domain's virtual operator go
+//! through queues instead, waking the consuming domain.
+//!
+//! The executor's `run_slice` is the level-2 scheduler: a pluggable
+//! [`Strategy`] picks which input queue to service next, and a [`Budget`]
+//! bounds the slice so the level-3 thread scheduler can preempt
+//! cooperatively at operator granularity.
+//!
+//! This file is only that core. What is layered on it lives in one sibling
+//! module each, reached through one call per fixed point of the loop:
+//! `guard` (the unwind boundary, supervision, fault injection), `align`
+//! (checkpoint barrier alignment) and `probe` (cost timing, statistics,
+//! tracing).
+
+mod align;
+mod guard;
+mod probe;
+mod slot;
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+use std::time::Instant;
+
+use hmts_graph::graph::NodeId;
+use hmts_operators::traits::Output;
+use hmts_streams::element::{Element, Message, Punctuation};
+use hmts_streams::error::StreamError;
+use hmts_streams::queue::StreamQueue;
+use hmts_streams::time::Timestamp;
+
+use crate::engine::sync::StopFlag;
+use crate::scheduler::strategy::{InputSlot, Strategy};
+
+pub use slot::{Attach, SlotInit, SlotState};
+
+/// Something that can wake a sleeping domain when new input arrives.
+pub trait Waker: Send + Sync {
+    /// Deliver the wake-up.
+    fn wake(&self);
+}
+
+impl Waker for crate::engine::sync::Notifier {
+    fn wake(&self) {
+        self.notify();
+    }
+}
+
+/// Where an operator's output goes.
+pub enum Target {
+    /// Direct interoperability: invoke a successor in the same domain.
+    Inline {
+        /// The successor operator.
+        node: NodeId,
+        /// Its input port fed by this edge.
+        port: usize,
+    },
+    /// A boundary queue into another (or the same) domain.
+    Queue {
+        /// The queue.
+        queue: Arc<StreamQueue>,
+        /// Wakes the consuming domain after a push.
+        wake: Option<Arc<dyn Waker>>,
+    },
+}
+
+/// One input queue of a domain, with the edge it implements.
+pub struct InputQueue {
+    /// The queue.
+    pub queue: Arc<StreamQueue>,
+    /// The consuming operator.
+    pub node: NodeId,
+    /// The consuming operator's input port.
+    pub port: usize,
+    /// Whether end-of-stream has been popped from this queue.
+    pub exhausted: bool,
+}
+
+/// Execution limits for one `run_slice` call.
+#[derive(Clone, Default)]
+pub struct Budget {
+    /// Stop after this many messages (0 = unlimited).
+    pub max_messages: usize,
+    /// Stop at this instant.
+    pub deadline: Option<Instant>,
+    /// Stop when this flag is raised (engine shutdown / mode switch).
+    pub stop: Option<Arc<StopFlag>>,
+    /// Stop when this flag is raised (level-3 cooperative preemption).
+    pub yield_flag: Option<Arc<AtomicBool>>,
+}
+
+impl Budget {
+    /// An unlimited budget (run until idle or finished).
+    pub fn unlimited() -> Budget {
+        Budget::default()
+    }
+
+    fn exceeded(&self, processed: usize) -> bool {
+        (self.max_messages > 0 && processed >= self.max_messages)
+            || self.deadline.is_some_and(|d| Instant::now() >= d)
+            || self.stop.as_ref().is_some_and(|s| s.is_stopped())
+            || self
+                .yield_flag
+                .as_ref()
+                .is_some_and(|y| y.load(std::sync::atomic::Ordering::Acquire))
+    }
+}
+
+/// Why `run_slice` returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunOutcome {
+    /// All inputs delivered end-of-stream and every operator completed.
+    Finished,
+    /// No input available right now; wait for a wake-up.
+    Idle,
+    /// The budget was exhausted with work still pending.
+    Budget,
+}
+
+/// Executor configuration.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecConfig {
+    /// Messages popped per strategy decision.
+    pub batch: usize,
+    /// Whether to time operator invocations for the runtime cost model.
+    pub measure: bool,
+}
+
+impl Default for ExecConfig {
+    fn default() -> Self {
+        ExecConfig { batch: 32, measure: true }
+    }
+}
+
+/// One operator of the domain: its persistent state, its wiring, and what
+/// each concern module keeps per slot.
+struct Slot {
+    /// The part that outlives this wiring (see [`DomainExecutor::extract`]).
+    state: SlotState,
+    /// Output routing, one entry per out-edge.
+    targets: Vec<Target>,
+    fault: guard::SlotFault,
+    probe: probe::SlotProbe,
+    align: align::SlotAlign,
+}
+
+/// The executor of one scheduling domain.
+pub struct DomainExecutor {
+    name: String,
+    index: HashMap<NodeId, usize>,
+    slots: Vec<Slot>,
+    inputs: Vec<InputQueue>,
+    strategy: Box<dyn Strategy>,
+    /// Messages to re-deliver before popping queues (seeded from drained
+    /// queues during a mode switch).
+    pending: VecDeque<(NodeId, usize, Message)>,
+    /// The DI chain-reaction work stack.
+    stack: Vec<(NodeId, usize, Message)>,
+    out: Output,
+    /// Messages popped per strategy decision.
+    batch: usize,
+    /// Slots not yet closed.
+    live: usize,
+    /// First operator error, if any (elements causing errors are dropped).
+    error: Option<StreamError>,
+    guard: guard::Guard,
+    align: align::Align,
+    probe: probe::Probe,
+}
+
+impl DomainExecutor {
+    /// Builds an executor from its slots, input queues, and strategy.
+    pub fn new(
+        name: impl Into<String>,
+        slots: Vec<SlotInit>,
+        inputs: Vec<InputQueue>,
+        strategy: Box<dyn Strategy>,
+        cfg: ExecConfig,
+    ) -> DomainExecutor {
+        let slots: Vec<Slot> = slots.into_iter().map(|s| s.into_slot(cfg.measure)).collect();
+        DomainExecutor {
+            name: name.into(),
+            index: slots.iter().enumerate().map(|(i, s)| (s.state.node, i)).collect(),
+            live: slots.iter().filter(|s| !s.state.closed).count(),
+            slots,
+            inputs,
+            strategy,
+            pending: VecDeque::new(),
+            stack: Vec::new(),
+            out: Output::new(),
+            batch: cfg.batch.max(1),
+            error: None,
+            guard: guard::Guard::default(),
+            align: align::Align::default(),
+            probe: probe::Probe::default(),
+        }
+    }
+
+    /// Live (not yet closed) slots in this executor.
+    pub fn live_slots(&self) -> usize {
+        self.live
+    }
+
+    /// The domain's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Queues a message for delivery before normal queue consumption (used
+    /// to re-seed in-flight messages across a mode switch).
+    pub fn seed(&mut self, node: NodeId, port: usize, msg: Message) {
+        self.pending.push_back((node, port, msg));
+    }
+
+    /// Synchronously processes one message through the domain (the DI chain
+    /// reaction). Used directly by source-driven execution.
+    pub fn inject(&mut self, node: NodeId, port: usize, msg: Message) {
+        debug_assert!(self.stack.is_empty());
+        self.stack.push((node, port, msg));
+        self.guard.enter();
+        loop {
+            while let Some((node, port, msg)) = self.stack.pop() {
+                match self.index.get(&node) {
+                    Some(&i) => self.dispatch(i, port, msg),
+                    // Routing bug; record once and drop.
+                    None => {
+                        self.record_error(StreamError::Other(format!("no slot for node {node}")))
+                    }
+                }
+            }
+            if !self.align.release(&mut self.stack) {
+                break;
+            }
+        }
+        self.guard.exit();
+    }
+
+    /// Delivers one message to slot `i` on `port`, by kind. A closed slot
+    /// takes no more input.
+    fn dispatch(&mut self, i: usize, port: usize, msg: Message) {
+        let slot = &mut self.slots[i];
+        if slot.state.closed {
+            return;
+        }
+        if slot.align.holds(port) {
+            slot.align.hold(port, msg);
+            return;
+        }
+        match msg {
+            Message::Data(el) => self.process_data(i, port, el),
+            Message::Punct(Punctuation::EndOfStream) => {
+                self.process_eos(i, port);
+                // An EOS-closed port counts as aligned; this may
+                // complete an alignment waiting on it.
+                self.check_alignment(i);
+            }
+            Message::Punct(Punctuation::Watermark(ts)) => self.process_watermark(i, port, ts),
+            Message::Punct(Punctuation::Barrier(id)) => self.process_barrier(i, port, id),
+        }
+    }
+
+    fn process_data(&mut self, i: usize, port: usize, el: Element) {
+        let (slot, out) = (&mut self.slots[i], &mut self.out);
+        let fault = guard::arm(&slot.fault);
+        let span = self.probe.begin(&slot.probe, &el);
+        let caught =
+            guard::call(&mut *slot.state.op, out, fault, |op, out| op.process(port, &el, out));
+        self.probe.end(&slot.probe, span, matches!(caught, Ok(Ok(()))), &el, out);
+        if self.settle(i, caught, Some((port, &el))) {
+            self.deliver_outputs(i);
+        }
+    }
+
+    fn process_eos(&mut self, i: usize, port: usize) {
+        // Give the operator a chance to release anything gated on this
+        // port's progress (the shard merge's held-back sequences) before
+        // the port is booked closed.
+        self.guarded(i, |op, out| op.on_eos(port, out));
+        self.deliver_outputs(i);
+        if self.slots[i].state.closed || !self.slots[i].state.eos.close(port) {
+            return;
+        }
+        // Last port closed: flush, then close. Either callback may have
+        // panicked its way to a verdict that already closed the slot.
+        self.guarded(i, |op, out| op.flush(out));
+        if !self.slots[i].state.closed {
+            self.close_slot(i);
+        }
+    }
+
+    fn process_watermark(&mut self, i: usize, port: usize, ts: Timestamp) {
+        let Some(combined) = self.slots[i].state.wm.observe(port, ts) else {
+            return;
+        };
+        // A failing handler does not stop the watermark: it still
+        // propagates so downstream state keeps expiring — unless the
+        // failure closed the slot, which sent EOS instead.
+        self.guarded(i, |op, out| op.on_watermark(port, combined, out));
+        if !self.slots[i].state.closed {
+            self.forward_punct(i, Punctuation::Watermark(combined));
+        }
+    }
+
+    /// Closes slot `i`: its successors get whatever it still has pending,
+    /// then EOS, so the rest of the query completes even when the slot is
+    /// closed by a terminal panic (graceful degradation; the operator's
+    /// `flush` is deliberately *not* called then — its state is untrusted).
+    fn close_slot(&mut self, i: usize) {
+        self.forward_punct(i, Punctuation::EndOfStream);
+        self.slots[i].state.closed = true;
+        self.live -= 1;
+        self.align.slot_closed();
+    }
+
+    fn record_error(&mut self, e: StreamError) {
+        self.error.get_or_insert(e);
+    }
+
+    /// Routes everything in `self.out` to slot `i`'s targets: queue targets
+    /// in forward order (FIFO), inline targets pushed in reverse so the
+    /// LIFO stack realizes the paper's depth-first traversal.
+    ///
+    /// An element tagged with a route (see [`Output::push_routed`]) goes to
+    /// exactly one target — the one at the route's out-edge ordinal, which
+    /// is its index in `targets` because both follow graph edge order.
+    /// Untagged elements broadcast to every target, as ever.
+    fn deliver_outputs(&mut self, i: usize) {
+        if self.out.is_empty() {
+            return;
+        }
+        let routes = self.out.take_routes();
+        let takes = |idx: usize, ti: usize| match routes.get(idx) {
+            Some(&r) if r != Output::BROADCAST => r as usize == ti,
+            _ => true,
+        };
+        let outputs: Vec<Element> = self.out.drain().collect();
+        for (ti, t) in self.slots[i].targets.iter().enumerate() {
+            if let Target::Queue { queue, wake } = t {
+                let mut pushed = false;
+                for (idx, el) in outputs.iter().enumerate() {
+                    if !takes(idx, ti) {
+                        continue;
+                    }
+                    self.probe.queue_enter(el, queue);
+                    // A closed queue only happens during teardown; the
+                    // element is intentionally dropped then.
+                    let _ = queue.push(Message::Data(el.clone()));
+                    pushed = true;
+                }
+                if pushed {
+                    if let Some(w) = wake {
+                        w.wake();
+                    }
+                }
+            }
+        }
+        for (idx, el) in outputs.iter().enumerate().rev() {
+            for (ti, t) in self.slots[i].targets.iter().enumerate().rev() {
+                if let Target::Inline { node, port } = t {
+                    if takes(idx, ti) {
+                        self.stack.push((*node, *port, Message::Data(el.clone())));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sends slot `i`'s pending outputs and then `p` to every successor.
+    /// The inline punctuation goes onto the LIFO stack *below* the outputs
+    /// (pushed first → popped last) and the queue punctuation *after* them
+    /// (FIFO), so successors of either kind see what a flush or watermark
+    /// handler emitted before the punctuation that triggered it, instead
+    /// of closing first and dropping it.
+    fn forward_punct(&mut self, i: usize, p: Punctuation) {
+        for t in self.slots[i].targets.iter().rev() {
+            if let Target::Inline { node, port } = t {
+                self.stack.push((*node, *port, Message::Punct(p)));
+            }
+        }
+        self.deliver_outputs(i);
+        for t in &self.slots[i].targets {
+            if let Target::Queue { queue, wake } = t {
+                let _ = queue.push(Message::Punct(p));
+                if let Some(w) = wake {
+                    w.wake();
+                }
+            }
+        }
+    }
+
+    /// Whether every input queue has delivered end-of-stream and every
+    /// operator has completed.
+    pub fn is_finished(&self) -> bool {
+        self.pending.is_empty() && self.inputs.iter().all(|q| q.exhausted) && self.live == 0
+    }
+
+    /// Whether any input has work pending right now.
+    pub fn has_work(&self) -> bool {
+        !self.pending.is_empty() || self.inputs.iter().any(|q| !q.exhausted && !q.queue.is_empty())
+    }
+
+    /// Runs the level-2 scheduling loop until the budget is exhausted, the
+    /// inputs run dry, or the domain finishes.
+    pub fn run_slice(&mut self, budget: &Budget) -> RunOutcome {
+        let mut processed = 0usize;
+
+        while let Some((node, port, msg)) = self.pending.pop_front() {
+            self.inject(node, port, msg);
+            processed += 1;
+            if budget.exceeded(processed) {
+                return self.slice_status();
+            }
+        }
+
+        loop {
+            let view: Vec<InputSlot> = self
+                .inputs
+                .iter()
+                .map(|q| InputSlot {
+                    consumer: q.node,
+                    len: if q.exhausted { 0 } else { q.queue.len() },
+                    head_ts: q.queue.peek_ts(),
+                })
+                .collect();
+            let Some(i) = self.strategy.select(&view) else {
+                return self.slice_status();
+            };
+            for _ in 0..self.batch {
+                let Some(msg) = self.inputs[i].queue.try_pop() else {
+                    break;
+                };
+                self.probe.queue_exit(&msg, i);
+                if msg.is_eos() {
+                    self.inputs[i].exhausted = true;
+                }
+                let (node, port) = (self.inputs[i].node, self.inputs[i].port);
+                self.inject(node, port, msg);
+                processed += 1;
+                if budget.exceeded(processed) {
+                    return self.slice_status();
+                }
+            }
+        }
+    }
+
+    fn slice_status(&self) -> RunOutcome {
+        if self.is_finished() {
+            RunOutcome::Finished
+        } else if self.has_work() {
+            RunOutcome::Budget
+        } else {
+            RunOutcome::Idle
+        }
+    }
+
+    /// The first operator error observed, if any.
+    pub fn error(&self) -> Option<&StreamError> {
+        self.error.as_ref()
+    }
+
+    /// Drains all input queues, returning the in-flight messages together
+    /// with their destination. Called during a mode switch after producers
+    /// have stopped.
+    pub fn take_input_remnants(&mut self) -> Vec<(NodeId, usize, Message)> {
+        let mut out: Vec<(NodeId, usize, Message)> =
+            std::mem::take(&mut self.pending).into_iter().collect();
+        self.align.take_remnants(&mut self.slots, &mut out);
+        for q in &mut self.inputs {
+            for msg in q.queue.drain() {
+                out.push((q.node, q.port, msg));
+            }
+        }
+        out
+    }
+
+    /// Extracts every slot's resume state, leaving the executor empty (it
+    /// may still be referenced by an `Arc` held elsewhere). Called when the
+    /// domain is torn down for a mode switch.
+    pub fn extract(&mut self) -> Vec<SlotState> {
+        self.live = 0;
+        self.index.clear();
+        std::mem::take(&mut self.slots).into_iter().map(|s| s.state).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheduler::strategy::StrategyKind;
+    use hmts_operators::expr::Expr;
+    use hmts_operators::filter::Filter;
+    use hmts_operators::sink::CollectingSink;
+    use hmts_operators::traits::Operator;
+    use hmts_streams::time::Timestamp;
+    use hmts_streams::tuple::Tuple;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    pub(super) fn data(v: i64, us: u64) -> Message {
+        Message::data(Tuple::single(v), Timestamp::from_micros(us))
+    }
+
+    pub(super) fn slot(node: usize, op: Box<dyn Operator>, targets: Vec<Target>) -> SlotInit {
+        SlotInit::new(SlotState::new(NodeId(node), op), targets)
+    }
+
+    /// Filter chain 1 -> 2 -> sink 3, all inline (one VO), fed by queue q.
+    fn di_chain() -> (DomainExecutor, Arc<StreamQueue>, hmts_operators::sink::SinkHandle) {
+        let (sink, handle) = CollectingSink::new("sink");
+        let q = StreamQueue::unbounded("in");
+        let slots = vec![
+            slot(
+                1,
+                Box::new(Filter::new("f1", Expr::field(0).lt(Expr::int(100)))),
+                vec![Target::Inline { node: NodeId(2), port: 0 }],
+            ),
+            slot(
+                2,
+                Box::new(Filter::new("f2", Expr::field(0).gt(Expr::int(10)))),
+                vec![Target::Inline { node: NodeId(3), port: 0 }],
+            ),
+            slot(3, Box::new(sink), vec![]),
+        ];
+        let inputs =
+            vec![InputQueue { queue: Arc::clone(&q), node: NodeId(1), port: 0, exhausted: false }];
+        let exec = DomainExecutor::new(
+            "d",
+            slots,
+            inputs,
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        (exec, q, handle)
+    }
+
+    #[test]
+    fn di_chain_reaction_filters_and_collects() {
+        let (mut exec, q, handle) = di_chain();
+        for (i, v) in [5i64, 50, 500, 11, 99].into_iter().enumerate() {
+            q.push(data(v, i as u64)).unwrap();
+        }
+        q.push(Message::eos()).unwrap();
+        let outcome = exec.run_slice(&Budget::unlimited());
+        assert_eq!(outcome, RunOutcome::Finished);
+        let vals: Vec<i64> =
+            handle.elements().iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect();
+        assert_eq!(vals, vec![50, 11, 99]);
+        assert!(handle.is_done());
+        assert!(exec.error().is_none());
+        assert!(exec.is_finished());
+    }
+
+    #[test]
+    fn idle_when_no_input_yet() {
+        let (mut exec, q, _) = di_chain();
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
+        assert!(!exec.has_work());
+        q.push(data(50, 1)).unwrap();
+        assert!(exec.has_work());
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
+    }
+
+    #[test]
+    fn budget_limits_slice() {
+        let (mut exec, q, handle) = di_chain();
+        for i in 0..100 {
+            q.push(data(50, i)).unwrap();
+        }
+        let budget = Budget { max_messages: 10, ..Budget::default() };
+        assert_eq!(exec.run_slice(&budget), RunOutcome::Budget);
+        assert_eq!(handle.count(), 10);
+        // Remaining work completes on the next slices.
+        q.push(Message::eos()).unwrap();
+        while exec.run_slice(&budget) != RunOutcome::Finished {}
+        assert_eq!(handle.count(), 100);
+    }
+
+    #[test]
+    fn stop_flag_interrupts() {
+        let (mut exec, q, _) = di_chain();
+        for i in 0..10 {
+            q.push(data(50, i)).unwrap();
+        }
+        let stop = Arc::new(StopFlag::new());
+        stop.stop();
+        let budget = Budget { stop: Some(Arc::clone(&stop)), ..Budget::default() };
+        assert_eq!(exec.run_slice(&budget), RunOutcome::Budget);
+    }
+
+    #[test]
+    fn inject_runs_synchronously() {
+        let (mut exec, _q, handle) = di_chain();
+        exec.inject(NodeId(1), 0, data(42, 1));
+        assert_eq!(handle.count(), 1);
+        exec.inject(NodeId(1), 0, Message::eos());
+        assert!(handle.is_done());
+        // The domain still has an unexhausted input queue, so not finished.
+        assert!(!exec.is_finished());
+    }
+
+    #[test]
+    fn queue_targets_forward_and_wake() {
+        struct CountWaker(AtomicUsize);
+        impl Waker for CountWaker {
+            fn wake(&self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let out_q = StreamQueue::unbounded("out");
+        let waker = Arc::new(CountWaker(AtomicUsize::new(0)));
+        let slots = vec![slot(
+            1,
+            Box::new(Filter::new("f", Expr::bool(true))),
+            vec![Target::Queue {
+                queue: Arc::clone(&out_q),
+                wake: Some(Arc::clone(&waker) as Arc<dyn Waker>),
+            }],
+        )];
+        let mut exec = DomainExecutor::new(
+            "d",
+            slots,
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        exec.inject(NodeId(1), 0, data(1, 1));
+        exec.inject(NodeId(1), 0, data(2, 2));
+        exec.inject(NodeId(1), 0, Message::eos());
+        assert_eq!(out_q.len(), 3); // two data + EOS
+        assert!(waker.0.load(Ordering::Relaxed) >= 3);
+        assert!(exec.is_finished()); // no inputs, slot closed
+                                     // FIFO order preserved through the queue.
+        assert_eq!(out_q.try_pop().unwrap().as_data().unwrap().tuple.field(0).as_int().unwrap(), 1);
+    }
+
+    #[test]
+    fn fanout_delivers_depth_first_to_both_branches() {
+        // 1 -> {2, 3} (both sinks). Depth-first: per element, branch 2
+        // before branch 3.
+        let (s2, h2) = CollectingSink::new("s2");
+        let (s3, h3) = CollectingSink::new("s3");
+        let slots = vec![
+            slot(
+                1,
+                Box::new(Filter::new("f", Expr::bool(true))),
+                vec![
+                    Target::Inline { node: NodeId(2), port: 0 },
+                    Target::Inline { node: NodeId(3), port: 0 },
+                ],
+            ),
+            slot(2, Box::new(s2), vec![]),
+            slot(3, Box::new(s3), vec![]),
+        ];
+        let mut exec = DomainExecutor::new(
+            "d",
+            slots,
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        exec.inject(NodeId(1), 0, data(7, 1));
+        assert_eq!(h2.count(), 1);
+        assert_eq!(h3.count(), 1);
+        exec.inject(NodeId(1), 0, Message::eos());
+        assert!(h2.is_done() && h3.is_done());
+    }
+
+    #[test]
+    fn eos_waits_for_all_ports() {
+        // Binary union 1 <- two queues; sink 2.
+        let (sink, handle) = CollectingSink::new("s");
+        let qa = StreamQueue::unbounded("a");
+        let qb = StreamQueue::unbounded("b");
+        let slots = vec![
+            slot(
+                1,
+                Box::new(hmts_operators::union::Union::new("u", 2)),
+                vec![Target::Inline { node: NodeId(2), port: 0 }],
+            ),
+            slot(2, Box::new(sink), vec![]),
+        ];
+        let inputs = vec![
+            InputQueue { queue: Arc::clone(&qa), node: NodeId(1), port: 0, exhausted: false },
+            InputQueue { queue: Arc::clone(&qb), node: NodeId(1), port: 1, exhausted: false },
+        ];
+        let mut exec = DomainExecutor::new(
+            "d",
+            slots,
+            inputs,
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        qa.push(data(1, 1)).unwrap();
+        qa.push(Message::eos()).unwrap();
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
+        assert!(!handle.is_done(), "EOS only on one port");
+        qb.push(data(2, 2)).unwrap();
+        qb.push(Message::eos()).unwrap();
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Finished);
+        assert!(handle.is_done());
+        assert_eq!(handle.count(), 2);
+    }
+
+    #[test]
+    fn operator_error_is_recorded_and_skipped() {
+        let (sink, handle) = CollectingSink::new("s");
+        let q = StreamQueue::unbounded("in");
+        let slots = vec![
+            slot(
+                1,
+                // References field 5 of single-field tuples → error.
+                Box::new(Filter::new("bad", Expr::field(5).lt(Expr::int(1)))),
+                vec![Target::Inline { node: NodeId(2), port: 0 }],
+            ),
+            slot(2, Box::new(sink), vec![]),
+        ];
+        let inputs =
+            vec![InputQueue { queue: Arc::clone(&q), node: NodeId(1), port: 0, exhausted: false }];
+        let mut exec = DomainExecutor::new(
+            "d",
+            slots,
+            inputs,
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        q.push(data(1, 1)).unwrap();
+        q.push(Message::eos()).unwrap();
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Finished);
+        assert!(matches!(exec.error(), Some(StreamError::FieldOutOfBounds { .. })));
+        assert_eq!(handle.count(), 0);
+        assert!(handle.is_done(), "EOS still flows despite the error");
+    }
+
+    #[test]
+    fn watermarks_combine_and_expire_state() {
+        use hmts_operators::join::SymmetricHashJoin;
+        use std::time::Duration;
+        let join = SymmetricHashJoin::on_field("j", 0, Duration::from_secs(10));
+        let qa = StreamQueue::unbounded("a");
+        let qb = StreamQueue::unbounded("b");
+        let (sink, _h) = CollectingSink::new("s");
+        let slots = vec![
+            slot(1, Box::new(join), vec![Target::Inline { node: NodeId(2), port: 0 }]),
+            slot(2, Box::new(sink), vec![]),
+        ];
+        let inputs = vec![
+            InputQueue { queue: Arc::clone(&qa), node: NodeId(1), port: 0, exhausted: false },
+            InputQueue { queue: Arc::clone(&qb), node: NodeId(1), port: 1, exhausted: false },
+        ];
+        let mut exec = DomainExecutor::new(
+            "d",
+            slots,
+            inputs,
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        qa.push(data(1, 0)).unwrap();
+        qb.push(data(2, 0)).unwrap();
+        // Watermark on only one port does not advance the combined mark.
+        qa.push(Message::Punct(Punctuation::Watermark(Timestamp::from_secs(100)))).unwrap();
+        exec.run_slice(&Budget::unlimited());
+        qb.push(Message::Punct(Punctuation::Watermark(Timestamp::from_secs(100)))).unwrap();
+        exec.run_slice(&Budget::unlimited());
+        // Combined watermark of 100 s with a 10 s window: both sides empty.
+        // (Verified indirectly: no join output for fresh matching data at
+        // ts 0 — it would be outside the window anyway; instead check via
+        // error-free completion.)
+        qa.push(Message::eos()).unwrap();
+        qb.push(Message::eos()).unwrap();
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Finished);
+        assert!(exec.error().is_none());
+    }
+
+    #[test]
+    fn remnants_and_slot_states_extract() {
+        let (mut exec, q, _handle) = di_chain();
+        q.push(data(50, 1)).unwrap();
+        exec.run_slice(&Budget::unlimited());
+        q.push(data(60, 2)).unwrap();
+        q.push(data(70, 3)).unwrap();
+        exec.seed(NodeId(2), 0, data(80, 4));
+        let remnants = exec.take_input_remnants();
+        assert_eq!(remnants.len(), 3);
+        assert_eq!(remnants[0].0, NodeId(2)); // pending first
+        assert_eq!(remnants[1].0, NodeId(1));
+        let states = exec.extract();
+        assert_eq!(states.len(), 3);
+        assert!(states.iter().all(|s| !s.closed));
+    }
+
+    /// An operator whose only output is produced at flush time (the count
+    /// of elements it saw).
+    struct FlushEmitter {
+        seen: i64,
+    }
+
+    impl Operator for FlushEmitter {
+        fn name(&self) -> &str {
+            "flush-emit"
+        }
+
+        fn input_arity(&self) -> usize {
+            1
+        }
+
+        fn process(
+            &mut self,
+            _port: usize,
+            _el: &Element,
+            _out: &mut Output,
+        ) -> hmts_streams::error::Result<()> {
+            self.seen += 1;
+            Ok(())
+        }
+
+        fn flush(&mut self, out: &mut Output) -> hmts_streams::error::Result<()> {
+            out.emit(Tuple::single(self.seen), Timestamp::from_micros(1));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn flush_output_reaches_inline_successor_before_eos() {
+        // Regression: EOS used to be pushed *above* the flush outputs on
+        // the LIFO stack, so an inline successor closed first and dropped
+        // them.
+        let (sink, handle) = CollectingSink::new("s");
+        let slots = vec![
+            slot(
+                1,
+                Box::new(FlushEmitter { seen: 0 }),
+                vec![Target::Inline { node: NodeId(2), port: 0 }],
+            ),
+            slot(2, Box::new(sink), vec![]),
+        ];
+        let mut exec = DomainExecutor::new(
+            "d",
+            slots,
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        exec.inject(NodeId(1), 0, data(1, 1));
+        exec.inject(NodeId(1), 0, data(2, 2));
+        exec.inject(NodeId(1), 0, Message::eos());
+        assert!(handle.is_done());
+        let vals: Vec<i64> =
+            handle.elements().iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect();
+        assert_eq!(vals, vec![2], "flush output delivered before the close");
+    }
+}

@@ -163,14 +163,10 @@ impl Default for SourceDriverConfig {
     }
 }
 
-/// Sleeps (coarsely) then spins (finely) until `due` on `clock`. Sleeps are
-/// capped at 20 ms per round so an abort (or pause) is noticed promptly
-/// even when the emission schedule has long gaps.
-pub fn pace_until(clock: &dyn hmts_streams::time::Clock, due: Timestamp) {
-    pace_until_or_stop(clock, due, None)
-}
-
-/// Like [`pace_until`], returning early when `stop` is raised.
+/// Sleeps (coarsely) then spins (finely) until `due` on `clock`, returning
+/// early when `stop` is raised. Sleeps are capped at 20 ms per round so an
+/// abort (or pause) is noticed promptly even when the emission schedule has
+/// long gaps.
 pub fn pace_until_or_stop(
     clock: &dyn hmts_streams::time::Clock,
     due: Timestamp,
@@ -512,7 +508,7 @@ mod tests {
         let clock = ManualClock::new();
         clock.set(Timestamp::from_secs(10));
         // Due in the past: returns immediately.
-        pace_until(&clock, Timestamp::from_secs(5));
+        pace_until_or_stop(&clock, Timestamp::from_secs(5), None);
     }
 
     #[test]

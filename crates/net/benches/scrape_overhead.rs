@@ -11,8 +11,9 @@
 //! each side's fastest run is its least-contaminated observation and
 //! the best-vs-best gap isolates the cost of scraping from ambient
 //! machine noise, which on small CI boxes exceeds the 1% budget
-//! run-to-run. Runs with `cargo bench -p hmts-net` (also via
-//! `scripts/bench.sh`); asserts, so a regression fails loudly.
+//! run-to-run. Runs with `cargo bench -p hmts-net --bench
+//! scrape_overhead` (a non-gating CI step); asserts, so a regression
+//! fails loudly.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -1,10 +1,15 @@
 //! Bounded multi-producer event journal for scheduler decisions.
 //!
-//! A fixed-capacity ring of slots. Producers claim a slot with one atomic
-//! `fetch_add` on the write cursor and then store the record under that
-//! slot's own mutex, so concurrent emitters from different scheduler
-//! threads never contend unless they collide on the same slot (capacity
-//! collisions only). When the ring wraps, the oldest records are
+//! Two fixed-capacity rings of slots behind one global sequence counter:
+//! the level-3 scheduler's per-slice records (`dispatch`, `yield`,
+//! `preempt`, `aging-boost` — thousands per second under HMTS) go to one,
+//! every other event (checkpoints, alerts, quarantines, mode switches, …) to
+//! the other, so a busy scheduler can never evict the rare lifecycle
+//! records an operator is looking for. Producers claim a slot with one
+//! atomic `fetch_add` on the ring's write cursor and then store the record
+//! under that slot's own mutex, so concurrent emitters from different
+//! scheduler threads never contend unless they collide on the same slot
+//! (capacity collisions only). When a ring wraps, its oldest records are
 //! overwritten and counted as dropped — the journal never blocks or grows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,17 +121,52 @@ pub struct EventRecord {
     pub event: SchedEvent,
 }
 
-/// Bounded MPSC event journal.
+/// One overwrite-oldest ring of records.
 #[derive(Debug)]
-pub struct EventJournal {
+struct Ring {
     slots: Vec<Mutex<Option<EventRecord>>>,
     cursor: AtomicU64,
     dropped: AtomicU64,
+}
+
+impl Ring {
+    fn new(capacity: usize) -> Ring {
+        Ring {
+            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            cursor: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+        }
+    }
+
+    fn push(&self, record: EventRecord) {
+        let at = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let mut slot = self.slots[(at % self.slots.len() as u64) as usize].lock();
+        if slot.is_some() {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        *slot = Some(record);
+    }
+
+    fn high_water(&self) -> u64 {
+        self.cursor.load(Ordering::Relaxed).min(self.slots.len() as u64)
+    }
+}
+
+/// Bounded MPSC event journal.
+#[derive(Debug)]
+pub struct EventJournal {
+    /// Global sequence counter: one total order across both rings.
+    seq: AtomicU64,
+    /// Level-3 per-slice records.
+    slices: Ring,
+    /// Everything else.
+    lifecycle: Ring,
     start: Instant,
 }
 
 impl EventJournal {
-    /// Creates a journal holding at most `capacity` records.
+    /// Creates a journal whose two rings hold at most `capacity` records
+    /// each.
     pub fn new(capacity: usize) -> EventJournal {
         EventJournal::with_epoch(capacity, Instant::now())
     }
@@ -138,58 +178,65 @@ impl EventJournal {
     pub fn with_epoch(capacity: usize, epoch: Instant) -> EventJournal {
         let capacity = capacity.max(1);
         EventJournal {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            seq: AtomicU64::new(0),
+            slices: Ring::new(capacity),
+            lifecycle: Ring::new(capacity),
             start: epoch,
         }
     }
 
     /// Appends an event; O(1), never blocks for long, overwrites the
-    /// oldest record when full.
+    /// oldest record of the event's ring when that ring is full.
     pub fn push(&self, event: SchedEvent) {
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let idx = (seq % self.slots.len() as u64) as usize;
-        let record = EventRecord {
-            seq,
+        let ring = match event {
+            SchedEvent::Dispatch { .. }
+            | SchedEvent::Yield { .. }
+            | SchedEvent::Preempt { .. }
+            | SchedEvent::AgingBoost { .. } => &self.slices,
+            _ => &self.lifecycle,
+        };
+        ring.push(EventRecord {
+            seq: self.seq.fetch_add(1, Ordering::Relaxed),
             thread: thread_token(),
             elapsed_ns: self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             event,
-        };
-        let mut slot = self.slots[idx].lock();
-        if slot.is_some() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        *slot = Some(record);
+        });
     }
 
     /// Total events ever pushed.
     pub fn pushed(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
+        self.seq.load(Ordering::Relaxed)
     }
 
-    /// Events overwritten before being part of any snapshot.
+    /// Events overwritten before being part of any snapshot (both rings).
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.slices.dropped.load(Ordering::Relaxed) + self.lifecycle_dropped()
     }
 
-    /// Ring capacity in records.
+    /// Lifecycle events (anything but the level-3 per-slice records)
+    /// overwritten before being part of any snapshot.
+    pub fn lifecycle_dropped(&self) -> u64 {
+        self.lifecycle.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Capacity of each ring in records.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.lifecycle.slots.len()
     }
 
-    /// High-water mark: the most slots ever occupied at once. For an
-    /// overwrite-oldest ring this is `min(pushed, capacity)` — once the
-    /// ring wraps it stays pinned at capacity, which is exactly the
+    /// High-water mark: the most slots of one ring ever occupied at once.
+    /// For an overwrite-oldest ring this is `min(pushed, capacity)` — once
+    /// a ring wraps it stays pinned at capacity, which is exactly the
     /// saturation signal the registry metric wants to surface.
     pub fn high_water(&self) -> u64 {
-        self.pushed().min(self.slots.len() as u64)
+        self.slices.high_water().max(self.lifecycle.high_water())
     }
 
-    /// The retained records, oldest first (by global sequence number).
+    /// The retained records of both rings, oldest first (by global
+    /// sequence number).
     pub fn snapshot(&self) -> Vec<EventRecord> {
-        let mut out: Vec<EventRecord> =
-            self.slots.iter().filter_map(|s| s.lock().clone()).collect();
+        let slots = self.slices.slots.iter().chain(&self.lifecycle.slots);
+        let mut out: Vec<EventRecord> = slots.filter_map(|s| s.lock().clone()).collect();
         out.sort_by_key(|r| r.seq);
         out
     }
@@ -277,5 +324,26 @@ mod tests {
         // At least two distinct producer threads were recorded.
         let threads_seen: std::collections::HashSet<u64> = snap.iter().map(|r| r.thread).collect();
         assert!(threads_seen.len() >= 2);
+    }
+
+    #[test]
+    fn scheduler_slices_cannot_evict_lifecycle_events() {
+        let j = EventJournal::new(4);
+        j.push(SchedEvent::CheckpointComplete { id: 1, bytes: 10, duration_ms: 1 });
+        for d in 0..100usize {
+            j.push(SchedEvent::Dispatch { domain: d, worker: 0, priority: 0 });
+            j.push(SchedEvent::Yield { domain: d, outcome: "idle" });
+        }
+        j.push(SchedEvent::AlertRaised { rule: "rho > 0.9".into(), value: 0.95 });
+        let snap = j.snapshot();
+        // Both lifecycle records survive 200 per-slice records through a
+        // 4-slot ring, merged back into emission order.
+        assert_eq!(snap.len(), 6);
+        assert_eq!(snap[0].event.kind(), "checkpoint-complete");
+        assert_eq!(snap[5].event.kind(), "alert-raised");
+        assert!(snap.windows(2).all(|w| w[0].seq < w[1].seq));
+        assert_eq!(j.pushed(), 202);
+        assert_eq!(j.dropped(), 196);
+        assert_eq!(j.lifecycle_dropped(), 0);
     }
 }

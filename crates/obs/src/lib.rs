@@ -40,7 +40,8 @@ pub use trace::{trace_id, HopKind, SpanEvent, TraceConfig, Tracer, NO_PARTITION}
 /// Configuration for an enabled [`Obs`] handle.
 #[derive(Clone, Debug, Default)]
 pub struct ObsConfig {
-    /// Ring capacity of the event journal (0 uses the default of 4096).
+    /// Capacity of each of the event journal's two rings — level-3
+    /// per-slice records and lifecycle events (0 uses the default of 4096).
     pub journal_capacity: usize,
     /// Per-tuple trace sampling; `None` (the default) disables tracing
     /// entirely, keeping the engine's per-element cost at one `Option`
@@ -76,6 +77,8 @@ impl ObsCore {
     /// these gauges must survive that.
     fn refresh_runtime_metrics(&self) {
         self.registry.gauge("journal.dropped").set(self.journal.dropped() as i64);
+        let lifecycle_dropped = self.journal.lifecycle_dropped() as i64;
+        self.registry.gauge("journal.lifecycle_dropped").set(lifecycle_dropped);
         self.registry.gauge("journal.high_water").set(self.journal.high_water() as i64);
         self.registry.gauge("journal.capacity").set(self.journal.capacity() as i64);
         if let Some(t) = &self.tracer {
@@ -338,9 +341,9 @@ mod tests {
         obs.sample_now();
 
         // The three explicit metrics plus the self-observability gauges
-        // (journal capacity / dropped / high-water).
+        // (journal capacity / dropped / lifecycle-dropped / high-water).
         let metrics = obs.metrics_snapshot();
-        assert_eq!(metrics.len(), 6);
+        assert_eq!(metrics.len(), 7);
         let gauge = |name: &str| {
             metrics
                 .iter()
@@ -352,6 +355,7 @@ mod tests {
         };
         assert_eq!(gauge("journal.capacity"), 4096);
         assert_eq!(gauge("journal.dropped"), 0);
+        assert_eq!(gauge("journal.lifecycle_dropped"), 0);
         assert_eq!(gauge("journal.high_water"), 1);
         let journal = obs.journal_snapshot();
         assert_eq!(journal.len(), 1);

@@ -33,7 +33,6 @@ pub mod join;
 pub mod latency;
 pub mod map;
 pub mod project;
-pub mod pull;
 pub mod sample;
 pub mod sink;
 pub mod traits;
@@ -49,7 +48,6 @@ pub use join::{JoinCondition, SymmetricHashJoin, SymmetricNestedLoopsJoin};
 pub use latency::{LatencyHistogram, LatencySink};
 pub use map::Map;
 pub use project::{MapExpr, Project};
-pub use pull::{PullFilter, PullOperator, PullProject, PullResult, PushAsPull, QueueLeaf};
 pub use sample::{Sample, SamplePolicy};
 pub use sink::{
     CallbackSink, CollectingSink, CountingSink, NullSink, SinkHandle, TimelineHandle, TimelineSink,

@@ -30,14 +30,17 @@ pub fn group(base: &str, n: usize) -> String {
 
 /// Decomposes a replica name into `(base, index)`; `None` for anything
 /// that does not look like `base[i]`.
+///
+/// The observability plane groups replicas with a parser of its own
+/// (`hmts_obs::capacity::parse_replica`): neither crate depends on the
+/// other, so the two are kept identical and a test below holds them to it.
 pub fn parse_replica(name: &str) -> Option<(&str, usize)> {
     let rest = name.strip_suffix(']')?;
-    let open = rest.rfind('[')?;
-    if open == 0 {
+    let (base, idx) = rest.rsplit_once('[')?;
+    if base.is_empty() || idx.is_empty() || !idx.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
-    let index: usize = rest[open + 1..].parse().ok()?;
-    Some((&rest[..open], index))
+    Some((base, idx.parse().ok()?))
 }
 
 #[cfg(test)]
@@ -62,5 +65,29 @@ mod tests {
         assert_eq!(parse_replica("agg[x]"), None);
         assert_eq!(parse_replica("[3]"), None);
         assert_eq!(parse_replica("agg[3"), None);
+    }
+
+    #[test]
+    fn agrees_with_the_obs_plane_parser() {
+        let names = [
+            "agg[3]",
+            "a.b[12]",
+            "a[1][2]",
+            "agg",
+            "agg.split",
+            "agg[]",
+            "agg[x]",
+            "agg[+3]",
+            "agg[-1]",
+            "[3]",
+            "agg[3",
+            "agg]3[",
+            "",
+            "]",
+            "agg[99999999999999999999999]",
+        ];
+        for name in names {
+            assert_eq!(parse_replica(name), hmts::obs::capacity::parse_replica(name), "{name:?}");
+        }
     }
 }

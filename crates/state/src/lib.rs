@@ -1,4 +1,8 @@
 #![warn(missing_docs)]
+// Checkpoint files are untrusted input: a torn write, a flipped byte, or a
+// hand-edited manifest must surface as a typed `StateError` so recovery can
+// fall back to the previous complete checkpoint — never as a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! `hmts-state`: aligned-checkpoint state persistence for the HMTS engine.
 //!
 //! The pieces, bottom-up:

@@ -22,24 +22,6 @@ if [ -n "$violations" ]; then
   exit 1
 fi
 
-echo "==> checkpoint-I/O grep gate (no .unwrap()/.expect( in crates/state/src)"
-# Checkpoint files are untrusted input: a torn write, a flipped byte, or a
-# hand-edited manifest must surface as a typed StateError so recovery can
-# fall back to the previous complete checkpoint — never as a panic. Test
-# modules (everything after a #[cfg(test)] marker) are exempt.
-violations=$(
-  for f in crates/state/src/*.rs crates/state/src/**/*.rs; do
-    [ -e "$f" ] || continue
-    awk '/^#\[cfg\(test\)\]/ { exit }
-         /\.unwrap\(\)|\.expect\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
-  done
-)
-if [ -n "$violations" ]; then
-  echo "error: panics on checkpoint I/O paths (return StateError instead):"
-  echo "$violations"
-  exit 1
-fi
-
 echo "==> replica-name grep gate (no \"base[i]\" construction outside crates/shard)"
 # Shard replica node IDs ("agg[0]", "agg[1].split", ...) are a protocol:
 # checkpoint blobs are keyed by them and the obs plane parses them back
@@ -70,6 +52,16 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> perf ledger builds and passes against the core's frozen surface"
+# perfledger/ is a workspace of its own that BENCHMARK.json builds from the
+# checkout; it may not be edited alongside the code it measures. Building
+# and testing it here turns a core API or dependency change that would
+# break the ledger into a gate failure instead of a failed benchmark run,
+# and the lockfile diff catches a moved dependency graph.
+cargo build --release --offline --manifest-path perfledger/Cargo.toml
+cargo test --offline --manifest-path perfledger/Cargo.toml
+git diff --exit-code -- perfledger/Cargo.lock
 
 echo "==> admin-plane smoke (/metrics + /healthz + /analyze against a live serve)"
 # Boots the served Fig. 9/10 chain with the embedded admin endpoint and

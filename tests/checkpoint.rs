@@ -186,6 +186,13 @@ fn restarted_operator_resumes_from_checkpointed_state() {
         (0..DISTINCT).collect::<Vec<_>>(),
         "restored dedup state keeps suppressing the second pass"
     );
+    // The state the restart rolled back to is on disk: the store holds a
+    // completed checkpoint with the dedup blob.
+    let ck = CheckpointStore::new(&dir, 3)
+        .load_latest()
+        .expect("manifest readable")
+        .expect("a completed checkpoint");
+    assert!(ck.operator_blob("dedup").is_some(), "stateful operator snapshotted");
     // The restart restored checkpointed state, silently dropping whatever
     // dedup processed since that checkpoint — the rollback must be
     // journaled so the regression is observable.
@@ -303,11 +310,20 @@ fn barriers_align_under_gts_ots_and_hmts() {
             .unwrap_or_else(|e| panic!("{mode} run fails: {e}"));
         assert!(report.errors.is_empty(), "{mode} errors: {:?}", report.errors);
         assert_eq!(s.handle.count(), expected, "{mode}: output identical with barriers");
-        let kinds: Vec<&str> = obs.journal_snapshot().iter().map(|r| r.event.kind()).collect();
-        assert!(
-            kinds.contains(&"checkpoint-complete"),
-            "{mode}: at least one aligned checkpoint, kinds: {kinds:?}"
-        );
+        // At least one aligned checkpoint reached the store, with the
+        // source's replay offset of that cut.
+        let ck = CheckpointStore::new(&dir, 3)
+            .load_latest()
+            .unwrap_or_else(|e| panic!("{mode}: manifest unreadable: {e}"))
+            .unwrap_or_else(|| panic!("{mode}: no completed checkpoint in the store"));
+        assert_eq!(ck.sources.len(), 1, "{mode}: one source offset per cut: {:?}", ck.sources);
+        // Its completion is a lifecycle record: the level-3 scheduler's
+        // thousands of dispatch/yield records under HMTS must not evict it.
+        let completed = obs
+            .journal_snapshot()
+            .iter()
+            .any(|r| matches!(r.event, SchedEvent::CheckpointComplete { id, .. } if id == ck.id));
+        assert!(completed, "{mode}: checkpoint {} completion journaled", ck.id);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
