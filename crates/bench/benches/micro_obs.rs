@@ -25,9 +25,7 @@ use hmts::chaos::{FaultAction, FaultPlan, OperatorFaultState};
 use hmts::checkpoint::CheckpointShared;
 use hmts::obs::alert::{AlertEngine, AlertRule};
 use hmts::obs::capacity::{self, CapacityConfig};
-use hmts::obs::{
-    trace_id, Histogram, HopKind, Obs, SchedEvent, StatusBoard, TraceConfig, Tracer, NO_PARTITION,
-};
+use hmts::obs::{trace_id, Histogram, HopKind, Obs, SchedEvent, TraceConfig, Tracer, NO_PARTITION};
 use hmts::streams::element::TraceTag;
 
 /// A pass-through allocator that counts allocation calls so the harness
@@ -241,8 +239,7 @@ fn assert_checkpoint_hook_allocates_nothing() {
 fn assert_disabled_alert_and_capacity_paths_allocate_nothing() {
     const N: u64 = 100_000;
     let obs = Obs::disabled();
-    let status = StatusBoard::default();
-    capacity::install(&obs, &status, CapacityConfig::default());
+    capacity::install(&obs, CapacityConfig::default());
     let engine = AlertEngine::install(
         &obs,
         vec![AlertRule::parse("rho > 0.9 for 5s").expect("rule parses")],

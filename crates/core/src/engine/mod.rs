@@ -317,7 +317,7 @@ impl Engine {
         });
         let checkpoint_shared =
             cfg.checkpoint.as_ref().map(|_| CheckpointShared::new(cfg.obs.clone()));
-        Ok(Engine {
+        let engine = Engine {
             topo,
             plan,
             cfg,
@@ -340,7 +340,9 @@ impl Engine {
             supervisor,
             worker_panics: Vec::new(),
             checkpoint_shared,
-        })
+        };
+        engine.publish_view();
+        Ok(engine)
     }
 
     /// Rebuilds an engine from the latest complete checkpoint in `dir`.

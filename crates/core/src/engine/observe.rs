@@ -1,12 +1,14 @@
-//! What the engine publishes about itself: the sampler collectors of a
-//! wiring (queue, node and engine-wide metrics), the query shape the
-//! capacity analyzer reads, and the plan description journaled on a switch.
+//! What the engine publishes about itself, all through the `Obs` handle it
+//! was configured with: the sampler collectors of a wiring (queue, node and
+//! engine-wide metrics), the typed [`PlanView`] of the plan it runs (what
+//! `/snapshot` renders and the capacity analyzer reads), and the plan
+//! description journaled on a switch. Hosts publish nothing themselves.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hmts_graph::graph::NodeId;
-use hmts_obs::SchedEvent;
+use hmts_obs::{DomainView, PlanView, SchedEvent, TopologySpec};
 use hmts_streams::queue::StreamQueue;
 
 use super::Engine;
@@ -101,33 +103,34 @@ impl Engine {
         }
     }
 
-    /// Publishes the query shape onto a [`hmts_obs::StatusBoard`] in the
-    /// encoding the capacity analyzer
-    /// ([`hmts_obs::capacity::TopologySpec`]) parses: `topology.edges`
-    /// (`a->b;b->c`), `topology.sources` (`a,b`), and
-    /// `topology.partitions` (`b,c|d,e` — the current plan's virtual
-    /// operators). Call it after construction and again after any plan
-    /// switch so `/analyze` tracks the live partitioning. Node names
-    /// containing the separators (`;`, `,`, `|`, `->`) would corrupt the
-    /// encoding and are the host's responsibility to avoid.
-    pub fn publish_topology(&self, status: &hmts_obs::StatusBoard) {
-        let edges: Vec<String> = self
-            .topo
-            .edges()
-            .iter()
-            .map(|e| format!("{}->{}", self.topo.name(e.from), self.topo.name(e.to)))
-            .collect();
-        let sources: Vec<&str> = self.topo.sources().iter().map(|&s| self.topo.name(s)).collect();
-        let partitions: Vec<String> = self
-            .plan
-            .partitioning
-            .groups()
-            .iter()
-            .map(|g| g.iter().map(|&v| self.topo.name(v)).collect::<Vec<_>>().join(","))
-            .collect();
-        status.set("topology.edges", edges.join(";"));
-        status.set("topology.sources", sources.join(","));
-        status.set("topology.partitions", partitions.join("|"));
+    /// Replaces the [`PlanView`] on the `Obs` handle with the current
+    /// plan's: query shape, virtual operators and scheduling domains by
+    /// name. Called at construction (so `/analyze` answers before `start`)
+    /// and from `build_wiring` — the one function `start`, `switch_plan`,
+    /// `insert_queue`, `remove_queue` and `adapt_once` all go through — so
+    /// whatever reads the view follows the plan with no host call. Builds
+    /// nothing when observability is off.
+    pub(super) fn publish_view(&self) {
+        self.cfg.obs.set_plan_view(|| {
+            let name = |v: &NodeId| self.topo.name(*v).to_string();
+            let edges = self.topo.edges().iter().map(|e| (name(&e.from), name(&e.to)));
+            let groups = self.plan.partitioning.groups().iter();
+            let domains = self.plan.domains.iter().map(|d| DomainView {
+                name: d.name.clone(),
+                strategy: format!("{:?}", d.strategy),
+                execution: format!("{:?}", d.execution),
+                partitions: d.partitions.clone(),
+            });
+            PlanView {
+                topology: TopologySpec {
+                    edges: edges.collect(),
+                    sources: self.topo.sources().iter().map(name).collect(),
+                    partitions: groups.map(|g| g.iter().map(name).collect()).collect(),
+                },
+                summary: describe_plan(&self.plan),
+                domains: domains.collect(),
+            }
+        });
     }
 
     fn stall_threshold_effective(&self) -> usize {

@@ -256,6 +256,7 @@ impl Engine {
             _ => None,
         };
 
+        self.publish_view();
         self.register_collectors(&queues);
         self.wiring = Some(Wiring {
             executors,

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hmts::obs::{AdminServer, StatusBoard};
+use hmts::obs::AdminServer;
 use hmts::prelude::*;
 use hmts_net::{
     fig9_served_chain, run_load, EgressServer, IngestConfig, IngestServer, LoadConfig,
@@ -66,7 +66,7 @@ fn run_once(scrape: bool) -> f64 {
     let mut engine = Engine::with_config(chain.graph, plan, cfg).unwrap();
     engine.start().unwrap();
 
-    let admin = AdminServer::bind("127.0.0.1:0", obs.clone(), StatusBoard::default()).unwrap();
+    let admin = AdminServer::bind("127.0.0.1:0", obs.clone()).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let scraper = scrape.then(|| {
         let addr = admin.addr();

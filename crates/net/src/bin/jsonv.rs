@@ -13,7 +13,7 @@ fn summarize(v: &Json) -> String {
     match v {
         Json::Null => "null".into(),
         Json::Bool(_) => "bool".into(),
-        Json::Num(_) => "number".into(),
+        Json::UInt(_) | Json::Num(_) => "number".into(),
         Json::Str(_) => "string".into(),
         Json::Arr(items) => format!("array[{}]", items.len()),
         Json::Obj(fields) => {

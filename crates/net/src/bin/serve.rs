@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use hmts::obs::alert::{AlertEngine, AlertRule};
 use hmts::obs::capacity::{self, CapacityConfig};
-use hmts::obs::{export, AdminServer, StatusBoard};
+use hmts::obs::{export, AdminServer};
 use hmts::prelude::*;
 use hmts_net::{
     fig9_served_chain, EgressServer, IngestConfig, IngestServer, SlowConsumerPolicy, StreamSpec,
@@ -315,15 +315,14 @@ fn main() {
         eprintln!("serve: invalid plan: {e}");
         exit(1);
     });
-    let status = StatusBoard::default();
-    publish_plan(&status, engine.plan());
-    engine.publish_topology(&status);
     // Capacity analyzer + alert rules evaluate on every collector pass
-    // (admin scrape or sampler tick); both survive plan switches.
-    capacity::install(&obs, &status, CapacityConfig::default());
+    // (admin scrape or sampler tick); both survive plan switches. The plan
+    // they and the admin plane see is the view the engine itself publishes
+    // on `obs`, at construction and on every re-wiring.
+    capacity::install(&obs, CapacityConfig::default());
     let _alerts = AlertEngine::install(&obs, alert_rules);
     let _admin = args.admin.as_ref().map(|addr| {
-        let server = AdminServer::bind(addr, obs.clone(), status.clone()).unwrap_or_else(|e| {
+        let server = AdminServer::bind(addr, obs.clone()).unwrap_or_else(|e| {
             eprintln!("serve: cannot bind admin endpoint {addr}: {e}");
             exit(1);
         });
@@ -343,8 +342,6 @@ fn main() {
         std::thread::sleep(Duration::from_millis(args.switch_after_ms));
         println!("serve: switching GTS -> HMTS ({} workers) under load", args.workers.max(1));
         engine.switch_plan(hmts_plan()).expect("runtime plan switch");
-        publish_plan(&status, engine.plan());
-        engine.publish_topology(&status);
     }
 
     // The engine finishes once all expected producers disconnected and the
@@ -394,20 +391,4 @@ fn main() {
             Err(e) => eprintln!("serve: cannot write {}: {e}", path.display()),
         }
     }
-}
-
-/// Publishes the live plan shape to the admin `/snapshot` status block:
-/// the plan summary, the per-domain strategy, and each domain's
-/// partition assignment and execution kind.
-fn publish_plan(status: &StatusBoard, plan: &ExecutionPlan) {
-    status.set("plan", describe_plan(plan));
-    if let Some(d) = plan.domains.first() {
-        status.set("strategy", format!("{:?}", d.strategy));
-    }
-    let assignments: Vec<String> = plan
-        .domains
-        .iter()
-        .map(|d| format!("{}: partitions {:?} ({:?})", d.name, d.partitions, d.execution))
-        .collect();
-    status.set("assignments", assignments.join("; "));
 }

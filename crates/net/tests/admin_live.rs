@@ -9,7 +9,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use hmts::obs::{json, AdminServer, StatusBoard};
+use hmts::obs::{json, AdminServer};
 use hmts::prelude::*;
 use hmts_net::{
     fig9_served_chain, run_load, EgressServer, IngestConfig, IngestServer, LoadConfig,
@@ -60,9 +60,7 @@ fn snapshot_reports_live_queue_depths_and_checkpoint_age() {
     let mut engine = Engine::with_config(chain.graph, plan, cfg).unwrap();
     engine.start().unwrap();
 
-    let status = StatusBoard::default();
-    status.set("strategy", "Fifo");
-    let admin = AdminServer::bind("127.0.0.1:0", obs.clone(), status).unwrap();
+    let admin = AdminServer::bind("127.0.0.1:0", obs.clone()).unwrap();
     let addr = admin.addr();
 
     let ingest_addr = ingest.local_addr();
@@ -112,10 +110,11 @@ fn snapshot_reports_live_queue_depths_and_checkpoint_age() {
     let age = ckpt.get("age_ms").and_then(|v| v.as_f64()).expect("checkpoint age");
     assert!((0.0..=uptime).contains(&age), "age {age} outside [0, {uptime}]");
 
-    assert_eq!(
-        snap.get("status").and_then(|s| s.get("strategy")).and_then(|v| v.as_str()),
-        Some("Fifo")
-    );
+    // The status block comes from the engine's own plan view; this test
+    // published nothing.
+    let status = |key: &str| snap.get("status").and_then(|s| s.get(key)?.as_str());
+    assert_eq!(status("strategy"), Some("Fifo"));
+    assert_eq!(status("plan"), Some(describe_plan(engine.plan()).as_str()));
 
     // And the Prometheus view of the same state.
     let (code, prom) = http_get(addr, "/metrics");

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use hmts::obs::alert::{AlertEngine, AlertRule};
 use hmts::obs::capacity::{self, CapacityConfig};
-use hmts::obs::{json, AdminServer, ObsConfig, SchedEvent, StatusBoard};
+use hmts::obs::{json, AdminServer, ObsConfig, SchedEvent};
 use hmts::prelude::*;
 use hmts::workload::arrival::{ArrivalProcess, Phase};
 use hmts_net::{
@@ -96,15 +96,13 @@ fn analyze_names_bottleneck_predicts_p99_and_alert_fires_and_clears() {
     let mut engine = Engine::with_config(chain.graph, plan, cfg).unwrap();
     engine.start().unwrap();
 
-    // The analyzer's inputs: topology on the status board, the analyzer
-    // itself and an overload alert as pinned collectors.
-    let status = StatusBoard::default();
-    engine.publish_topology(&status);
-    capacity::install(&obs, &status, CapacityConfig::default());
+    // The analyzer and an overload alert as pinned collectors; the
+    // topology they read is the view the engine published on `obs`.
+    capacity::install(&obs, CapacityConfig::default());
     let rule = AlertRule::parse("queue.sel_cheap->sel_expensive.occupancy > 150 for 150ms")
         .expect("alert rule parses");
     let _alerts = AlertEngine::install(&obs, vec![rule]);
-    let admin = AdminServer::bind("127.0.0.1:0", obs.clone(), status.clone()).unwrap();
+    let admin = AdminServer::bind("127.0.0.1:0", obs.clone()).unwrap();
     let addr = admin.addr();
 
     // One client run, two phases (a second connection would find the

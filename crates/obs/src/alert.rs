@@ -37,7 +37,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::registry::quantile_from_cumulative;
+use crate::registry::{quantile_from_cumulative, Lookup};
 use crate::{MetricValue, Obs, SchedEvent};
 
 /// Comparison operator of a rule.
@@ -115,20 +115,18 @@ impl MetricRef {
     /// Reads the referenced value out of a snapshot; `None` when the
     /// metric is absent (treated as condition-false by the evaluator).
     pub fn resolve(&self, metrics: &[(String, MetricValue)]) -> Option<f64> {
-        let find = |name: &str| metrics.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+        let m = Lookup(metrics);
         match self {
-            MetricRef::MaxRho => find("capacity.max_rho_ppm").map(|v| v.as_f64() * 1e-6),
+            MetricRef::MaxRho => m.get("capacity.max_rho_ppm").map(|v| v.as_f64() * 1e-6),
             MetricRef::NodeRho(node) => {
-                find(&format!("capacity.node.{node}.rho_ppm")).map(|v| v.as_f64() * 1e-6)
+                m.get(&format!("capacity.node.{node}.rho_ppm")).map(|v| v.as_f64() * 1e-6)
             }
-            MetricRef::Headroom => find("capacity.headroom_ppm").map(|v| v.as_f64() * 1e-6),
-            MetricRef::Quantile(name, q) => match find(name) {
-                Some(MetricValue::Histogram(count, _, buckets)) if *count > 0 => {
-                    Some(quantile_from_cumulative(*count, buckets, *q) as f64)
-                }
-                _ => None,
-            },
-            MetricRef::Plain(name) => find(name).map(|v| v.as_f64()),
+            MetricRef::Headroom => m.get("capacity.headroom_ppm").map(|v| v.as_f64() * 1e-6),
+            MetricRef::Quantile(name, q) => m
+                .histogram(name)
+                .filter(|(count, _)| *count > 0)
+                .map(|(count, buckets)| quantile_from_cumulative(count, buckets, *q) as f64),
+            MetricRef::Plain(name) => m.get(name).map(|v| v.as_f64()),
         }
     }
 }

@@ -5,17 +5,19 @@
 //! inter-arrival time `d(v)`, and selectivity-propagated rates — is fed
 //! into the registry by the engine's collectors under the
 //! `node.<name>.*` / `source.<name>.*` naming conventions, and the graph
-//! shape is published through the [`StatusBoard`] (`topology.edges`,
-//! `topology.sources`, `topology.partitions`). This module turns those
-//! raw measurements into operator-facing answers:
+//! shape comes typed: the [`TopologySpec`] inside the
+//! [`PlanView`](crate::PlanView) the engine publishes on its [`Obs`] handle
+//! whenever it (re-)wires a plan. This module turns those raw measurements
+//! into operator-facing answers:
 //!
 //! * **per-node utilization** ρ(v) = λ(v) · c(v), the fraction of one
 //!   core the operator consumes at the measured arrival rate;
 //! * **predicted queueing delay** per decoupling-queue *station* from an
 //!   M/G/1 waiting-time approximation,
 //!   `W = ρ·c·(1+CV²) / (2·(1−ρ))` (Pollaczek–Khinchine mean wait; CV²
-//!   is the squared coefficient of variation of service time, a config
-//!   knob — 1.0 models exponential service, 0.0 deterministic service);
+//!   is the squared coefficient of variation of service time, the one
+//!   config knob — 1.0 models exponential service, 0.0 deterministic
+//!   service);
 //! * **predicted end-to-end p50/p99** per source→terminal path, modelling
 //!   the total queueing wait as exponentially distributed around its
 //!   mean: `p50 = D + W·ln 2`, `p99 = D + W·ln 100` where `D` is the
@@ -29,8 +31,8 @@
 //!
 //! Inline operators (nodes inside a virtual operator, reached by direct
 //! interoperability) contribute service time but no queueing wait — only
-//! nodes that head a decoupling queue are stations. When no partitioning
-//! is published every non-source node is treated as a station (the GTS
+//! nodes that head a decoupling queue are stations. With an empty
+//! partitioning every non-source node is treated as a station (the GTS
 //! view).
 //!
 //! [`install`] registers a *pinned* collector (one that survives the
@@ -40,12 +42,19 @@
 
 use std::collections::BTreeMap;
 
-use crate::admin::StatusBoard;
-use crate::export::json_escape;
-use crate::registry::quantile_from_cumulative;
+use crate::json::Writer;
+use crate::registry::{quantile_from_cumulative, Lookup};
 use crate::{MetricValue, Obs};
 
-/// Knobs of the queueing model.
+/// Utilizations are clamped below this before the `1/(1−ρ)` pole, so an
+/// overloaded station reports a large finite wait instead of NaN or
+/// infinity.
+const RHO_CLAMP: f64 = 0.999;
+/// Upper bound on the reported headroom factor (an idle graph would
+/// otherwise report infinity).
+const HEADROOM_CAP: f64 = 1e6;
+
+/// The knob of the queueing model.
 #[derive(Clone, Debug)]
 pub struct CapacityConfig {
     /// Squared coefficient of variation of service times (`CV² = Var/E²`)
@@ -54,30 +63,17 @@ pub struct CapacityConfig {
     /// engine's near-deterministic operators; 0.0 models deterministic
     /// service (M/D/1).
     pub service_cv2: f64,
-    /// Utilizations are clamped below this before the `1/(1−ρ)` pole, so
-    /// an overloaded station reports a large finite wait instead of NaN
-    /// or infinity.
-    pub rho_clamp: f64,
-    /// Upper bound on the reported headroom factor (an idle graph would
-    /// otherwise report infinity).
-    pub headroom_cap: f64,
 }
 
 impl Default for CapacityConfig {
     fn default() -> Self {
-        CapacityConfig { service_cv2: 1.0, rho_clamp: 0.999, headroom_cap: 1e6 }
+        CapacityConfig { service_cv2: 1.0 }
     }
 }
 
-/// Graph shape published by the engine through the [`StatusBoard`].
-///
-/// Encoding (one string per key, node names must not contain the
-/// separators `;`, `,`, `|`, or the arrow `->`):
-///
-/// * `topology.edges` — `a->b;b->c;…`
-/// * `topology.sources` — `a,b,…`
-/// * `topology.partitions` — `b,c|d,e|…` (optional; virtual-operator
-///   groups of the current plan)
+/// The query graph's shape and the current plan's virtual-operator groups,
+/// by node name — what the analyzer needs besides the metrics. Names are
+/// opaque: any character may appear in them.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TopologySpec {
     /// Directed edges by node name.
@@ -89,26 +85,6 @@ pub struct TopologySpec {
 }
 
 impl TopologySpec {
-    /// Parses the `topology.*` keys out of a status snapshot; `None` when
-    /// no topology has been published.
-    pub fn from_status(status: &BTreeMap<String, String>) -> Option<TopologySpec> {
-        let edges_raw = status.get("topology.edges")?;
-        let split = |s: &str, sep: char| -> Vec<String> {
-            s.split(sep).filter(|p| !p.is_empty()).map(|p| p.to_string()).collect()
-        };
-        let edges = edges_raw
-            .split(';')
-            .filter_map(|e| e.split_once("->"))
-            .map(|(a, b)| (a.to_string(), b.to_string()))
-            .collect();
-        let sources = status.get("topology.sources").map(|s| split(s, ',')).unwrap_or_default();
-        let partitions = status
-            .get("topology.partitions")
-            .map(|s| s.split('|').map(|g| split(g, ',')).filter(|g| !g.is_empty()).collect())
-            .unwrap_or_default();
-        Some(TopologySpec { edges, sources, partitions })
-    }
-
     /// All node names, sources first, then operators in edge-discovery
     /// order.
     pub fn nodes(&self) -> Vec<String> {
@@ -281,25 +257,6 @@ pub struct CapacityReport {
     pub drift: Vec<Drift>,
 }
 
-/// Typed view over a metrics snapshot.
-struct Lookup<'a>(&'a [(String, MetricValue)]);
-
-impl Lookup<'_> {
-    fn gauge(&self, name: &str) -> Option<f64> {
-        self.0.iter().find_map(|(n, v)| match v {
-            MetricValue::Gauge(g) if n == name => Some(*g as f64),
-            _ => None,
-        })
-    }
-
-    fn histogram(&self, name: &str) -> Option<(u64, &Vec<(u64, u64)>)> {
-        self.0.iter().find_map(|(n, v)| match v {
-            MetricValue::Histogram(count, _, buckets) if n == name => Some((*count, buckets)),
-            _ => None,
-        })
-    }
-}
-
 /// Runs the analyzer over a metrics snapshot and a published topology.
 pub fn analyze(
     metrics: &[(String, MetricValue)],
@@ -307,6 +264,7 @@ pub fn analyze(
     cfg: &CapacityConfig,
 ) -> CapacityReport {
     let m = Lookup(metrics);
+    let gauge = |name: String| m.gauge(&name).map(|g| g as f64);
     let names = topo.nodes();
     let idx_of = |n: &str| names.iter().position(|x| x == n);
     let n = names.len();
@@ -329,13 +287,11 @@ pub fn analyze(
     // propagation from upstream when a node has not published a rate yet.
     let cost_ns: Vec<f64> = names
         .iter()
-        .map(|name| m.gauge(&format!("node.{name}.cost_ns")).unwrap_or(0.0).max(0.0))
+        .map(|name| gauge(format!("node.{name}.cost_ns")).unwrap_or(0.0).max(0.0))
         .collect();
     let sel: Vec<f64> = names
         .iter()
-        .map(|name| {
-            m.gauge(&format!("node.{name}.selectivity_ppm")).map(|x| x / 1e6).unwrap_or(1.0)
-        })
+        .map(|name| gauge(format!("node.{name}.selectivity_ppm")).map(|x| x / 1e6).unwrap_or(1.0))
         .collect();
     let mut rate: Vec<f64> = vec![0.0; n];
     // Topological order via Kahn (graphs are DAGs; a cycle just leaves
@@ -356,10 +312,9 @@ pub fn analyze(
     for &i in &order {
         let name = &names[i];
         let measured = if is_source(i) {
-            m.gauge(&format!("source.{name}.rate"))
-                .or_else(|| m.gauge(&format!("node.{name}.rate")))
+            gauge(format!("source.{name}.rate")).or_else(|| gauge(format!("node.{name}.rate")))
         } else {
-            m.gauge(&format!("node.{name}.rate"))
+            gauge(format!("node.{name}.rate"))
         };
         rate[i] = match measured {
             Some(r) if r > 0.0 => r,
@@ -415,14 +370,14 @@ pub fn analyze(
                     Some(p) if rate[i] > 0.0 => (part_busy_ns[p] * 1e-9, part_busy_ns[p] / rate[i]),
                     _ => (rho, cost_ns[i]),
                 };
-                let r = r_eff.min(cfg.rho_clamp).max(0.0);
+                let r = r_eff.clamp(0.0, RHO_CLAMP);
                 r * service_ns * (1.0 + cv2) / (2.0 * (1.0 - r))
             } else {
                 0.0
             };
             let queue_depth = preds[i]
                 .iter()
-                .filter_map(|&u| m.gauge(&format!("queue.{}->{}.occupancy", names[u], names[i])))
+                .filter_map(|&u| gauge(format!("queue.{}->{}.occupancy", names[u], names[i])))
                 .reduce(|a, b| a + b);
             NodeCapacity {
                 name: names[i].clone(),
@@ -486,8 +441,7 @@ pub fn analyze(
     } else {
         partitions.iter().map(|p| p.rho).fold(0.0, f64::max)
     };
-    let headroom =
-        if max_rho > 0.0 { (1.0 / max_rho).min(cfg.headroom_cap) } else { cfg.headroom_cap };
+    let headroom = if max_rho > 0.0 { (1.0 / max_rho).min(HEADROOM_CAP) } else { HEADROOM_CAP };
     let ingest_rate: f64 = (0..n).filter(|&i| is_source(i)).map(|i| rate[i]).sum();
     let max_sustainable_rate = ingest_rate * headroom;
 
@@ -570,133 +524,86 @@ pub fn analyze(
     }
 }
 
-/// Convenience: parse the topology from a status snapshot and analyze;
-/// `None` when no topology has been published yet.
-pub fn analyze_status(
-    metrics: &[(String, MetricValue)],
-    status: &BTreeMap<String, String>,
-    cfg: &CapacityConfig,
-) -> Option<CapacityReport> {
-    TopologySpec::from_status(status).map(|topo| analyze(metrics, &topo, cfg))
-}
-
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        if v.fract() == 0.0 && v.abs() < 9e15 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v:.3}")
-        }
-    } else {
-        "null".into()
-    }
-}
-
 /// Renders the report as one JSON document (the `/analyze` body).
-pub fn report_json(report: &CapacityReport, uptime_ms: u128) -> String {
-    let nodes: Vec<String> = report
-        .nodes
-        .iter()
-        .map(|x| {
-            format!(
-                "{{\"name\":\"{}\",\"rate\":{},\"cost_ns\":{},\"selectivity\":{},\"rho\":{},\"station\":{},\"wait_ns\":{},\"queue_depth\":{}}}",
-                json_escape(&x.name),
-                num(x.rate),
-                num(x.cost_ns),
-                num(x.selectivity),
-                num(x.rho),
-                x.station,
-                num(x.wait_ns),
-                x.queue_depth.map(num).unwrap_or_else(|| "null".into()),
-            )
-        })
-        .collect();
-    let partitions: Vec<String> = report
-        .partitions
-        .iter()
-        .map(|p| {
-            let members: Vec<String> =
-                p.nodes.iter().map(|x| format!("\"{}\"", json_escape(x))).collect();
-            format!(
-                "{{\"index\":{},\"nodes\":[{}],\"rho\":{}}}",
-                p.index,
-                members.join(","),
-                num(p.rho)
-            )
-        })
-        .collect();
-    let shards: Vec<String> = report
-        .shards
-        .iter()
-        .map(|s| {
-            let replicas: Vec<String> =
-                s.replicas.iter().map(|x| format!("\"{}\"", json_escape(x))).collect();
-            let rho: Vec<String> = s.rho.iter().map(|r| num(*r)).collect();
-            format!(
-                "{{\"logical\":\"{}\",\"display\":\"{}\",\"replicas\":[{}],\"rho\":[{}],\"max_rho\":{},\"max_wait_ns\":{},\"rate\":{},\"imbalance\":{}}}",
-                json_escape(&s.logical),
-                json_escape(&s.display),
-                replicas.join(","),
-                rho.join(","),
-                num(s.max_rho),
-                num(s.max_wait_ns),
-                num(s.rate),
-                num(s.imbalance),
-            )
-        })
-        .collect();
-    let paths: Vec<String> = report
-        .paths
-        .iter()
-        .map(|p| {
-            let hops: Vec<String> =
-                p.nodes.iter().map(|x| format!("\"{}\"", json_escape(x))).collect();
-            format!(
-                "{{\"source\":\"{}\",\"terminal\":\"{}\",\"nodes\":[{}],\"service_ns\":{},\"wait_ns\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
-                json_escape(&p.source),
-                json_escape(&p.terminal),
-                hops.join(","),
-                num(p.service_ns),
-                num(p.wait_ns),
-                num(p.mean_ns),
-                num(p.p50_ns),
-                num(p.p99_ns),
-            )
-        })
-        .collect();
-    let drift: Vec<String> = report
-        .drift
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"terminal\":\"{}\",\"predicted_p50_ns\":{},\"predicted_p99_ns\":{},\"measured_p50_ns\":{},\"measured_p99_ns\":{},\"measured_count\":{},\"p99_ratio\":{}}}",
-                json_escape(&d.terminal),
-                num(d.predicted_p50_ns),
-                num(d.predicted_p99_ns),
-                d.measured_p50_ns,
-                d.measured_p99_ns,
-                d.measured_count,
-                num(d.p99_ratio),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"uptime_ms\":{uptime_ms},\"bottleneck\":{},\"max_rho\":{},\"headroom\":{},\"ingest_rate\":{},\"max_sustainable_rate\":{},\"nodes\":[{}],\"partitions\":[{}],\"shards\":[{}],\"paths\":[{}],\"drift\":[{}]}}\n",
-        report
-            .bottleneck
-            .as_ref()
-            .map(|b| format!("\"{}\"", json_escape(b)))
-            .unwrap_or_else(|| "null".into()),
-        num(report.max_rho),
-        num(report.headroom),
-        num(report.ingest_rate),
-        num(report.max_sustainable_rate),
-        nodes.join(","),
-        partitions.join(","),
-        shards.join(","),
-        paths.join(","),
-        drift.join(","),
-    )
+pub fn report_json(report: &CapacityReport, uptime_ms: u64) -> String {
+    Writer::object(|w| {
+        w.key("uptime_ms").int(uptime_ms);
+        match &report.bottleneck {
+            Some(name) => w.key("bottleneck").str(name),
+            None => w.key("bottleneck").null(),
+        }
+        w.key("max_rho").f64(report.max_rho);
+        w.key("headroom").f64(report.headroom);
+        w.key("ingest_rate").f64(report.ingest_rate);
+        w.key("max_sustainable_rate").f64(report.max_sustainable_rate);
+        w.key("nodes").arr(|w| {
+            for x in &report.nodes {
+                w.obj(|w| {
+                    w.key("name").str(&x.name);
+                    w.key("rate").f64(x.rate);
+                    w.key("cost_ns").f64(x.cost_ns);
+                    w.key("selectivity").f64(x.selectivity);
+                    w.key("rho").f64(x.rho);
+                    w.key("station").bool(x.station);
+                    w.key("wait_ns").f64(x.wait_ns);
+                    match x.queue_depth {
+                        Some(depth) => w.key("queue_depth").f64(depth),
+                        None => w.key("queue_depth").null(),
+                    }
+                });
+            }
+        });
+        w.key("partitions").arr(|w| {
+            for p in &report.partitions {
+                w.obj(|w| {
+                    w.key("index").int(p.index as u64);
+                    w.key("nodes").strs(&p.nodes);
+                    w.key("rho").f64(p.rho);
+                });
+            }
+        });
+        w.key("shards").arr(|w| {
+            for s in &report.shards {
+                w.obj(|w| {
+                    w.key("logical").str(&s.logical);
+                    w.key("display").str(&s.display);
+                    w.key("replicas").strs(&s.replicas);
+                    w.key("rho").arr(|w| s.rho.iter().for_each(|r| w.f64(*r)));
+                    w.key("max_rho").f64(s.max_rho);
+                    w.key("max_wait_ns").f64(s.max_wait_ns);
+                    w.key("rate").f64(s.rate);
+                    w.key("imbalance").f64(s.imbalance);
+                });
+            }
+        });
+        w.key("paths").arr(|w| {
+            for p in &report.paths {
+                w.obj(|w| {
+                    w.key("source").str(&p.source);
+                    w.key("terminal").str(&p.terminal);
+                    w.key("nodes").strs(&p.nodes);
+                    w.key("service_ns").f64(p.service_ns);
+                    w.key("wait_ns").f64(p.wait_ns);
+                    w.key("mean_ns").f64(p.mean_ns);
+                    w.key("p50_ns").f64(p.p50_ns);
+                    w.key("p99_ns").f64(p.p99_ns);
+                });
+            }
+        });
+        w.key("drift").arr(|w| {
+            for d in &report.drift {
+                w.obj(|w| {
+                    w.key("terminal").str(&d.terminal);
+                    w.key("predicted_p50_ns").f64(d.predicted_p50_ns);
+                    w.key("predicted_p99_ns").f64(d.predicted_p99_ns);
+                    w.key("measured_p50_ns").int(d.measured_p50_ns);
+                    w.key("measured_p99_ns").int(d.measured_p99_ns);
+                    w.key("measured_count").int(d.measured_count);
+                    w.key("p99_ratio").f64(d.p99_ratio);
+                });
+            }
+        });
+    })
 }
 
 /// Installs the periodic analyzer: a pinned collector (surviving engine
@@ -714,18 +621,17 @@ pub fn report_json(report: &CapacityReport, uptime_ms: u128) -> String {
 /// * `capacity.path.<terminal>.predicted_{p50,p99,mean}_ns`
 /// * `capacity.drift.<terminal>.p99_ratio_ppm`
 ///
-/// No-op on a disabled handle.
-pub fn install(obs: &Obs, status: &StatusBoard, cfg: CapacityConfig) {
+/// The shape is whatever [`PlanView`](crate::PlanView) `obs` holds at each
+/// pass, so the gauges follow plan switches; nothing is published until the
+/// engine has published a view. No-op on a disabled handle.
+pub fn install(obs: &Obs, cfg: CapacityConfig) {
     if !obs.is_enabled() {
         return;
     }
     let obs2 = obs.clone();
-    let status = status.clone();
     obs.add_pinned_collector(move || {
-        let Some(report) = analyze_status(&obs2.metrics_snapshot(), &status.snapshot(), &cfg)
-        else {
-            return;
-        };
+        let Some(view) = obs2.plan_view() else { return };
+        let report = analyze(&obs2.metrics_snapshot(), &view.topology, &cfg);
         let ppm = |x: f64| (x * 1e6).clamp(0.0, i64::MAX as f64) as i64;
         for x in &report.nodes {
             obs2.gauge(&format!("capacity.node.{}.rho_ppm", x.name)).set(ppm(x.rho));
@@ -766,16 +672,24 @@ pub fn install(obs: &Obs, status: &StatusBoard, cfg: CapacityConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlanView;
 
-    fn board(edges: &str, sources: &str, partitions: &str) -> BTreeMap<String, String> {
-        let mut b = BTreeMap::new();
-        b.insert("topology.edges".into(), edges.into());
-        b.insert("topology.sources".into(), sources.into());
-        if !partitions.is_empty() {
-            b.insert("topology.partitions".into(), partitions.into());
+    fn topo(edges: &[(&str, &str)], source: &str, partitions: &[&[&str]]) -> TopologySpec {
+        let names = |group: &[&str]| group.iter().map(|n| n.to_string()).collect();
+        TopologySpec {
+            edges: edges.iter().map(|(a, b)| (a.to_string(), b.to_string())).collect(),
+            sources: vec![source.into()],
+            partitions: partitions.iter().map(|g| names(g)).collect(),
         }
-        b
     }
+
+    const SHARDED: [(&str, &str); 5] = [
+        ("src", "agg.split"),
+        ("agg.split", "agg[0]"),
+        ("agg.split", "agg[1]"),
+        ("agg[0]", "agg.merge"),
+        ("agg[1]", "agg.merge"),
+    ];
 
     /// src → a (cheap) → b (expensive): b must rank as the bottleneck and
     /// the path prediction must be the closed-form M/G/1 sum.
@@ -789,9 +703,9 @@ mod tests {
         obs.gauge("node.b.cost_ns").set(500_000); // 500 µs → ρ=0.5
         obs.gauge("node.b.selectivity_ppm").set(1_000_000);
         obs.gauge("node.b.rate").set(1000);
-        let status = board("src->a;a->b", "src", "a|b");
-        let cfg = CapacityConfig { service_cv2: 0.0, ..CapacityConfig::default() };
-        let report = analyze_status(&obs.metrics_snapshot(), &status, &cfg).expect("topology");
+        let shape = topo(&[("src", "a"), ("a", "b")], "src", &[&["a"], &["b"]]);
+        let cfg = CapacityConfig { service_cv2: 0.0 };
+        let report = analyze(&obs.metrics_snapshot(), &shape, &cfg);
 
         assert_eq!(report.bottleneck.as_deref(), Some("b"));
         assert_eq!(report.nodes[0].name, "b");
@@ -822,9 +736,8 @@ mod tests {
         obs.gauge("node.f.cost_ns").set(1_000);
         obs.gauge("node.f.selectivity_ppm").set(100_000); // 0.1
         obs.gauge("node.g.cost_ns").set(1_000_000);
-        let status = board("src->f;f->g", "src", "");
-        let report =
-            analyze_status(&obs.metrics_snapshot(), &status, &CapacityConfig::default()).unwrap();
+        let shape = topo(&[("src", "f"), ("f", "g")], "src", &[]);
+        let report = analyze(&obs.metrics_snapshot(), &shape, &CapacityConfig::default());
         let f = report.nodes.iter().find(|x| x.name == "f").unwrap();
         let g = report.nodes.iter().find(|x| x.name == "g").unwrap();
         assert!((f.rate - 10_000.0).abs() < 1e-9, "f propagated from source");
@@ -843,9 +756,8 @@ mod tests {
             obs.gauge(&format!("node.{n}.cost_ns")).set(1_000_000);
             obs.gauge(&format!("node.{n}.rate")).set(100);
         }
-        let status = board("s->a;a->b", "s", "a,b");
-        let report =
-            analyze_status(&obs.metrics_snapshot(), &status, &CapacityConfig::default()).unwrap();
+        let shape = topo(&[("s", "a"), ("a", "b")], "s", &[&["a", "b"]]);
+        let report = analyze(&obs.metrics_snapshot(), &shape, &CapacityConfig::default());
         let a = report.nodes.iter().find(|x| x.name == "a").unwrap();
         let b = report.nodes.iter().find(|x| x.name == "b").unwrap();
         assert!(a.station, "a heads the source-fed queue");
@@ -869,9 +781,8 @@ mod tests {
         for _ in 0..100 {
             h.record(1_000_000);
         }
-        let status = board("s->op", "s", "");
-        let report =
-            analyze_status(&obs.metrics_snapshot(), &status, &CapacityConfig::default()).unwrap();
+        let shape = topo(&[("s", "op")], "s", &[]);
+        let report = analyze(&obs.metrics_snapshot(), &shape, &CapacityConfig::default());
         let op = &report.nodes[0];
         assert!(op.rho > 1.0);
         assert!(op.wait_ns.is_finite() && op.wait_ns > 0.0);
@@ -889,9 +800,8 @@ mod tests {
         obs.gauge("source.s.rate").set(500);
         obs.gauge("node.hot.cost_ns").set(900_000);
         obs.gauge("node.hot.rate").set(500);
-        let status = board("s->hot", "s", "hot");
-        let report =
-            analyze_status(&obs.metrics_snapshot(), &status, &CapacityConfig::default()).unwrap();
+        let shape = topo(&[("s", "hot")], "s", &[&["hot"]]);
+        let report = analyze(&obs.metrics_snapshot(), &shape, &CapacityConfig::default());
         let body = report_json(&report, 1234);
         let doc = crate::json::parse(&body).expect("valid JSON");
         assert_eq!(doc.get("bottleneck").and_then(|b| b.as_str()), Some("hot"));
@@ -907,10 +817,9 @@ mod tests {
         obs.gauge("source.s.rate").set(100);
         obs.gauge("node.x.cost_ns").set(2_000_000);
         obs.gauge("node.x.rate").set(100);
-        let status = StatusBoard::default();
-        status.set("topology.edges", "s->x");
-        status.set("topology.sources", "s");
-        install(&obs, &status, CapacityConfig::default());
+        let topology = topo(&[("s", "x")], "s", &[]);
+        obs.set_plan_view(|| PlanView { topology, ..PlanView::default() });
+        install(&obs, CapacityConfig::default());
         // A regular collector cleared by the engine must not take the
         // analyzer with it.
         obs.add_collector(|| {});
@@ -945,13 +854,8 @@ mod tests {
             obs.gauge(&format!("node.{name}.rate")).set(rate);
         }
         obs.gauge("node.agg.merge.cost_ns").set(100);
-        let status = board(
-            "src->agg.split;agg.split->agg[0];agg.split->agg[1];agg[0]->agg.merge;agg[1]->agg.merge",
-            "src",
-            "",
-        );
-        let report =
-            analyze_status(&obs.metrics_snapshot(), &status, &CapacityConfig::default()).unwrap();
+        let shape = topo(&SHARDED, "src", &[]);
+        let report = analyze(&obs.metrics_snapshot(), &shape, &CapacityConfig::default());
 
         assert_eq!(report.shards.len(), 1);
         let s = &report.shards[0];
@@ -971,15 +875,8 @@ mod tests {
         assert_eq!(shards[0].get("display").and_then(|v| v.as_str()), Some("agg[0..2]"));
 
         // install() republishes under the logical name.
-        let status_board = StatusBoard::default();
-        for (k, v) in board(
-            "src->agg.split;agg.split->agg[0];agg.split->agg[1];agg[0]->agg.merge;agg[1]->agg.merge",
-            "src",
-            "",
-        ) {
-            status_board.set(k, v);
-        }
-        install(&obs, &status_board, CapacityConfig::default());
+        obs.set_plan_view(|| PlanView { topology: shape, ..PlanView::default() });
+        install(&obs, CapacityConfig::default());
         obs.run_collectors();
         let m = obs.metrics_snapshot();
         let gauge = |name: &str| {
@@ -1005,9 +902,9 @@ mod tests {
         for name in ["f[0]", "f[1]"] {
             obs.gauge(&format!("node.{name}.cost_ns")).set(100_000);
         }
-        let status = board("src->f.split;f.split->f[0];f.split->f[1]", "src", "");
-        let report =
-            analyze_status(&obs.metrics_snapshot(), &status, &CapacityConfig::default()).unwrap();
+        let shape =
+            topo(&[("src", "f.split"), ("f.split", "f[0]"), ("f.split", "f[1]")], "src", &[]);
+        let report = analyze(&obs.metrics_snapshot(), &shape, &CapacityConfig::default());
         for name in ["f[0]", "f[1]"] {
             let x = report.nodes.iter().find(|x| x.name == name).unwrap();
             assert!((x.rate - 500.0).abs() < 1e-9, "{name} rate: {}", x.rate);
@@ -1024,16 +921,10 @@ mod tests {
     }
 
     #[test]
-    fn no_topology_means_no_report() {
+    fn no_plan_view_means_no_capacity_gauges() {
         let obs = Obs::enabled();
-        assert!(analyze_status(
-            &obs.metrics_snapshot(),
-            &BTreeMap::new(),
-            &CapacityConfig::default()
-        )
-        .is_none());
-        // install() on an unpublished board is inert but harmless.
-        install(&obs, &StatusBoard::default(), CapacityConfig::default());
+        // install() before any engine published a view is inert but harmless.
+        install(&obs, CapacityConfig::default());
         obs.run_collectors();
         assert!(obs.metrics_snapshot().iter().all(|(n, _)| !n.starts_with("capacity.")));
     }

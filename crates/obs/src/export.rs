@@ -2,15 +2,17 @@
 //! Chrome/Perfetto `trace_event` timelines, and per-operator latency
 //! breakdowns from tuple trace spans.
 //!
-//! All output is hand-rolled (no serde in the dependency tree). Metric
-//! names are sanitised to the Prometheus charset; JSON strings are escaped
-//! per RFC 8259.
+//! No serde in the dependency tree: the JSON documents are built with the
+//! one [`crate::json::Writer`]; metric names are sanitised to the
+//! Prometheus charset.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::journal::{EventRecord, SchedEvent};
+use crate::journal::{EventRecord, Field, SchedEvent};
+use crate::json::Writer;
 use crate::registry::{quantile_from_cumulative, MetricValue};
 use crate::sampler::SamplePoint;
 use crate::trace::{HopKind, SpanEvent, NO_PARTITION};
@@ -115,135 +117,31 @@ pub fn sanitize_metric_name(name: &str) -> String {
     out
 }
 
-/// Escapes a string for inclusion in JSON output.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn event_fields(event: &SchedEvent) -> Vec<(&'static str, String)> {
-    match event {
-        SchedEvent::Dispatch { domain, worker, priority } => vec![
-            ("domain", domain.to_string()),
-            ("worker", worker.to_string()),
-            ("priority", priority.to_string()),
-        ],
-        SchedEvent::Yield { domain, outcome } => vec![
-            ("domain", domain.to_string()),
-            ("outcome", format!("\"{}\"", json_escape(outcome))),
-        ],
-        SchedEvent::Preempt { domain, victim } => {
-            vec![("domain", domain.to_string()), ("victim", victim.to_string())]
-        }
-        SchedEvent::AgingBoost { domain, effective_priority } => vec![
-            ("domain", domain.to_string()),
-            ("effective_priority", effective_priority.to_string()),
-        ],
-        SchedEvent::ModeSwitch { from, to } => vec![
-            ("from", format!("\"{}\"", json_escape(from))),
-            ("to", format!("\"{}\"", json_escape(to))),
-        ],
-        SchedEvent::QueueInsert { queue } => {
-            vec![("queue", format!("\"{}\"", json_escape(queue)))]
-        }
-        SchedEvent::QueueRemove { queue } => {
-            vec![("queue", format!("\"{}\"", json_escape(queue)))]
-        }
-        SchedEvent::QueueDrain { queue, drained } => {
-            vec![("queue", format!("\"{}\"", json_escape(queue))), ("drained", drained.to_string())]
-        }
-        SchedEvent::StallDetected { queue, occupancy } => vec![
-            ("queue", format!("\"{}\"", json_escape(queue))),
-            ("occupancy", occupancy.to_string()),
-        ],
-        SchedEvent::Repartition { domains, action } => vec![
-            ("domains", domains.to_string()),
-            ("action", format!("\"{}\"", json_escape(action))),
-        ],
-        SchedEvent::OperatorPanic { operator, payload } => vec![
-            ("operator", format!("\"{}\"", json_escape(operator))),
-            ("payload", format!("\"{}\"", json_escape(payload))),
-        ],
-        SchedEvent::OperatorRestart { operator, attempt, backoff_ms } => vec![
-            ("operator", format!("\"{}\"", json_escape(operator))),
-            ("attempt", attempt.to_string()),
-            ("backoff_ms", backoff_ms.to_string()),
-        ],
-        SchedEvent::OperatorQuarantined { operator, failures } => vec![
-            ("operator", format!("\"{}\"", json_escape(operator))),
-            ("failures", failures.to_string()),
-        ],
-        SchedEvent::HeartbeatStall { domain, idle_ms } => vec![
-            ("domain", format!("\"{}\"", json_escape(domain))),
-            ("idle_ms", idle_ms.to_string()),
-        ],
-        SchedEvent::NetDisconnect { peer, reason } => vec![
-            ("peer", format!("\"{}\"", json_escape(peer))),
-            ("reason", format!("\"{}\"", json_escape(reason))),
-        ],
-        SchedEvent::NetReconnect { stream, resume_seq } => vec![
-            ("stream", format!("\"{}\"", json_escape(stream))),
-            ("resume_seq", resume_seq.to_string()),
-        ],
-        SchedEvent::CheckpointStart { id } => vec![("id", id.to_string())],
-        SchedEvent::CheckpointComplete { id, bytes, duration_ms } => vec![
-            ("id", id.to_string()),
-            ("bytes", bytes.to_string()),
-            ("duration_ms", duration_ms.to_string()),
-        ],
-        SchedEvent::CheckpointAbort { id, reason } => {
-            vec![("id", id.to_string()), ("reason", format!("\"{}\"", json_escape(reason)))]
-        }
-        SchedEvent::OperatorSnapshot { id, operator, bytes } => vec![
-            ("id", id.to_string()),
-            ("operator", format!("\"{}\"", json_escape(operator))),
-            ("bytes", bytes.to_string()),
-        ],
-        SchedEvent::OperatorRollback { id, operator } => {
-            vec![("id", id.to_string()), ("operator", format!("\"{}\"", json_escape(operator)))]
-        }
-        SchedEvent::AlertRaised { rule, value } => {
-            let v = if value.is_finite() { format!("{value}") } else { "null".to_string() };
-            vec![("rule", format!("\"{}\"", json_escape(rule))), ("value", v)]
-        }
-        SchedEvent::AlertCleared { rule } => {
-            vec![("rule", format!("\"{}\"", json_escape(rule)))]
-        }
-    }
-}
-
-/// Renders journal records as a JSON array (one object per event).
+/// Renders journal records as a JSON array (one object per event, one
+/// event per line): the record's ordering metadata, the event's kind, then
+/// its fields in description order.
 pub fn events_json(records: &[EventRecord]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "  {{\"seq\": {}, \"thread\": {}, \"elapsed_ns\": {}, \"kind\": \"{}\"",
-            r.seq,
-            r.thread,
-            r.elapsed_ns,
-            r.event.kind()
-        ));
-        for (key, value) in event_fields(&r.event) {
-            out.push_str(&format!(", \"{key}\": {value}"));
-        }
-        out.push('}');
-    }
-    out.push_str("\n]\n");
-    out
+    Writer::document(|w| {
+        w.arr(|w| {
+            for r in records {
+                let (kind, fields) = r.event.describe();
+                w.line();
+                w.obj(|w| {
+                    w.key("seq").int(r.seq);
+                    w.key("thread").int(r.thread);
+                    w.key("elapsed_ns").int(r.elapsed_ns);
+                    w.key("kind").str(kind);
+                    for (key, value) in fields {
+                        match value {
+                            Field::Int(v) => w.key(key).int(v),
+                            Field::F(v) => w.key(key).f64(v),
+                            Field::S(v) => w.key(key).str(v),
+                        }
+                    }
+                });
+            }
+        })
+    })
 }
 
 /// Renders a sampled time series as CSV: one row per tick, one column per
@@ -320,16 +218,9 @@ pub fn write_snapshot_files(
 // Chrome/Perfetto trace_event export
 // ---------------------------------------------------------------------------
 
-fn ts_us(t_ns: u64) -> String {
-    format!("{:.3}", t_ns as f64 / 1000.0)
-}
-
-fn partition_arg(partition: u32) -> i64 {
-    if partition == NO_PARTITION {
-        -1
-    } else {
-        partition as i64
-    }
+/// Nanoseconds as the microseconds `trace_event` timestamps are in.
+fn us(t_ns: u64) -> f64 {
+    t_ns as f64 / 1000.0
 }
 
 /// One process's contribution to a merged multi-process timeline: its
@@ -385,43 +276,66 @@ pub fn chrome_trace_json(spans: &[SpanEvent], journal: &[EventRecord]) -> String
 /// (the loopback harness, or `netgen` pointed at a freshly started
 /// `serve`) line up within startup skew.
 pub fn chrome_trace_json_multi(procs: &[ProcessTrace<'_>]) -> String {
-    let mut events: Vec<String> = Vec::new();
-    for p in procs {
-        emit_process_events(&mut events, p);
-    }
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(e);
-    }
-    out.push_str("\n]}\n");
-    out
+    Writer::object(|w| {
+        w.key("displayTimeUnit").str("ms");
+        w.key("traceEvents").arr(|w| procs.iter().for_each(|p| process_events(w, p)));
+    })
 }
 
-fn emit_process_events(events: &mut Vec<String>, p: &ProcessTrace<'_>) {
+fn process_events(w: &mut Writer, p: &ProcessTrace<'_>) {
     let ProcessTrace { pid, name, spans, journal } = *p;
+    // One `trace_event` on its own line: the members every event carries,
+    // then whatever `rest` adds.
+    type Rest<'a> = &'a dyn Fn(&mut Writer);
+    let event =
+        |w: &mut Writer, name: &str, cat: &str, ph: &str, t_ns: u64, tid: u64, rest: Rest| {
+            w.line();
+            w.obj(|w| {
+                w.key("name").str(name);
+                w.key("cat").str(cat);
+                w.key("ph").str(ph);
+                w.key("ts").f64(us(t_ns));
+                w.key("pid").int(pid);
+                w.key("tid").int(tid);
+                rest(w);
+            });
+        };
+    // A thread-scoped instant named by the event's kind and field values.
+    let instant = |w: &mut Writer, r: &EventRecord| {
+        let (kind, fields) = r.event.describe();
+        let mut name = kind.to_string();
+        for (_, value) in &fields {
+            let _ = write!(name, " {value}");
+        }
+        event(w, &name, "sched", "i", r.elapsed_ns, r.thread, &|w| w.key("s").str("t"));
+    };
 
     // Thread metadata: name every referenced track.
     let mut threads: Vec<u64> =
         spans.iter().map(|s| s.thread).chain(journal.iter().map(|r| r.thread)).collect();
     threads.sort_unstable();
     threads.dedup();
-    events.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        json_escape(name)
-    ));
-    for t in &threads {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{t},\
-             \"args\":{{\"name\":\"engine thread {t}\"}}}}"
-        ));
+    let mut metadata = |what: &str, tid: u64, label: &str| {
+        w.line();
+        w.obj(|w| {
+            w.key("name").str(what);
+            w.key("ph").str("M");
+            w.key("pid").int(pid);
+            w.key("tid").int(tid);
+            w.key("args").obj(|w| w.key("name").str(label));
+        });
+    };
+    metadata("process_name", 0, name);
+    for &t in &threads {
+        metadata("thread_name", t, &format!("engine thread {t}"));
     }
 
     // Tuple spans: pair process-start/process-end per trace into complete
     // events; queue enter/exit become async begin/end keyed by trace id.
+    let partition_arg = |w: &mut Writer, partition: u32| {
+        let partition = if partition == NO_PARTITION { -1 } else { i64::from(partition) };
+        w.key("partition").int(partition);
+    };
     let mut by_trace: BTreeMap<u64, Vec<&SpanEvent>> = BTreeMap::new();
     for s in spans {
         by_trace.entry(s.trace_id).or_default().push(s);
@@ -433,155 +347,64 @@ fn emit_process_events(events: &mut Vec<String>, p: &ProcessTrace<'_>) {
             match h.kind {
                 HopKind::ProcessStart => open = Some(h),
                 HopKind::ProcessEnd => {
-                    if let Some(start) = open.take() {
-                        if start.site == h.site {
-                            events.push(format!(
-                                "{{\"name\":\"{}\",\"cat\":\"tuple\",\"ph\":\"X\",\
-                                 \"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{},\
-                                 \"args\":{{\"trace_id\":{},\"partition\":{}}}}}",
-                                json_escape(&h.site),
-                                ts_us(start.t_ns),
-                                ts_us(h.t_ns.saturating_sub(start.t_ns)),
-                                h.thread,
-                                h.trace_id,
-                                partition_arg(h.partition),
-                            ));
-                        }
+                    if let Some(start) = open.take().filter(|start| start.site == h.site) {
+                        event(w, &h.site, "tuple", "X", start.t_ns, h.thread, &|w| {
+                            w.key("dur").f64(us(h.t_ns.saturating_sub(start.t_ns)));
+                            w.key("args").obj(|w| {
+                                w.key("trace_id").int(h.trace_id);
+                                partition_arg(w, h.partition);
+                            });
+                        });
                     }
                 }
                 HopKind::QueueEnter | HopKind::QueueExit => {
                     let ph = if h.kind == HopKind::QueueEnter { "b" } else { "e" };
-                    events.push(format!(
-                        "{{\"name\":\"{}\",\"cat\":\"queue\",\"ph\":\"{ph}\",\
-                         \"id\":{},\"ts\":{},\"pid\":{pid},\"tid\":{},\
-                         \"args\":{{\"partition\":{}}}}}",
-                        json_escape(&h.site),
-                        h.trace_id,
-                        ts_us(h.t_ns),
-                        h.thread,
-                        partition_arg(h.partition),
-                    ));
+                    event(w, &h.site, "queue", ph, h.t_ns, h.thread, &|w| {
+                        w.key("id").int(h.trace_id);
+                        w.key("args").obj(|w| partition_arg(w, h.partition));
+                    });
                 }
                 HopKind::NetSend | HopKind::NetRecv => {
                     // One async span per wire transit: the send side opens
                     // it, the receive side (possibly in another process)
                     // closes it. Constant name so the b/e events pair.
                     let ph = if h.kind == HopKind::NetSend { "b" } else { "e" };
-                    events.push(format!(
-                        "{{\"name\":\"net\",\"cat\":\"net\",\"ph\":\"{ph}\",\
-                         \"id\":{},\"ts\":{},\"pid\":{pid},\"tid\":{},\
-                         \"args\":{{\"site\":\"{}\"}}}}",
-                        h.trace_id,
-                        ts_us(h.t_ns),
-                        h.thread,
-                        json_escape(&h.site),
-                    ));
+                    event(w, "net", "net", ph, h.t_ns, h.thread, &|w| {
+                        w.key("id").int(h.trace_id);
+                        w.key("args").obj(|w| w.key("site").str(&h.site));
+                    });
                 }
             }
         }
     }
 
     // Scheduler timeline: dispatch→yield pairs become per-thread slices,
-    // everything is also visible as instants.
+    // every other event an instant.
     let mut sorted: Vec<&EventRecord> = journal.iter().collect();
     sorted.sort_by_key(|r| r.seq);
     let mut open_dispatch: BTreeMap<u64, (&EventRecord, usize)> = BTreeMap::new();
-    for r in &sorted {
+    for r in sorted {
         match &r.event {
             SchedEvent::Dispatch { domain, .. } => {
                 open_dispatch.insert(r.thread, (r, *domain));
             }
             SchedEvent::Yield { domain, outcome } => {
-                if let Some((start, d)) = open_dispatch.remove(&r.thread) {
-                    if d == *domain {
-                        events.push(format!(
-                            "{{\"name\":\"run d{domain}\",\"cat\":\"sched\",\"ph\":\"X\",\
-                             \"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{},\
-                             \"args\":{{\"outcome\":\"{}\"}}}}",
-                            ts_us(start.elapsed_ns),
-                            ts_us(r.elapsed_ns.saturating_sub(start.elapsed_ns)),
-                            r.thread,
-                            json_escape(outcome),
-                        ));
-                    }
+                let paired = open_dispatch.remove(&r.thread).filter(|(_, d)| d == domain);
+                if let Some((start, _)) = paired {
+                    let name = format!("run d{domain}");
+                    event(w, &name, "sched", "X", start.elapsed_ns, r.thread, &|w| {
+                        w.key("dur").f64(us(r.elapsed_ns.saturating_sub(start.elapsed_ns)));
+                        w.key("args").obj(|w| w.key("outcome").str(outcome));
+                    });
                 }
             }
-            event => {
-                let name = match event {
-                    SchedEvent::Preempt { domain, victim } => {
-                        format!("preempt d{domain} over d{victim}")
-                    }
-                    SchedEvent::AgingBoost { domain, effective_priority } => {
-                        format!("aging-boost d{domain} to {effective_priority}")
-                    }
-                    SchedEvent::ModeSwitch { from, to } => format!("mode-switch {from} to {to}"),
-                    SchedEvent::QueueInsert { queue } => format!("queue-insert {queue}"),
-                    SchedEvent::QueueRemove { queue } => format!("queue-remove {queue}"),
-                    SchedEvent::QueueDrain { queue, drained } => {
-                        format!("queue-drain {queue} ({drained})")
-                    }
-                    SchedEvent::StallDetected { queue, occupancy } => {
-                        format!("stall {queue} ({occupancy})")
-                    }
-                    SchedEvent::Repartition { domains, action } => {
-                        format!("repartition {action} ({domains} domains)")
-                    }
-                    SchedEvent::OperatorPanic { operator, .. } => {
-                        format!("operator-panic {operator}")
-                    }
-                    SchedEvent::OperatorRestart { operator, attempt, .. } => {
-                        format!("operator-restart {operator} (attempt {attempt})")
-                    }
-                    SchedEvent::OperatorQuarantined { operator, failures } => {
-                        format!("operator-quarantine {operator} ({failures} failures)")
-                    }
-                    SchedEvent::HeartbeatStall { domain, idle_ms } => {
-                        format!("heartbeat-stall {domain} ({idle_ms} ms)")
-                    }
-                    SchedEvent::NetDisconnect { peer, reason } => {
-                        format!("net-disconnect {peer} ({reason})")
-                    }
-                    SchedEvent::CheckpointStart { id } => format!("checkpoint-start {id}"),
-                    SchedEvent::CheckpointComplete { id, bytes, .. } => {
-                        format!("checkpoint-complete {id} ({bytes} bytes)")
-                    }
-                    SchedEvent::CheckpointAbort { id, reason } => {
-                        format!("checkpoint-abort {id} ({reason})")
-                    }
-                    SchedEvent::OperatorSnapshot { id, operator, bytes } => {
-                        format!("operator-snapshot {operator} ckpt {id} ({bytes} bytes)")
-                    }
-                    SchedEvent::OperatorRollback { id, operator } => {
-                        format!("operator-rollback {operator} to ckpt {id}")
-                    }
-                    SchedEvent::NetReconnect { stream, resume_seq } => {
-                        format!("net-reconnect {stream} @ {resume_seq}")
-                    }
-                    SchedEvent::AlertRaised { rule, value } => {
-                        format!("alert-raised {rule} (value {value})")
-                    }
-                    SchedEvent::AlertCleared { rule } => format!("alert-cleared {rule}"),
-                    SchedEvent::Dispatch { .. } | SchedEvent::Yield { .. } => unreachable!(),
-                };
-                events.push(format!(
-                    "{{\"name\":\"{}\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{},\"pid\":{pid},\"tid\":{}}}",
-                    json_escape(&name),
-                    ts_us(r.elapsed_ns),
-                    r.thread,
-                ));
-            }
+            _ => instant(w, r),
         }
     }
     // Unpaired dispatches (slice still running at snapshot time) surface
     // as instants so they are not silently invisible.
-    for (start, domain) in open_dispatch.values() {
-        events.push(format!(
-            "{{\"name\":\"dispatch d{domain}\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\
-             \"ts\":{},\"pid\":{pid},\"tid\":{}}}",
-            ts_us(start.elapsed_ns),
-            start.thread,
-        ));
+    for (start, _) in open_dispatch.values() {
+        instant(w, start);
     }
 }
 
@@ -594,25 +417,23 @@ fn emit_process_events(events: &mut Vec<String>, p: &ProcessTrace<'_>) {
 /// metrics snapshot and later merging with other processes' exports via
 /// [`parse_spans_json`] + [`chrome_trace_json_multi`].
 pub fn spans_json(process: &str, spans: &[SpanEvent]) -> String {
-    let mut out = format!("{{\"process\": \"{}\", \"spans\": [\n", json_escape(process));
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "  {{\"seq\": {}, \"trace_id\": {}, \"kind\": \"{}\", \"site\": \"{}\", \
-             \"partition\": {}, \"thread\": {}, \"t_ns\": {}}}",
-            s.seq,
-            s.trace_id,
-            s.kind.kind(),
-            json_escape(&s.site),
-            s.partition,
-            s.thread,
-            s.t_ns,
-        ));
-    }
-    out.push_str("\n]}\n");
-    out
+    Writer::object(|w| {
+        w.key("process").str(process);
+        w.key("spans").arr(|w| {
+            for s in spans {
+                w.line();
+                w.obj(|w| {
+                    w.key("seq").int(s.seq);
+                    w.key("trace_id").int(s.trace_id);
+                    w.key("kind").str(s.kind.kind());
+                    w.key("site").str(&s.site);
+                    w.key("partition").int(s.partition);
+                    w.key("thread").int(s.thread);
+                    w.key("t_ns").int(s.t_ns);
+                });
+            }
+        });
+    })
 }
 
 /// Parses a [`spans_json`] document back into `(process name, spans)`.
@@ -830,6 +651,7 @@ pub fn write_trace_files(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::trace_id;
     use std::time::Duration;
 
     #[test]
@@ -906,17 +728,23 @@ mod tests {
         ];
         let json = chrome_trace_json(&two_hop_spans(), &journal);
         // Tuple processing spans became complete events with µs timestamps.
-        assert!(json
-            .contains("{\"name\":\"f\",\"cat\":\"tuple\",\"ph\":\"X\",\"ts\":2.100,\"dur\":0.500"));
+        assert!(json.contains(
+            "{\"name\":\"f\",\"cat\":\"tuple\",\"ph\":\"X\",\"ts\":2.1,\"pid\":1,\"tid\":2,\"dur\":0.5"
+        ));
         // Queue residency became async begin/end keyed by trace id.
-        assert!(json.contains("\"cat\":\"queue\",\"ph\":\"b\",\"id\":7,\"ts\":1.000"));
-        assert!(json.contains("\"cat\":\"queue\",\"ph\":\"e\",\"id\":7,\"ts\":2.000"));
+        assert!(
+            json.contains("\"cat\":\"queue\",\"ph\":\"b\",\"ts\":1,\"pid\":1,\"tid\":1,\"id\":7")
+        );
+        assert!(
+            json.contains("\"cat\":\"queue\",\"ph\":\"e\",\"ts\":2,\"pid\":1,\"tid\":2,\"id\":7")
+        );
         // Dispatch/yield paired into an executor slice on thread 2.
         assert!(json.contains(
-            "{\"name\":\"run d0\",\"cat\":\"sched\",\"ph\":\"X\",\"ts\":1.500,\"dur\":1.500"
+            "{\"name\":\"run d0\",\"cat\":\"sched\",\"ph\":\"X\",\"ts\":1.5,\"pid\":1,\"tid\":2,\"dur\":1.5"
         ));
-        // Mode switch is an instant, threads are named.
-        assert!(json.contains("\"name\":\"mode-switch gts to hmts\""));
+        // Mode switch is an instant named by kind and field values; threads
+        // are named.
+        assert!(json.contains("\"name\":\"mode-switch gts hmts\""));
         assert!(json.contains("\"name\":\"thread_name\""));
         // And the whole thing parses as one JSON document.
         let doc = crate::json::parse(&json).expect("exporter emits valid JSON");
@@ -982,7 +810,7 @@ mod tests {
         }];
         let json = events_json(&records);
         assert!(json.starts_with('['));
-        assert!(json.contains("\"kind\": \"mode-switch\""));
+        assert!(json.contains("\"kind\":\"mode-switch\""));
         assert!(json.contains("\\\"g\\\""));
         assert!(json.trim_end().ends_with(']'));
     }
@@ -1116,6 +944,12 @@ mod tests {
             span(1, 7, HopKind::NetRecv, "ingest:q", NO_PARTITION, 2, 1_500),
             span(2, 7, HopKind::ProcessStart, "op \"x\"", 3, 2, 2_000),
             span(3, 7, HopKind::ProcessEnd, "op \"x\"", 3, 2, 2_500),
+            // Ids past 2^53 — any source index ≥ 8191, or whatever a remote
+            // client put on the wire — must come back bit for bit, not
+            // rounded to the nearest `f64`.
+            span(4, trace_id(8192, 5), HopKind::NetRecv, "ingest:q", 0, 2, 3_000),
+            span(5, trace_id(u32::MAX, (1 << 40) - 1), HopKind::NetRecv, "ingest:q", 0, 2, 3_000),
+            span(6, u64::MAX - 1, HopKind::NetRecv, "ingest:q", 0, 2, u64::MAX),
         ];
         let text = spans_json("netgen", &spans);
         let (process, parsed) = parse_spans_json(&text).expect("round trip");
@@ -1154,16 +988,16 @@ mod tests {
         ]);
         // Async net span opens in pid 1 and closes in pid 2 with one id.
         assert!(json.contains(
-            "{\"name\":\"net\",\"cat\":\"net\",\"ph\":\"b\",\"id\":7,\"ts\":1.000,\"pid\":1"
+            "{\"name\":\"net\",\"cat\":\"net\",\"ph\":\"b\",\"ts\":1,\"pid\":1,\"tid\":1,\"id\":7"
         ));
         assert!(json.contains(
-            "{\"name\":\"net\",\"cat\":\"net\",\"ph\":\"e\",\"id\":7,\"ts\":1.400,\"pid\":2"
+            "{\"name\":\"net\",\"cat\":\"net\",\"ph\":\"e\",\"ts\":1.4,\"pid\":2,\"tid\":9,\"id\":7"
         ));
         // Both processes are named and the tuple span lands under pid 2.
         assert!(json.contains("\"args\":{\"name\":\"netgen\"}"));
         assert!(json.contains("\"args\":{\"name\":\"serve\"}"));
         assert!(json.contains(
-            "{\"name\":\"f\",\"cat\":\"tuple\",\"ph\":\"X\",\"ts\":2.000,\"dur\":0.300,\"pid\":2"
+            "{\"name\":\"f\",\"cat\":\"tuple\",\"ph\":\"X\",\"ts\":2,\"pid\":2,\"tid\":9,\"dur\":0.3"
         ));
         let doc = crate::json::parse(&json).expect("valid JSON");
         assert!(!doc.get("traceEvents").unwrap().as_arr().unwrap().is_empty());

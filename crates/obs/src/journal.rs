@@ -12,6 +12,7 @@
 //! (capacity collisions only). When a ring wraps, its oldest records are
 //! overwritten and counted as dropped — the journal never blocks or grows.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -77,35 +78,116 @@ pub enum SchedEvent {
     AlertCleared { rule: String },
 }
 
+/// One typed field value of a [`SchedEvent`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Field<'a> {
+    /// A count, index, id or priority — any integer, exact.
+    Int(i128),
+    /// A measured reading.
+    F(f64),
+    /// A name or free text.
+    S(&'a str),
+}
+
+impl fmt::Display for Field<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Field::Int(v) => v.fmt(f),
+            Field::F(v) => v.fmt(f),
+            Field::S(v) => v.fmt(f),
+        }
+    }
+}
+
 impl SchedEvent {
+    /// The one description of every variant: its kebab-case kind tag and
+    /// its fields in export order. [`kind`](SchedEvent::kind), the journal
+    /// JSON members and the Perfetto instant names are all derived from it.
+    pub fn describe(&self) -> (&'static str, Vec<(&'static str, Field<'_>)>) {
+        use Field::{F, S};
+        fn int<'a>(v: impl Into<i128>) -> Field<'a> {
+            Field::Int(v.into())
+        }
+        let n = |v: &usize| int(*v as u64);
+        match self {
+            SchedEvent::Dispatch { domain, worker, priority } => (
+                "dispatch",
+                vec![("domain", n(domain)), ("worker", n(worker)), ("priority", int(*priority))],
+            ),
+            SchedEvent::Yield { domain, outcome } => {
+                ("yield", vec![("domain", n(domain)), ("outcome", S(outcome))])
+            }
+            SchedEvent::Preempt { domain, victim } => {
+                ("preempt", vec![("domain", n(domain)), ("victim", n(victim))])
+            }
+            SchedEvent::AgingBoost { domain, effective_priority } => (
+                "aging-boost",
+                vec![("domain", n(domain)), ("effective_priority", int(*effective_priority))],
+            ),
+            SchedEvent::ModeSwitch { from, to } => {
+                ("mode-switch", vec![("from", S(from)), ("to", S(to))])
+            }
+            SchedEvent::QueueInsert { queue } => ("queue-insert", vec![("queue", S(queue))]),
+            SchedEvent::QueueRemove { queue } => ("queue-remove", vec![("queue", S(queue))]),
+            SchedEvent::QueueDrain { queue, drained } => {
+                ("queue-drain", vec![("queue", S(queue)), ("drained", n(drained))])
+            }
+            SchedEvent::StallDetected { queue, occupancy } => {
+                ("stall", vec![("queue", S(queue)), ("occupancy", n(occupancy))])
+            }
+            SchedEvent::Repartition { domains, action } => {
+                ("repartition", vec![("domains", n(domains)), ("action", S(action))])
+            }
+            SchedEvent::OperatorPanic { operator, payload } => {
+                ("operator-panic", vec![("operator", S(operator)), ("payload", S(payload))])
+            }
+            SchedEvent::OperatorRestart { operator, attempt, backoff_ms } => (
+                "operator-restart",
+                vec![
+                    ("operator", S(operator)),
+                    ("attempt", int(*attempt)),
+                    ("backoff_ms", int(*backoff_ms)),
+                ],
+            ),
+            SchedEvent::OperatorQuarantined { operator, failures } => (
+                "operator-quarantine",
+                vec![("operator", S(operator)), ("failures", int(*failures))],
+            ),
+            SchedEvent::HeartbeatStall { domain, idle_ms } => {
+                ("heartbeat-stall", vec![("domain", S(domain)), ("idle_ms", int(*idle_ms))])
+            }
+            SchedEvent::NetDisconnect { peer, reason } => {
+                ("net-disconnect", vec![("peer", S(peer)), ("reason", S(reason))])
+            }
+            SchedEvent::NetReconnect { stream, resume_seq } => {
+                ("net-reconnect", vec![("stream", S(stream)), ("resume_seq", int(*resume_seq))])
+            }
+            SchedEvent::CheckpointStart { id } => ("checkpoint-start", vec![("id", int(*id))]),
+            SchedEvent::CheckpointComplete { id, bytes, duration_ms } => (
+                "checkpoint-complete",
+                vec![("id", int(*id)), ("bytes", int(*bytes)), ("duration_ms", int(*duration_ms))],
+            ),
+            SchedEvent::CheckpointAbort { id, reason } => {
+                ("checkpoint-abort", vec![("id", int(*id)), ("reason", S(reason))])
+            }
+            SchedEvent::OperatorSnapshot { id, operator, bytes } => (
+                "operator-snapshot",
+                vec![("id", int(*id)), ("operator", S(operator)), ("bytes", int(*bytes))],
+            ),
+            SchedEvent::OperatorRollback { id, operator } => {
+                ("operator-rollback", vec![("id", int(*id)), ("operator", S(operator))])
+            }
+            SchedEvent::AlertRaised { rule, value } => {
+                ("alert-raised", vec![("rule", S(rule)), ("value", F(*value))])
+            }
+            SchedEvent::AlertCleared { rule } => ("alert-cleared", vec![("rule", S(rule))]),
+        }
+    }
+
     /// Short kebab-case tag identifying the variant (used by exporters
     /// and assertions).
     pub fn kind(&self) -> &'static str {
-        match self {
-            SchedEvent::Dispatch { .. } => "dispatch",
-            SchedEvent::Yield { .. } => "yield",
-            SchedEvent::Preempt { .. } => "preempt",
-            SchedEvent::AgingBoost { .. } => "aging-boost",
-            SchedEvent::ModeSwitch { .. } => "mode-switch",
-            SchedEvent::QueueInsert { .. } => "queue-insert",
-            SchedEvent::QueueRemove { .. } => "queue-remove",
-            SchedEvent::QueueDrain { .. } => "queue-drain",
-            SchedEvent::StallDetected { .. } => "stall",
-            SchedEvent::Repartition { .. } => "repartition",
-            SchedEvent::OperatorPanic { .. } => "operator-panic",
-            SchedEvent::OperatorRestart { .. } => "operator-restart",
-            SchedEvent::OperatorQuarantined { .. } => "operator-quarantine",
-            SchedEvent::HeartbeatStall { .. } => "heartbeat-stall",
-            SchedEvent::NetDisconnect { .. } => "net-disconnect",
-            SchedEvent::NetReconnect { .. } => "net-reconnect",
-            SchedEvent::CheckpointStart { .. } => "checkpoint-start",
-            SchedEvent::CheckpointComplete { .. } => "checkpoint-complete",
-            SchedEvent::CheckpointAbort { .. } => "checkpoint-abort",
-            SchedEvent::OperatorSnapshot { .. } => "operator-snapshot",
-            SchedEvent::OperatorRollback { .. } => "operator-rollback",
-            SchedEvent::AlertRaised { .. } => "alert-raised",
-            SchedEvent::AlertCleared { .. } => "alert-cleared",
-        }
+        self.describe().0
     }
 }
 

@@ -1,6 +1,6 @@
 //! `hmts-obs`: observability substrate for the HMTS runtime.
 //!
-//! Three pieces, all reachable through the cheap [`Obs`] facade:
+//! Four pieces, all reachable through the cheap [`Obs`] facade:
 //!
 //! * a [`MetricsRegistry`] of named counters, gauges, and log-bucketed
 //!   latency histograms with lock-free typed handles,
@@ -8,7 +8,9 @@
 //!   ([`SchedEvent`]) with per-thread attribution and relative timestamps,
 //! * a background [`Sampler`] snapshotting the registry into a time
 //!   series, and exporters for Prometheus text exposition, JSON event
-//!   dumps, and CSV series ([`export`]).
+//!   dumps, and CSV series ([`export`]),
+//! * the engine's current [`PlanView`] — the typed description of the
+//!   running plan that `/snapshot` renders and the capacity analyzer reads.
 //!
 //! [`Obs`] is a nullable `Arc`: a disabled handle is a `None` and every
 //! operation on it short-circuits on one branch, so instrumented hot
@@ -29,13 +31,42 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub use admin::{AdminServer, StatusBoard};
+use parking_lot::Mutex;
+
+pub use admin::AdminServer;
 pub use alert::{AlertEngine, AlertRule};
 pub use capacity::{CapacityConfig, CapacityReport, TopologySpec};
-pub use journal::{EventJournal, EventRecord, SchedEvent};
+pub use journal::{EventJournal, EventRecord, Field, SchedEvent};
 pub use registry::{Counter, Gauge, Histogram, Metric, MetricValue, MetricsRegistry};
 pub use sampler::{SamplePoint, SampleStore, Sampler};
 pub use trace::{trace_id, HopKind, SpanEvent, TraceConfig, Tracer, NO_PARTITION};
+
+/// What the engine publishes about the plan it is running: the query
+/// shape with the plan's virtual operators, and the plan's scheduling
+/// domains. Replaced as a whole on every (re-)wiring, so readers follow
+/// mode switches, queue insertion/removal and re-partitioning by themselves.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PlanView {
+    /// Nodes, edges, sources and virtual-operator groups by node name.
+    pub topology: TopologySpec,
+    /// One-line plan shape, e.g. `"3 domains (3 pooled) x2 workers"`.
+    pub summary: String,
+    /// The scheduling domains in plan order.
+    pub domains: Vec<DomainView>,
+}
+
+/// One scheduling domain of a [`PlanView`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct DomainView {
+    /// Domain name (also its thread's name suffix).
+    pub name: String,
+    /// Level-2 strategy, e.g. `"Fifo"`.
+    pub strategy: String,
+    /// How the domain gets a thread, e.g. `"Pooled"`.
+    pub execution: String,
+    /// Indices of the virtual operators (the topology's `partitions`) it runs.
+    pub partitions: Vec<usize>,
+}
 
 /// Configuration for an enabled [`Obs`] handle.
 #[derive(Clone, Debug, Default)]
@@ -66,6 +97,7 @@ pub struct ObsCore {
     journal: EventJournal,
     tracer: Option<Arc<Tracer>>,
     samples: Arc<SampleStore>,
+    plan: Mutex<Option<Arc<PlanView>>>,
     start: Instant,
 }
 
@@ -115,6 +147,7 @@ impl Obs {
             journal: EventJournal::with_epoch(cfg.journal_capacity(), start),
             tracer: cfg.trace.as_ref().map(|t| Arc::new(Tracer::new(t.clone(), start))),
             samples: Arc::new(SampleStore::default()),
+            plan: Mutex::new(None),
             start,
         })))
     }
@@ -157,6 +190,20 @@ impl Obs {
         if let Some(core) = &self.0 {
             core.journal.push(event);
         }
+    }
+
+    /// Replaces the published plan view. Like [`emit_with`](Obs::emit_with),
+    /// the closure only runs when enabled.
+    pub fn set_plan_view(&self, make: impl FnOnce() -> PlanView) {
+        if let Some(core) = &self.0 {
+            *core.plan.lock() = Some(Arc::new(make()));
+        }
+    }
+
+    /// The plan view the engine published last (`None` when disabled or
+    /// before any engine was built on this handle).
+    pub fn plan_view(&self) -> Option<Arc<PlanView>> {
+        self.0.as_ref().and_then(|core| core.plan.lock().clone())
     }
 
     /// Counter handle for `name`; detached (unregistered) when disabled.
@@ -317,6 +364,8 @@ mod tests {
         assert!(!obs.is_enabled());
         obs.emit(SchedEvent::QueueInsert { queue: "a->b".into() });
         obs.emit_with(|| unreachable!("closure must not run when disabled"));
+        obs.set_plan_view(|| unreachable!("closure must not run when disabled"));
+        assert!(obs.plan_view().is_none());
         obs.counter("c").inc();
         obs.gauge("g").set(3);
         obs.histogram("h").record(5);

@@ -227,6 +227,42 @@ impl MetricValue {
     }
 }
 
+/// Name lookups over a registry snapshot — the one way the admin plane,
+/// the capacity analyzer and the alert rules read individual metrics out
+/// of it.
+pub(crate) struct Lookup<'a>(pub &'a [(String, MetricValue)]);
+
+impl<'a> Lookup<'a> {
+    /// The metric `name`, whatever its kind.
+    pub fn get(&self, name: &str) -> Option<&'a MetricValue> {
+        self.0.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    /// The counter `name`; 0 when absent.
+    pub fn counter(&self, name: &str) -> u64 {
+        match self.get(name) {
+            Some(MetricValue::Counter(c)) => *c,
+            _ => 0,
+        }
+    }
+
+    /// The gauge `name`.
+    pub fn gauge(&self, name: &str) -> Option<i64> {
+        match self.get(name) {
+            Some(MetricValue::Gauge(g)) => Some(*g),
+            _ => None,
+        }
+    }
+
+    /// The histogram `name` as `(count, cumulative buckets)`.
+    pub fn histogram(&self, name: &str) -> Option<(u64, &'a [(u64, u64)])> {
+        match self.get(name) {
+            Some(MetricValue::Histogram(count, _, buckets)) => Some((*count, buckets)),
+            _ => None,
+        }
+    }
+}
+
 /// Named registry of metrics. `get_or_register`-style accessors make
 /// instrumentation idempotent: asking twice for the same name returns
 /// handles to the same underlying atomic.

@@ -76,7 +76,7 @@ fn mg1_prediction_matches_simulated_tandem_queue() {
         // OTS: every operator its own partition, so both are stations.
         partitions: vec![vec!["a".into()], vec!["b".into()]],
     };
-    let cfg = CapacityConfig { service_cv2: 0.0, ..CapacityConfig::default() };
+    let cfg = CapacityConfig { service_cv2: 0.0 };
     let report = analyze(&metrics, &topo, &cfg);
 
     assert_eq!(report.bottleneck.as_deref(), Some("a"));
@@ -126,7 +126,7 @@ fn prediction_tracks_load_sweep() {
             sources: vec!["src".into()],
             partitions: vec![vec!["op".into()]],
         };
-        let cfg = CapacityConfig { service_cv2: 0.0, ..CapacityConfig::default() };
+        let cfg = CapacityConfig { service_cv2: 0.0 };
         let report = analyze(&metrics, &topo, &cfg);
         let pred_mean = report.paths[0].mean_ns * 1e-9;
         let err = (pred_mean - sim_mean).abs() / sim_mean;

@@ -63,7 +63,7 @@ cargo build --release --offline --manifest-path perfledger/Cargo.toml
 cargo test --offline --manifest-path perfledger/Cargo.toml
 git diff --exit-code -- perfledger/Cargo.lock
 
-echo "==> admin-plane smoke (/metrics + /healthz + /analyze against a live serve)"
+echo "==> admin-plane smoke (/metrics /healthz /analyze /snapshot /trace against a live serve)"
 # Boots the served Fig. 9/10 chain with the embedded admin endpoint and
 # scrapes it over raw /dev/tcp (no curl dependency): non-200 or an empty
 # body fails the gate. JSON endpoints are additionally validated with the
@@ -92,7 +92,7 @@ http_get() { # $1 = request target; prints the full HTTP response
   cat <&3
   exec 3<&- 3>&-
 }
-for target in /metrics /healthz /analyze; do
+for target in /metrics /healthz /analyze /snapshot '/trace?last=8'; do
   resp=$(http_get "$target")
   status=$(printf '%s' "$resp" | head -n1 | awk '{print $2}')
   body=$(printf '%s' "$resp" | sed -e '1,/^\r\{0,1\}$/d')
@@ -103,7 +103,10 @@ for target in /metrics /healthz /analyze; do
     exit 1
   fi
   case "$target" in
-    /healthz|/analyze)
+    /metrics)
+      echo "    GET $target -> 200 ($bytes bytes)"
+      ;;
+    *)
       if ! shape=$(printf '%s' "$body" | target/release/jsonv); then
         echo "error: GET $target body is not valid JSON"
         printf '%s\n' "$body"
@@ -111,10 +114,14 @@ for target in /metrics /healthz /analyze; do
       fi
       echo "    GET $target -> 200 ($bytes bytes, $shape)"
       ;;
-    *)
-      echo "    GET $target -> 200 ($bytes bytes)"
-      ;;
   esac
+  # serve publishes nothing itself: the status block is the engine's own
+  # plan view, so an empty plan means the engine stopped publishing it.
+  if [ "$target" = /snapshot ] && ! printf '%s' "$body" | grep -q '"status":{"plan":"[^"]'; then
+    echo "error: GET /snapshot has no status.plan (the engine's plan view is missing)"
+    printf '%s\n' "$body"
+    exit 1
+  fi
 done
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true

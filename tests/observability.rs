@@ -14,7 +14,10 @@
 mod common;
 
 use common::collected_values;
+use hmts::obs::json::{self, Json};
+use hmts::obs::AdminServer;
 use hmts::prelude::*;
+use std::io::{Read, Write};
 use std::time::Duration;
 
 fn paced_graph(count: u64, rate: f64) -> (QueryGraph, SinkHandle) {
@@ -114,4 +117,78 @@ fn default_engine_config_keeps_observability_off() {
         .expect("engine runs");
     assert!(report.errors.is_empty());
     assert_eq!(handle.count(), 250);
+}
+
+fn scrape(addr: std::net::SocketAddr, target: &str) -> Json {
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect admin endpoint");
+    write!(stream, "GET {target} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 200 "), "GET {target}: {raw}");
+    json::parse(raw.split_once("\r\n\r\n").expect("a body").1).expect("body is JSON")
+}
+
+/// `/analyze` and `/snapshot` must describe `engine.plan()` as it is now.
+fn assert_admin_plane_shows_plan(addr: std::net::SocketAddr, engine: &Engine, when: &str) {
+    let plan = engine.plan();
+    let topo = engine.topology();
+    let want: Vec<Vec<&str>> = plan
+        .partitioning
+        .groups()
+        .iter()
+        .map(|g| g.iter().map(|&v| topo.name(v)).collect())
+        .collect();
+    let analyze = scrape(addr, "/analyze");
+    let got: Vec<Vec<&str>> = analyze
+        .get("partitions")
+        .and_then(Json::as_arr)
+        .expect("partitions array")
+        .iter()
+        .map(|p| {
+            let nodes = p.get("nodes").and_then(Json::as_arr).expect("nodes array");
+            nodes.iter().map(|n| n.as_str().expect("node name")).collect()
+        })
+        .collect();
+    assert_eq!(got, want, "{when}: /analyze partitions");
+
+    let snapshot = scrape(addr, "/snapshot");
+    let status = |key: &str| snapshot.get("status").and_then(|s| s.get(key)?.as_str());
+    assert_eq!(status("plan"), Some(describe_plan(plan).as_str()), "{when}: status.plan");
+    let assignments = status("assignments").expect("status.assignments");
+    assert_eq!(assignments.split("; ").count(), plan.domains.len(), "{when}: {assignments}");
+    for d in &plan.domains {
+        let entry = format!("{}: partitions {:?} ({:?})", d.name, d.partitions, d.execution);
+        assert!(assignments.contains(&entry), "{when}: {entry:?} not in {assignments:?}");
+    }
+}
+
+/// The admin plane follows the plan by itself: nothing here publishes
+/// anything, yet every scrape — before `start`, under GTS, after a switch to
+/// two-VO HMTS, after a runtime queue insertion — shows the live plan.
+#[test]
+fn admin_plane_follows_plan_changes_with_no_host_call() {
+    let (graph, _handle) = paced_graph(200_000, 20_000.0);
+    let topo = Topology::of(&graph);
+    let obs = Obs::enabled();
+    let cfg = EngineConfig { obs: obs.clone(), ..EngineConfig::default() };
+    let mut engine = Engine::with_config(graph, ExecutionPlan::gts(&topo, StrategyKind::Fifo), cfg)
+        .expect("engine builds");
+    let admin = AdminServer::bind("127.0.0.1:0", obs).expect("admin binds");
+    assert_admin_plane_shows_plan(admin.addr(), &engine, "before start");
+    engine.start().expect("engine starts");
+    assert_admin_plane_shows_plan(admin.addr(), &engine, "under GTS");
+
+    let ops = topo.operators();
+    let part = Partitioning::new(vec![vec![ops[0]], vec![ops[1], ops[2]]]);
+    engine.switch_plan(ExecutionPlan::hmts(part, StrategyKind::Fifo, 2)).expect("runtime switch");
+    assert_eq!(engine.plan().partitioning.groups().len(), 2);
+    assert_admin_plane_shows_plan(admin.addr(), &engine, "after switch_plan");
+
+    assert!(engine.insert_queue(ops[1], ops[2]).expect("queue insertion"), "VO was split");
+    assert_eq!(engine.plan().partitioning.groups().len(), 3);
+    assert_admin_plane_shows_plan(admin.addr(), &engine, "after insert_queue");
+
+    assert!(engine.remove_queue(ops[0], ops[1]).expect("queue removal"), "VOs were merged");
+    assert_admin_plane_shows_plan(admin.addr(), &engine, "after remove_queue");
+    engine.abort();
 }
