@@ -195,7 +195,7 @@ fn corrupt_outputs(out: &mut Output) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{data, slot};
+    use super::super::tests::{contents, data, slot};
     use super::super::{Attach, ExecConfig, Target};
     use super::*;
     use crate::scheduler::strategy::StrategyKind;
@@ -295,19 +295,6 @@ mod tests {
         }
     }
 
-    /// What reached the downstream queue, in order: data values, `W` for a
-    /// watermark, `E` for end-of-stream.
-    fn downstream(q: &StreamQueue) -> Vec<String> {
-        std::iter::from_fn(|| q.try_pop())
-            .map(|m| match m {
-                Message::Data(el) => el.tuple.field(0).as_int().unwrap().to_string(),
-                Message::Punct(Punctuation::Watermark(_)) => "W".into(),
-                Message::Punct(Punctuation::EndOfStream) => "E".into(),
-                Message::Punct(Punctuation::Barrier(_)) => "B".into(),
-            })
-            .collect()
-    }
-
     /// Every operator callback goes through the same boundary, so a failure
     /// in any of them is booked the same way: outputs discarded, `Err`
     /// recorded as the first error, a panic counted by the supervisor and
@@ -371,7 +358,7 @@ mod tests {
                         (OnEos, true) | (Flush, _) => &["1", "W", "2", "E"],
                         _ => &["1", "W", "2", "999", "E"],
                     };
-                    assert_eq!(downstream(&q), expected, "{case}: downstream");
+                    assert_eq!(contents(&q), expected, "{case}: downstream");
                     assert_eq!(exec.live_slots(), 0, "{case}: slot closed");
 
                     let error = exec.error().map(|e| e.to_string()).unwrap_or_default();

@@ -147,6 +147,10 @@ struct Slot {
     state: SlotState,
     /// Output routing, one entry per out-edge.
     targets: Vec<Target>,
+    /// Messages bound for the queue targets, parallel to `targets` (an
+    /// inline target's entry stays empty), until the next
+    /// [`DomainExecutor::flush_staged`].
+    staged: Vec<Vec<Message>>,
     fault: guard::SlotFault,
     probe: probe::SlotProbe,
     align: align::SlotAlign,
@@ -165,6 +169,16 @@ pub struct DomainExecutor {
     /// The DI chain-reaction work stack.
     stack: Vec<(NodeId, usize, Message)>,
     out: Output,
+    /// `out`'s elements while they are being routed (reused, so routing
+    /// allocates nothing).
+    routing: Vec<Option<Element>>,
+    /// `(slot, target)` of every non-empty `staged` buffer, in the order
+    /// they were first written.
+    dirty: Vec<(usize, usize)>,
+    /// The strategy's view of the inputs, refilled per decision.
+    view: Vec<InputSlot>,
+    /// The batch popped for the current decision (reused).
+    inbox: Vec<Message>,
     /// Messages popped per strategy decision.
     batch: usize,
     /// Slots not yet closed.
@@ -196,6 +210,10 @@ impl DomainExecutor {
             pending: VecDeque::new(),
             stack: Vec::new(),
             out: Output::new(),
+            routing: Vec::new(),
+            dirty: Vec::new(),
+            view: Vec::new(),
+            inbox: Vec::new(),
             batch: cfg.batch.max(1),
             error: None,
             guard: guard::Guard::default(),
@@ -221,8 +239,17 @@ impl DomainExecutor {
     }
 
     /// Synchronously processes one message through the domain (the DI chain
-    /// reaction). Used directly by source-driven execution.
+    /// reaction) and hands what it produced for other domains to their
+    /// queues. Used directly by source-driven execution.
     pub fn inject(&mut self, node: NodeId, port: usize, msg: Message) {
+        self.chain_reaction(node, port, msg);
+        self.flush_staged();
+    }
+
+    /// The DI chain reaction of one message. Output for queue targets is
+    /// only staged; the caller owes a [`flush_staged`](Self::flush_staged)
+    /// before it returns control.
+    fn chain_reaction(&mut self, node: NodeId, port: usize, msg: Message) {
         debug_assert!(self.stack.is_empty());
         self.stack.push((node, port, msg));
         self.guard.enter();
@@ -325,8 +352,10 @@ impl DomainExecutor {
     }
 
     /// Routes everything in `self.out` to slot `i`'s targets: queue targets
-    /// in forward order (FIFO), inline targets pushed in reverse so the
-    /// LIFO stack realizes the paper's depth-first traversal.
+    /// in forward order (FIFO, staged until the next flush), inline targets
+    /// pushed in reverse so the LIFO stack realizes the paper's depth-first
+    /// traversal. Each element is moved into the last target that takes it
+    /// and cloned only for the others.
     ///
     /// An element tagged with a route (see [`Output::push_routed`]) goes to
     /// exactly one target — the one at the route's out-edge ordinal, which
@@ -337,48 +366,49 @@ impl DomainExecutor {
             return;
         }
         let routes = self.out.take_routes();
-        let takes = |idx: usize, ti: usize| match routes.get(idx) {
-            Some(&r) if r != Output::BROADCAST => r as usize == ti,
-            _ => true,
+        let Slot { targets, staged, .. } = &mut self.slots[i];
+        // The target served last, in the order below: the first inline one
+        // if there is any, else the last queue.
+        let last = targets
+            .iter()
+            .position(|t| matches!(t, Target::Inline { .. }))
+            .unwrap_or(targets.len().saturating_sub(1));
+        // Element `idx` for target `ti`, if it takes it: a routed element
+        // has that one taker, a broadcast one is cloned for every target
+        // but the last.
+        let hand_over = |el: &mut Option<Element>, idx: usize, ti: usize| match routes.get(idx) {
+            Some(&r) if r != Output::BROADCAST => (r as usize == ti).then(|| el.take()).flatten(),
+            _ if ti == last => el.take(),
+            _ => el.clone(),
         };
-        let outputs: Vec<Element> = self.out.drain().collect();
-        for (ti, t) in self.slots[i].targets.iter().enumerate() {
-            if let Target::Queue { queue, wake } = t {
-                let mut pushed = false;
-                for (idx, el) in outputs.iter().enumerate() {
-                    if !takes(idx, ti) {
-                        continue;
-                    }
-                    self.probe.queue_enter(el, queue);
-                    // A closed queue only happens during teardown; the
-                    // element is intentionally dropped then.
-                    let _ = queue.push(Message::Data(el.clone()));
-                    pushed = true;
-                }
-                if pushed {
-                    if let Some(w) = wake {
-                        w.wake();
+        self.routing.extend(self.out.drain().map(Some));
+        for (ti, t) in targets.iter().enumerate() {
+            if matches!(t, Target::Queue { .. }) {
+                for (idx, el) in self.routing.iter_mut().enumerate() {
+                    if let Some(el) = hand_over(el, idx, ti) {
+                        stage(&mut staged[ti], &mut self.dirty, (i, ti), Message::Data(el));
                     }
                 }
             }
         }
-        for (idx, el) in outputs.iter().enumerate().rev() {
-            for (ti, t) in self.slots[i].targets.iter().enumerate().rev() {
+        for (idx, el) in self.routing.iter_mut().enumerate().rev() {
+            for (ti, t) in targets.iter().enumerate().rev() {
                 if let Target::Inline { node, port } = t {
-                    if takes(idx, ti) {
-                        self.stack.push((*node, *port, Message::Data(el.clone())));
+                    if let Some(el) = hand_over(el, idx, ti) {
+                        self.stack.push((*node, *port, Message::Data(el)));
                     }
                 }
             }
         }
+        self.routing.clear();
     }
 
     /// Sends slot `i`'s pending outputs and then `p` to every successor.
     /// The inline punctuation goes onto the LIFO stack *below* the outputs
     /// (pushed first → popped last) and the queue punctuation *after* them
-    /// (FIFO), so successors of either kind see what a flush or watermark
-    /// handler emitted before the punctuation that triggered it, instead
-    /// of closing first and dropping it.
+    /// (FIFO, in the same staging buffer), so successors of either kind see
+    /// what a flush or watermark handler emitted before the punctuation
+    /// that triggered it, instead of closing first and dropping it.
     fn forward_punct(&mut self, i: usize, p: Punctuation) {
         for t in self.slots[i].targets.iter().rev() {
             if let Target::Inline { node, port } = t {
@@ -386,9 +416,27 @@ impl DomainExecutor {
             }
         }
         self.deliver_outputs(i);
-        for t in &self.slots[i].targets {
-            if let Target::Queue { queue, wake } = t {
-                let _ = queue.push(Message::Punct(p));
+        let Slot { targets, staged, .. } = &mut self.slots[i];
+        for (ti, t) in targets.iter().enumerate() {
+            if matches!(t, Target::Queue { .. }) {
+                stage(&mut staged[ti], &mut self.dirty, (i, ti), Message::Punct(p));
+            }
+        }
+    }
+
+    /// Hands every staged message to its queue: one `push_batch` and one
+    /// wake-up per queue target written since the last flush. Runs when a
+    /// popped batch ends and before `inject` / `run_slice` return, so
+    /// nobody outside a slice ever sees output that is neither in the
+    /// operator nor in the queue.
+    fn flush_staged(&mut self) {
+        for (i, ti) in self.dirty.drain(..) {
+            let Slot { targets, staged, .. } = &mut self.slots[i];
+            if let Target::Queue { queue, wake } = &targets[ti] {
+                self.probe.queue_enter(&staged[ti], queue);
+                // A closed queue only happens during teardown; the
+                // messages are intentionally dropped then.
+                let _ = queue.push_batch(&mut staged[ti]);
                 if let Some(w) = wake {
                     w.wake();
                 }
@@ -408,47 +456,55 @@ impl DomainExecutor {
     }
 
     /// Runs the level-2 scheduling loop until the budget is exhausted, the
-    /// inputs run dry, or the domain finishes.
+    /// inputs run dry, or the domain finishes. The unit at the queue
+    /// boundary is the batch — one `pop_batch` per decision, one
+    /// `push_batch` per written queue target per batch — while the budget
+    /// is checked per message; what a cut-short batch leaves over waits in
+    /// `pending`, ahead of its queue.
     pub fn run_slice(&mut self, budget: &Budget) -> RunOutcome {
         let mut processed = 0usize;
+        let mut exceeded = false;
 
         while let Some((node, port, msg)) = self.pending.pop_front() {
-            self.inject(node, port, msg);
+            self.chain_reaction(node, port, msg);
             processed += 1;
             if budget.exceeded(processed) {
-                return self.slice_status();
+                exceeded = true;
+                break;
             }
         }
+        self.flush_staged();
 
-        loop {
-            let view: Vec<InputSlot> = self
-                .inputs
-                .iter()
-                .map(|q| InputSlot {
-                    consumer: q.node,
-                    len: if q.exhausted { 0 } else { q.queue.len() },
-                    head_ts: q.queue.peek_ts(),
-                })
-                .collect();
-            let Some(i) = self.strategy.select(&view) else {
-                return self.slice_status();
+        while !exceeded {
+            self.view.clear();
+            self.view.extend(self.inputs.iter().map(|q| InputSlot {
+                consumer: q.node,
+                len: if q.exhausted { 0 } else { q.queue.len() },
+                head_ts: q.queue.peek_ts(),
+            }));
+            let Some(i) = self.strategy.select(&self.view) else {
+                break;
             };
-            for _ in 0..self.batch {
-                let Some(msg) = self.inputs[i].queue.try_pop() else {
-                    break;
-                };
+            let (node, port) = (self.inputs[i].node, self.inputs[i].port);
+            let mut inbox = std::mem::take(&mut self.inbox);
+            self.inputs[i].queue.pop_batch(self.batch, &mut inbox);
+            for msg in inbox.drain(..) {
                 self.probe.queue_exit(&msg, i);
                 if msg.is_eos() {
                     self.inputs[i].exhausted = true;
                 }
-                let (node, port) = (self.inputs[i].node, self.inputs[i].port);
-                self.inject(node, port, msg);
-                processed += 1;
-                if budget.exceeded(processed) {
-                    return self.slice_status();
+                if exceeded {
+                    self.pending.push_back((node, port, msg));
+                    continue;
                 }
+                self.chain_reaction(node, port, msg);
+                processed += 1;
+                exceeded = budget.exceeded(processed);
             }
+            self.inbox = inbox;
+            self.flush_staged();
         }
+        self.slice_status()
     }
 
     fn slice_status(&self) -> RunOutcome {
@@ -470,9 +526,11 @@ impl DomainExecutor {
     /// with their destination. Called during a mode switch after producers
     /// have stopped.
     pub fn take_input_remnants(&mut self) -> Vec<(NodeId, usize, Message)> {
-        let mut out: Vec<(NodeId, usize, Message)> =
-            std::mem::take(&mut self.pending).into_iter().collect();
+        // Input held back by an alignment was delivered before anything
+        // still pending, so it goes first.
+        let mut out = Vec::new();
         self.align.take_remnants(&mut self.slots, &mut out);
+        out.extend(std::mem::take(&mut self.pending));
         for q in &mut self.inputs {
             for msg in q.queue.drain() {
                 out.push((q.node, q.port, msg));
@@ -485,10 +543,26 @@ impl DomainExecutor {
     /// may still be referenced by an `Arc` held elsewhere). Called when the
     /// domain is torn down for a mode switch.
     pub fn extract(&mut self) -> Vec<SlotState> {
+        debug_assert!(self.dirty.is_empty(), "every slice ends with a flush");
         self.live = 0;
         self.index.clear();
         std::mem::take(&mut self.slots).into_iter().map(|s| s.state).collect()
     }
+}
+
+/// Appends `msg` to a queue target's staging buffer, noting the buffer
+/// (`at` = its slot and target index) for the next flush when this is its
+/// first message.
+fn stage(
+    staged: &mut Vec<Message>,
+    dirty: &mut Vec<(usize, usize)>,
+    at: (usize, usize),
+    msg: Message,
+) {
+    if staged.is_empty() {
+        dirty.push(at);
+    }
+    staged.push(msg);
 }
 
 #[cfg(test)]
@@ -607,14 +681,8 @@ mod tests {
 
     #[test]
     fn queue_targets_forward_and_wake() {
-        struct CountWaker(AtomicUsize);
-        impl Waker for CountWaker {
-            fn wake(&self) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         let out_q = StreamQueue::unbounded("out");
-        let waker = Arc::new(CountWaker(AtomicUsize::new(0)));
+        let waker = Arc::new(CountWaker::default());
         let slots = vec![slot(
             1,
             Box::new(Filter::new("f", Expr::bool(true))),
@@ -793,6 +861,231 @@ mod tests {
         let states = exec.extract();
         assert_eq!(states.len(), 3);
         assert!(states.iter().all(|s| !s.closed));
+    }
+
+    /// Counts wake-ups.
+    #[derive(Default)]
+    struct CountWaker(AtomicUsize);
+
+    impl Waker for CountWaker {
+        fn wake(&self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Input queue -> `op` (node 1) -> queue `out`, the shape of a GTS
+    /// stage, with the default `batch = 32`.
+    fn queue_stage(
+        op: Box<dyn Operator>,
+    ) -> (DomainExecutor, Arc<StreamQueue>, Arc<StreamQueue>, Arc<CountWaker>) {
+        let (q, out) = (StreamQueue::unbounded("in"), StreamQueue::unbounded("out"));
+        let waker = Arc::new(CountWaker::default());
+        let target = Target::Queue {
+            queue: Arc::clone(&out),
+            wake: Some(Arc::clone(&waker) as Arc<dyn Waker>),
+        };
+        let inputs =
+            vec![InputQueue { queue: Arc::clone(&q), node: NodeId(1), port: 0, exhausted: false }];
+        let exec = DomainExecutor::new(
+            "d",
+            vec![slot(1, op, vec![target])],
+            inputs,
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        (exec, q, out, waker)
+    }
+
+    fn pass_all() -> Box<dyn Operator> {
+        Box::new(Filter::new("f", Expr::bool(true)))
+    }
+
+    /// What sits in `q`, in order: data values, `W`/`B`/`E` for watermark,
+    /// barrier and end-of-stream.
+    pub(super) fn contents(q: &StreamQueue) -> Vec<String> {
+        q.drain()
+            .into_iter()
+            .map(|m| match m {
+                Message::Data(el) => el.tuple.field(0).as_int().unwrap().to_string(),
+                Message::Punct(Punctuation::Watermark(_)) => "W".into(),
+                Message::Punct(Punctuation::Barrier(_)) => "B".into(),
+                Message::Punct(Punctuation::EndOfStream) => "E".into(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn budget_cut_batch_is_delivered_and_its_rest_survives_a_rewiring() {
+        let (mut exec, q, out, waker) = queue_stage(pass_all());
+        for v in 1..=5 {
+            q.push(data(v, v as u64)).unwrap();
+        }
+        let one = Budget { max_messages: 1, ..Budget::default() };
+        assert_eq!(exec.run_slice(&one), RunOutcome::Budget);
+        // The whole batch left the input queue, one message was processed,
+        // and its output is in the downstream queue already.
+        assert_eq!(q.len(), 0);
+        assert_eq!(out.len(), 1);
+        assert_eq!(waker.0.load(Ordering::Relaxed), 1);
+        assert!(exec.has_work());
+        q.push(data(6, 6)).unwrap();
+        // A re-wiring right now finds the rest of the batch, in order and
+        // ahead of what is still queued.
+        let remnants: Vec<i64> = exec
+            .take_input_remnants()
+            .into_iter()
+            .map(|(node, port, m)| {
+                assert_eq!((node, port), (NodeId(1), 0));
+                m.as_data().unwrap().tuple.field(0).as_int().unwrap()
+            })
+            .collect();
+        assert_eq!(remnants, vec![2, 3, 4, 5, 6]);
+        assert_eq!(exec.extract().len(), 1);
+        assert_eq!(contents(&out), ["1"]);
+    }
+
+    #[test]
+    fn budget_cut_batch_resumes_in_order() {
+        let (mut exec, q, out, _) = queue_stage(pass_all());
+        for v in 1..=5 {
+            q.push(data(v, v as u64)).unwrap();
+        }
+        q.push(Message::eos()).unwrap();
+        let two = Budget { max_messages: 2, ..Budget::default() };
+        let mut slices = 0;
+        while exec.run_slice(&two) != RunOutcome::Finished {
+            slices += 1;
+            assert_eq!(out.len(), 2 * slices, "each slice delivers what it processed");
+        }
+        assert_eq!(contents(&out), ["1", "2", "3", "4", "5", "E"]);
+    }
+
+    #[test]
+    fn punctuation_mid_batch_keeps_its_place_behind_staged_data() {
+        let (mut exec, q, out, waker) = queue_stage(pass_all());
+        let input = [
+            data(1, 1),
+            data(2, 2),
+            Message::Punct(Punctuation::Watermark(Timestamp::from_micros(3))),
+            data(3, 3),
+            Message::Punct(Punctuation::Barrier(1)),
+            data(4, 4),
+            Message::eos(),
+        ];
+        for m in input {
+            q.push(m).unwrap();
+        }
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Finished);
+        // One batch in, one push and one wake-up out.
+        assert_eq!(waker.0.load(Ordering::Relaxed), 1);
+        assert_eq!(out.metrics().high_water(), 7);
+        assert_eq!(contents(&out), ["1", "2", "W", "3", "B", "4", "E"]);
+    }
+
+    #[test]
+    fn flush_output_is_queued_before_eos() {
+        let (mut exec, q, out, _) = queue_stage(Box::new(FlushEmitter { seen: 0 }));
+        q.push(data(1, 1)).unwrap();
+        q.push(data(2, 2)).unwrap();
+        q.push(Message::eos()).unwrap();
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Finished);
+        assert_eq!(contents(&out), ["2", "E"]);
+    }
+
+    /// Passes its input through, and panics on the value 3.
+    struct PanicsOnThree;
+
+    impl Operator for PanicsOnThree {
+        fn name(&self) -> &str {
+            "panics-on-3"
+        }
+
+        fn process(
+            &mut self,
+            _port: usize,
+            el: &Element,
+            out: &mut Output,
+        ) -> hmts_streams::error::Result<()> {
+            assert_ne!(el.tuple.field(0).as_int()?, 3, "three");
+            out.push(el.clone());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn terminal_panic_mid_batch_sends_eos_behind_the_staged_outputs() {
+        let (mut exec, q, out, waker) = queue_stage(Box::new(PanicsOnThree));
+        for v in 1..=5 {
+            q.push(data(v, v as u64)).unwrap();
+        }
+        // No supervisor: the panic closes the slot; the rest of the batch
+        // meets a closed slot.
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
+        assert_eq!(exec.live_slots(), 0);
+        assert_eq!(exec.take_panics().len(), 1);
+        assert_eq!(waker.0.load(Ordering::Relaxed), 1);
+        assert_eq!(contents(&out), ["1", "2", "E"]);
+    }
+
+    /// Routes a value below 6 to the out-edge `value % 3` and broadcasts
+    /// the rest.
+    struct RoutesByValue;
+
+    impl Operator for RoutesByValue {
+        fn name(&self) -> &str {
+            "routes-by-value"
+        }
+
+        fn process(
+            &mut self,
+            _port: usize,
+            el: &Element,
+            out: &mut Output,
+        ) -> hmts_streams::error::Result<()> {
+            match el.tuple.field(0).as_int()? {
+                v if v < 6 => out.push_routed((v % 3) as u32, el.clone()),
+                _ => out.push(el.clone()),
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_output_reaches_exactly_its_targets_of_either_kind() {
+        // 1 -> {queue a, sink 2, queue b}: a routed element reaches its one
+        // target, a broadcast one every target once — whichever of them it
+        // is finally moved into.
+        let (sink, handle) = CollectingSink::new("s");
+        let (a, b) = (StreamQueue::unbounded("a"), StreamQueue::unbounded("b"));
+        let slots = vec![
+            slot(
+                1,
+                Box::new(RoutesByValue),
+                vec![
+                    Target::Queue { queue: Arc::clone(&a), wake: None },
+                    Target::Inline { node: NodeId(2), port: 0 },
+                    Target::Queue { queue: Arc::clone(&b), wake: None },
+                ],
+            ),
+            slot(2, Box::new(sink), vec![]),
+        ];
+        let mut exec = DomainExecutor::new(
+            "d",
+            slots,
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        for v in 0..=7 {
+            exec.inject(NodeId(1), 0, data(v, v as u64));
+        }
+        exec.inject(NodeId(1), 0, Message::eos());
+        assert_eq!(contents(&a), ["0", "3", "6", "7", "E"]);
+        assert_eq!(contents(&b), ["2", "5", "6", "7", "E"]);
+        let sunk: Vec<i64> =
+            handle.elements().iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect();
+        assert_eq!(sunk, [1, 4, 6, 7]);
+        assert!(handle.is_done());
     }
 
     /// An operator whose only output is produced at flush time (the count

@@ -129,13 +129,18 @@ impl Probe {
         tc.tracer.record(el.trace.id(), kind, &slot.site, tc.partition);
     }
 
-    /// At a push of `el` into `queue`.
+    /// At a push of `msgs` into `queue`.
     #[inline]
-    pub(super) fn queue_enter(&self, el: &Element, queue: &StreamQueue) {
-        if el.trace.is_sampled() {
-            if let Some(tc) = &self.trace {
-                let id = el.trace.id();
-                tc.tracer.record_site(id, HopKind::QueueEnter, queue.name(), tc.partition);
+    pub(super) fn queue_enter(&self, msgs: &[Message], queue: &StreamQueue) {
+        let Some(tc) = &self.trace else {
+            return;
+        };
+        for msg in msgs {
+            if let Message::Data(el) = msg {
+                if el.trace.is_sampled() {
+                    let id = el.trace.id();
+                    tc.tracer.record_site(id, HopKind::QueueEnter, queue.name(), tc.partition);
+                }
             }
         }
     }

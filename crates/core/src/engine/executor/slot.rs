@@ -70,6 +70,7 @@ impl SlotInit {
                 wm: self.wm,
                 closed: self.closed,
             },
+            staged: self.targets.iter().map(|_| Vec::new()).collect(),
             targets: self.targets,
             fault: self.chaos,
             align: Default::default(),

@@ -152,16 +152,17 @@ impl TsShared {
         inner.since[d] = Instant::now();
         // Cooperative preemption: if every worker is busy and the woken
         // domain outranks the weakest running one, ask that one to yield.
+        // Base priority against base priority: the woken domain has waited
+        // for no time at all, and counting the nanoseconds since the line
+        // above as aging would let it preempt an equal on every wake-up.
+        // Aging decides among the queued in `pick_best`, and the slice
+        // bounds how long an equal keeps the worker.
         if inner.running_count >= self.cfg.workers {
-            let woken_p = self.effective_priority(d, &inner);
+            let base = |d: usize| self.priorities[d].load(Ordering::Relaxed);
             let weakest =
-                (0..inner.running.len()).filter(|&r| inner.running[r]).min_by(|&a, &b| {
-                    self.priorities[a]
-                        .load(Ordering::Relaxed)
-                        .cmp(&self.priorities[b].load(Ordering::Relaxed))
-                });
+                (0..inner.running.len()).filter(|&r| inner.running[r]).min_by_key(|&r| base(r));
             if let Some(w) = weakest {
-                if (self.priorities[w].load(Ordering::Relaxed) as f64) < woken_p {
+                if base(w) < base(d) {
                     self.yield_flags[w].store(true, Ordering::Release);
                     self.preemptions.inc();
                     self.obs.emit_with(|| SchedEvent::Preempt { domain: d, victim: w });
@@ -367,7 +368,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::executor::{ExecConfig, InputQueue, SlotInit, Target};
+    use crate::engine::executor::{ExecConfig, InputQueue, SlotInit, SlotState, Target};
     use crate::scheduler::strategy::StrategyKind;
     use hmts_graph::graph::NodeId;
     use hmts_operators::expr::Expr;
@@ -511,6 +512,40 @@ mod tests {
         assert_eq!(shared.priority(0), 42);
         stop.stop();
         ts.join();
+    }
+
+    #[test]
+    fn equal_priority_wake_does_not_preempt() {
+        // Domain 0 feeds domain 1 through a queue and wakes it at every
+        // flush; both have priority 0 and share one worker. The woken
+        // domain must wait for the slice to end instead of taking the
+        // worker back after each hand-over.
+        const N: u64 = 20_000;
+        let shared = TsShared::create(2, TsConfig { workers: 1, ..TsConfig::default() });
+        let (downstream, mid, sink) = simple_domain("mid");
+        let source = StreamQueue::unbounded("src");
+        let feed = SlotInit::new(
+            SlotState::new(NodeId(1), Box::new(Filter::new("f", Expr::bool(true)))),
+            vec![Target::Queue { queue: mid, wake: Some(shared.waker(1)) }],
+        );
+        let input =
+            InputQueue { queue: Arc::clone(&source), node: NodeId(1), port: 0, exhausted: false };
+        let upstream = Arc::new(Mutex::new(DomainExecutor::new(
+            "src",
+            vec![feed],
+            vec![input],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        )));
+        push_n(&source, N);
+        let stop = Arc::new(StopFlag::new());
+        let ts = ThreadScheduler::spawn(Arc::clone(&shared), vec![upstream, downstream], stop);
+        ts.join();
+        assert_eq!(sink.count(), N);
+        assert!(sink.is_done());
+        assert_eq!(shared.preemptions.get(), 0);
+        let dispatches = shared.dispatches.get();
+        assert!(dispatches < N / 20, "{dispatches} dispatches for {N} messages");
     }
 
     #[test]

@@ -65,7 +65,11 @@ impl QueueMetrics {
     }
 
     fn note_len(&self, len: usize) {
-        self.high_water.fetch_max(len, Ordering::Relaxed);
+        // Below the mark (the steady state) this is a load, not a locked
+        // read-modify-write.
+        if len > self.high_water.load(Ordering::Relaxed) {
+            self.high_water.fetch_max(len, Ordering::Relaxed);
+        }
     }
 }
 
@@ -93,6 +97,9 @@ pub struct StreamQueue {
     policy: BackpressurePolicy,
     shared: Shared,
     len: AtomicUsize,
+    /// Timestamp (µs) of the head message; meaningful while `len > 0`.
+    /// Written under the buffer lock just before `len`.
+    head_ts: AtomicU64,
     data_len: AtomicUsize,
     closed: AtomicBool,
     metrics: QueueMetrics,
@@ -151,6 +158,7 @@ impl StreamQueue {
                 not_full: Condvar::new(),
             },
             len: AtomicUsize::new(0),
+            head_ts: AtomicU64::new(0),
             data_len: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
             metrics: QueueMetrics::default(),
@@ -218,31 +226,53 @@ impl StreamQueue {
         self.closed.load(Ordering::Acquire)
     }
 
-    fn on_inserted(&self, msg_is_data: bool, new_len: usize) {
-        self.len.store(new_len, Ordering::Relaxed);
-        if msg_is_data {
-            self.data_len.fetch_add(1, Ordering::Relaxed);
+    /// Books `n` messages (`data` of them data elements) inserted under the
+    /// lock that guards `buf`, and publishes the new length — and the head
+    /// timestamp if the insertion started from an empty buffer — for the
+    /// lock-free readers.
+    fn book_inserted(&self, buf: &VecDeque<Message>, n: usize, data: usize) {
+        if n == 0 {
+            return;
+        }
+        if buf.len() == n {
+            self.publish_head(buf);
+        }
+        self.len.store(buf.len(), Ordering::Release);
+        if data > 0 {
+            self.data_len.fetch_add(data, Ordering::Relaxed);
             if let Some(g) = &self.memory_gauge {
-                g.fetch_add(1, Ordering::Relaxed);
+                g.fetch_add(data, Ordering::Relaxed);
             }
         }
-        self.metrics.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.metrics.note_len(new_len);
+        self.metrics.enqueued.fetch_add(n as u64, Ordering::Relaxed);
+        self.metrics.note_len(buf.len());
     }
 
-    /// `consumed` distinguishes a consumer pop (counted as dequeued) from
-    /// a backpressure eviction (counted as dropped by the caller), so that
-    /// `enqueued == dequeued + dropped + len` always holds.
-    fn on_removed(&self, msg: &Message, new_len: usize, consumed: bool) {
-        self.len.store(new_len, Ordering::Relaxed);
-        if msg.as_data().is_some() {
-            self.data_len.fetch_sub(1, Ordering::Relaxed);
+    /// Books `n` messages (`data` of them data elements) removed from the
+    /// front of `buf` under its lock. `consumed` distinguishes a consumer
+    /// pop (counted as dequeued) from a backpressure eviction (counted as
+    /// dropped), so that `enqueued == dequeued + dropped + len` always
+    /// holds (`DropNewest` sheds at the tail instead: what it refuses was
+    /// never enqueued and counts as dropped only).
+    fn book_removed(&self, buf: &VecDeque<Message>, n: usize, data: usize, consumed: bool) {
+        self.publish_head(buf);
+        self.len.store(buf.len(), Ordering::Release);
+        if data > 0 {
+            self.data_len.fetch_sub(data, Ordering::Relaxed);
             if let Some(g) = &self.memory_gauge {
-                g.fetch_sub(1, Ordering::Relaxed);
+                g.fetch_sub(data, Ordering::Relaxed);
             }
         }
-        if consumed {
-            self.metrics.dequeued.fetch_add(1, Ordering::Relaxed);
+        let counter = if consumed { &self.metrics.dequeued } else { &self.metrics.dropped };
+        counter.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// Stores the head message's timestamp for [`StreamQueue::peek_ts`].
+    /// Always followed by the `Release` store of `len` that makes it
+    /// visible.
+    fn publish_head(&self, buf: &VecDeque<Message>) {
+        if let Some(head) = buf.front() {
+            self.head_ts.store(head.ts().0, Ordering::Relaxed);
         }
     }
 
@@ -258,17 +288,44 @@ impl StreamQueue {
     /// push actually stalls). Network ingest uses this to attribute
     /// TCP-backpressure stall time without taxing the in-process hot path.
     pub fn push_with_stall(&self, msg: Message) -> Result<Duration, StreamError> {
-        let is_data = msg.as_data().is_some();
+        self.push_all(std::iter::once(msg))
+    }
+
+    /// Enqueues every message of `msgs` in order — the backpressure policy
+    /// applied to each as by [`StreamQueue::push`] — under one lock, with
+    /// one update of the gauges and metrics and one notification (to every
+    /// waiting consumer if more than one message went in). `msgs` is left
+    /// empty with its capacity intact; on an error ([`StreamError::QueueClosed`],
+    /// or [`StreamError::QueueFull`] under [`BackpressurePolicy::Fail`])
+    /// the rejected message and those after it are discarded, as `push`
+    /// discards its argument.
+    pub fn push_batch(&self, msgs: &mut Vec<Message>) -> Result<(), StreamError> {
+        self.push_all(msgs.drain(..)).map(|_| ())
+    }
+
+    fn push_all(&self, msgs: impl Iterator<Item = Message>) -> Result<Duration, StreamError> {
         let mut stalled = Duration::ZERO;
+        let mut result = Ok(());
+        // Inserted and not yet booked: messages, data elements among them.
+        let (mut n, mut data) = (0usize, 0usize);
+        // Inserted and not yet announced to the consumers.
+        let mut unannounced = 0usize;
         let mut buf = self.shared.buf.lock();
         if self.is_closed() {
             return Err(StreamError::QueueClosed);
         }
-        let cap = self.capacity.load(Ordering::Relaxed);
-        {
-            if buf.len() >= cap {
+        for msg in msgs {
+            if buf.len() >= self.capacity.load(Ordering::Relaxed) {
                 match self.policy {
                     BackpressurePolicy::Block => {
+                        // Hand over what is already in: the consumer this
+                        // waits for may be parked waiting for exactly that.
+                        self.book_inserted(&buf, n, data);
+                        (n, data) = (0, 0);
+                        if unannounced > 0 {
+                            self.shared.not_empty.notify_all();
+                            unannounced = 0;
+                        }
                         // Re-read the capacity each round: `lift_bound` may
                         // remove it while we wait.
                         let wait_start = std::time::Instant::now();
@@ -277,50 +334,93 @@ impl StreamQueue {
                         {
                             self.shared.not_full.wait(&mut buf);
                         }
-                        stalled = wait_start.elapsed();
+                        stalled += wait_start.elapsed();
                         if self.is_closed() {
-                            return Err(StreamError::QueueClosed);
+                            result = Err(StreamError::QueueClosed);
+                            break;
                         }
                     }
-                    BackpressurePolicy::Fail => return Err(StreamError::QueueFull),
+                    BackpressurePolicy::Fail => {
+                        result = Err(StreamError::QueueFull);
+                        break;
+                    }
                     BackpressurePolicy::DropNewest => {
                         self.metrics.dropped.fetch_add(1, Ordering::Relaxed);
-                        return Ok(stalled);
+                        continue;
                     }
                     BackpressurePolicy::DropOldest => {
+                        // Book the insertions first so the eviction's
+                        // bookkeeping starts from consistent gauges.
+                        self.book_inserted(&buf, n, data);
+                        (n, data) = (0, 0);
                         if let Some(old) = buf.pop_front() {
-                            let new_len = buf.len();
-                            self.on_removed(&old, new_len, false);
-                            self.metrics.dropped.fetch_add(1, Ordering::Relaxed);
+                            let old_data = old.as_data().is_some() as usize;
+                            self.book_removed(&buf, 1, old_data, false);
                         }
                     }
                 }
             }
+            data += msg.as_data().is_some() as usize;
+            n += 1;
+            unannounced += 1;
+            buf.push_back(msg);
         }
-        buf.push_back(msg);
-        let new_len = buf.len();
-        self.on_inserted(is_data, new_len);
+        self.book_inserted(&buf, n, data);
         drop(buf);
-        self.shared.not_empty.notify_one();
-        Ok(stalled)
+        if unannounced > 1 {
+            self.shared.not_empty.notify_all();
+        } else if unannounced == 1 {
+            self.shared.not_empty.notify_one();
+        }
+        result.map(|()| stalled)
     }
 
     /// The timestamp of the oldest queued message, if any (see
     /// [`Message::ts`]). Used by timestamp-ordered scheduling strategies
-    /// (FIFO) to pick the queue with the oldest pending work.
+    /// (FIFO) to pick the queue with the oldest pending work. Lock-free:
+    /// every operation that moves the head publishes its timestamp before
+    /// the length, so a consumer that sees its queue non-empty reads the
+    /// head it will pop (a concurrent reader may lag by one operation,
+    /// like [`StreamQueue::len`]).
     pub fn peek_ts(&self) -> Option<crate::time::Timestamp> {
-        self.shared.buf.lock().front().map(|m| m.ts())
+        (self.len.load(Ordering::Acquire) > 0)
+            .then(|| crate::time::Timestamp(self.head_ts.load(Ordering::Relaxed)))
+    }
+
+    /// Pops the oldest message under the held lock and books it.
+    fn take_one(&self, buf: &mut VecDeque<Message>) -> Option<Message> {
+        let msg = buf.pop_front()?;
+        self.book_removed(buf, 1, msg.as_data().is_some() as usize, true);
+        Some(msg)
     }
 
     /// Removes the oldest message without blocking.
     pub fn try_pop(&self) -> Option<Message> {
-        let mut buf = self.shared.buf.lock();
-        let msg = buf.pop_front()?;
-        let new_len = buf.len();
-        self.on_removed(&msg, new_len, true);
-        drop(buf);
+        let msg = self.take_one(&mut self.shared.buf.lock())?;
         self.shared.not_full.notify_one();
         Some(msg)
+    }
+
+    /// Moves up to `max` of the oldest messages onto the end of `out`
+    /// without blocking, under one lock, with one update of the gauges and
+    /// metrics and one notification (to every blocked producer if more than
+    /// one slot became free). Returns how many were moved.
+    pub fn pop_batch(&self, max: usize, out: &mut Vec<Message>) -> usize {
+        let mut buf = self.shared.buf.lock();
+        let n = max.min(buf.len());
+        if n == 0 {
+            return 0;
+        }
+        let mut data = 0;
+        out.extend(buf.drain(..n).inspect(|m| data += m.as_data().is_some() as usize));
+        self.book_removed(&buf, n, data, true);
+        drop(buf);
+        if n > 1 {
+            self.shared.not_full.notify_all();
+        } else {
+            self.shared.not_full.notify_one();
+        }
+        n
     }
 
     /// Blocks until a message is available or the queue is closed and empty
@@ -328,9 +428,7 @@ impl StreamQueue {
     pub fn pop_blocking(&self) -> Option<Message> {
         let mut buf = self.shared.buf.lock();
         loop {
-            if let Some(msg) = buf.pop_front() {
-                let new_len = buf.len();
-                self.on_removed(&msg, new_len, true);
+            if let Some(msg) = self.take_one(&mut buf) {
                 drop(buf);
                 self.shared.not_full.notify_one();
                 return Some(msg);
@@ -348,9 +446,7 @@ impl StreamQueue {
         let deadline = std::time::Instant::now() + timeout;
         let mut buf = self.shared.buf.lock();
         loop {
-            if let Some(msg) = buf.pop_front() {
-                let new_len = buf.len();
-                self.on_removed(&msg, new_len, true);
+            if let Some(msg) = self.take_one(&mut buf) {
                 drop(buf);
                 self.shared.not_full.notify_one();
                 return Some(msg);
@@ -368,20 +464,11 @@ impl StreamQueue {
     /// removed at runtime: the paper (§5.1.3) requires that "all remaining
     /// elements in the queue must be entirely processed before" removal, and
     /// the engine replays the drained messages through the merged partition.
+    /// Drained remnants leave the queue to be replayed downstream, so they
+    /// count as dequeued for metric conservation.
     pub fn drain(&self) -> Vec<Message> {
-        let mut buf = self.shared.buf.lock();
-        let msgs: Vec<Message> = buf.drain(..).collect();
-        self.len.store(0, Ordering::Relaxed);
-        let data = msgs.iter().filter(|m| m.as_data().is_some()).count();
-        self.data_len.fetch_sub(data, Ordering::Relaxed);
-        if let Some(g) = &self.memory_gauge {
-            g.fetch_sub(data, Ordering::Relaxed);
-        }
-        // Drained remnants leave the queue to be replayed downstream, so
-        // they count as dequeued for metric conservation.
-        self.metrics.dequeued.fetch_add(msgs.len() as u64, Ordering::Relaxed);
-        drop(buf);
-        self.shared.not_full.notify_all();
+        let mut msgs = Vec::new();
+        self.pop_batch(usize::MAX, &mut msgs);
         msgs
     }
 }
@@ -612,6 +699,293 @@ mod tests {
         assert_eq!(gauge.load(Ordering::Relaxed), 3);
         a.try_pop().unwrap();
         assert_eq!(gauge.load(Ordering::Relaxed), 2);
+    }
+
+    /// Everything accepted is accounted for exactly once, and the gauges
+    /// agree with the buffer. (`DropNewest` refuses a message at the tail
+    /// without ever accepting it: those count as dropped only.)
+    fn assert_conserved(q: &StreamQueue, gauge: &AtomicUsize) {
+        let m = q.metrics();
+        let evicted = if q.policy == BackpressurePolicy::DropNewest { 0 } else { m.dropped() };
+        assert_eq!(m.enqueued(), m.dequeued() + evicted + q.len() as u64, "{q:?}");
+        let buf = q.shared.buf.lock();
+        assert_eq!(q.len(), buf.len());
+        assert_eq!(q.data_len(), buf.iter().filter(|m| m.as_data().is_some()).count());
+        assert_eq!(gauge.load(Ordering::Relaxed), q.data_len());
+        assert_eq!(q.peek_ts(), buf.front().map(|m| m.ts()));
+    }
+
+    /// `1..=n` as data messages, with an end-of-stream in the middle to
+    /// tell messages from data elements.
+    fn batch_with_punct(n: i64) -> Vec<Message> {
+        let mut msgs: Vec<Message> = (1..=n).map(data).collect();
+        msgs.insert(n as usize / 2, Message::eos());
+        msgs
+    }
+
+    fn values(msgs: &[Message]) -> Vec<i64> {
+        msgs.iter()
+            .filter_map(|m| m.as_data())
+            .map(|e| e.tuple.field(0).as_int().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn push_batch_applies_each_policy_per_element() {
+        use BackpressurePolicy::*;
+        // (policy, result, data values left in the queue, dropped)
+        let cases = [
+            (Fail, Err(StreamError::QueueFull), vec![1, 2], 0),
+            (DropNewest, Ok(()), vec![1, 2], 2),
+            (DropOldest, Ok(()), vec![3, 4], 2),
+        ];
+        for (policy, result, kept, dropped) in cases {
+            let (gauge, twin_gauge) =
+                (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+            let q = StreamQueue::bounded_with_gauge("q", 3, policy, Arc::clone(&gauge));
+            // 1, 2, <eos>, 3, 4 into three slots, at once ...
+            let mut msgs = batch_with_punct(4);
+            assert_eq!(q.push_batch(&mut msgs), result, "{policy:?}");
+            assert!(msgs.is_empty(), "{policy:?}: the batch is consumed either way");
+            // ... and one `push` at a time into a twin.
+            let twin = StreamQueue::bounded_with_gauge("twin", 3, policy, Arc::clone(&twin_gauge));
+            let pushed = batch_with_punct(4).into_iter().try_for_each(|m| twin.push(m));
+            assert_eq!(pushed, result, "{policy:?}");
+            for q in [&q, &twin] {
+                let m = q.metrics();
+                assert_eq!((q.len(), q.data_len()), (3, 2), "{policy:?}");
+                assert_eq!(
+                    (m.enqueued(), m.dropped()),
+                    (3 + evicted(policy), dropped),
+                    "{policy:?}"
+                );
+                assert_eq!(m.high_water(), 3, "{policy:?}");
+            }
+            assert_conserved(&q, &gauge);
+            assert_conserved(&twin, &twin_gauge);
+            assert_eq!(values(&twin.drain()), kept, "{policy:?}");
+            assert_eq!(values(&q.drain()), kept, "{policy:?}");
+            assert_conserved(&q, &gauge);
+        }
+
+        fn evicted(policy: BackpressurePolicy) -> u64 {
+            if policy == DropOldest {
+                2
+            } else {
+                0
+            }
+        }
+    }
+
+    #[test]
+    fn push_batch_blocks_mid_batch_until_the_bound_is_lifted() {
+        let gauge = Arc::new(AtomicUsize::new(0));
+        let q =
+            StreamQueue::bounded_with_gauge("q", 2, BackpressurePolicy::Block, Arc::clone(&gauge));
+        let producer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.push_batch(&mut batch_with_punct(4)))
+        };
+        // What is already in is handed over before the producer waits.
+        assert_eq!(values(&[q.pop_blocking().unwrap()]), [1]);
+        q.lift_bound();
+        assert_eq!(producer.join().unwrap(), Ok(()));
+        assert_conserved(&q, &gauge);
+        assert_eq!(q.len(), 4);
+        q.close();
+        let mut more = vec![data(9)];
+        assert_eq!(q.push_batch(&mut more), Err(StreamError::QueueClosed));
+        assert!(more.is_empty());
+        assert_eq!(values(&q.drain()), [2, 3, 4]);
+        assert_conserved(&q, &gauge);
+    }
+
+    #[test]
+    fn push_batch_blocked_mid_batch_fails_on_close() {
+        let gauge = Arc::new(AtomicUsize::new(0));
+        let q = StreamQueue::bounded_with_gauge("q", 1, BackpressurePolicy::Block, gauge.clone());
+        let producer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.push_batch(&mut (1..=3).map(data).collect()))
+        };
+        assert_eq!(values(&[q.pop_blocking().unwrap()]), [1]);
+        // Two messages cannot fit one slot: the producer is (or will be)
+        // waiting when the queue closes.
+        q.close();
+        assert_eq!(producer.join().unwrap(), Err(StreamError::QueueClosed));
+        assert_conserved(&q, &gauge);
+        assert!(q.len() <= 1);
+    }
+
+    /// Fails the test instead of hanging it when `scenario` deadlocks.
+    fn within(limit: Duration, scenario: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = thread::spawn(move || {
+            scenario();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(limit) {
+            // Done, or the scenario panicked: join reports which.
+            Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => runner.join().unwrap(),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("hung for {limit:?}"),
+        }
+    }
+
+    #[test]
+    fn pop_batch_freeing_k_slots_releases_k_blocked_producers() {
+        within(Duration::from_secs(60), || {
+            const K: usize = 3;
+            let q = StreamQueue::bounded("q", K, BackpressurePolicy::Block);
+            for i in 0..K {
+                q.push(data(i as i64)).unwrap();
+            }
+            let (started, all_started) = std::sync::mpsc::channel();
+            let producers: Vec<_> = (0..K)
+                .map(|p| {
+                    let (q, started) = (Arc::clone(&q), started.clone());
+                    thread::spawn(move || {
+                        started.send(()).unwrap();
+                        q.push(data(100 + p as i64))
+                    })
+                })
+                .collect();
+            for _ in 0..K {
+                all_started.recv().unwrap();
+            }
+            // The queue is full, so every producer parks (this pause only
+            // makes it likely that they already have; the outcome below
+            // holds either way, and a wake-up that reached fewer than K of
+            // them would leave the joins hanging).
+            thread::sleep(Duration::from_millis(20));
+            assert_eq!(q.len(), K);
+            let mut popped = Vec::new();
+            assert_eq!(q.pop_batch(K, &mut popped), K);
+            assert_eq!(values(&popped), [0, 1, 2]);
+            for p in producers {
+                p.join().unwrap().unwrap();
+            }
+            assert_eq!(q.len(), K);
+            assert_conserved(&q, &AtomicUsize::new(q.data_len()));
+        });
+    }
+
+    #[test]
+    fn peek_ts_follows_the_head_through_every_operation() {
+        let q = StreamQueue::bounded("q", 4, BackpressurePolicy::DropOldest);
+        let head = |q: &StreamQueue| q.shared.buf.lock().front().map(|m| m.ts());
+        let mut popped = Vec::new();
+        type Op = Box<dyn Fn(&StreamQueue, &mut Vec<Message>)>;
+        let ops: Vec<(&str, Op)> = vec![
+            ("push into empty", Box::new(|q, _| q.push(data(5)).unwrap())),
+            ("push behind a head", Box::new(|q, _| q.push(data(6)).unwrap())),
+            ("try_pop", Box::new(|q, _| drop(q.try_pop()))),
+            ("push eos", Box::new(|q, _| q.push(Message::eos()).unwrap())),
+            ("pop_blocking to the eos head", Box::new(|q, _| drop(q.pop_blocking()))),
+            ("pop_timeout to empty", Box::new(|q, _| drop(q.pop_timeout(Duration::ZERO)))),
+            ("push_batch", Box::new(|q, _| q.push_batch(&mut batch_with_punct(3)).unwrap())),
+            ("pop_batch", Box::new(|q, out| assert_eq!(q.pop_batch(2, out), 2))),
+            (
+                "evicting push_batch",
+                Box::new(|q, _| q.push_batch(&mut batch_with_punct(4)).unwrap()),
+            ),
+            ("evicting push", Box::new(|q, _| q.push(data(1)).unwrap())),
+            ("drain", Box::new(|q, _| drop(q.drain()))),
+            ("push after drain", Box::new(|q, _| q.push(data(2)).unwrap())),
+        ];
+        assert_eq!(q.peek_ts(), None);
+        for (what, op) in ops {
+            op(&q, &mut popped);
+            assert_eq!(q.peek_ts(), head(&q), "after {what}");
+        }
+        assert_eq!(q.peek_ts(), Some(Timestamp::from_micros(2)));
+    }
+
+    /// `producers` threads push `per_producer` numbered messages each,
+    /// mixing `push` and `push_batch`; `consumers` threads pop them mixing
+    /// `pop_batch`, `pop_timeout` and `pop_blocking`; the queue is closed
+    /// once the producers are done. Nothing may be lost or duplicated,
+    /// every consumer must see each producer's messages in order, and
+    /// nobody may hang.
+    fn stress(q: Arc<StreamQueue>, producers: i64, consumers: usize, per_producer: i64) {
+        const STRIDE: i64 = 1_000_000;
+        let producing: Vec<_> = (0..producers)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    let mut next = 0;
+                    let mut batch = Vec::new();
+                    while next < per_producer {
+                        // Batches of 1..=5 alternate with single pushes.
+                        let n = (next % 7).min(5).min(per_producer - next);
+                        if n == 0 {
+                            q.push(data(p * STRIDE + next)).unwrap();
+                            next += 1;
+                        } else {
+                            batch.extend((next..next + n).map(|i| data(p * STRIDE + i)));
+                            q.push_batch(&mut batch).unwrap();
+                            next += n;
+                        }
+                    }
+                })
+            })
+            .collect();
+        let consuming: Vec<_> = (0..consumers)
+            .map(|c| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    let mut got: Vec<Message> = Vec::new();
+                    for round in c.. {
+                        let before = got.len();
+                        match round % 3 {
+                            0 => {
+                                q.pop_batch(1 + round % 4, &mut got);
+                            }
+                            1 => got.extend(q.pop_timeout(Duration::from_micros(50))),
+                            _ => {}
+                        }
+                        if got.len() == before {
+                            match q.pop_blocking() {
+                                Some(m) => got.push(m),
+                                None => break,
+                            }
+                        }
+                    }
+                    values(&got)
+                })
+            })
+            .collect();
+        for p in producing {
+            p.join().unwrap();
+        }
+        q.close();
+        let mut all = Vec::new();
+        for c in consuming {
+            let got = c.join().unwrap();
+            let mut last = vec![-1; producers as usize];
+            for v in &got {
+                let (p, i) = ((v / STRIDE) as usize, v % STRIDE);
+                assert!(i > last[p], "producer {p}: {i} after {}", last[p]);
+                last[p] = i;
+            }
+            all.extend(got);
+        }
+        all.sort_unstable();
+        let expected: Vec<i64> =
+            (0..producers).flat_map(|p| (0..per_producer).map(move |i| p * STRIDE + i)).collect();
+        assert_eq!(all, expected, "{q:?}");
+        assert_conserved(&q, &AtomicUsize::new(0));
+        assert_eq!(q.metrics().dropped(), 0);
+    }
+
+    #[test]
+    fn mpmc_stress_loses_nothing_keeps_order_and_terminates() {
+        within(Duration::from_secs(120), || {
+            for cap in 1..=4 {
+                stress(StreamQueue::bounded("q", cap, BackpressurePolicy::Block), 3, 2, 2000);
+            }
+            stress(StreamQueue::unbounded("q"), 3, 3, 4000);
+            stress(StreamQueue::unbounded("q"), 1, 1, 4000);
+        });
     }
 
     #[test]
