@@ -65,8 +65,9 @@ impl SlotAlign {
 pub(super) struct Align {
     pub(super) checkpoint: Option<Arc<CheckpointShared>>,
     /// Messages released from hold-back, re-delivered once the current
-    /// chain reaction (including barrier propagation) completes.
-    replay: VecDeque<(NodeId, usize, Message)>,
+    /// chain reaction (including barrier propagation) completes:
+    /// `(slot, port, message)`.
+    replay: VecDeque<(usize, usize, Message)>,
 }
 
 impl Align {
@@ -76,7 +77,7 @@ impl Align {
     /// propagated through the DI chain, so no post-barrier output can
     /// overtake it on the way to a downstream slot.
     #[inline]
-    pub(super) fn release(&mut self, stack: &mut Vec<(NodeId, usize, Message)>) -> bool {
+    pub(super) fn release(&mut self, stack: &mut Vec<(usize, usize, Message)>) -> bool {
         if self.replay.is_empty() {
             return false;
         }
@@ -122,7 +123,8 @@ impl Align {
         slots: &mut [Slot],
         out: &mut Vec<(NodeId, usize, Message)>,
     ) {
-        out.extend(std::mem::take(&mut self.replay));
+        let replay = std::mem::take(&mut self.replay);
+        out.extend(replay.into_iter().map(|(i, port, msg)| (slots[i].state.node, port, msg)));
         for s in slots {
             if let Some(al) = s.align.state.take() {
                 out.extend(al.held.into_iter().map(|(port, msg)| (s.state.node, port, msg)));
@@ -195,7 +197,7 @@ impl DomainExecutor {
     /// the alignment: snapshot, acknowledge, forward the barrier, release
     /// held input for replay.
     pub(super) fn check_alignment(&mut self, i: usize) {
-        let Slot { state, align, .. } = &mut self.slots[i];
+        let Slot { state, align, routes, .. } = &mut self.slots[i];
         let Some(al) = align.state.as_deref() else {
             return;
         };
@@ -210,13 +212,17 @@ impl DomainExecutor {
         }
         let al = align.state.take().expect("checked above");
         let stall_ns = al.started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        if routes.is_empty() {
+            // A sink's results from before the cut leave before the cut is
+            // acknowledged, not at the end of the batch the barrier is in.
+            state.op.end_batch();
+        }
         let blob = state.op.stateful().map(|s| s.snapshot());
         if let Some(ck) = &self.align.checkpoint {
             ck.ack_operator(al.id, state.op.name(), blob, stall_ns);
         }
-        let node = state.node;
         self.forward_punct(i, Punctuation::Barrier(al.id));
-        self.align.replay.extend(al.held.into_iter().map(|(port, msg)| (node, port, msg)));
+        self.align.replay.extend(al.held.into_iter().map(|(port, msg)| (i, port, msg)));
     }
 }
 

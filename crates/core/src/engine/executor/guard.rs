@@ -159,7 +159,7 @@ impl DomainExecutor {
                 // Retry the failed element next (LIFO): input order for
                 // this operator is preserved because its outputs were
                 // discarded and nothing downstream saw the element.
-                self.stack.push((self.slots[i].state.node, port, Message::Data(el.clone())));
+                self.stack.push((i, port, Message::Data(el.clone())));
             }
             Some(Verdict::Quarantine { failures }) => {
                 self.record_error(StreamError::Other(format!(

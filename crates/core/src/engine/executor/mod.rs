@@ -25,7 +25,7 @@ mod guard;
 mod probe;
 mod slot;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,6 +40,7 @@ use hmts_streams::time::Timestamp;
 use crate::engine::sync::StopFlag;
 use crate::scheduler::strategy::{InputSlot, Strategy};
 
+pub use probe::COST_STRIDE;
 pub use slot::{Attach, SlotInit, SlotState};
 
 /// Something that can wake a sleeping domain when new input arrives.
@@ -89,7 +90,8 @@ pub struct InputQueue {
 pub struct Budget {
     /// Stop after this many messages (0 = unlimited).
     pub max_messages: usize,
-    /// Stop at this instant.
+    /// Stop at this instant — looked at once per popped batch, so a slice
+    /// overruns it by at most one batch.
     pub deadline: Option<Instant>,
     /// Stop when this flag is raised (engine shutdown / mode switch).
     pub stop: Option<Arc<StopFlag>>,
@@ -103,14 +105,19 @@ impl Budget {
         Budget::default()
     }
 
+    /// The limits checked after every message: everything but the clock.
     fn exceeded(&self, processed: usize) -> bool {
         (self.max_messages > 0 && processed >= self.max_messages)
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
             || self.stop.as_ref().is_some_and(|s| s.is_stopped())
             || self
                 .yield_flag
                 .as_ref()
                 .is_some_and(|y| y.load(std::sync::atomic::Ordering::Acquire))
+    }
+
+    /// The limit checked once per batch, because it costs a clock read.
+    fn past_deadline(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -130,7 +137,8 @@ pub enum RunOutcome {
 pub struct ExecConfig {
     /// Messages popped per strategy decision.
     pub batch: usize,
-    /// Whether to time operator invocations for the runtime cost model.
+    /// Whether to time operator invocations (one in [`COST_STRIDE`]) for
+    /// the runtime cost model.
     pub measure: bool,
 }
 
@@ -140,17 +148,59 @@ impl Default for ExecConfig {
     }
 }
 
+/// A [`Target`] as the loop uses it: an inline successor resolved to its
+/// slot, a queue together with its staging buffer.
+enum Route {
+    /// Direct interoperability into slot `slot` of this executor.
+    Inline { slot: usize, port: usize },
+    /// An inline target naming a node this domain does not host — a wiring
+    /// bug. Whatever is routed here is dropped, and recorded as the
+    /// domain's error when that first happens.
+    Dangling(NodeId),
+    /// A boundary queue.
+    Queue {
+        queue: Arc<StreamQueue>,
+        wake: Option<Arc<dyn Waker>>,
+        /// Messages bound for the queue until the next
+        /// [`DomainExecutor::flush_staged`].
+        staged: Vec<Message>,
+    },
+}
+
+/// Which slot hosts a node: a table indexed by node id (ids are graph
+/// indices, so it is as long as the domain's highest id and mostly full).
+#[derive(Default)]
+struct SlotTable(Vec<Option<usize>>);
+
+impl SlotTable {
+    fn of(nodes: impl Iterator<Item = NodeId>) -> SlotTable {
+        let mut table = Vec::new();
+        for (slot, node) in nodes.enumerate() {
+            if table.len() <= node.0 {
+                table.resize(node.0 + 1, None);
+            }
+            table[node.0] = Some(slot);
+        }
+        SlotTable(table)
+    }
+
+    #[inline]
+    fn get(&self, node: NodeId) -> Option<usize> {
+        self.0.get(node.0).copied().flatten()
+    }
+}
+
 /// One operator of the domain: its persistent state, its wiring, and what
 /// each concern module keeps per slot.
 struct Slot {
     /// The part that outlives this wiring (see [`DomainExecutor::extract`]).
     state: SlotState,
-    /// Output routing, one entry per out-edge.
-    targets: Vec<Target>,
-    /// Messages bound for the queue targets, parallel to `targets` (an
-    /// inline target's entry stays empty), until the next
-    /// [`DomainExecutor::flush_staged`].
-    staged: Vec<Vec<Message>>,
+    /// Output routing, one entry per out-edge, in graph edge order.
+    routes: Vec<Route>,
+    /// The route served last by [`DomainExecutor::deliver_outputs`], which
+    /// a broadcast element is moved into instead of cloned for: the first
+    /// inline one if there is any, else the last queue.
+    last_route: usize,
     fault: guard::SlotFault,
     probe: probe::SlotProbe,
     align: align::SlotAlign,
@@ -159,22 +209,27 @@ struct Slot {
 /// The executor of one scheduling domain.
 pub struct DomainExecutor {
     name: String,
-    index: HashMap<NodeId, usize>,
+    slot_of: SlotTable,
     slots: Vec<Slot>,
     inputs: Vec<InputQueue>,
+    /// The slot each input feeds, parallel to `inputs`.
+    input_slots: Vec<Option<usize>>,
     strategy: Box<dyn Strategy>,
     /// Messages to re-deliver before popping queues (seeded from drained
     /// queues during a mode switch).
     pending: VecDeque<(NodeId, usize, Message)>,
-    /// The DI chain-reaction work stack.
-    stack: Vec<(NodeId, usize, Message)>,
+    /// The DI chain-reaction work stack: `(slot, port, message)`.
+    stack: Vec<(usize, usize, Message)>,
     out: Output,
     /// `out`'s elements while they are being routed (reused, so routing
     /// allocates nothing).
     routing: Vec<Option<Element>>,
-    /// `(slot, target)` of every non-empty `staged` buffer, in the order
+    /// `(slot, route)` of every non-empty staging buffer, in the order
     /// they were first written.
     dirty: Vec<(usize, usize)>,
+    /// The slots without a route — the sinks — which are told when a batch
+    /// ends (see [`Operator::end_batch`](hmts_operators::traits::Operator::end_batch)).
+    sinks: Vec<usize>,
     /// The strategy's view of the inputs, refilled per decision.
     view: Vec<InputSlot>,
     /// The batch popped for the current decision (reused).
@@ -199,12 +254,16 @@ impl DomainExecutor {
         strategy: Box<dyn Strategy>,
         cfg: ExecConfig,
     ) -> DomainExecutor {
-        let slots: Vec<Slot> = slots.into_iter().map(|s| s.into_slot(cfg.measure)).collect();
+        let slot_of = SlotTable::of(slots.iter().map(|s| s.node));
+        let slots: Vec<Slot> =
+            slots.into_iter().map(|s| s.into_slot(cfg.measure, &slot_of)).collect();
         DomainExecutor {
             name: name.into(),
-            index: slots.iter().enumerate().map(|(i, s)| (s.state.node, i)).collect(),
             live: slots.iter().filter(|s| !s.state.closed).count(),
+            sinks: (0..slots.len()).filter(|&i| slots[i].routes.is_empty()).collect(),
             slots,
+            input_slots: inputs.iter().map(|q| slot_of.get(q.node)).collect(),
+            slot_of,
             inputs,
             strategy,
             pending: VecDeque::new(),
@@ -242,26 +301,26 @@ impl DomainExecutor {
     /// reaction) and hands what it produced for other domains to their
     /// queues. Used directly by source-driven execution.
     pub fn inject(&mut self, node: NodeId, port: usize, msg: Message) {
-        self.chain_reaction(node, port, msg);
+        let slot = self.slot_of.get(node);
+        self.chain_reaction(slot.ok_or(node), port, msg);
         self.flush_staged();
     }
 
-    /// The DI chain reaction of one message. Output for queue targets is
-    /// only staged; the caller owes a [`flush_staged`](Self::flush_staged)
-    /// before it returns control.
-    fn chain_reaction(&mut self, node: NodeId, port: usize, msg: Message) {
+    /// The DI chain reaction of one message entering at `slot`. Output for
+    /// queue targets is only staged; the caller owes a
+    /// [`flush_staged`](Self::flush_staged) before it returns control. A
+    /// message for a node the domain does not host (`Err`) is a routing
+    /// bug: recorded once and dropped.
+    fn chain_reaction(&mut self, slot: Result<usize, NodeId>, port: usize, msg: Message) {
         debug_assert!(self.stack.is_empty());
-        self.stack.push((node, port, msg));
+        match slot {
+            Ok(i) => self.stack.push((i, port, msg)),
+            Err(node) => return self.record_error(no_slot(node)),
+        }
         self.guard.enter();
         loop {
-            while let Some((node, port, msg)) = self.stack.pop() {
-                match self.index.get(&node) {
-                    Some(&i) => self.dispatch(i, port, msg),
-                    // Routing bug; record once and drop.
-                    None => {
-                        self.record_error(StreamError::Other(format!("no slot for node {node}")))
-                    }
-                }
+            while let Some((i, port, msg)) = self.stack.pop() {
+                self.dispatch(i, port, msg);
             }
             if !self.align.release(&mut self.stack) {
                 break;
@@ -297,7 +356,7 @@ impl DomainExecutor {
     fn process_data(&mut self, i: usize, port: usize, el: Element) {
         let (slot, out) = (&mut self.slots[i], &mut self.out);
         let fault = guard::arm(&slot.fault);
-        let span = self.probe.begin(&slot.probe, &el);
+        let span = self.probe.begin(&mut slot.probe, &el);
         let caught =
             guard::call(&mut *slot.state.op, out, fault, |op, out| op.process(port, &el, out));
         self.probe.end(&slot.probe, span, matches!(caught, Ok(Ok(()))), &el, out);
@@ -351,52 +410,55 @@ impl DomainExecutor {
         self.error.get_or_insert(e);
     }
 
-    /// Routes everything in `self.out` to slot `i`'s targets: queue targets
-    /// in forward order (FIFO, staged until the next flush), inline targets
+    /// Routes everything in `self.out` along slot `i`'s routes: queues in
+    /// forward order (FIFO, staged until the next flush), inline routes
     /// pushed in reverse so the LIFO stack realizes the paper's depth-first
-    /// traversal. Each element is moved into the last target that takes it
+    /// traversal. Each element is moved into the last route that takes it
     /// and cloned only for the others.
     ///
     /// An element tagged with a route (see [`Output::push_routed`]) goes to
-    /// exactly one target — the one at the route's out-edge ordinal, which
-    /// is its index in `targets` because both follow graph edge order.
-    /// Untagged elements broadcast to every target, as ever.
+    /// exactly one route — the one at the tag's out-edge ordinal, which is
+    /// its index in `routes` because both follow graph edge order.
+    /// Untagged elements broadcast to every route, as ever.
     fn deliver_outputs(&mut self, i: usize) {
         if self.out.is_empty() {
             return;
         }
-        let routes = self.out.take_routes();
-        let Slot { targets, staged, .. } = &mut self.slots[i];
-        // The target served last, in the order below: the first inline one
-        // if there is any, else the last queue.
-        let last = targets
-            .iter()
-            .position(|t| matches!(t, Target::Inline { .. }))
-            .unwrap_or(targets.len().saturating_sub(1));
-        // Element `idx` for target `ti`, if it takes it: a routed element
-        // has that one taker, a broadcast one is cloned for every target
+        let tags = self.out.take_routes();
+        let Slot { routes, last_route, .. } = &mut self.slots[i];
+        let last = *last_route;
+        // Element `idx` for route `ri`, if it takes it: a tagged element
+        // has that one taker, a broadcast one is cloned for every route
         // but the last.
-        let hand_over = |el: &mut Option<Element>, idx: usize, ti: usize| match routes.get(idx) {
-            Some(&r) if r != Output::BROADCAST => (r as usize == ti).then(|| el.take()).flatten(),
-            _ if ti == last => el.take(),
+        let hand_over = |el: &mut Option<Element>, idx: usize, ri: usize| match tags.get(idx) {
+            Some(&r) if r != Output::BROADCAST => (r as usize == ri).then(|| el.take()).flatten(),
+            _ if ri == last => el.take(),
             _ => el.clone(),
         };
         self.routing.extend(self.out.drain().map(Some));
-        for (ti, t) in targets.iter().enumerate() {
-            if matches!(t, Target::Queue { .. }) {
+        for (ri, route) in routes.iter_mut().enumerate() {
+            if let Route::Queue { staged, .. } = route {
                 for (idx, el) in self.routing.iter_mut().enumerate() {
-                    if let Some(el) = hand_over(el, idx, ti) {
-                        stage(&mut staged[ti], &mut self.dirty, (i, ti), Message::Data(el));
+                    if let Some(el) = hand_over(el, idx, ri) {
+                        stage(staged, &mut self.dirty, (i, ri), Message::Data(el));
                     }
                 }
             }
         }
         for (idx, el) in self.routing.iter_mut().enumerate().rev() {
-            for (ti, t) in targets.iter().enumerate().rev() {
-                if let Target::Inline { node, port } = t {
-                    if let Some(el) = hand_over(el, idx, ti) {
-                        self.stack.push((*node, *port, Message::Data(el)));
+            for (ri, route) in routes.iter().enumerate().rev() {
+                match *route {
+                    Route::Inline { slot, port } => {
+                        if let Some(el) = hand_over(el, idx, ri) {
+                            self.stack.push((slot, port, Message::Data(el)));
+                        }
                     }
+                    Route::Dangling(node) => {
+                        if hand_over(el, idx, ri).is_some() {
+                            self.error.get_or_insert_with(|| no_slot(node));
+                        }
+                    }
+                    Route::Queue { .. } => {}
                 }
             }
         }
@@ -410,36 +472,49 @@ impl DomainExecutor {
     /// what a flush or watermark handler emitted before the punctuation
     /// that triggered it, instead of closing first and dropping it.
     fn forward_punct(&mut self, i: usize, p: Punctuation) {
-        for t in self.slots[i].targets.iter().rev() {
-            if let Target::Inline { node, port } = t {
-                self.stack.push((*node, *port, Message::Punct(p)));
+        for route in self.slots[i].routes.iter().rev() {
+            match *route {
+                Route::Inline { slot, port } => self.stack.push((slot, port, Message::Punct(p))),
+                Route::Dangling(node) => {
+                    self.error.get_or_insert_with(|| no_slot(node));
+                }
+                Route::Queue { .. } => {}
             }
         }
         self.deliver_outputs(i);
-        let Slot { targets, staged, .. } = &mut self.slots[i];
-        for (ti, t) in targets.iter().enumerate() {
-            if matches!(t, Target::Queue { .. }) {
-                stage(&mut staged[ti], &mut self.dirty, (i, ti), Message::Punct(p));
+        for (ri, route) in self.slots[i].routes.iter_mut().enumerate() {
+            if let Route::Queue { staged, .. } = route {
+                stage(staged, &mut self.dirty, (i, ri), Message::Punct(p));
             }
         }
     }
 
     /// Hands every staged message to its queue: one `push_batch` and one
-    /// wake-up per queue target written since the last flush. Runs when a
-    /// popped batch ends and before `inject` / `run_slice` return, so
-    /// nobody outside a slice ever sees output that is neither in the
-    /// operator nor in the queue.
+    /// wake-up per queue route written since the last flush; then tells the
+    /// sinks that the batch is over, so what they held back goes out in one
+    /// piece. Runs when a popped batch ends and before `inject` /
+    /// `run_slice` return, so nobody outside a slice ever sees output that
+    /// is neither in the operator nor in the queue, nor a result that a
+    /// sink has taken and not delivered.
     fn flush_staged(&mut self) {
-        for (i, ti) in self.dirty.drain(..) {
-            let Slot { targets, staged, .. } = &mut self.slots[i];
-            if let Target::Queue { queue, wake } = &targets[ti] {
-                self.probe.queue_enter(&staged[ti], queue);
+        for (i, ri) in self.dirty.drain(..) {
+            if let Route::Queue { queue, wake, staged } = &mut self.slots[i].routes[ri] {
+                self.probe.queue_enter(staged, queue);
                 // A closed queue only happens during teardown; the
                 // messages are intentionally dropped then.
-                let _ = queue.push_batch(&mut staged[ti]);
+                let _ = queue.push_batch(staged);
                 if let Some(w) = wake {
                     w.wake();
                 }
+            }
+        }
+        for k in 0..self.sinks.len() {
+            let i = self.sinks[k];
+            if !self.slots[i].state.closed {
+                self.guarded(i, |op, _| {
+                    op.end_batch();
+                    Ok(())
+                });
             }
         }
     }
@@ -458,22 +533,29 @@ impl DomainExecutor {
     /// Runs the level-2 scheduling loop until the budget is exhausted, the
     /// inputs run dry, or the domain finishes. The unit at the queue
     /// boundary is the batch — one `pop_batch` per decision, one
-    /// `push_batch` per written queue target per batch — while the budget
-    /// is checked per message; what a cut-short batch leaves over waits in
-    /// `pending`, ahead of its queue.
+    /// `push_batch` per written queue target per batch, one look at the
+    /// deadline per batch — while the rest of the budget is checked per
+    /// message; what a cut-short batch leaves over waits in `pending`,
+    /// ahead of its queue.
     pub fn run_slice(&mut self, budget: &Budget) -> RunOutcome {
         let mut processed = 0usize;
         let mut exceeded = false;
 
         while let Some((node, port, msg)) = self.pending.pop_front() {
-            self.chain_reaction(node, port, msg);
+            let slot = self.slot_of.get(node);
+            self.chain_reaction(slot.ok_or(node), port, msg);
             processed += 1;
             if budget.exceeded(processed) {
                 exceeded = true;
                 break;
             }
         }
-        self.flush_staged();
+        // However late it is, a slice does one batch's worth of work; what
+        // was re-delivered above counts as that batch.
+        if processed > 0 {
+            self.flush_staged();
+            exceeded = exceeded || budget.past_deadline();
+        }
 
         while !exceeded {
             self.view.clear();
@@ -486,6 +568,7 @@ impl DomainExecutor {
                 break;
             };
             let (node, port) = (self.inputs[i].node, self.inputs[i].port);
+            let slot = self.input_slots[i].ok_or(node);
             let mut inbox = std::mem::take(&mut self.inbox);
             self.inputs[i].queue.pop_batch(self.batch, &mut inbox);
             for msg in inbox.drain(..) {
@@ -497,12 +580,13 @@ impl DomainExecutor {
                     self.pending.push_back((node, port, msg));
                     continue;
                 }
-                self.chain_reaction(node, port, msg);
+                self.chain_reaction(slot, port, msg);
                 processed += 1;
                 exceeded = budget.exceeded(processed);
             }
             self.inbox = inbox;
             self.flush_staged();
+            exceeded = exceeded || budget.past_deadline();
         }
         self.slice_status()
     }
@@ -545,13 +629,19 @@ impl DomainExecutor {
     pub fn extract(&mut self) -> Vec<SlotState> {
         debug_assert!(self.dirty.is_empty(), "every slice ends with a flush");
         self.live = 0;
-        self.index.clear();
+        self.slot_of = SlotTable::default();
+        self.input_slots.fill(None);
+        self.sinks.clear();
         std::mem::take(&mut self.slots).into_iter().map(|s| s.state).collect()
     }
 }
 
-/// Appends `msg` to a queue target's staging buffer, noting the buffer
-/// (`at` = its slot and target index) for the next flush when this is its
+fn no_slot(node: NodeId) -> StreamError {
+    StreamError::Other(format!("no slot for node {node}"))
+}
+
+/// Appends `msg` to a queue route's staging buffer, noting the buffer
+/// (`at` = its slot and route index) for the next flush when this is its
 /// first message.
 fn stage(
     staged: &mut Vec<Message>,
@@ -657,6 +747,87 @@ mod tests {
     }
 
     #[test]
+    fn a_deadline_is_read_once_per_batch() {
+        let (mut exec, q, out, _) = queue_stage(pass_all());
+        for v in 0..100 {
+            q.push(data(v, v as u64)).unwrap();
+        }
+        // Already over when the slice starts: it still gets its one batch
+        // (default `batch = 32`), whole, and not a message of the next.
+        let late = Budget { deadline: Some(Instant::now()), ..Budget::default() };
+        assert_eq!(exec.run_slice(&late), RunOutcome::Budget);
+        assert_eq!((out.len(), q.len()), (32, 68));
+        // What a cut-short batch left in `pending` counts as that batch.
+        let cut = Budget { max_messages: 2, ..Budget::default() };
+        assert_eq!(exec.run_slice(&cut), RunOutcome::Budget);
+        assert_eq!((out.len(), q.len()), (34, 36));
+        assert_eq!(exec.run_slice(&late), RunOutcome::Budget);
+        assert_eq!((out.len(), q.len()), (64, 36));
+    }
+
+    /// A sink that writes down what it is told, in order: `p` per element,
+    /// `|` per `end_batch`.
+    struct BatchLog(Arc<parking_lot::Mutex<String>>);
+
+    impl Operator for BatchLog {
+        fn name(&self) -> &str {
+            "log"
+        }
+        fn process(&mut self, _: usize, _: &Element, _: &mut Output) -> Result<(), StreamError> {
+            self.0.lock().push('p');
+            Ok(())
+        }
+        fn end_batch(&mut self) {
+            self.0.lock().push('|');
+        }
+    }
+
+    #[test]
+    fn a_sink_hears_the_end_of_every_batch_and_nobody_else_does() {
+        // 1 -> sink 2, fed by q. The filter has a successor, so it is never
+        // told (its `end_batch` is `BatchLog`'s, and would show in the log).
+        let log = Arc::new(parking_lot::Mutex::new(String::new()));
+        let q = StreamQueue::unbounded("in");
+        let slots = vec![
+            slot(1, Box::new(BatchLog(Arc::clone(&log))), vec![]),
+            slot(2, pass_all(), vec![Target::Inline { node: NodeId(1), port: 0 }]),
+        ];
+        let inputs =
+            vec![InputQueue { queue: Arc::clone(&q), node: NodeId(2), port: 0, exhausted: false }];
+        let mut exec = DomainExecutor::new(
+            "d",
+            slots,
+            inputs,
+            StrategyKind::Fifo.build(None),
+            ExecConfig { batch: 4, ..ExecConfig::default() },
+        );
+        // Source-driven: every `inject` is a batch of one.
+        exec.inject(NodeId(2), 0, data(1, 1));
+        exec.inject(NodeId(2), 0, data(2, 2));
+        assert_eq!(*log.lock(), "p|p|");
+        // Queue-driven: one call per popped batch, after its last element.
+        log.lock().clear();
+        for v in 0..6 {
+            q.push(data(v, v as u64)).unwrap();
+        }
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
+        assert_eq!(*log.lock(), "pppp|pp|");
+        // A checkpoint barrier is the end of a batch too: what came before
+        // the cut is out before the sink acknowledges it.
+        log.lock().clear();
+        q.push(data(7, 7)).unwrap();
+        q.push(Message::Punct(Punctuation::Barrier(1))).unwrap();
+        q.push(data(8, 8)).unwrap();
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
+        assert_eq!(*log.lock(), "p|p|");
+        // A closed sink is left alone.
+        log.lock().clear();
+        q.push(Message::eos()).unwrap();
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Finished);
+        assert_eq!(*log.lock(), "");
+    }
+
+    #[test]
     fn stop_flag_interrupts() {
         let (mut exec, q, _) = di_chain();
         for i in 0..10 {
@@ -738,6 +909,45 @@ mod tests {
         assert_eq!(h3.count(), 1);
         exec.inject(NodeId(1), 0, Message::eos());
         assert!(h2.is_done() && h3.is_done());
+    }
+
+    #[test]
+    fn inline_target_outside_the_domain_is_one_error_and_a_dropped_element() {
+        // 1 -> {node 9 (not hosted here), sink 2}. The edge is resolved
+        // when the executor is built; the error is recorded when the first
+        // element is routed along it, and only that copy is dropped.
+        let (sink, handle) = CollectingSink::new("s");
+        let slots = vec![
+            slot(
+                1,
+                pass_all(),
+                vec![
+                    Target::Inline { node: NodeId(9), port: 0 },
+                    Target::Inline { node: NodeId(2), port: 0 },
+                ],
+            ),
+            slot(2, Box::new(sink), vec![]),
+        ];
+        let mut exec = DomainExecutor::new(
+            "d",
+            slots,
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        assert!(exec.error().is_none(), "nothing was routed yet");
+        for v in 0..3 {
+            exec.inject(NodeId(1), 0, data(v, v as u64));
+        }
+        assert_eq!(exec.error(), Some(&StreamError::Other("no slot for node n9".into())));
+        assert_eq!(handle.count(), 3, "the hosted branch is served");
+        // The same goes for an entry point naming such a node.
+        exec.inject(NodeId(7), 0, data(0, 9));
+        exec.seed(NodeId(7), 0, data(0, 9));
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
+        assert_eq!(exec.error(), Some(&StreamError::Other("no slot for node n9".into())));
+        exec.inject(NodeId(1), 0, Message::eos());
+        assert!(handle.is_done() && exec.is_finished());
     }
 
     #[test]

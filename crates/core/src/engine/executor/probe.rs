@@ -1,13 +1,19 @@
-//! Measurement around the core loop: per-invocation cost timing, the
-//! runtime statistics (`c(v)`, selectivity, arrivals) the placement
-//! algorithms consume, the per-operator latency histogram, and sampled
-//! per-tuple tracing.
+//! Measurement around the core loop: the sampled cost clock, the runtime
+//! statistics (`c(v)`, selectivity, arrivals) the placement algorithms
+//! consume, the per-operator latency histogram, and sampled per-tuple
+//! tracing.
 //!
 //! The core calls in at four fixed points — [`Probe::begin`] / [`Probe::end`]
 //! around `process`, [`Probe::queue_enter`] at a queue push and
 //! [`Probe::queue_exit`] at a queue pop. A slot nothing observes costs one
 //! branch in `begin` and one in `end`; an unsampled tuple costs one branch
 //! at each queue point.
+//!
+//! Counts are exact, costs are sampled: every element is booked into the
+//! slot's statistics cell (`processed`, selectivity, arrivals), but only
+//! one invocation in [`COST_STRIDE`] is timed, and only a timed invocation
+//! feeds `c(v)` and the latency histogram — both are means and quantiles
+//! of a population the stride samples evenly.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -20,15 +26,22 @@ use hmts_streams::queue::StreamQueue;
 use super::InputQueue;
 use crate::stats::SharedNodeStats;
 
+/// A slot times its first invocation and every `COST_STRIDE`-th after it.
+/// Deliberately not a multiple of `ExecConfig::batch` (32 by default, and
+/// 31 is coprime to every power of two): a multiple would time the same
+/// position of every popped batch — its cache-cold head — instead of
+/// walking through all of them.
+pub const COST_STRIDE: u32 = 31;
+
 /// What observes one slot.
 pub(super) struct SlotProbe {
     stats: Option<SharedNodeStats>,
     latency: Option<Histogram>,
-    /// Whether invocations are timed: a statistics cell under
+    /// Whether invocations are timed at all: a statistics cell under
     /// `ExecConfig::measure`, or a latency histogram.
     timed: bool,
-    /// Whether either of the above is present.
-    observed: bool,
+    /// Invocations left until the next timed one.
+    untimed: u32,
     /// The operator's name, interned so recording a hop for a sampled
     /// tuple never allocates.
     site: Arc<str>,
@@ -42,8 +55,20 @@ impl SlotProbe {
         operator: &str,
     ) -> SlotProbe {
         let timed = (measure && stats.is_some()) || latency.is_some();
-        let observed = stats.is_some() || latency.is_some();
-        SlotProbe { stats, latency, timed, observed, site: Arc::from(operator) }
+        SlotProbe { stats, latency, timed, untimed: 0, site: Arc::from(operator) }
+    }
+
+    /// Counts one invocation; whether it is the one in [`COST_STRIDE`] to
+    /// time.
+    #[inline]
+    fn due(&mut self) -> bool {
+        if self.untimed == 0 {
+            self.untimed = COST_STRIDE - 1;
+            true
+        } else {
+            self.untimed -= 1;
+            false
+        }
     }
 }
 
@@ -57,9 +82,12 @@ struct TraceCtx {
     input_sites: Vec<Arc<str>>,
 }
 
-/// An invocation being observed — its cost clock, and whether its tuple is
-/// traced — or `None` when nothing observes it.
-pub(super) type Span = Option<(Option<Instant>, bool)>;
+/// What [`Probe::begin`] hands to [`Probe::end`]: the cost clock, if this
+/// invocation is a timed one, and whether its tuple is traced.
+pub(super) struct Span {
+    start: Option<Instant>,
+    traced: bool,
+}
 
 /// The measurement state of one executor.
 #[derive(Default)]
@@ -75,25 +103,22 @@ impl Probe {
         self.trace = Some(TraceCtx { tracer, partition, input_sites });
     }
 
-    /// Before `process` on `slot`: starts the cost clock and, for a sampled
-    /// tuple, records the process-start hop.
+    /// Before `process` on `slot`: for a sampled tuple, records the
+    /// process-start hop; for a timed invocation, starts the cost clock.
     #[inline]
-    pub(super) fn begin(&self, slot: &SlotProbe, el: &Element) -> Span {
+    pub(super) fn begin(&self, slot: &mut SlotProbe, el: &Element) -> Span {
         let traced = el.trace.is_sampled() && self.trace.is_some();
-        if !(slot.observed || traced) {
-            return None;
-        }
         if traced {
             self.record(el, HopKind::ProcessStart, slot);
         }
-        Some((slot.timed.then(Instant::now), traced))
+        Span { start: (slot.timed && slot.due()).then(Instant::now), traced }
     }
 
     /// After `process` on `slot` (`ok` = it returned `Ok`): stops the cost
-    /// clock, records the process-end hop, and on success feeds the
-    /// statistics and stamps the pending outputs with the input's trace
-    /// context — results constructed inside the operator (projections,
-    /// joins) inherit it.
+    /// clock, records the process-end hop, and on success books the element
+    /// — with its cost, if timed — and stamps the pending outputs with the
+    /// input's trace context — results constructed inside the operator
+    /// (projections, joins) inherit it.
     #[inline]
     pub(super) fn end(
         &self,
@@ -103,23 +128,20 @@ impl Probe {
         el: &Element,
         out: &mut Output,
     ) {
-        let Some((start, traced)) = span else {
-            return;
-        };
-        let cost = start.map(|t| t.elapsed());
-        if traced {
+        let cost = span.start.map(|t| t.elapsed());
+        if span.traced {
             self.record(el, HopKind::ProcessEnd, slot);
         }
         if !ok {
             return;
         }
         if let Some(stats) = &slot.stats {
-            stats.lock().observe(el.ts, cost, out.len() as u64);
+            stats.observe(el.ts, cost, out.len() as u64);
         }
         if let (Some(h), Some(c)) = (&slot.latency, cost) {
             h.record_duration(c);
         }
-        if traced {
+        if span.traced {
             out.stamp_trace(el.trace);
         }
     }
@@ -168,25 +190,132 @@ mod tests {
     use hmts_graph::graph::NodeId;
     use hmts_operators::expr::Expr;
     use hmts_operators::filter::Filter;
+    use hmts_operators::traits::Operator;
+    use hmts_streams::metrics::CostEstimator;
+    use std::time::Duration;
 
-    #[test]
-    fn stats_are_recorded_when_enabled() {
-        let stats = crate::stats::shared_node_stats();
-        let mut init = slot(1, Box::new(Filter::new("f", Expr::field(0).lt(Expr::int(5)))), vec![]);
-        init.stats = Some(Arc::clone(&stats));
-        let mut exec = DomainExecutor::new(
+    /// One executor hosting `op` as node 1, observed by `stats`.
+    fn observed(op: Box<dyn Operator>, stats: &SharedNodeStats) -> DomainExecutor {
+        let mut init = slot(1, op, vec![]);
+        init.stats = Some(Arc::clone(stats));
+        DomainExecutor::new(
             "d",
             vec![init],
             vec![],
             StrategyKind::Fifo.build(None),
             ExecConfig::default(),
-        );
+        )
+    }
+
+    fn below_five() -> Box<dyn Operator> {
+        Box::new(Filter::new("f", Expr::field(0).lt(Expr::int(5))))
+    }
+
+    #[test]
+    fn stats_are_recorded_when_enabled() {
+        let stats = crate::stats::shared_node_stats();
+        let mut exec = observed(below_five(), &stats);
         for i in 0..10 {
             exec.inject(NodeId(1), 0, data(i, i as u64 * 1000));
         }
-        let s = stats.lock();
+        let s = stats.snapshot();
         assert_eq!(s.processed, 10);
         assert_eq!(s.selectivity.selectivity(), Some(0.5));
         assert!(s.cost.cost().is_some());
+    }
+
+    #[test]
+    fn one_invocation_in_stride_is_timed_starting_with_the_first() {
+        let stride = u64::from(COST_STRIDE);
+        let stats = crate::stats::shared_node_stats();
+        let mut exec = observed(below_five(), &stats);
+        for n in 1..=3 * stride + 1 {
+            exec.inject(NodeId(1), 0, data(n as i64, n));
+            let s = stats.snapshot();
+            // Counts are exact and there when `inject` returns; cost
+            // samples are the first call and every `stride`-th after it.
+            assert_eq!(s.processed, n);
+            assert_eq!(s.cost.samples(), n.div_ceil(stride), "after {n} invocations");
+        }
+        assert_eq!(stats.snapshot().selectivity.selectivity(), Some(4.0 / (3 * stride + 1) as f64));
+    }
+
+    #[test]
+    fn a_new_wiring_carries_the_cell_on() {
+        let stats = crate::stats::shared_node_stats();
+        for wiring in 1..=2 {
+            // A mode switch: a new executor, the engine's same cell.
+            let mut exec = observed(below_five(), &stats);
+            for i in 0..10 {
+                exec.inject(NodeId(1), 0, data(i, wiring * 100 + i as u64));
+            }
+            let s = stats.snapshot();
+            assert_eq!(s.processed, 10 * wiring);
+            assert_eq!(s.cost.samples(), wiring, "each wiring times its first invocation");
+            assert_eq!(s.selectivity.selectivity(), Some(0.5));
+        }
+    }
+
+    /// Passes nothing on, after spinning for `spin`.
+    struct Spin(Duration);
+
+    impl Operator for Spin {
+        fn name(&self) -> &str {
+            "spin"
+        }
+
+        fn process(
+            &mut self,
+            _port: usize,
+            _el: &Element,
+            _out: &mut Output,
+        ) -> hmts_streams::error::Result<()> {
+            let start = Instant::now();
+            while start.elapsed() < self.0 {
+                std::hint::spin_loop();
+            }
+            Ok(())
+        }
+    }
+
+    /// `c(v)` of a `Spin(spin)` as the probe samples it, and as the same
+    /// estimator reports it when fed a timing of every single call.
+    fn sampled_and_per_call_cost(spin: Duration, calls: u64) -> (Duration, Duration) {
+        let stats = crate::stats::shared_node_stats();
+        let mut exec = observed(Box::new(Spin(spin)), &stats);
+        for n in 0..calls {
+            exec.inject(NodeId(1), 0, data(0, n));
+        }
+        let (mut op, mut out, mut per_call) = (Spin(spin), Output::new(), CostEstimator::new());
+        let el = Element::single(0, hmts_streams::time::Timestamp::ZERO);
+        for _ in 0..calls {
+            let start = Instant::now();
+            op.process(0, &el, &mut out).unwrap();
+            per_call.observe(start.elapsed());
+        }
+        let sampled = stats.snapshot().cost;
+        assert_eq!(sampled.samples(), calls.div_ceil(u64::from(COST_STRIDE)));
+        (sampled.cost().unwrap(), per_call.cost().unwrap())
+    }
+
+    #[test]
+    fn sampled_cost_agrees_with_per_call_timing() {
+        let calls = 40 * u64::from(COST_STRIDE);
+        // Within a quarter of each other — or within a microsecond, for an
+        // empty call that costs a clock read or two either way.
+        let agree = |sampled: Duration, per_call: Duration| {
+            sampled.max(per_call) - sampled.min(per_call)
+                <= (per_call / 4).max(Duration::from_micros(1))
+        };
+        // Both sides are EWMAs, so one preempted call near the end throws
+        // an attempt off; a bias from sampling would throw off all of them.
+        let mut attempts = Vec::new();
+        let agreed = (0..5).any(|_| {
+            let (busy, busy_ref) = sampled_and_per_call_cost(Duration::from_micros(20), calls);
+            let (idle, idle_ref) = sampled_and_per_call_cost(Duration::ZERO, calls);
+            attempts.push((busy, busy_ref, idle, idle_ref));
+            agree(busy, busy_ref) && agree(idle, idle_ref) && idle * 10 < busy
+        });
+        assert!(agreed, "(sampled, per-call) busy then idle, per attempt: {attempts:?}");
     }
 }

@@ -10,7 +10,7 @@ use hmts_obs::{Histogram, Tracer};
 use hmts_operators::traits::{EosTracker, Operator, WatermarkTracker};
 
 use super::probe::SlotProbe;
-use super::{DomainExecutor, Slot, Target};
+use super::{DomainExecutor, Route, Slot, SlotTable, Target};
 use crate::chaos::OperatorFaultState;
 use crate::checkpoint::CheckpointShared;
 use crate::stats::SharedNodeStats;
@@ -33,7 +33,8 @@ pub struct SlotInit {
     /// Shared statistics cell, if measurement is enabled.
     pub stats: Option<SharedNodeStats>,
     /// Per-operator invocation latency histogram, if observability is
-    /// enabled (see `hmts_obs`). `None` keeps the hot path free of timing.
+    /// enabled (see `hmts_obs`); it receives the timed invocations, one in
+    /// [`COST_STRIDE`](super::COST_STRIDE).
     pub latency: Option<Histogram>,
     /// Fault-injection state targeting this operator (see
     /// [`crate::chaos::FaultPlan`]). `None` keeps the hot path to one
@@ -59,8 +60,20 @@ impl SlotInit {
     }
 
     /// The running slot: the persistent state and routing the core works
-    /// on, plus what the guard, the probe and the aligner keep per slot.
-    pub(super) fn into_slot(self, measure: bool) -> Slot {
+    /// on — every inline target resolved to its slot through `slot_of`,
+    /// once — plus what the guard, the probe and the aligner keep per slot.
+    pub(super) fn into_slot(self, measure: bool, slot_of: &SlotTable) -> Slot {
+        let routes: Vec<Route> = self
+            .targets
+            .into_iter()
+            .map(|t| match t {
+                Target::Inline { node, port } => match slot_of.get(node) {
+                    Some(slot) => Route::Inline { slot, port },
+                    None => Route::Dangling(node),
+                },
+                Target::Queue { queue, wake } => Route::Queue { queue, wake, staged: Vec::new() },
+            })
+            .collect();
         Slot {
             probe: SlotProbe::new(self.stats, self.latency, measure, self.op.name()),
             state: SlotState {
@@ -70,8 +83,11 @@ impl SlotInit {
                 wm: self.wm,
                 closed: self.closed,
             },
-            staged: self.targets.iter().map(|_| Vec::new()).collect(),
-            targets: self.targets,
+            last_route: routes
+                .iter()
+                .position(|r| !matches!(r, Route::Queue { .. }))
+                .unwrap_or(routes.len().saturating_sub(1)),
+            routes,
             fault: self.chaos,
             align: Default::default(),
         }

@@ -610,6 +610,8 @@ impl Engine {
         }
         if let Some(mut wiring) = self.wiring.take() {
             self.join_wiring(&mut wiring);
+            // One last collection, so the gauges end on the final counts.
+            self.cfg.obs.run_collectors();
             self.cfg.obs.clear_collectors();
         }
         let elapsed = self.started_at.map(|t| t.elapsed()).unwrap_or_default();

@@ -84,7 +84,7 @@ impl Engine {
                 .collect();
             obs.add_collector(move || {
                 for (stats, rate, operator) in &nodes {
-                    let s = stats.lock();
+                    let s = stats.snapshot();
                     if let Some(r) = s.arrivals.rate() {
                         rate.set(r as i64);
                     }

@@ -238,7 +238,7 @@ pub fn spawn_source(
                     }
                 }
                 if let Some(s) = &stats {
-                    s.lock().observe(due, None, 1);
+                    s.observe(due, None, 1);
                 }
                 // A tag that arrived with the element (wire-carried, v2
                 // frames) wins: the tuple's trace began in another process
@@ -515,7 +515,7 @@ mod tests {
     fn stats_record_offered_rate() {
         let shared = SourceShared::new(NodeId(0), "s");
         shared.set_targets(vec![]);
-        let stats: SharedNodeStats = Arc::new(Mutex::new(crate::stats::NodeStats::default()));
+        let stats = crate::stats::shared_node_stats();
         let gate = Arc::new(PauseGate::new());
         let stop = Arc::new(StopFlag::new());
         let h = spawn_source(
@@ -528,7 +528,7 @@ mod tests {
             SourceDriverConfig { pace: false, sample_every: 10, ..SourceDriverConfig::default() },
         );
         h.join().unwrap();
-        let s = stats.lock();
+        let s = stats.snapshot();
         assert_eq!(s.processed, 100);
         let rate = s.arrivals.rate().unwrap();
         assert!((rate - 1_000_000.0).abs() < 100_000.0, "rate={rate}");

@@ -7,10 +7,9 @@
 //! [`hmts_graph::cost::CostInputs`] that placement and the Chain strategy
 //! consume — closing the measure → partition → re-schedule loop.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use hmts_graph::cost::CostInputs;
 use hmts_graph::graph::NodeId;
@@ -18,7 +17,7 @@ use hmts_graph::topology::Topology;
 use hmts_streams::metrics::{CostEstimator, InterArrivalEstimator, SelectivityEstimator};
 use hmts_streams::time::Timestamp;
 
-/// Live statistics of one node.
+/// Statistics of one node: what a [`NodeStatsCell`] holds, as plain values.
 #[derive(Debug, Default)]
 pub struct NodeStats {
     /// Per-element processing cost estimator (`c(v)`).
@@ -43,13 +42,104 @@ impl NodeStats {
     }
 }
 
+/// "No estimate yet" in a field holding an `f64`'s bits: a NaN, which no
+/// cost or gap ever is.
+const UNSET: u64 = 0x7ff8_0000_0000_0000;
+
+fn estimate(bits: u64) -> Option<f64> {
+    Some(f64::from_bits(bits)).filter(|v| !v.is_nan())
+}
+
+/// One node's live statistics: the fields of a [`NodeStats`], each in an
+/// atomic of its own.
+///
+/// The cell has **one writer at a time** — the thread holding the node's
+/// executor, or the source's own thread; a mode switch hands it over with
+/// the executor — so [`observe`](Self::observe) is plain loads and stores,
+/// no read-modify-write and no lock, and every element is visible to
+/// [`snapshot`](Self::snapshot) the moment it is booked. A reader running
+/// beside the writer may combine fields of two neighbouring elements (an
+/// arrival gap one element older than the count, say); every consumer is
+/// an estimator of a mean, which that cannot hurt. What a reader may rely
+/// on: `processed` never decreases, and the outputs it sees were produced
+/// by inputs it also sees, so a measured selectivity never exceeds the
+/// operator's largest fan-out.
+#[derive(Debug)]
+pub struct NodeStatsCell {
+    /// Elements processed: also the selectivity's inputs and the arrival
+    /// count, which advance together.
+    processed: AtomicU64,
+    outputs: AtomicU64,
+    last_arrival: AtomicU64,
+    /// Bits of the mean arrival gap in seconds, or [`UNSET`].
+    gap: AtomicU64,
+    /// Bits of the mean cost in seconds, or [`UNSET`].
+    cost: AtomicU64,
+    cost_samples: AtomicU64,
+}
+
+impl Default for NodeStatsCell {
+    fn default() -> Self {
+        NodeStatsCell {
+            processed: AtomicU64::new(0),
+            outputs: AtomicU64::new(0),
+            last_arrival: AtomicU64::new(0),
+            gap: AtomicU64::new(UNSET),
+            cost: AtomicU64::new(UNSET),
+            cost_samples: AtomicU64::new(0),
+        }
+    }
+}
+
+impl NodeStatsCell {
+    /// Records one processed element stamped `ts` that produced `outputs`
+    /// elements, and its cost if this invocation was timed. Writer only.
+    #[inline]
+    pub fn observe(&self, ts: Timestamp, cost: Option<Duration>, outputs: u64) {
+        let mut s = self.snapshot();
+        s.observe(ts, cost, outputs);
+        if cost.is_some() {
+            self.cost.store(s.cost.mean_secs().map_or(UNSET, f64::to_bits), Ordering::Relaxed);
+            self.cost_samples.store(s.cost.samples(), Ordering::Relaxed);
+        }
+        self.gap.store(s.arrivals.mean_gap_secs().map_or(UNSET, f64::to_bits), Ordering::Relaxed);
+        self.last_arrival.store(ts.as_micros(), Ordering::Relaxed);
+        self.processed.store(s.processed, Ordering::Relaxed);
+        // Release, paired with the Acquire in `snapshot`: whoever sees
+        // these outputs also sees the inputs that produced them.
+        self.outputs.store(s.selectivity.outputs(), Ordering::Release);
+    }
+
+    /// The statistics as of the latest booked element — the one way to
+    /// read the cell.
+    #[inline]
+    pub fn snapshot(&self) -> NodeStats {
+        let outputs = self.outputs.load(Ordering::Acquire);
+        let processed = self.processed.load(Ordering::Relaxed);
+        let last = Timestamp::from_micros(self.last_arrival.load(Ordering::Relaxed));
+        NodeStats {
+            cost: CostEstimator::from_parts(
+                estimate(self.cost.load(Ordering::Relaxed)),
+                self.cost_samples.load(Ordering::Relaxed),
+            ),
+            selectivity: SelectivityEstimator::from_parts(processed, outputs),
+            arrivals: InterArrivalEstimator::from_parts(
+                estimate(self.gap.load(Ordering::Relaxed)),
+                (processed > 0).then_some(last),
+                processed,
+            ),
+            processed,
+        }
+    }
+}
+
 /// Shared handle to one node's statistics (executor writes, engine reads).
-pub type SharedNodeStats = Arc<Mutex<NodeStats>>;
+pub type SharedNodeStats = Arc<NodeStatsCell>;
 
 /// Creates a fresh shared statistics cell (convenience for harnesses that
 /// drive a [`crate::engine::executor::DomainExecutor`] directly).
 pub fn shared_node_stats() -> SharedNodeStats {
-    Arc::new(Mutex::new(NodeStats::default()))
+    Arc::default()
 }
 
 /// An immutable snapshot of one node's statistics.
@@ -83,7 +173,7 @@ impl StatsSnapshot {
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let s = s.lock();
+                let s = s.snapshot();
                 NodeStatsSnapshot {
                     node: NodeId(i),
                     name: topo.name(NodeId(i)).to_string(),
@@ -163,14 +253,62 @@ mod tests {
     }
 
     #[test]
+    fn cell_books_what_the_plain_estimators_book() {
+        let (cell, mut plain) = (NodeStatsCell::default(), NodeStats::default());
+        assert!(cell.snapshot().cost.cost().is_none() && cell.snapshot().arrivals.rate().is_none());
+        for i in 0..100u64 {
+            let cost = (i % 7 == 0).then(|| Duration::from_nanos(500 + i));
+            cell.observe(Timestamp::from_micros(i * i), cost, i % 3);
+            plain.observe(Timestamp::from_micros(i * i), cost, i % 3);
+        }
+        let s = cell.snapshot();
+        assert_eq!(s.processed, plain.processed);
+        assert_eq!(s.cost.cost(), plain.cost.cost());
+        assert_eq!(s.cost.samples(), plain.cost.samples());
+        assert_eq!(s.selectivity.selectivity(), plain.selectivity.selectivity());
+        assert_eq!(s.arrivals.interarrival(), plain.arrivals.interarrival());
+        assert_eq!(s.arrivals.count(), plain.arrivals.count());
+    }
+
+    #[test]
+    fn a_reader_beside_the_writer_sees_counts_grow_and_outputs_covered_by_inputs() {
+        const ELEMENTS: u64 = 1_000_000;
+        const FAN_OUT: u64 = 3;
+        let cell = shared_node_stats();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let (mut last, mut snapshots) = (0, 0u64);
+                while !done.load(Ordering::Acquire) {
+                    let s = cell.snapshot();
+                    assert!(s.processed >= last, "processed went {last} -> {}", s.processed);
+                    let (inputs, outputs) = (s.selectivity.inputs(), s.selectivity.outputs());
+                    assert!(outputs <= inputs * FAN_OUT, "{outputs} outputs of {inputs} inputs");
+                    last = s.processed;
+                    snapshots += 1;
+                }
+                snapshots
+            });
+            for i in 0..ELEMENTS {
+                cell.observe(Timestamp::from_micros(i), None, FAN_OUT);
+            }
+            done.store(true, Ordering::Release);
+            assert!(reader.join().expect("reader's assertions hold") > 0);
+        });
+        let s = cell.snapshot();
+        assert_eq!(s.processed, ELEMENTS);
+        assert_eq!(s.selectivity.selectivity(), Some(FAN_OUT as f64));
+        assert_eq!(s.arrivals.count(), ELEMENTS);
+    }
+
+    #[test]
     fn snapshot_collects_and_converts() {
         let topo = topo();
-        let stats: Vec<SharedNodeStats> =
-            (0..2).map(|_| Arc::new(Mutex::new(NodeStats::default()))).collect();
+        let stats: Vec<SharedNodeStats> = (0..2).map(|_| shared_node_stats()).collect();
         // Source saw elements 100 ms apart (rate 10/s); filter halves.
         for i in 0..50u64 {
-            stats[0].lock().observe(Timestamp::from_millis(i * 100), None, 1);
-            stats[1].lock().observe(
+            stats[0].observe(Timestamp::from_millis(i * 100), None, 1);
+            stats[1].observe(
                 Timestamp::from_millis(i * 100),
                 Some(Duration::from_micros(2)),
                 i % 2,
@@ -192,8 +330,7 @@ mod tests {
     #[test]
     fn empty_stats_produce_empty_inputs() {
         let topo = topo();
-        let stats: Vec<SharedNodeStats> =
-            (0..2).map(|_| Arc::new(Mutex::new(NodeStats::default()))).collect();
+        let stats: Vec<SharedNodeStats> = (0..2).map(|_| shared_node_stats()).collect();
         let snap = StatsSnapshot::collect(&topo, &stats);
         let inputs = snap.to_cost_inputs(&topo);
         assert!(inputs.source_rates.is_empty());

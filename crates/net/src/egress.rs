@@ -5,8 +5,11 @@
 //! with a [`Frame::Hello`]); an [`EgressSink`] placed at the end of a
 //! query graph encodes every result element **once** and fans the bytes
 //! out to all current subscribers, ending with an `Eos` frame when the
-//! query flushes. What happens when a subscriber cannot keep up is the
-//! [`SlowConsumerPolicy`]:
+//! query flushes. Under an executor that announces the end of a batch
+//! ([`Operator::end_batch`]) the frames of one batch go out in one `write`
+//! per subscriber; until the first such announcement every frame is
+//! written as it is produced. What happens when a subscriber cannot keep up
+//! is the [`SlowConsumerPolicy`]:
 //!
 //! * [`Block`](SlowConsumerPolicy::Block) — `write` blocks until the
 //!   subscriber drains its socket, propagating backpressure *into the
@@ -157,7 +160,8 @@ impl EgressServer {
             name,
             state: Arc::clone(&self.state),
             policy: self.policy,
-            scratch: Vec::new(),
+            pending: Vec::new(),
+            coalesce: false,
             tuples: self.obs.counter("net_egress_tuples"),
             bytes: self.obs.counter("net_egress_bytes"),
             slow: self.obs.counter("net_egress_slow_disconnects"),
@@ -210,22 +214,43 @@ pub struct EgressSink {
     e2e_latency: Option<hmts::obs::Histogram>,
     state: Arc<EgressState>,
     policy: SlowConsumerPolicy,
-    scratch: Vec<u8>,
+    /// Encoded frames not yet written.
+    pending: Vec<u8>,
+    /// Whether data frames may wait in `pending` for the end of the batch:
+    /// set by the first [`Operator::end_batch`], because only a host that
+    /// makes that call will come back for them.
+    coalesce: bool,
     tuples: hmts::obs::Counter,
     bytes: hmts::obs::Counter,
     slow: hmts::obs::Counter,
     obs: Obs,
 }
 
+/// Most bytes a sink holds back before it writes without waiting for the
+/// end of the batch (a join can answer one input with thousands of results).
+const WRITE_CHUNK: usize = 32 * 1024;
+
 impl EgressSink {
-    /// Encodes `frame` once and writes it to every subscriber, dropping
-    /// those that error (and, under `Disconnect`, those that time out).
+    /// Encodes `frame` once, behind the frames already pending. A data frame
+    /// of a batch whose end will be announced waits there for it; anything
+    /// else — a punctuation, a frame under a host that announces nothing, a
+    /// full chunk — is written at once, with all that is pending.
     fn broadcast(&mut self, frame: &Frame) {
-        self.scratch.clear();
-        encode_frame(frame, &mut self.scratch);
+        encode_frame(frame, &mut self.pending);
+        let wait = self.coalesce
+            && matches!(frame, Frame::Data { .. })
+            && self.pending.len() < WRITE_CHUNK;
+        if !wait {
+            self.write_pending();
+        }
+    }
+
+    /// Writes the pending bytes to every subscriber, dropping those that
+    /// error (and, under `Disconnect`, those that time out).
+    fn write_pending(&mut self) {
         let mut subs = self.state.subscribers.lock();
         let mut fanout = 0u64;
-        subs.retain_mut(|sub| match sub.socket.write_all(&self.scratch) {
+        subs.retain_mut(|sub| match sub.socket.write_all(&self.pending) {
             Ok(()) => {
                 fanout += 1;
                 true
@@ -251,9 +276,11 @@ impl EgressSink {
                 false
             }
         });
-        let sent = fanout * self.scratch.len() as u64;
+        drop(subs);
+        let sent = fanout * self.pending.len() as u64;
         self.state.bytes.fetch_add(sent, Ordering::Relaxed);
         self.bytes.add(sent);
+        self.pending.clear();
     }
 }
 
@@ -304,6 +331,13 @@ impl Operator for EgressSink {
         Ok(())
     }
 
+    fn end_batch(&mut self) {
+        self.coalesce = true;
+        if !self.pending.is_empty() {
+            self.write_pending();
+        }
+    }
+
     fn cost_hint(&self) -> Option<Duration> {
         // Loopback serialization cost is far below the workloads' operator
         // costs; report a token value so planners treat it as a cheap sink.
@@ -345,6 +379,64 @@ mod tests {
             assert_eq!(got, vec![0, 1, 2, 3, 4]);
         }
         assert_eq!(server.tuples_sent(), 5);
+    }
+
+    #[test]
+    fn a_batch_goes_out_in_one_piece_once_its_end_is_announced() {
+        use crate::wire::{hello, FrameWriter};
+        let server =
+            EgressServer::bind("127.0.0.1:0", SlowConsumerPolicy::Block, Obs::disabled()).unwrap();
+        let socket = TcpStream::connect(server.local_addr()).unwrap();
+        let mut writer = FrameWriter::new(socket.try_clone().unwrap());
+        writer.write_frame(&hello("results")).unwrap();
+        assert!(server.wait_for_subscribers(1, Duration::from_secs(5)));
+        socket.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        let mut reader = FrameReader::new(socket);
+        let mut next = move || match reader.read_frame() {
+            Ok(Some(Frame::Data { tuple, .. })) => Some(tuple.field(0).as_int().unwrap()),
+            Ok(Some(Frame::Watermark { .. })) => Some(-1),
+            Ok(other) => panic!("unexpected {other:?}"),
+            Err(_) => None, // nothing within the timeout
+        };
+
+        let mut sink = server.sink("egress");
+        let mut out = Output::new();
+        let el = |i: i64| Element::new(Tuple::single(i), Timestamp::from_micros(i as u64));
+        // No end of a batch was ever announced: written as produced.
+        sink.process(0, &el(1), &mut out).unwrap();
+        assert_eq!(next(), Some(1));
+        // Announced once, the host will announce the next too: held back.
+        sink.end_batch();
+        sink.process(0, &el(2), &mut out).unwrap();
+        sink.process(0, &el(3), &mut out).unwrap();
+        assert_eq!(next(), None);
+        sink.end_batch();
+        assert_eq!((next(), next(), next()), (Some(2), Some(3), None));
+        // A punctuation does not wait, and takes what is pending with it.
+        sink.process(0, &el(4), &mut out).unwrap();
+        sink.on_watermark(0, Timestamp::from_micros(4), &mut out).unwrap();
+        assert_eq!((next(), next()), (Some(4), Some(-1)));
+        // Neither does a full chunk.
+        let per_frame = {
+            let mut buf = Vec::new();
+            encode_frame(
+                &Frame::Data {
+                    ts: Timestamp::ZERO,
+                    tuple: Tuple::single(5),
+                    trace: Default::default(),
+                },
+                &mut buf,
+            );
+            buf.len()
+        };
+        let fills = WRITE_CHUNK.div_ceil(per_frame) as i64;
+        for i in 0..fills {
+            sink.process(0, &el(i), &mut out).unwrap();
+        }
+        for i in 0..fills {
+            assert_eq!(next(), Some(i));
+        }
+        assert_eq!(server.tuples_sent(), 4 + fills as u64);
     }
 
     #[test]

@@ -387,11 +387,44 @@ fn serve_connection(
         conn_bytes.add(delta);
     };
 
+    // Data frames decoded and not yet in the queue. They go in together —
+    // one lock, one wake-up of the source — as soon as the next frame is
+    // not already in the read buffer (waiting for the socket with decoded
+    // data in hand would delay it for as long as the producer pauses), and
+    // before anything that is ordered against them: a watermark, a `Ping`
+    // (its `Pong` says they are in), a `Resume`, the end of the connection.
+    // `false` means the queue closed under us (the engine shut down).
+    let mut decoded: Vec<Message> = Vec::new();
+    let hand_over = |decoded: &mut Vec<Message>| -> bool {
+        let n = decoded.len() as u64;
+        if n == 0 {
+            return true;
+        }
+        let Ok(stall) = slot.queue.push_batch_with_stall(decoded) else {
+            return false;
+        };
+        if !stall.is_zero() {
+            let ns = stall.as_nanos().min(u64::MAX as u128) as u64;
+            stats.backpressure_stall_ns.fetch_add(ns, Ordering::Relaxed);
+            stall_ctr.add(ns);
+        }
+        stats.tuples.fetch_add(n, Ordering::Relaxed);
+        tuples.add(n);
+        conn_tuples.add(n);
+        slot.tuples.add(n);
+        slot.received.fetch_add(n, Ordering::Release);
+        true
+    };
+
     // `clean` records whether the producer signalled completion explicitly
     // (an Eos frame, or the queue closing under us because the engine is
     // done) as opposed to the socket dying mid-stream.
     let mut clean = false;
     let result = loop {
+        if !reader.frame_buffered() && !hand_over(&mut decoded) {
+            clean = true;
+            break Ok(());
+        }
         let frame = match reader.read_frame() {
             Ok(Some(f)) => f,
             // EOF at a frame boundary without a preceding Eos: the producer
@@ -400,6 +433,10 @@ fn serve_connection(
             Err(e) => break Err(e),
         };
         account(&reader);
+        if !matches!(frame, Frame::Data { .. }) && !hand_over(&mut decoded) {
+            clean = true;
+            break Ok(());
+        }
         match frame {
             Frame::Data { ts, tuple, trace } => {
                 if trace.is_sampled() {
@@ -407,26 +444,7 @@ fn serve_connection(
                         t.record(trace.id(), HopKind::NetRecv, &recv_site, NO_PARTITION);
                     }
                 }
-                let msg = Message::Data(Element::new(tuple, ts).with_trace(trace));
-                match slot.queue.push_with_stall(msg) {
-                    Ok(stall) => {
-                        if !stall.is_zero() {
-                            let ns = stall.as_nanos().min(u64::MAX as u128) as u64;
-                            stats.backpressure_stall_ns.fetch_add(ns, Ordering::Relaxed);
-                            stall_ctr.add(ns);
-                        }
-                        stats.tuples.fetch_add(1, Ordering::Relaxed);
-                        tuples.inc();
-                        conn_tuples.inc();
-                        slot.tuples.inc();
-                        slot.received.fetch_add(1, Ordering::Release);
-                    }
-                    // Queue closed under us (engine shut down): stop reading.
-                    Err(_) => {
-                        clean = true;
-                        break Ok(());
-                    }
-                }
+                decoded.push(Message::Data(Element::new(tuple, ts).with_trace(trace)));
             }
             Frame::Watermark { ts } => {
                 use hmts::streams::element::Punctuation;
@@ -464,6 +482,9 @@ fn serve_connection(
             | Frame::Barrier { .. } => {}
         }
     };
+    // A connection that ended mid-buffer (truncated or malformed frame)
+    // still delivered the whole frames before the cut.
+    hand_over(&mut decoded);
 
     if !clean {
         // The socket died without an Eos. Journal it either way; in resume
@@ -663,5 +684,60 @@ mod tests {
         // Pong is a barrier: the data frame is already in the queue.
         assert_eq!(server.queue("a").unwrap().len(), 1);
         w.write_frame(&Frame::Eos).unwrap();
+    }
+
+    #[test]
+    fn whole_frames_do_not_wait_for_the_rest_of_a_torn_one() {
+        use std::io::Write;
+        let server =
+            IngestServer::bind("127.0.0.1:0", vec![StreamSpec::new("a")], IngestConfig::default())
+                .unwrap();
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        sock.set_nodelay(true).unwrap();
+        // One segment: the handshake, two whole data frames, and the first
+        // five bytes of a third.
+        let mut bytes = Vec::new();
+        crate::wire::encode_frame(&hello("a"), &mut bytes);
+        for i in 0..3i64 {
+            crate::wire::encode_frame(
+                &Frame::Data {
+                    ts: Timestamp::from_micros(i as u64),
+                    tuple: Tuple::single(i),
+                    trace: TraceTag::NONE,
+                },
+                &mut bytes,
+            );
+        }
+        let torn = bytes.len() - 5;
+        let whole = {
+            let mut third = Vec::new();
+            crate::wire::encode_frame(
+                &Frame::Data {
+                    ts: Timestamp::ZERO,
+                    tuple: Tuple::single(2),
+                    trace: TraceTag::NONE,
+                },
+                &mut third,
+            );
+            bytes.len() - third.len()
+        };
+        assert!(whole < torn, "the cut lies inside the third frame");
+        sock.write_all(&bytes[..torn]).unwrap();
+        let q = server.queue("a").unwrap();
+        let value = |m: Option<Message>| m.unwrap().as_data().unwrap().tuple.field(0).as_int();
+        assert_eq!(value(q.pop_timeout(Duration::from_secs(5))).unwrap(), 0);
+        assert_eq!(value(q.pop_timeout(Duration::from_secs(5))).unwrap(), 1);
+        assert!(q.pop_timeout(Duration::from_millis(50)).is_none(), "the third is incomplete");
+        assert_eq!(server.stats().tuples.load(Ordering::Relaxed), 2);
+        sock.write_all(&bytes[torn..]).unwrap();
+        assert_eq!(value(q.pop_timeout(Duration::from_secs(5))).unwrap(), 2);
+        // A connection cut mid-frame still delivered the frames before it.
+        let mut tail = bytes[whole..].to_vec();
+        tail.extend_from_slice(&bytes[whole..torn]);
+        sock.write_all(&tail).unwrap();
+        drop(sock);
+        assert_eq!(value(q.pop_timeout(Duration::from_secs(5))).unwrap(), 2);
+        assert!(q.pop_blocking().is_none(), "the only producer is gone");
+        assert_eq!(server.stats().tuples.load(Ordering::Relaxed), 4);
     }
 }

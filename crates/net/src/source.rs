@@ -11,12 +11,15 @@ use hmts::streams::tuple::Tuple;
 /// A [`Source`] that drains an ingest [`StreamQueue`] fed by the network.
 ///
 /// `next` parks on the queue, so a graph driven by a `RemoteSource` is
-/// clocked entirely by external traffic. The source ends when the ingest
-/// server closes the queue (all expected producers finished) or an
-/// explicit end-of-stream punctuation is drained; the engine then injects
-/// EOS downstream exactly as for a local source. Watermark punctuations
-/// are skipped — the engine synthesizes watermarks from element
-/// timestamps when [`watermark_interval`] is configured.
+/// clocked entirely by external traffic. A source that finds messages
+/// waiting takes up to [`TAKE`] of them under one lock and hands them out
+/// one by one, so a producer blocked on the full queue is released for
+/// that many slots at once rather than once per element. The source ends
+/// when the ingest server closes the queue (all expected producers
+/// finished) or an explicit end-of-stream punctuation is drained; the
+/// engine then injects EOS downstream exactly as for a local source.
+/// Watermark punctuations are skipped — the engine synthesizes watermarks
+/// from element timestamps when [`watermark_interval`] is configured.
 ///
 /// Run remote-fed engines with `pace_sources: false`: elements already
 /// arrive paced by the network, and their timestamps belong to the
@@ -26,18 +29,35 @@ use hmts::streams::tuple::Tuple;
 pub struct RemoteSource {
     name: String,
     queue: Arc<StreamQueue>,
+    /// Messages taken off the queue and not yet handed out, newest first.
+    taken: Vec<Message>,
     done: bool,
 }
+
+/// Most messages taken off the queue in one go.
+const TAKE: usize = 64;
 
 impl RemoteSource {
     /// A source draining `queue` under the given diagnostic name.
     pub fn new(name: impl Into<String>, queue: Arc<StreamQueue>) -> RemoteSource {
-        RemoteSource { name: name.into(), queue, done: false }
+        RemoteSource { name: name.into(), queue, taken: Vec::new(), done: false }
     }
 
     /// The backing queue (for occupancy monitoring).
     pub fn queue(&self) -> &Arc<StreamQueue> {
         &self.queue
+    }
+
+    /// The next message in arrival order, waiting for one if none is at
+    /// hand; `None` once the queue is closed and drained.
+    fn next_message(&mut self) -> Option<Message> {
+        if let Some(msg) = self.taken.pop() {
+            return Some(msg);
+        }
+        let first = self.queue.pop_blocking()?;
+        self.queue.pop_batch(TAKE - 1, &mut self.taken);
+        self.taken.reverse();
+        Some(first)
     }
 }
 
@@ -55,7 +75,7 @@ impl Source for RemoteSource {
             return None;
         }
         loop {
-            match self.queue.pop_blocking() {
+            match self.next_message() {
                 None => {
                     self.done = true;
                     return None;
@@ -106,5 +126,29 @@ mod tests {
         assert!(s.next().is_some());
         assert!(s.next().is_none(), "EOS punctuation terminates");
         assert!(s.next().is_none());
+    }
+    #[test]
+    fn takes_in_arrival_order_and_frees_a_blocked_producer_many_slots_at_once() {
+        use hmts::streams::queue::BackpressurePolicy;
+        let q = StreamQueue::bounded("r", 8, BackpressurePolicy::Block);
+        let n = 5 * TAKE as i64 + 3;
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                for i in 0..n {
+                    q.push(Message::data(Tuple::single(i), Timestamp::from_micros(i as u64)))
+                        .unwrap();
+                    if i % 7 == 0 {
+                        q.push(Message::Punct(Punctuation::Watermark(Timestamp::ZERO))).unwrap();
+                    }
+                }
+                q.close();
+            })
+        };
+        let mut s = RemoteSource::new("r", q);
+        let got: Vec<i64> =
+            std::iter::from_fn(|| s.next()).map(|(_, t)| t.field(0).as_int().unwrap()).collect();
+        producer.join().unwrap();
+        assert_eq!(got, (0..n).collect::<Vec<_>>());
     }
 }

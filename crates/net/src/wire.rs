@@ -496,6 +496,18 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
+impl<R: Read> FrameReader<io::BufReader<R>> {
+    /// Whether the next frame lies whole in the read buffer, so that
+    /// [`read_frame`](FrameReader::read_frame) will return it without
+    /// waiting for the stream.
+    pub fn frame_buffered(&self) -> bool {
+        let buffered = self.inner.buffer();
+        buffered.len() >= 4
+            && buffered.len() - 4
+                >= u32::from_le_bytes([buffered[0], buffered[1], buffered[2], buffered[3]]) as usize
+    }
+}
+
 enum ReadFull {
     Done,
     Eof,
@@ -799,6 +811,26 @@ mod tests {
         let cut = &wire[..wire.len() - 2];
         let mut r = FrameReader::new(cut);
         assert!(matches!(r.read_frame(), Err(NetError::Decode(DecodeError::UnexpectedEof))));
+    }
+
+    #[test]
+    fn frame_buffered_tells_a_whole_frame_from_a_torn_one() {
+        let mut wire = Vec::new();
+        encode_frame(&Frame::Ping { nonce: 1 }, &mut wire);
+        let one = wire.len();
+        encode_frame(&Frame::Ping { nonce: 2 }, &mut wire);
+        // Two whole frames and all but the last byte of a third.
+        encode_frame(&Frame::Ping { nonce: 3 }, &mut wire);
+        let mut r = FrameReader::new(io::BufReader::new(&wire[..wire.len() - 1]));
+        assert!(!r.frame_buffered(), "nothing was read yet");
+        assert_eq!(r.read_frame().unwrap(), Some(Frame::Ping { nonce: 1 }));
+        assert!(r.frame_buffered());
+        assert_eq!(r.read_frame().unwrap(), Some(Frame::Ping { nonce: 2 }));
+        assert!(!r.frame_buffered(), "{} of {one} bytes", one - 1);
+        // Fewer than the four bytes of a length prefix.
+        let mut r = FrameReader::new(io::BufReader::new(&wire[..one + 3]));
+        assert_eq!(r.read_frame().unwrap(), Some(Frame::Ping { nonce: 1 }));
+        assert!(!r.frame_buffered());
     }
 
     #[test]

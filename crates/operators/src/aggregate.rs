@@ -1,5 +1,6 @@
 //! Windowed, optionally grouped aggregation.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
@@ -175,18 +176,20 @@ impl WindowAggregate {
         self.groups.len()
     }
 
-    fn key_of(&self, e: &Element) -> Result<Value> {
-        match &self.group_by {
-            None => Ok(Value::Null),
-            Some(k) => k.eval(&e.tuple),
-        }
-    }
-
     fn field_of<'a>(&self, e: &'a Element) -> Result<Option<&'a Value>> {
         match self.func.field() {
             None => Ok(None),
             Some(i) => Ok(Some(e.tuple.get(i)?)),
         }
+    }
+}
+
+/// The group `e` belongs to: its `group_by` key, lent out of the tuple
+/// where the key is a plain field, or the one `Null` group.
+fn key_of<'a>(group_by: &'a Option<Expr>, e: &'a Element) -> Result<Cow<'a, Value>> {
+    match group_by {
+        None => Ok(Cow::Owned(Value::Null)),
+        Some(k) => k.eval_ref(&e.tuple),
     }
 }
 
@@ -204,17 +207,17 @@ impl Operator for WindowAggregate {
         let mut expired = Vec::new();
         self.window.expire_with(element.ts, |e| expired.push(e.clone()));
         for old in &expired {
-            let key = self.key_of(old)?;
+            let key = key_of(&self.group_by, old)?;
             let field = self.field_of(old)?.cloned();
-            if let Some(g) = self.groups.get_mut(&key) {
+            if let Some(g) = self.groups.get_mut(&*key) {
                 g.remove(self.func, field.as_ref())?;
                 if g.is_empty() {
-                    self.groups.remove(&key);
+                    self.groups.remove(&*key);
                 }
             }
         }
         // (2) Fold in the new element.
-        let key = self.key_of(element)?;
+        let key = key_of(&self.group_by, element)?.into_owned();
         let field = self.field_of(element)?.cloned();
         let func = self.func;
         let g = self.groups.entry(key.clone()).or_default();
@@ -239,12 +242,12 @@ impl Operator for WindowAggregate {
         let mut expired = Vec::new();
         self.window.expire_with(watermark, |e| expired.push(e.clone()));
         for old in &expired {
-            let key = self.key_of(old)?;
+            let key = key_of(&self.group_by, old)?;
             let field = self.field_of(old)?.cloned();
-            if let Some(g) = self.groups.get_mut(&key) {
+            if let Some(g) = self.groups.get_mut(&*key) {
                 g.remove(self.func, field.as_ref())?;
                 if g.is_empty() {
-                    self.groups.remove(&key);
+                    self.groups.remove(&*key);
                 }
             }
         }
@@ -302,12 +305,9 @@ impl StatefulOperator for WindowAggregate {
         // Re-fold the restored window. Evaluation errors here mean the
         // blob does not fit this operator's configuration.
         for e in self.window.iter() {
-            let key = match &self.group_by {
-                None => Value::Null,
-                Some(k) => k
-                    .eval(&e.tuple)
-                    .map_err(|_| StateError::Incompatible("group key not evaluable"))?,
-            };
+            let key = key_of(&self.group_by, e)
+                .map_err(|_| StateError::Incompatible("group key not evaluable"))?
+                .into_owned();
             let field = match func.field() {
                 None => None,
                 Some(i) => Some(

@@ -129,6 +129,10 @@ impl<O: Operator> Operator for Costed<O> {
     fn on_eos(&mut self, port: usize, out: &mut Output) -> Result<()> {
         self.inner.on_eos(port, out)
     }
+
+    fn end_batch(&mut self) {
+        self.inner.end_batch()
+    }
 }
 
 /// A stand-alone pass-through operator with artificial cost — the simplest

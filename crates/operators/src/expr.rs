@@ -8,6 +8,7 @@
 //! need; user code that wants arbitrary Rust logic can still use the
 //! closure-based `Map`/`Filter::from_fn` operators.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -190,46 +191,56 @@ impl Expr {
         Expr::HashMod(Box::new(self), modulus.max(1))
     }
 
-    /// Evaluates the expression against `tuple`.
+    /// Evaluates the expression against `tuple` into a value of its own.
     pub fn eval(&self, tuple: &Tuple) -> Result<Value> {
+        self.eval_ref(tuple).map(Cow::into_owned)
+    }
+
+    /// Evaluates the expression against `tuple` without copying what is
+    /// already there: a field or a constant is lent out, only a computed
+    /// result is a new value. For callers that just look at the result — a
+    /// comparison, a hash, a map lookup.
+    #[inline]
+    pub fn eval_ref<'a>(&'a self, tuple: &'a Tuple) -> Result<Cow<'a, Value>> {
         match self {
-            Expr::Field(i) => Ok(tuple.get(*i)?.clone()),
+            Expr::Field(i) => tuple.get(*i).map(Cow::Borrowed),
+            Expr::Const(v) => Ok(Cow::Borrowed(v)),
+            _ => self.compute(tuple).map(Cow::Owned),
+        }
+    }
+
+    /// The value of a node that has to build one, from borrowed operands.
+    fn compute(&self, tuple: &Tuple) -> Result<Value> {
+        match self {
+            Expr::Field(i) => tuple.get(*i).cloned(),
             Expr::Const(v) => Ok(v.clone()),
-            Expr::Add(a, b) => a.eval(tuple)?.add(&b.eval(tuple)?),
-            Expr::Sub(a, b) => a.eval(tuple)?.sub(&b.eval(tuple)?),
-            Expr::Mul(a, b) => a.eval(tuple)?.mul(&b.eval(tuple)?),
-            Expr::Div(a, b) => a.eval(tuple)?.div(&b.eval(tuple)?),
-            Expr::Rem(a, b) => a.eval(tuple)?.rem(&b.eval(tuple)?),
-            Expr::Cmp(op, a, b) => {
-                let av = a.eval(tuple)?;
-                let bv = b.eval(tuple)?;
-                Ok(Value::Bool(op.apply(av.cmp(&bv))))
+            Expr::Add(a, b) => a.eval_ref(tuple)?.add(&*b.eval_ref(tuple)?),
+            Expr::Sub(a, b) => a.eval_ref(tuple)?.sub(&*b.eval_ref(tuple)?),
+            Expr::Mul(a, b) => a.eval_ref(tuple)?.mul(&*b.eval_ref(tuple)?),
+            Expr::Div(a, b) => a.eval_ref(tuple)?.div(&*b.eval_ref(tuple)?),
+            Expr::Rem(a, b) => a.eval_ref(tuple)?.rem(&*b.eval_ref(tuple)?),
+            Expr::Cmp(..) | Expr::And(..) | Expr::Or(..) | Expr::Not(_) => {
+                self.eval_bool(tuple).map(Value::Bool)
             }
-            Expr::And(a, b) => {
-                if a.eval(tuple)?.as_bool()? {
-                    Ok(Value::Bool(b.eval(tuple)?.as_bool()?))
-                } else {
-                    Ok(Value::Bool(false))
-                }
-            }
-            Expr::Or(a, b) => {
-                if a.eval(tuple)?.as_bool()? {
-                    Ok(Value::Bool(true))
-                } else {
-                    Ok(Value::Bool(b.eval(tuple)?.as_bool()?))
-                }
-            }
-            Expr::Not(a) => Ok(Value::Bool(!a.eval(tuple)?.as_bool()?)),
-            Expr::HashMod(a, m) => {
-                let v = a.eval(tuple)?;
-                Ok(Value::Int((stable_hash(&v) % m) as i64))
-            }
+            Expr::HashMod(a, m) => Ok(Value::Int((stable_hash(&*a.eval_ref(tuple)?) % m) as i64)),
         }
     }
 
     /// Evaluates as a boolean predicate; non-boolean results are an error.
+    /// The boolean connectives and comparisons are answered right here, on
+    /// borrowed operands, without ever building a `Value`.
     pub fn eval_bool(&self, tuple: &Tuple) -> Result<bool> {
-        self.eval(tuple)?.as_bool()
+        match self {
+            Expr::Cmp(op, a, b) => {
+                let av = a.eval_ref(tuple)?;
+                let bv = b.eval_ref(tuple)?;
+                Ok(op.apply((*av).cmp(&*bv)))
+            }
+            Expr::And(a, b) => Ok(a.eval_bool(tuple)? && b.eval_bool(tuple)?),
+            Expr::Or(a, b) => Ok(a.eval_bool(tuple)? || b.eval_bool(tuple)?),
+            Expr::Not(a) => Ok(!a.eval_bool(tuple)?),
+            _ => self.eval_ref(tuple)?.as_bool(),
+        }
     }
 
     /// The highest field index referenced, or `None` for constant

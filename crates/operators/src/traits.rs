@@ -202,6 +202,15 @@ pub trait Operator: Send {
     fn on_eos(&mut self, _port: usize, _out: &mut Output) -> Result<()> {
         Ok(())
     }
+
+    /// Called on an operator without successors — a sink — when the
+    /// executor has delivered everything its current batch of input led to
+    /// (and before the sink acknowledges a checkpoint barrier): whatever it
+    /// held back to do in one piece (a network sink's `write`) is due now.
+    /// A host that never calls it is to be assumed, so a sink may hold back
+    /// only after it has seen the first call. Wrapper operators must
+    /// delegate. Default: nothing held back.
+    fn end_batch(&mut self) {}
 }
 
 /// A data source: the autonomous origin of a stream (paper §2.1: "sources
@@ -279,6 +288,10 @@ impl Operator for Box<dyn Operator> {
 
     fn on_eos(&mut self, port: usize, out: &mut Output) -> Result<()> {
         (**self).on_eos(port, out)
+    }
+
+    fn end_batch(&mut self) {
+        (**self).end_batch()
     }
 }
 

@@ -60,8 +60,7 @@ impl Operator for ShardSplit {
     }
 
     fn process(&mut self, _port: usize, element: &Element, out: &mut Output) -> Result<()> {
-        let key = self.key.eval(&element.tuple)?;
-        let shard = self.partitioner.shard_of(&key);
+        let shard = self.partitioner.shard_of(&*self.key.eval_ref(&element.tuple)?);
         let tagged = Element {
             tuple: element.tuple.append(Value::Int(self.seq as i64)),
             ts: element.ts,

@@ -29,6 +29,12 @@ impl Ewma {
         Ewma { alpha: alpha.clamp(f64::MIN_POSITIVE, 1.0), value: None }
     }
 
+    /// An estimator resuming from `value` (the inverse of
+    /// [`value`](Self::value)).
+    fn with_value(alpha: f64, value: Option<f64>) -> Ewma {
+        Ewma { value, ..Ewma::new(alpha) }
+    }
+
     /// Feeds one observation.
     pub fn observe(&mut self, x: f64) {
         self.value = Some(match self.value {
@@ -53,6 +59,11 @@ impl Ewma {
     }
 }
 
+/// Weight of the newest cost sample.
+const COST_ALPHA: f64 = 0.2;
+/// Weight of the newest arrival gap.
+const ARRIVAL_ALPHA: f64 = 0.1;
+
 /// Online estimator of per-element processing cost `c(v)`.
 #[derive(Debug, Clone)]
 pub struct CostEstimator {
@@ -63,7 +74,18 @@ pub struct CostEstimator {
 impl CostEstimator {
     /// Cost estimator with the engine's default smoothing.
     pub fn new() -> CostEstimator {
-        CostEstimator { ewma: Ewma::new(0.2), samples: 0 }
+        CostEstimator::from_parts(None, 0)
+    }
+
+    /// An estimator resuming from its state: the mean cost in seconds
+    /// ([`mean_secs`](Self::mean_secs)) and the sample count.
+    pub fn from_parts(mean_secs: Option<f64>, samples: u64) -> CostEstimator {
+        CostEstimator { ewma: Ewma::with_value(COST_ALPHA, mean_secs), samples }
+    }
+
+    /// The estimate in seconds, or `None` before any observation.
+    pub fn mean_secs(&self) -> Option<f64> {
+        self.ewma.value()
     }
 
     /// Records that processing one element took `d`.
@@ -101,7 +123,23 @@ pub struct InterArrivalEstimator {
 impl InterArrivalEstimator {
     /// Inter-arrival estimator with the engine's default smoothing.
     pub fn new() -> InterArrivalEstimator {
-        InterArrivalEstimator { ewma: Ewma::new(0.1), last: None, count: 0 }
+        InterArrivalEstimator::from_parts(None, None, 0)
+    }
+
+    /// An estimator resuming from its state: the mean gap in seconds
+    /// ([`mean_gap_secs`](Self::mean_gap_secs)), the last arrival and the
+    /// arrival count.
+    pub fn from_parts(
+        mean_gap_secs: Option<f64>,
+        last: Option<Timestamp>,
+        count: u64,
+    ) -> InterArrivalEstimator {
+        InterArrivalEstimator { ewma: Ewma::with_value(ARRIVAL_ALPHA, mean_gap_secs), last, count }
+    }
+
+    /// The estimated mean gap in seconds, or `None` until two arrivals.
+    pub fn mean_gap_secs(&self) -> Option<f64> {
+        self.ewma.value()
     }
 
     /// Records an arrival at time `t`.
@@ -151,6 +189,11 @@ impl SelectivityEstimator {
         SelectivityEstimator::default()
     }
 
+    /// An estimator resuming from its two counts.
+    pub fn from_parts(inputs: u64, outputs: u64) -> SelectivityEstimator {
+        SelectivityEstimator { inputs, outputs }
+    }
+
     /// Records that one input element produced `outputs` output elements.
     pub fn observe(&mut self, outputs: u64) {
         self.inputs += 1;
@@ -169,6 +212,11 @@ impl SelectivityEstimator {
     /// Inputs observed so far.
     pub fn inputs(&self) -> u64 {
         self.inputs
+    }
+
+    /// Outputs observed so far.
+    pub fn outputs(&self) -> u64 {
+        self.outputs
     }
 }
 

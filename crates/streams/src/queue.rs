@@ -300,7 +300,13 @@ impl StreamQueue {
     /// the rejected message and those after it are discarded, as `push`
     /// discards its argument.
     pub fn push_batch(&self, msgs: &mut Vec<Message>) -> Result<(), StreamError> {
-        self.push_all(msgs.drain(..)).map(|_| ())
+        self.push_batch_with_stall(msgs).map(|_| ())
+    }
+
+    /// Like [`StreamQueue::push_batch`], but reports how long the producer
+    /// was blocked, as [`StreamQueue::push_with_stall`] does for one message.
+    pub fn push_batch_with_stall(&self, msgs: &mut Vec<Message>) -> Result<Duration, StreamError> {
+        self.push_all(msgs.drain(..))
     }
 
     fn push_all(&self, msgs: impl Iterator<Item = Message>) -> Result<Duration, StreamError> {

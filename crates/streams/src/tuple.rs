@@ -53,6 +53,7 @@ impl Tuple {
     }
 
     /// Borrow field `index`, with a descriptive error when out of bounds.
+    #[inline]
     pub fn get(&self, index: usize) -> Result<&Value, StreamError> {
         self.values
             .get(index)

@@ -53,6 +53,7 @@ impl Value {
     }
 
     /// Returns the boolean payload, or a type-mismatch error.
+    #[inline]
     pub fn as_bool(&self) -> Result<bool, StreamError> {
         match self {
             Value::Bool(b) => Ok(*b),
@@ -218,6 +219,7 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         match (self, other) {
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),

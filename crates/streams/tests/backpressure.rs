@@ -148,6 +148,21 @@ fn push_with_stall_times_the_block_and_is_zero_on_the_fast_path() {
     assert!(q.pop_blocking().is_some());
     let stall = stalled.join().unwrap().unwrap();
     assert!(stall >= Duration::from_millis(10), "measured stall {stall:?}");
+
+    // The same for a batch: what fits goes in untimed, the rest waits.
+    assert!(q.pop_blocking().is_some());
+    let mut fits = vec![msg(0, 2)];
+    assert_eq!(q.push_batch_with_stall(&mut fits).unwrap(), Duration::ZERO);
+    let stalled = {
+        let q = Arc::clone(&q);
+        thread::spawn(move || q.push_batch_with_stall(&mut vec![msg(0, 3), msg(0, 4)]))
+    };
+    thread::sleep(Duration::from_millis(25));
+    // Each pop makes room for one more of the batch.
+    assert!(q.pop_blocking().is_some() && q.pop_blocking().is_some());
+    let stall = stalled.join().unwrap().unwrap();
+    assert!(stall >= Duration::from_millis(10), "measured stall {stall:?}");
+    assert_eq!(q.len(), 1);
 }
 
 #[test]

@@ -50,8 +50,9 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --no-fail-fast"
+# Every target runs even when one fails: a red target must not hide the rest.
+cargo test -q --no-fail-fast
 
 echo "==> perf ledger builds and passes against the core's frozen surface"
 # perfledger/ is a workspace of its own that BENCHMARK.json builds from the

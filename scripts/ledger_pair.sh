@@ -1,0 +1,131 @@
+#!/usr/bin/env bash
+# Compares the working tree against a parent commit on the perf ledger, the
+# way perfledger/BENCHMARK.md asks for it: both sides built from the same
+# perfledger/ (the working tree's), run in alternating order — the parent
+# first in odd pairs, the change first in even ones — on a fresh seed per
+# pair, nothing else running. Prints, per workload and end-to-end metric,
+# each side's median [Q1, Q3], the ratio of the medians and how many pairs
+# the change won: the table EXPERIMENTS.md records.
+#
+# The parent is checked out as a git worktree under target/ledger_pair/ and
+# removed again on exit; the two build directories beside it are kept, so a
+# second comparison only rebuilds what changed. The command line, the
+# workload names and the metric names come from BENCHMARK.json, which (like
+# perfledger/) this script only reads.
+# Usage: scripts/ledger_pair.sh <parent-ref> [pairs=10] [seconds]
+#   seconds defaults to BENCHMARK.json's run_seconds.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+usage() {
+  echo "usage: scripts/ledger_pair.sh <parent-ref> [pairs=10] [seconds]" >&2
+  exit 2
+}
+[ $# -ge 1 ] && [ $# -le 3 ] || usage
+ref=$1
+pairs=${2:-10}
+seconds=${3:-}
+case "$pairs$seconds" in *[!0-9]*) usage ;; esac
+[ "$pairs" -ge 1 ] || usage
+commit=$(git rev-parse --verify --quiet "$ref^{commit}") || {
+  echo "error: $ref is not a commit" >&2
+  exit 2
+}
+
+root=$PWD/target/ledger_pair
+parent=$root/parent
+mkdir -p "$root"
+cleanup() {
+  git worktree remove --force "$parent" 2>/dev/null || true
+  git worktree prune
+}
+trap cleanup EXIT
+cleanup
+git worktree add --quiet --detach "$parent" "$commit"
+# The benchmark is the same program on both sides; only the engine differs.
+rm -rf "$parent/perfledger"
+mkdir "$parent/perfledger"
+tar -C perfledger --exclude=./target -cf - . | tar -C "$parent/perfledger" -xf -
+
+python3 - "$parent" "$root" "$pairs" "$seconds" "$commit" <<'PY'
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+parent_dir, root, pairs, seconds, commit = sys.argv[1:]
+spec = json.load(open("BENCHMARK.json"))
+pairs = int(pairs)
+seconds = seconds or str(spec["run_seconds"])
+workloads = [w["name"] for w in spec["workloads"]]
+metrics = spec["end_to_end"]
+sides = {"parent": parent_dir, "change": os.getcwd()}
+
+
+def run(side, workload, seed, secs):
+    cmd = spec["command"] + ["--workload", workload, "--seed", str(seed),
+                             "--seconds", secs, "--trace", "0"]
+    env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(root, "build-" + side))
+    done = subprocess.run(cmd, cwd=sides[side], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        sys.exit(f"error: {side} {workload} printed nothing (exit {done.returncode}):\n"
+                 + done.stderr[-2000:])
+    return json.loads(lines[-1])
+
+
+for side in sides:
+    print(f"==> building {side}", file=sys.stderr, flush=True)
+    run(side, workloads[0], 1, "1")
+
+# Seeds nobody tuned against: they start at the clock and are printed.
+first_seed = int(time.time())
+print(f"parent {commit[:12]}, {pairs} pairs x {seconds} s, seeds {first_seed}.."
+      f"{first_seed + pairs - 1}", flush=True)
+values = {}  # (workload, metric, side) -> one value per pair
+failed = {side: 0 for side in sides}
+for pair in range(pairs):
+    order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+    for w in workloads:
+        for side in order:
+            print(f"    pair {pair + 1}/{pairs} {w} {side}", file=sys.stderr, flush=True)
+            result = run(side, w, first_seed + pair, seconds)
+            failed[side] += result["failed"]
+            for m in metrics:
+                value = result["metrics"][m["name"]]["value"]
+                values.setdefault((w, m["name"], side), []).append(value)
+
+
+def spread(xs):
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def shown(x):
+    return f"{x:,.0f}" if abs(x) >= 100 else f"{x:.2f}" if abs(x) >= 1 else f"{x:.4f}"
+
+
+table = [["workload", "metric", "unit", "parent median [Q1, Q3]", "change median [Q1, Q3]",
+          "change/parent", "wins"]]
+for w in workloads:
+    for m in metrics:
+        old, new = values[(w, m["name"], "parent")], values[(w, m["name"], "change")]
+        better = (lambda a, b: a > b) if m["better"] == "higher" else (lambda a, b: a < b)
+        wins = sum(better(n, o) for n, o in zip(new, old))
+        cells = []
+        for xs in (old, new):
+            median, q1, q3 = spread(xs)
+            cells.append(f"{shown(median)} [{shown(q1)}, {shown(q3)}]")
+        ratio = spread(new)[0] / spread(old)[0] if spread(old)[0] else float("nan")
+        table.append([w, m["name"], m["unit"], *cells, f"{ratio:.3f}", f"{wins}/{pairs}"])
+widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+for row in table:
+    print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+print(f"failed: parent {failed['parent']}, change {failed['change']}")
+sys.exit(1 if any(failed.values()) else 0)
+PY

@@ -7,8 +7,12 @@
 //!   torn-down wiring, which precede the first pooled `dispatch` (under
 //!   GTS all domains are dedicated, so dispatches can only come from the
 //!   thread scheduler after the switch),
-//! * per-operator latency histograms count exactly the elements each
-//!   operator processed (cross-checked against the engine's own stats).
+//! * counts are exact and costs are sampled: the `node.<name>.processed`
+//!   gauge ends on exactly the elements each operator processed
+//!   (cross-checked against the engine's own stats), and the
+//!   `op.<name>.latency_ns` histogram holds one sample per *timed*
+//!   invocation — the first of each wiring and every `COST_STRIDE`-th
+//!   after it.
 
 #[path = "common/mod.rs"]
 mod common;
@@ -85,24 +89,38 @@ fn journal_orders_switch_causally_and_histograms_match_stats() {
         "no dispatch may precede the GTS -> HMTS switch"
     );
 
-    // --- histogram counts == elements processed ------------------------
+    // --- gauge == elements processed, histogram == timed invocations ----
     let stats = &report.stats;
     let metrics = obs.metrics_snapshot();
+    let metric = |name: &str| {
+        metrics
+            .iter()
+            .find_map(|(n, v)| (n == name).then_some(v))
+            .unwrap_or_else(|| panic!("metric {name} registered"))
+    };
+    let stride = u64::from(hmts::engine::executor::COST_STRIDE);
     for &op in &ops {
         let name = topo.name(op);
         let node = stats.nodes.iter().find(|n| n.name == name).expect("stats cover every operator");
         assert!(node.processed > 0, "operator {name} saw elements");
-        let metric = format!("op.{name}.latency_ns");
-        let count = metrics
-            .iter()
-            .find_map(|(n, v)| match v {
-                MetricValue::Histogram(count, _, _) if n == &metric => Some(*count),
-                _ => None,
-            })
-            .unwrap_or_else(|| panic!("latency histogram {metric} registered"));
-        assert_eq!(
-            count, node.processed,
-            "histogram {metric} counts every element {name} processed"
+        match metric(&format!("node.{name}.processed")) {
+            MetricValue::Gauge(v) => {
+                assert_eq!(*v as u64, node.processed, "node.{name}.processed counts every element")
+            }
+            other => panic!("node.{name}.processed is a gauge, not {other:?}"),
+        }
+        let timed = match metric(&format!("op.{name}.latency_ns")) {
+            MetricValue::Histogram(count, _, _) => *count,
+            other => panic!("op.{name}.latency_ns is a histogram, not {other:?}"),
+        };
+        // Two wirings (GTS, then HMTS) each time their first invocation and
+        // every `stride`-th after it: n1 + n2 = processed, so the count is
+        // ceil(n1 / stride) + ceil(n2 / stride).
+        let floor = node.processed.div_ceil(stride);
+        assert!(
+            (floor..=floor + 1).contains(&timed),
+            "op.{name}.latency_ns holds {timed} samples for {} elements at 1 in {stride}",
+            node.processed
         );
     }
 }
