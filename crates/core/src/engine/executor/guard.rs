@@ -175,21 +175,13 @@ impl DomainExecutor {
     }
 }
 
-/// Replaces every pending output with a null-field tuple of the same arity
-/// (the `FaultAction::Corrupt` silent-corruption model). Route tags survive
-/// corruption — the fault model garbles payloads, not the splitter's
-/// addressing.
+/// Replaces every pending output's payload with a null-field tuple of the
+/// same arity (the `FaultAction::Corrupt` silent-corruption model). Route
+/// and sequence tags survive — the fault model garbles payloads, not the
+/// splitter's addressing.
 fn corrupt_outputs(out: &mut Output) {
-    let routes = out.take_routes();
-    let corrupted: Vec<Element> = out
-        .drain()
-        .map(|e| Element::new(Tuple::new(vec![Value::Null; e.tuple.arity()]), e.ts))
-        .collect();
-    for (idx, e) in corrupted.into_iter().enumerate() {
-        match routes.get(idx) {
-            Some(&r) if r != Output::BROADCAST => out.push_routed(r, e),
-            _ => out.push(e),
-        }
+    for e in out.elements_mut() {
+        e.tuple = Tuple::new(vec![Value::Null; e.tuple.arity()]);
     }
 }
 

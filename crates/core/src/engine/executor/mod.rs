@@ -224,6 +224,10 @@ pub struct DomainExecutor {
     /// `out`'s elements while they are being routed (reused, so routing
     /// allocates nothing).
     routing: Vec<Option<Element>>,
+    /// `out`'s route tags while its elements are being routed: swapped
+    /// with `out`'s own vector, so a splitter's tags re-use two buffers
+    /// for ever.
+    route_tags: Vec<u32>,
     /// `(slot, route)` of every non-empty staging buffer, in the order
     /// they were first written.
     dirty: Vec<(usize, usize)>,
@@ -270,6 +274,7 @@ impl DomainExecutor {
             stack: Vec::new(),
             out: Output::new(),
             routing: Vec::new(),
+            route_tags: Vec::new(),
             dirty: Vec::new(),
             view: Vec::new(),
             inbox: Vec::new(),
@@ -424,7 +429,8 @@ impl DomainExecutor {
         if self.out.is_empty() {
             return;
         }
-        let tags = self.out.take_routes();
+        self.out.swap_routes(&mut self.route_tags);
+        let tags = &self.route_tags;
         let Slot { routes, last_route, .. } = &mut self.slots[i];
         let last = *last_route;
         // Element `idx` for route `ri`, if it takes it: a tagged element

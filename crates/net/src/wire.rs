@@ -684,6 +684,21 @@ mod tests {
     }
 
     #[test]
+    fn a_shard_sequence_tag_never_reaches_the_wire() {
+        use hmts::streams::element::{SeqKind, SeqTag};
+        let plain = Element::new(Tuple::pair(3, "x"), Timestamp::from_micros(9));
+        let tagged = plain.clone().with_seq(SeqTag::new(41, SeqKind::Last));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        encode_frame(&Frame::from_message(&Message::Data(plain)), &mut a);
+        encode_frame(&Frame::from_message(&Message::Data(tagged.clone())), &mut b);
+        assert_eq!(a, b);
+        match round_trip(Frame::from_message(&Message::Data(tagged))).into_message() {
+            Some(Message::Data(e)) => assert_eq!(e.seq, SeqTag::NONE),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn traced_data_uses_kind_10_and_round_trips() {
         let f = Frame::Data {
             ts: Timestamp::from_micros(55),

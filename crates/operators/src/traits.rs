@@ -95,9 +95,25 @@ impl Output {
         std::mem::take(&mut self.routes)
     }
 
+    /// Like [`Output::take_routes`], but hands the tags over in `buf` and
+    /// keeps `buf`'s storage (emptied) for the next tags: a caller that
+    /// passes the same buffer every time makes routing allocation-free.
+    #[inline]
+    pub fn swap_routes(&mut self, buf: &mut Vec<u32>) {
+        buf.clear();
+        if !self.routes.is_empty() {
+            std::mem::swap(&mut self.routes, buf);
+        }
+    }
+
     /// Read-only view of the buffered elements.
     pub fn elements(&self) -> &[Element] {
         &self.elements
+    }
+
+    /// The buffered elements, for rewriting in place (route tags stay).
+    pub fn elements_mut(&mut self) -> &mut [Element] {
+        &mut self.elements
     }
 
     /// Discards all buffered elements.
@@ -454,6 +470,22 @@ mod tests {
         out.clear();
         assert!(out.is_empty());
         assert!(out.take_routes().is_empty());
+    }
+
+    #[test]
+    fn swapped_route_buffers_are_reused() {
+        let mut out = Output::new();
+        let mut tags = vec![9, 9, 9];
+        for round in 0..4u32 {
+            out.push_routed(round, Element::single(1, Timestamp::ZERO));
+            out.push(Element::single(2, Timestamp::ZERO));
+            out.swap_routes(&mut tags);
+            assert_eq!(tags, vec![round, Output::BROADCAST]);
+            assert_eq!(out.drain().count(), 2);
+        }
+        // The buffer handed in came back as the output's own: the next
+        // tags land in storage that already exists.
+        assert!(out.take_routes().capacity() >= 2);
     }
 
     #[test]

@@ -4,27 +4,21 @@
 use hmts_operators::expr::Expr;
 use hmts_operators::traits::{Operator, Output};
 use hmts_state::{StateBlob, StateError, StatefulOperator};
-use hmts_streams::element::Element;
+use hmts_streams::element::{Element, SeqKind, SeqTag};
 use hmts_streams::error::Result;
-use hmts_streams::value::Value;
 
 use crate::partitioner::HashPartitioner;
-
-/// The sequence tag a replica attaches to outputs produced outside the
-/// per-element data path (`flush`, watermark handlers). The merge emits
-/// them after all sequenced output, in shard order, instead of holding
-/// them against the sequence cursor.
-pub const SEQ_FLUSH: i64 = i64::MAX;
 
 /// Routes each element to the replica owning its key, tagging it with a
 /// dense arrival sequence number.
 ///
-/// The tag (one trailing `Int` field) is the whole ordering story: it
-/// freezes the splitter's arrival order as *the* canonical interleaving,
-/// which the merge restores regardless of how the scheduler interleaves
-/// the replicas. The counter is checkpointed state — after recovery the
-/// replayed element gets the same sequence number it had in the crashed
-/// run, so the merge's cursor and the restored tags stay consistent.
+/// The tag (an out-of-band [`SeqTag`] on a pointer copy of the input) is
+/// the whole ordering story: it freezes the splitter's arrival order as
+/// *the* canonical interleaving, which the merge restores regardless of how
+/// the scheduler interleaves the replicas. The counter is checkpointed
+/// state — after recovery the replayed element gets the same sequence
+/// number it had in the crashed run, so the merge's cursor and the restored
+/// tags stay consistent.
 pub struct ShardSplit {
     name: String,
     key: Expr,
@@ -61,11 +55,7 @@ impl Operator for ShardSplit {
 
     fn process(&mut self, _port: usize, element: &Element, out: &mut Output) -> Result<()> {
         let shard = self.partitioner.shard_of(&*self.key.eval_ref(&element.tuple)?);
-        let tagged = Element {
-            tuple: element.tuple.append(Value::Int(self.seq as i64)),
-            ts: element.ts,
-            trace: element.trace,
-        };
+        let tagged = element.clone().with_seq(SeqTag::new(self.seq, SeqKind::Last));
         // The counter advances only after the key evaluated: a failed
         // element produces no sequence gap at the merge.
         self.seq += 1;
@@ -74,9 +64,11 @@ impl Operator for ShardSplit {
     }
 
     fn cost_hint(&self) -> Option<std::time::Duration> {
-        // One expression eval + one hash; negligible next to any operator
-        // worth sharding.
-        Some(std::time::Duration::from_nanos(100))
+        // One expression eval, one hash, one pointer copy. Measured: the
+        // ledger's span around `agg.split` in traced `keyed_agg_shard2`
+        // runs has a median of 60–61 ns, of which 25 are the span's own
+        // clock pair (what it reads around a 24 ns filter, less the filter).
+        Some(std::time::Duration::from_nanos(35))
     }
 
     fn selectivity_hint(&self) -> Option<f64> {
@@ -100,6 +92,9 @@ impl StatefulOperator for ShardSplit {
         let mut r = blob.reader_for(SPLIT_STATE_V1)?;
         let seq = r.u64()?;
         r.expect_end()?;
+        if seq > SeqTag::MAX_SEQ {
+            return Err(StateError::Incompatible("split counter beyond the tag's sequence range"));
+        }
         self.seq = seq;
         Ok(())
     }
@@ -109,6 +104,7 @@ impl StatefulOperator for ShardSplit {
 mod tests {
     use super::*;
     use hmts_streams::time::Timestamp;
+    use hmts_streams::value::Value;
 
     fn el(v: i64, micros: u64) -> Element {
         Element::single(v, Timestamp::from_micros(micros))
@@ -125,13 +121,11 @@ mod tests {
         let p = HashPartitioner::new(4);
         assert_eq!(routes.len(), 10);
         for (i, e) in out.elements().iter().enumerate() {
-            // Route matches the partitioner, payload is preserved, the
-            // trailing field is the dense sequence number.
+            // Route matches the partitioner, the payload is the input's
+            // own, the tag is the dense sequence number.
             assert_eq!(routes[i], p.shard_of(&Value::Int(i as i64)));
-            assert_eq!(e.tuple.arity(), 2);
-            assert_eq!(e.tuple.field(0).as_int().unwrap(), i as i64);
-            assert_eq!(e.tuple.field(1).as_int().unwrap(), i as i64);
-            assert_eq!(e.ts, Timestamp::from_micros(i as u64));
+            assert_eq!(e, &el(i as i64, i as u64));
+            assert_eq!(e.seq.position(), Some((i as u64, SeqKind::Last)));
         }
         assert_eq!(s.next_seq(), 10);
     }
@@ -156,5 +150,9 @@ mod tests {
         fresh.restore(blob).unwrap();
         assert_eq!(fresh.next_seq(), 7);
         assert!(fresh.restore(StateBlob::new(9, Vec::new())).is_err());
+        // A counter no tag can carry is refused, not wrapped.
+        let beyond = StateBlob::build(SPLIT_STATE_V1, |w| w.put_u64(SeqTag::MAX_SEQ + 1));
+        assert!(matches!(fresh.restore(beyond), Err(StateError::Incompatible(_))));
+        assert_eq!(fresh.next_seq(), 7);
     }
 }

@@ -3,9 +3,12 @@
 //! engine — multi-threaded, queued, with the remapped partitioning — and
 //! the collected outputs must be identical, element for element.
 
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use hmts::operators::traits::{Operator, Output};
 use hmts::prelude::*;
+use hmts::streams::element::SeqTag;
 use hmts_shard::{remap_partitioning, shard_by_name, ShardSpec};
 
 const KEYS: i64 = 7;
@@ -19,19 +22,35 @@ fn keyed_tuples() -> Vec<(Timestamp, Tuple)> {
         .collect()
 }
 
-/// src → filter → keyed window aggregate → collecting sink.
-fn chain() -> (QueryGraph, SinkHandle) {
+/// src → filter → `op` → collecting sink.
+fn chain_around(op: impl Operator + 'static) -> (QueryGraph, SinkHandle) {
     let (sink, handle) = CollectingSink::new("sink");
     let mut b = GraphBuilder::new();
     let src = b.source(VecSource::new("src", keyed_tuples()));
     let pre = b.op_after(Filter::new("pre", Expr::bool(true)), src);
-    let agg = b.op_after(
+    let op = b.op_after(op, pre);
+    b.op_after(sink, op);
+    (b.build().expect("valid graph"), handle)
+}
+
+/// src → filter → keyed window aggregate → collecting sink.
+fn chain() -> (QueryGraph, SinkHandle) {
+    chain_around(
         WindowAggregate::new("agg", AggregateFunction::Sum(1), Duration::from_millis(5))
             .group_by(Expr::field(0)),
-        pre,
-    );
-    b.op_after(sink, agg);
-    (b.build().expect("valid graph"), handle)
+    )
+}
+
+/// `graph` with `node` sharded `spec`'s way and a partitioning that seats
+/// every replica in a partition of its own.
+fn sharded(graph: QueryGraph, node: &str, spec: &ShardSpec) -> (QueryGraph, Partitioning) {
+    let ids: std::collections::HashMap<String, NodeId> =
+        graph.nodes().iter().map(|n| (n.name.clone(), n.id)).collect();
+    let p = Partitioning::new(vec![vec![ids["pre"]], vec![ids[node], ids["sink"]]]);
+    let rw = shard_by_name(graph, node, spec).unwrap();
+    let p = remap_partitioning(&p, &rw);
+    assert!(p.validate(&rw.graph).is_empty());
+    (rw.graph, p)
 }
 
 fn run(graph: QueryGraph, partitioning: Option<Partitioning>) -> EngineReport {
@@ -58,17 +77,12 @@ fn sharded_engine_output_matches_unsharded() {
 
     // Sharded: rewrite agg into split → 3 replicas → merge, carry a
     // partitioning across so each replica is its own L1 partition.
-    let (graph, sharded) = chain();
-    let ids: std::collections::HashMap<String, NodeId> =
-        graph.nodes().iter().map(|n| (n.name.clone(), n.id)).collect();
-    let p = Partitioning::new(vec![vec![ids["pre"]], vec![ids["agg"], ids["sink"]]]);
-    let rw = shard_by_name(graph, "agg", &ShardSpec::auto(3)).unwrap();
-    let p = remap_partitioning(&p, &rw);
-    assert!(p.validate(&rw.graph).is_empty());
-    let report = run(rw.graph, Some(p));
+    let (graph, collected) = chain();
+    let (graph, p) = sharded(graph, "agg", &ShardSpec::auto(3));
+    let report = run(graph, Some(p));
     assert!(report.errors.is_empty(), "sharded errors: {:?}", report.errors);
-    assert!(sharded.is_done());
-    let actual = sharded.elements();
+    assert!(collected.is_done());
+    let actual = collected.elements();
 
     assert_eq!(actual, expected, "sharded output must be identical to unsharded");
 }
@@ -83,4 +97,59 @@ fn single_replica_shard_is_transparent() {
     let report = run(rw.graph, None);
     assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
     assert_eq!(sharded.elements(), baseline.elements());
+}
+
+/// What a [`Recorder`] (and every replica of it) was handed: arity, tuple
+/// and sequence tag of each input.
+type Seen = Arc<Mutex<Vec<(usize, Tuple, SeqTag)>>>;
+
+/// Passes its input on and notes what it looked like.
+struct Recorder(Seen);
+
+impl Operator for Recorder {
+    fn name(&self) -> &str {
+        "rec"
+    }
+
+    fn process(
+        &mut self,
+        _port: usize,
+        e: &Element,
+        out: &mut Output,
+    ) -> hmts::streams::error::Result<()> {
+        self.0.lock().unwrap().push((e.tuple.arity(), e.tuple.clone(), e.seq));
+        out.push(e.clone());
+        Ok(())
+    }
+
+    fn replicate(&self) -> Option<Box<dyn Operator>> {
+        Some(Box::new(Recorder(Arc::clone(&self.0))))
+    }
+}
+
+#[test]
+fn the_sequence_tag_reaches_neither_the_operator_nor_the_sink() {
+    let seen = Seen::default();
+    let (graph, baseline) = chain_around(Recorder(Arc::clone(&seen)));
+    let report = run(graph, None);
+    assert!(report.errors.is_empty(), "baseline errors: {:?}", report.errors);
+    let mut unsharded = std::mem::take(&mut *seen.lock().unwrap());
+    assert_eq!(unsharded.len() as u64, N);
+
+    let (graph, collected) = chain_around(Recorder(Arc::clone(&seen)));
+    let (graph, p) = sharded(graph, "rec", &ShardSpec::on_key(3, Expr::field(0)));
+    let report = run(graph, Some(p));
+    assert!(report.errors.is_empty(), "sharded errors: {:?}", report.errors);
+    let mut replicas = std::mem::take(&mut *seen.lock().unwrap());
+
+    // Between them the replicas saw the unsharded operator's inputs, arity
+    // and all (in an order of their own: they run in parallel), and not one
+    // sequence tag.
+    assert!(replicas.iter().all(|(arity, _, tag)| *arity == 2 && tag.is_none()));
+    unsharded.sort_by(|a, b| a.1.cmp(&b.1));
+    replicas.sort_by(|a, b| a.1.cmp(&b.1));
+    assert_eq!(replicas, unsharded);
+    // Nor does a tag survive the merge, and the results are the same.
+    assert!(collected.elements().iter().all(|e| e.seq.is_none()));
+    assert_eq!(collected.elements(), baseline.elements());
 }

@@ -219,7 +219,9 @@ impl BlobWriter {
     }
 
     /// Writes an [`Element`] (timestamp + tuple; trace tags are diagnostic
-    /// metadata and deliberately not persisted).
+    /// metadata and deliberately not persisted, and a shard sequence tag
+    /// means something only to the merge that holds the element, which
+    /// writes it down itself).
     pub fn put_element(&mut self, e: &Element) {
         self.put_timestamp(e.ts);
         self.put_tuple(&e.tuple);
@@ -356,8 +358,8 @@ impl<'a> BlobReader<'a> {
         Ok(Tuple::new(values))
     }
 
-    /// Reads an [`Element`] (restored untraced — trace tags are not
-    /// persisted).
+    /// Reads an [`Element`] (restored untraced and untagged — neither tag
+    /// is persisted).
     pub fn element(&mut self) -> Result<Element, StateError> {
         let ts = self.timestamp()?;
         let tuple = self.tuple()?;
@@ -423,6 +425,13 @@ mod tests {
         r.expect_end().unwrap();
         // Canonical-NaN equality from Value makes this a plain comparison.
         assert_eq!(back, e);
+
+        // A sequence tag is not in the blob: same bytes, read back untagged.
+        use hmts_streams::element::{SeqKind, SeqTag};
+        let mut w = BlobWriter::new();
+        w.put_element(&e.clone().with_seq(SeqTag::new(7, SeqKind::More)));
+        assert_eq!(w.finish(), bytes);
+        assert_eq!(back.seq, SeqTag::NONE);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod time;
 pub mod tuple;
 pub mod value;
 
-pub use element::{Element, Message, Punctuation, TraceTag};
+pub use element::{Element, Message, Punctuation, SeqKind, SeqTag, TraceTag};
 pub use error::{Result, StreamError};
 pub use queue::{BackpressurePolicy, QueueMetrics, StreamQueue};
 pub use time::{Clock, ManualClock, SharedClock, SystemClock, Timestamp};

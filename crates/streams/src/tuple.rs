@@ -84,18 +84,14 @@ impl Tuple {
 
     /// Concatenation of two tuples (used by joins to combine probe and build
     /// sides).
+    ///
+    /// Two allocations on purpose, here and in [`Tuple::project`]:
+    /// collecting straight into the `Arc<[Value]>` saves the `Vec` and
+    /// measures slower (EXPERIMENTS.md "Shard hop").
     pub fn concat(&self, other: &Tuple) -> Tuple {
         let mut out = Vec::with_capacity(self.arity() + other.arity());
         out.extend_from_slice(&self.values);
         out.extend_from_slice(&other.values);
-        Tuple { values: out.into() }
-    }
-
-    /// A new tuple with `value` appended.
-    pub fn append(&self, value: impl Into<Value>) -> Tuple {
-        let mut out = Vec::with_capacity(self.arity() + 1);
-        out.extend_from_slice(&self.values);
-        out.push(value.into());
         Tuple { values: out.into() }
     }
 }
@@ -155,15 +151,23 @@ mod tests {
         let t = Tuple::new([10i64, 20, 30]);
         let p = t.project(&[2, 0, 0]).unwrap();
         assert_eq!(p.values(), &[Value::Int(30), Value::Int(10), Value::Int(10)]);
-        assert!(t.project(&[5]).is_err());
+        // The first offending index is reported, however many valid ones
+        // precede it.
+        assert_eq!(t.project(&[5]), Err(StreamError::FieldOutOfBounds { index: 5, arity: 3 }));
+        assert_eq!(
+            t.project(&[1, 3, 9]),
+            Err(StreamError::FieldOutOfBounds { index: 3, arity: 3 })
+        );
+        assert_eq!(t.project(&[]).unwrap(), Tuple::empty());
     }
 
     #[test]
-    fn concat_and_append() {
+    fn concat() {
         let a = Tuple::new([1i64, 2]);
         let b = Tuple::new([3i64]);
         assert_eq!(a.concat(&b).values(), &[Value::Int(1), Value::Int(2), Value::Int(3)]);
-        assert_eq!(a.append(9).values(), &[Value::Int(1), Value::Int(2), Value::Int(9)]);
+        assert_eq!(a.concat(&Tuple::empty()), a);
+        assert_eq!(Tuple::empty().concat(&b), b);
     }
 
     #[test]

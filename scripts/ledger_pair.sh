@@ -7,24 +7,27 @@
 # each side's median [Q1, Q3], the ratio of the medians and how many pairs
 # the change won: the table EXPERIMENTS.md records.
 #
-# The parent is checked out as a git worktree under target/ledger_pair/ and
-# removed again on exit; the two build directories beside it are kept, so a
-# second comparison only rebuilds what changed. The command line, the
+# The parent's files are unpacked (`git archive`) under target/ledger_pair/
+# and removed again on exit; the two build directories beside them are kept,
+# so a second comparison only rebuilds what changed. The command line, the
 # workload names and the metric names come from BENCHMARK.json, which (like
 # perfledger/) this script only reads.
-# Usage: scripts/ledger_pair.sh <parent-ref> [pairs=10] [seconds]
-#   seconds defaults to BENCHMARK.json's run_seconds.
+# Usage: scripts/ledger_pair.sh <parent-ref> [pairs=10] [seconds] [workload...]
+#   seconds: BENCHMARK.json's run_seconds unless given. workload...: names
+#   from BENCHMARK.json to run instead of all of them — ten pairs of all six
+#   take half an hour, ten pairs of one take five minutes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: scripts/ledger_pair.sh <parent-ref> [pairs=10] [seconds]" >&2
+  echo "usage: scripts/ledger_pair.sh <parent-ref> [pairs=10] [seconds] [workload...]" >&2
   exit 2
 }
-[ $# -ge 1 ] && [ $# -le 3 ] || usage
+[ $# -ge 1 ] || usage
 ref=$1
 pairs=${2:-10}
 seconds=${3:-}
+if [ $# -gt 3 ]; then shift 3; else set --; fi # what is left names workloads
 case "$pairs$seconds" in *[!0-9]*) usage ;; esac
 [ "$pairs" -ge 1 ] || usage
 commit=$(git rev-parse --verify --quiet "$ref^{commit}") || {
@@ -35,19 +38,17 @@ commit=$(git rev-parse --verify --quiet "$ref^{commit}") || {
 root=$PWD/target/ledger_pair
 parent=$root/parent
 mkdir -p "$root"
-cleanup() {
-  git worktree remove --force "$parent" 2>/dev/null || true
-  git worktree prune
-}
+cleanup() { rm -rf "$parent"; }
 trap cleanup EXIT
 cleanup
-git worktree add --quiet --detach "$parent" "$commit"
+mkdir "$parent"
+git archive "$commit" | tar -C "$parent" -xf -
 # The benchmark is the same program on both sides; only the engine differs.
 rm -rf "$parent/perfledger"
 mkdir "$parent/perfledger"
 tar -C perfledger --exclude=./target -cf - . | tar -C "$parent/perfledger" -xf -
 
-python3 - "$parent" "$root" "$pairs" "$seconds" "$commit" <<'PY'
+python3 - "$parent" "$root" "$pairs" "$seconds" "$commit" "$@" <<'PY'
 import json
 import os
 import statistics
@@ -55,18 +56,26 @@ import subprocess
 import sys
 import time
 
-parent_dir, root, pairs, seconds, commit = sys.argv[1:]
+parent_dir, root, pairs, seconds, commit, *chosen = sys.argv[1:]
 spec = json.load(open("BENCHMARK.json"))
 pairs = int(pairs)
 seconds = seconds or str(spec["run_seconds"])
 workloads = [w["name"] for w in spec["workloads"]]
-metrics = spec["end_to_end"]
+unknown = [w for w in chosen if w not in workloads]
+if unknown:
+    print(f"error: no workload {', '.join(unknown)} in BENCHMARK.json "
+          f"(it has {', '.join(workloads)})", file=sys.stderr)
+    sys.exit(2)
+workloads = [w for w in workloads if w in chosen] if chosen else workloads
+CALIBRATION = {"name": "(host_speed)", "unit": "ratio", "better": "higher"}
+metrics = spec["end_to_end"] + [CALIBRATION]
 sides = {"parent": parent_dir, "change": os.getcwd()}
 
 
 def run(side, workload, seed, secs):
+    record = os.path.join(root, f"record-{side}.json")
     cmd = spec["command"] + ["--workload", workload, "--seed", str(seed),
-                             "--seconds", secs, "--trace", "0"]
+                             "--seconds", secs, "--trace", "0", "--out", record]
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(root, "build-" + side))
     done = subprocess.run(cmd, cwd=sides[side], env=env, text=True,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -74,7 +83,14 @@ def run(side, workload, seed, secs):
     if not lines:
         sys.exit(f"error: {side} {workload} printed nothing (exit {done.returncode}):\n"
                  + done.stderr[-2000:])
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    # Not an engine metric: what the benchmark measured its own calibration
+    # loop at, which every end-to-end value above is scaled by. The loop is
+    # compiled with the rest of each side's binary, so it can come out
+    # faster on one side; a row that differs here moves all three metrics
+    # of its workload by that much without the engine having changed.
+    result["metrics"][CALIBRATION["name"]] = {"value": json.load(open(record))["host_speed"]}
+    return result
 
 
 for side in sides:
