@@ -118,7 +118,7 @@ impl Pending {
 /// domain executors.
 ///
 /// The hot-path contract: a source polls [`requested`](Self::requested)
-/// once per element (one relaxed load); an executor slot not currently
+/// once per run (one relaxed load); an executor slot not currently
 /// aligning pays one `Option` branch per message. Everything else —
 /// acknowledgements, blob collection, condvar signalling — happens only
 /// while a checkpoint is actually in flight.
@@ -163,7 +163,7 @@ impl CheckpointShared {
     }
 
     /// The barrier id sources should currently inject (0 = none). This is
-    /// the per-element poll — a single relaxed atomic load.
+    /// the poll between two runs — a single relaxed atomic load.
     #[inline]
     pub fn requested(&self) -> u64 {
         self.requested.load(Ordering::Relaxed)

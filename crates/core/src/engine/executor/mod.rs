@@ -55,6 +55,25 @@ impl Waker for crate::engine::sync::Notifier {
     }
 }
 
+/// Moves `msgs` into `queue` and wakes its consumer: the one way a batch
+/// enters a queue whose consumer may be asleep. The wake-up also goes out
+/// each time a full `Block` queue makes the push wait — a pooled consumer
+/// runs only once it is told, and the producer must not wait for room with
+/// a part of the batch queued that nobody has been told about. A closed
+/// queue only happens during teardown; the messages are intentionally
+/// dropped then.
+pub(crate) fn push_and_wake(
+    queue: &StreamQueue,
+    wake: Option<&Arc<dyn Waker>>,
+    msgs: &mut Vec<Message>,
+) {
+    let _ = queue.push_batch(msgs, || {
+        if let Some(w) = wake {
+            w.wake();
+        }
+    });
+}
+
 /// Where an operator's output goes.
 pub enum Target {
     /// Direct interoperability: invoke a successor in the same domain.
@@ -197,10 +216,6 @@ struct Slot {
     state: SlotState,
     /// Output routing, one entry per out-edge, in graph edge order.
     routes: Vec<Route>,
-    /// The route served last by [`DomainExecutor::deliver_outputs`], which
-    /// a broadcast element is moved into instead of cloned for: the first
-    /// inline one if there is any, else the last queue.
-    last_route: usize,
     fault: guard::SlotFault,
     probe: probe::SlotProbe,
     align: align::SlotAlign,
@@ -221,9 +236,6 @@ pub struct DomainExecutor {
     /// The DI chain-reaction work stack: `(slot, port, message)`.
     stack: Vec<(usize, usize, Message)>,
     out: Output,
-    /// `out`'s elements while they are being routed (reused, so routing
-    /// allocates nothing).
-    routing: Vec<Option<Element>>,
     /// `out`'s route tags while its elements are being routed: swapped
     /// with `out`'s own vector, so a splitter's tags re-use two buffers
     /// for ever.
@@ -273,7 +285,6 @@ impl DomainExecutor {
             pending: VecDeque::new(),
             stack: Vec::new(),
             out: Output::new(),
-            routing: Vec::new(),
             route_tags: Vec::new(),
             dirty: Vec::new(),
             view: Vec::new(),
@@ -304,10 +315,22 @@ impl DomainExecutor {
 
     /// Synchronously processes one message through the domain (the DI chain
     /// reaction) and hands what it produced for other domains to their
-    /// queues. Used directly by source-driven execution.
+    /// queues: a batch of one.
     pub fn inject(&mut self, node: NodeId, port: usize, msg: Message) {
         let slot = self.slot_of.get(node);
         self.chain_reaction(slot.ok_or(node), port, msg);
+        self.flush_staged();
+    }
+
+    /// [`inject`](Self::inject) for a run of messages entering at the same
+    /// port, in order — one chain reaction each and, being one batch, one
+    /// flush behind the last. `msgs` is left empty with its capacity
+    /// intact. Used by source-driven execution.
+    pub fn inject_batch(&mut self, node: NodeId, port: usize, msgs: &mut Vec<Message>) {
+        let slot = self.slot_of.get(node).ok_or(node);
+        for msg in msgs.drain(..) {
+            self.chain_reaction(slot, port, msg);
+        }
         self.flush_staged();
     }
 
@@ -364,7 +387,7 @@ impl DomainExecutor {
         let span = self.probe.begin(&mut slot.probe, &el);
         let caught =
             guard::call(&mut *slot.state.op, out, fault, |op, out| op.process(port, &el, out));
-        self.probe.end(&slot.probe, span, matches!(caught, Ok(Ok(()))), &el, out);
+        self.probe.end(&mut slot.probe, span, matches!(caught, Ok(Ok(()))), &el, out);
         if self.settle(i, caught, Some((port, &el))) {
             self.deliver_outputs(i);
         }
@@ -415,60 +438,44 @@ impl DomainExecutor {
         self.error.get_or_insert(e);
     }
 
-    /// Routes everything in `self.out` along slot `i`'s routes: queues in
-    /// forward order (FIFO, staged until the next flush), inline routes
-    /// pushed in reverse so the LIFO stack realizes the paper's depth-first
-    /// traversal. Each element is moved into the last route that takes it
-    /// and cloned only for the others.
+    /// Routes everything in `self.out` along slot `i`'s routes, moving each
+    /// element from the buffer straight to its taker: a queue route's
+    /// staging buffer (FIFO, held until the next flush) or the work stack,
+    /// where the elements of this call end up in reverse so that the LIFO
+    /// pops realize the paper's depth-first traversal — the first element
+    /// through every inline route, in route order, before the second.
     ///
     /// An element tagged with a route (see [`Output::push_routed`]) goes to
     /// exactly one route — the one at the tag's out-edge ordinal, which is
     /// its index in `routes` because both follow graph edge order.
-    /// Untagged elements broadcast to every route, as ever.
+    /// Untagged elements broadcast to every route, as ever: cloned for all
+    /// but the last, which gets the element itself.
     fn deliver_outputs(&mut self, i: usize) {
         if self.out.is_empty() {
             return;
         }
         self.out.swap_routes(&mut self.route_tags);
-        let tags = &self.route_tags;
-        let Slot { routes, last_route, .. } = &mut self.slots[i];
-        let last = *last_route;
-        // Element `idx` for route `ri`, if it takes it: a tagged element
-        // has that one taker, a broadcast one is cloned for every route
-        // but the last.
-        let hand_over = |el: &mut Option<Element>, idx: usize, ri: usize| match tags.get(idx) {
-            Some(&r) if r != Output::BROADCAST => (r as usize == ri).then(|| el.take()).flatten(),
-            _ if ri == last => el.take(),
-            _ => el.clone(),
-        };
-        self.routing.extend(self.out.drain().map(Some));
-        for (ri, route) in routes.iter_mut().enumerate() {
-            if let Route::Queue { staged, .. } = route {
-                for (idx, el) in self.routing.iter_mut().enumerate() {
-                    if let Some(el) = hand_over(el, idx, ri) {
-                        stage(staged, &mut self.dirty, (i, ri), Message::Data(el));
+        let DomainExecutor { out, slots, stack, dirty, error, route_tags: tags, .. } = self;
+        let routes = &mut slots[i].routes;
+        let pushed_from = stack.len();
+        let mut to = Takers { stack, dirty, error };
+        if tags.is_empty() {
+            for el in out.drain() {
+                to.broadcast(routes, i, el);
+            }
+        } else {
+            for (idx, el) in out.drain().enumerate() {
+                match tags.get(idx) {
+                    Some(&r) if r != Output::BROADCAST => {
+                        if let Some(route) = routes.get_mut(r as usize) {
+                            to.give(route, (i, r as usize), el);
+                        }
                     }
+                    _ => to.broadcast(routes, i, el),
                 }
             }
         }
-        for (idx, el) in self.routing.iter_mut().enumerate().rev() {
-            for (ri, route) in routes.iter().enumerate().rev() {
-                match *route {
-                    Route::Inline { slot, port } => {
-                        if let Some(el) = hand_over(el, idx, ri) {
-                            self.stack.push((slot, port, Message::Data(el)));
-                        }
-                    }
-                    Route::Dangling(node) => {
-                        if hand_over(el, idx, ri).is_some() {
-                            self.error.get_or_insert_with(|| no_slot(node));
-                        }
-                    }
-                    Route::Queue { .. } => {}
-                }
-            }
-        }
-        self.routing.clear();
+        stack[pushed_from..].reverse();
     }
 
     /// Sends slot `i`'s pending outputs and then `p` to every successor.
@@ -495,10 +502,9 @@ impl DomainExecutor {
         }
     }
 
-    /// Hands every staged message to its queue: one `push_batch` and one
-    /// wake-up per queue route written since the last flush; then tells the
-    /// sinks that the batch is over, so what they held back goes out in one
-    /// piece. Runs when a popped batch ends and before `inject` /
+    /// Hands every staged message to its queue: one [`push_and_wake`] per
+    /// queue route written since the last flush; then tells the sinks that
+    /// the batch is over, so what they held back goes out in one piece. Runs when a popped batch ends and before `inject` /
     /// `run_slice` return, so nobody outside a slice ever sees output that
     /// is neither in the operator nor in the queue, nor a result that a
     /// sink has taken and not delivered.
@@ -506,12 +512,7 @@ impl DomainExecutor {
         for (i, ri) in self.dirty.drain(..) {
             if let Route::Queue { queue, wake, staged } = &mut self.slots[i].routes[ri] {
                 self.probe.queue_enter(staged, queue);
-                // A closed queue only happens during teardown; the
-                // messages are intentionally dropped then.
-                let _ = queue.push_batch(staged);
-                if let Some(w) = wake {
-                    w.wake();
-                }
+                push_and_wake(queue, wake.as_ref(), staged);
             }
         }
         for k in 0..self.sinks.len() {
@@ -639,6 +640,41 @@ impl DomainExecutor {
         self.input_slots.fill(None);
         self.sinks.clear();
         std::mem::take(&mut self.slots).into_iter().map(|s| s.state).collect()
+    }
+}
+
+/// Where [`DomainExecutor::deliver_outputs`] puts an element, by the kind
+/// of its route.
+struct Takers<'a> {
+    stack: &'a mut Vec<(usize, usize, Message)>,
+    dirty: &'a mut Vec<(usize, usize)>,
+    error: &'a mut Option<StreamError>,
+}
+
+impl Takers<'_> {
+    /// Moves `el` into `route` (`at` = its slot and route index). Inlined
+    /// always: called out of line, the element takes two more trips over
+    /// the stack, which is 2 ns of a 44 ns hop.
+    #[inline(always)]
+    fn give(&mut self, route: &mut Route, at: (usize, usize), el: Element) {
+        match route {
+            Route::Inline { slot, port } => self.stack.push((*slot, *port, Message::Data(el))),
+            Route::Queue { staged, .. } => stage(staged, self.dirty, at, Message::Data(el)),
+            Route::Dangling(node) => {
+                self.error.get_or_insert_with(|| no_slot(*node));
+            }
+        }
+    }
+
+    /// Gives `el` to every route of slot `i`: a copy to each but the last.
+    #[inline(always)]
+    fn broadcast(&mut self, routes: &mut [Route], i: usize, el: Element) {
+        if let Some((last, others)) = routes.split_last_mut() {
+            for (ri, route) in others.iter_mut().enumerate() {
+                self.give(route, (i, ri), el.clone());
+            }
+            self.give(last, (i, others.len()), el);
+        }
     }
 }
 
@@ -771,16 +807,16 @@ mod tests {
         assert_eq!((out.len(), q.len()), (64, 36));
     }
 
-    /// A sink that writes down what it is told, in order: `p` per element,
-    /// `|` per `end_batch`.
+    /// A sink that writes down what it is told, in order: an element's
+    /// value, `|` per `end_batch`.
     struct BatchLog(Arc<parking_lot::Mutex<String>>);
 
     impl Operator for BatchLog {
         fn name(&self) -> &str {
             "log"
         }
-        fn process(&mut self, _: usize, _: &Element, _: &mut Output) -> Result<(), StreamError> {
-            self.0.lock().push('p');
+        fn process(&mut self, _: usize, el: &Element, _: &mut Output) -> Result<(), StreamError> {
+            self.0.lock().push_str(&el.tuple.field(0).as_int()?.to_string());
             Ok(())
         }
         fn end_batch(&mut self) {
@@ -810,14 +846,14 @@ mod tests {
         // Source-driven: every `inject` is a batch of one.
         exec.inject(NodeId(2), 0, data(1, 1));
         exec.inject(NodeId(2), 0, data(2, 2));
-        assert_eq!(*log.lock(), "p|p|");
+        assert_eq!(*log.lock(), "1|2|");
         // Queue-driven: one call per popped batch, after its last element.
         log.lock().clear();
         for v in 0..6 {
             q.push(data(v, v as u64)).unwrap();
         }
         assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
-        assert_eq!(*log.lock(), "pppp|pp|");
+        assert_eq!(*log.lock(), "0123|45|");
         // A checkpoint barrier is the end of a batch too: what came before
         // the cut is out before the sink acknowledges it.
         log.lock().clear();
@@ -825,7 +861,7 @@ mod tests {
         q.push(Message::Punct(Punctuation::Barrier(1))).unwrap();
         q.push(data(8, 8)).unwrap();
         assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
-        assert_eq!(*log.lock(), "p|p|");
+        assert_eq!(*log.lock(), "7|8|");
         // A closed sink is left alone.
         log.lock().clear();
         q.push(Message::eos()).unwrap();
@@ -1302,6 +1338,111 @@ mod tests {
             handle.elements().iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect();
         assert_eq!(sunk, [1, 4, 6, 7]);
         assert!(handle.is_done());
+    }
+
+    /// Turns the value `v` into three outputs: `10v` for out-edge 0, `10v + 1`
+    /// for everyone, `10v + 2` for out-edge 1 — the middle one by `emit`.
+    struct RoutedEmitRouted;
+
+    impl Operator for RoutedEmitRouted {
+        fn name(&self) -> &str {
+            "routed-emit-routed"
+        }
+
+        fn process(
+            &mut self,
+            _port: usize,
+            el: &Element,
+            out: &mut Output,
+        ) -> hmts_streams::error::Result<()> {
+            let v = 10 * el.tuple.field(0).as_int()?;
+            out.push_routed(0, Element::single(v, el.ts));
+            out.emit(Tuple::single(v + 1), el.ts);
+            out.push_routed(1, Element::single(v + 2, el.ts));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_emitted_tuple_between_two_routed_ones_is_a_broadcast() {
+        let (a, b) = (StreamQueue::unbounded("a"), StreamQueue::unbounded("b"));
+        let targets = vec![
+            Target::Queue { queue: Arc::clone(&a), wake: None },
+            Target::Queue { queue: Arc::clone(&b), wake: None },
+        ];
+        let mut exec = DomainExecutor::new(
+            "d",
+            vec![slot(1, Box::new(RoutedEmitRouted), targets)],
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        exec.inject(NodeId(1), 0, data(1, 1));
+        exec.inject(NodeId(1), 0, data(2, 2));
+        assert_eq!(contents(&a), ["10", "11", "20", "21"]);
+        assert_eq!(contents(&b), ["11", "12", "21", "22"]);
+    }
+
+    /// 1 -> {queue `out` (counted wake-ups), sink 2 (a [`BatchLog`])}.
+    fn forked_stage(
+    ) -> (DomainExecutor, Arc<StreamQueue>, Arc<CountWaker>, Arc<parking_lot::Mutex<String>>) {
+        let out = StreamQueue::unbounded("out");
+        let waker = Arc::new(CountWaker::default());
+        let log = Arc::new(parking_lot::Mutex::new(String::new()));
+        let targets = vec![
+            Target::Queue {
+                queue: Arc::clone(&out),
+                wake: Some(Arc::clone(&waker) as Arc<dyn Waker>),
+            },
+            Target::Inline { node: NodeId(2), port: 0 },
+        ];
+        let exec = DomainExecutor::new(
+            "d",
+            vec![
+                slot(1, pass_all(), targets),
+                slot(2, Box::new(BatchLog(Arc::clone(&log))), vec![]),
+            ],
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        (exec, out, waker, log)
+    }
+
+    #[test]
+    fn a_batch_injected_is_its_messages_injected_with_one_flush_behind_them() {
+        let run = || {
+            let mut msgs: Vec<Message> = (1..=4).map(|v| data(v, v as u64)).collect();
+            msgs.insert(2, Message::Punct(Punctuation::Watermark(Timestamp::from_micros(2))));
+            msgs.push(Message::eos());
+            msgs
+        };
+        let (mut one_by_one, out_a, wakes_a, log_a) = forked_stage();
+        for msg in run() {
+            one_by_one.inject(NodeId(1), 0, msg);
+        }
+        let (mut batched, out_b, wakes_b, log_b) = forked_stage();
+        let mut msgs = run();
+        batched.inject_batch(NodeId(1), 0, &mut msgs);
+        assert!(msgs.is_empty() && msgs.capacity() >= 6, "drained, storage kept");
+        // The same messages in the queue, the same elements at the sink in
+        // the same order — and the hand-overs once instead of per message.
+        assert_eq!(contents(&out_a), ["1", "2", "W", "3", "4", "E"]);
+        assert_eq!(contents(&out_b), ["1", "2", "W", "3", "4", "E"]);
+        assert_eq!(log_a.lock().replace('|', ""), "1234");
+        assert_eq!(*log_b.lock(), "1234");
+        assert_eq!(wakes_a.0.load(Ordering::Relaxed), 6);
+        assert_eq!(wakes_b.0.load(Ordering::Relaxed), 1);
+        assert!(one_by_one.is_finished() && batched.is_finished());
+        // While the sink is open, the batch's one `end_batch` comes last.
+        let (mut batched, _, _, log) = forked_stage();
+        batched.inject_batch(NodeId(1), 0, &mut vec![data(5, 5), data(6, 6)]);
+        assert_eq!(*log.lock(), "56|");
+        // A batch for a node the domain does not host is one error (and a
+        // batch that ended, all the same).
+        batched.inject_batch(NodeId(9), 0, &mut vec![data(7, 7), data(8, 8)]);
+        assert_eq!(batched.error(), Some(&StreamError::Other("no slot for node n9".into())));
+        assert_eq!(*log.lock(), "56||");
     }
 
     /// An operator whose only output is produced at flush time (the count

@@ -24,7 +24,7 @@ use hmts_streams::element::{Element, Message};
 use hmts_streams::queue::StreamQueue;
 
 use super::InputQueue;
-use crate::stats::SharedNodeStats;
+use crate::stats::{SharedNodeStats, StatsWriter};
 
 /// A slot times its first invocation and every `COST_STRIDE`-th after it.
 /// Deliberately not a multiple of `ExecConfig::batch` (32 by default, and
@@ -35,7 +35,10 @@ pub const COST_STRIDE: u32 = 31;
 
 /// What observes one slot.
 pub(super) struct SlotProbe {
-    stats: Option<SharedNodeStats>,
+    /// The slot's statistics cell, through the mirror its one writer — the
+    /// executor — keeps: seeded from the cell when the slot is wired, so
+    /// the counts run on across a mode switch.
+    stats: Option<StatsWriter>,
     latency: Option<Histogram>,
     /// Whether invocations are timed at all: a statistics cell under
     /// `ExecConfig::measure`, or a latency histogram.
@@ -55,6 +58,7 @@ impl SlotProbe {
         operator: &str,
     ) -> SlotProbe {
         let timed = (measure && stats.is_some()) || latency.is_some();
+        let stats = stats.map(StatsWriter::new);
         SlotProbe { stats, latency, timed, untimed: 0, site: Arc::from(operator) }
     }
 
@@ -122,7 +126,7 @@ impl Probe {
     #[inline]
     pub(super) fn end(
         &self,
-        slot: &SlotProbe,
+        slot: &mut SlotProbe,
         span: Span,
         ok: bool,
         el: &Element,
@@ -135,7 +139,7 @@ impl Probe {
         if !ok {
             return;
         }
-        if let Some(stats) = &slot.stats {
+        if let Some(stats) = &mut slot.stats {
             stats.observe(el.ts, cost, out.len() as u64);
         }
         if let (Some(h), Some(c)) = (&slot.latency, cost) {

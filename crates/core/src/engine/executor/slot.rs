@@ -83,10 +83,6 @@ impl SlotInit {
                 wm: self.wm,
                 closed: self.closed,
             },
-            last_route: routes
-                .iter()
-                .position(|r| !matches!(r, Route::Queue { .. }))
-                .unwrap_or(routes.len().saturating_sub(1)),
             routes,
             fault: self.chaos,
             align: Default::default(),

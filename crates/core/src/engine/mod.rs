@@ -515,6 +515,7 @@ impl Engine {
                 self.cfg.measure_stats.then(|| Arc::clone(&self.stats[id.0])),
                 SourceDriverConfig {
                     pace: self.cfg.pace_sources,
+                    batch: self.cfg.batch,
                     sample_every: self.cfg.timeline_sample_every,
                     watermark_interval: self.cfg.watermark_interval,
                     trace: obs.tracer().map(|t| SourceTrace { tracer: t, source: id.0 as u32 }),

@@ -19,16 +19,15 @@ use hmts_graph::graph::NodeId;
 use hmts_obs::trace::{trace_id, NO_PARTITION};
 use hmts_obs::{HopKind, Tracer};
 use hmts_operators::traits::Source;
-use hmts_streams::element::{Element, Message, TraceTag};
+use hmts_streams::element::{Element, Message, Punctuation, TraceTag};
 use hmts_streams::metrics::TimeSeries;
 use hmts_streams::queue::StreamQueue;
 use hmts_streams::time::{SharedClock, Timestamp};
-use hmts_streams::tuple::Tuple;
 
 use crate::checkpoint::CheckpointShared;
-use crate::engine::executor::{Budget, DomainExecutor, Waker};
+use crate::engine::executor::{push_and_wake, Budget, DomainExecutor, ExecConfig, Waker};
 use crate::engine::sync::{PauseGate, StopFlag};
-use crate::stats::SharedNodeStats;
+use crate::stats::{SharedNodeStats, StatsWriter};
 
 /// Where a source delivers its elements.
 pub enum SourceTarget {
@@ -131,8 +130,12 @@ pub struct SourceDriverConfig {
     /// Sleep/spin until each element's due time (false = emit as fast as
     /// possible, for pure-throughput benchmarks).
     pub pace: bool,
-    /// Record a timeline point every `n` elements (0 = auto from the
-    /// source's size hint).
+    /// Most elements pulled from the source at once, and so the longest
+    /// run (the engine passes its `EngineConfig::batch`).
+    pub batch: usize,
+    /// Record a timeline point at the end of every run in which the
+    /// emitted count passed a multiple of `n` (0 = auto from the source's
+    /// size hint).
     pub sample_every: u64,
     /// Emit a watermark each time stream time advances by this much (the
     /// watermark equals the last emitted element's timestamp — valid
@@ -145,8 +148,8 @@ pub struct SourceDriverConfig {
     /// each time a watermark is emitted (`None` = not reported).
     pub watermark_lag: Option<hmts_obs::Gauge>,
     /// Barrier-checkpoint coordination (`None` = checkpointing off; with
-    /// it on, the emission loop pays one relaxed atomic load per element
-    /// to poll for a newly requested barrier).
+    /// it on, the emission loop pays one relaxed atomic load per run to
+    /// poll for a newly requested barrier).
     pub checkpoint: Option<Arc<CheckpointShared>>,
 }
 
@@ -154,6 +157,7 @@ impl Default for SourceDriverConfig {
     fn default() -> Self {
         SourceDriverConfig {
             pace: true,
+            batch: ExecConfig::default().batch,
             sample_every: 0,
             watermark_interval: None,
             trace: None,
@@ -191,6 +195,16 @@ pub fn pace_until_or_stop(
 }
 
 /// Spawns the thread driving one source.
+///
+/// The unit of delivery is the *run*: the elements pulled from the source
+/// ([`Source::next_batch`], up to `cfg.batch`) that are already due — all of
+/// them when unpaced; when paced, after waiting for the first, every one
+/// whose due time has passed, so a source slower than its consumers
+/// delivers runs of one, each on time. A run is handed to each target in
+/// one piece. The pause gate, the stop flag and the checkpoint barrier are
+/// looked at between runs, and every punctuation (watermark, barrier,
+/// end-of-stream) is a run of its own between two data runs, so it sits in
+/// the stream exactly behind the elements counted before it.
 #[allow(clippy::too_many_arguments)]
 pub fn spawn_source(
     mut source: Box<dyn Source>,
@@ -206,10 +220,19 @@ pub fn spawn_source(
     std::thread::Builder::new()
         .name(format!("hmts-src-{name}"))
         .spawn(move || {
+            let batch = cfg.batch.max(1);
             let sample_every = if cfg.sample_every > 0 {
                 cfg.sample_every
             } else {
                 (source.size_hint().unwrap_or(0) / 4096).max(1)
+            };
+            let mut stats = stats.map(StatsWriter::new);
+            let mut out = Delivery {
+                shared: &shared,
+                trace: cfg.trace.as_ref(),
+                stop: &stop,
+                run: Vec::with_capacity(batch),
+                copy: Vec::new(),
             };
             // Start from the restored offset (0 on a fresh run): after
             // `Engine::restore_checkpoint` seeded `resume_from`, the counts
@@ -220,59 +243,79 @@ pub fn spawn_source(
             // after a checkpoint already finished (plan-switch re-wiring)
             // does not inject a barrier for it retroactively.
             let mut last_barrier = cfg.checkpoint.as_ref().map(|ck| ck.requested()).unwrap_or(0);
-            while let Some(element) = source.next_element() {
-                let (due, tuple) = (element.ts, element.tuple);
+            // Pulled and not yet delivered, the next one due at the back.
+            let mut pulled: Vec<Element> = Vec::with_capacity(batch);
+            let mut exhausted = false;
+            loop {
+                if pulled.is_empty() {
+                    if exhausted {
+                        break;
+                    }
+                    exhausted = !source.next_batch(batch, &mut pulled);
+                    pulled.reverse();
+                    continue;
+                }
                 gate.checkpoint();
                 if stop.is_stopped() {
                     break;
                 }
-                // Barrier injection point: one relaxed load per element
-                // when checkpointing is on, one `Option` branch when off.
+                // Barrier injection point: one relaxed load per run when
+                // checkpointing is on, one `Option` branch when off.
                 if let Some(ck) = &cfg.checkpoint {
-                    inject_barrier(ck, &mut last_barrier, &shared, &name, emitted, &stop);
+                    inject_barrier(ck, &mut last_barrier, &mut out, &name, emitted);
                 }
-                if cfg.pace {
-                    pace_until_or_stop(clock.as_ref(), due, Some(&stop));
+                let due_by = if cfg.pace {
+                    let first = pulled.last().expect("checked non-empty").ts;
+                    pace_until_or_stop(clock.as_ref(), first, Some(&stop));
                     if stop.is_stopped() {
                         break;
                     }
-                }
-                if let Some(s) = &stats {
-                    s.observe(due, None, 1);
-                }
-                // A tag that arrived with the element (wire-carried, v2
-                // frames) wins: the tuple's trace began in another process
-                // and must stay on that id. Otherwise, deterministic 1-in-N
-                // sampling keyed off the source-local sequence number:
-                // untraced elements carry TraceTag::NONE and cost one
-                // branch here.
-                let tag = if element.trace.is_sampled() {
-                    element.trace
+                    clock.now()
                 } else {
-                    match &cfg.trace {
-                        Some(st) if st.tracer.sampled(emitted) => {
-                            TraceTag::new(trace_id(st.source, emitted))
-                        }
-                        _ => TraceTag::NONE,
-                    }
+                    Timestamp::MAX
                 };
-                deliver(&shared, due, tuple, tag, cfg.trace.as_ref(), &stop);
-                if let Some(interval) = cfg.watermark_interval {
-                    if due.since(last_watermark) >= interval {
-                        last_watermark = due;
-                        let wm = Message::Punct(hmts_streams::element::Punctuation::Watermark(due));
-                        for t in shared.targets.read().iter() {
-                            send(t, wm.clone(), None, &stop);
+                // The run ends early behind an element that a watermark
+                // has to follow.
+                let mut watermark = None;
+                while pulled.last().is_some_and(|el| el.ts <= due_by) {
+                    let mut el = pulled.pop().expect("just looked at it");
+                    let due = el.ts;
+                    if let Some(s) = &mut stats {
+                        s.observe(due, None, 1);
+                    }
+                    // A tag that arrived with the element (wire-carried, v2
+                    // frames) wins: the tuple's trace began in another
+                    // process and must stay on that id. Otherwise,
+                    // deterministic 1-in-N sampling keyed off the
+                    // source-local sequence number: untraced elements carry
+                    // TraceTag::NONE and cost one branch here.
+                    if let (false, Some(st)) = (el.trace.is_sampled(), &cfg.trace) {
+                        let seq = emitted + out.run.len() as u64;
+                        if st.tracer.sampled(seq) {
+                            el.trace = TraceTag::new(trace_id(st.source, seq));
                         }
-                        if let Some(g) = &cfg.watermark_lag {
-                            let lag = clock.now().since(due);
-                            g.set(lag.as_millis().min(i64::MAX as u128) as i64);
-                        }
+                    }
+                    out.run.push(Message::Data(el));
+                    if cfg.watermark_interval.is_some_and(|i| due.since(last_watermark) >= i) {
+                        watermark = Some(due);
+                        break;
                     }
                 }
-                emitted += 1;
+                let before = emitted;
+                emitted += out.run.len() as u64;
+                out.deliver();
                 shared.emitted.store(emitted, Ordering::Release);
-                if emitted % sample_every == 0 {
+                if let Some(wm) = watermark {
+                    last_watermark = wm;
+                    out.punctuate(Punctuation::Watermark(wm));
+                    if let Some(g) = &cfg.watermark_lag {
+                        let lag = clock.now().since(wm);
+                        g.set(lag.as_millis().min(i64::MAX as u128) as i64);
+                    }
+                }
+                // At most one point per run, at its end: the curve's points
+                // are `(now, delivered by now)`, never interpolated.
+                if emitted / sample_every != before / sample_every {
                     shared.timeline.lock().record(clock.now(), emitted as f64);
                 }
             }
@@ -281,13 +324,11 @@ pub fn spawn_source(
             // narrowing the window in which a finishing source would
             // otherwise force an alignment timeout.
             if let Some(ck) = &cfg.checkpoint {
-                inject_barrier(ck, &mut last_barrier, &shared, &name, emitted, &stop);
+                inject_barrier(ck, &mut last_barrier, &mut out, &name, emitted);
             }
             // Final timeline point, then end-of-stream on every target.
             shared.timeline.lock().record(clock.now(), emitted as f64);
-            for t in shared.targets.read().iter() {
-                send(t, Message::eos(), None, &stop);
-            }
+            out.punctuate(Punctuation::EndOfStream);
             shared.done.store(true, Ordering::Release);
             gate.deregister();
         })
@@ -300,10 +341,9 @@ pub fn spawn_source(
 fn inject_barrier(
     ck: &Arc<CheckpointShared>,
     last_barrier: &mut u64,
-    shared: &SourceShared,
+    out: &mut Delivery<'_>,
     name: &str,
     emitted: u64,
-    stop: &Arc<StopFlag>,
 ) {
     let id = ck.requested();
     if id == *last_barrier {
@@ -313,58 +353,77 @@ fn inject_barrier(
     if id == 0 {
         return;
     }
-    let barrier = Message::Punct(hmts_streams::element::Punctuation::Barrier(id));
-    for t in shared.targets.read().iter() {
-        send(t, barrier.clone(), None, stop);
-    }
+    out.punctuate(Punctuation::Barrier(id));
     ck.ack_source(id, name, emitted);
 }
 
-fn deliver(
-    shared: &SourceShared,
-    due: Timestamp,
-    tuple: Tuple,
-    tag: TraceTag,
-    trace: Option<&SourceTrace>,
-    stop: &Arc<StopFlag>,
-) {
-    let targets = shared.targets.read();
-    let msg = |t: Tuple| Message::Data(Element::new(t, due).with_trace(tag));
-    match targets.as_slice() {
-        [] => {}
-        [only] => send(only, msg(tuple), trace, stop),
-        many => {
-            for t in many {
-                send(t, msg(tuple.clone()), trace, stop);
+/// The one way anything leaves a source thread: a run of messages, to every
+/// current target.
+struct Delivery<'a> {
+    shared: &'a SourceShared,
+    trace: Option<&'a SourceTrace>,
+    stop: &'a Arc<StopFlag>,
+    /// The run being gathered; empty between two deliveries.
+    run: Vec<Message>,
+    /// The run once more, for every target but the last (kept, so fan-out
+    /// allocates nothing either).
+    copy: Vec<Message>,
+}
+
+impl Delivery<'_> {
+    /// Hands the gathered run to every target (the targets are read once
+    /// per run: a mode switch swaps them while the source is parked between
+    /// two). Per target that is one [`push_and_wake`], or one executor lock
+    /// and one [`DomainExecutor::inject_batch`].
+    fn deliver(&mut self) {
+        let Delivery { shared, trace, stop, run, copy } = self;
+        if let Some((last, others)) = shared.targets.read().split_last() {
+            for target in others {
+                copy.extend(run.iter().cloned());
+                send(target, copy, *trace, stop);
             }
+            send(last, run, *trace, stop);
         }
+        run.clear();
+    }
+
+    /// A punctuation is a run of one, between two data runs.
+    fn punctuate(&mut self, p: Punctuation) {
+        debug_assert!(self.run.is_empty());
+        self.run.push(Message::Punct(p));
+        self.deliver();
     }
 }
 
-fn send(target: &SourceTarget, msg: Message, trace: Option<&SourceTrace>, stop: &Arc<StopFlag>) {
+/// Moves `run` into `target`, leaving it empty with its capacity.
+fn send(
+    target: &SourceTarget,
+    run: &mut Vec<Message>,
+    trace: Option<&SourceTrace>,
+    stop: &Arc<StopFlag>,
+) {
     match target {
         SourceTarget::Queue { queue, wake, .. } => {
-            if let (Some(st), Message::Data(el)) = (trace, &msg) {
-                if el.trace.is_sampled() {
-                    st.tracer.record_site(
-                        el.trace.id(),
-                        HopKind::QueueEnter,
-                        queue.name(),
-                        NO_PARTITION,
-                    );
+            if let Some(st) = trace {
+                for el in run.iter().filter_map(Message::as_data) {
+                    if el.trace.is_sampled() {
+                        st.tracer.record_site(
+                            el.trace.id(),
+                            HopKind::QueueEnter,
+                            queue.name(),
+                            NO_PARTITION,
+                        );
+                    }
                 }
             }
-            let _ = queue.push(msg);
-            if let Some(w) = wake {
-                w.wake();
-            }
+            push_and_wake(queue, wake.as_ref(), run);
         }
         SourceTarget::Direct { exec, node, port } => {
-            // The chain reaction runs in this source thread. Afterwards,
+            // The chain reactions run in this source thread. Afterwards,
             // drain any queues internal to the domain so a multi-VO
             // source-driven domain still makes progress.
             let mut e = exec.lock();
-            e.inject(*node, *port, msg);
+            e.inject_batch(*node, *port, run);
             if e.has_work() {
                 let budget = Budget { stop: Some(Arc::clone(stop)), ..Budget::default() };
                 e.run_slice(&budget);
@@ -389,32 +448,71 @@ mod tests {
         Arc::new(SystemClock::new())
     }
 
+    fn queue_target(q: &Arc<StreamQueue>) -> SourceTarget {
+        SourceTarget::Queue { queue: Arc::clone(q), wake: None, port: 0 }
+    }
+
     #[test]
     fn source_pushes_to_queue_and_signals_eos() {
+        // Five unpaced elements pulled `batch` at a time are runs of
+        // `batch`; asked for a point per element, the timeline gets one
+        // per run — at the run's end, holding the count delivered by then
+        // — and the final point.
+        for (batch, points) in
+            [(1, vec![1, 2, 3, 4, 5, 5]), (2, vec![2, 4, 5, 5]), (32, vec![5, 5])]
+        {
+            let q = StreamQueue::unbounded("q");
+            let shared = SourceShared::new(NodeId(0), "s");
+            shared.set_targets(vec![queue_target(&q)]);
+            let h = spawn_source(
+                Box::new(VecSource::counting("s", 5, 1_000_000.0)),
+                Arc::clone(&shared),
+                shared_clock(),
+                Arc::new(PauseGate::new()),
+                Arc::new(StopFlag::new()),
+                None,
+                SourceDriverConfig {
+                    pace: false,
+                    batch,
+                    sample_every: 1,
+                    ..SourceDriverConfig::default()
+                },
+            );
+            h.join().unwrap();
+            assert_eq!(shared.emitted(), 5);
+            assert!(shared.is_done());
+            assert_eq!(q.len(), 6); // 5 data + EOS
+            let timeline = shared.timeline();
+            let counts: Vec<u64> = timeline.samples().iter().map(|&(_, n)| n as u64).collect();
+            assert_eq!(counts, points, "batch {batch}");
+            assert!(timeline.samples().windows(2).all(|w| w[0].0 <= w[1].0), "time runs forward");
+        }
+    }
+
+    #[test]
+    fn a_sparse_timeline_takes_the_runs_that_cross_a_sample_boundary() {
+        // 20 elements in runs of 7, a point every 10: the runs end at 7,
+        // 14, 20, and the second and third cross a multiple of ten.
         let q = StreamQueue::unbounded("q");
         let shared = SourceShared::new(NodeId(0), "s");
-        shared.set_targets(vec![SourceTarget::Queue {
-            queue: Arc::clone(&q),
-            wake: None,
-            port: 0,
-        }]);
-        let src = VecSource::counting("s", 5, 1_000_000.0);
-        let gate = Arc::new(PauseGate::new());
-        let stop = Arc::new(StopFlag::new());
+        shared.set_targets(vec![queue_target(&q)]);
         let h = spawn_source(
-            Box::new(src),
+            Box::new(VecSource::counting("s", 20, 1_000_000.0)),
             Arc::clone(&shared),
             shared_clock(),
-            gate,
-            stop,
+            Arc::new(PauseGate::new()),
+            Arc::new(StopFlag::new()),
             None,
-            SourceDriverConfig { pace: false, sample_every: 1, ..SourceDriverConfig::default() },
+            SourceDriverConfig {
+                pace: false,
+                batch: 7,
+                sample_every: 10,
+                ..SourceDriverConfig::default()
+            },
         );
         h.join().unwrap();
-        assert_eq!(shared.emitted(), 5);
-        assert!(shared.is_done());
-        assert_eq!(q.len(), 6); // 5 data + EOS
-        assert_eq!(shared.timeline().len(), 6); // 5 samples + final
+        let counts: Vec<u64> = shared.timeline().samples().iter().map(|&(_, n)| n as u64).collect();
+        assert_eq!(counts, [14, 20, 20]);
     }
 
     #[test]
@@ -558,5 +656,183 @@ mod tests {
         h.join().unwrap();
         assert!(shared.is_done()); // EOS still delivered
         assert!(shared.emitted() < 1000);
+    }
+
+    /// A sink that notes, per element, how long before its due time it
+    /// arrived (zero when on time or late).
+    struct Early(SharedClock, Arc<Mutex<Vec<Duration>>>);
+
+    impl hmts_operators::traits::Operator for Early {
+        fn name(&self) -> &str {
+            "early"
+        }
+        fn process(
+            &mut self,
+            _port: usize,
+            el: &Element,
+            _out: &mut hmts_operators::traits::Output,
+        ) -> hmts_streams::error::Result<()> {
+            self.1.lock().push(el.ts.since(self.0.now()));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn no_element_is_delivered_before_it_is_due() {
+        // 20 000 el/s pulled 32 at a time: a pull holds 1.6 ms of schedule,
+        // none of which may go out ahead of its time.
+        let clock = shared_clock();
+        let early = Arc::new(Mutex::new(Vec::new()));
+        let slots = vec![SlotInit::new(
+            crate::engine::executor::SlotState::new(
+                NodeId(1),
+                Box::new(Early(Arc::clone(&clock), Arc::clone(&early))),
+            ),
+            vec![],
+        )];
+        let exec = Arc::new(Mutex::new(DomainExecutor::new(
+            "d",
+            slots,
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        )));
+        let shared = SourceShared::new(NodeId(0), "s");
+        shared.set_targets(vec![SourceTarget::Direct { exec, node: NodeId(1), port: 0 }]);
+        let h = spawn_source(
+            Box::new(VecSource::counting("s", 200, 20_000.0)),
+            Arc::clone(&shared),
+            clock,
+            Arc::new(PauseGate::new()),
+            Arc::new(StopFlag::new()),
+            None,
+            SourceDriverConfig::default(),
+        );
+        h.join().unwrap();
+        let early = early.lock();
+        assert_eq!(early.len(), 200);
+        assert_eq!(early.iter().max(), Some(&Duration::ZERO), "earliest arrival vs. its due time");
+    }
+
+    /// Spins (yielding) until `cond` holds; panics after five seconds.
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn pause_and_stop_are_honoured_between_runs_not_between_pulls() {
+        // 1 000 el/s, pulled 32 at a time: a paced run is one element, so
+        // the source parks — and later stops — within about a millisecond,
+        // with most of what it pulled still in hand.
+        let q = StreamQueue::unbounded("q");
+        let shared = SourceShared::new(NodeId(0), "s");
+        shared.set_targets(vec![queue_target(&q)]);
+        let (gate, stop) = (Arc::new(PauseGate::new()), Arc::new(StopFlag::new()));
+        let h = spawn_source(
+            Box::new(VecSource::counting("s", 10_000, 1_000.0)),
+            Arc::clone(&shared),
+            shared_clock(),
+            Arc::clone(&gate),
+            Arc::clone(&stop),
+            None,
+            SourceDriverConfig::default(),
+        );
+        wait_for("the first elements", || shared.emitted() >= 3);
+        gate.pause_and_wait();
+        let parked_at = shared.emitted();
+        assert!(parked_at < 32, "parked after {parked_at} elements, inside its first pull");
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(shared.emitted(), parked_at, "nothing is delivered while parked");
+        assert_eq!(q.len() as u64, parked_at);
+        gate.resume();
+        wait_for("delivery to go on", || shared.emitted() > parked_at);
+        stop.stop();
+        h.join().unwrap();
+        let stopped_at = shared.emitted();
+        assert!(stopped_at < 64, "stopped after {stopped_at} elements, within two pulls");
+        assert_eq!(q.len() as u64, stopped_at + 1, "what was emitted, then EOS");
+        assert!(shared.is_done());
+    }
+
+    /// A source that asks for checkpoint 1 once it has handed over `at`
+    /// elements — a request that arrives while the driver holds a pulled
+    /// batch.
+    struct RequestsCheckpoint {
+        inner: VecSource,
+        handed: usize,
+        at: usize,
+        ck: Arc<CheckpointShared>,
+    }
+
+    impl Source for RequestsCheckpoint {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn next(&mut self) -> Option<(Timestamp, hmts_streams::tuple::Tuple)> {
+            self.inner.next()
+        }
+        fn next_batch(&mut self, max: usize, out: &mut Vec<Element>) -> bool {
+            let before = out.len();
+            let more = self.inner.next_batch(max, out);
+            let handed = self.handed + out.len() - before;
+            if self.handed < self.at && handed >= self.at {
+                self.ck.begin(1, 1, 0);
+            }
+            self.handed = handed;
+            more
+        }
+    }
+
+    #[test]
+    fn a_barrier_sits_exactly_behind_the_offset_it_acknowledges() {
+        for batch in [1, 7, 32] {
+            let ck = CheckpointShared::new(hmts_obs::Obs::disabled());
+            let q = StreamQueue::unbounded("q");
+            let shared = SourceShared::new(NodeId(0), "s");
+            shared.set_targets(vec![queue_target(&q)]);
+            let source = RequestsCheckpoint {
+                inner: VecSource::counting("s", 100, 1_000_000.0),
+                handed: 0,
+                at: 50,
+                ck: Arc::clone(&ck),
+            };
+            let h = spawn_source(
+                Box::new(source),
+                Arc::clone(&shared),
+                shared_clock(),
+                Arc::new(PauseGate::new()),
+                Arc::new(StopFlag::new()),
+                None,
+                SourceDriverConfig {
+                    pace: false,
+                    batch,
+                    checkpoint: Some(Arc::clone(&ck)),
+                    ..SourceDriverConfig::default()
+                },
+            );
+            h.join().unwrap();
+            let (sources, _) = ck.wait_aligned(1, Duration::ZERO).expect("the source acknowledged");
+            let [(name, offset)] = sources.as_slice() else {
+                panic!("one acknowledgement, got {sources:?}");
+            };
+            assert_eq!(name, "s");
+            assert!((1..100).contains(offset), "batch {batch}: mid-stream, at {offset}");
+            // In the queue: values 0..offset, the barrier, the rest, EOS.
+            let msgs = q.drain();
+            let barrier_at =
+                msgs.iter().position(|m| matches!(m, Message::Punct(Punctuation::Barrier(1))));
+            assert_eq!(barrier_at, Some(*offset as usize), "batch {batch}");
+            let values: Vec<i64> = msgs
+                .iter()
+                .filter_map(Message::as_data)
+                .map(|el| el.tuple.field(0).as_int().unwrap())
+                .collect();
+            assert_eq!(values, (0..100).collect::<Vec<_>>(), "batch {batch}");
+            assert!(msgs.last().unwrap().is_eos());
+        }
     }
 }

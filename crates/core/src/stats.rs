@@ -54,10 +54,10 @@ fn estimate(bits: u64) -> Option<f64> {
 /// atomic of its own.
 ///
 /// The cell has **one writer at a time** — the thread holding the node's
-/// executor, or the source's own thread; a mode switch hands it over with
-/// the executor — so [`observe`](Self::observe) is plain loads and stores,
-/// no read-modify-write and no lock, and every element is visible to
-/// [`snapshot`](Self::snapshot) the moment it is booked. A reader running
+/// executor, or the source's own thread, through a [`StatsWriter`]; a mode
+/// switch hands it over with the executor — so booking an element is plain
+/// stores, no read-modify-write and no lock, and every element is visible
+/// to [`snapshot`](Self::snapshot) the moment it is booked. A reader running
 /// beside the writer may combine fields of two neighbouring elements (an
 /// arrival gap one element older than the count, say); every consumer is
 /// an estimator of a mean, which that cannot hurt. What a reader may rely
@@ -92,13 +92,12 @@ impl Default for NodeStatsCell {
 }
 
 impl NodeStatsCell {
-    /// Records one processed element stamped `ts` that produced `outputs`
-    /// elements, and its cost if this invocation was timed. Writer only.
+    /// Stores `s`, whose latest element was stamped `ts`; the cost fields
+    /// only if that element was `timed` (they have not moved otherwise).
+    /// Writer only.
     #[inline]
-    pub fn observe(&self, ts: Timestamp, cost: Option<Duration>, outputs: u64) {
-        let mut s = self.snapshot();
-        s.observe(ts, cost, outputs);
-        if cost.is_some() {
+    fn publish(&self, s: &NodeStats, ts: Timestamp, timed: bool) {
+        if timed {
             self.cost.store(s.cost.mean_secs().map_or(UNSET, f64::to_bits), Ordering::Relaxed);
             self.cost_samples.store(s.cost.samples(), Ordering::Relaxed);
         }
@@ -135,6 +134,35 @@ impl NodeStatsCell {
 
 /// Shared handle to one node's statistics (executor writes, engine reads).
 pub type SharedNodeStats = Arc<NodeStatsCell>;
+
+/// The writing end of a cell, held by its one writer for as long as it is
+/// the writer: a plain [`NodeStats`] beside the cell, seeded from it once.
+/// Booking an element updates the plain values and *stores* them — the cell
+/// is never read back, so a hop pays a handful of relaxed stores and not
+/// the six loads and three estimator rebuilds of a snapshot first. Every
+/// element is in the cell when [`observe`](Self::observe)
+/// returns, and the next writer (a mode switch builds new executors around
+/// the same cells) seeds itself from what this one left there.
+#[derive(Debug)]
+pub struct StatsWriter {
+    cell: SharedNodeStats,
+    mirror: NodeStats,
+}
+
+impl StatsWriter {
+    /// Takes over writing `cell`, continuing from what it holds.
+    pub fn new(cell: SharedNodeStats) -> StatsWriter {
+        StatsWriter { mirror: cell.snapshot(), cell }
+    }
+
+    /// Books one processed element stamped `ts` that produced `outputs`
+    /// elements, and its cost if this invocation was timed.
+    #[inline]
+    pub fn observe(&mut self, ts: Timestamp, cost: Option<Duration>, outputs: u64) {
+        self.mirror.observe(ts, cost, outputs);
+        self.cell.publish(&self.mirror, ts, cost.is_some());
+    }
+}
 
 /// Creates a fresh shared statistics cell (convenience for harnesses that
 /// drive a [`crate::engine::executor::DomainExecutor`] directly).
@@ -254,12 +282,21 @@ mod tests {
 
     #[test]
     fn cell_books_what_the_plain_estimators_book() {
-        let (cell, mut plain) = (NodeStatsCell::default(), NodeStats::default());
+        // Two ways to book the same hundred elements: the plain
+        // estimators, and a cell behind a writer's mirror — handed from
+        // one writer to the next halfway, as a mode switch does.
+        let cell = shared_node_stats();
+        let mut plain = NodeStats::default();
         assert!(cell.snapshot().cost.cost().is_none() && cell.snapshot().arrivals.rate().is_none());
+        let mut writer = StatsWriter::new(Arc::clone(&cell));
         for i in 0..100u64 {
             let cost = (i % 7 == 0).then(|| Duration::from_nanos(500 + i));
-            cell.observe(Timestamp::from_micros(i * i), cost, i % 3);
             plain.observe(Timestamp::from_micros(i * i), cost, i % 3);
+            writer.observe(Timestamp::from_micros(i * i), cost, i % 3);
+            assert_eq!(cell.snapshot().processed, i + 1, "visible once booked");
+            if i == 49 {
+                writer = StatsWriter::new(Arc::clone(&cell));
+            }
         }
         let s = cell.snapshot();
         assert_eq!(s.processed, plain.processed);
@@ -289,8 +326,9 @@ mod tests {
                 }
                 snapshots
             });
+            let mut writer = StatsWriter::new(Arc::clone(&cell));
             for i in 0..ELEMENTS {
-                cell.observe(Timestamp::from_micros(i), None, FAN_OUT);
+                writer.observe(Timestamp::from_micros(i), None, FAN_OUT);
             }
             done.store(true, Ordering::Release);
             assert!(reader.join().expect("reader's assertions hold") > 0);
@@ -306,9 +344,10 @@ mod tests {
         let topo = topo();
         let stats: Vec<SharedNodeStats> = (0..2).map(|_| shared_node_stats()).collect();
         // Source saw elements 100 ms apart (rate 10/s); filter halves.
+        let mut writers: Vec<StatsWriter> = stats.iter().cloned().map(StatsWriter::new).collect();
         for i in 0..50u64 {
-            stats[0].observe(Timestamp::from_millis(i * 100), None, 1);
-            stats[1].observe(
+            writers[0].observe(Timestamp::from_millis(i * 100), None, 1);
+            writers[1].observe(
                 Timestamp::from_millis(i * 100),
                 Some(Duration::from_micros(2)),
                 i % 2,

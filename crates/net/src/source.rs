@@ -12,9 +12,11 @@ use hmts::streams::tuple::Tuple;
 ///
 /// `next` parks on the queue, so a graph driven by a `RemoteSource` is
 /// clocked entirely by external traffic. A source that finds messages
-/// waiting takes up to [`TAKE`] of them under one lock and hands them out
-/// one by one, so a producer blocked on the full queue is released for
-/// that many slots at once rather than once per element. The source ends
+/// waiting takes up to [`TAKE`] of them under one lock, so a producer
+/// blocked on the full queue is released for that many slots at once
+/// rather than once per element, and hands them out one by one or — to the
+/// engine's source driver — a batch at a time, without ever waiting for
+/// another message while it holds one. The source ends
 /// when the ingest server closes the queue (all expected producers
 /// finished) or an explicit end-of-stream punctuation is drained; the
 /// engine then injects EOS downstream exactly as for a local source.
@@ -32,6 +34,19 @@ pub struct RemoteSource {
     /// Messages taken off the queue and not yet handed out, newest first.
     taken: Vec<Message>,
     done: bool,
+}
+
+/// What the next message in arrival order means to the source.
+enum Step {
+    /// Keep the full element: a wire-carried trace tag must survive into
+    /// the engine so the tuple's cross-process trace stays connected.
+    Data(Element),
+    /// Watermarks are resynthesized by the engine; barriers are injected
+    /// fresh by the engine's own checkpoint coordinator at the source
+    /// driver, so inbound ones carry no meaning.
+    Skip,
+    /// The queue was closed and drained, or delivered end-of-stream.
+    End,
 }
 
 /// Most messages taken off the queue in one go.
@@ -59,6 +74,22 @@ impl RemoteSource {
         self.taken.reverse();
         Some(first)
     }
+
+    /// Takes the next message (waiting for one if none is at hand) and
+    /// classifies it; stays at [`Step::End`] once the stream ended.
+    fn step(&mut self) -> Step {
+        if self.done {
+            return Step::End;
+        }
+        match self.next_message() {
+            Some(Message::Data(e)) => Step::Data(e),
+            Some(Message::Punct(Punctuation::Watermark(_) | Punctuation::Barrier(_))) => Step::Skip,
+            Some(Message::Punct(Punctuation::EndOfStream)) | None => {
+                self.done = true;
+                Step::End
+            }
+        }
+    }
 }
 
 impl Source for RemoteSource {
@@ -71,30 +102,31 @@ impl Source for RemoteSource {
     }
 
     fn next_element(&mut self) -> Option<Element> {
-        if self.done {
-            return None;
-        }
         loop {
-            match self.next_message() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                // Keep the full element: a wire-carried trace tag must
-                // survive into the engine so the tuple's cross-process
-                // trace stays connected.
-                Some(Message::Data(e)) => return Some(e),
-                Some(Message::Punct(Punctuation::EndOfStream)) => {
-                    self.done = true;
-                    return None;
-                }
-                // Watermarks are resynthesized by the engine; barriers are
-                // injected fresh by the engine's own checkpoint coordinator
-                // at the source driver, so inbound ones carry no meaning.
-                Some(Message::Punct(Punctuation::Watermark(_)))
-                | Some(Message::Punct(Punctuation::Barrier(_))) => continue,
+            match self.step() {
+                Step::Data(e) => return Some(e),
+                Step::Skip => continue,
+                Step::End => return None,
             }
         }
+    }
+
+    /// Hands over what is at hand: waits for a message only while it has
+    /// neither appended an element nor holds a taken one, so an element
+    /// never sits in `out` behind a blocked pop.
+    fn next_batch(&mut self, max: usize, out: &mut Vec<Element>) -> bool {
+        let before = out.len();
+        while out.len() - before < max {
+            if self.taken.is_empty() && out.len() > before {
+                break;
+            }
+            match self.step() {
+                Step::Data(e) => out.push(e),
+                Step::Skip => continue,
+                Step::End => return false,
+            }
+        }
+        true
     }
 }
 
@@ -150,5 +182,57 @@ mod tests {
             std::iter::from_fn(|| s.next()).map(|(_, t)| t.field(0).as_int().unwrap()).collect();
         producer.join().unwrap();
         assert_eq!(got, (0..n).collect::<Vec<_>>());
+    }
+
+    fn values(batch: &[Element]) -> Vec<i64> {
+        batch.iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect()
+    }
+
+    #[test]
+    fn a_lone_element_is_handed_over_without_waiting_for_a_second() {
+        let q = StreamQueue::unbounded("r");
+        q.push(Message::data(Tuple::single(1), Timestamp::ZERO)).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let puller = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let mut s = RemoteSource::new("r", q);
+                let mut batch = Vec::new();
+                let more = s.next_batch(32, &mut batch);
+                done_tx.send((more, values(&batch))).unwrap();
+            })
+        };
+        // Nothing else ever arrives: a source waiting to fill its batch
+        // would sit in `pop_blocking` until the watchdog gives up.
+        let got = done_rx.recv_timeout(std::time::Duration::from_secs(1));
+        q.close();
+        puller.join().unwrap();
+        assert_eq!(got, Ok((true, vec![1])));
+    }
+
+    #[test]
+    fn a_batch_skips_inbound_punctuation_and_ends_behind_the_data_before_an_eos() {
+        let q = StreamQueue::unbounded("r");
+        let data = |v: i64| Message::data(Tuple::single(v), Timestamp::from_micros(v as u64));
+        for msg in [
+            data(1),
+            Message::Punct(Punctuation::Watermark(Timestamp::from_micros(1))),
+            data(2),
+            Message::Punct(Punctuation::Barrier(7)),
+            data(3),
+            data(4),
+            Message::eos(),
+            data(9),
+        ] {
+            q.push(msg).unwrap();
+        }
+        let mut s = RemoteSource::new("r", q);
+        let mut batch = Vec::new();
+        assert!(s.next_batch(3, &mut batch));
+        assert_eq!(values(&batch), [1, 2, 3], "at most `max`, the punctuation skipped");
+        assert!(!s.next_batch(3, &mut batch), "the stream ended in this batch");
+        assert_eq!(values(&batch), [1, 2, 3, 4], "with the data that preceded the EOS");
+        assert!(!s.next_batch(3, &mut batch) && s.next_element().is_none(), "stays ended");
+        assert_eq!(batch.len(), 4);
     }
 }

@@ -45,6 +45,7 @@ impl Output {
     }
 
     /// Emits an element.
+    #[inline]
     pub fn push(&mut self, e: Element) {
         self.elements.push(e);
         if !self.routes.is_empty() {
@@ -56,6 +57,7 @@ impl Output {
     /// out-edge ordinal (the position of the edge among the producing
     /// node's out-edges, in graph edge order). Used by partitioning
     /// splitters; everything else broadcasts.
+    #[inline]
     pub fn push_routed(&mut self, route: u32, e: Element) {
         if self.routes.is_empty() {
             self.routes.resize(self.elements.len(), Self::BROADCAST);
@@ -65,16 +67,19 @@ impl Output {
     }
 
     /// Emits a tuple with the given timestamp.
+    #[inline]
     pub fn emit(&mut self, tuple: Tuple, ts: Timestamp) {
-        self.elements.push(Element::new(tuple, ts));
+        self.push(Element::new(tuple, ts));
     }
 
     /// Number of buffered elements.
+    #[inline]
     pub fn len(&self) -> usize {
         self.elements.len()
     }
 
     /// Whether nothing was emitted.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.elements.is_empty()
     }
@@ -84,6 +89,7 @@ impl Output {
     /// Callers that honour routing must call [`Output::take_routes`]
     /// *before* draining; `drain` itself resets the route tags so a
     /// route-oblivious caller never sees stale tags on the next batch.
+    #[inline]
     pub fn drain(&mut self) -> std::vec::Drain<'_, Element> {
         self.routes.clear();
         self.elements.drain(..)
@@ -117,6 +123,7 @@ impl Output {
     }
 
     /// Discards all buffered elements.
+    #[inline]
     pub fn clear(&mut self) {
         self.elements.clear();
         self.routes.clear();
@@ -251,6 +258,24 @@ pub trait Source: Send {
     /// wraps [`next`](Source::next) with an untraced element.
     fn next_element(&mut self) -> Option<Element> {
         self.next().map(|(ts, tuple)| Element::new(tuple, ts))
+    }
+
+    /// Appends the next elements to `out` — at most `max` of them, in
+    /// order — and returns `false` once the source is exhausted: whatever
+    /// the same call appended is then the last of it. The rule for an
+    /// implementation is to hand over what it has at hand: it may wait for
+    /// its first element, never for a further one while it holds one, so a
+    /// caller that delivers each batch before asking for the next delays
+    /// no element. The default is one blocking
+    /// [`next_element`](Source::next_element).
+    fn next_batch(&mut self, _max: usize, out: &mut Vec<Element>) -> bool {
+        match self.next_element() {
+            Some(e) => {
+                out.push(e);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Total number of elements this source will deliver, if known in
@@ -470,6 +495,39 @@ mod tests {
         out.clear();
         assert!(out.is_empty());
         assert!(out.take_routes().is_empty());
+    }
+
+    #[test]
+    fn an_emitted_tuple_keeps_the_route_tags_parallel() {
+        let mut out = Output::new();
+        out.push_routed(0, Element::single(1, Timestamp::ZERO));
+        out.emit(Tuple::single(2), Timestamp::ZERO);
+        out.push_routed(2, Element::single(3, Timestamp::ZERO));
+        assert_eq!(out.take_routes(), vec![0, Output::BROADCAST, 2]);
+    }
+
+    #[test]
+    fn a_source_that_only_knows_elements_hands_over_batches_of_one() {
+        struct Three(i64);
+        impl Source for Three {
+            fn name(&self) -> &str {
+                "three"
+            }
+            fn next(&mut self) -> Option<(Timestamp, Tuple)> {
+                (self.0 < 3).then(|| {
+                    self.0 += 1;
+                    (Timestamp::from_micros(self.0 as u64), Tuple::single(self.0))
+                })
+            }
+        }
+        let (mut source, mut out) = (Three(0), Vec::new());
+        for n in 1..=3 {
+            assert!(source.next_batch(32, &mut out));
+            assert_eq!(out.len(), n, "one element per call, appended");
+        }
+        assert!(!source.next_batch(32, &mut out));
+        let values: Vec<i64> = out.iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect();
+        assert_eq!(values, [1, 2, 3]);
     }
 
     #[test]

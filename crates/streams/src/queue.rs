@@ -288,7 +288,7 @@ impl StreamQueue {
     /// push actually stalls). Network ingest uses this to attribute
     /// TCP-backpressure stall time without taxing the in-process hot path.
     pub fn push_with_stall(&self, msg: Message) -> Result<Duration, StreamError> {
-        self.push_all(std::iter::once(msg))
+        self.push_all(std::iter::once(msg), || {})
     }
 
     /// Enqueues every message of `msgs` in order — the backpressure policy
@@ -299,17 +299,39 @@ impl StreamQueue {
     /// or [`StreamError::QueueFull`] under [`BackpressurePolicy::Fail`])
     /// the rejected message and those after it are discarded, as `push`
     /// discards its argument.
-    pub fn push_batch(&self, msgs: &mut Vec<Message>) -> Result<(), StreamError> {
-        self.push_batch_with_stall(msgs).map(|_| ())
+    ///
+    /// `wake` is for a consumer that does not wait on the queue itself but
+    /// sleeps until it is told (a pooled domain and its waker; pass `|| {}`
+    /// for one that does wait here). It runs once the batch is in — and, on
+    /// a full [`BackpressurePolicy::Block`] queue, each time before the
+    /// producer waits for room, with what it has put in so far: waking only
+    /// after the batch would leave the producer waiting for a consumer that
+    /// nobody has told about the part already queued. The queue's lock is
+    /// not held while `wake` runs.
+    pub fn push_batch(
+        &self,
+        msgs: &mut Vec<Message>,
+        mut wake: impl FnMut(),
+    ) -> Result<(), StreamError> {
+        let result = self.push_all(msgs.drain(..), &mut wake);
+        wake();
+        result.map(|_| ())
     }
 
-    /// Like [`StreamQueue::push_batch`], but reports how long the producer
-    /// was blocked, as [`StreamQueue::push_with_stall`] does for one message.
+    /// Like [`StreamQueue::push_batch`] for a consumer that waits on the
+    /// queue, but reports how long the producer was blocked, as
+    /// [`StreamQueue::push_with_stall`] does for one message.
     pub fn push_batch_with_stall(&self, msgs: &mut Vec<Message>) -> Result<Duration, StreamError> {
-        self.push_all(msgs.drain(..))
+        self.push_all(msgs.drain(..), || {})
     }
 
-    fn push_all(&self, msgs: impl Iterator<Item = Message>) -> Result<Duration, StreamError> {
+    /// `before_wait` runs, with the lock released, each time the producer
+    /// is about to wait for room.
+    fn push_all(
+        &self,
+        msgs: impl Iterator<Item = Message>,
+        mut before_wait: impl FnMut(),
+    ) -> Result<Duration, StreamError> {
         let mut stalled = Duration::ZERO;
         let mut result = Ok(());
         // Inserted and not yet booked: messages, data elements among them.
@@ -332,6 +354,9 @@ impl StreamQueue {
                             self.shared.not_empty.notify_all();
                             unannounced = 0;
                         }
+                        drop(buf);
+                        before_wait();
+                        buf = self.shared.buf.lock();
                         // Re-read the capacity each round: `lift_bound` may
                         // remove it while we wait.
                         let wait_start = std::time::Instant::now();
@@ -751,7 +776,7 @@ mod tests {
             let q = StreamQueue::bounded_with_gauge("q", 3, policy, Arc::clone(&gauge));
             // 1, 2, <eos>, 3, 4 into three slots, at once ...
             let mut msgs = batch_with_punct(4);
-            assert_eq!(q.push_batch(&mut msgs), result, "{policy:?}");
+            assert_eq!(q.push_batch(&mut msgs, || {}), result, "{policy:?}");
             assert!(msgs.is_empty(), "{policy:?}: the batch is consumed either way");
             // ... and one `push` at a time into a twin.
             let twin = StreamQueue::bounded_with_gauge("twin", 3, policy, Arc::clone(&twin_gauge));
@@ -790,7 +815,7 @@ mod tests {
             StreamQueue::bounded_with_gauge("q", 2, BackpressurePolicy::Block, Arc::clone(&gauge));
         let producer = {
             let q = Arc::clone(&q);
-            thread::spawn(move || q.push_batch(&mut batch_with_punct(4)))
+            thread::spawn(move || q.push_batch(&mut batch_with_punct(4), || {}))
         };
         // What is already in is handed over before the producer waits.
         assert_eq!(values(&[q.pop_blocking().unwrap()]), [1]);
@@ -800,7 +825,7 @@ mod tests {
         assert_eq!(q.len(), 4);
         q.close();
         let mut more = vec![data(9)];
-        assert_eq!(q.push_batch(&mut more), Err(StreamError::QueueClosed));
+        assert_eq!(q.push_batch(&mut more, || {}), Err(StreamError::QueueClosed));
         assert!(more.is_empty());
         assert_eq!(values(&q.drain()), [2, 3, 4]);
         assert_conserved(&q, &gauge);
@@ -812,7 +837,7 @@ mod tests {
         let q = StreamQueue::bounded_with_gauge("q", 1, BackpressurePolicy::Block, gauge.clone());
         let producer = {
             let q = Arc::clone(&q);
-            thread::spawn(move || q.push_batch(&mut (1..=3).map(data).collect()))
+            thread::spawn(move || q.push_batch(&mut (1..=3).map(data).collect(), || {}))
         };
         assert_eq!(values(&[q.pop_blocking().unwrap()]), [1]);
         // Two messages cannot fit one slot: the producer is (or will be)
@@ -835,6 +860,40 @@ mod tests {
             Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => runner.join().unwrap(),
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("hung for {limit:?}"),
         }
+    }
+
+    #[test]
+    fn push_batch_tells_the_consumer_before_it_waits_for_room() {
+        within(Duration::from_secs(10), || {
+            // A consumer that looks at the queue only when it is told to,
+            // as a pooled domain does: five messages through two slots
+            // need it to be told twice while the producer waits.
+            let q = StreamQueue::bounded("q", 2, BackpressurePolicy::Block);
+            let (wake, woken) = std::sync::mpsc::channel();
+            let consumer = {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    for wakes in 1.. {
+                        woken.recv().unwrap();
+                        q.pop_batch(usize::MAX, &mut got);
+                        if got.len() == 5 {
+                            return (values(&got), wakes);
+                        }
+                    }
+                    unreachable!()
+                })
+            };
+            let mut batch: Vec<Message> = (1..=5).map(data).collect();
+            assert_eq!(q.push_batch(&mut batch, || wake.send(()).unwrap()), Ok(()));
+            assert!(batch.is_empty());
+            assert_eq!(consumer.join().unwrap(), (vec![1, 2, 3, 4, 5], 3));
+            // A batch that fits wakes once, behind its last message.
+            let wakes = std::cell::Cell::new(0);
+            let mut fits = vec![data(6), data(7)];
+            q.push_batch(&mut fits, || wakes.set(wakes.get() + q.len())).unwrap();
+            assert_eq!(wakes.get(), 2);
+        });
     }
 
     #[test]
@@ -888,11 +947,11 @@ mod tests {
             ("push eos", Box::new(|q, _| q.push(Message::eos()).unwrap())),
             ("pop_blocking to the eos head", Box::new(|q, _| drop(q.pop_blocking()))),
             ("pop_timeout to empty", Box::new(|q, _| drop(q.pop_timeout(Duration::ZERO)))),
-            ("push_batch", Box::new(|q, _| q.push_batch(&mut batch_with_punct(3)).unwrap())),
+            ("push_batch", Box::new(|q, _| q.push_batch(&mut batch_with_punct(3), || {}).unwrap())),
             ("pop_batch", Box::new(|q, out| assert_eq!(q.pop_batch(2, out), 2))),
             (
                 "evicting push_batch",
-                Box::new(|q, _| q.push_batch(&mut batch_with_punct(4)).unwrap()),
+                Box::new(|q, _| q.push_batch(&mut batch_with_punct(4), || {}).unwrap()),
             ),
             ("evicting push", Box::new(|q, _| q.push(data(1)).unwrap())),
             ("drain", Box::new(|q, _| drop(q.drain()))),
@@ -928,7 +987,7 @@ mod tests {
                             next += 1;
                         } else {
                             batch.extend((next..next + n).map(|i| data(p * STRIDE + i)));
-                            q.push_batch(&mut batch).unwrap();
+                            q.push_batch(&mut batch, || {}).unwrap();
                             next += n;
                         }
                     }

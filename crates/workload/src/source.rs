@@ -4,11 +4,20 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hmts_operators::traits::Source;
+use hmts_streams::element::Element;
 use hmts_streams::time::Timestamp;
 use hmts_streams::tuple::Tuple;
 
 use crate::arrival::ArrivalProcess;
 use crate::values::TupleGen;
+
+/// [`Source::next_batch`] for a source that has all its elements at hand
+/// (`next_element` never waits) and counts down what is left in `size_hint`:
+/// up to `max` of them at once.
+fn fill_from(source: &mut impl Source, max: usize, out: &mut Vec<Element>) -> bool {
+    out.extend(std::iter::from_fn(|| source.next_element()).take(max));
+    source.size_hint() != Some(0)
+}
 
 /// A seeded synthetic source: an [`ArrivalProcess`] decides *when* each
 /// element is due, a [`TupleGen`] decides *what* it carries. Fully
@@ -58,6 +67,10 @@ impl Source for SyntheticSource {
         Some((self.clock, self.values.generate(&mut self.rng)))
     }
 
+    fn next_batch(&mut self, max: usize, out: &mut Vec<Element>) -> bool {
+        fill_from(self, max, out)
+    }
+
     fn size_hint(&self) -> Option<u64> {
         Some(self.remaining)
     }
@@ -104,6 +117,10 @@ impl Source for VecSource {
             self.remaining -= 1;
         }
         item
+    }
+
+    fn next_batch(&mut self, max: usize, out: &mut Vec<Element>) -> bool {
+        fill_from(self, max, out)
     }
 
     fn size_hint(&self) -> Option<u64> {
@@ -200,6 +217,32 @@ mod tests {
         assert_eq!(s.next().unwrap().1.field(0).as_int().unwrap(), 20);
         assert!(s.next().is_none());
         assert_eq!(s.size_hint(), Some(0));
+    }
+
+    #[test]
+    fn batches_are_the_same_stream_in_pieces_of_at_most_max() {
+        let mut whole = VecSource::counting("c", 10, 10.0);
+        let expected: Vec<Element> = std::iter::from_fn(|| whole.next_element()).collect();
+        let mut s = VecSource::counting("c", 10, 10.0);
+        let mut got = Vec::new();
+        for (max, len, left) in [(4, 4, 6), (1, 5, 5), (32, 10, 0)] {
+            assert_eq!(s.next_batch(max, &mut got), left > 0, "more to come after {len}");
+            assert_eq!((got.len(), s.size_hint()), (len, Some(left)));
+        }
+        assert!(!s.next_batch(4, &mut got), "stays exhausted");
+        assert_eq!(got, expected);
+
+        let synthetic = || {
+            let values = TupleGen::uniform_int(0, 1_000_000);
+            SyntheticSource::new("s", ArrivalProcess::poisson(1000.0), values, 10, 9)
+        };
+        let (mut whole, mut s) = (synthetic(), synthetic());
+        let expected: Vec<Element> = std::iter::from_fn(|| whole.next_element()).collect();
+        let mut got = Vec::new();
+        assert!(s.next_batch(7, &mut got));
+        assert_eq!((got.len(), s.size_hint()), (7, Some(3)));
+        assert!(!s.next_batch(7, &mut got));
+        assert_eq!(got, expected);
     }
 
     #[test]

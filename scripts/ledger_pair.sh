@@ -12,17 +12,44 @@
 # so a second comparison only rebuilds what changed. The command line, the
 # workload names and the metric names come from BENCHMARK.json, which (like
 # perfledger/) this script only reads.
+#
+# With --layers, the procedure's next step follows the end-to-end table:
+# "show where the saving sits". Each side runs every chosen workload once
+# more with `--trace 1` (same seed, same length) and a second table puts
+# the named per-layer metrics of parent and change side by side, together
+# with each traced run's `host.speed`. One run per cell: a reading that
+# says which layer moved, not a comparison of its own.
 # Usage: scripts/ledger_pair.sh <parent-ref> [pairs=10] [seconds] [workload...]
+#                               [--layers <metric,...>]
 #   seconds: BENCHMARK.json's run_seconds unless given. workload...: names
 #   from BENCHMARK.json to run instead of all of them — ten pairs of all six
-#   take half an hour, ten pairs of one take five minutes.
+#   take half an hour, ten pairs of one take five minutes. --layers: names
+#   from BENCHMARK.json's per_layer list, comma-separated.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: scripts/ledger_pair.sh <parent-ref> [pairs=10] [seconds] [workload...]" >&2
+  echo "usage: scripts/ledger_pair.sh <parent-ref> [pairs=10] [seconds] [workload...]" \
+    "[--layers <metric,...>]" >&2
   exit 2
 }
+layers=""
+positional=()
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --layers)
+      [ $# -ge 2 ] || usage
+      layers=$2
+      shift 2
+      ;;
+    --*) usage ;;
+    *)
+      positional+=("$1")
+      shift
+      ;;
+  esac
+done
+set -- "${positional[@]}"
 [ $# -ge 1 ] || usage
 ref=$1
 pairs=${2:-10}
@@ -48,7 +75,7 @@ rm -rf "$parent/perfledger"
 mkdir "$parent/perfledger"
 tar -C perfledger --exclude=./target -cf - . | tar -C "$parent/perfledger" -xf -
 
-python3 - "$parent" "$root" "$pairs" "$seconds" "$commit" "$@" <<'PY'
+python3 - "$parent" "$root" "$pairs" "$seconds" "$commit" "$layers" "$@" <<'PY'
 import json
 import os
 import statistics
@@ -56,7 +83,7 @@ import subprocess
 import sys
 import time
 
-parent_dir, root, pairs, seconds, commit, *chosen = sys.argv[1:]
+parent_dir, root, pairs, seconds, commit, layers, *chosen = sys.argv[1:]
 spec = json.load(open("BENCHMARK.json"))
 pairs = int(pairs)
 seconds = seconds or str(spec["run_seconds"])
@@ -67,15 +94,22 @@ if unknown:
           f"(it has {', '.join(workloads)})", file=sys.stderr)
     sys.exit(2)
 workloads = [w for w in workloads if w in chosen] if chosen else workloads
+per_layer = {m["name"]: m for m in spec["per_layer"]}
+layers = [name for name in layers.split(",") if name]
+unknown = [name for name in layers if name not in per_layer]
+if unknown:
+    print(f"error: no per-layer metric {', '.join(unknown)} in BENCHMARK.json",
+          file=sys.stderr)
+    sys.exit(2)
 CALIBRATION = {"name": "(host_speed)", "unit": "ratio", "better": "higher"}
 metrics = spec["end_to_end"] + [CALIBRATION]
 sides = {"parent": parent_dir, "change": os.getcwd()}
 
 
-def run(side, workload, seed, secs):
+def run(side, workload, seed, secs, trace=0):
     record = os.path.join(root, f"record-{side}.json")
     cmd = spec["command"] + ["--workload", workload, "--seed", str(seed),
-                             "--seconds", secs, "--trace", "0", "--out", record]
+                             "--seconds", secs, "--trace", str(trace), "--out", record]
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(root, "build-" + side))
     done = subprocess.run(cmd, cwd=sides[side], env=env, text=True,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -89,7 +123,10 @@ def run(side, workload, seed, secs):
     # compiled with the rest of each side's binary, so it can come out
     # faster on one side; a row that differs here moves all three metrics
     # of its workload by that much without the engine having changed.
-    result["metrics"][CALIBRATION["name"]] = {"value": json.load(open(record))["host_speed"]}
+    # (A traced run reports it itself, as the per-layer metric `host.speed`.)
+    if not trace:
+        speed = json.load(open(record))["host_speed"]
+        result["metrics"][CALIBRATION["name"]] = {"value": speed}
     return result
 
 
@@ -123,7 +160,15 @@ def spread(xs):
 
 
 def shown(x):
-    return f"{x:,.0f}" if abs(x) >= 100 else f"{x:.2f}" if abs(x) >= 1 else f"{x:.4f}"
+    if abs(x) >= 100 or x == 0:
+        return f"{x:,.0f}"
+    return f"{x:.2f}" if abs(x) >= 1 else f"{x:.4f}"
+
+
+def print_table(table):
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    for row in table:
+        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
 
 
 table = [["workload", "metric", "unit", "parent median [Q1, Q3]", "change median [Q1, Q3]",
@@ -139,9 +184,30 @@ for w in workloads:
             cells.append(f"{shown(median)} [{shown(q1)}, {shown(q3)}]")
         ratio = spread(new)[0] / spread(old)[0] if spread(old)[0] else float("nan")
         table.append([w, m["name"], m["unit"], *cells, f"{ratio:.3f}", f"{wins}/{pairs}"])
-widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
-for row in table:
-    print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+print_table(table)
+
+if layers:
+    # Where the saving sits: one traced run per side and workload.
+    rows = [per_layer[name] for name in layers]
+    if "host.speed" not in layers:
+        rows.append(per_layer["host.speed"])
+    table = [["workload", "per-layer metric", "unit", "parent", "change", "change/parent"]]
+    for w in workloads:
+        traced = {}
+        for side in sides:
+            print(f"    traced {w} {side}", file=sys.stderr, flush=True)
+            traced[side] = run(side, w, first_seed, seconds, trace=1)
+            failed[side] += traced[side]["failed"]
+        for m in rows:
+            old, new = (traced[side]["metrics"].get(m["name"], {}).get("value")
+                        for side in ("parent", "change"))
+            if old is None or new is None:
+                table.append([w, m["name"], m["unit"], "-", "-", "-"])
+                continue
+            ratio = f"{new / old:.3f}" if old else "-"
+            table.append([w, m["name"], m["unit"], shown(old), shown(new), ratio])
+    print(f"per layer (--trace 1, one run per side, seed {first_seed}):")
+    print_table(table)
 print(f"failed: parent {failed['parent']}, change {failed['change']}")
 sys.exit(1 if any(failed.values()) else 0)
 PY

@@ -126,6 +126,72 @@ fn windowed_aggregate_is_consistent_across_modes() {
     assert!(*r.last().unwrap() >= 999, "window filled: {}", r.last().unwrap());
 }
 
+/// What a sink collected, as the sequence it arrived in.
+fn collected_sequence(handle: &SinkHandle) -> Vec<(Timestamp, Tuple)> {
+    handle.elements().into_iter().map(|e| (e.ts, e.tuple)).collect()
+}
+
+#[test]
+fn the_batch_size_changes_no_result_in_any_mode() {
+    // One source and a linear plan keep the order, so the results are
+    // compared as sequences — against the DI run that delivers one element
+    // per run. The source hands over `batch` elements at a time, an
+    // executor pops as many per decision; 7 divides neither the streams
+    // nor the default 32.
+    let chain = || selection_chain(5_000, RATE, THRESHOLDS);
+    let keyed = || {
+        let mut b = GraphBuilder::new();
+        let src = b.source(VecSource::new(
+            "src",
+            (0..5_000u64)
+                .map(|i| {
+                    (Timestamp::from_micros(i + 1), Tuple::pair((i * 7 % 13) as i64, i as i64))
+                })
+                .collect(),
+        ));
+        let flt =
+            b.op_after(Filter::new("flt", Expr::field(1).rem(Expr::int(5)).lt(Expr::int(4))), src);
+        let agg = b.op_after(
+            WindowAggregate::new("agg", AggregateFunction::Sum(1), Duration::from_micros(200))
+                .group_by(Expr::field(0)),
+            flt,
+        );
+        let (sink, handle) = CollectingSink::new("out");
+        b.op_after(sink, agg);
+        (b.build().expect("valid graph"), handle)
+    };
+    type Build = fn() -> (QueryGraph, SinkHandle);
+    let builds: [(&str, Build); 2] = [("chain", chain), ("keyed", keyed)];
+    for (shape, build) in builds {
+        let run = |mode: &str, batch: usize| {
+            let (graph, handle) = build();
+            let topo = Topology::of(&graph);
+            let ops = topo.operators();
+            let plan = match mode {
+                "di" => ExecutionPlan::di(&topo),
+                "gts" => ExecutionPlan::gts(&topo, StrategyKind::Fifo),
+                _ => ExecutionPlan::hmts(
+                    Partitioning::new(vec![ops[..1].to_vec(), ops[1..].to_vec()]),
+                    StrategyKind::Fifo,
+                    2,
+                ),
+            };
+            let cfg = EngineConfig { pace_sources: false, batch, ..EngineConfig::default() };
+            let report = Engine::run_with_config(graph, plan, cfg).expect("engine runs");
+            assert!(report.errors.is_empty(), "{shape} {mode} {batch}: {:?}", report.errors);
+            assert!(handle.is_done(), "{shape} {mode} {batch}: sink saw EOS");
+            collected_sequence(&handle)
+        };
+        let want = run("di", 1);
+        assert!(want.len() > 1_000, "{shape}: {} results", want.len());
+        for mode in ["di", "gts", "hmts"] {
+            for batch in [1, 7, 32] {
+                assert!(run(mode, batch) == want, "{shape} under {mode} with batch {batch}");
+            }
+        }
+    }
+}
+
 #[test]
 fn placement_driven_hmts_matches_reference() {
     // Let Algorithm 1 derive the partitioning from hints, then execute it.

@@ -154,6 +154,40 @@ fn bounded_queue_block_is_lossless() {
 }
 
 #[test]
+fn a_burst_longer_than_a_bounded_queue_reaches_a_pooled_consumer() {
+    // A paced source whose elements share a due time hands them over as
+    // one run — here twice what the `Block` queue holds. The consumer is a
+    // pooled VO, which runs only when its waker says so (a dedicated
+    // thread would look again after 10 ms on its own): it has to be woken
+    // for the first half *before* the source waits for room for the second.
+    let burst = |at_ms: u64, values: std::ops::Range<i64>| {
+        values.map(move |v| (Timestamp::from_millis(at_ms), Tuple::single(v)))
+    };
+    let mut b = GraphBuilder::new();
+    let src = b.source(VecSource::new("src", burst(1, 0..32).chain(burst(2, 32..100)).collect()));
+    let f = b.op_after(Filter::new("f", Expr::bool(true)), src);
+    let (sink, handle) = CollectingSink::new("out");
+    let k = b.op_after(sink, f);
+    let graph = b.build().expect("valid graph");
+    let plan = ExecutionPlan::hmts(Partitioning::new(vec![vec![f, k]]), StrategyKind::Fifo, 2);
+    let cfg = EngineConfig {
+        queue_bound: Some(QueueBound { capacity: 16, policy: BackpressurePolicy::Block }),
+        ..EngineConfig::default()
+    };
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(Engine::run_with_config(graph, plan, cfg));
+    });
+    let report = finished
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("engine hangs with {} of 100 at the sink", handle.count()))
+        .expect("engine runs");
+    assert!(report.errors.is_empty());
+    assert_eq!(common::collected_values(&handle), (0..100).collect::<Vec<_>>());
+    assert!(report.peak_queue_memory <= 16);
+}
+
+#[test]
 fn runtime_queue_insertion_and_removal() {
     // Paper §5.1.3: queues can be inserted at runtime; removal requires
     // processing the queue's remaining elements (the engine drains and

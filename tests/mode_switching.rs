@@ -44,6 +44,16 @@ fn run_with_switches(count: u64, rate: f64, interval: Duration, plans: Vec<Execu
     assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
     assert!(handle.is_done(), "sink saw EOS after switches");
     assert_eq!(collected_values(&handle), expected_evens(count), "exactly-once");
+    // Every wiring's executors booked into the same statistics cells, each
+    // taking over where the last one stopped: the counts cover the whole
+    // stream, once.
+    let processed = |name: &str| {
+        report.stats.nodes.iter().find(|n| n.name == name).expect("node is in the report").processed
+    };
+    assert_eq!(processed("src"), count);
+    assert_eq!(processed("keep_even"), count);
+    assert_eq!(processed("keep_lt"), count.div_ceil(2));
+    assert_eq!(processed("out"), count.div_ceil(2));
 }
 
 #[test]
