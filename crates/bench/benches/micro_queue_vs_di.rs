@@ -31,6 +31,21 @@ fn slot(i: usize, targets: Vec<Target>) -> SlotInit {
     }
 }
 
+/// `n` pass-through filters executed inline one after the other (one VO),
+/// each with a statistics cell if `stats`.
+fn di_chain(n: usize, batch: usize, stats: bool) -> DomainExecutor {
+    let slots = (0..n)
+        .map(|i| {
+            let next = (i + 1 < n).then(|| Target::Inline { node: NodeId(i + 1), port: 0 });
+            let mut s = slot(i, next.into_iter().collect());
+            s.stats = stats.then(hmts::stats::shared_node_stats);
+            s
+        })
+        .collect();
+    let cfg = ExecConfig { batch, measure: stats };
+    DomainExecutor::new("bench", slots, vec![], StrategyKind::Fifo.build(None), cfg)
+}
+
 fn queue_transfer(c: &mut Criterion) {
     let mut g = c.benchmark_group("queue_vs_di");
     g.throughput(Throughput::Elements(1));
@@ -58,23 +73,7 @@ fn queue_transfer(c: &mut Criterion) {
     // one operator invocation.
     for n in [1usize, 5, 10] {
         g.bench_function(format!("di_chain_{n}"), |b| {
-            let slots = (0..n)
-                .map(|i| {
-                    let targets = if i + 1 < n {
-                        vec![Target::Inline { node: NodeId(i + 1), port: 0 }]
-                    } else {
-                        vec![]
-                    };
-                    slot(i, targets)
-                })
-                .collect();
-            let mut exec = DomainExecutor::new(
-                "bench",
-                slots,
-                vec![],
-                StrategyKind::Fifo.build(None),
-                ExecConfig { batch: 1, measure: false },
-            );
+            let mut exec = di_chain(n, 1, false);
             b.iter(|| {
                 exec.inject(NodeId(0), 0, black_box(data(7)));
             })
@@ -120,28 +119,24 @@ fn queue_transfer(c: &mut Criterion) {
         )
     });
 
+    // The same 5-op chain taking a run of 32 per call — what a source or a
+    // popped batch hands the executor: each operator takes the run in one
+    // `process_batch`. Reported per element, so it reads against
+    // `di_chain_5`, the run of one.
+    g.throughput(Throughput::Elements(32));
+    g.bench_function("di_chain_5_run32", |b| {
+        let mut exec = di_chain(5, 32, false);
+        let mut run: Vec<Message> = Vec::with_capacity(32);
+        b.iter(|| {
+            run.extend((0..32).map(|_| data(7)));
+            exec.inject_batch(NodeId(0), 0, black_box(&mut run));
+        })
+    });
+    g.throughput(Throughput::Elements(1));
+
     // Cost of the runtime measurement itself (stats on vs off).
     g.bench_function("di_chain_5_with_stats", |b| {
-        let stats: Vec<_> = (0..5).map(|_| hmts::stats::shared_node_stats()).collect();
-        let slots = (0..5)
-            .map(|i| {
-                let targets = if i + 1 < 5 {
-                    vec![Target::Inline { node: NodeId(i + 1), port: 0 }]
-                } else {
-                    vec![]
-                };
-                let mut s = slot(i, targets);
-                s.stats = Some(stats[i].clone());
-                s
-            })
-            .collect();
-        let mut exec = DomainExecutor::new(
-            "bench",
-            slots,
-            vec![],
-            StrategyKind::Fifo.build(None),
-            ExecConfig { batch: 1, measure: true },
-        );
+        let mut exec = di_chain(5, 1, true);
         b.iter(|| {
             exec.inject(NodeId(0), 0, black_box(data(7)));
         })

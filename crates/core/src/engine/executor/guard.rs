@@ -2,9 +2,10 @@
 //! supervisor's verdict on a caught panic, fault injection, and the
 //! liveness beacon.
 //!
-//! The core calls [`arm`] before and [`call`] + [`DomainExecutor::settle`]
-//! around `process` (its cost clock stops in between), [`DomainExecutor::guarded`]
-//! for `on_eos` / `flush` / `on_watermark`, and [`Guard::enter`] /
+//! The core calls [`arm`] before and [`call`] + [`DomainExecutor::settle_run`]
+//! around `process_batch` (its cost clock stops in between) — one boundary
+//! per run, however many elements it has — [`DomainExecutor::guarded`] for
+//! `on_eos` / `flush` / `on_watermark`, and [`Guard::enter`] /
 //! [`Guard::exit`] around a chain reaction. Without a fault plan, a
 //! supervisor or a heartbeat, each of those is one `None` branch.
 
@@ -12,7 +13,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use hmts_operators::traits::{Operator, Output};
-use hmts_streams::element::{Element, Message};
 use hmts_streams::error::{Result, StreamError};
 use hmts_streams::tuple::Tuple;
 use hmts_streams::value::Value;
@@ -57,7 +57,7 @@ impl Guard {
     }
 }
 
-/// Before `process`: counts the invocation against the slot's fault plan
+/// Before `process_batch`: counts the invocation against the slot's fault plan
 /// and returns what [`call`] has to inject. A stall is served right here,
 /// ahead of the cost clock.
 #[inline]
@@ -104,62 +104,72 @@ impl DomainExecutor {
         std::mem::take(&mut self.guard.panics)
     }
 
-    /// Books how a guarded callback ended and returns whether it
-    /// succeeded. On failure the pending outputs are discarded; an `Err` is
-    /// recorded as the domain's first error (the element is dropped), a
-    /// panic goes to [`on_panic`](Self::on_panic).
+    /// Books how a `process_batch` call over the run in `self.current`
+    /// ended, and leaves in there what the slot is to be invoked with next.
+    /// Nothing, after an `Ok`. After a failure the operator's contract has
+    /// left the failing element first in the run and nothing of it in
+    /// `self.out`: an `Err` is recorded as the domain's first error and
+    /// that element dropped; a panic goes to [`on_panic`](Self::on_panic),
+    /// which has the element retried or — having closed the slot behind
+    /// the outputs of the elements before it — the rest of the run dropped.
     #[inline]
-    pub(super) fn settle(
+    pub(super) fn settle_run(&mut self, i: usize, caught: Caught) {
+        match caught {
+            Ok(Ok(())) => self.current.clear(),
+            Ok(Err(e)) => {
+                self.record_error(e);
+                self.current.drain(..1.min(self.current.len()));
+            }
+            Err(payload) => {
+                if !self.on_panic(i, panic_message(payload.as_ref()), true) {
+                    self.current.clear();
+                }
+            }
+        }
+    }
+
+    /// [`call`] and the booking of how it ended for the callbacks that
+    /// carry no element and are therefore never retried: `on_eos`, `flush`,
+    /// `on_watermark`, `end_batch`. On failure what the callback emitted is
+    /// discarded; an `Err` is recorded as the domain's first error, a panic
+    /// goes to [`on_panic`](Self::on_panic).
+    pub(super) fn guarded(
         &mut self,
         i: usize,
-        caught: Caught,
-        retry: Option<(usize, &Element)>,
-    ) -> bool {
-        match caught {
-            Ok(Ok(())) => return true,
+        f: impl FnOnce(&mut dyn Operator, &mut Output) -> Result<()>,
+    ) {
+        match call(&mut *self.slots[i].state.op, &mut self.out, None, f) {
+            Ok(Ok(())) => {}
             Ok(Err(e)) => {
                 self.out.clear();
                 self.record_error(e);
             }
             Err(payload) => {
                 self.out.clear();
-                self.on_panic(i, panic_message(payload.as_ref()), retry);
+                self.on_panic(i, panic_message(payload.as_ref()), false);
             }
         }
-        false
     }
 
-    /// [`call`] + [`settle`](Self::settle) for the callbacks
-    /// that carry no element and are therefore never retried: `on_eos`,
-    /// `flush`, `on_watermark`.
-    pub(super) fn guarded(
-        &mut self,
-        i: usize,
-        f: impl FnOnce(&mut dyn Operator, &mut Output) -> Result<()>,
-    ) -> bool {
-        let caught = call(&mut *self.slots[i].state.op, &mut self.out, None, f);
-        self.settle(i, caught, None)
-    }
-
-    /// Applies the supervisor's verdict to a panic caught in slot `i`.
-    /// `retry` is the input `(port, element)` that was being processed, if
-    /// any: only a `process` call has something to redeliver. Every panic
-    /// counts toward the supervisor's quarantine window; without a
-    /// supervisor (or under `FailQuery`) the operator is closed and the
-    /// panic surfaces via [`take_panics`](Self::take_panics).
-    fn on_panic(&mut self, i: usize, msg: String, retry: Option<(usize, &Element)>) {
+    /// Applies the supervisor's verdict to a panic caught in slot `i` and
+    /// returns whether the input that was being processed is to be
+    /// delivered again — `retryable` says there is one: only
+    /// `process_batch` has something to redeliver. Every panic counts
+    /// toward the supervisor's quarantine window; without a supervisor (or
+    /// under `FailQuery`) the operator is closed and the panic surfaces via
+    /// [`take_panics`](Self::take_panics).
+    fn on_panic(&mut self, i: usize, msg: String, retryable: bool) -> bool {
         let operator = self.slots[i].state.op.name().to_string();
         match self.guard.supervisor.as_ref().map(|s| s.on_panic(&operator, &msg)) {
             Some(Verdict::Restart { backoff, .. }) => {
-                let Some((port, el)) = retry else {
-                    return;
-                };
-                std::thread::sleep(backoff);
-                self.align.rollback(&mut *self.slots[i].state.op);
-                // Retry the failed element next (LIFO): input order for
-                // this operator is preserved because its outputs were
-                // discarded and nothing downstream saw the element.
-                self.stack.push((i, port, Message::Data(el.clone())));
+                if retryable {
+                    std::thread::sleep(backoff);
+                    self.align.rollback(&mut *self.slots[i].state.op);
+                }
+                // Input order for this operator is preserved: nothing of
+                // the failed element was delivered, and it is still ahead
+                // of the elements that arrived behind it.
+                return retryable;
             }
             Some(Verdict::Quarantine { failures }) => {
                 self.record_error(StreamError::Other(format!(
@@ -172,6 +182,7 @@ impl DomainExecutor {
                 self.close_slot(i);
             }
         }
+        false
     }
 }
 
@@ -194,7 +205,7 @@ mod tests {
     use crate::supervisor::{DegradeMode, RestartPolicy};
     use hmts_graph::graph::NodeId;
     use hmts_obs::Obs;
-    use hmts_streams::element::Punctuation;
+    use hmts_streams::element::{Element, Message, Punctuation};
     use hmts_streams::queue::StreamQueue;
     use hmts_streams::time::Timestamp;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -228,9 +239,11 @@ mod tests {
     const FLUSHED: i64 = 999;
 
     /// Passes its input through and emits [`FLUSHED`] at flush time, except
-    /// that `failing` emits [`JUNK`] and then fails per `mode`.
+    /// that `failing` emits [`JUNK`] and then fails per `mode` — `process`
+    /// only on the value `only_on`, if there is one.
     struct Faulty {
         failing: Callback,
+        only_on: Option<i64>,
         mode: Mode,
         failed: bool,
         /// `process` invocations, shared with the test.
@@ -253,7 +266,7 @@ mod tests {
                     panic!("boom in {here:?}");
                 }
                 Mode::Panic => {
-                    out.clear();
+                    out.truncate(out.len() - 1);
                     Ok(())
                 }
             }
@@ -267,7 +280,9 @@ mod tests {
 
         fn process(&mut self, _port: usize, el: &Element, out: &mut Output) -> Result<()> {
             self.processed.fetch_add(1, Ordering::Relaxed);
-            self.maybe_fail(Callback::Process, out)?;
+            if self.only_on.is_none_or(|v| el.tuple.field(0).as_int() == Ok(v)) {
+                self.maybe_fail(Callback::Process, out)?;
+            }
             out.push(el.clone());
             Ok(())
         }
@@ -287,6 +302,40 @@ mod tests {
         }
     }
 
+    fn supervisor(supervision: Supervision, obs: &Obs) -> Option<Arc<Supervisor>> {
+        let policy = |max_restarts, degrade| RestartPolicy {
+            max_restarts,
+            degrade,
+            base_backoff: Duration::from_micros(1),
+            ..RestartPolicy::default()
+        };
+        match supervision {
+            Supervision::None => None,
+            Supervision::Restart => Some(policy(3, DegradeMode::QuarantineBranch)),
+            Supervision::Quarantine => Some(policy(0, DegradeMode::QuarantineBranch)),
+            Supervision::FailQuery => Some(policy(0, DegradeMode::FailQuery)),
+        }
+        .map(|p| Arc::new(Supervisor::new(p, 7, obs.clone())))
+    }
+
+    /// `op` as node 1 in front of a queue, under `supervisor`.
+    fn stage(
+        op: Faulty,
+        supervisor: Option<Arc<Supervisor>>,
+    ) -> (DomainExecutor, Arc<StreamQueue>) {
+        let q = StreamQueue::unbounded("out");
+        let target = Target::Queue { queue: Arc::clone(&q), wake: None };
+        let mut exec = DomainExecutor::new(
+            "d",
+            vec![slot(1, Box::new(op), vec![target])],
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        exec.attach(Attach { supervisor, ..Attach::default() });
+        (exec, q)
+    }
+
     /// Every operator callback goes through the same boundary, so a failure
     /// in any of them is booked the same way: outputs discarded, `Err`
     /// recorded as the first error, a panic counted by the supervisor and
@@ -302,38 +351,17 @@ mod tests {
                 for supervision in [Supervision::None, Restart, Quarantine, FailQuery] {
                     let case = format!("{failing:?} x {mode:?} x {supervision:?}");
                     let obs = Obs::enabled();
-                    let policy = |max_restarts, degrade| RestartPolicy {
-                        max_restarts,
-                        degrade,
-                        base_backoff: Duration::from_micros(1),
-                        ..RestartPolicy::default()
-                    };
-                    let supervisor = match supervision {
-                        Supervision::None => None,
-                        Restart => Some(policy(3, DegradeMode::QuarantineBranch)),
-                        Quarantine => Some(policy(0, DegradeMode::QuarantineBranch)),
-                        FailQuery => Some(policy(0, DegradeMode::FailQuery)),
-                    }
-                    .map(|p| Arc::new(Supervisor::new(p, 7, obs.clone())));
-
+                    let supervisor = supervisor(supervision, &obs);
                     let (processed, invoked) = (Arc::default(), Arc::default());
                     let op = Faulty {
                         failing,
+                        only_on: None,
                         mode,
                         failed: false,
                         processed: Arc::clone(&processed),
                         invoked: Arc::clone(&invoked),
                     };
-                    let q = StreamQueue::unbounded("out");
-                    let target = Target::Queue { queue: Arc::clone(&q), wake: None };
-                    let mut exec = DomainExecutor::new(
-                        "d",
-                        vec![slot(1, Box::new(op), vec![target])],
-                        vec![],
-                        StrategyKind::Fifo.build(None),
-                        ExecConfig::default(),
-                    );
-                    exec.attach(Attach { supervisor: supervisor.clone(), ..Attach::default() });
+                    let (mut exec, q) = stage(op, supervisor.clone());
                     let watermark = Punctuation::Watermark(Timestamp::from_micros(5));
                     for msg in [data(1, 1), Message::Punct(watermark), data(2, 2), Message::eos()] {
                         exec.inject(NodeId(1), 0, msg);
@@ -381,6 +409,88 @@ mod tests {
                     if failing != Process {
                         assert_eq!(invoked.load(Ordering::Relaxed), 1, "{case}: never retried");
                     }
+                }
+            }
+        }
+    }
+
+    /// A run goes through `process_batch` behind one boundary, and a failure
+    /// at its element *k* is booked as the failure of a run of one is: the
+    /// outputs of the elements before *k* are delivered, what *k* had
+    /// emitted is not, *k* is skipped (`Err`), retried (a restart) or takes
+    /// the slot and the elements behind it down with it — whatever the same
+    /// messages injected one by one lead to.
+    #[test]
+    fn a_failure_inside_a_run_is_the_failure_of_a_run_of_one() {
+        use Supervision::{FailQuery, Quarantine, Restart};
+        for at in [0usize, 1, 3] {
+            for mode in [Mode::Err, Mode::Panic] {
+                for supervision in [Supervision::None, Restart, Quarantine, FailQuery] {
+                    let case = format!("element {at} x {mode:?} x {supervision:?}");
+                    // (downstream, error, reported, counted, restarts, `process` calls)
+                    let outcome = |as_a_run: bool| {
+                        let obs = Obs::enabled();
+                        let supervisor = supervisor(supervision, &obs);
+                        let processed = Arc::default();
+                        let op = Faulty {
+                            failing: Callback::Process,
+                            only_on: Some(at as i64),
+                            mode,
+                            failed: false,
+                            processed: Arc::clone(&processed),
+                            invoked: Arc::default(),
+                        };
+                        let (mut exec, q) = stage(op, supervisor.clone());
+                        let mut msgs: Vec<Message> = (0..4).map(|v| data(v, v as u64)).collect();
+                        msgs.push(Message::eos());
+                        match as_a_run {
+                            true => exec.inject_batch(NodeId(1), 0, &mut msgs),
+                            false => msgs.into_iter().for_each(|m| exec.inject(NodeId(1), 0, m)),
+                        }
+                        assert_eq!(exec.live_slots(), 0, "{case}: slot closed");
+                        (
+                            contents(&q),
+                            exec.error().map(|e| e.to_string()).unwrap_or_default(),
+                            exec.take_panics().len(),
+                            obs.counter("supervisor_panics").get(),
+                            supervisor.map_or(0, |s| s.restarts()),
+                            processed.load(Ordering::Relaxed),
+                        )
+                    };
+                    let (run, one_by_one) = (outcome(true), outcome(false));
+                    assert_eq!(run, one_by_one, "{case}: as a run / one by one");
+
+                    let (downstream, error, reported, counted, restarts, processed) = run;
+                    let passed = |values: &mut dyn Iterator<Item = usize>| {
+                        let mut seen: Vec<String> = values.map(|v| v.to_string()).collect();
+                        seen.extend(["999".to_string(), "E".to_string()]);
+                        seen
+                    };
+                    let panicked = mode == Mode::Panic;
+                    let terminal = panicked && supervision != Restart;
+                    let expected = match (mode, terminal) {
+                        // The slot is closed without a flush.
+                        (_, true) => (0..at).map(|v| v.to_string()).chain(["E".into()]).collect(),
+                        (Mode::Err, _) => passed(&mut (0..4).filter(|&v| v != at)),
+                        (Mode::Panic, _) => passed(&mut (0..4)),
+                    };
+                    assert_eq!(downstream, expected, "{case}: downstream");
+                    match (mode, supervision) {
+                        (Mode::Err, _) => assert!(error.contains("boom"), "{case}: {error}"),
+                        (_, Quarantine) => {
+                            assert!(error.contains("quarantined"), "{case}: {error}")
+                        }
+                        _ => assert_eq!(error, "", "{case}: no error"),
+                    }
+                    let unsupervised = matches!(supervision, Supervision::None | FailQuery);
+                    assert_eq!(reported, usize::from(panicked && unsupervised), "{case}");
+                    let supervised = !matches!(supervision, Supervision::None);
+                    assert_eq!(counted, u64::from(panicked && supervised), "{case}: counted");
+                    assert_eq!(restarts, u64::from(panicked && supervision == Restart), "{case}");
+                    // Each element once; the failing one again if retried,
+                    // and nothing behind it if it was the slot's last.
+                    let calls = if terminal { at + 1 } else { 4 + usize::from(panicked) };
+                    assert_eq!(processed, calls, "{case}: process calls");
                 }
             }
         }

@@ -2,12 +2,16 @@
 //!
 //! A [`DomainExecutor`] owns the operators of one scheduling domain (one or
 //! more virtual operators) and their input queues. Execution follows the
-//! paper's push-based model (§2.4): an element injected at an operator
-//! triggers a *chain reaction* — a depth-first traversal through all
-//! directly connected successors — realized here with an explicit LIFO work
-//! stack (no recursion, no borrow gymnastics, no stack overflow on long
-//! chains). Edges to operators outside the domain's virtual operator go
-//! through queues instead, waking the consuming domain.
+//! paper's push-based model (§2.4): input injected at an operator triggers
+//! a *chain reaction* through all directly connected successors. Its unit
+//! is the *run* — the data messages between two punctuations — which goes
+//! through an operator in one call
+//! ([`Operator::process_batch`](hmts_operators::traits::Operator::process_batch))
+//! and, where the operator has one successor, on to it as a whole; where it
+//! has several, the traversal is depth-first per element over an explicit
+//! LIFO work stack (no recursion, no borrow gymnastics, no stack overflow
+//! on long chains). Edges to operators outside the domain's virtual
+//! operator go through queues instead, waking the consuming domain.
 //!
 //! The executor's `run_slice` is the level-2 scheduler: a pluggable
 //! [`Strategy`] picks which input queue to service next, and a [`Budget`]
@@ -104,7 +108,11 @@ pub struct InputQueue {
     pub exhausted: bool,
 }
 
-/// Execution limits for one `run_slice` call.
+/// Execution limits for one `run_slice` call. Only `max_messages` cuts a
+/// run short (a run is capped to what is left of it); everything else is
+/// looked at *between* runs — the flags after each run, the clock after
+/// each popped batch — so a slice overruns a raised flag by at most the run
+/// it was in, which is at most one batch.
 #[derive(Clone, Default)]
 pub struct Budget {
     /// Stop after this many messages (0 = unlimited).
@@ -112,9 +120,11 @@ pub struct Budget {
     /// Stop at this instant — looked at once per popped batch, so a slice
     /// overruns it by at most one batch.
     pub deadline: Option<Instant>,
-    /// Stop when this flag is raised (engine shutdown / mode switch).
+    /// Stop when this flag is raised (engine shutdown / mode switch) —
+    /// looked at between two runs.
     pub stop: Option<Arc<StopFlag>>,
-    /// Stop when this flag is raised (level-3 cooperative preemption).
+    /// Stop when this flag is raised (level-3 cooperative preemption) —
+    /// looked at between two runs.
     pub yield_flag: Option<Arc<AtomicBool>>,
 }
 
@@ -124,9 +134,17 @@ impl Budget {
         Budget::default()
     }
 
-    /// The limits checked after every message: everything but the clock.
+    /// How many more messages fit after `processed` of them.
+    fn room(&self, processed: usize) -> usize {
+        match self.max_messages {
+            0 => usize::MAX,
+            max => max.saturating_sub(processed),
+        }
+    }
+
+    /// The limits checked after every run: everything but the clock.
     fn exceeded(&self, processed: usize) -> bool {
-        (self.max_messages > 0 && processed >= self.max_messages)
+        self.room(processed) == 0
             || self.stop.as_ref().is_some_and(|s| s.is_stopped())
             || self
                 .yield_flag
@@ -235,6 +253,15 @@ pub struct DomainExecutor {
     pending: VecDeque<(NodeId, usize, Message)>,
     /// The DI chain-reaction work stack: `(slot, port, message)`.
     stack: Vec<(usize, usize, Message)>,
+    /// The run on its way to port `run_to.1` of slot `run_to.0`: gathered
+    /// at the domain's door, or a slot's whole output bound for its one
+    /// successor. Whatever is in here goes before anything on `stack`.
+    run: Vec<Element>,
+    run_to: (usize, usize),
+    /// The run the slot being invoked works on; empty between two
+    /// invocations. `run`, `current` and `out`'s buffer trade places hop by
+    /// hop, so a run moving down a chain allocates nothing.
+    current: Vec<Element>,
     out: Output,
     /// `out`'s route tags while its elements are being routed: swapped
     /// with `out`'s own vector, so a splitter's tags re-use two buffers
@@ -284,6 +311,9 @@ impl DomainExecutor {
             strategy,
             pending: VecDeque::new(),
             stack: Vec::new(),
+            run: Vec::new(),
+            run_to: (0, 0),
+            current: Vec::new(),
             out: Output::new(),
             route_tags: Vec::new(),
             dirty: Vec::new(),
@@ -315,82 +345,160 @@ impl DomainExecutor {
 
     /// Synchronously processes one message through the domain (the DI chain
     /// reaction) and hands what it produced for other domains to their
-    /// queues: a batch of one.
+    /// queues: a batch of one, and — if it is data — a run of one.
     pub fn inject(&mut self, node: NodeId, port: usize, msg: Message) {
-        let slot = self.slot_of.get(node);
-        self.chain_reaction(slot.ok_or(node), port, msg);
+        let slot = self.slot_of.get(node).ok_or(node);
+        self.feed(slot, port, &mut std::iter::once(msg), &Budget::unlimited(), &mut 0);
         self.flush_staged();
     }
 
-    /// [`inject`](Self::inject) for a run of messages entering at the same
-    /// port, in order — one chain reaction each and, being one batch, one
-    /// flush behind the last. `msgs` is left empty with its capacity
-    /// intact. Used by source-driven execution.
+    /// [`inject`](Self::inject) for messages entering at the same port, in
+    /// order: every stretch of data between two punctuations goes through
+    /// as one run and, all of it being one batch, there is one flush behind
+    /// the last. `msgs` is left empty with its capacity intact. Used by
+    /// source-driven execution.
     pub fn inject_batch(&mut self, node: NodeId, port: usize, msgs: &mut Vec<Message>) {
         let slot = self.slot_of.get(node).ok_or(node);
-        for msg in msgs.drain(..) {
-            self.chain_reaction(slot, port, msg);
-        }
+        self.feed(slot, port, &mut msgs.drain(..), &Budget::unlimited(), &mut 0);
         self.flush_staged();
     }
 
-    /// The DI chain reaction of one message entering at `slot`. Output for
-    /// queue targets is only staged; the caller owes a
-    /// [`flush_staged`](Self::flush_staged) before it returns control. A
-    /// message for a node the domain does not host (`Err`) is a routing
+    /// Puts `msgs` — all bound for `port` of `slot` — through the domain in
+    /// order: the data up to the next punctuation as one run (cut where
+    /// `budget.max_messages` is used up), the punctuation behind it in the
+    /// same chain reaction. What went through is added to `done`; the
+    /// budget is looked at after each chain reaction, and once it is
+    /// exceeded (the return value) nothing further is taken from `msgs`.
+    /// Output for queue targets is only staged; the caller owes a
+    /// [`flush_staged`](Self::flush_staged) before it returns control.
+    /// Messages for a node the domain does not host (`Err`) are a routing
     /// bug: recorded once and dropped.
-    fn chain_reaction(&mut self, slot: Result<usize, NodeId>, port: usize, msg: Message) {
-        debug_assert!(self.stack.is_empty());
-        match slot {
-            Ok(i) => self.stack.push((i, port, msg)),
-            Err(node) => return self.record_error(no_slot(node)),
+    fn feed(
+        &mut self,
+        slot: Result<usize, NodeId>,
+        port: usize,
+        msgs: &mut impl Iterator<Item = Message>,
+        budget: &Budget,
+        done: &mut usize,
+    ) -> bool {
+        let slot = match slot {
+            Ok(i) => i,
+            Err(node) => {
+                self.record_error(no_slot(node));
+                *done += msgs.count();
+                return budget.exceeded(*done);
+            }
+        };
+        debug_assert!(self.stack.is_empty() && self.run.is_empty());
+        loop {
+            match msgs.next() {
+                Some(Message::Data(el)) => {
+                    self.run_to = (slot, port);
+                    self.run.push(el);
+                    if self.run.len() < budget.room(*done) {
+                        continue;
+                    }
+                }
+                // Onto the stack, that is behind the run gathered so far.
+                Some(punct) => self.stack.push((slot, port, punct)),
+                None if self.run.is_empty() => return false,
+                None => {}
+            }
+            *done += self.run.len() + self.stack.len();
+            self.react();
+            if budget.exceeded(*done) {
+                return true;
+            }
         }
+    }
+
+    /// The chain reaction: invokes slots until the run on its way and the
+    /// work stack — and what an alignment completed meanwhile released —
+    /// are used up.
+    fn react(&mut self) {
         self.guard.enter();
         loop {
-            while let Some((i, port, msg)) = self.stack.pop() {
+            if !self.run.is_empty() {
+                let (i, port) = self.run_to;
+                debug_assert!(self.current.is_empty());
+                std::mem::swap(&mut self.run, &mut self.current);
+                self.invoke(i, port);
+            } else if let Some((i, port, msg)) = self.stack.pop() {
                 self.dispatch(i, port, msg);
-            }
-            if !self.align.release(&mut self.stack) {
+            } else if !self.align.release(&mut self.stack) {
                 break;
             }
         }
         self.guard.exit();
     }
 
-    /// Delivers one message to slot `i` on `port`, by kind. A closed slot
-    /// takes no more input.
+    /// Delivers one message to slot `i` on `port`, by kind: an element as a
+    /// run of one. A closed slot takes no more input.
     fn dispatch(&mut self, i: usize, port: usize, msg: Message) {
+        let p = match msg {
+            Message::Data(el) => {
+                self.current.push(el);
+                return self.invoke(i, port);
+            }
+            Message::Punct(p) => p,
+        };
         let slot = &mut self.slots[i];
         if slot.state.closed {
             return;
         }
         if slot.align.holds(port) {
-            slot.align.hold(port, msg);
+            slot.align.hold(port, Message::Punct(p));
             return;
         }
-        match msg {
-            Message::Data(el) => self.process_data(i, port, el),
-            Message::Punct(Punctuation::EndOfStream) => {
+        match p {
+            Punctuation::EndOfStream => {
                 self.process_eos(i, port);
                 // An EOS-closed port counts as aligned; this may
                 // complete an alignment waiting on it.
                 self.check_alignment(i);
             }
-            Message::Punct(Punctuation::Watermark(ts)) => self.process_watermark(i, port, ts),
-            Message::Punct(Punctuation::Barrier(id)) => self.process_barrier(i, port, id),
+            Punctuation::Watermark(ts) => self.process_watermark(i, port, ts),
+            Punctuation::Barrier(id) => self.process_barrier(i, port, id),
         }
     }
 
-    fn process_data(&mut self, i: usize, port: usize, el: Element) {
-        let (slot, out) = (&mut self.slots[i], &mut self.out);
-        let fault = guard::arm(&slot.fault);
-        let span = self.probe.begin(&mut slot.probe, &el);
-        let caught =
-            guard::call(&mut *slot.state.op, out, fault, |op, out| op.process(port, &el, out));
-        self.probe.end(&mut slot.probe, span, matches!(caught, Ok(Ok(()))), &el, out);
-        if self.settle(i, caught, Some((port, &el))) {
-            self.deliver_outputs(i);
+    /// The one way data goes through a slot: the run in `self.current`
+    /// (left empty), arrived on `port` of slot `i`, in one
+    /// [`process_batch`](hmts_operators::traits::Operator::process_batch)
+    /// call behind one unwind boundary, booked by the probe in one piece —
+    /// and its outputs delivered once. A closed slot drops the run, a port
+    /// held by barrier alignment holds its elements; where elements have to
+    /// be told apart — the slot has a fault plan, which counts invocations,
+    /// or one of them is traced — they come back one by one over the stack.
+    ///
+    /// A failure at element *k* is settled as a failure of a run of one
+    /// always was, and the elements behind *k* go on from there: the contract
+    /// of `process_batch` leaves them in the run, *k* first, and the outputs
+    /// of the elements before *k* in `out`.
+    fn invoke(&mut self, i: usize, port: usize) {
+        let DomainExecutor { slots, current: run, stack, probe, .. } = self;
+        let slot = &mut slots[i];
+        if slot.state.closed {
+            return run.clear();
         }
+        if slot.align.holds(port) {
+            return run.drain(..).for_each(|el| slot.align.hold(port, Message::Data(el)));
+        }
+        if run.len() > 1 && (slot.fault.is_some() || probe.follows_one_of(run)) {
+            return stack.extend(run.drain(..).rev().map(|el| (i, port, Message::Data(el))));
+        }
+        while !self.current.is_empty() {
+            let DomainExecutor { slots, current: run, out, probe, .. } = self;
+            let slot = &mut slots[i];
+            let fault = guard::arm(&slot.fault);
+            let span = probe.begin(&mut slot.probe, run, out);
+            let caught = guard::call(&mut *slot.state.op, out, fault, |op, out| {
+                op.process_batch(port, run, out)
+            });
+            probe.end(&mut slot.probe, span, matches!(caught, Ok(Ok(()))), run.len(), out);
+            self.settle_run(i, caught);
+        }
+        self.deliver_outputs(i);
     }
 
     fn process_eos(&mut self, i: usize, port: usize) {
@@ -439,24 +547,56 @@ impl DomainExecutor {
     }
 
     /// Routes everything in `self.out` along slot `i`'s routes, moving each
-    /// element from the buffer straight to its taker: a queue route's
-    /// staging buffer (FIFO, held until the next flush) or the work stack,
-    /// where the elements of this call end up in reverse so that the LIFO
-    /// pops realize the paper's depth-first traversal — the first element
-    /// through every inline route, in route order, before the second.
+    /// element from the buffer straight to its taker.
     ///
-    /// An element tagged with a route (see [`Output::push_routed`]) goes to
-    /// exactly one route — the one at the tag's out-edge ordinal, which is
-    /// its index in `routes` because both follow graph edge order.
-    /// Untagged elements broadcast to every route, as ever: cloned for all
-    /// but the last, which gets the element itself.
+    /// One route and no route tags — a stretch of a chain — and the output
+    /// is handed on whole, in emission order: to an inline successor as the
+    /// run on its way (buffers swapped; appended if output for it is
+    /// already on its way), to a queue by appending to its staging buffer
+    /// (FIFO, held until the next flush).
+    ///
+    /// Otherwise element by element: an element tagged with a route (see
+    /// [`Output::push_routed`]) goes to exactly one route — the one at the
+    /// tag's out-edge ordinal, which is its index in `routes` because both
+    /// follow graph edge order — and an untagged one to every route, cloned
+    /// for all but the last, which gets the element itself. Inline routes
+    /// take them over the work stack, where the elements of this call end
+    /// up in reverse so that the LIFO pops realize the paper's depth-first
+    /// traversal — the first element through every inline route, in route
+    /// order, before the second.
     fn deliver_outputs(&mut self, i: usize) {
         if self.out.is_empty() {
             return;
         }
-        self.out.swap_routes(&mut self.route_tags);
-        let DomainExecutor { out, slots, stack, dirty, error, route_tags: tags, .. } = self;
+        let DomainExecutor {
+            out, slots, stack, dirty, error, run, run_to, route_tags: tags, ..
+        } = self;
         let routes = &mut slots[i].routes;
+        if let ([route], false) = (&mut routes[..], out.is_routed()) {
+            match route {
+                Route::Inline { slot, port } if run.is_empty() => {
+                    *run_to = (*slot, *port);
+                    return out.swap_elements(run);
+                }
+                // Output of the same slot is on its way already (`on_eos`
+                // emitted, now `flush` did): behind it.
+                Route::Inline { slot, port } if *run_to == (*slot, *port) => {
+                    return run.extend(out.drain());
+                }
+                Route::Inline { .. } => {}
+                Route::Queue { staged, .. } => {
+                    if staged.is_empty() {
+                        dirty.push((i, 0));
+                    }
+                    return staged.extend(out.drain().map(Message::Data));
+                }
+                Route::Dangling(node) => {
+                    error.get_or_insert_with(|| no_slot(*node));
+                    return out.clear();
+                }
+            }
+        }
+        out.swap_routes(tags);
         let pushed_from = stack.len();
         let mut to = Takers { stack, dirty, error };
         if tags.is_empty() {
@@ -541,22 +681,25 @@ impl DomainExecutor {
     /// inputs run dry, or the domain finishes. The unit at the queue
     /// boundary is the batch — one `pop_batch` per decision, one
     /// `push_batch` per written queue target per batch, one look at the
-    /// deadline per batch — while the rest of the budget is checked per
-    /// message; what a cut-short batch leaves over waits in `pending`,
-    /// ahead of its queue.
+    /// deadline per batch — and inside it the run: the rest of the budget
+    /// is looked at between two runs, and only `max_messages` cuts one
+    /// short; what a cut-short batch leaves over waits in `pending`, ahead
+    /// of its queue.
     pub fn run_slice(&mut self, budget: &Budget) -> RunOutcome {
         let mut processed = 0usize;
         let mut exceeded = false;
 
-        while let Some((node, port, msg)) = self.pending.pop_front() {
-            let slot = self.slot_of.get(node);
-            self.chain_reaction(slot.ok_or(node), port, msg);
-            processed += 1;
-            if budget.exceeded(processed) {
-                exceeded = true;
-                break;
-            }
+        // Re-delivery first, neighbours bound for the same port together.
+        let mut pending = std::mem::take(&mut self.pending);
+        while let (false, Some(&(node, port, _))) = (exceeded, pending.front()) {
+            let slot = self.slot_of.get(node).ok_or(node);
+            let mut same = std::iter::from_fn(|| match pending.front() {
+                Some(&(n, p, _)) if (n, p) == (node, port) => pending.pop_front().map(|m| m.2),
+                _ => None,
+            });
+            exceeded = self.feed(slot, port, &mut same, budget, &mut processed);
         }
+        self.pending = pending;
         // However late it is, a slice does one batch's worth of work; what
         // was re-delivered above counts as that batch.
         if processed > 0 {
@@ -578,19 +721,15 @@ impl DomainExecutor {
             let slot = self.input_slots[i].ok_or(node);
             let mut inbox = std::mem::take(&mut self.inbox);
             self.inputs[i].queue.pop_batch(self.batch, &mut inbox);
-            for msg in inbox.drain(..) {
-                self.probe.queue_exit(&msg, i);
+            for msg in &inbox {
+                self.probe.queue_exit(msg, i);
                 if msg.is_eos() {
                     self.inputs[i].exhausted = true;
                 }
-                if exceeded {
-                    self.pending.push_back((node, port, msg));
-                    continue;
-                }
-                self.chain_reaction(slot, port, msg);
-                processed += 1;
-                exceeded = budget.exceeded(processed);
             }
+            let mut msgs = inbox.drain(..);
+            exceeded = self.feed(slot, port, &mut msgs, budget, &mut processed);
+            self.pending.extend(msgs.map(|msg| (node, port, msg)));
             self.inbox = inbox;
             self.flush_staged();
             exceeded = exceeded || budget.past_deadline();
@@ -871,14 +1010,25 @@ mod tests {
 
     #[test]
     fn stop_flag_interrupts() {
-        let (mut exec, q, _) = di_chain();
-        for i in 0..10 {
+        let (mut exec, q, handle) = di_chain();
+        for i in 0..100 {
             q.push(data(50, i)).unwrap();
         }
         let stop = Arc::new(StopFlag::new());
         stop.stop();
+        // The flags are read between two runs, like the deadline: raised
+        // before the slice starts, the slice still does its first run —
+        // here a whole batch of the default 32 — and not a message more.
         let budget = Budget { stop: Some(Arc::clone(&stop)), ..Budget::default() };
         assert_eq!(exec.run_slice(&budget), RunOutcome::Budget);
+        assert_eq!((handle.count(), q.len()), (32, 68));
+        // A punctuation ends a run, so the flag is seen behind it.
+        let (mut exec, q, handle) = di_chain();
+        q.push(data(50, 0)).unwrap();
+        q.push(Message::Punct(Punctuation::Watermark(Timestamp::from_micros(1)))).unwrap();
+        q.push(data(50, 2)).unwrap();
+        assert_eq!(exec.run_slice(&budget), RunOutcome::Budget);
+        assert_eq!((handle.count(), q.len()), (1, 0), "the third message waits in `pending`");
     }
 
     #[test]
@@ -1474,6 +1624,53 @@ mod tests {
             out.emit(Tuple::single(self.seen), Timestamp::from_micros(1));
             Ok(())
         }
+    }
+
+    /// Emits 1 when a port closes and 2 at flush time.
+    struct LastWords;
+
+    impl Operator for LastWords {
+        fn name(&self) -> &str {
+            "last-words"
+        }
+
+        fn process(&mut self, _: usize, _: &Element, _: &mut Output) -> Result<(), StreamError> {
+            Ok(())
+        }
+
+        fn on_eos(&mut self, _port: usize, out: &mut Output) -> Result<(), StreamError> {
+            out.emit(Tuple::single(1), Timestamp::from_micros(1));
+            Ok(())
+        }
+
+        fn flush(&mut self, out: &mut Output) -> Result<(), StreamError> {
+            out.emit(Tuple::single(2), Timestamp::from_micros(2));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn what_on_eos_and_flush_emit_reaches_an_inline_successor_in_that_order_before_eos() {
+        // Two deliveries in one dispatch: the second joins the run the first
+        // put on its way, and the EOS waits on the stack behind both. (Over
+        // the stack alone the EOS used to overtake what `on_eos` emitted.)
+        let (sink, handle) = CollectingSink::new("s");
+        let slots = vec![
+            slot(1, Box::new(LastWords), vec![Target::Inline { node: NodeId(2), port: 0 }]),
+            slot(2, Box::new(sink), vec![]),
+        ];
+        let mut exec = DomainExecutor::new(
+            "d",
+            slots,
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        exec.inject(NodeId(1), 0, Message::eos());
+        let vals: Vec<i64> =
+            handle.elements().iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect();
+        assert_eq!(vals, [1, 2]);
+        assert!(handle.is_done() && exec.is_finished());
     }
 
     #[test]

@@ -4,29 +4,32 @@
 //! tracing.
 //!
 //! The core calls in at four fixed points — [`Probe::begin`] / [`Probe::end`]
-//! around `process`, [`Probe::queue_enter`] at a queue push and
+//! around `process_batch`, [`Probe::queue_enter`] at a queue push and
 //! [`Probe::queue_exit`] at a queue pop. A slot nothing observes costs one
 //! branch in `begin` and one in `end`; an unsampled tuple costs one branch
 //! at each queue point.
 //!
 //! Counts are exact, costs are sampled: every element is booked into the
-//! slot's statistics cell (`processed`, selectivity, arrivals), but only
-//! one invocation in [`COST_STRIDE`] is timed, and only a timed invocation
-//! feeds `c(v)` and the latency histogram — both are means and quantiles
-//! of a population the stride samples evenly.
+//! slot's statistics cell (`processed`, selectivity, arrivals) — a run in
+//! one piece — but only the runs in which a [`COST_STRIDE`] point falls are
+//! timed, and only a timed run feeds `c(v)` and the latency histogram,
+//! with its mean per element — both are means and quantiles of a population
+//! the stride samples evenly.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use hmts_obs::{Histogram, HopKind, Tracer};
 use hmts_operators::traits::Output;
-use hmts_streams::element::{Element, Message};
+use hmts_streams::element::{Element, Message, TraceTag};
 use hmts_streams::queue::StreamQueue;
+use hmts_streams::time::Timestamp;
 
 use super::InputQueue;
 use crate::stats::{SharedNodeStats, StatsWriter};
 
-/// A slot times its first invocation and every `COST_STRIDE`-th after it.
+/// Of a slot's invocations — one per element, however they are cut into
+/// runs — the first and every `COST_STRIDE`-th after it are the timed ones.
 /// Deliberately not a multiple of `ExecConfig::batch` (32 by default, and
 /// 31 is coprime to every power of two): a multiple would time the same
 /// position of every popped batch — its cache-cold head — instead of
@@ -44,7 +47,7 @@ pub(super) struct SlotProbe {
     /// `ExecConfig::measure`, or a latency histogram.
     timed: bool,
     /// Invocations left until the next timed one.
-    untimed: u32,
+    untimed: usize,
     /// The operator's name, interned so recording a hop for a sampled
     /// tuple never allocates.
     site: Arc<str>,
@@ -62,17 +65,17 @@ impl SlotProbe {
         SlotProbe { stats, latency, timed, untimed: 0, site: Arc::from(operator) }
     }
 
-    /// Counts one invocation; whether it is the one in [`COST_STRIDE`] to
-    /// time.
+    /// Counts `n` invocations; how many of them are timed ones.
     #[inline]
-    fn due(&mut self) -> bool {
-        if self.untimed == 0 {
-            self.untimed = COST_STRIDE - 1;
-            true
-        } else {
-            self.untimed -= 1;
-            false
+    fn due(&mut self, n: usize) -> usize {
+        if n <= self.untimed {
+            self.untimed -= n;
+            return 0;
         }
+        let stride = COST_STRIDE as usize;
+        let behind_the_first = n - self.untimed - 1;
+        self.untimed = stride - 1 - behind_the_first % stride;
+        1 + behind_the_first / stride
     }
 }
 
@@ -86,17 +89,26 @@ struct TraceCtx {
     input_sites: Vec<Arc<str>>,
 }
 
-/// What [`Probe::begin`] hands to [`Probe::end`]: the cost clock, if this
-/// invocation is a timed one, and whether its tuple is traced.
+/// What [`Probe::begin`] hands to [`Probe::end`].
 pub(super) struct Span {
+    /// The cost clock, if a timed invocation falls into this run.
     start: Option<Instant>,
-    traced: bool,
+    /// The tag of a traced tuple (which is a run of its own), else
+    /// [`TraceTag::NONE`].
+    trace: TraceTag,
+    /// Elements in the run and in the output buffer before the call.
+    len: usize,
+    out_before: usize,
 }
 
 /// The measurement state of one executor.
 #[derive(Default)]
 pub(super) struct Probe {
     trace: Option<TraceCtx>,
+    /// The timestamps of the run being processed — taken down in `begin`,
+    /// because the operator owns the elements by the time `end` knows how
+    /// many of them to book.
+    arrivals: Vec<Timestamp>,
 }
 
 impl Probe {
@@ -107,52 +119,78 @@ impl Probe {
         self.trace = Some(TraceCtx { tracer, partition, input_sites });
     }
 
-    /// Before `process` on `slot`: for a sampled tuple, records the
-    /// process-start hop; for a timed invocation, starts the cost clock.
+    /// Whether one of `run`'s tuples is sampled for tracing: its hops are
+    /// its own, so it has to go through the slot as a run of one.
     #[inline]
-    pub(super) fn begin(&self, slot: &mut SlotProbe, el: &Element) -> Span {
-        let traced = el.trace.is_sampled() && self.trace.is_some();
-        if traced {
-            self.record(el, HopKind::ProcessStart, slot);
-        }
-        Span { start: (slot.timed && slot.due()).then(Instant::now), traced }
+    pub(super) fn follows_one_of(&self, run: &[Element]) -> bool {
+        self.trace.is_some() && run.iter().any(|el| el.trace.is_sampled())
     }
 
-    /// After `process` on `slot` (`ok` = it returned `Ok`): stops the cost
-    /// clock, records the process-end hop, and on success books the element
-    /// — with its cost, if timed — and stamps the pending outputs with the
-    /// input's trace context — results constructed inside the operator
+    /// Before `process_batch` of `run` on `slot`: for a sampled tuple,
+    /// records the process-start hop; starts the cost clock if one of the
+    /// invocations the run stands for is a timed one.
+    #[inline]
+    pub(super) fn begin(&mut self, slot: &mut SlotProbe, run: &[Element], out: &Output) -> Span {
+        let trace = match run {
+            [el] if self.trace.is_some() => el.trace,
+            _ => TraceTag::NONE,
+        };
+        if trace.is_sampled() {
+            self.record(trace, HopKind::ProcessStart, slot);
+        }
+        if slot.stats.is_some() {
+            self.arrivals.clear();
+            self.arrivals.extend(run.iter().map(|el| el.ts));
+        }
+        let start = (slot.timed && slot.untimed < run.len()).then(Instant::now);
+        Span { start, trace, len: run.len(), out_before: out.len() }
+    }
+
+    /// After `process_batch` on `slot` (`ok` = it returned `Ok`; `left` =
+    /// what it left of the run): stops the cost clock, records the
+    /// process-end hop, and books the elements that went through in one
+    /// piece — with the run's mean cost per invocation, counted once per
+    /// timed invocation in it. A traced tuple's outputs are stamped with its
+    /// trace context — results constructed inside the operator
     /// (projections, joins) inherit it.
     #[inline]
     pub(super) fn end(
-        &self,
+        &mut self,
         slot: &mut SlotProbe,
         span: Span,
         ok: bool,
-        el: &Element,
+        left: usize,
         out: &mut Output,
     ) {
-        let cost = span.start.map(|t| t.elapsed());
-        if span.traced {
-            self.record(el, HopKind::ProcessEnd, slot);
+        let elapsed = span.start.map(|t| t.elapsed());
+        if span.trace.is_sampled() {
+            self.record(span.trace, HopKind::ProcessEnd, slot);
         }
-        if !ok {
+        let booked = span.len - left.min(span.len);
+        // A failed invocation was one, for the stride.
+        let invoked = booked + usize::from(!ok);
+        let timed = if slot.timed { slot.due(invoked) } else { 0 };
+        if booked == 0 {
             return;
         }
+        let cost = elapsed.filter(|_| timed > 0).map(|e| e / invoked as u32);
         if let Some(stats) = &mut slot.stats {
-            stats.observe(el.ts, cost, out.len() as u64);
+            let outputs = (out.len() - span.out_before) as u64;
+            stats.observe_run(&self.arrivals[..booked], cost, timed, outputs);
         }
         if let (Some(h), Some(c)) = (&slot.latency, cost) {
-            h.record_duration(c);
+            for _ in 0..timed {
+                h.record_duration(c);
+            }
         }
-        if span.traced {
-            out.stamp_trace(el.trace);
+        if span.trace.is_sampled() {
+            out.stamp_trace(span.trace);
         }
     }
 
-    fn record(&self, el: &Element, kind: HopKind, slot: &SlotProbe) {
+    fn record(&self, trace: TraceTag, kind: HopKind, slot: &SlotProbe) {
         let tc = self.trace.as_ref().expect("a traced span implies a tracer");
-        tc.tracer.record(el.trace.id(), kind, &slot.site, tc.partition);
+        tc.tracer.record(trace.id(), kind, &slot.site, tc.partition);
     }
 
     /// At a push of `msgs` into `queue`.

@@ -33,12 +33,32 @@ pub struct NodeStats {
 impl NodeStats {
     /// Records one processed element.
     pub fn observe(&mut self, ts: Timestamp, cost: Option<Duration>, outputs: u64) {
+        self.observe_run(&[ts], cost, 1, outputs);
+    }
+
+    /// Records a run of processed elements — stamped `arrivals`, in order —
+    /// that produced `outputs` elements between them. If the run was timed,
+    /// `cost` is its mean per element and `samples` the number of elements
+    /// in it that a per-element clock would have sampled: the cost counts
+    /// that often, so the sample count does not depend on how a stream was
+    /// cut into runs.
+    pub fn observe_run(
+        &mut self,
+        arrivals: &[Timestamp],
+        cost: Option<Duration>,
+        samples: usize,
+        outputs: u64,
+    ) {
         if let Some(c) = cost {
-            self.cost.observe(c);
+            for _ in 0..samples {
+                self.cost.observe(c);
+            }
         }
-        self.selectivity.observe(outputs);
-        self.arrivals.observe(ts);
-        self.processed += 1;
+        self.selectivity.observe_run(arrivals.len() as u64, outputs);
+        for &ts in arrivals {
+            self.arrivals.observe(ts);
+        }
+        self.processed += arrivals.len() as u64;
     }
 }
 
@@ -138,9 +158,10 @@ pub type SharedNodeStats = Arc<NodeStatsCell>;
 /// The writing end of a cell, held by its one writer for as long as it is
 /// the writer: a plain [`NodeStats`] beside the cell, seeded from it once.
 /// Booking an element updates the plain values and *stores* them — the cell
-/// is never read back, so a hop pays a handful of relaxed stores and not
-/// the six loads and three estimator rebuilds of a snapshot first. Every
-/// element is in the cell when [`observe`](Self::observe)
+/// is never read back, so a hop pays a handful of relaxed stores — per
+/// run, not per element — and not the six loads and three estimator
+/// rebuilds of a snapshot first. Every element is in the cell when
+/// [`observe`](Self::observe) or [`observe_run`](Self::observe_run)
 /// returns, and the next writer (a mode switch builds new executors around
 /// the same cells) seeds itself from what this one left there.
 #[derive(Debug)]
@@ -159,8 +180,24 @@ impl StatsWriter {
     /// elements, and its cost if this invocation was timed.
     #[inline]
     pub fn observe(&mut self, ts: Timestamp, cost: Option<Duration>, outputs: u64) {
-        self.mirror.observe(ts, cost, outputs);
-        self.cell.publish(&self.mirror, ts, cost.is_some());
+        self.observe_run(&[ts], cost, 1, outputs);
+    }
+
+    /// Books a run of processed elements (see [`NodeStats::observe_run`])
+    /// and publishes once: the cell shows the whole run or nothing of it.
+    #[inline]
+    pub fn observe_run(
+        &mut self,
+        arrivals: &[Timestamp],
+        cost: Option<Duration>,
+        samples: usize,
+        outputs: u64,
+    ) {
+        let Some(&last) = arrivals.last() else {
+            return;
+        };
+        self.mirror.observe_run(arrivals, cost, samples, outputs);
+        self.cell.publish(&self.mirror, last, cost.is_some() && samples > 0);
     }
 }
 
@@ -298,13 +335,34 @@ mod tests {
                 writer = StatsWriter::new(Arc::clone(&cell));
             }
         }
-        let s = cell.snapshot();
-        assert_eq!(s.processed, plain.processed);
-        assert_eq!(s.cost.cost(), plain.cost.cost());
-        assert_eq!(s.cost.samples(), plain.cost.samples());
-        assert_eq!(s.selectivity.selectivity(), plain.selectivity.selectivity());
-        assert_eq!(s.arrivals.interarrival(), plain.arrivals.interarrival());
-        assert_eq!(s.arrivals.count(), plain.arrivals.count());
+        let same = |s: &NodeStats, what: &str| {
+            assert_eq!(s.processed, plain.processed, "{what}");
+            assert_eq!(s.cost.cost(), plain.cost.cost(), "{what}");
+            assert_eq!(s.cost.samples(), plain.cost.samples(), "{what}");
+            assert_eq!(s.selectivity.selectivity(), plain.selectivity.selectivity(), "{what}");
+            assert_eq!(s.arrivals.interarrival(), plain.arrivals.interarrival(), "{what}");
+            assert_eq!(s.arrivals.count(), plain.arrivals.count(), "{what}");
+        };
+        same(&cell.snapshot(), "element by element");
+        // A third way: the same elements booked in runs of 1 to 7 — a run's
+        // outputs in one sum, its cost once per timed element in it (at
+        // most one here: above, every timed element has a cost of its own,
+        // and a run has one cost).
+        let by_run = shared_node_stats();
+        let mut writer = StatsWriter::new(Arc::clone(&by_run));
+        let (mut from, mut len) = (0u64, 1u64);
+        while from < 100 {
+            let run = from..(from + len).min(100);
+            let arrivals: Vec<Timestamp> =
+                run.clone().map(|i| Timestamp::from_micros(i * i)).collect();
+            let timed = run.clone().filter(|i| i % 7 == 0).count();
+            assert!(timed <= 1);
+            let cost = run.clone().find(|i| i % 7 == 0).map(|i| Duration::from_nanos(500 + i));
+            writer.observe_run(&arrivals, cost, timed, run.clone().map(|i| i % 3).sum());
+            assert_eq!(by_run.snapshot().processed, run.end, "a run is visible once booked");
+            (from, len) = (run.end, len % 7 + 1);
+        }
+        same(&by_run.snapshot(), "run by run");
     }
 
     #[test]

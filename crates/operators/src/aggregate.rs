@@ -1,6 +1,7 @@
 //! Windowed, optionally grouped aggregation.
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
@@ -176,12 +177,26 @@ impl WindowAggregate {
         self.groups.len()
     }
 
-    fn field_of<'a>(&self, e: &'a Element) -> Result<Option<&'a Value>> {
-        match self.func.field() {
-            None => Ok(None),
-            Some(i) => Ok(Some(e.tuple.get(i)?)),
-        }
+    /// Expires what left the window by `now`, retracting each element's
+    /// contribution straight from its group — one hash per element, no copy
+    /// of it — and dropping a group with its last element. Every expired
+    /// element is retracted; the first error among them is returned.
+    fn expire(&mut self, now: Timestamp) -> Result<()> {
+        let WindowAggregate { window, groups, group_by, func, .. } = self;
+        let mut outcome = Ok(());
+        window.expire_with(now, |old| {
+            let retracted = retract(groups, group_by, *func, old);
+            if outcome.is_ok() {
+                outcome = retracted;
+            }
+        });
+        outcome
     }
+}
+
+/// The field of `e` the aggregate folds, lent out of the tuple.
+fn field_of(func: AggregateFunction, e: &Element) -> Result<Option<&Value>> {
+    func.field().map(|i| e.tuple.get(i)).transpose()
 }
 
 /// The group `e` belongs to: its `group_by` key, lent out of the tuple
@@ -193,6 +208,24 @@ fn key_of<'a>(group_by: &'a Option<Expr>, e: &'a Element) -> Result<Cow<'a, Valu
     }
 }
 
+/// Takes `old`'s contribution out of its group, and the group out of
+/// `groups` if that was its last element.
+fn retract(
+    groups: &mut HashMap<Value, GroupState>,
+    group_by: &Option<Expr>,
+    func: AggregateFunction,
+    old: &Element,
+) -> Result<()> {
+    let key = key_of(group_by, old)?.into_owned();
+    if let Entry::Occupied(mut group) = groups.entry(key) {
+        group.get_mut().remove(func, field_of(func, old)?)?;
+        if group.get().is_empty() {
+            group.remove();
+        }
+    }
+    Ok(())
+}
+
 impl Operator for WindowAggregate {
     fn name(&self) -> &str {
         &self.name
@@ -202,32 +235,22 @@ impl Operator for WindowAggregate {
         if port != 0 {
             return Err(StreamError::InvalidPort { port, arity: 1 });
         }
-        // (1) Expire, retracting contributions. Collect expired elements
-        // first to keep the borrow checker happy (self.window vs self.groups).
-        let mut expired = Vec::new();
-        self.window.expire_with(element.ts, |e| expired.push(e.clone()));
-        for old in &expired {
-            let key = key_of(&self.group_by, old)?;
-            let field = self.field_of(old)?.cloned();
-            if let Some(g) = self.groups.get_mut(&*key) {
-                g.remove(self.func, field.as_ref())?;
-                if g.is_empty() {
-                    self.groups.remove(&*key);
-                }
-            }
-        }
-        // (2) Fold in the new element.
-        let key = key_of(&self.group_by, element)?.into_owned();
-        let field = self.field_of(element)?.cloned();
-        let func = self.func;
-        let g = self.groups.entry(key.clone()).or_default();
-        g.add(func, field.as_ref())?;
-        let agg = g.value(func);
-        self.window.insert(element.clone());
+        // (1) Expire, retracting contributions.
+        self.expire(element.ts)?;
+        // (2) Fold in the new element: one look-up for its group, which
+        // also lends the key the result is named after.
+        let WindowAggregate { window, groups, group_by, func, .. } = self;
+        let field = field_of(*func, element)?;
+        let group = groups.entry(key_of(group_by, element)?.into_owned());
+        let named = group_by.as_ref().map(|_| group.key().clone());
+        let g = group.or_default();
+        g.add(*func, field)?;
+        let agg = g.value(*func);
+        window.insert(element.clone());
         // (3) Emit the updated aggregate for this group.
-        let tuple = match &self.group_by {
+        let tuple = match named {
             None => Tuple::new([agg]),
-            Some(_) => Tuple::new([key, agg]),
+            Some(key) => Tuple::new([key, agg]),
         };
         out.emit(tuple, element.ts);
         Ok(())
@@ -239,19 +262,7 @@ impl Operator for WindowAggregate {
         watermark: Timestamp,
         _out: &mut Output,
     ) -> Result<()> {
-        let mut expired = Vec::new();
-        self.window.expire_with(watermark, |e| expired.push(e.clone()));
-        for old in &expired {
-            let key = key_of(&self.group_by, old)?;
-            let field = self.field_of(old)?.cloned();
-            if let Some(g) = self.groups.get_mut(&*key) {
-                g.remove(self.func, field.as_ref())?;
-                if g.is_empty() {
-                    self.groups.remove(&*key);
-                }
-            }
-        }
-        Ok(())
+        self.expire(watermark)
     }
 
     fn cost_hint(&self) -> Option<Duration> {

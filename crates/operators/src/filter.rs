@@ -71,18 +71,69 @@ impl Filter {
     }
 }
 
+impl Predicate {
+    #[inline]
+    fn holds(&mut self, element: &Element) -> Result<bool> {
+        match self {
+            Predicate::Expr(e) => e.eval_bool(&element.tuple),
+            Predicate::Fn(f) => Ok(f(element)),
+        }
+    }
+}
+
+/// The part of a run a [`Filter`] has decided on and not yet taken out:
+/// the first `decided` elements of `run`, of which those with their bit set
+/// in `pass` go to `out` and the others nowhere. Taking them out is the
+/// drop, so it happens once per stretch whether the predicate returned,
+/// failed or panicked — and a passing element is moved, never cloned.
+struct Decided<'a> {
+    run: &'a mut Vec<Element>,
+    out: &'a mut Output,
+    pass: u64,
+    decided: usize,
+}
+
+impl Drop for Decided<'_> {
+    fn drop(&mut self) {
+        let mut pass = self.pass;
+        for element in self.run.drain(..self.decided) {
+            if pass & 1 != 0 {
+                self.out.push(element);
+            }
+            pass >>= 1;
+        }
+    }
+}
+
 impl Operator for Filter {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn process(&mut self, _port: usize, element: &Element, out: &mut Output) -> Result<()> {
-        let pass = match &mut self.predicate {
-            Predicate::Expr(e) => e.eval_bool(&element.tuple)?,
-            Predicate::Fn(f) => f(element),
-        };
-        if pass {
+        if self.predicate.holds(element)? {
             out.push(element.clone());
+        }
+        Ok(())
+    }
+
+    /// Decides first and moves second, a stretch of up to 64 elements at a
+    /// time: the predicate only ever looks at elements still in `run`, and
+    /// whatever it decided on leaves `run` — into `out` or for good — when
+    /// the stretch ends, including by `?` or by a panic.
+    fn process_batch(
+        &mut self,
+        _port: usize,
+        run: &mut Vec<Element>,
+        out: &mut Output,
+    ) -> Result<()> {
+        while !run.is_empty() {
+            let mut stretch = Decided { run, out, pass: 0, decided: 0 };
+            for element in stretch.run.iter().take(u64::BITS as usize) {
+                let holds = self.predicate.holds(element)?;
+                stretch.pass |= u64::from(holds) << stretch.decided;
+                stretch.decided += 1;
+            }
         }
         Ok(())
     }
@@ -154,6 +205,75 @@ mod tests {
         // Hints clamp out-of-range selectivities.
         let g = Filter::new("g", Expr::bool(true)).with_selectivity_hint(7.0);
         assert_eq!(g.selectivity_hint(), Some(1.0));
+    }
+
+    fn ints(elements: &[Element]) -> Vec<i64> {
+        elements.iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect()
+    }
+
+    #[test]
+    fn a_run_is_its_elements_in_order() {
+        // 150 elements: three stretches, the last one short.
+        let values: Vec<i64> = (0..150).map(|v| v * 7 % 10).collect();
+        let mut one_by_one = Filter::new("lt5", Expr::field(0).lt(Expr::int(5)));
+        let want = run(&mut one_by_one, &values);
+        let mut f = Filter::new("lt5", Expr::field(0).lt(Expr::int(5)));
+        let mut input: Vec<Element> =
+            values.iter().map(|&v| Element::single(v, Timestamp::ZERO)).collect();
+        let mut out = Output::new();
+        f.process_batch(0, &mut input, &mut out).unwrap();
+        assert!(input.is_empty() && input.capacity() >= 150, "taken out, storage kept");
+        assert_eq!(ints(out.elements()), want);
+    }
+
+    #[test]
+    fn an_error_at_element_k_leaves_it_first_in_the_run_and_the_passes_before_it_out() {
+        // Every element but the `k`-th has the field the predicate reads.
+        for k in [0, 1, 3, 70] {
+            let mut input: Vec<Element> = (0..80)
+                .map(|v| match v == k {
+                    true => Element::single(v, Timestamp::ZERO),
+                    false => Element::new(Tuple::pair(v, v % 2), Timestamp::ZERO),
+                })
+                .collect();
+            let mut f = Filter::new("odd", Expr::field(1).eq(Expr::int(1)));
+            let mut out = Output::new();
+            out.emit(Tuple::single(-1), Timestamp::ZERO);
+            assert!(f.process_batch(0, &mut input, &mut out).is_err(), "k = {k}");
+            assert_eq!(input.len() as i64, 80 - k, "k = {k}: the rest is still there");
+            assert_eq!(ints(&input)[0], k, "k = {k}: the failing element first");
+            let passed: Vec<i64> =
+                std::iter::once(-1).chain((0..k).filter(|v| v % 2 == 1)).collect();
+            assert_eq!(ints(out.elements()), passed, "k = {k}: what was there + passes of 0..k");
+            // The caller skips it and goes on: the rest comes out the same.
+            input.remove(0);
+            f.process_batch(0, &mut input, &mut out).unwrap();
+            let all: Vec<i64> =
+                std::iter::once(-1).chain((0..80).filter(|&v| v != k && v % 2 == 1)).collect();
+            assert_eq!(ints(out.elements()), all, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_predicate_is_not_asked_twice_about_what_it_decided() {
+        // A stateful predicate: passes every other element, panics on 5.
+        let mut seen = 0;
+        let mut f = Filter::from_fn("every_other", move |e| {
+            assert_ne!(e.tuple.field(0).as_int().unwrap(), 5, "five");
+            seen += 1;
+            seen % 2 == 1
+        });
+        let mut input: Vec<Element> = (0..8).map(|v| Element::single(v, Timestamp::ZERO)).collect();
+        let mut out = Output::new();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f.process_batch(0, &mut input, &mut out)
+        }));
+        assert!(caught.is_err());
+        assert_eq!(ints(&input), [5, 6, 7]);
+        assert_eq!(ints(out.elements()), [0, 2, 4]);
+        input.remove(0);
+        f.process_batch(0, &mut input, &mut out).unwrap();
+        assert_eq!(ints(out.elements()), [0, 2, 4, 7], "6 is the sixth it was asked about");
     }
 
     #[test]

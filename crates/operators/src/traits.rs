@@ -129,6 +129,33 @@ impl Output {
         self.routes.clear();
     }
 
+    /// Discards everything emitted after the first `len` elements: what an
+    /// operator that fails part-way through an input takes back.
+    #[inline]
+    pub fn truncate(&mut self, len: usize) {
+        self.elements.truncate(len);
+        self.routes.truncate(len);
+    }
+
+    /// Whether any buffered element carries a route tag, i.e. whether a
+    /// caller has to look at [`Output::swap_routes`] before delivering.
+    #[inline]
+    pub fn is_routed(&self) -> bool {
+        !self.routes.is_empty()
+    }
+
+    /// Hands the buffered elements over in `buf` (whose previous contents
+    /// are discarded) and keeps `buf`'s storage for the next outputs: a
+    /// whole output buffer becomes the next operator's run without an
+    /// element being moved. Route tags, if any, are dropped — this is for
+    /// callers that found [`Output::is_routed`] false.
+    #[inline]
+    pub fn swap_elements(&mut self, buf: &mut Vec<Element>) {
+        buf.clear();
+        self.routes.clear();
+        std::mem::swap(&mut self.elements, buf);
+    }
+
     /// Stamps every buffered element with the given trace tag.
     ///
     /// Called by the executor after a traced input element was processed,
@@ -160,6 +187,40 @@ pub trait Operator: Send {
     /// Processes one element that arrived on `port`, appending results to
     /// `out`.
     fn process(&mut self, port: usize, element: &Element, out: &mut Output) -> Result<()>;
+
+    /// Processes a *run* — elements that arrived on `port` one behind the
+    /// other — in one call, taking them out of `run`. The contract:
+    ///
+    /// - **Same results.** State and `out` end up as if
+    ///   [`process`](Operator::process) had been called on each element in
+    ///   order; on `Ok`, `run` is empty (its storage is the caller's).
+    /// - **Failure leaves the rest.** On `Err` or a panic, the elements not
+    ///   yet fully processed are still in `run`, the failing one first, and
+    ///   `out` holds the results of the elements before it and nothing of
+    ///   the failing one — so the caller can skip or retry exactly that
+    ///   element and go on with the ones behind it.
+    ///
+    /// The default lends each element to `process` and keeps both promises
+    /// with a guard that is also dropped by an unwind. An operator
+    /// overrides it when owning the elements saves work — [`Filter`] moves
+    /// a passing element to `out` instead of cloning it — and a wrapper
+    /// that forwards `process` unchanged forwards this too.
+    ///
+    /// [`Filter`]: crate::filter::Filter
+    fn process_batch(
+        &mut self,
+        port: usize,
+        run: &mut Vec<Element>,
+        out: &mut Output,
+    ) -> Result<()> {
+        let mut rest = RunRest { done: 0, mark: out.len(), run, out };
+        while let Some(element) = rest.run.get(rest.done) {
+            self.process(port, element, rest.out)?;
+            rest.done += 1;
+            rest.mark = rest.out.len();
+        }
+        Ok(())
+    }
 
     /// Handles a watermark on `port`: state with timestamps strictly below
     /// the watermark may be expired. Default: nothing to expire.
@@ -236,6 +297,24 @@ pub trait Operator: Send {
     fn end_batch(&mut self) {}
 }
 
+/// What the default [`Operator::process_batch`] leaves behind, however it
+/// ends: the `done` elements at the front of `run` are taken out, and `out`
+/// is cut back to `mark` — its length after the last element that went
+/// through, so a failing element's partial results go and nothing else.
+struct RunRest<'a> {
+    done: usize,
+    mark: usize,
+    run: &'a mut Vec<Element>,
+    out: &'a mut Output,
+}
+
+impl Drop for RunRest<'_> {
+    fn drop(&mut self) {
+        self.out.truncate(self.mark);
+        self.run.drain(..self.done);
+    }
+}
+
 /// A data source: the autonomous origin of a stream (paper §2.1: "sources
 /// only deliver data").
 ///
@@ -297,6 +376,15 @@ impl Operator for Box<dyn Operator> {
 
     fn process(&mut self, port: usize, element: &Element, out: &mut Output) -> Result<()> {
         (**self).process(port, element, out)
+    }
+
+    fn process_batch(
+        &mut self,
+        port: usize,
+        run: &mut Vec<Element>,
+        out: &mut Output,
+    ) -> Result<()> {
+        (**self).process_batch(port, run, out)
     }
 
     fn on_watermark(&mut self, port: usize, watermark: Timestamp, out: &mut Output) -> Result<()> {
@@ -554,6 +642,52 @@ mod tests {
         let mut out = Output::new();
         op.on_eos(0, &mut out).unwrap();
         assert!(out.is_empty());
+    }
+
+    /// Emits `v` once for an input `v`, after a partial result it takes
+    /// back by failing on 3: with an `Err`, or — the second time — a panic.
+    struct FailsOnThree(u32);
+
+    impl Operator for FailsOnThree {
+        fn name(&self) -> &str {
+            "fails-on-3"
+        }
+        fn process(&mut self, _port: usize, element: &Element, out: &mut Output) -> Result<()> {
+            out.push_routed(1, element.clone());
+            if element.tuple.field(0).as_int()? == 3 {
+                self.0 += 1;
+                assert!(self.0 < 2, "three again");
+                return Err(hmts_streams::error::StreamError::Other("three".into()));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_provided_run_loop_leaves_the_failing_element_first_and_none_of_its_output() {
+        let values = |elements: &[Element]| -> Vec<i64> {
+            elements.iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect()
+        };
+        let mut op = FailsOnThree(0);
+        let mut run: Vec<Element> = (1..=5).map(|v| Element::single(v, Timestamp::ZERO)).collect();
+        let mut out = Output::new();
+        out.emit(Tuple::single(0), Timestamp::ZERO);
+        assert!(op.process_batch(0, &mut run, &mut out).is_err());
+        assert_eq!(values(&run), [3, 4, 5]);
+        assert_eq!(values(out.elements()), [0, 1, 2]);
+        // A panic leaves the same behind, and the route tags stay parallel.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = op.process_batch(0, &mut run, &mut out);
+        }));
+        assert!(caught.is_err());
+        assert_eq!(values(&run), [3, 4, 5]);
+        assert_eq!(values(out.elements()), [0, 1, 2]);
+        // The caller drops the element and goes on behind it.
+        run.remove(0);
+        op.process_batch(0, &mut run, &mut out).unwrap();
+        assert!(run.is_empty());
+        assert_eq!(values(out.elements()), [0, 1, 2, 4, 5]);
+        assert_eq!(out.take_routes(), [Output::BROADCAST, 1, 1, 1, 1]);
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl ShardReplica {
 
     /// Runs one inner callback into `scratch` and, if it succeeded, moves
     /// the results to `out` on the flush channel: output of a watermark
-    /// handler or of `flush` has no arrival sequence. (None of the
+    /// handler, of `on_eos` or of `flush` has no arrival sequence. (None of the
     /// currently shardable operators emits there — expiry only — so this
     /// is future-proofing, not a hot path.)
     fn off_sequence(
@@ -59,6 +59,12 @@ impl Operator for ShardReplica {
         &self.name
     }
 
+    fn input_arity(&self) -> usize {
+        self.inner.input_arity()
+    }
+
+    // `process_batch` is the provided loop over `process`: the tags are per
+    // element, so the inner operator is handed one element at a time.
     fn process(&mut self, _port: usize, element: &Element, out: &mut Output) -> Result<()> {
         let Some((seq, _)) = element.seq.position() else {
             return Err(StreamError::Other(format!(
@@ -88,6 +94,14 @@ impl Operator for ShardReplica {
 
     fn flush(&mut self, out: &mut Output) -> Result<()> {
         self.off_sequence(out, |inner, scratch| inner.flush(scratch))
+    }
+
+    fn on_eos(&mut self, port: usize, out: &mut Output) -> Result<()> {
+        self.off_sequence(out, |inner, scratch| inner.on_eos(port, scratch))
+    }
+
+    fn end_batch(&mut self) {
+        self.inner.end_batch()
     }
 
     fn cost_hint(&self) -> Option<std::time::Duration> {

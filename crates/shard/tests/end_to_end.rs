@@ -88,6 +88,45 @@ fn sharded_engine_output_matches_unsharded() {
 }
 
 #[test]
+fn the_run_length_changes_nothing_behind_a_sharded_operator() {
+    // Split → replicas → merge under DI, GTS and HMTS, with the source
+    // handing over (and every executor popping) 1, 7 or 32 elements at a
+    // time and a watermark ending a run every 50 elements: the merge puts
+    // the replicas' results back into arrival order, so the sink sees the
+    // sequence the unsharded operator produces one element at a time.
+    let run = |graph: QueryGraph, plan: ExecutionPlan, batch: usize| {
+        let cfg = EngineConfig {
+            pace_sources: false,
+            batch,
+            watermark_interval: Some(Duration::from_micros(150)),
+            ..EngineConfig::default()
+        };
+        let report = Engine::run_with_config(graph, plan, cfg).expect("engine runs");
+        assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
+    };
+    let (graph, unsharded) = chain();
+    let plan = ExecutionPlan::di(&Topology::of(&graph));
+    run(graph, plan, 1);
+    let want = unsharded.elements();
+    assert_eq!(want.len() as u64, N);
+    for mode in ["di", "gts", "hmts"] {
+        for batch in [1, 7, 32] {
+            let (graph, handle) = chain();
+            let (graph, partitioning) = sharded(graph, "agg", &ShardSpec::auto(3));
+            let topo = Topology::of(&graph);
+            let plan = match mode {
+                "di" => ExecutionPlan::di(&topo),
+                "gts" => ExecutionPlan::gts(&topo, StrategyKind::Fifo),
+                _ => ExecutionPlan::hmts(partitioning, StrategyKind::Fifo, 2),
+            };
+            run(graph, plan, batch);
+            assert!(handle.is_done(), "{mode} {batch}: sink saw EOS");
+            assert!(handle.elements() == want, "sharded under {mode} with batch {batch}");
+        }
+    }
+}
+
+#[test]
 fn single_replica_shard_is_transparent() {
     // N = 1 degenerates to a tag/untag pass-through; still identical.
     let (graph, baseline) = chain();

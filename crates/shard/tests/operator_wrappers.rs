@@ -1,0 +1,181 @@
+//! Every in-repo operator wrapper hands every `Operator` method on to the
+//! operator it wraps. One table, walked once per wrapper: a method added to
+//! the trait gets a row here, and a wrapper that forgets it — as `end_batch`
+//! and `on_eos` were forgotten before — fails its walk.
+
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use hmts::operators::cost::{CostMode, Costed};
+use hmts::operators::expr::Expr;
+use hmts::operators::traits::{Operator, Output};
+use hmts::state::{StateBlob, StateError, StatefulOperator};
+use hmts::streams::element::{Element, SeqKind, SeqTag};
+use hmts::streams::error::Result;
+use hmts::streams::time::Timestamp;
+use hmts_shard::ShardReplica;
+
+type Log = Arc<Mutex<Vec<&'static str>>>;
+
+/// Writes down the name of every method called on it.
+struct Recorder(Log);
+
+impl Recorder {
+    fn note(&self, method: &'static str) {
+        self.0.lock().unwrap().push(method);
+    }
+}
+
+impl Operator for Recorder {
+    fn name(&self) -> &str {
+        self.note("name");
+        "recorder"
+    }
+
+    fn input_arity(&self) -> usize {
+        self.note("input_arity");
+        3
+    }
+
+    fn process(&mut self, _port: usize, _element: &Element, _out: &mut Output) -> Result<()> {
+        self.note("process");
+        Ok(())
+    }
+
+    fn process_batch(
+        &mut self,
+        _port: usize,
+        run: &mut Vec<Element>,
+        _out: &mut Output,
+    ) -> Result<()> {
+        self.note("process_batch");
+        run.clear();
+        Ok(())
+    }
+
+    fn on_watermark(&mut self, _port: usize, _wm: Timestamp, _out: &mut Output) -> Result<()> {
+        self.note("on_watermark");
+        Ok(())
+    }
+
+    fn flush(&mut self, _out: &mut Output) -> Result<()> {
+        self.note("flush");
+        Ok(())
+    }
+
+    fn cost_hint(&self) -> Option<Duration> {
+        self.note("cost_hint");
+        None
+    }
+
+    fn selectivity_hint(&self) -> Option<f64> {
+        self.note("selectivity_hint");
+        None
+    }
+
+    fn stateful(&mut self) -> Option<&mut dyn StatefulOperator> {
+        self.note("stateful");
+        Some(self)
+    }
+
+    fn shard_key(&self, _port: usize) -> Option<Expr> {
+        self.note("shard_key");
+        None
+    }
+
+    fn replicate(&self) -> Option<Box<dyn Operator>> {
+        self.note("replicate");
+        Some(Box::new(Recorder(Arc::clone(&self.0))))
+    }
+
+    fn on_eos(&mut self, _port: usize, _out: &mut Output) -> Result<()> {
+        self.note("on_eos");
+        Ok(())
+    }
+
+    fn end_batch(&mut self) {
+        self.note("end_batch");
+    }
+}
+
+impl StatefulOperator for Recorder {
+    fn snapshot(&self) -> StateBlob {
+        StateBlob::new(1, Vec::new())
+    }
+
+    fn restore(&mut self, _blob: StateBlob) -> std::result::Result<(), StateError> {
+        Ok(())
+    }
+}
+
+/// Two elements as a replica expects them: carrying a sequence tag.
+fn run() -> Vec<Element> {
+    (0..2u64)
+        .map(|seq| {
+            Element::single(seq as i64, Timestamp::from_micros(seq))
+                .with_seq(SeqTag::new(seq, SeqKind::Last))
+        })
+        .collect()
+}
+
+/// A method's name and a call of it.
+type Method = (&'static str, fn(&mut dyn Operator));
+
+/// One row per `Operator` method — the required two and every provided one.
+const METHODS: &[Method] = &[
+    ("name", |op| assert!(!op.name().is_empty())),
+    ("input_arity", |op| assert_eq!(op.input_arity(), 3)),
+    ("process", |op| op.process(0, &run()[0], &mut Output::new()).unwrap()),
+    ("process_batch", |op| {
+        let mut run = run();
+        op.process_batch(0, &mut run, &mut Output::new()).unwrap();
+        assert!(run.is_empty());
+    }),
+    ("on_watermark", |op| op.on_watermark(0, Timestamp::ZERO, &mut Output::new()).unwrap()),
+    ("flush", |op| op.flush(&mut Output::new()).unwrap()),
+    ("cost_hint", |op| {
+        let _ = op.cost_hint();
+    }),
+    ("selectivity_hint", |op| {
+        let _ = op.selectivity_hint();
+    }),
+    ("stateful", |op| assert!(op.stateful().is_some())),
+    ("shard_key", |op| drop(op.shard_key(0))),
+    ("replicate", |op| drop(op.replicate())),
+    ("on_eos", |op| op.on_eos(0, &mut Output::new()).unwrap()),
+    ("end_batch", |op| op.end_batch()),
+];
+
+#[test]
+fn every_wrapper_hands_every_operator_method_on() {
+    type Wrap = fn(Recorder) -> Box<dyn Operator>;
+    // `forwards_runs`: whether the wrapped operator is handed a run as a
+    // run. A wrapper that does something per element — charge a cost, tag
+    // the results — gets the provided loop and hands on elements.
+    let wrappers: [(&str, Wrap, bool); 3] = [
+        // A box in a box, so the call goes through the forwarding impl and
+        // not straight through the vtable of the inner box.
+        ("Box<dyn Operator>", |r| Box::new(Box::new(r) as Box<dyn Operator>), true),
+        ("Costed", |r| Box::new(Costed::new(r, CostMode::Virtual(Duration::ZERO))), false),
+        ("ShardReplica", |r| Box::new(ShardReplica::new("recorder[0]", Box::new(r))), false),
+    ];
+    for (wrapper, wrap, forwards_runs) in wrappers {
+        let log = Log::default();
+        let mut op = wrap(Recorder(Arc::clone(&log)));
+        for (method, call) in METHODS {
+            log.lock().unwrap().clear();
+            call(&mut *op);
+            let seen = std::mem::take(&mut *log.lock().unwrap());
+            match (*method, forwards_runs) {
+                // A replica has a name of its own and is not sharded again:
+                // the three methods it answers itself.
+                ("name" | "shard_key" | "replicate", _) if wrapper == "ShardReplica" => {
+                    assert_eq!(seen, [""; 0], "{wrapper}::{method}");
+                    assert_eq!(op.name(), "recorder[0]");
+                }
+                ("process_batch", false) => assert_eq!(seen, ["process", "process"], "{wrapper}"),
+                _ => assert_eq!(seen, [*method], "{wrapper}::{method}"),
+            }
+        }
+    }
+}

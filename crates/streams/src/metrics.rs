@@ -196,7 +196,13 @@ impl SelectivityEstimator {
 
     /// Records that one input element produced `outputs` output elements.
     pub fn observe(&mut self, outputs: u64) {
-        self.inputs += 1;
+        self.observe_run(1, outputs);
+    }
+
+    /// Records that `inputs` input elements produced `outputs` output
+    /// elements between them.
+    pub fn observe_run(&mut self, inputs: u64, outputs: u64) {
+        self.inputs += inputs;
         self.outputs += outputs;
     }
 

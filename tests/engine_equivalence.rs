@@ -192,6 +192,139 @@ fn the_batch_size_changes_no_result_in_any_mode() {
     }
 }
 
+/// `n` keyed rows `(i * 7 % 13, i)`, one per microsecond from `first_us`.
+fn keyed_rows(name: &str, n: u64, first_us: u64) -> VecSource {
+    VecSource::new(
+        name,
+        (0..n)
+            .map(|i| {
+                (Timestamp::from_micros(first_us + i), Tuple::pair((i * 7 % 13) as i64, i as i64))
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn the_run_length_changes_no_sink_sequence_in_any_shape_or_mode() {
+    // What goes through an operator in one call is a run: as many elements
+    // as the source hands over or an executor pops (`batch`), ended early
+    // by every punctuation — here a watermark every 50 µs of stream time,
+    // which falls mid-batch for 7 and for 32. Whatever the runs are, every
+    // operator sees the same input in the same order, so every sink sees
+    // what it sees when elements travel one by one (`batch = 1` under DI).
+    // Where two threads race into one operator — a union's or a join's two
+    // inputs, from two queues or two sources — the order is the race's, and
+    // the results are compared as multisets.
+    type Built = (QueryGraph, Vec<SinkHandle>);
+    let chain = || -> Built {
+        let mut b = GraphBuilder::new();
+        let src = b.source(keyed_rows("src", 3_000, 1));
+        let flt =
+            b.op_after(Filter::new("flt", Expr::field(1).rem(Expr::int(5)).lt(Expr::int(4))), src);
+        let agg = b.op_after(
+            WindowAggregate::new("agg", AggregateFunction::Sum(1), Duration::from_micros(200))
+                .group_by(Expr::field(0)),
+            flt,
+        );
+        let big = b.op_after(Filter::new("big", Expr::field(1).gt(Expr::int(5_000))), agg);
+        let (sink, handle) = CollectingSink::new("out");
+        b.op_after(sink, big);
+        (b.build().expect("valid graph"), vec![handle])
+    };
+    let fan_out = || -> Built {
+        let mut b = GraphBuilder::new();
+        let src = b.source(keyed_rows("src", 3_000, 1));
+        let f = b.op_after(Filter::new("f", Expr::field(1).lt(Expr::int(2_500))), src);
+        let l = b.op_after(Filter::new("l", Expr::field(0).lt(Expr::int(6))), f);
+        let r = b.op_after(Filter::new("r", Expr::field(1).rem(Expr::int(3)).eq(Expr::int(0))), f);
+        let (left, left_handle) = CollectingSink::new("left");
+        let (right, right_handle) = CollectingSink::new("right");
+        b.op_after(left, l);
+        b.op_after(right, r);
+        (b.build().expect("valid graph"), vec![left_handle, right_handle])
+    };
+    let diamond = || -> Built {
+        let mut b = GraphBuilder::new();
+        let src = b.source(keyed_rows("src", 3_000, 1));
+        let f = b.op_after(Filter::new("f", Expr::field(1).lt(Expr::int(2_500))), src);
+        let l = b.op_after(Filter::new("l", Expr::field(1).rem(Expr::int(2)).eq(Expr::int(0))), f);
+        let r = b.op_after(Filter::new("r", Expr::field(1).rem(Expr::int(3)).eq(Expr::int(0))), f);
+        let u = b.op(Union::new("u", 2));
+        b.connect_port(l, u, 0).connect_port(r, u, 1);
+        let (sink, handle) = CollectingSink::new("out");
+        b.op_after(sink, u);
+        (b.build().expect("valid graph"), vec![handle])
+    };
+    let join = || -> Built {
+        let mut b = GraphBuilder::new();
+        let left = b.source(keyed_rows("left", 400, 1));
+        let right = b.source(keyed_rows("right", 300, 1));
+        let l =
+            b.op_after(Filter::new("l", Expr::field(1).rem(Expr::int(4)).lt(Expr::int(3))), left);
+        // The window holds everything, so which pairs meet does not depend
+        // on how the two sources interleave.
+        let j = b.op_after2(SymmetricHashJoin::on_field("j", 0, Duration::from_secs(60)), l, right);
+        let (sink, handle) = CollectingSink::new("out");
+        b.op_after(sink, j);
+        (b.build().expect("valid graph"), vec![handle])
+    };
+    /// A shape: its name, its graph, and whether two threads feed one of
+    /// its operators under a given mode.
+    type Shape = (&'static str, fn() -> Built, fn(&str) -> bool);
+    let shapes: [Shape; 4] = [
+        ("chain", chain, |_| false),
+        ("fan-out", fan_out, |_| false),
+        ("diamond", diamond, |mode| mode != "di"),
+        ("join", join, |_| true),
+    ];
+    for (shape, build, races) in shapes {
+        let run = |mode: &str, batch: usize| -> Vec<Vec<(Timestamp, Tuple)>> {
+            let (graph, handles) = build();
+            let topo = Topology::of(&graph);
+            let ops = topo.operators();
+            let plan = match mode {
+                "di" => ExecutionPlan::di(&topo),
+                "gts" => ExecutionPlan::gts(&topo, StrategyKind::Fifo),
+                _ => ExecutionPlan::hmts(
+                    Partitioning::new(vec![ops[..2].to_vec(), ops[2..].to_vec()]),
+                    StrategyKind::Fifo,
+                    2,
+                ),
+            };
+            let cfg = EngineConfig {
+                pace_sources: false,
+                batch,
+                watermark_interval: Some(Duration::from_micros(50)),
+                ..EngineConfig::default()
+            };
+            let report = Engine::run_with_config(graph, plan, cfg).expect("engine runs");
+            assert!(report.errors.is_empty(), "{shape} {mode} {batch}: {:?}", report.errors);
+            handles
+                .iter()
+                .map(|handle| {
+                    assert!(handle.is_done(), "{shape} {mode} {batch}: sink saw EOS");
+                    let mut seen = collected_sequence(handle);
+                    if races(mode) {
+                        seen.sort();
+                    }
+                    seen
+                })
+                .collect()
+        };
+        let one_by_one = run("di", 1);
+        assert!(one_by_one.iter().all(|sink| sink.len() > 100), "{shape}: every sink is fed");
+        for mode in ["di", "gts", "hmts"] {
+            let mut want = one_by_one.clone();
+            if races(mode) {
+                want.iter_mut().for_each(|sink| sink.sort());
+            }
+            for batch in [1, 7, 32] {
+                assert!(run(mode, batch) == want, "{shape} under {mode} with batch {batch}");
+            }
+        }
+    }
+}
+
 #[test]
 fn placement_driven_hmts_matches_reference() {
     // Let Algorithm 1 derive the partitioning from hints, then execute it.
