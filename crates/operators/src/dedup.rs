@@ -1,5 +1,6 @@
 //! Windowed duplicate elimination.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
@@ -36,10 +37,10 @@ impl Dedup {
                 break;
             }
             let (_, key) = self.log.pop_front().expect("front checked");
-            if let Some(n) = self.live.get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    self.live.remove(&key);
+            if let Entry::Occupied(mut n) = self.live.entry(key) {
+                *n.get_mut() -= 1;
+                if *n.get() == 0 {
+                    n.remove();
                 }
             }
         }
@@ -59,9 +60,18 @@ impl Operator for Dedup {
     fn process(&mut self, _port: usize, element: &Element, out: &mut Output) -> Result<()> {
         self.expire(element.ts);
         let key = self.key.eval(&element.tuple)?;
-        let seen = self.live.contains_key(&key);
-        // Every arrival refreshes the suppression window for its key.
-        *self.live.entry(key.clone()).or_insert(0) += 1;
+        // Every arrival refreshes the suppression window for its key; the
+        // one look-up also tells whether the key was live.
+        let seen = match self.live.entry(key.clone()) {
+            Entry::Occupied(mut n) => {
+                *n.get_mut() += 1;
+                true
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(1);
+                false
+            }
+        };
         self.log.push_back((element.ts, key));
         if !seen {
             out.push(element.clone());

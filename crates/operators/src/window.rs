@@ -19,16 +19,33 @@ use hmts_streams::time::Timestamp;
 /// stream (sources emit in order); mild disorder is tolerated — expiration
 /// uses the maximum timestamp seen so far, so a late element can never
 /// resurrect expired state.
+///
+/// Each element may carry a tag `T` that lives and expires with it — an
+/// aggregate keeps the slot of the element's group there — and that is
+/// never written to a snapshot. Joins use the tag-less `WindowBuffer`.
 #[derive(Debug)]
-pub struct WindowBuffer {
+pub struct WindowBuffer<T = ()> {
     extent: Duration,
-    buf: VecDeque<Element>,
+    buf: VecDeque<(Element, T)>,
     max_ts: Timestamp,
 }
 
 impl WindowBuffer {
+    /// Inserts an element (kept in arrival order).
+    pub fn insert(&mut self, e: Element) {
+        self.insert_tagged(e, ());
+    }
+
+    /// Replaces the contents from a snapshot written by
+    /// [`WindowBuffer::snapshot_into`].
+    pub fn restore_from(&mut self, r: &mut BlobReader<'_>) -> Result<(), StateError> {
+        self.restore_tagged(r, |_| Ok(()))
+    }
+}
+
+impl<T> WindowBuffer<T> {
     /// A buffer with the given window extent.
-    pub fn new(extent: Duration) -> WindowBuffer {
+    pub fn new(extent: Duration) -> WindowBuffer<T> {
         WindowBuffer { extent, buf: VecDeque::new(), max_ts: Timestamp::ZERO }
     }
 
@@ -37,10 +54,10 @@ impl WindowBuffer {
         self.extent
     }
 
-    /// Inserts an element (kept in arrival order).
-    pub fn insert(&mut self, e: Element) {
+    /// Inserts an element with its tag (kept in arrival order).
+    pub fn insert_tagged(&mut self, e: Element, tag: T) {
         self.max_ts = self.max_ts.max(e.ts);
-        self.buf.push_back(e);
+        self.buf.push_back((e, tag));
     }
 
     /// Expires and discards all elements whose timestamp lies strictly
@@ -48,39 +65,29 @@ impl WindowBuffer {
     /// `ts == now - extent` is still alive (closed window boundary, matching
     /// the usual sliding-window definition).
     pub fn expire(&mut self, now: Timestamp) -> usize {
-        let cutoff = now.saturating_sub(self.extent);
-        let mut removed = 0;
-        while let Some(front) = self.buf.front() {
-            if front.ts < cutoff {
-                self.buf.pop_front();
-                removed += 1;
-            } else {
-                break;
-            }
-        }
-        removed
+        self.expire_with(now, |_, _| {})
     }
 
-    /// Like [`WindowBuffer::expire`], but hands the expired elements to a
-    /// callback (aggregates need them to retract their contribution).
-    pub fn expire_with(&mut self, now: Timestamp, mut on_expired: impl FnMut(&Element)) -> usize {
+    /// Like [`WindowBuffer::expire`], but hands each expired element and
+    /// its tag to a callback (aggregates retract their contribution).
+    pub fn expire_with(
+        &mut self,
+        now: Timestamp,
+        mut on_expired: impl FnMut(&Element, T),
+    ) -> usize {
         let cutoff = now.saturating_sub(self.extent);
         let mut removed = 0;
-        while let Some(front) = self.buf.front() {
-            if front.ts < cutoff {
-                let e = self.buf.pop_front().expect("front checked");
-                on_expired(&e);
-                removed += 1;
-            } else {
-                break;
-            }
+        while self.buf.front().is_some_and(|(front, _)| front.ts < cutoff) {
+            let (e, tag) = self.buf.pop_front().expect("front checked");
+            on_expired(&e, tag);
+            removed += 1;
         }
         removed
     }
 
     /// Live elements, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Element> {
-        self.buf.iter()
+        self.buf.iter().map(|(e, _)| e)
     }
 
     /// Number of live elements.
@@ -111,19 +118,26 @@ impl WindowBuffer {
     pub fn snapshot_into(&self, w: &mut BlobWriter) {
         w.put_timestamp(self.max_ts);
         w.put_u32(self.buf.len() as u32);
-        for e in &self.buf {
+        for e in self.iter() {
             w.put_element(e);
         }
     }
 
     /// Replaces the contents from a snapshot written by
-    /// [`WindowBuffer::snapshot_into`].
-    pub fn restore_from(&mut self, r: &mut BlobReader<'_>) -> Result<(), StateError> {
+    /// [`WindowBuffer::snapshot_into`], asking `tag` for each restored
+    /// element's tag, oldest first. On an error the buffer is unchanged.
+    pub fn restore_tagged(
+        &mut self,
+        r: &mut BlobReader<'_>,
+        mut tag: impl FnMut(&Element) -> Result<T, StateError>,
+    ) -> Result<(), StateError> {
         let max_ts = r.timestamp()?;
         let n = r.len_prefix()?;
         let mut buf = VecDeque::with_capacity(n.min(1 << 16));
         for _ in 0..n {
-            buf.push_back(r.element()?);
+            let e = r.element()?;
+            let t = tag(&e)?;
+            buf.push_back((e, t));
         }
         self.buf = buf;
         self.max_ts = max_ts;
@@ -173,12 +187,48 @@ mod tests {
         w.insert(el(1, 0));
         w.insert(el(2, 1));
         let mut gone = Vec::new();
-        let n = w.expire_with(Timestamp::from_secs(3), |e| {
+        let n = w.expire_with(Timestamp::from_secs(3), |e, ()| {
             gone.push(e.tuple.field(0).as_int().unwrap())
         });
         assert_eq!(n, 2);
         assert_eq!(gone, vec![1, 2]);
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn tags_expire_with_their_elements_and_stay_out_of_snapshots() {
+        let mut tagged = WindowBuffer::new(Duration::from_secs(1));
+        let mut plain = WindowBuffer::new(Duration::from_secs(1));
+        for (v, t) in [(1, 0), (2, 1), (3, 5)] {
+            tagged.insert_tagged(el(v, t), v as u32 * 10);
+            plain.insert(el(v, t));
+        }
+        let mut gone = Vec::new();
+        assert_eq!(tagged.expire_with(Timestamp::from_secs(3), |_, tag| gone.push(tag)), 2);
+        assert_eq!(gone, [10, 20]);
+        plain.expire(Timestamp::from_secs(3));
+        let bytes = |f: &dyn Fn(&mut BlobWriter)| {
+            let mut w = BlobWriter::new();
+            f(&mut w);
+            w.finish()
+        };
+        let blob = bytes(&|w| tagged.snapshot_into(w));
+        assert_eq!(blob, bytes(&|w| plain.snapshot_into(w)));
+
+        // Restore asks for every element's tag; a refusal leaves it as it was.
+        let mut seen = Vec::new();
+        tagged
+            .restore_tagged(&mut BlobReader::new(&blob), |e| {
+                seen.push(e.tuple.field(0).as_int().unwrap());
+                Ok(7)
+            })
+            .unwrap();
+        assert_eq!(seen, [3]);
+        let refuse = |_: &Element| Err(StateError::Incompatible("no"));
+        assert!(tagged.restore_tagged(&mut BlobReader::new(&blob), refuse).is_err());
+        let mut tags = Vec::new();
+        tagged.expire_with(Timestamp::from_secs(100), |_, tag| tags.push(tag));
+        assert_eq!(tags, [7]);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use hmts_operators::filter::Filter;
 use hmts_operators::join::{SymmetricHashJoin, SymmetricNestedLoopsJoin};
 use hmts_operators::traits::{Operator, Output};
 use hmts_operators::window::WindowBuffer;
+use hmts_state::StatefulOperator;
 use hmts_streams::element::Element;
 use hmts_streams::error::StreamError;
 use hmts_streams::time::Timestamp;
@@ -160,8 +161,125 @@ fn arb_expr(rng: &mut StdRng, depth: u32) -> Expr {
     }
 }
 
+/// What one way of feeding an aggregate left behind: every result, the
+/// positions of the elements it refused, its snapshot at the cut and at the
+/// end, and its live group count at the end.
+#[derive(Debug, PartialEq)]
+struct Fed {
+    results: Vec<Element>,
+    refused: Vec<usize>,
+    blob_at_cut: Vec<u8>,
+    blob_at_end: Vec<u8>,
+    live_groups: usize,
+}
+
+/// Feeds `stream` to a fresh aggregate, skipping each element it refuses
+/// and going on behind it; after the first `cut` elements the aggregate is
+/// snapshot and the rest goes to a fresh one restored from the blob.
+/// `run_len` `None` is per element through `process`; `Some(n)` is runs of
+/// `n` through `process_batch`, which must leave a refused element at the
+/// head of the run.
+fn feed(
+    build: &dyn Fn() -> WindowAggregate,
+    stream: &[Element],
+    cut: usize,
+    run_len: Option<usize>,
+) -> Fed {
+    let mut agg = build();
+    let mut out = Output::new();
+    let mut refused = Vec::new();
+    let mut blob_at_cut = Vec::new();
+    for (half, offset) in [(&stream[..cut], 0), (&stream[cut..], cut)] {
+        if offset > 0 {
+            let blob = agg.snapshot();
+            blob_at_cut = blob.payload().to_vec();
+            agg = build();
+            agg.restore(blob).unwrap();
+        }
+        match run_len {
+            None => {
+                for (i, e) in half.iter().enumerate() {
+                    if agg.process(0, e, &mut out).is_err() {
+                        refused.push(offset + i);
+                    }
+                }
+            }
+            Some(n) => {
+                for (start, chunk) in (offset..).step_by(n).zip(half.chunks(n)) {
+                    let mut run = chunk.to_vec();
+                    while agg.process_batch(0, &mut run, &mut out).is_err() {
+                        let at = start + chunk.len() - run.len();
+                        assert_eq!(run[0], stream[at], "the refused element heads the run");
+                        refused.push(at);
+                        run.remove(0);
+                    }
+                    assert!(run.is_empty());
+                }
+            }
+        }
+    }
+    Fed {
+        results: out.drain().collect(),
+        refused,
+        blob_at_cut,
+        blob_at_end: agg.snapshot().payload().to_vec(),
+        live_groups: agg.live_groups(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn an_aggregate_run_computes_what_its_elements_compute(case_seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(case_seed);
+        let len = rng.gen_range(1..120usize);
+        let mut ts = 0u64;
+        let mut stream: Vec<Element> = (0..len)
+            .map(|_| {
+                ts += rng.gen_range(0..300u64);
+                let row = Tuple::pair(rng.gen_range(0..6i64), rng.gen_range(-50..50i64));
+                Element::new(row, Timestamp::from_micros(ts))
+            })
+            .collect();
+        // Elements an aggregate may refuse: no fields, a value that is not
+        // a number, or one that overflows a sum.
+        for _ in 0..rng.gen_range(1..3) {
+            let at = rng.gen_range(0..stream.len());
+            let key = rng.gen_range(0..6i64);
+            let row = match rng.gen_range(0..3) {
+                0 => Tuple::empty(),
+                1 => Tuple::pair(key, "x"),
+                _ => Tuple::pair(key, i64::MAX),
+            };
+            stream[at] = Element::new(row, stream[at].ts);
+        }
+        let cut = rng.gen_range(0..=stream.len());
+        let window = Duration::from_micros(rng.gen_range(1..1_500));
+        let functions = [
+            AggregateFunction::Count,
+            AggregateFunction::Sum(1),
+            AggregateFunction::Avg(1),
+            AggregateFunction::Min(1),
+            AggregateFunction::Max(1),
+        ];
+        for func in functions {
+            for grouped in [false, true] {
+                let build = || {
+                    let agg = WindowAggregate::new("agg", func, window);
+                    if grouped { agg.group_by(Expr::field(0)) } else { agg }
+                };
+                let want = feed(&build, &stream, cut, None);
+                for run_len in [1, 7, 32] {
+                    prop_assert_eq!(
+                        &feed(&build, &stream, cut, Some(run_len)), &want,
+                        "case_seed={} func={:?} grouped={} run_len={}",
+                        case_seed, func, grouped, run_len
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn borrowed_evaluation_is_the_owning_evaluation(case_seed in any::<u64>()) {

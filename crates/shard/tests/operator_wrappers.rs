@@ -6,6 +6,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use hmts::operators::aggregate::{AggregateFunction, WindowAggregate};
 use hmts::operators::cost::{CostMode, Costed};
 use hmts::operators::expr::Expr;
 use hmts::operators::traits::{Operator, Output};
@@ -13,6 +14,7 @@ use hmts::state::{StateBlob, StateError, StatefulOperator};
 use hmts::streams::element::{Element, SeqKind, SeqTag};
 use hmts::streams::error::Result;
 use hmts::streams::time::Timestamp;
+use hmts::streams::tuple::Tuple;
 use hmts_shard::ShardReplica;
 
 type Log = Arc<Mutex<Vec<&'static str>>>;
@@ -145,6 +147,51 @@ const METHODS: &[Method] = &[
     ("on_eos", |op| op.on_eos(0, &mut Output::new()).unwrap()),
     ("end_batch", |op| op.end_batch()),
 ];
+
+/// The operator `keyed_agg_shard2` shards, under its replica wrapper: the
+/// replica hands it one element at a time, and what comes out — results,
+/// refusals, state — is what the bare aggregate makes of the same run, its
+/// results tagged as the last of their input's sequence group.
+#[test]
+fn a_window_aggregate_under_a_replica_computes_what_it_computes_bare() {
+    let build = || {
+        WindowAggregate::new("agg", AggregateFunction::Sum(1), Duration::from_micros(40))
+            .group_by(Expr::field(0))
+    };
+    let stream: Vec<Element> = (0..200u64)
+        .map(|i| {
+            // Element 77 has no value to sum: both refuse it.
+            let row =
+                if i == 77 { Tuple::single(1) } else { Tuple::pair((i * 7 % 5) as i64, i as i64) };
+            Element::new(row, Timestamp::from_micros(i * 3)).with_seq(SeqTag::new(i, SeqKind::Last))
+        })
+        .collect();
+    // Feeds `stream` in runs of 32, skipping the refused element.
+    let feed = |op: &mut dyn Operator| {
+        let mut out = Output::new();
+        let mut refused = Vec::new();
+        for chunk in stream.chunks(32) {
+            let mut run = chunk.to_vec();
+            while op.process_batch(0, &mut run, &mut out).is_err() {
+                refused.push(run.remove(0).seq);
+            }
+        }
+        (out, refused)
+    };
+    let mut bare = build();
+    let (want, bare_refused) = feed(&mut bare);
+    let mut replica = ShardReplica::new("agg[0]", Box::new(build()));
+    let (got, refused) = feed(&mut replica);
+
+    assert_eq!(refused, bare_refused);
+    assert_eq!(refused, [SeqTag::new(77, SeqKind::Last)]);
+    assert_eq!(got.elements(), want.elements(), "the same results, in order");
+    let seqs: Vec<_> = got.elements().iter().map(|e| e.seq.position()).collect();
+    let inputs = (0..200).filter(|&i| i != 77).map(|i| Some((i, SeqKind::Last)));
+    assert!(seqs.into_iter().eq(inputs), "one result per input, tagged as its last");
+    let blob = |op: &mut dyn Operator| op.stateful().unwrap().snapshot().payload().to_vec();
+    assert_eq!(blob(&mut replica), blob(&mut bare));
+}
 
 #[test]
 fn every_wrapper_hands_every_operator_method_on() {

@@ -33,13 +33,16 @@ impl Tuple {
 
     /// Convenience constructor for the single-integer tuples that dominate
     /// the paper's synthetic experiments.
+    ///
+    /// Here and in [`Tuple::pair`] the fields go from an array straight
+    /// into the shared slice: one allocation, no collect.
     pub fn single(v: impl Into<Value>) -> Self {
-        Tuple::new([v.into()])
+        Tuple { values: Arc::from([v.into()]) }
     }
 
     /// Convenience constructor for key/value pair tuples.
     pub fn pair(a: impl Into<Value>, b: impl Into<Value>) -> Self {
-        Tuple::new([a.into(), b.into()])
+        Tuple { values: Arc::from([a.into(), b.into()]) }
     }
 
     /// Number of fields.

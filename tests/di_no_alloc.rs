@@ -4,14 +4,18 @@
 //! becomes the next selection's run by a swap (three buffers trade places
 //! down the chain), and a statistics cell is written through its writer's
 //! mirror from a reused list of timestamps. That holds whatever the run's
-//! length, a run of one included. Counted under a global allocator that
+//! length, a run of one included. A keyed aggregate in the chain adds its
+//! result tuple per element and nothing else: its groups reuse their slab
+//! slots and its window its ring. Counted under a global allocator that
 //! keeps one counter per thread, which is why this test has a binary of
 //! its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::time::Duration;
 
 use hmts::engine::executor::{DomainExecutor, ExecConfig, SlotInit, SlotState, Target};
+use hmts::operators::traits::Operator;
 use hmts::prelude::*;
 
 thread_local! {
@@ -43,21 +47,21 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-const HOPS: usize = 5;
-
-/// Five selections that pass everything, inline one after the other, into
-/// a counting sink — each slot observed by a statistics cell, as under the
-/// engine's default configuration.
-fn chain() -> (DomainExecutor, SinkHandle) {
+/// `operators`, inline one after the other, into a counting sink — each
+/// slot observed by a statistics cell, as under the engine's default
+/// configuration.
+fn chain(operators: Vec<Box<dyn Operator>>) -> (DomainExecutor, SinkHandle) {
     let (sink, handle) = CountingSink::new("sink");
-    let mut slots: Vec<SlotInit> = (0..HOPS)
-        .map(|i| {
-            let pass = Filter::new(format!("f{i}"), Expr::field(0).ge(Expr::int(0)));
+    let hops = operators.len();
+    let mut slots: Vec<SlotInit> = operators
+        .into_iter()
+        .enumerate()
+        .map(|(i, op)| {
             let next = Target::Inline { node: NodeId(i + 1), port: 0 };
-            SlotInit::new(SlotState::new(NodeId(i), Box::new(pass)), vec![next])
+            SlotInit::new(SlotState::new(NodeId(i), op), vec![next])
         })
         .collect();
-    slots.push(SlotInit::new(SlotState::new(NodeId(HOPS), Box::new(sink)), vec![]));
+    slots.push(SlotInit::new(SlotState::new(NodeId(hops), Box::new(sink)), vec![]));
     for slot in &mut slots {
         slot.stats = Some(hmts::stats::shared_node_stats());
     }
@@ -71,31 +75,73 @@ fn chain() -> (DomainExecutor, SinkHandle) {
     (exec, handle)
 }
 
-#[test]
-fn a_run_through_five_selections_allocates_nothing_per_element() {
-    let pool: Vec<Element> = (0..4096u64)
-        .map(|i| Element::new(Tuple::pair((i % 1000) as i64, i as i64), Timestamp::from_micros(i)))
-        .collect();
+/// Puts 4 096 `(i % 1000, i)` rows through a fresh `chain` of `operators`
+/// in runs of 32 and of 1: one pass to warm up, then 25 passes counted.
+/// Every pass stamps its rows one microsecond apart after the last pass's,
+/// so a window slides on. Returns, per run length, the allocations and the
+/// elements that reached the sink in the counted passes.
+fn allocations(operators: fn() -> Vec<Box<dyn Operator>>) -> Vec<(usize, u64, u64)> {
+    const ROWS: u64 = 4096;
+    let pool: Vec<Tuple> = (0..ROWS).map(|i| Tuple::pair((i % 1000) as i64, i as i64)).collect();
+    let mut counted = Vec::new();
     for run_len in [32, 1] {
-        let (mut exec, handle) = chain();
+        let (mut exec, handle) = chain(operators());
         let mut run: Vec<Message> = Vec::with_capacity(run_len);
-        let mut pass = |exec: &mut DomainExecutor| {
-            for chunk in pool.chunks(run_len) {
-                run.extend(chunk.iter().cloned().map(Message::Data));
+        let mut pass = |exec: &mut DomainExecutor, round: u64| {
+            for (start, chunk) in (0..).step_by(run_len).zip(pool.chunks(run_len)) {
+                run.extend(chunk.iter().enumerate().map(|(i, tuple)| {
+                    let ts = Timestamp::from_micros(round * ROWS + start + i as u64);
+                    Message::Data(Element::new(tuple.clone(), ts))
+                }));
                 exec.inject_batch(NodeId(0), 0, &mut run);
             }
         };
         // Warm-up: every reused buffer reaches its steady size.
-        pass(&mut exec);
+        pass(&mut exec, 0);
         let before = handle.count();
         ALLOCATIONS.with(|a| a.set(0));
-        for _ in 0..25 {
-            pass(&mut exec);
+        for round in 1..=25 {
+            pass(&mut exec, round);
         }
         let count = ALLOCATIONS.with(Cell::get);
-        let elements = 25 * pool.len() as u64;
-        assert_eq!(handle.count() - before, elements, "every element reached the sink");
         assert!(exec.error().is_none());
-        assert_eq!(count, 0, "allocations for {elements} elements in runs of {run_len}");
+        counted.push((run_len, count, handle.count() - before));
+    }
+    counted
+}
+
+#[test]
+fn a_run_through_five_selections_allocates_nothing_per_element() {
+    let passing = || -> Vec<Box<dyn Operator>> {
+        (0..5)
+            .map(|i| {
+                let pass = Filter::new(format!("f{i}"), Expr::field(0).ge(Expr::int(0)));
+                Box::new(pass) as Box<dyn Operator>
+            })
+            .collect()
+    };
+    for (run_len, count, reached) in allocations(passing) {
+        assert_eq!(reached, 25 * 4096, "every element reached the sink");
+        assert_eq!(count, 0, "allocations for {reached} elements in runs of {run_len}");
+    }
+}
+
+/// The keyed shape: a selection, a `Sum` grouped by key over a window short
+/// enough that every group empties before its key comes again — so groups
+/// are made and dropped all the time — and the sink. The one allocation per
+/// element is the aggregate's result tuple.
+#[test]
+fn a_keyed_aggregate_allocates_its_result_tuple_and_nothing_else() {
+    let keyed = || -> Vec<Box<dyn Operator>> {
+        let half = Filter::new("f", Expr::field(0).lt(Expr::int(500)));
+        let window = Duration::from_micros(500);
+        let sum =
+            WindowAggregate::new("sum", AggregateFunction::Sum(1), window).group_by(Expr::field(0));
+        vec![Box::new(half), Box::new(sum)]
+    };
+    for (run_len, count, results) in allocations(keyed) {
+        // Keys 0..500 of every 1 000 rows pass: 2 096 results per pass.
+        assert_eq!(results, 25 * 2096, "runs of {run_len}");
+        assert_eq!(count, results, "allocations for {results} results in runs of {run_len}");
     }
 }
