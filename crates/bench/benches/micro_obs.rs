@@ -21,7 +21,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion, Throughput};
-use hmts::chaos::{FaultAction, FaultPlan, OperatorFaultState};
 use hmts::checkpoint::CheckpointShared;
 use hmts::obs::alert::{AlertEngine, AlertRule};
 use hmts::obs::capacity::{self, CapacityConfig};
@@ -77,18 +76,6 @@ fn trace_hook(tag: TraceTag, tracer: &Option<Arc<Tracer>>, site: &Arc<str>) {
 fn sampling_tracer(sample_every: u64) -> Option<Arc<Tracer>> {
     let cfg = TraceConfig { sample_every, seed: 1, buffer_capacity: 1 << 10 };
     Some(Arc::new(Tracer::new(cfg, Instant::now())))
-}
-
-/// The executor's per-invocation fault-injection check, verbatim: a slot
-/// without chaos state pays one `None` branch; an armed slot pays one
-/// atomic increment and a threshold compare.
-#[inline]
-fn chaos_hook(chaos: &Option<Arc<OperatorFaultState>>) -> bool {
-    if let Some(c) = chaos {
-        matches!(c.on_invocation(), Some(FaultAction::Panic))
-    } else {
-        false
-    }
 }
 
 /// The egress sink's per-delivery SLO hook, verbatim: for untraced
@@ -174,32 +161,6 @@ fn assert_untraced_hook_allocates_nothing() {
         "unsampled tuples record no spans"
     );
     println!("untraced hot path: 0 allocations over {N} disabled and {N} unsampled elements\n");
-}
-
-/// The fault-injection analogue: a slot with no chaos state (every slot,
-/// in production) and an armed-but-not-due fault must both stay off the
-/// heap — the chaos subsystem's acceptance bound.
-fn assert_chaos_hook_allocates_nothing() {
-    const N: u64 = 100_000;
-
-    let disabled: Option<Arc<OperatorFaultState>> = None;
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    for _ in 0..N {
-        black_box(chaos_hook(black_box(&disabled)));
-    }
-    let disabled_allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before;
-
-    let plan = FaultPlan::seeded(1).panic_at("op", u64::MAX);
-    let armed = plan.operator_state("op");
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    for _ in 0..N {
-        black_box(chaos_hook(black_box(&armed)));
-    }
-    let armed_allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before;
-
-    assert_eq!(disabled_allocs, 0, "disabled chaos hook must not allocate");
-    assert_eq!(armed_allocs, 0, "armed-but-not-due chaos hook must not allocate");
-    println!("chaos hook: 0 allocations over {N} disabled and {N} armed-not-due elements\n");
 }
 
 /// The checkpoint analogue: a source without checkpointing (the default)
@@ -384,22 +345,11 @@ fn trace_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-fn chaos_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("chaos_hook");
+fn unwind_overhead(c: &mut Criterion) {
+    let mut g = c.benchmark_group("unwind_boundary");
     g.throughput(Throughput::Elements(1));
 
-    g.bench_function("disabled", |b| {
-        let chaos: Option<Arc<OperatorFaultState>> = None;
-        b.iter(|| chaos_hook(black_box(&chaos)));
-    });
-
-    g.bench_function("armed_not_due", |b| {
-        let plan = FaultPlan::seeded(1).panic_at("op", u64::MAX);
-        let chaos = plan.operator_state("op");
-        b.iter(|| chaos_hook(black_box(&chaos)));
-    });
-
-    // The panic-isolation boundary every operator invocation now crosses:
+    // The panic-isolation boundary every operator run crosses:
     // `catch_unwind` around a call that does not unwind.
     g.bench_function("catch_unwind_no_panic", |b| {
         let mut acc = 0u64;
@@ -439,7 +389,7 @@ criterion_group!(
     obs_overhead,
     slo_overhead,
     trace_overhead,
-    chaos_overhead,
+    unwind_overhead,
     checkpoint_overhead
 );
 
@@ -448,7 +398,6 @@ fn main() {
     let _ = std::env::args();
     assert_untraced_hook_allocates_nothing();
     assert_slo_hooks_allocate_nothing();
-    assert_chaos_hook_allocates_nothing();
     assert_checkpoint_hook_allocates_nothing();
     assert_disabled_alert_and_capacity_paths_allocate_nothing();
     benches();

@@ -1,20 +1,16 @@
 //! Shared `--trace <dir>` runner for the figure binaries.
 //!
 //! Replays the Fig. 9/10 chain on the *real* engine under a two-partition
-//! HMTS plan with per-tuple trace sampling enabled, then writes the
-//! Chrome/Perfetto timeline (`trace.json`) and the per-operator
-//! queue-wait/processing breakdown (`latency_breakdown.csv`) under the
-//! requested directory. The run is heavily time-compressed: the point is
-//! latency *attribution* under the paper's bursty workload, not the
-//! paper-scale completion gap.
+//! HMTS plan with per-tuple trace sampling enabled, through
+//! [`trace_run`](crate::obsrun::trace_run). The run is heavily
+//! time-compressed: the point is latency *attribution* under the paper's
+//! bursty workload, not the paper-scale completion gap.
 
 use std::path::Path;
 
-use hmts::obs::export::{latency_breakdown, OpLatency};
+use hmts::obs::export::OpLatency;
 use hmts::prelude::*;
 use hmts::workload::scenarios::{fig9_chain, Fig9Params};
-
-use crate::fmt_secs;
 
 /// Tuple-trace sampling rate used by the `--trace` runs: with ≈70 000
 /// source elements, 1-in-16 keeps the span buffer comfortably inside its
@@ -25,17 +21,7 @@ pub const TRACE_SAMPLE_EVERY: u64 = 16;
 /// `latency_breakdown.csv` under `dir`. Returns the per-operator rows so
 /// callers can fold them into their own summaries.
 pub fn run_traced(dir: &Path, seed: u64) -> Vec<OpLatency> {
-    eprintln!("trace: real-engine HMTS run with 1-in-{TRACE_SAMPLE_EVERY} tuple sampling...");
-    let p = Fig9Params { speedup: 2_000.0, seed, ..Fig9Params::default() };
-    let s = fig9_chain(&p);
-    let obs = Obs::with_config(ObsConfig {
-        journal_capacity: 1 << 16,
-        trace: Some(TraceConfig {
-            sample_every: TRACE_SAMPLE_EVERY,
-            seed,
-            buffer_capacity: 1 << 18,
-        }),
-    });
+    let s = fig9_chain(&Fig9Params { speedup: 2_000.0, seed, ..Fig9Params::default() });
     // The paper's Fig. 9 placement: {projection, cheap selection} and
     // {expensive selection, sink} as two virtual operators on a two-worker
     // pool, so the trace shows both intra-partition DI hops and the
@@ -44,27 +30,13 @@ pub fn run_traced(dir: &Path, seed: u64) -> Vec<OpLatency> {
         vec![s.projection, s.cheap_selection],
         vec![s.expensive_selection, s.sink],
     ]);
-    let cfg = EngineConfig { obs: obs.clone(), ..EngineConfig::default() };
-    let report =
-        Engine::run_with_config(s.graph, ExecutionPlan::hmts(part, StrategyKind::Fifo, 2), cfg)
-            .expect("engine runs");
-    assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
-
-    let spans = obs.trace_snapshot();
-    let paths = obs.write_trace(dir).expect("write trace files").expect("tracing was enabled");
-    let rows = latency_breakdown(&spans);
-    println!(
-        "\ntraced run: {} results in {}, {} spans recorded ({} dropped)",
-        s.handle.count(),
-        fmt_secs(report.elapsed.as_secs_f64()),
-        spans.len(),
-        obs.tracer().map(|t| t.dropped()).unwrap_or(0),
-    );
-    println!("{}", crate::obsrun::breakdown_table(&rows));
-    println!(
-        "wrote {} (open in ui.perfetto.dev or chrome://tracing) and {}",
-        paths.trace_json.display(),
-        paths.breakdown_csv.display(),
-    );
-    rows
+    crate::obsrun::trace_run(
+        dir,
+        "fig9 chain",
+        TRACE_SAMPLE_EVERY,
+        seed,
+        s.graph,
+        ExecutionPlan::hmts(part, StrategyKind::Fifo, 2),
+        EngineConfig::default(),
+    )
 }

@@ -295,7 +295,7 @@ impl CheckpointShared {
     }
 }
 
-/// Which persisted checkpoint file a [`FaultPlan`](crate::chaos::FaultPlan)
+/// Which persisted checkpoint file a [`FaultPlan`](crate::failure::FaultPlan)
 /// damages, and how — the fault model behind the corruption-fallback
 /// tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -16,7 +16,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hmts_graph::graph::NodeId;
-use hmts_operators::traits::Operator;
 use hmts_streams::element::{Message, Punctuation};
 
 use super::{DomainExecutor, Slot};
@@ -92,25 +91,6 @@ impl Align {
             let _ = ck
                 .live_slots()
                 .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
-        }
-    }
-
-    /// Rolls a restarting operator back to its last checkpointed state
-    /// (when checkpointing is on and it has snapshotted before), so a panic
-    /// that corrupted in-memory state does not leak into the retry. A
-    /// failed restore keeps the current state — the retry still proceeds.
-    pub(super) fn rollback(&self, op: &mut dyn Operator) {
-        let Some(ck) = &self.checkpoint else {
-            return;
-        };
-        let Some((id, blob)) = ck.latest_blob(op.name()) else {
-            return;
-        };
-        if op.stateful().is_some_and(|st| st.restore(blob).is_ok()) {
-            // The rollback silently drops everything this operator
-            // processed since the checkpoint (nothing replays at this
-            // layer), so make the regression observable.
-            ck.note_rollback(op.name(), id);
         }
     }
 

@@ -1,76 +1,62 @@
-//! Fault isolation around operator callbacks: the unwind boundary, the
-//! supervisor's verdict on a caught panic, fault injection, and the
-//! liveness beacon.
+//! The executor's failure code: the unwind boundary around operator
+//! callbacks, fault injection, and applying the supervisor's verdict on a
+//! caught panic — a restart rolled back to the last checkpoint, a
+//! quarantine, or a failure reported upward (see [`crate::failure`]).
 //!
 //! The core calls [`arm`] before and [`call`] + [`DomainExecutor::settle_run`]
 //! around `process_batch` (its cost clock stops in between) — one boundary
-//! per run, however many elements it has — [`DomainExecutor::guarded`] for
-//! `on_eos` / `flush` / `on_watermark`, and [`Guard::enter`] /
-//! [`Guard::exit`] around a chain reaction. Without a fault plan, a
-//! supervisor or a heartbeat, each of those is one `None` branch.
+//! per run, however many elements it has — and [`DomainExecutor::guarded`]
+//! for `on_eos` / `flush` / `on_watermark` / `end_batch`. Without a fault
+//! plan, `arm` is one `None` branch.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use hmts_operators::traits::{Operator, Output};
 use hmts_streams::error::{Result, StreamError};
-use hmts_streams::tuple::Tuple;
-use hmts_streams::value::Value;
 
 use super::DomainExecutor;
-use crate::chaos::{FaultAction, OperatorFaultState};
-use crate::supervisor::{panic_message, Heartbeat, Supervisor, Verdict};
+use crate::checkpoint::CheckpointShared;
+use crate::failure::{
+    panic_message, FaultKind, Heartbeat, OperatorFaultState, Supervisor, Verdict,
+};
 
 /// How a guarded callback ended: its own result, or the payload of the
 /// panic it raised.
 pub(super) type Caught = std::thread::Result<Result<()>>;
 
 /// Fault-injection state targeting one slot (see
-/// [`crate::chaos::FaultPlan`]).
+/// [`crate::failure::FaultPlan`]).
 pub(super) type SlotFault = Option<Arc<OperatorFaultState>>;
 
 /// The supervision state of one executor.
 #[derive(Default)]
 pub(super) struct Guard {
     pub(super) supervisor: Option<Arc<Supervisor>>,
+    /// Bracketing every chain reaction, if a stall monitor watches it.
     pub(super) heartbeat: Option<Arc<Heartbeat>>,
     /// Panics that terminated an operator without a restart (no
     /// supervisor, or `DegradeMode::FailQuery`): `(operator, payload)`.
     panics: Vec<(String, String)>,
 }
 
-impl Guard {
-    /// A chain reaction starts on this thread.
-    #[inline]
-    pub(super) fn enter(&self) {
-        if let Some(hb) = &self.heartbeat {
-            hb.enter();
-        }
-    }
-
-    /// The chain reaction returned.
-    #[inline]
-    pub(super) fn exit(&self) {
-        if let Some(hb) = &self.heartbeat {
-            hb.exit();
-        }
-    }
-}
-
-/// Before `process_batch`: counts the invocation against the slot's fault plan
-/// and returns what [`call`] has to inject. A stall is served right here,
-/// ahead of the cost clock.
+/// Before `process_batch`: counts the invocation against the slot's fault
+/// plan and returns whether [`call`] has to inject a panic. A stall is
+/// served right here, ahead of the cost clock.
 #[inline]
-pub(super) fn arm(fault: &SlotFault) -> Option<FaultAction> {
-    let action = fault.as_ref()?.on_invocation()?;
-    if let FaultAction::Stall(d) = action {
-        std::thread::sleep(d);
+pub(super) fn arm(fault: &SlotFault) -> bool {
+    match fault.as_ref().and_then(|f| f.on_invocation()) {
+        None => false,
+        Some(FaultKind::Panic) => true,
+        Some(FaultKind::Stall(d)) => {
+            std::thread::sleep(d);
+            false
+        }
     }
-    Some(action)
 }
 
 /// Runs one callback of `op` behind the unwind boundary — the only one in
-/// the engine.
+/// the engine — panicking first if `inject_panic`.
 ///
 /// `Box<dyn Operator>` is not `UnwindSafe` because operators hold interior
 /// state; `AssertUnwindSafe` is sound here because after a caught panic the
@@ -82,19 +68,34 @@ pub(super) fn arm(fault: &SlotFault) -> Option<FaultAction> {
 pub(super) fn call(
     op: &mut dyn Operator,
     out: &mut Output,
-    fault: Option<FaultAction>,
+    inject_panic: bool,
     f: impl FnOnce(&mut dyn Operator, &mut Output) -> Result<()>,
 ) -> Caught {
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        if fault == Some(FaultAction::Panic) {
+    catch_unwind(AssertUnwindSafe(|| {
+        if inject_panic {
             panic!("chaos: injected panic in operator '{}'", op.name());
         }
         f(&mut *op, &mut *out)
-    }));
-    if fault == Some(FaultAction::Corrupt) && matches!(caught, Ok(Ok(()))) {
-        corrupt_outputs(out);
+    }))
+}
+
+/// Rolls a restarting operator back to its last checkpointed state (when
+/// checkpointing is on and it has snapshotted before), so a panic that
+/// corrupted in-memory state does not leak into the retry. A failed restore
+/// keeps the current state — the retry still proceeds.
+fn rollback(checkpoint: Option<&CheckpointShared>, op: &mut dyn Operator) {
+    let Some(ck) = checkpoint else {
+        return;
+    };
+    let Some((id, blob)) = ck.latest_blob(op.name()) else {
+        return;
+    };
+    if op.stateful().is_some_and(|st| st.restore(blob).is_ok()) {
+        // The rollback silently drops everything this operator processed
+        // since the checkpoint (nothing replays at this layer), so make the
+        // regression observable.
+        ck.note_rollback(op.name(), id);
     }
-    caught
 }
 
 impl DomainExecutor {
@@ -138,7 +139,7 @@ impl DomainExecutor {
         i: usize,
         f: impl FnOnce(&mut dyn Operator, &mut Output) -> Result<()>,
     ) {
-        match call(&mut *self.slots[i].state.op, &mut self.out, None, f) {
+        match call(&mut *self.slots[i].state.op, &mut self.out, false, f) {
             Ok(Ok(())) => {}
             Ok(Err(e)) => {
                 self.out.clear();
@@ -164,7 +165,7 @@ impl DomainExecutor {
             Some(Verdict::Restart { backoff, .. }) => {
                 if retryable {
                     std::thread::sleep(backoff);
-                    self.align.rollback(&mut *self.slots[i].state.op);
+                    rollback(self.align.checkpoint.as_deref(), &mut *self.slots[i].state.op);
                 }
                 // Input order for this operator is preserved: nothing of
                 // the failed element was delivered, and it is still ahead
@@ -186,28 +187,19 @@ impl DomainExecutor {
     }
 }
 
-/// Replaces every pending output's payload with a null-field tuple of the
-/// same arity (the `FaultAction::Corrupt` silent-corruption model). Route
-/// and sequence tags survive — the fault model garbles payloads, not the
-/// splitter's addressing.
-fn corrupt_outputs(out: &mut Output) {
-    for e in out.elements_mut() {
-        e.tuple = Tuple::new(vec![Value::Null; e.tuple.arity()]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::tests::{contents, data, slot};
     use super::super::{Attach, ExecConfig, Target};
     use super::*;
+    use crate::failure::{DegradeMode, RestartPolicy};
     use crate::scheduler::strategy::StrategyKind;
-    use crate::supervisor::{DegradeMode, RestartPolicy};
     use hmts_graph::graph::NodeId;
     use hmts_obs::Obs;
     use hmts_streams::element::{Element, Message, Punctuation};
     use hmts_streams::queue::StreamQueue;
     use hmts_streams::time::Timestamp;
+    use hmts_streams::tuple::Tuple;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 

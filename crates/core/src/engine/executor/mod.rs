@@ -20,7 +20,9 @@
 //!
 //! This file is only that core. What is layered on it lives in one sibling
 //! module each, reached through one call per fixed point of the loop:
-//! `guard` (the unwind boundary, supervision, fault injection), `align`
+//! `guard` (the unwind boundary, fault injection, the supervisor's
+//! verdicts, the heartbeat a chain reaction beats; the rest of the failure
+//! code is [`crate::failure`]), `align`
 //! (checkpoint barrier alignment) and `probe` (cost timing, statistics,
 //! tracing).
 
@@ -416,7 +418,9 @@ impl DomainExecutor {
     /// work stack — and what an alignment completed meanwhile released —
     /// are used up.
     fn react(&mut self) {
-        self.guard.enter();
+        if let Some(hb) = &self.guard.heartbeat {
+            hb.enter();
+        }
         loop {
             if !self.run.is_empty() {
                 let (i, port) = self.run_to;
@@ -429,7 +433,9 @@ impl DomainExecutor {
                 break;
             }
         }
-        self.guard.exit();
+        if let Some(hb) = &self.guard.heartbeat {
+            hb.exit();
+        }
     }
 
     /// Delivers one message to slot `i` on `port`, by kind: an element as a
@@ -490,9 +496,9 @@ impl DomainExecutor {
         while !self.current.is_empty() {
             let DomainExecutor { slots, current: run, out, probe, .. } = self;
             let slot = &mut slots[i];
-            let fault = guard::arm(&slot.fault);
+            let inject_panic = guard::arm(&slot.fault);
             let span = probe.begin(&mut slot.probe, run, out);
-            let caught = guard::call(&mut *slot.state.op, out, fault, |op, out| {
+            let caught = guard::call(&mut *slot.state.op, out, inject_panic, |op, out| {
                 op.process_batch(port, run, out)
             });
             probe.end(&mut slot.probe, span, matches!(caught, Ok(Ok(()))), run.len(), out);

@@ -11,10 +11,9 @@ use hmts_operators::traits::{EosTracker, Operator, WatermarkTracker};
 
 use super::probe::SlotProbe;
 use super::{DomainExecutor, Route, Slot, SlotTable, Target};
-use crate::chaos::OperatorFaultState;
 use crate::checkpoint::CheckpointShared;
+use crate::failure::{Heartbeat, OperatorFaultState, Supervisor};
 use crate::stats::SharedNodeStats;
-use crate::supervisor::{Heartbeat, Supervisor};
 
 /// Construction data for one operator slot.
 pub struct SlotInit {
@@ -37,8 +36,8 @@ pub struct SlotInit {
     /// [`COST_STRIDE`](super::COST_STRIDE).
     pub latency: Option<Histogram>,
     /// Fault-injection state targeting this operator (see
-    /// [`crate::chaos::FaultPlan`]). `None` keeps the hot path to one
-    /// branch per tuple.
+    /// [`crate::failure::FaultPlan`]). `None` keeps the hot path to one
+    /// branch per run.
     pub chaos: Option<Arc<OperatorFaultState>>,
 }
 
@@ -134,7 +133,8 @@ pub struct Attach {
     /// a caught panic closes the operator and is reported via
     /// [`take_panics`](super::DomainExecutor::take_panics).
     pub supervisor: Option<Arc<Supervisor>>,
-    /// Liveness beacon observed by the stall monitor thread.
+    /// Liveness beacon observed by the stall monitor thread, if there is
+    /// one.
     pub heartbeat: Option<Arc<Heartbeat>>,
     /// Barrier-checkpoint coordination: aligned barriers acknowledge (and
     /// snapshot) through it, and slot closures shrink its live-slot quorum.

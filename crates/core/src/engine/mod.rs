@@ -41,14 +41,13 @@ use hmts_streams::error::StreamError;
 use hmts_streams::metrics::TimeSeries;
 use hmts_streams::time::{SharedClock, SystemClock};
 
-use crate::chaos::FaultPlan;
 use crate::checkpoint::{spawn_coordinator, CheckpointConfig, CheckpointShared, CoordinatorCtx};
 use crate::engine::executor::SlotState;
 use crate::engine::source_driver::{spawn_source, SourceDriverConfig, SourceShared, SourceTrace};
 use crate::engine::sync::{PauseGate, StopFlag};
+use crate::failure::{FaultPlan, SupervisionConfig, Supervisor};
 use crate::plan::{ExecutionPlan, PlanError};
 use crate::stats::{shared_node_stats, SharedNodeStats, StatsSnapshot};
-use crate::supervisor::{SupervisionConfig, Supervisor};
 
 pub use observe::describe_plan;
 
@@ -147,7 +146,7 @@ pub enum EngineError {
     NotStarted,
     /// An operator (or a worker thread) panicked and was not restarted:
     /// either supervision was off, or the policy escalated to
-    /// [`DegradeMode::FailQuery`](crate::supervisor::DegradeMode::FailQuery).
+    /// [`DegradeMode::FailQuery`](crate::failure::DegradeMode::FailQuery).
     WorkerPanicked {
         /// The operator (or thread) that died.
         operator: String,

@@ -23,9 +23,9 @@ use super::executor::{
 use super::source_driver::SourceTarget;
 use super::sync::{Notifier, StopFlag};
 use super::{Engine, EngineError};
+use crate::failure::{panic_message, StallWatch};
 use crate::plan::{DomainExecution, ExecutionPlan};
 use crate::scheduler::thread_scheduler::{ThreadScheduler, TsConfig, TsShared};
-use crate::supervisor::{panic_message, Heartbeat, Supervisor};
 
 /// The executors, queues and threads one plan is currently running on.
 pub(super) struct Wiring {
@@ -35,7 +35,7 @@ pub(super) struct Wiring {
     pub(super) ts: Option<ThreadScheduler>,
     pub(super) stop: Arc<StopFlag>,
     queues: Vec<Arc<StreamQueue>>,
-    /// Heartbeat stall monitor (only with supervision + stall timeout).
+    /// Heartbeat stall monitor (`StallWatch::new` says when there is one).
     stall_monitor: Option<JoinHandle<()>>,
     /// Domain index → index among the pooled domains (the level-3
     /// scheduler's numbering).
@@ -48,12 +48,8 @@ impl Engine {
     pub(super) fn build_wiring(&mut self, seeds: Vec<(NodeId, usize, Message)>) {
         let stop = Arc::new(StopFlag::new());
         let cost_graph = self.cost_graph();
-        let stall_timeout = self
-            .supervisor
-            .as_ref()
-            .and(self.cfg.supervision.as_ref())
-            .and_then(|s| s.stall_timeout);
-        let mut heartbeats: Vec<(String, Arc<Heartbeat>)> = Vec::new();
+        let mut stall_watch =
+            StallWatch::new(self.supervisor.as_ref(), self.cfg.supervision.as_ref(), &self.cfg.obs);
 
         // node -> domain.
         let mut node_domain: HashMap<NodeId, usize> = HashMap::new();
@@ -180,14 +176,10 @@ impl Engine {
                 spec.strategy.build(Some(&cost_graph)),
                 ExecConfig { batch: self.cfg.batch, measure: self.cfg.measure_stats },
             );
-            let heartbeat = stall_timeout.map(|_| Arc::new(Heartbeat::new()));
-            if let Some(hb) = &heartbeat {
-                heartbeats.push((spec.name.clone(), Arc::clone(hb)));
-            }
             exec.attach(Attach {
                 tracer: self.cfg.obs.tracer().map(|t| (t, d as u32)),
                 supervisor: self.supervisor.clone(),
-                heartbeat,
+                heartbeat: stall_watch.as_mut().map(|w| w.heartbeat(&spec.name)),
                 checkpoint: self.checkpoint_shared.clone(),
             });
             total_live += exec.live_slots();
@@ -249,12 +241,7 @@ impl Engine {
             let pool_execs = pooled.iter().map(|&d| Arc::clone(&executors[d])).collect();
             ThreadScheduler::spawn(shared, pool_execs, Arc::clone(&stop))
         });
-        let stall_monitor = match (stall_timeout, &self.supervisor) {
-            (Some(timeout), Some(sup)) if !heartbeats.is_empty() => {
-                Some(spawn_stall_monitor(heartbeats, timeout, Arc::clone(sup), Arc::clone(&stop)))
-            }
-            _ => None,
-        };
+        let stall_monitor = stall_watch.map(|w| w.spawn(Arc::clone(&stop)));
 
         self.publish_view();
         self.register_collectors(&queues);
@@ -474,29 +461,4 @@ fn dedicated_loop(
         }
         notifier.wait(Duration::from_millis(10));
     }
-}
-
-/// A stall monitor watching every domain's heartbeat: if a domain sits
-/// inside `inject` past `timeout`, the supervisor records a heartbeat-stall
-/// (journal event + counter) once per excursion.
-fn spawn_stall_monitor(
-    heartbeats: Vec<(String, Arc<Heartbeat>)>,
-    timeout: Duration,
-    supervisor: Arc<Supervisor>,
-    stop: Arc<StopFlag>,
-) -> JoinHandle<()> {
-    let poll = (timeout / 4).max(Duration::from_millis(1));
-    std::thread::Builder::new()
-        .name("hmts-stall-monitor".into())
-        .spawn(move || {
-            while !stop.is_stopped() {
-                for (name, hb) in &heartbeats {
-                    if let Some(stuck) = hb.stalled_for(timeout) {
-                        supervisor.on_stall(name, stuck);
-                    }
-                }
-                std::thread::sleep(poll);
-            }
-        })
-        .expect("spawn stall monitor thread")
 }

@@ -56,7 +56,9 @@
 //! * [`plan`] — GTS / OTS / DI / HMTS as data;
 //! * [`placement`] — Algorithm 1 and the Fig. 11 baselines;
 //! * [`stats`] — runtime measurement of `c(v)`, `d(v)`, selectivity;
-//! * [`adaptive`] — the measure → place → switch loop.
+//! * [`adaptive`] — the measure → place → switch loop;
+//! * [`failure`] — beside the core: fault injection, operator supervision
+//!   and stall detection.
 //!
 //! The substrate crates are re-exported: [`hmts_streams`],
 //! [`hmts_operators`], [`hmts_graph`], [`hmts_workload`], [`hmts_sim`],
@@ -66,14 +68,13 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod chaos;
 pub mod checkpoint;
 pub mod engine;
+pub mod failure;
 pub mod placement;
 pub mod plan;
 pub mod scheduler;
 pub mod stats;
-pub mod supervisor;
 
 pub use hmts_graph as graph;
 pub use hmts_obs as obs;
@@ -92,11 +93,13 @@ pub use scheduler::strategy::StrategyKind;
 /// The one-stop import for applications.
 pub mod prelude {
     pub use crate::adaptive::{adapt_once, Adaptation, AdaptiveConfig};
-    pub use crate::chaos::{FaultKind, FaultPlan, WriteFault};
     pub use crate::checkpoint::{CheckpointConfig, CheckpointFault};
     pub use crate::engine::{
         cost_graph_from_topology, describe_plan, Engine, EngineConfig, EngineError, EngineReport,
         QueueBound,
+    };
+    pub use crate::failure::{
+        DegradeMode, FaultPlan, RestartPolicy, SupervisionConfig, Supervisor,
     };
     pub use crate::placement::{
         chain_based, evaluate, exhaustive_optimal, simplified_segment, stall_avoiding,
@@ -105,7 +108,6 @@ pub mod prelude {
     pub use crate::plan::{DomainExecution, DomainSpec, ExecutionPlan, PlanError};
     pub use crate::scheduler::strategy::StrategyKind;
     pub use crate::stats::{NodeStatsSnapshot, StatsSnapshot};
-    pub use crate::supervisor::{DegradeMode, RestartPolicy, SupervisionConfig, Supervisor};
     pub use hmts_streams::queue::BackpressurePolicy;
 
     pub use hmts_obs::{

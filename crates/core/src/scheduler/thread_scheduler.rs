@@ -33,13 +33,14 @@ use parking_lot::{Condvar, Mutex};
 use crate::engine::executor::{Budget, DomainExecutor, RunOutcome, Waker};
 use crate::engine::sync::StopFlag;
 
+/// Time slice per dispatch.
+const SLICE: Duration = Duration::from_millis(1);
+
 /// Thread-scheduler configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct TsConfig {
     /// Number of worker threads.
     pub workers: usize,
-    /// Time slice per dispatch.
-    pub slice: Duration,
     /// Priority points gained per second of waiting (starvation
     /// prevention).
     pub aging_rate: f64,
@@ -47,7 +48,7 @@ pub struct TsConfig {
 
 impl Default for TsConfig {
     fn default() -> Self {
-        TsConfig { workers: 2, slice: Duration::from_millis(1), aging_rate: 10.0 }
+        TsConfig { workers: 2, aging_rate: 10.0 }
     }
 }
 
@@ -286,7 +287,7 @@ impl ThreadScheduler {
         for w in self.workers {
             let name = w.thread().name().unwrap_or("hmts-ts-worker").to_string();
             if let Err(payload) = w.join() {
-                panicked.push((name, crate::supervisor::panic_message(payload.as_ref())));
+                panicked.push((name, crate::failure::panic_message(payload.as_ref())));
             }
         }
         panicked
@@ -325,7 +326,7 @@ fn worker_loop(
         yield_flag.store(false, Ordering::Release);
         let budget = Budget {
             max_messages: 0,
-            deadline: Some(Instant::now() + shared.cfg.slice),
+            deadline: Some(Instant::now() + SLICE),
             stop: Some(Arc::clone(stop)),
             yield_flag: Some(Arc::clone(&yield_flag)),
         };
@@ -560,7 +561,7 @@ mod tests {
         push_n(&q2, 2000);
         let ts = ThreadScheduler::start(
             vec![e1, e2],
-            TsConfig { workers: 1, aging_rate: 0.0, ..TsConfig::default() },
+            TsConfig { workers: 1, aging_rate: 0.0 },
             Arc::clone(&stop),
         );
         let shared = ts.shared();

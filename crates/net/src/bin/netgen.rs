@@ -275,7 +275,7 @@ fn main() {
             Err(payload) => {
                 eprintln!(
                     "netgen: subscriber thread panicked: {}",
-                    hmts::supervisor::panic_message(payload.as_ref())
+                    hmts::failure::panic_message(payload.as_ref())
                 );
                 exit(1);
             }

@@ -6,21 +6,21 @@
 //! ([`IngestConfig::resume`](crate::server::IngestConfig::resume)). Every
 //! time the connection dies it backs off (capped exponential delay with
 //! deterministic jitter, shared with the supervisor via
-//! [`hmts::chaos::backoff_delay`]), reconnects, and asks the server where
+//! [`hmts::failure::backoff_delay`]), reconnects, and asks the server where
 //! to restart with a [`Frame::Resume`]; the server's [`Frame::ResumeAck`]
 //! carries the count of elements it already pushed, so the client
 //! retransmits exactly the lost suffix.
 //!
 //! The writer half of each connection can be wrapped (see
-//! [`SendOptions::new`]'s `wrap` parameter) — the chaos tests wrap it in a
-//! [`FaultyWriter`](hmts::chaos::FaultyWriter) to cut the connection
-//! mid-frame and prove the resume path heals it.
+//! [`send_with_resume`]'s `wrap` parameter) — the chaos tests wrap it in a
+//! fault-injecting writer to cut the connection mid-frame and prove the
+//! resume path heals it.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use hmts::chaos::backoff_delay;
+use hmts::failure::backoff_delay;
 use hmts::streams::time::Timestamp;
 use hmts::streams::tuple::Tuple;
 

@@ -1,15 +1,14 @@
 //! Network fault injection: connections cut mid-frame, byte-shredded
 //! writes, idle producers, and the full ingest → engine → egress chain
 //! recovering from a combined operator panic + connection drop with
-//! byte-identical results.
+//! byte-identical results. The faulty client-side writer lives here too.
 
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hmts::chaos::{FaultyWriter, WriteFault};
 use hmts::prelude::*;
 use hmts_net::wire::{hello, Frame, FrameWriter};
 use hmts_net::{
@@ -272,4 +271,88 @@ fn served_chain_recovers_from_panic_and_connection_cut() {
     let prom = hmts::obs::export::prometheus_text(&obs.metrics_snapshot());
     assert!(prom.contains("supervisor_restarts_total 1"), "{prom}");
     assert!(prom.contains("net_resumes_total"), "{prom}");
+}
+
+/// Faults injectable into a client-side socket writer.
+#[derive(Clone, Debug)]
+enum WriteFault {
+    /// On the `at_write`-th write call (1-based), write only half the
+    /// buffer, then fail that and every later write with `BrokenPipe` —
+    /// models a connection yanked mid-frame.
+    CutMidWrite { at_write: u64 },
+    /// Split every write into single-byte writes — exercises frame
+    /// reassembly from arbitrarily fragmented TCP segments.
+    Shred,
+}
+
+/// A `Write` adapter that applies a [`WriteFault`] to an inner writer.
+#[derive(Debug)]
+struct FaultyWriter<W: Write> {
+    inner: W,
+    fault: WriteFault,
+    writes: u64,
+    dead: bool,
+}
+
+impl<W: Write> FaultyWriter<W> {
+    fn new(inner: W, fault: WriteFault) -> FaultyWriter<W> {
+        FaultyWriter { inner, fault, writes: 0, dead: false }
+    }
+
+    fn cut() -> io::Error {
+        io::Error::new(io::ErrorKind::BrokenPipe, "chaos: connection cut")
+    }
+}
+
+impl<W: Write> Write for FaultyWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.dead {
+            return Err(Self::cut());
+        }
+        self.writes += 1;
+        match self.fault {
+            WriteFault::CutMidWrite { at_write } if self.writes >= at_write => {
+                self.dead = true;
+                let half = buf.len() / 2;
+                if half > 0 {
+                    self.inner.write_all(&buf[..half])?;
+                    let _ = self.inner.flush();
+                }
+                Err(Self::cut())
+            }
+            WriteFault::CutMidWrite { .. } => self.inner.write(buf),
+            WriteFault::Shred => {
+                for b in buf {
+                    self.inner.write_all(std::slice::from_ref(b))?;
+                }
+                Ok(buf.len())
+            }
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if self.dead {
+            return Err(Self::cut());
+        }
+        self.inner.flush()
+    }
+}
+
+#[test]
+fn cut_mid_write_fails_permanently() {
+    let mut w = FaultyWriter::new(Vec::new(), WriteFault::CutMidWrite { at_write: 2 });
+    w.write_all(b"abcd").unwrap();
+    let err = w.write_all(b"efgh").unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    assert!(w.dead);
+    assert!(w.write_all(b"x").is_err());
+    // First write intact, second truncated to half.
+    assert_eq!(w.inner, b"abcdef".to_vec());
+}
+
+#[test]
+fn shred_preserves_bytes() {
+    let mut w = FaultyWriter::new(Vec::new(), WriteFault::Shred);
+    w.write_all(b"hello world").unwrap();
+    assert_eq!(w.inner, b"hello world".to_vec());
 }

@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use hmts_state::StatefulOperator;
-use hmts_streams::element::{Element, Punctuation};
+use hmts_streams::element::Element;
 use hmts_streams::error::Result;
 use hmts_streams::time::Timestamp;
 use hmts_streams::tuple::Tuple;
@@ -115,11 +115,6 @@ impl Output {
     /// Read-only view of the buffered elements.
     pub fn elements(&self) -> &[Element] {
         &self.elements
-    }
-
-    /// The buffered elements, for rewriting in place (route tags stay).
-    pub fn elements_mut(&mut self) -> &mut [Element] {
-        &mut self.elements
     }
 
     /// Discards all buffered elements.
@@ -424,11 +419,6 @@ impl Operator for Box<dyn Operator> {
     }
 }
 
-/// The punctuation-forwarding contract between executor and operator,
-/// shared by the real engine and the simulator. Re-exported here so both
-/// depend on one definition.
-pub use hmts_streams::element::Punctuation as Punct;
-
 /// Tracks which input ports of an operator have seen end-of-stream, so the
 /// executor knows when to call [`Operator::flush`] and forward EOS.
 #[derive(Debug, Clone)]
@@ -503,30 +493,6 @@ impl WatermarkTracker {
     /// The last combined watermark that was reported.
     pub fn current(&self) -> Timestamp {
         self.emitted
-    }
-}
-
-/// Helper for operators and tests: classify a message into the executor's
-/// dispatch cases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dispatch {
-    /// Route to `Operator::process`.
-    Data,
-    /// Route to EOS bookkeeping / `flush`.
-    Eos,
-    /// Route to `Operator::on_watermark`.
-    Watermark(Timestamp),
-    /// Route to the executor's barrier alignment (operators never see
-    /// barriers directly).
-    Barrier(u64),
-}
-
-/// Classifies a punctuation for dispatch.
-pub fn classify(p: Punctuation) -> Dispatch {
-    match p {
-        Punctuation::EndOfStream => Dispatch::Eos,
-        Punctuation::Watermark(t) => Dispatch::Watermark(t),
-        Punctuation::Barrier(id) => Dispatch::Barrier(id),
     }
 }
 
@@ -738,16 +704,6 @@ mod tests {
         // Watermark regression on a port is ignored.
         assert_eq!(w.observe(1, Timestamp::from_secs(1)), None);
         assert_eq!(w.observe(1, Timestamp::from_secs(10)), Some(Timestamp::from_secs(5)));
-    }
-
-    #[test]
-    fn classify_punctuations() {
-        assert_eq!(classify(Punctuation::EndOfStream), Dispatch::Eos);
-        assert_eq!(
-            classify(Punctuation::Watermark(Timestamp::from_secs(2))),
-            Dispatch::Watermark(Timestamp::from_secs(2))
-        );
-        assert_eq!(classify(Punctuation::Barrier(4)), Dispatch::Barrier(4));
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl Tuple {
     ///
     /// Two allocations on purpose, here and in [`Tuple::project`]:
     /// collecting straight into the `Arc<[Value]>` saves the `Vec` and
-    /// measures slower (EXPERIMENTS.md "Shard hop").
+    /// measures slower (EXPERIMENTS.md, "Dead ends worth keeping").
     pub fn concat(&self, other: &Tuple) -> Tuple {
         let mut out = Vec::with_capacity(self.arity() + other.arity());
         out.extend_from_slice(&self.values);

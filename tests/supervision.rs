@@ -6,8 +6,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use hmts::failure::Verdict;
 use hmts::prelude::*;
-use hmts::supervisor::Verdict;
 
 /// source -> f1 (pass-through) -> f2 (pass-through) -> sink.
 fn chain(count: u64) -> (QueryGraph, SinkHandle) {
@@ -195,4 +195,99 @@ fn supervisor_verdicts_follow_the_policy_window() {
     assert!(matches!(sup.on_panic("op", "boom"), Verdict::Quarantine { failures: 3 }));
     assert!(sup.is_quarantined("op"));
     assert_eq!(sup.quarantined_operators(), vec!["op".to_string()]);
+}
+
+/// `chain` paced at `rate` elements per second, so a plan switch lands
+/// mid-stream.
+fn paced_chain(count: u64, rate: f64) -> (QueryGraph, SinkHandle) {
+    let mut b = GraphBuilder::new();
+    let src = b.source(VecSource::counting("numbers", count, rate));
+    let f1 = b.op_after(Filter::new("f1", Expr::bool(true)), src);
+    let f2 = b.op_after(Filter::new("f2", Expr::bool(true)), f1);
+    let (sink, results) = CollectingSink::new("out");
+    b.op_after(sink, f2);
+    (b.build().unwrap(), results)
+}
+
+/// What a run across a plan switch left behind.
+struct AcrossSwitch {
+    values: Vec<i64>,
+    /// Times f1's fault had fired when the switch returned, and in all.
+    fired_before: u64,
+    fired: u64,
+    restarts: u64,
+}
+
+/// Runs `paced_chain(COUNT)` under GTS with `faults` and a restart policy,
+/// and switches it to two-partition HMTS once the sink holds `switch_at`
+/// results.
+fn run_across_switch(switch_at: u64, faults: FaultPlan) -> AcrossSwitch {
+    const COUNT: u64 = 3_000;
+    let (graph, results) = paced_chain(COUNT, 10_000.0);
+    let topo = Topology::of(&graph);
+    let ops = topo.operators();
+    let hmts = ExecutionPlan::hmts(
+        Partitioning::new(vec![vec![ops[0]], vec![ops[1], ops[2]]]),
+        StrategyKind::Fifo,
+        2,
+    );
+    let faults = Arc::new(faults);
+    let obs = Obs::enabled();
+    let cfg = EngineConfig {
+        obs: obs.clone(),
+        chaos: Some(Arc::clone(&faults)),
+        supervision: Some(SupervisionConfig {
+            policy: RestartPolicy {
+                base_backoff: Duration::from_millis(1),
+                ..RestartPolicy::default()
+            },
+            ..SupervisionConfig::default()
+        }),
+        ..EngineConfig::default()
+    };
+    let mut engine =
+        Engine::with_config(graph, ExecutionPlan::gts(&topo, StrategyKind::Fifo), cfg).unwrap();
+    engine.start().unwrap();
+    while results.count() < switch_at {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    engine.switch_plan(hmts).unwrap();
+    let fired = || faults.operator_state("f1").map_or(0, |f| f.fired());
+    let fired_before = fired();
+    let report = engine.wait();
+    assert!(report.errors.is_empty(), "a restart leaves no error: {:?}", report.errors);
+    assert!(report.worker_panics.is_empty(), "{:?}", report.worker_panics);
+    assert!(results.is_done());
+    AcrossSwitch {
+        values: values(&results),
+        fired_before,
+        fired: fired(),
+        restarts: obs.counter("supervisor_restarts").get(),
+    }
+}
+
+/// Invocation counters live in the fault plan, not in the executor, so a
+/// fault armed for an invocation after a GTS → HMTS switch fires there,
+/// once, and the restart keeps the output sequence intact.
+#[test]
+fn fault_after_a_plan_switch_fires_once_and_recovers() {
+    let clean = run_across_switch(100, FaultPlan::seeded(5));
+    assert_eq!(clean.values, (0..3_000).collect::<Vec<_>>());
+
+    let run = run_across_switch(100, FaultPlan::seeded(5).panic_at("f1", 2_000));
+    assert_eq!(run.fired_before, 0, "the switch came before the fault");
+    assert_eq!(run.fired, 1, "fired exactly once, in the new wiring");
+    assert_eq!(run.restarts, 1);
+    assert_eq!(run.values, clean.values, "recovered output identical");
+}
+
+/// A fault that fired before a switch has used up its budget: the new
+/// wiring gets the same shared state and does not fire it again.
+#[test]
+fn fault_fired_before_a_plan_switch_does_not_fire_again() {
+    let run = run_across_switch(500, FaultPlan::seeded(5).panic_at("f1", 50));
+    assert_eq!(run.fired_before, 1, "the fault came before the switch");
+    assert_eq!(run.fired, 1, "and not again after it");
+    assert_eq!(run.restarts, 1);
+    assert_eq!(run.values, (0..3_000).collect::<Vec<_>>(), "recovered output identical");
 }
