@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use std::hint::black_box;
 
 use hmts::engine::executor::{Budget, DomainExecutor, ExecConfig, InputQueue, SlotInit, Target};
-use hmts::operators::traits::{EosTracker, WatermarkTracker};
+use hmts::operators::traits::{EosTracker, Operator, Output, WatermarkTracker};
 use hmts::prelude::*;
 use hmts::streams::element::Message;
 use hmts::streams::queue::StreamQueue;
@@ -130,6 +130,29 @@ fn queue_transfer(c: &mut Criterion) {
         b.iter(|| {
             run.extend((0..32).map(|_| data(7)));
             exec.inject_batch(NodeId(0), 0, black_box(&mut run));
+        })
+    });
+
+    // The selection alone, with the ledger's predicate, which passes every
+    // element: `Filter::process_batch` over a run of 32 (the predicate
+    // bound), beside the interpreted `Expr::eval_bool` on the same tuples.
+    let predicate = Expr::field(0).lt(Expr::int(1_000_000));
+    let mut run: Vec<Element> =
+        (0..32).map(|v| Element::single(v, Timestamp::from_micros(v as u64))).collect();
+    g.bench_function("filter_run32", |b| {
+        let mut filter = Filter::new("f", predicate.clone());
+        let mut out = Output::new();
+        b.iter(|| {
+            filter.process_batch(0, black_box(&mut run), &mut out).unwrap();
+            // What passed is the next run: nothing cloned, nothing dropped.
+            out.swap_elements(&mut run);
+        })
+    });
+    g.bench_function("eval_bool_run32", |b| {
+        b.iter(|| {
+            for element in &run {
+                let _ = black_box(predicate.eval_bool(black_box(&element.tuple)));
+            }
         })
     });
     g.throughput(Throughput::Elements(1));

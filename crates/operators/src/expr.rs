@@ -4,9 +4,15 @@
 //! the experiment harness builds query graphs programmatically (random DAGs,
 //! parameter sweeps over selectivities), the placement algorithms print
 //! graphs for inspection, and expressions must be `Send` without capturing
-//! state. A compact interpreted AST covers everything the paper's workloads
-//! need; user code that wants arbitrary Rust logic can still use the
-//! closure-based `Map`/`Filter::from_fn` operators.
+//! state. A compact interpreted AST is the general case and covers
+//! everything the paper's workloads need; user code that wants arbitrary
+//! Rust logic can still use the closure-based `Map`/`Filter::from_fn`
+//! operators.
+//!
+//! One shape is bound instead of interpreted: a [`BoundPredicate`] resolves
+//! `$[i] <op> constant` — the predicate of every selection in the
+//! workloads — once, into a field read and one comparison. Every other
+//! predicate it leaves to [`Expr::eval_bool`].
 
 use std::borrow::Cow;
 use std::fmt;
@@ -222,7 +228,11 @@ impl Expr {
             Expr::Cmp(..) | Expr::And(..) | Expr::Or(..) | Expr::Not(_) => {
                 self.eval_bool(tuple).map(Value::Bool)
             }
-            Expr::HashMod(a, m) => Ok(Value::Int((stable_hash(&*a.eval_ref(tuple)?) % m) as i64)),
+            // A modulus of 0, which only the bare variant can carry, is 1,
+            // as `hash_mod` clamps it.
+            Expr::HashMod(a, m) => {
+                Ok(Value::Int((stable_hash(&*a.eval_ref(tuple)?) % (*m).max(1)) as i64))
+            }
         }
     }
 
@@ -281,6 +291,68 @@ impl fmt::Display for Expr {
             Expr::Or(a, b) => write!(f, "({a} OR {b})"),
             Expr::Not(a) => write!(f, "(NOT {a})"),
             Expr::HashMod(a, m) => write!(f, "hash({a}) % {m}"),
+        }
+    }
+}
+
+/// A predicate resolved once from its [`Expr`], for a caller that asks it
+/// about every element of a stream — a selection.
+///
+/// `$[i] <op> constant` is bound: a read of field `i` and one comparison,
+/// with no box, no `Cow` and no `Result` per node — an `Int` field against
+/// an `Int` constant compares two `i64`s, anything else goes through
+/// `Value::cmp` as the interpreter does. Every other expression is
+/// interpreted by [`Expr::eval_bool`]. Either way the answer, and the error
+/// (a field out of range is still `FieldOutOfBounds` for that tuple), is
+/// the interpreter's.
+#[derive(Debug, Clone)]
+pub struct BoundPredicate {
+    expr: Expr,
+    bound: Bound,
+}
+
+#[derive(Debug, Clone)]
+enum Bound {
+    /// `$[field] <op> constant`.
+    FieldCmp { field: usize, op: CmpOp, constant: Value },
+    /// Any other shape: the interpreter.
+    Interpreted,
+}
+
+impl BoundPredicate {
+    /// Binds `expr`.
+    pub fn new(expr: Expr) -> BoundPredicate {
+        let bound = match &expr {
+            Expr::Cmp(op, a, b) => match (&**a, &**b) {
+                (Expr::Field(i), Expr::Const(c)) => {
+                    Bound::FieldCmp { field: *i, op: *op, constant: c.clone() }
+                }
+                _ => Bound::Interpreted,
+            },
+            _ => Bound::Interpreted,
+        };
+        BoundPredicate { expr, bound }
+    }
+
+    /// The expression this predicate was bound from.
+    pub fn expr(&self) -> &Expr {
+        &self.expr
+    }
+
+    /// Whether the predicate holds for `tuple`: what
+    /// [`Expr::eval_bool`] answers.
+    #[inline]
+    pub fn holds(&self, tuple: &Tuple) -> Result<bool> {
+        match &self.bound {
+            Bound::FieldCmp { field, op, constant } => {
+                let value = tuple.get(*field)?;
+                let ord = match (value, constant) {
+                    (Value::Int(v), Value::Int(c)) => v.cmp(c),
+                    _ => value.cmp(constant),
+                };
+                Ok(op.apply(ord))
+            }
+            Bound::Interpreted => self.expr.eval_bool(tuple),
         }
     }
 }
@@ -393,6 +465,13 @@ mod tests {
     fn hash_mod_zero_modulus_clamped() {
         let e = Expr::field(0).hash_mod(0);
         assert_eq!(e.eval(&t(&[5])).unwrap(), Value::Int(0));
+    }
+
+    #[test]
+    fn a_zero_modulus_built_through_the_variant_is_one() {
+        let e = Expr::HashMod(Box::new(Expr::field(0)), 0);
+        assert_eq!(e.eval(&t(&[5])), Ok(Value::Int(0)));
+        assert_eq!(e.to_string(), "hash($[0]) % 0");
     }
 
     #[test]

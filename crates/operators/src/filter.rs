@@ -5,11 +5,11 @@ use std::time::Duration;
 use hmts_streams::element::Element;
 use hmts_streams::error::Result;
 
-use crate::expr::Expr;
+use crate::expr::{BoundPredicate, Expr};
 use crate::traits::{Operator, Output};
 
 enum Predicate {
-    Expr(Expr),
+    Expr(BoundPredicate),
     Fn(Box<dyn FnMut(&Element) -> bool + Send>),
 }
 
@@ -26,11 +26,12 @@ pub struct Filter {
 }
 
 impl Filter {
-    /// A selection with an expression predicate.
+    /// A selection with an expression predicate, bound here once (see
+    /// [`BoundPredicate`]).
     pub fn new(name: impl Into<String>, predicate: Expr) -> Filter {
         Filter {
             name: name.into(),
-            predicate: Predicate::Expr(predicate),
+            predicate: Predicate::Expr(BoundPredicate::new(predicate)),
             selectivity_hint: None,
             cost_hint: None,
         }
@@ -65,7 +66,7 @@ impl Filter {
     /// The predicate expression, if this filter was built from one.
     pub fn expr(&self) -> Option<&Expr> {
         match &self.predicate {
-            Predicate::Expr(e) => Some(e),
+            Predicate::Expr(p) => Some(p.expr()),
             Predicate::Fn(_) => None,
         }
     }
@@ -75,32 +76,34 @@ impl Predicate {
     #[inline]
     fn holds(&mut self, element: &Element) -> Result<bool> {
         match self {
-            Predicate::Expr(e) => e.eval_bool(&element.tuple),
+            Predicate::Expr(p) => p.holds(&element.tuple),
             Predicate::Fn(f) => Ok(f(element)),
         }
     }
 }
 
-/// The part of a run a [`Filter`] has decided on and not yet taken out:
-/// the first `decided` elements of `run`, of which those with their bit set
-/// in `pass` go to `out` and the others nowhere. Taking them out is the
-/// drop, so it happens once per stretch whether the predicate returned,
-/// failed or panicked — and a passing element is moved, never cloned.
-struct Decided<'a> {
+/// A run a [`Filter`] is compacting in place: of its first `decided`
+/// elements, the `kept` that passed are at its front, in order, and the
+/// ones that failed behind them. The drop settles it, whether the predicate
+/// returned, failed or panicked: the passes go to `out` — the whole run at
+/// once when it was all decided — the failures go nowhere, and the elements
+/// not yet decided stay in `run`.
+struct Compacted<'a> {
     run: &'a mut Vec<Element>,
     out: &'a mut Output,
-    pass: u64,
+    kept: usize,
     decided: usize,
 }
 
-impl Drop for Decided<'_> {
+impl Drop for Compacted<'_> {
     fn drop(&mut self) {
-        let mut pass = self.pass;
-        for element in self.run.drain(..self.decided) {
-            if pass & 1 != 0 {
-                self.out.push(element);
-            }
-            pass >>= 1;
+        let Compacted { run, out, kept, decided } = self;
+        if *decided == run.len() {
+            run.truncate(*kept);
+            return out.append(run);
+        }
+        for element in run.drain(..*decided).take(*kept) {
+            out.push(element);
         }
     }
 }
@@ -117,23 +120,23 @@ impl Operator for Filter {
         Ok(())
     }
 
-    /// Decides first and moves second, a stretch of up to 64 elements at a
-    /// time: the predicate only ever looks at elements still in `run`, and
-    /// whatever it decided on leaves `run` — into `out` or for good — when
-    /// the stretch ends, including by `?` or by a panic.
+    /// Filters the run in place: each passing element is swapped forward
+    /// behind the ones that passed before it, and when the run is decided
+    /// it is handed to `out` whole ([`Output::append`]). A failure at
+    /// element *k* leaves *k* first in `run` (see `Compacted`).
     fn process_batch(
         &mut self,
         _port: usize,
         run: &mut Vec<Element>,
         out: &mut Output,
     ) -> Result<()> {
-        while !run.is_empty() {
-            let mut stretch = Decided { run, out, pass: 0, decided: 0 };
-            for element in stretch.run.iter().take(u64::BITS as usize) {
-                let holds = self.predicate.holds(element)?;
-                stretch.pass |= u64::from(holds) << stretch.decided;
-                stretch.decided += 1;
+        let mut rest = Compacted { run, out, kept: 0, decided: 0 };
+        while let Some(element) = rest.run.get(rest.decided) {
+            if self.predicate.holds(element)? {
+                rest.run.swap(rest.kept, rest.decided);
+                rest.kept += 1;
             }
+            rest.decided += 1;
         }
         Ok(())
     }
@@ -150,7 +153,7 @@ impl Operator for Filter {
         // Fn predicates may carry hidden state (see the every-other test
         // below) and cannot be cloned; expression predicates replicate.
         let predicate = match &self.predicate {
-            Predicate::Expr(e) => Predicate::Expr(e.clone()),
+            Predicate::Expr(p) => Predicate::Expr(p.clone()),
             Predicate::Fn(_) => return None,
         };
         Some(Box::new(Filter {
@@ -213,16 +216,17 @@ mod tests {
 
     #[test]
     fn a_run_is_its_elements_in_order() {
-        // 150 elements: three stretches, the last one short.
         let values: Vec<i64> = (0..150).map(|v| v * 7 % 10).collect();
         let mut one_by_one = Filter::new("lt5", Expr::field(0).lt(Expr::int(5)));
         let want = run(&mut one_by_one, &values);
         let mut f = Filter::new("lt5", Expr::field(0).lt(Expr::int(5)));
         let mut input: Vec<Element> =
             values.iter().map(|&v| Element::single(v, Timestamp::ZERO)).collect();
+        let storage = input.as_ptr();
         let mut out = Output::new();
         f.process_batch(0, &mut input, &mut out).unwrap();
-        assert!(input.is_empty() && input.capacity() >= 150, "taken out, storage kept");
+        assert!(input.is_empty(), "taken out");
+        assert_eq!(out.elements().as_ptr(), storage, "handed over by swapping storage");
         assert_eq!(ints(out.elements()), want);
     }
 

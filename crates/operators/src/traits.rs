@@ -151,6 +151,22 @@ impl Output {
         std::mem::swap(&mut self.elements, buf);
     }
 
+    /// Emits every element of `run`, in order, leaving `run` empty. With
+    /// nothing buffered, `run`'s storage becomes the buffer and the
+    /// buffer's (empty) storage `run`'s, so no element is moved: an operator
+    /// that filtered its run in place hands it on whole.
+    #[inline]
+    pub fn append(&mut self, run: &mut Vec<Element>) {
+        if self.elements.is_empty() {
+            // No elements, so no route tags either.
+            return std::mem::swap(&mut self.elements, run);
+        }
+        if !self.routes.is_empty() {
+            self.routes.resize(self.elements.len() + run.len(), Self::BROADCAST);
+        }
+        self.elements.append(run);
+    }
+
     /// Stamps every buffered element with the given trace tag.
     ///
     /// Called by the executor after a traced input element was processed,
@@ -188,7 +204,8 @@ pub trait Operator: Send {
     ///
     /// - **Same results.** State and `out` end up as if
     ///   [`process`](Operator::process) had been called on each element in
-    ///   order; on `Ok`, `run` is empty (its storage is the caller's).
+    ///   order; on `Ok`, `run` is empty, and its storage may have been
+    ///   exchanged with `out`'s (see [`Output::append`]).
     /// - **Failure leaves the rest.** On `Err` or a panic, the elements not
     ///   yet fully processed are still in `run`, the failing one first, and
     ///   `out` holds the results of the elements before it and nothing of
@@ -197,9 +214,9 @@ pub trait Operator: Send {
     ///
     /// The default lends each element to `process` and keeps both promises
     /// with a guard that is also dropped by an unwind. An operator
-    /// overrides it when owning the elements saves work — [`Filter`] moves
-    /// a passing element to `out` instead of cloning it — and a wrapper
-    /// that forwards `process` unchanged forwards this too.
+    /// overrides it when owning the elements saves work — [`Filter`] keeps
+    /// the passing elements in the run and hands the run itself to `out` —
+    /// and a wrapper that forwards `process` unchanged forwards this too.
     ///
     /// [`Filter`]: crate::filter::Filter
     fn process_batch(
@@ -558,6 +575,28 @@ mod tests {
         out.emit(Tuple::single(2), Timestamp::ZERO);
         out.push_routed(2, Element::single(3, Timestamp::ZERO));
         assert_eq!(out.take_routes(), vec![0, Output::BROADCAST, 2]);
+    }
+
+    #[test]
+    fn an_appended_run_is_the_buffer_or_goes_behind_it() {
+        let values = |elements: &[Element]| -> Vec<i64> {
+            elements.iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect()
+        };
+        let mut out = Output::new();
+        let mut run: Vec<Element> = (1..=3).map(|v| Element::single(v, Timestamp::ZERO)).collect();
+        let storage = run.as_ptr();
+        out.append(&mut run);
+        assert!(run.is_empty());
+        assert_eq!(out.elements().as_ptr(), storage, "nothing buffered: the run is the buffer");
+        out.push_routed(7, Element::single(4, Timestamp::ZERO));
+        run.push(Element::single(5, Timestamp::ZERO));
+        out.append(&mut run);
+        assert!(run.is_empty());
+        assert_eq!(values(out.elements()), [1, 2, 3, 4, 5]);
+        assert_eq!(
+            out.take_routes(),
+            [Output::BROADCAST, Output::BROADCAST, Output::BROADCAST, 7, Output::BROADCAST]
+        );
     }
 
     #[test]

@@ -110,7 +110,7 @@ fn owning_eval(e: &Expr, t: &Tuple) -> Result<Value, StreamError> {
         Expr::And(a, b) => Ok(Value::Bool(ev(a)?.as_bool()? && ev(b)?.as_bool()?)),
         Expr::Or(a, b) => Ok(Value::Bool(ev(a)?.as_bool()? || ev(b)?.as_bool()?)),
         Expr::Not(a) => Ok(Value::Bool(!ev(a)?.as_bool()?)),
-        Expr::HashMod(a, m) => Ok(Value::Int((stable_hash(&ev(a)?) % m) as i64)),
+        Expr::HashMod(a, m) => Ok(Value::Int((stable_hash(&ev(a)?) % (*m).max(1)) as i64)),
     }
 }
 
@@ -130,14 +130,21 @@ fn arb_value(rng: &mut StdRng) -> Value {
     }
 }
 
-/// An expression tree of at most `depth` levels over every `Expr` variant.
-/// Field indices reach one past any generated tuple's arity, so some leaves
-/// are out of range and only a short circuit keeps them from erring.
+/// An expression tree of at most `depth` levels over every `Expr` variant,
+/// with extra weight on `$[i] <op> constant` — the shape a `Filter` binds —
+/// over every kind of constant. Field indices reach one past any generated
+/// tuple's arity, so some leaves are out of range and only a short circuit
+/// keeps them from erring.
 fn arb_expr(rng: &mut StdRng, depth: u32) -> Expr {
     let leaf = depth <= 1 || rng.gen_bool(0.2);
-    let kind = if leaf { rng.gen_range(0..2) } else { rng.gen_range(2..17) };
+    let kind = if leaf { rng.gen_range(0..2) } else { rng.gen_range(2..21) };
     let mut sub = || arb_expr(rng, depth - 1);
     match kind {
+        17..=20 => {
+            let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+            let (op, field) = (ops[rng.gen_range(0..6usize)], rng.gen_range(0..5usize));
+            Expr::Cmp(op, Box::new(Expr::field(field)), Box::new(Expr::Const(arb_value(rng))))
+        }
         0 => Expr::field(rng.gen_range(0..5usize)),
         1 => Expr::Const(arb_value(rng)),
         2 => sub().add(sub()),
@@ -288,20 +295,75 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(case_seed);
         for _ in 0..64 {
             let expr = arb_expr(&mut rng, 4);
-            let arity = rng.gen_range(0..5usize);
-            let tuple = Tuple::new((0..arity).map(|_| arb_value(&mut rng)).collect::<Vec<_>>());
-            let want = owning_eval(&expr, &tuple);
+            // A `Filter` binds its predicate: it has to answer what the
+            // reference answers, per element and over a run.
+            let mut filter = Filter::new("f", expr.clone());
+            let run: Vec<Element> = (0..rng.gen_range(1..24u64))
+                .map(|at| {
+                    let arity = rng.gen_range(0..5usize);
+                    let row = Tuple::new((0..arity).map(|_| arb_value(&mut rng)).collect::<Vec<_>>());
+                    Element::new(row, Timestamp::from_micros(at))
+                })
+                .collect();
+            let mut verdicts = Vec::new();
+            for element in &run {
+                let tuple = &element.tuple;
+                let want = owning_eval(&expr, tuple);
+                prop_assert_eq!(
+                    expr.eval(tuple), want.clone(),
+                    "eval, case_seed={} expr={} tuple={}", case_seed, expr, tuple
+                );
+                prop_assert_eq!(
+                    expr.eval_ref(tuple).map(|v| v.into_owned()), want.clone(),
+                    "eval_ref, case_seed={} expr={} tuple={}", case_seed, expr, tuple
+                );
+                let verdict = want.and_then(|v| v.as_bool());
+                prop_assert_eq!(
+                    expr.eval_bool(tuple), verdict.clone(),
+                    "eval_bool, case_seed={} expr={} tuple={}", case_seed, expr, tuple
+                );
+                let mut out = Output::new();
+                prop_assert_eq!(
+                    filter.process(0, element, &mut out).map(|()| !out.is_empty()), verdict.clone(),
+                    "Filter::process, case_seed={} expr={} tuple={}", case_seed, expr, tuple
+                );
+                verdicts.push(verdict);
+            }
+            // Positions of the elements that pass, below `end`.
+            let passes = |end: usize| -> Vec<u64> {
+                (0..end).filter(|&at| verdicts[at] == Ok(true)).map(|at| at as u64).collect()
+            };
+            // What `out` holds before the run: nothing, or an element it
+            // must keep in front.
+            let mut out = Output::new();
+            let before: Vec<u64> = match rng.gen_bool(0.5) {
+                true => Vec::new(),
+                false => {
+                    out.emit(Tuple::empty(), Timestamp::from_micros(1_000));
+                    vec![1_000]
+                }
+            };
+            let positions = |out: &Output| -> Vec<u64> {
+                out.elements().iter().map(|e| e.ts.as_micros()).collect()
+            };
+            let mut rest = run.clone();
+            while let Err(e) = filter.process_batch(0, &mut rest, &mut out) {
+                let at = run.len() - rest.len();
+                prop_assert_eq!(
+                    Err(e), verdicts[at].clone(),
+                    "the error at {}, case_seed={} expr={}", at, case_seed, expr
+                );
+                prop_assert_eq!(&rest[0], &run[at], "the failing element heads the rest");
+                prop_assert_eq!(
+                    positions(&out), [&before[..], &passes(at)[..]].concat(),
+                    "the passes before {}, case_seed={} expr={}", at, case_seed, expr
+                );
+                rest.remove(0);
+            }
+            prop_assert!(rest.is_empty());
             prop_assert_eq!(
-                expr.eval(&tuple), want.clone(),
-                "eval, case_seed={} expr={} tuple={}", case_seed, expr, tuple
-            );
-            prop_assert_eq!(
-                expr.eval_ref(&tuple).map(|v| v.into_owned()), want.clone(),
-                "eval_ref, case_seed={} expr={} tuple={}", case_seed, expr, tuple
-            );
-            prop_assert_eq!(
-                expr.eval_bool(&tuple), want.and_then(|v| v.as_bool()),
-                "eval_bool, case_seed={} expr={} tuple={}", case_seed, expr, tuple
+                positions(&out), [&before[..], &passes(run.len())[..]].concat(),
+                "Filter::process_batch, case_seed={} expr={}", case_seed, expr
             );
         }
     }

@@ -180,7 +180,9 @@ impl Value {
                 if *b == 0 {
                     Err(StreamError::DivisionByZero)
                 } else {
-                    Ok(Value::Int(a.rem_euclid(*b)))
+                    // Wraps only for `i64::MIN mod -1`, whose exact result 0
+                    // is what it returns.
+                    Ok(Value::Int(a.wrapping_rem_euclid(*b)))
                 }
             }
             _ => Err(StreamError::TypeMismatch {
@@ -342,6 +344,12 @@ mod tests {
         assert_eq!(Value::Int(7).div(&Value::Int(2)).unwrap(), Value::Int(3));
         assert_eq!(Value::Int(7).rem(&Value::Int(3)).unwrap(), Value::Int(1));
         assert_eq!(Value::Int(-7).rem(&Value::Int(3)).unwrap(), Value::Int(2));
+    }
+
+    #[test]
+    fn the_remainder_of_the_least_integer_by_minus_one_is_zero() {
+        assert_eq!(Value::Int(i64::MIN).rem(&Value::Int(-1)), Ok(Value::Int(0)));
+        assert_eq!(Value::Int(i64::MIN).rem(&Value::Int(i64::MIN)), Ok(Value::Int(0)));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 #[path = "common/mod.rs"]
 mod common;
 
+use hmts::graph::graph::NodeKind;
 use hmts::prelude::*;
 use hmts::scheduler::chain::compute_chain_segments;
 use hmts::sim::{simulate, SimConfig, SimPolicy, SimStrategy};
@@ -12,11 +13,18 @@ use hmts_graph::cost::CostGraph;
 use hmts_workload::scenarios::{fig6_join, fig7_chain, Fig6Params, Fig7Params, JoinKind};
 use std::time::Duration;
 
-/// Runs a fig6-style join under `plan_for` with paced sources; returns the
-/// wall time of the *last source emission* — the quantity whose degradation
-/// is the paper's Fig. 6.
-fn fig6_emission_end(kind: JoinKind, p: &Fig6Params, decoupled: bool) -> f64 {
-    let s = fig6_join(kind, p);
+/// Runs Fig. 6's nested-loops join, charged `cost` of busy work per element,
+/// DI or decoupled (OTS) with paced sources; returns the wall time of the
+/// *last source emission* — the quantity whose degradation is the paper's
+/// Fig. 6.
+fn fig6_emission_end(p: &Fig6Params, cost: Duration, decoupled: bool) -> f64 {
+    let mut s = fig6_join(JoinKind::Snj, p);
+    let node = s.graph.node_mut(s.join);
+    let placeholder = NodeKind::Operator(Box::new(NullSink::new("placeholder")));
+    let NodeKind::Operator(snj) = std::mem::replace(&mut node.kind, placeholder) else {
+        unreachable!("the join is an operator")
+    };
+    node.kind = NodeKind::Operator(Box::new(Costed::new(snj, CostMode::Busy(cost))));
     let topo = Topology::of(&s.graph);
     let plan = if decoupled { ExecutionPlan::ots(&topo) } else { ExecutionPlan::di(&topo) };
     let report = Engine::run(s.graph, plan).expect("engine runs");
@@ -31,22 +39,24 @@ fn fig6_emission_end(kind: JoinKind, p: &Fig6Params, decoupled: bool) -> f64 {
 
 #[test]
 fn fig6_di_join_stalls_sources_but_decoupling_does_not() {
-    // Scaled Fig. 6: 3000 elements per source offered at 2000 el/s
-    // (1.5 s). The nested-loops join with a window that never expires makes
-    // every probe scan the full opposite buffer; running it via DI *in the
+    // Scaled Fig. 6: 500 elements per source offered at 1000 el/s (0.5 s),
+    // into a join that costs 2 ms an element — twice the gap between one
+    // source's elements, however fast the engine. Running it via DI *in the
     // source threads* must drag emission far past the offered schedule,
     // while queues (OTS) keep the sources on time.
     let p = Fig6Params {
-        elements: 10_000,
-        rate: 5_000.0,
+        elements: 500,
+        rate: 1_000.0,
         left_range: 10_000,
         right_range: 1_000,
         window: Duration::from_secs(600),
         seed: 6,
     };
-    let offered = p.elements as f64 / p.rate; // 2 s
-    let di_end = fig6_emission_end(JoinKind::Snj, &p, false);
-    let dec_end = fig6_emission_end(JoinKind::Snj, &p, true);
+    let cost = Duration::from_millis(2);
+    assert!(cost.as_secs_f64() * p.rate >= 2.0, "the join cannot keep up with one source");
+    let offered = p.elements as f64 / p.rate; // 0.5 s
+    let di_end = fig6_emission_end(&p, cost, false);
+    let dec_end = fig6_emission_end(&p, cost, true);
     assert!(
         di_end > offered * 1.3,
         "DI emission must fall behind: {di_end:.2}s vs offered {offered:.2}s"
