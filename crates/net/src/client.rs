@@ -2,7 +2,7 @@
 //! replays [`ArrivalProcess`] traffic shapes against an ingest server.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -19,12 +19,18 @@ use hmts::streams::time::Timestamp;
 use hmts::workload::arrival::ArrivalProcess;
 use hmts::workload::values::TupleGen;
 
-use crate::wire::{hello, Frame, FrameReader, FrameWriter, NetError};
+use crate::wire::{hello, DecodeError, Frame, FrameReader, FrameWriter, NetError};
 
 /// A client that subscribes to an egress server and iterates the result
 /// stream until end-of-stream.
 pub struct SubscriberClient {
-    reader: FrameReader<BufReader<TcpStream>>,
+    reader: FrameReader<TcpStream>,
+    /// Data messages decoded from the last read; those before `next` were
+    /// handed out (each replaced by a placeholder).
+    run: Vec<Message>,
+    next: usize,
+    /// The malformed frame that ended the run, reported once the run is out.
+    failed: Option<DecodeError>,
     done: bool,
 }
 
@@ -36,7 +42,13 @@ impl SubscriberClient {
         let mut writer = FrameWriter::new(socket.try_clone()?);
         writer.write_frame(&hello(stream))?;
         writer.flush()?;
-        Ok(SubscriberClient { reader: FrameReader::new(BufReader::new(socket)), done: false })
+        Ok(SubscriberClient {
+            reader: FrameReader::new(socket),
+            run: Vec::new(),
+            next: 0,
+            failed: None,
+            done: false,
+        })
     }
 
     /// Next result message: `Ok(None)` after `Eos` (or a clean server
@@ -46,6 +58,19 @@ impl SubscriberClient {
             return Ok(None);
         }
         loop {
+            if self.next == self.run.len() {
+                self.run.clear();
+                self.next = 0;
+                self.failed = self.reader.take_data(&mut self.run).err();
+            }
+            if let Some(slot) = self.run.get_mut(self.next) {
+                self.next += 1;
+                return Ok(Some(std::mem::replace(slot, Message::eos())));
+            }
+            if let Some(e) = self.failed.take() {
+                return Err(e.into());
+            }
+            // A control frame, or a data frame the last read cut.
             match self.reader.read_frame()? {
                 None | Some(Frame::Eos) => {
                     self.done = true;
@@ -220,7 +245,7 @@ pub fn run_load(addr: impl ToSocketAddrs, cfg: &LoadConfig) -> Result<LoadReport
         let rtts = Arc::clone(&rtts);
         let socket = socket.try_clone()?;
         thread::spawn(move || {
-            let mut reader = FrameReader::new(BufReader::new(socket));
+            let mut reader = FrameReader::new(socket);
             while let Ok(Some(frame)) = reader.read_frame() {
                 if let Frame::Pong { nonce } = frame {
                     if let Some(t0) = sent_at.lock().remove(&nonce) {

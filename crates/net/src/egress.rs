@@ -33,7 +33,7 @@ use hmts::operators::traits::{Operator, Output};
 use hmts::streams::element::Element;
 use hmts::streams::error::Result as StreamResult;
 
-use crate::wire::{encode_frame, Frame, FrameReader};
+use crate::wire::{encode_data, encode_frame, Frame, FrameReader};
 
 /// What to do with a subscriber whose socket stays full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,6 +190,8 @@ fn admit(socket: &TcpStream, policy: SlowConsumerPolicy) -> io::Result<()> {
     socket.set_nodelay(true)?;
     // A garbage client must not wedge the accept thread.
     socket.set_read_timeout(Some(Duration::from_secs(2)))?;
+    // The reader reads ahead and is dropped with what it buffered; a
+    // subscriber sends nothing after its `Hello`, so nothing is lost.
     let mut reader = FrameReader::new(socket.try_clone()?);
     match reader.read_frame() {
         Ok(Some(Frame::Hello { .. })) => {}
@@ -231,18 +233,42 @@ pub struct EgressSink {
 const WRITE_CHUNK: usize = 32 * 1024;
 
 impl EgressSink {
-    /// Encodes `frame` once, behind the frames already pending. A data frame
-    /// of a batch whose end will be announced waits there for it; anything
-    /// else — a punctuation, a frame under a host that announces nothing, a
-    /// full chunk — is written at once, with all that is pending.
+    /// Encodes a punctuation frame behind the frames already pending and
+    /// writes them all at once.
     fn broadcast(&mut self, frame: &Frame) {
         encode_frame(frame, &mut self.pending);
-        let wait = self.coalesce
-            && matches!(frame, Frame::Data { .. })
-            && self.pending.len() < WRITE_CHUNK;
-        if !wait {
+        self.write_pending();
+    }
+
+    /// Encodes `element`'s data frame once, behind the frames already
+    /// pending, and records its hop and latency; the tuple counters are the
+    /// caller's. The frame waits there for the end of the batch if one will
+    /// be announced; under a host that announces nothing, or with a full
+    /// chunk, everything pending is written at once.
+    fn send(&mut self, element: &Element) {
+        encode_data(element.ts, &element.tuple, element.trace, &mut self.pending);
+        if !self.coalesce || self.pending.len() >= WRITE_CHUNK {
             self.write_pending();
         }
+        if element.trace.is_sampled() {
+            if let Some(t) = &self.tracer {
+                t.record(element.trace.id(), HopKind::NetSend, &self.site, NO_PARTITION);
+            }
+        }
+        if let Some(h) = &self.e2e_latency {
+            // Stream timestamps are µs offsets on the same clock the obs
+            // epoch starts; the difference is admission→egress latency
+            // (clamped at 0 against timestamp-domain skew).
+            let now_ns = self.obs.elapsed().as_nanos();
+            let ts_ns = u128::from(element.ts.as_micros()) * 1_000;
+            h.record(now_ns.saturating_sub(ts_ns).min(u128::from(u64::MAX)) as u64);
+        }
+    }
+
+    /// Counts `n` tuples sent.
+    fn count(&self, n: u64) {
+        self.state.tuples.fetch_add(n, Ordering::Relaxed);
+        self.tuples.add(n);
     }
 
     /// Writes the pending bytes to every subscriber, dropping those that
@@ -290,26 +316,25 @@ impl Operator for EgressSink {
     }
 
     fn process(&mut self, _port: usize, element: &Element, _out: &mut Output) -> StreamResult<()> {
-        self.broadcast(&Frame::Data {
-            ts: element.ts,
-            tuple: element.tuple.clone(),
-            trace: element.trace,
-        });
-        if element.trace.is_sampled() {
-            if let Some(t) = &self.tracer {
-                t.record(element.trace.id(), HopKind::NetSend, &self.site, NO_PARTITION);
-            }
+        self.send(element);
+        self.count(1);
+        Ok(())
+    }
+
+    /// The run's frames are encoded straight from its elements, and the
+    /// tuple counters move once. Nothing here fails, so the run is simply
+    /// emptied at the end.
+    fn process_batch(
+        &mut self,
+        _port: usize,
+        run: &mut Vec<Element>,
+        _out: &mut Output,
+    ) -> StreamResult<()> {
+        for element in run.iter() {
+            self.send(element);
         }
-        if let Some(h) = &self.e2e_latency {
-            // Stream timestamps are µs offsets on the same clock the obs
-            // epoch starts; the difference is admission→egress latency
-            // (clamped at 0 against timestamp-domain skew).
-            let now_ns = self.obs.elapsed().as_nanos();
-            let ts_ns = u128::from(element.ts.as_micros()) * 1_000;
-            h.record(now_ns.saturating_sub(ts_ns).min(u128::from(u64::MAX)) as u64);
-        }
-        self.state.tuples.fetch_add(1, Ordering::Relaxed);
-        self.tuples.inc();
+        self.count(run.len() as u64);
+        run.clear();
         Ok(())
     }
 
@@ -437,6 +462,117 @@ mod tests {
             assert_eq!(next(), Some(i));
         }
         assert_eq!(server.tuples_sent(), 4 + fills as u64);
+    }
+
+    /// What a raw subscriber of a fresh server receives while `drive` runs
+    /// a sink: the whole byte stream, up to the server's close, and what
+    /// `drive` returns — it is handed a probe of how many bytes have arrived
+    /// (once nothing more has for 20 ms).
+    fn bytes_received<T>(
+        drive: impl FnOnce(&mut EgressSink, &mut dyn FnMut() -> usize) -> T,
+    ) -> (Vec<u8>, T) {
+        use crate::wire::{hello, FrameWriter};
+        use std::io::Read;
+        let server =
+            EgressServer::bind("127.0.0.1:0", SlowConsumerPolicy::Block, Obs::disabled()).unwrap();
+        let mut socket = TcpStream::connect(server.local_addr()).unwrap();
+        FrameWriter::new(socket.try_clone().unwrap()).write_frame(&hello("results")).unwrap();
+        assert!(server.wait_for_subscribers(1, Duration::from_secs(5)));
+        let received = Arc::new(Mutex::new(Vec::new()));
+        let reader = {
+            let received = Arc::clone(&received);
+            std::thread::spawn(move || {
+                let mut chunk = [0u8; 4096];
+                while let Ok(n @ 1..) = socket.read(&mut chunk) {
+                    received.lock().extend_from_slice(&chunk[..n]);
+                }
+            })
+        };
+        let mut arrived = || {
+            let mut seen = received.lock().len();
+            loop {
+                std::thread::sleep(Duration::from_millis(20));
+                match received.lock().len() {
+                    now if now == seen => return now,
+                    now => seen = now,
+                }
+            }
+        };
+        let mut sink = server.sink("egress");
+        let driven = drive(&mut sink, &mut arrived);
+        drop(sink);
+        drop(server); // closes the subscriber's socket
+        reader.join().unwrap();
+        let bytes = std::mem::take(&mut *received.lock());
+        (bytes, driven)
+    }
+
+    #[test]
+    fn a_run_goes_out_as_the_same_bytes_as_its_elements_one_by_one() {
+        let el = |i: i64| {
+            let e = Element::new(Tuple::pair(i, "v"), Timestamp::from_micros(i as u64));
+            e.with_trace(hmts::streams::element::TraceTag::new(if i % 97 == 5 { 7 } else { 0 }))
+        };
+        // No end of a batch seen yet (written as produced), a run crossing
+        // `WRITE_CHUNK` twice with sampled tags in it, a punctuation, a
+        // short run, the end of the stream.
+        let runs: Vec<Vec<Element>> = vec![
+            (0..6).map(el).collect(),
+            (6..5000).map(el).collect(),
+            (5000..5003).map(el).collect(),
+        ];
+        assert!(runs[1].len() * 20 > 2 * WRITE_CHUNK);
+        // Returns how much had arrived after each run, before its end was
+        // announced: what was written as produced, and the full chunks.
+        let script = |batched: bool| {
+            let runs = runs.clone();
+            move |sink: &mut EgressSink, arrived: &mut dyn FnMut() -> usize| {
+                let mut out = Output::new();
+                let mut before_end = Vec::new();
+                for (i, mut run) in runs.into_iter().enumerate() {
+                    if batched {
+                        sink.process_batch(0, &mut run, &mut out).unwrap();
+                        assert!(run.is_empty());
+                    } else {
+                        for e in &run {
+                            sink.process(0, e, &mut out).unwrap();
+                        }
+                    }
+                    before_end.push(arrived());
+                    if i == 1 {
+                        sink.on_watermark(0, Timestamp::from_micros(5000), &mut out).unwrap();
+                    }
+                    sink.end_batch();
+                }
+                sink.flush(&mut out).unwrap();
+                before_end
+            }
+        };
+        let (one_by_one, written_one_by_one) = bytes_received(script(false));
+        let (batched, written_batched) = bytes_received(script(true));
+        assert_eq!(batched.len(), one_by_one.len());
+        assert!(batched == one_by_one, "the byte streams differ");
+        assert_eq!(written_batched, written_one_by_one);
+        // Before any end of a batch was announced, every frame went out.
+        let per_frame = |i: i64| {
+            let mut buf = Vec::new();
+            let e = el(i);
+            encode_data(e.ts, &e.tuple, e.trace, &mut buf);
+            buf.len()
+        };
+        assert_eq!(written_batched[0], (0..6).map(per_frame).sum::<usize>());
+        assert!(written_batched[1] - written_batched[0] >= 2 * WRITE_CHUNK);
+        // And they are the frames of the elements, in order.
+        let mut reader = FrameReader::new(&batched[..]);
+        let mut data = 0;
+        while let Some(frame) = reader.read_frame().unwrap() {
+            if let Frame::Data { ts, trace, .. } = frame {
+                assert_eq!(ts, Timestamp::from_micros(data));
+                assert_eq!(trace.is_sampled(), data % 97 == 5);
+                data += 1;
+            }
+        }
+        assert_eq!(data, 5003);
     }
 
     #[test]

@@ -345,7 +345,7 @@ fn serve_connection(
         socket.set_read_timeout(Some(t))?;
     }
     let mut writer = FrameWriter::new(socket.try_clone()?);
-    let mut reader = FrameReader::new(io::BufReader::new(socket));
+    let mut reader = FrameReader::new(socket);
 
     // The first frame must be a Hello naming a registered stream.
     let slot_idx = match reader.read_frame()? {
@@ -379,8 +379,11 @@ fn serve_connection(
     let bytes_ctr = obs.counter("net_ingest_bytes");
     let stall_ctr = obs.counter("net_backpressure_stall_ns");
     let mut accounted: u64 = 0;
-    let mut account = |reader: &FrameReader<io::BufReader<TcpStream>>| {
+    let mut account = |reader: &FrameReader<TcpStream>| {
         let delta = reader.bytes_read() - accounted;
+        if delta == 0 {
+            return;
+        }
         accounted = reader.bytes_read();
         stats.bytes.fetch_add(delta, Ordering::Relaxed);
         bytes_ctr.add(delta);
@@ -395,6 +398,14 @@ fn serve_connection(
     // (its `Pong` says they are in), a `Resume`, the end of the connection.
     // `false` means the queue closed under us (the engine shut down).
     let mut decoded: Vec<Message> = Vec::new();
+    let recv_hops = |run: &[Message]| {
+        let Some(t) = &tracer else { return };
+        for e in run.iter().filter_map(Message::as_data) {
+            if e.trace.is_sampled() {
+                t.record(e.trace.id(), HopKind::NetRecv, &recv_site, NO_PARTITION);
+            }
+        }
+    };
     let hand_over = |decoded: &mut Vec<Message>| -> bool {
         let n = decoded.len() as u64;
         if n == 0 {
@@ -421,6 +432,15 @@ fn serve_connection(
     // done) as opposed to the socket dying mid-stream.
     let mut clean = false;
     let result = loop {
+        // The run: every whole data frame the last read brought, decoded
+        // in one pass. What stops it — a control frame, or a frame the
+        // read cut — goes through `read_frame` below.
+        let taken = decoded.len();
+        let run = reader.take_data(&mut decoded);
+        recv_hops(&decoded[taken..]);
+        if let Err(e) = run {
+            break Err(e.into());
+        }
         if !reader.frame_buffered() && !hand_over(&mut decoded) {
             clean = true;
             break Ok(());
@@ -439,12 +459,8 @@ fn serve_connection(
         }
         match frame {
             Frame::Data { ts, tuple, trace } => {
-                if trace.is_sampled() {
-                    if let Some(t) = &tracer {
-                        t.record(trace.id(), HopKind::NetRecv, &recv_site, NO_PARTITION);
-                    }
-                }
                 decoded.push(Message::Data(Element::new(tuple, ts).with_trace(trace)));
+                recv_hops(&decoded[decoded.len() - 1..]);
             }
             Frame::Watermark { ts } => {
                 use hmts::streams::element::Punctuation;
@@ -482,6 +498,7 @@ fn serve_connection(
             | Frame::Barrier { .. } => {}
         }
     };
+    account(&reader);
     // A connection that ended mid-buffer (truncated or malformed frame)
     // still delivered the whole frames before the cut.
     hand_over(&mut decoded);
@@ -684,6 +701,54 @@ mod tests {
         // Pong is a barrier: the data frame is already in the queue.
         assert_eq!(server.queue("a").unwrap().len(), 1);
         w.write_frame(&Frame::Eos).unwrap();
+    }
+
+    #[test]
+    fn control_frames_inside_a_run_keep_their_place() {
+        use hmts::streams::element::Punctuation;
+        use std::io::Write;
+        let server =
+            IngestServer::bind("127.0.0.1:0", vec![StreamSpec::new("a")], IngestConfig::default())
+                .unwrap();
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        sock.set_nodelay(true).unwrap();
+        let mut pongs = FrameReader::new(sock.try_clone().unwrap());
+        let data = |i: i64| Frame::Data {
+            ts: Timestamp::from_micros(i as u64),
+            tuple: Tuple::single(i),
+            trace: TraceTag::NONE,
+        };
+        // One segment: three data frames, a ping, two more, a watermark,
+        // two more, a second ping.
+        let mut frames = vec![hello("a")];
+        frames.extend((0..3).map(data));
+        frames.push(Frame::Ping { nonce: 1 });
+        frames.extend((3..5).map(data));
+        frames.push(Frame::Watermark { ts: Timestamp::from_micros(5) });
+        frames.extend((5..7).map(data));
+        frames.push(Frame::Ping { nonce: 2 });
+        let mut bytes = Vec::new();
+        frames.iter().for_each(|f| crate::wire::encode_frame(f, &mut bytes));
+        sock.write_all(&bytes).unwrap();
+
+        let q = server.queue("a").unwrap();
+        assert_eq!(pongs.read_frame().unwrap(), Some(Frame::Pong { nonce: 1 }));
+        assert!(q.len() >= 3, "the pong left before the data ahead of it was in: {}", q.len());
+        assert_eq!(pongs.read_frame().unwrap(), Some(Frame::Pong { nonce: 2 }));
+        assert_eq!(q.len(), 8, "seven elements and the watermark");
+        let got: Vec<Message> = std::iter::from_fn(|| q.try_pop()).collect();
+        let mut expected: Vec<Message> = (0..5)
+            .map(|i| Message::data(Tuple::single(i), Timestamp::from_micros(i as u64)))
+            .collect();
+        expected.push(Message::Punct(Punctuation::Watermark(Timestamp::from_micros(5))));
+        expected.extend(
+            (5..7).map(|i| Message::data(Tuple::single(i), Timestamp::from_micros(i as u64))),
+        );
+        assert_eq!(got, expected);
+        crate::wire::FrameWriter::new(sock).write_frame(&Frame::Eos).unwrap();
+        assert!(q.pop_blocking().is_none(), "the only producer said eos");
+        assert_eq!(server.stats().tuples.load(Ordering::Relaxed), 7);
+        assert_eq!(server.stats().bytes.load(Ordering::Relaxed), bytes.len() as u64 + 5);
     }
 
     #[test]
