@@ -6,15 +6,20 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use hmts::engine::executor::{Budget, DomainExecutor, ExecConfig, InputQueue, SlotInit, Target};
 use hmts::operators::traits::{EosTracker, Operator, Output, WatermarkTracker};
 use hmts::prelude::*;
 use hmts::streams::element::Message;
-use hmts::streams::queue::StreamQueue;
+use hmts::streams::queue::{Batch, StreamQueue};
 
 fn data(v: i64) -> Message {
     Message::data(Tuple::single(v), Timestamp::from_micros(v as u64))
+}
+
+fn element(v: i64) -> Element {
+    Element::single(v, Timestamp::from_micros(v as u64))
 }
 
 fn slot(i: usize, targets: Vec<Target>) -> SlotInit {
@@ -44,6 +49,32 @@ fn di_chain(n: usize, batch: usize, stats: bool) -> DomainExecutor {
         .collect();
     let cfg = ExecConfig { batch, measure: stats };
     DomainExecutor::new("bench", slots, vec![], StrategyKind::Fifo.build(None), cfg)
+}
+
+/// `n` pass-through filters with a queue in front of each (GTS: one
+/// executor drains them all), each with a statistics cell if `stats`; and
+/// the queues.
+fn queue_chain(n: usize, batch: usize, stats: bool) -> (DomainExecutor, Vec<Arc<StreamQueue>>) {
+    let queues: Vec<_> = (0..n).map(|i| StreamQueue::unbounded(format!("q{i}"))).collect();
+    let slots = (0..n)
+        .map(|i| {
+            let next = queues.get(i + 1).map(|q| Target::Queue { queue: q.clone(), wake: None });
+            let mut s = slot(i, next.into_iter().collect());
+            s.stats = stats.then(hmts::stats::shared_node_stats);
+            s
+        })
+        .collect();
+    let inputs = (0..n)
+        .map(|i| InputQueue {
+            queue: queues[i].clone(),
+            node: NodeId(i),
+            port: 0,
+            exhausted: false,
+        })
+        .collect();
+    let cfg = ExecConfig { batch, measure: stats };
+    let exec = DomainExecutor::new("bench", slots, inputs, StrategyKind::Fifo.build(None), cfg);
+    (exec, queues)
 }
 
 fn queue_transfer(c: &mut Criterion) {
@@ -83,32 +114,7 @@ fn queue_transfer(c: &mut Criterion) {
     // The same 5-op chain but decoupled: a queue before every operator,
     // drained GTS-style by one executor.
     g.bench_function("decoupled_chain_5", |b| {
-        let queues: Vec<_> = (0..5).map(|i| StreamQueue::unbounded(format!("q{i}"))).collect();
-        let slots = (0..5)
-            .map(|i| {
-                let targets = if i + 1 < 5 {
-                    vec![Target::Queue { queue: queues[i + 1].clone(), wake: None }]
-                } else {
-                    vec![]
-                };
-                slot(i, targets)
-            })
-            .collect();
-        let inputs = (0..5)
-            .map(|i| InputQueue {
-                queue: queues[i].clone(),
-                node: NodeId(i),
-                port: 0,
-                exhausted: false,
-            })
-            .collect();
-        let mut exec = DomainExecutor::new(
-            "bench",
-            slots,
-            inputs,
-            StrategyKind::Fifo.build(None),
-            ExecConfig { batch: 1, measure: false },
-        );
+        let (mut exec, queues) = queue_chain(5, 1, false);
         let budget = Budget::unlimited();
         b.iter_batched(
             || queues[0].push(data(7)).unwrap(),
@@ -126,10 +132,36 @@ fn queue_transfer(c: &mut Criterion) {
     g.throughput(Throughput::Elements(32));
     g.bench_function("di_chain_5_run32", |b| {
         let mut exec = di_chain(5, 32, false);
-        let mut run: Vec<Message> = Vec::with_capacity(32);
+        let mut run: Vec<Element> = Vec::with_capacity(32);
         b.iter(|| {
-            run.extend((0..32).map(|_| data(7)));
+            run.extend((0..32).map(|_| element(7)));
             exec.inject_batch(NodeId(0), 0, black_box(&mut run));
+        })
+    });
+
+    // A run of 32 into a queue and out again, as the executor hands it
+    // over: pushed as the buffer it is in, popped as that buffer. The same
+    // 32 elements go round, so only the hand-over is timed.
+    g.bench_function("push_pop_run32", |b| {
+        let q = StreamQueue::unbounded("bench");
+        let (mut run, mut popped): (Vec<_>, _) = ((0..32).map(element).collect(), Batch::default());
+        b.iter(|| {
+            q.push_run(black_box(&mut run), || {}).unwrap();
+            q.pop_runs(32, black_box(&mut popped));
+            std::mem::swap(&mut run, &mut popped.run);
+        })
+    });
+
+    // The 5-op chain with a queue before every operator, with statistics,
+    // fed runs of 32: the ledger's `core.executor.queue_hop_ns` probe shape
+    // at the engine's default batch, beside `di_chain_5_run32`.
+    g.bench_function("queue_chain_5_run32", |b| {
+        let (mut exec, queues) = queue_chain(5, 32, true);
+        let (mut run, budget) = (Vec::with_capacity(32), Budget::unlimited());
+        b.iter(|| {
+            run.extend((0..32).map(|_| element(7)));
+            queues[0].push_run(&mut run, || {}).unwrap();
+            exec.run_slice(black_box(&budget));
         })
     });
 

@@ -433,12 +433,16 @@ mod tests {
                             invoked: Arc::default(),
                         };
                         let (mut exec, q) = stage(op, supervisor.clone());
-                        let mut msgs: Vec<Message> = (0..4).map(|v| data(v, v as u64)).collect();
-                        msgs.push(Message::eos());
+                        let at_micros = |v: i64| Timestamp::from_micros(v as u64);
+                        let mut run: Vec<Element> =
+                            (0..4).map(|v| Element::single(v, at_micros(v))).collect();
                         match as_a_run {
-                            true => exec.inject_batch(NodeId(1), 0, &mut msgs),
-                            false => msgs.into_iter().for_each(|m| exec.inject(NodeId(1), 0, m)),
+                            true => exec.inject_batch(NodeId(1), 0, &mut run),
+                            false => run
+                                .into_iter()
+                                .for_each(|el| exec.inject(NodeId(1), 0, Message::Data(el))),
                         }
+                        exec.inject(NodeId(1), 0, Message::eos());
                         assert_eq!(exec.live_slots(), 0, "{case}: slot closed");
                         (
                             contents(&q),

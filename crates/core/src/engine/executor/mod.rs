@@ -11,7 +11,8 @@
 //! has several, the traversal is depth-first per element over an explicit
 //! LIFO work stack (no recursion, no borrow gymnastics, no stack overflow
 //! on long chains). Edges to operators outside the domain's virtual
-//! operator go through queues instead, waking the consuming domain.
+//! operator go through queues instead, a run as the buffer it is in,
+//! waking the consuming domain unless that is this one.
 //!
 //! The executor's `run_slice` is the level-2 scheduler: a pluggable
 //! [`Strategy`] picks which input queue to service next, and a [`Budget`]
@@ -40,7 +41,7 @@ use hmts_graph::graph::NodeId;
 use hmts_operators::traits::Output;
 use hmts_streams::element::{Element, Message, Punctuation};
 use hmts_streams::error::StreamError;
-use hmts_streams::queue::StreamQueue;
+use hmts_streams::queue::{Batch, StreamQueue};
 use hmts_streams::time::Timestamp;
 
 use crate::engine::sync::StopFlag;
@@ -61,19 +62,15 @@ impl Waker for crate::engine::sync::Notifier {
     }
 }
 
-/// Moves `msgs` into `queue` and wakes its consumer: the one way a batch
+/// Moves `batch` into `queue` and wakes its consumer: the one way a batch
 /// enters a queue whose consumer may be asleep. The wake-up also goes out
 /// each time a full `Block` queue makes the push wait — a pooled consumer
 /// runs only once it is told, and the producer must not wait for room with
 /// a part of the batch queued that nobody has been told about. A closed
 /// queue only happens during teardown; the messages are intentionally
 /// dropped then.
-pub(crate) fn push_and_wake(
-    queue: &StreamQueue,
-    wake: Option<&Arc<dyn Waker>>,
-    msgs: &mut Vec<Message>,
-) {
-    let _ = queue.push_batch(msgs, || {
+pub(crate) fn push_and_wake(queue: &StreamQueue, wake: Option<&Arc<dyn Waker>>, batch: &mut Batch) {
+    let _ = queue.push_runs(batch, || {
         if let Some(w) = wake {
             w.wake();
         }
@@ -93,7 +90,8 @@ pub enum Target {
     Queue {
         /// The queue.
         queue: Arc<StreamQueue>,
-        /// Wakes the consuming domain after a push.
+        /// Wakes the consuming domain after a push (`None` when it is this
+        /// domain, which drains its own queues before it goes idle).
         wake: Option<Arc<dyn Waker>>,
     },
 }
@@ -201,8 +199,9 @@ enum Route {
         queue: Arc<StreamQueue>,
         wake: Option<Arc<dyn Waker>>,
         /// Messages bound for the queue until the next
-        /// [`DomainExecutor::flush_staged`].
-        staged: Vec<Message>,
+        /// [`DomainExecutor::flush_staged`], in the queue's shape: a run of
+        /// one slot's output is handed here whole, by a buffer swap.
+        staged: Batch,
     },
 }
 
@@ -277,8 +276,10 @@ pub struct DomainExecutor {
     sinks: Vec<usize>,
     /// The strategy's view of the inputs, refilled per decision.
     view: Vec<InputSlot>,
-    /// The batch popped for the current decision (reused).
-    inbox: Vec<Message>,
+    /// What enters the domain at one port in one go — a batch popped for
+    /// a decision, an injected run or message, a stretch of re-delivery —
+    /// on its way to [`feed`](Self::feed) (reused).
+    inbox: Batch,
     /// Messages popped per strategy decision.
     batch: usize,
     /// Slots not yet closed.
@@ -320,7 +321,7 @@ impl DomainExecutor {
             route_tags: Vec::new(),
             dirty: Vec::new(),
             view: Vec::new(),
-            inbox: Vec::new(),
+            inbox: Batch::default(),
             batch: cfg.batch.max(1),
             error: None,
             guard: guard::Guard::default(),
@@ -349,37 +350,45 @@ impl DomainExecutor {
     /// reaction) and hands what it produced for other domains to their
     /// queues: a batch of one, and — if it is data — a run of one.
     pub fn inject(&mut self, node: NodeId, port: usize, msg: Message) {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        inbox.push(msg);
+        self.inject_inbox(node, port, &mut inbox);
+        self.inbox = inbox;
+    }
+
+    /// [`inject`](Self::inject) for a run of elements entering at the same
+    /// port: it goes through as one run and, being one batch, has one flush
+    /// behind it. The run moves through the domain as the buffer it is in;
+    /// `run` is handed back empty, holding a buffer the domain had spare.
+    /// Used by source-driven execution (punctuations go through `inject`).
+    pub fn inject_batch(&mut self, node: NodeId, port: usize, run: &mut Vec<Element>) {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        std::mem::swap(run, &mut inbox.run);
+        self.inject_inbox(node, port, &mut inbox);
+        self.inbox = inbox;
+    }
+
+    fn inject_inbox(&mut self, node: NodeId, port: usize, inbox: &mut Batch) {
         let slot = self.slot_of.get(node).ok_or(node);
-        self.feed(slot, port, &mut std::iter::once(msg), &Budget::unlimited(), &mut 0);
+        self.feed(slot, port, inbox, &Budget::unlimited(), &mut 0);
         self.flush_staged();
     }
 
-    /// [`inject`](Self::inject) for messages entering at the same port, in
-    /// order: every stretch of data between two punctuations goes through
-    /// as one run and, all of it being one batch, there is one flush behind
-    /// the last. `msgs` is left empty with its capacity intact. Used by
-    /// source-driven execution.
-    pub fn inject_batch(&mut self, node: NodeId, port: usize, msgs: &mut Vec<Message>) {
-        let slot = self.slot_of.get(node).ok_or(node);
-        self.feed(slot, port, &mut msgs.drain(..), &Budget::unlimited(), &mut 0);
-        self.flush_staged();
-    }
-
-    /// Puts `msgs` — all bound for `port` of `slot` — through the domain in
+    /// Puts `batch` — all bound for `port` of `slot` — through the domain in
     /// order: the data up to the next punctuation as one run (cut where
-    /// `budget.max_messages` is used up), the punctuation behind it in the
-    /// same chain reaction. What went through is added to `done`; the
-    /// budget is looked at after each chain reaction, and once it is
-    /// exceeded (the return value) nothing further is taken from `msgs`.
-    /// Output for queue targets is only staged; the caller owes a
-    /// [`flush_staged`](Self::flush_staged) before it returns control.
-    /// Messages for a node the domain does not host (`Err`) are a routing
-    /// bug: recorded once and dropped.
+    /// `budget.max_messages` is used up; a whole run by a buffer swap), the
+    /// punctuation behind it in the same chain reaction. What went through
+    /// is added to `done`; the budget is looked at after each chain
+    /// reaction, and once it is exceeded (the return value) what is left
+    /// stays in `batch`. Output for queue targets is only staged; the
+    /// caller owes a [`flush_staged`](Self::flush_staged) before it returns
+    /// control. Messages for a node the domain does not host (`Err`) are a
+    /// routing bug: recorded once and dropped.
     fn feed(
         &mut self,
         slot: Result<usize, NodeId>,
         port: usize,
-        msgs: &mut impl Iterator<Item = Message>,
+        batch: &mut Batch,
         budget: &Budget,
         done: &mut usize,
     ) -> bool {
@@ -387,28 +396,45 @@ impl DomainExecutor {
             Ok(i) => i,
             Err(node) => {
                 self.record_error(no_slot(node));
-                *done += msgs.count();
+                *done += batch.len();
+                batch.run.clear();
+                batch.puncts.clear();
                 return budget.exceeded(*done);
             }
         };
         debug_assert!(self.stack.is_empty() && self.run.is_empty());
+        debug_assert!(budget.room(*done) > 0, "fed only while the budget has room");
+        let Batch { run, puncts } = batch;
+        // Elements taken off the front of `run`, punctuations fed.
+        let (mut taken, mut next) = (0, 0);
         loop {
-            match msgs.next() {
-                Some(Message::Data(el)) => {
-                    self.run_to = (slot, port);
-                    self.run.push(el);
-                    if self.run.len() < budget.room(*done) {
-                        continue;
-                    }
+            let room = budget.room(*done);
+            let until = puncts.get(next).map_or(run.len(), |&(at, _)| at - taken);
+            let n = until.min(room);
+            if n > 0 {
+                self.run_to = (slot, port);
+                if n == run.len() {
+                    std::mem::swap(run, &mut self.run);
+                } else {
+                    self.run.extend(run.drain(..n));
                 }
-                // Onto the stack, that is behind the run gathered so far.
-                Some(punct) => self.stack.push((slot, port, punct)),
-                None if self.run.is_empty() => return false,
-                None => {}
+                taken += n;
+            }
+            // Onto the stack, that is behind the run — unless the run used
+            // up the room.
+            if until < room && next < puncts.len() {
+                self.stack.push((slot, port, Message::Punct(puncts[next].1)));
+                next += 1;
+            }
+            if self.run.is_empty() && self.stack.is_empty() {
+                puncts.clear();
+                return false;
             }
             *done += self.run.len() + self.stack.len();
             self.react();
             if budget.exceeded(*done) {
+                puncts.drain(..next);
+                puncts.iter_mut().for_each(|(at, _)| *at -= taken);
                 return true;
             }
         }
@@ -594,7 +620,10 @@ impl DomainExecutor {
                     if staged.is_empty() {
                         dirty.push((i, 0));
                     }
-                    return staged.extend(out.drain().map(Message::Data));
+                    if staged.run.is_empty() {
+                        return out.swap_elements(&mut staged.run);
+                    }
+                    return staged.run.extend(out.drain());
                 }
                 Route::Dangling(node) => {
                     error.get_or_insert_with(|| no_slot(*node));
@@ -648,16 +677,17 @@ impl DomainExecutor {
         }
     }
 
-    /// Hands every staged message to its queue: one [`push_and_wake`] per
+    /// Hands every staged batch to its queue: one [`push_and_wake`] per
     /// queue route written since the last flush; then tells the sinks that
-    /// the batch is over, so what they held back goes out in one piece. Runs when a popped batch ends and before `inject` /
-    /// `run_slice` return, so nobody outside a slice ever sees output that
-    /// is neither in the operator nor in the queue, nor a result that a
-    /// sink has taken and not delivered.
+    /// the batch is over, so what they held back goes out in one piece.
+    /// Runs when a popped batch ends and before `inject` / `run_slice`
+    /// return, so nobody outside a slice ever sees output that is neither
+    /// in the operator nor in the queue, nor a result that a sink has taken
+    /// and not delivered.
     fn flush_staged(&mut self) {
         for (i, ri) in self.dirty.drain(..) {
             if let Route::Queue { queue, wake, staged } = &mut self.slots[i].routes[ri] {
-                self.probe.queue_enter(staged, queue);
+                self.probe.queue_enter(&staged.run, queue);
                 push_and_wake(queue, wake.as_ref(), staged);
             }
         }
@@ -685,8 +715,8 @@ impl DomainExecutor {
 
     /// Runs the level-2 scheduling loop until the budget is exhausted, the
     /// inputs run dry, or the domain finishes. The unit at the queue
-    /// boundary is the batch — one `pop_batch` per decision, one
-    /// `push_batch` per written queue target per batch, one look at the
+    /// boundary is the batch — one `pop_runs` per decision, one
+    /// `push_runs` per written queue target per batch, one look at the
     /// deadline per batch — and inside it the run: the rest of the budget
     /// is looked at between two runs, and only `max_messages` cuts one
     /// short; what a cut-short batch leaves over waits in `pending`, ahead
@@ -697,13 +727,19 @@ impl DomainExecutor {
 
         // Re-delivery first, neighbours bound for the same port together.
         let mut pending = std::mem::take(&mut self.pending);
+        let mut inbox = std::mem::take(&mut self.inbox);
         while let (false, Some(&(node, port, _))) = (exceeded, pending.front()) {
+            while pending.front().is_some_and(|m| (m.0, m.1) == (node, port)) {
+                inbox.push(pending.pop_front().expect("just looked at it").2);
+            }
             let slot = self.slot_of.get(node).ok_or(node);
-            let mut same = std::iter::from_fn(|| match pending.front() {
-                Some(&(n, p, _)) if (n, p) == (node, port) => pending.pop_front().map(|m| m.2),
-                _ => None,
-            });
-            exceeded = self.feed(slot, port, &mut same, budget, &mut processed);
+            exceeded = self.feed(slot, port, &mut inbox, budget, &mut processed);
+            if !inbox.is_empty() {
+                // Cut short: the rest goes back in front.
+                let mut rest: VecDeque<_> = inbox.drain().map(|msg| (node, port, msg)).collect();
+                rest.append(&mut pending);
+                pending = rest;
+            }
         }
         self.pending = pending;
         // However late it is, a slice does one batch's worth of work; what
@@ -725,21 +761,17 @@ impl DomainExecutor {
             };
             let (node, port) = (self.inputs[i].node, self.inputs[i].port);
             let slot = self.input_slots[i].ok_or(node);
-            let mut inbox = std::mem::take(&mut self.inbox);
-            self.inputs[i].queue.pop_batch(self.batch, &mut inbox);
-            for msg in &inbox {
-                self.probe.queue_exit(msg, i);
-                if msg.is_eos() {
-                    self.inputs[i].exhausted = true;
-                }
+            self.inputs[i].queue.pop_runs(self.batch, &mut inbox);
+            self.probe.queue_exit(&inbox.run, i);
+            if inbox.puncts.iter().any(|&(_, p)| p == Punctuation::EndOfStream) {
+                self.inputs[i].exhausted = true;
             }
-            let mut msgs = inbox.drain(..);
-            exceeded = self.feed(slot, port, &mut msgs, budget, &mut processed);
-            self.pending.extend(msgs.map(|msg| (node, port, msg)));
-            self.inbox = inbox;
+            exceeded = self.feed(slot, port, &mut inbox, budget, &mut processed);
+            self.pending.extend(inbox.drain().map(|msg| (node, port, msg)));
             self.flush_staged();
             exceeded = exceeded || budget.past_deadline();
         }
+        self.inbox = inbox;
         self.slice_status()
     }
 
@@ -827,15 +859,10 @@ fn no_slot(node: NodeId) -> StreamError {
     StreamError::Other(format!("no slot for node {node}"))
 }
 
-/// Appends `msg` to a queue route's staging buffer, noting the buffer
+/// Appends `msg` to a queue route's staging batch, noting the batch
 /// (`at` = its slot and route index) for the next flush when this is its
 /// first message.
-fn stage(
-    staged: &mut Vec<Message>,
-    dirty: &mut Vec<(usize, usize)>,
-    at: (usize, usize),
-    msg: Message,
-) {
+fn stage(staged: &mut Batch, dirty: &mut Vec<(usize, usize)>, at: (usize, usize), msg: Message) {
     if staged.is_empty() {
         dirty.push(at);
     }
@@ -1567,36 +1594,46 @@ mod tests {
 
     #[test]
     fn a_batch_injected_is_its_messages_injected_with_one_flush_behind_them() {
-        let run = || {
-            let mut msgs: Vec<Message> = (1..=4).map(|v| data(v, v as u64)).collect();
-            msgs.insert(2, Message::Punct(Punctuation::Watermark(Timestamp::from_micros(2))));
-            msgs.push(Message::eos());
-            msgs
+        let run = |values: std::ops::RangeInclusive<i64>| -> Vec<Element> {
+            values.map(|v| Element::single(v, Timestamp::from_micros(v as u64))).collect()
         };
+        let watermark = || Message::Punct(Punctuation::Watermark(Timestamp::from_micros(2)));
         let (mut one_by_one, out_a, wakes_a, log_a) = forked_stage();
-        for msg in run() {
-            one_by_one.inject(NodeId(1), 0, msg);
+        for el in run(1..=2) {
+            one_by_one.inject(NodeId(1), 0, Message::Data(el));
         }
+        one_by_one.inject(NodeId(1), 0, watermark());
+        for el in run(3..=4) {
+            one_by_one.inject(NodeId(1), 0, Message::Data(el));
+        }
+        one_by_one.inject(NodeId(1), 0, Message::eos());
+        // Runs go in by `inject_batch`, the punctuations between them by
+        // `inject`.
         let (mut batched, out_b, wakes_b, log_b) = forked_stage();
-        let mut msgs = run();
-        batched.inject_batch(NodeId(1), 0, &mut msgs);
-        assert!(msgs.is_empty() && msgs.capacity() >= 6, "drained, storage kept");
+        let mut first = run(1..=2);
+        let storage = first.as_ptr();
+        batched.inject_batch(NodeId(1), 0, &mut first);
+        assert!(first.is_empty() && first.as_ptr() != storage, "handed back another buffer");
+        batched.inject(NodeId(1), 0, watermark());
+        batched.inject_batch(NodeId(1), 0, &mut run(3..=4));
+        batched.inject(NodeId(1), 0, Message::eos());
         // The same messages in the queue, the same elements at the sink in
-        // the same order — and the hand-overs once instead of per message.
+        // the same order — and the hand-overs once per run instead of per
+        // message.
         assert_eq!(contents(&out_a), ["1", "2", "W", "3", "4", "E"]);
         assert_eq!(contents(&out_b), ["1", "2", "W", "3", "4", "E"]);
         assert_eq!(log_a.lock().replace('|', ""), "1234");
-        assert_eq!(*log_b.lock(), "1234");
+        assert_eq!(log_b.lock().replace('|', ""), "1234");
         assert_eq!(wakes_a.0.load(Ordering::Relaxed), 6);
-        assert_eq!(wakes_b.0.load(Ordering::Relaxed), 1);
+        assert_eq!(wakes_b.0.load(Ordering::Relaxed), 4);
         assert!(one_by_one.is_finished() && batched.is_finished());
-        // While the sink is open, the batch's one `end_batch` comes last.
+        // While the sink is open, the run's one `end_batch` comes last.
         let (mut batched, _, _, log) = forked_stage();
-        batched.inject_batch(NodeId(1), 0, &mut vec![data(5, 5), data(6, 6)]);
+        batched.inject_batch(NodeId(1), 0, &mut run(5..=6));
         assert_eq!(*log.lock(), "56|");
-        // A batch for a node the domain does not host is one error (and a
+        // A run for a node the domain does not host is one error (and a
         // batch that ended, all the same).
-        batched.inject_batch(NodeId(9), 0, &mut vec![data(7, 7), data(8, 8)]);
+        batched.inject_batch(NodeId(9), 0, &mut run(7..=8));
         assert_eq!(batched.error(), Some(&StreamError::Other("no slot for node n9".into())));
         assert_eq!(*log.lock(), "56||");
     }

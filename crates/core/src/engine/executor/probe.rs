@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use hmts_obs::{Histogram, HopKind, Tracer};
 use hmts_operators::traits::Output;
-use hmts_streams::element::{Element, Message, TraceTag};
+use hmts_streams::element::{Element, TraceTag};
 use hmts_streams::queue::StreamQueue;
 use hmts_streams::time::Timestamp;
 
@@ -193,32 +193,26 @@ impl Probe {
         tc.tracer.record(trace.id(), kind, &slot.site, tc.partition);
     }
 
-    /// At a push of `msgs` into `queue`.
+    /// At a push of `run` into `queue`.
     #[inline]
-    pub(super) fn queue_enter(&self, msgs: &[Message], queue: &StreamQueue) {
+    pub(super) fn queue_enter(&self, run: &[Element], queue: &StreamQueue) {
         let Some(tc) = &self.trace else {
             return;
         };
-        for msg in msgs {
-            if let Message::Data(el) = msg {
-                if el.trace.is_sampled() {
-                    let id = el.trace.id();
-                    tc.tracer.record_site(id, HopKind::QueueEnter, queue.name(), tc.partition);
-                }
-            }
+        for el in run.iter().filter(|el| el.trace.is_sampled()) {
+            tc.tracer.record_site(el.trace.id(), HopKind::QueueEnter, queue.name(), tc.partition);
         }
     }
 
-    /// At a pop of `msg` from input queue `input`.
+    /// At a pop of `run` from input queue `input`.
     #[inline]
-    pub(super) fn queue_exit(&self, msg: &Message, input: usize) {
-        if let Message::Data(el) = msg {
-            if el.trace.is_sampled() {
-                if let Some(tc) = &self.trace {
-                    let site = &tc.input_sites[input];
-                    tc.tracer.record(el.trace.id(), HopKind::QueueExit, site, tc.partition);
-                }
-            }
+    pub(super) fn queue_exit(&self, run: &[Element], input: usize) {
+        let Some(tc) = &self.trace else {
+            return;
+        };
+        for el in run.iter().filter(|el| el.trace.is_sampled()) {
+            let site = &tc.input_sites[input];
+            tc.tracer.record(el.trace.id(), HopKind::QueueExit, site, tc.partition);
         }
     }
 }

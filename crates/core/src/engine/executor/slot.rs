@@ -70,7 +70,9 @@ impl SlotInit {
                     Some(slot) => Route::Inline { slot, port },
                     None => Route::Dangling(node),
                 },
-                Target::Queue { queue, wake } => Route::Queue { queue, wake, staged: Vec::new() },
+                Target::Queue { queue, wake } => {
+                    Route::Queue { queue, wake, staged: Default::default() }
+                }
             })
             .collect();
         Slot {

@@ -21,7 +21,7 @@ use hmts_obs::{HopKind, Tracer};
 use hmts_operators::traits::Source;
 use hmts_streams::element::{Element, Message, Punctuation, TraceTag};
 use hmts_streams::metrics::TimeSeries;
-use hmts_streams::queue::StreamQueue;
+use hmts_streams::queue::{Batch, StreamQueue};
 use hmts_streams::time::{SharedClock, Timestamp};
 
 use crate::checkpoint::CheckpointShared;
@@ -231,8 +231,8 @@ pub fn spawn_source(
                 shared: &shared,
                 trace: cfg.trace.as_ref(),
                 stop: &stop,
-                run: Vec::with_capacity(batch),
-                copy: Vec::new(),
+                staged: Batch { run: Vec::with_capacity(batch), puncts: Vec::new() },
+                copy: Batch::default(),
             };
             // Start from the restored offset (0 on a fresh run): after
             // `Engine::restore_checkpoint` seeded `resume_from`, the counts
@@ -290,19 +290,19 @@ pub fn spawn_source(
                     // source-local sequence number: untraced elements carry
                     // TraceTag::NONE and cost one branch here.
                     if let (false, Some(st)) = (el.trace.is_sampled(), &cfg.trace) {
-                        let seq = emitted + out.run.len() as u64;
+                        let seq = emitted + out.staged.run.len() as u64;
                         if st.tracer.sampled(seq) {
                             el.trace = TraceTag::new(trace_id(st.source, seq));
                         }
                     }
-                    out.run.push(Message::Data(el));
+                    out.staged.run.push(el);
                     if cfg.watermark_interval.is_some_and(|i| due.since(last_watermark) >= i) {
                         watermark = Some(due);
                         break;
                     }
                 }
                 let before = emitted;
-                emitted += out.run.len() as u64;
+                emitted += out.staged.run.len() as u64;
                 out.deliver();
                 shared.emitted.store(emitted, Ordering::Release);
                 if let Some(wm) = watermark {
@@ -357,73 +357,81 @@ fn inject_barrier(
     ck.ack_source(id, name, emitted);
 }
 
-/// The one way anything leaves a source thread: a run of messages, to every
-/// current target.
+/// The one way anything leaves a source thread: a run of elements — or one
+/// punctuation — to every current target.
 struct Delivery<'a> {
     shared: &'a SourceShared,
     trace: Option<&'a SourceTrace>,
     stop: &'a Arc<StopFlag>,
-    /// The run being gathered; empty between two deliveries.
-    run: Vec<Message>,
-    /// The run once more, for every target but the last (kept, so fan-out
+    /// The run being gathered, or the punctuation being sent; empty between
+    /// two deliveries.
+    staged: Batch,
+    /// The same once more, for every target but the last (kept, so fan-out
     /// allocates nothing either).
-    copy: Vec<Message>,
+    copy: Batch,
 }
 
 impl Delivery<'_> {
-    /// Hands the gathered run to every target (the targets are read once
-    /// per run: a mode switch swaps them while the source is parked between
+    /// Hands what is staged to every target (the targets are read once per
+    /// run: a mode switch swaps them while the source is parked between
     /// two). Per target that is one [`push_and_wake`], or one executor lock
-    /// and one [`DomainExecutor::inject_batch`].
+    /// and one [`DomainExecutor::inject_batch`] — or, for a punctuation,
+    /// one [`DomainExecutor::inject`].
     fn deliver(&mut self) {
-        let Delivery { shared, trace, stop, run, copy } = self;
+        let Delivery { shared, trace, stop, staged, copy } = self;
         if let Some((last, others)) = shared.targets.read().split_last() {
             for target in others {
-                copy.extend(run.iter().cloned());
+                copy.run.extend(staged.run.iter().cloned());
+                copy.puncts.extend_from_slice(&staged.puncts);
                 send(target, copy, *trace, stop);
             }
-            send(last, run, *trace, stop);
+            send(last, staged, *trace, stop);
         }
-        run.clear();
+        staged.run.clear();
+        staged.puncts.clear();
     }
 
-    /// A punctuation is a run of one, between two data runs.
+    /// A punctuation is a delivery of its own, between two runs.
     fn punctuate(&mut self, p: Punctuation) {
-        debug_assert!(self.run.is_empty());
-        self.run.push(Message::Punct(p));
+        debug_assert!(self.staged.is_empty());
+        self.staged.push(Message::Punct(p));
         self.deliver();
     }
 }
 
-/// Moves `run` into `target`, leaving it empty with its capacity.
+/// Moves `batch` — a run, or a punctuation — into `target`, leaving it
+/// empty.
 fn send(
     target: &SourceTarget,
-    run: &mut Vec<Message>,
+    batch: &mut Batch,
     trace: Option<&SourceTrace>,
     stop: &Arc<StopFlag>,
 ) {
     match target {
         SourceTarget::Queue { queue, wake, .. } => {
             if let Some(st) = trace {
-                for el in run.iter().filter_map(Message::as_data) {
-                    if el.trace.is_sampled() {
-                        st.tracer.record_site(
-                            el.trace.id(),
-                            HopKind::QueueEnter,
-                            queue.name(),
-                            NO_PARTITION,
-                        );
-                    }
+                for el in batch.run.iter().filter(|el| el.trace.is_sampled()) {
+                    st.tracer.record_site(
+                        el.trace.id(),
+                        HopKind::QueueEnter,
+                        queue.name(),
+                        NO_PARTITION,
+                    );
                 }
             }
-            push_and_wake(queue, wake.as_ref(), run);
+            push_and_wake(queue, wake.as_ref(), batch);
         }
         SourceTarget::Direct { exec, node, port } => {
             // The chain reactions run in this source thread. Afterwards,
             // drain any queues internal to the domain so a multi-VO
             // source-driven domain still makes progress.
             let mut e = exec.lock();
-            e.inject_batch(*node, *port, run);
+            if !batch.run.is_empty() {
+                e.inject_batch(*node, *port, &mut batch.run);
+            }
+            for (_, p) in batch.puncts.drain(..) {
+                e.inject(*node, *port, Message::Punct(p));
+            }
             if e.has_work() {
                 let budget = Budget { stop: Some(Arc::clone(stop)), ..Budget::default() };
                 e.run_slice(&budget);

@@ -136,13 +136,16 @@ impl Engine {
             let mut inputs = Vec::new();
             for &n in &nodes {
                 let state = self.slots[n.0].take().expect("operator state parked");
+                // A queue back into this domain wakes nobody: the domain
+                // drains its own queues before it goes idle.
                 let targets = out_edges[n.0]
                     .iter()
                     .map(|&ei| match &queue_for[ei] {
-                        Some(q) => Target::Queue {
-                            queue: Arc::clone(q),
-                            wake: waker_for(node_domain[&edges[ei].to]),
-                        },
+                        Some(q) => {
+                            let consumer = node_domain[&edges[ei].to];
+                            let wake = if consumer == d { None } else { waker_for(consumer) };
+                            Target::Queue { queue: Arc::clone(q), wake }
+                        }
                         None => Target::Inline { node: edges[ei].to, port: edges[ei].to_port },
                     })
                     .collect();
@@ -260,13 +263,12 @@ impl Engine {
     /// The decoupling queue for edge `e`, bounded per the configuration.
     fn new_queue(&self, e: &Edge, same_domain: bool) -> Arc<StreamQueue> {
         let name = format!("{}->{}", self.topo.name(e.from), self.topo.name(e.to));
-        let gauge = Arc::clone(&self.memory_gauge);
-        match self.cfg.queue_bound {
-            Some(b) if !(same_domain && b.policy == BackpressurePolicy::Block) => {
-                StreamQueue::bounded_with_gauge(name, b.capacity, b.policy, gauge)
-            }
-            _ => StreamQueue::unbounded_with_gauge(name, gauge),
-        }
+        let bound = self
+            .cfg
+            .queue_bound
+            .filter(|b| !(same_domain && b.policy == BackpressurePolicy::Block))
+            .map(|b| (b.capacity, b.policy));
+        StreamQueue::new(name, bound, Some(Arc::clone(&self.memory_gauge)))
     }
 
     /// Waits for `wiring`'s threads to end and harvests what they left

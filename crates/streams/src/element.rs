@@ -210,6 +210,18 @@ pub enum Punctuation {
     Barrier(u64),
 }
 
+impl Punctuation {
+    /// The timestamp the punctuation carries in a stream (see
+    /// [`Message::ts`]).
+    pub fn ts(&self) -> Timestamp {
+        match self {
+            Punctuation::Watermark(t) => *t,
+            Punctuation::EndOfStream => Timestamp::MAX,
+            Punctuation::Barrier(_) => Timestamp::ZERO,
+        }
+    }
+}
+
 /// A message on a query-graph edge: either data or a punctuation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Message {
@@ -250,9 +262,7 @@ impl Message {
     pub fn ts(&self) -> Timestamp {
         match self {
             Message::Data(e) => e.ts,
-            Message::Punct(Punctuation::Watermark(t)) => *t,
-            Message::Punct(Punctuation::EndOfStream) => Timestamp::MAX,
-            Message::Punct(Punctuation::Barrier(_)) => Timestamp::ZERO,
+            Message::Punct(p) => p.ts(),
         }
     }
 }

@@ -7,7 +7,8 @@
 //! * dynamically typed [`value::Value`]s and [`tuple::Tuple`]s,
 //! * timestamped [`element::Element`]s and in-band [`element::Punctuation`]s,
 //! * [`time::Clock`] abstractions for real and virtual time,
-//! * inter-partition [`queue::StreamQueue`]s with metrics and backpressure,
+//! * inter-partition [`queue::StreamQueue`]s that hold runs of elements,
+//!   with metrics and backpressure counted per element,
 //! * online estimators for cost `c(v)`, inter-arrival `d(v)`, and
 //!   selectivity in [`metrics`].
 
@@ -23,7 +24,7 @@ pub mod value;
 
 pub use element::{Element, Message, Punctuation, SeqKind, SeqTag, TraceTag};
 pub use error::{Result, StreamError};
-pub use queue::{BackpressurePolicy, QueueMetrics, StreamQueue};
+pub use queue::{BackpressurePolicy, Batch, QueueMetrics, StreamQueue};
 pub use time::{Clock, ManualClock, SharedClock, SystemClock, Timestamp};
 pub use tuple::Tuple;
 pub use value::Value;

@@ -7,6 +7,19 @@
 //! thread from the consuming one. They are therefore first-class objects
 //! with names, metrics, backpressure policies, and a lock-free length gauge
 //! that the memory monitor samples for the Fig. 9 style experiments.
+//!
+//! A queue holds what crosses it in the shape it crosses in: a deque of
+//! entries, each a *run* of data elements or one punctuation, and behind
+//! them the open run new elements are appended to. A long run a producer
+//! staged moves in as the buffer it is in ([`StreamQueue::push_run`],
+//! [`StreamQueue::push_runs`]) and a consumer that takes runs
+//! ([`StreamQueue::pop_runs`]) gets that buffer back out, so a batch crosses
+//! a partition boundary without one element being copied; a short run is
+//! copied, onto the open run and off it. The message API (`push`,
+//! `try_pop`, `pop_batch`, ...) is a view over the same entries.
+//! Every count — length, data length, the memory gauge, the metrics, the
+//! capacity bound and what a backpressure policy sheds — is per message,
+//! that is per element or punctuation, whatever runs they sit in.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -14,10 +27,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::element::Message;
+use crate::element::{Element, Message, Punctuation};
 use crate::error::StreamError;
+use crate::time::Timestamp;
+
+/// The run length a queue shapes its buffers for: the engine's default
+/// batch. A run shorter than half of it is copied onto the open run — or a
+/// new one with room for this many — instead of moving in as a buffer of
+/// its own, and copied out again, so paced runs of one do not each pin a
+/// buffer.
+pub const RUN: usize = 32;
+
+/// Emptied run buffers a queue keeps for the next runs.
+const SPARES: usize = 4;
 
 /// What a bounded queue does when an enqueue finds it full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,22 +97,293 @@ impl QueueMetrics {
     }
 }
 
+/// Messages in the shape a queue holds them: the data elements as one run,
+/// and every punctuation with its position in that run — the number of
+/// elements before it. What a producer stages for a queue and what a
+/// consumer takes out of one; without punctuations in its middle, the run
+/// crosses the queue as one moved buffer.
+#[derive(Debug, Default)]
+pub struct Batch {
+    /// The data elements, in order.
+    pub run: Vec<Element>,
+    /// `(elements before it, punctuation)`, in order.
+    pub puncts: Vec<(usize, Punctuation)>,
+}
+
+impl Batch {
+    /// Messages in the batch.
+    pub fn len(&self) -> usize {
+        self.run.len() + self.puncts.len()
+    }
+
+    /// Whether the batch holds no message.
+    pub fn is_empty(&self) -> bool {
+        self.run.is_empty() && self.puncts.is_empty()
+    }
+
+    /// Appends `msg`.
+    pub fn push(&mut self, msg: Message) {
+        match msg {
+            Message::Data(el) => self.run.push(el),
+            Message::Punct(p) => self.puncts.push((self.run.len(), p)),
+        }
+    }
+
+    /// Empties the batch into its messages, in order; the run's storage
+    /// stays.
+    pub fn drain(&mut self) -> impl Iterator<Item = Message> + '_ {
+        drain_parts(&mut self.run, &mut self.puncts)
+    }
+}
+
+/// `run` and `puncts` (positions as in [`Batch::puncts`]) as the messages
+/// they are, in order, emptying both as it goes — or, dropped early, at
+/// once.
+fn drain_parts<'a>(
+    run: &'a mut Vec<Element>,
+    puncts: &'a mut Vec<(usize, Punctuation)>,
+) -> impl Iterator<Item = Message> + 'a {
+    let mut puncts = puncts.drain(..).peekable();
+    let mut elements = run.drain(..);
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        if let Some((_, p)) = puncts.next_if(|&(pos, _)| pos <= at) {
+            return Some(Message::Punct(p));
+        }
+        match elements.next() {
+            Some(el) => {
+                at += 1;
+                Some(Message::Data(el))
+            }
+            None => puncts.next().map(|(_, p)| Message::Punct(p)),
+        }
+    })
+}
+
+/// A closed entry of a queue's buffer.
+enum Entry {
+    /// Data elements, oldest first; never empty.
+    Run(VecDeque<Element>),
+    Punct(Punctuation),
+}
+
+/// What a queue holds, behind its lock: the closed entries, then the open
+/// run elements are appended to. The open run lives beside the deque, so a
+/// push and a pop of a run of one touch what a queue of messages would.
+#[derive(Default)]
+struct Buffer {
+    entries: VecDeque<Entry>,
+    /// The newest data, behind every entry; may be empty.
+    tail: VecDeque<Element>,
+    /// Queued messages: the elements of every run, and the punctuations.
+    len: usize,
+    /// Emptied run buffers, for the next runs.
+    spares: Vec<VecDeque<Element>>,
+    /// Where the message API's batch pops take runs apart.
+    scratch: Batch,
+}
+
+impl Buffer {
+    /// The timestamp of the oldest message (see [`Message::ts`]).
+    fn head_ts(&self) -> Option<Timestamp> {
+        match self.entries.front() {
+            Some(Entry::Run(run)) => run.front().map(|el| el.ts),
+            Some(Entry::Punct(p)) => Some(p.ts()),
+            None => self.tail.front().map(|el| el.ts),
+        }
+    }
+
+    /// A buffer for a new run: a spare one, or one with room for [`RUN`].
+    fn fresh_run(&mut self) -> VecDeque<Element> {
+        self.spares.pop().unwrap_or_else(|| VecDeque::with_capacity(RUN))
+    }
+
+    /// Keeps an emptied run buffer for reuse, while there are few spares.
+    fn recycle(&mut self, mut run: VecDeque<Element>) {
+        if self.spares.len() < SPARES && run.capacity() > 0 {
+            run.clear();
+            self.spares.push(run);
+        }
+    }
+
+    /// Closes the open run, if it holds anything: it becomes the newest
+    /// entry, and the open run starts out empty.
+    fn close_tail(&mut self) {
+        if !self.tail.is_empty() {
+            let closed = std::mem::take(&mut self.tail);
+            self.entries.push_back(Entry::Run(closed));
+        }
+    }
+
+    /// Makes room in the open run for `n` more elements: if it has none,
+    /// it is closed and a fresh buffer opened.
+    #[inline]
+    fn room_for(&mut self, n: usize) {
+        if self.tail.capacity() - self.tail.len() < n {
+            self.reopen_tail();
+        }
+    }
+
+    #[cold]
+    fn reopen_tail(&mut self) {
+        self.close_tail();
+        let fresh = self.fresh_run();
+        let emptied = std::mem::replace(&mut self.tail, fresh);
+        self.recycle(emptied);
+    }
+
+    /// Appends `msg`; whether it is data.
+    #[inline]
+    fn push_message(&mut self, msg: Message) -> bool {
+        match msg {
+            Message::Data(el) => {
+                self.room_for(1);
+                self.tail.push_back(el);
+                self.len += 1;
+                true
+            }
+            Message::Punct(p) => {
+                self.push_punct(p);
+                false
+            }
+        }
+    }
+
+    fn push_punct(&mut self, p: Punctuation) {
+        self.close_tail();
+        self.entries.push_back(Entry::Punct(p));
+        self.len += 1;
+    }
+
+    /// Appends the elements of `run`: a short run is copied onto the open
+    /// run, a long one becomes the open run as the buffer it is in, and
+    /// `run` is handed the open run's emptied buffer, or a spare.
+    fn push_run(&mut self, run: &mut Vec<Element>) {
+        match run.len() {
+            0 => {}
+            n if n < RUN / 2 => {
+                self.room_for(n);
+                self.tail.extend(run.drain(..));
+                self.len += n;
+            }
+            n => {
+                self.close_tail();
+                let emptied = match std::mem::take(&mut self.tail) {
+                    tail if tail.capacity() > 0 => tail,
+                    _ => self.spares.pop().unwrap_or_default(),
+                };
+                let full = std::mem::replace(run, Vec::from(emptied));
+                self.tail = VecDeque::from(full);
+                self.len += n;
+            }
+        }
+    }
+
+    /// Removes the oldest message.
+    #[inline]
+    fn pop_message(&mut self) -> Option<Message> {
+        if self.entries.is_empty() {
+            let el = self.tail.pop_front()?;
+            self.len -= 1;
+            return Some(Message::Data(el));
+        }
+        let msg = match self.entries.front_mut()? {
+            Entry::Run(run) => {
+                let el = run.pop_front().expect("a closed run is not empty");
+                if run.is_empty() {
+                    self.retire_front();
+                }
+                Message::Data(el)
+            }
+            &mut Entry::Punct(p) => {
+                self.entries.pop_front();
+                Message::Punct(p)
+            }
+        };
+        self.len -= 1;
+        Some(msg)
+    }
+
+    /// Drops the front entry, a run emptied, keeping its buffer.
+    fn retire_front(&mut self) {
+        if let Some(Entry::Run(run)) = self.entries.pop_front() {
+            self.recycle(run);
+        }
+    }
+
+    /// Moves up to `max` of the oldest messages into `out`: a long run that
+    /// fits whole as its own buffer, swapped with `out.run` while that is
+    /// empty, every other element by copy (as [`push_run`] takes them).
+    /// Returns `(messages, data elements)` moved.
+    ///
+    /// [`push_run`]: Self::push_run
+    fn pop_into(&mut self, max: usize, out: &mut Batch) -> (usize, usize) {
+        let (mut n, mut data) = (0, 0);
+        while n < max.min(self.len) {
+            let (room, open) = (max - n, out.run.is_empty());
+            // Whether a run of `len` leaves as its buffer.
+            let whole = |len: usize| open && (RUN / 2..=room).contains(&len);
+            let k = match self.entries.front_mut() {
+                Some(&mut Entry::Punct(p)) => {
+                    self.entries.pop_front();
+                    out.puncts.push((out.run.len(), p));
+                    n += 1;
+                    continue;
+                }
+                Some(Entry::Run(run)) if whole(run.len()) => {
+                    let k = run.len();
+                    if let Some(Entry::Run(run)) = self.entries.pop_front() {
+                        let emptied = std::mem::replace(&mut out.run, Vec::from(run));
+                        self.recycle(VecDeque::from(emptied));
+                    }
+                    k
+                }
+                Some(Entry::Run(run)) => {
+                    let k = run.len().min(room);
+                    out.run.extend(run.drain(..k));
+                    if run.is_empty() {
+                        self.retire_front();
+                    }
+                    k
+                }
+                // The open run: a long one leaves as its buffer, and the
+                // buffer `out` held stays open in its place.
+                None if whole(self.tail.len()) => {
+                    let k = self.tail.len();
+                    let emptied = VecDeque::from(std::mem::take(&mut out.run));
+                    out.run = Vec::from(std::mem::replace(&mut self.tail, emptied));
+                    k
+                }
+                None => {
+                    let k = self.tail.len().min(room);
+                    out.run.extend(self.tail.drain(..k));
+                    k
+                }
+            };
+            (n, data) = (n + k, data + k);
+        }
+        self.len -= n;
+        (n, data)
+    }
+}
+
 struct Shared {
-    buf: Mutex<VecDeque<Message>>,
+    buf: Mutex<Buffer>,
     not_empty: Condvar,
     not_full: Condvar,
 }
 
 /// A multi-producer multi-consumer FIFO of [`Message`]s connecting two
-/// partitions of a query graph.
+/// partitions of a query graph, stored as runs (see the module docs).
 ///
 /// The queue is optimized for the engine's access pattern: producers push
-/// under a short critical section, consumers either poll (`try_pop`, used by
-/// strategy-driven schedulers) or park (`pop_blocking`, used by
-/// operator-threaded scheduling). A lock-free `len` gauge lets the memory
-/// monitor sample occupancy without touching the lock, and an optional
-/// engine-wide gauge aggregates the number of queued *data* elements across
-/// all queues (the "queue memory usage" metric of the paper's Fig. 9).
+/// a run under a short critical section, consumers either take runs
+/// (`pop_runs`, used by strategy-driven schedulers), poll (`try_pop`) or
+/// park (`pop_blocking`, used by operator-threaded scheduling). A lock-free
+/// `len` gauge lets the memory monitor sample occupancy without touching
+/// the lock, and an optional engine-wide gauge aggregates the number of
+/// queued *data* elements across all queues (the "queue memory usage"
+/// metric of the paper's Fig. 9).
 pub struct StreamQueue {
     name: String,
     /// Current capacity; `usize::MAX` means unbounded. Atomic so the bound
@@ -110,7 +405,7 @@ impl StreamQueue {
     /// An unbounded queue (the paper's experiments use unbounded queues and
     /// measure their occupancy).
     pub fn unbounded(name: impl Into<String>) -> Arc<StreamQueue> {
-        Self::build(name.into(), None, BackpressurePolicy::Block, None)
+        Self::new(name, None, None)
     }
 
     /// A bounded queue with the given backpressure policy.
@@ -119,41 +414,25 @@ impl StreamQueue {
         capacity: usize,
         policy: BackpressurePolicy,
     ) -> Arc<StreamQueue> {
-        Self::build(name.into(), Some(capacity.max(1)), policy, None)
+        Self::new(name, Some((capacity, policy)), None)
     }
 
-    /// Like [`StreamQueue::unbounded`], but contributing queued-data counts
-    /// to a shared engine-wide memory gauge.
-    pub fn unbounded_with_gauge(
+    /// A queue bounded by `bound` — a capacity (at least 1) and what a push
+    /// does at it — or unbounded, contributing its queued-data count to the
+    /// engine-wide memory `gauge` if there is one.
+    pub fn new(
         name: impl Into<String>,
-        gauge: Arc<AtomicUsize>,
+        bound: Option<(usize, BackpressurePolicy)>,
+        gauge: Option<Arc<AtomicUsize>>,
     ) -> Arc<StreamQueue> {
-        Self::build(name.into(), None, BackpressurePolicy::Block, Some(gauge))
-    }
-
-    /// Like [`StreamQueue::bounded`], but contributing queued-data counts
-    /// to a shared engine-wide memory gauge.
-    pub fn bounded_with_gauge(
-        name: impl Into<String>,
-        capacity: usize,
-        policy: BackpressurePolicy,
-        gauge: Arc<AtomicUsize>,
-    ) -> Arc<StreamQueue> {
-        Self::build(name.into(), Some(capacity.max(1)), policy, Some(gauge))
-    }
-
-    fn build(
-        name: String,
-        capacity: Option<usize>,
-        policy: BackpressurePolicy,
-        memory_gauge: Option<Arc<AtomicUsize>>,
-    ) -> Arc<StreamQueue> {
+        let (capacity, policy) =
+            bound.map_or((usize::MAX, BackpressurePolicy::Block), |(c, p)| (c.max(1), p));
         Arc::new(StreamQueue {
-            name,
-            capacity: AtomicUsize::new(capacity.unwrap_or(usize::MAX)),
+            name: name.into(),
+            capacity: AtomicUsize::new(capacity),
             policy,
             shared: Shared {
-                buf: Mutex::new(VecDeque::new()),
+                buf: Mutex::new(Buffer::default()),
                 not_empty: Condvar::new(),
                 not_full: Condvar::new(),
             },
@@ -162,7 +441,7 @@ impl StreamQueue {
             data_len: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
             metrics: QueueMetrics::default(),
-            memory_gauge,
+            memory_gauge: gauge,
         })
     }
 
@@ -230,14 +509,14 @@ impl StreamQueue {
     /// lock that guards `buf`, and publishes the new length — and the head
     /// timestamp if the insertion started from an empty buffer — for the
     /// lock-free readers.
-    fn book_inserted(&self, buf: &VecDeque<Message>, n: usize, data: usize) {
+    fn book_inserted(&self, buf: &Buffer, n: usize, data: usize) {
         if n == 0 {
             return;
         }
-        if buf.len() == n {
+        if buf.len == n {
             self.publish_head(buf);
         }
-        self.len.store(buf.len(), Ordering::Release);
+        self.len.store(buf.len, Ordering::Release);
         if data > 0 {
             self.data_len.fetch_add(data, Ordering::Relaxed);
             if let Some(g) = &self.memory_gauge {
@@ -245,7 +524,7 @@ impl StreamQueue {
             }
         }
         self.metrics.enqueued.fetch_add(n as u64, Ordering::Relaxed);
-        self.metrics.note_len(buf.len());
+        self.metrics.note_len(buf.len);
     }
 
     /// Books `n` messages (`data` of them data elements) removed from the
@@ -254,9 +533,9 @@ impl StreamQueue {
     /// dropped), so that `enqueued == dequeued + dropped + len` always
     /// holds (`DropNewest` sheds at the tail instead: what it refuses was
     /// never enqueued and counts as dropped only).
-    fn book_removed(&self, buf: &VecDeque<Message>, n: usize, data: usize, consumed: bool) {
+    fn book_removed(&self, buf: &Buffer, n: usize, data: usize, consumed: bool) {
         self.publish_head(buf);
-        self.len.store(buf.len(), Ordering::Release);
+        self.len.store(buf.len, Ordering::Release);
         if data > 0 {
             self.data_len.fetch_sub(data, Ordering::Relaxed);
             if let Some(g) = &self.memory_gauge {
@@ -270,9 +549,9 @@ impl StreamQueue {
     /// Stores the head message's timestamp for [`StreamQueue::peek_ts`].
     /// Always followed by the `Release` store of `len` that makes it
     /// visible.
-    fn publish_head(&self, buf: &VecDeque<Message>) {
-        if let Some(head) = buf.front() {
-            self.head_ts.store(head.ts().0, Ordering::Relaxed);
+    fn publish_head(&self, buf: &Buffer) {
+        if let Some(ts) = buf.head_ts() {
+            self.head_ts.store(ts.0, Ordering::Relaxed);
         }
     }
 
@@ -288,7 +567,21 @@ impl StreamQueue {
     /// push actually stalls). Network ingest uses this to attribute
     /// TCP-backpressure stall time without taxing the in-process hot path.
     pub fn push_with_stall(&self, msg: Message) -> Result<Duration, StreamError> {
-        self.push_all(std::iter::once(msg), || {})
+        let mut buf = self.shared.buf.lock();
+        if self.is_closed() {
+            return Err(StreamError::QueueClosed);
+        }
+        if buf.len >= self.capacity.load(Ordering::Relaxed) {
+            // Full: the policy decides, as for a batch.
+            return self.push_each(buf, std::iter::once(msg), || {});
+        }
+        // The common case without the batch loop, which costs a message
+        // pushed alone about 15 ns.
+        let data = buf.push_message(msg) as usize;
+        self.book_inserted(&buf, 1, data);
+        drop(buf);
+        self.announce(1);
+        Ok(Duration::ZERO)
     }
 
     /// Enqueues every message of `msgs` in order — the backpressure policy
@@ -313,7 +606,7 @@ impl StreamQueue {
         msgs: &mut Vec<Message>,
         mut wake: impl FnMut(),
     ) -> Result<(), StreamError> {
-        let result = self.push_all(msgs.drain(..), &mut wake);
+        let result = self.push_messages(msgs.drain(..), &mut wake);
         wake();
         result.map(|_| ())
     }
@@ -322,13 +615,86 @@ impl StreamQueue {
     /// queue, but reports how long the producer was blocked, as
     /// [`StreamQueue::push_with_stall`] does for one message.
     pub fn push_batch_with_stall(&self, msgs: &mut Vec<Message>) -> Result<Duration, StreamError> {
-        self.push_all(msgs.drain(..), || {})
+        self.push_messages(msgs.drain(..), || {})
     }
 
-    /// `before_wait` runs, with the lock released, each time the producer
-    /// is about to wait for room.
-    fn push_all(
+    /// [`StreamQueue::push_batch`] for a run of data elements: a long run
+    /// that fits moves in as the buffer it is in, and `run` is handed an
+    /// empty one the queue had (a short run is copied onto the open run
+    /// instead, see [`RUN`], and `run` keeps its buffer). A run the bound
+    /// falls inside goes in element by element, the policy applied to each.
+    pub fn push_run(
         &self,
+        run: &mut Vec<Element>,
+        mut wake: impl FnMut(),
+    ) -> Result<(), StreamError> {
+        let result = self.push_parts(run, &[], &mut wake);
+        wake();
+        result.map(|_| ())
+    }
+
+    /// [`StreamQueue::push_run`] for a run with punctuations in it: the run
+    /// moves in as one buffer unless a punctuation sits inside it. `batch`
+    /// is left empty.
+    pub fn push_runs(&self, batch: &mut Batch, mut wake: impl FnMut()) -> Result<(), StreamError> {
+        let result = self.push_parts(&mut batch.run, &batch.puncts, &mut wake);
+        batch.puncts.clear();
+        wake();
+        result.map(|_| ())
+    }
+
+    /// Enqueues `run` with `puncts` at their positions in it (`run` is left
+    /// empty): in one piece if it all fits, else one message at a time.
+    fn push_parts(
+        &self,
+        run: &mut Vec<Element>,
+        puncts: &[(usize, Punctuation)],
+        before_wait: impl FnMut(),
+    ) -> Result<Duration, StreamError> {
+        let mut buf = self.shared.buf.lock();
+        if self.is_closed() {
+            run.clear();
+            return Err(StreamError::QueueClosed);
+        }
+        let (data, n) = (run.len(), run.len() + puncts.len());
+        // Punctuations in front of the run, then those behind it.
+        let leading = puncts.iter().take_while(|&&(at, _)| at == 0).count();
+        let inside = puncts[leading..].iter().any(|&(at, _)| at != data);
+        if inside || buf.len.saturating_add(n) > self.capacity.load(Ordering::Relaxed) {
+            let mut puncts = puncts.to_vec();
+            return self.push_each(buf, drain_parts(run, &mut puncts), before_wait);
+        }
+        for &(_, p) in &puncts[..leading] {
+            buf.push_punct(p);
+        }
+        buf.push_run(run);
+        for &(_, p) in &puncts[leading..] {
+            buf.push_punct(p);
+        }
+        self.book_inserted(&buf, n, data);
+        drop(buf);
+        self.announce(n);
+        Ok(Duration::ZERO)
+    }
+
+    fn push_messages(
+        &self,
+        msgs: impl Iterator<Item = Message>,
+        before_wait: impl FnMut(),
+    ) -> Result<Duration, StreamError> {
+        let buf = self.shared.buf.lock();
+        if self.is_closed() {
+            return Err(StreamError::QueueClosed);
+        }
+        self.push_each(buf, msgs, before_wait)
+    }
+
+    /// Enqueues `msgs` one at a time under the held lock, the backpressure
+    /// policy applied to each. `before_wait` runs, with the lock released,
+    /// each time the producer is about to wait for room.
+    fn push_each<'a>(
+        &'a self,
+        mut buf: MutexGuard<'a, Buffer>,
         msgs: impl Iterator<Item = Message>,
         mut before_wait: impl FnMut(),
     ) -> Result<Duration, StreamError> {
@@ -338,30 +704,22 @@ impl StreamQueue {
         let (mut n, mut data) = (0usize, 0usize);
         // Inserted and not yet announced to the consumers.
         let mut unannounced = 0usize;
-        let mut buf = self.shared.buf.lock();
-        if self.is_closed() {
-            return Err(StreamError::QueueClosed);
-        }
         for msg in msgs {
-            if buf.len() >= self.capacity.load(Ordering::Relaxed) {
+            if buf.len >= self.capacity.load(Ordering::Relaxed) {
                 match self.policy {
                     BackpressurePolicy::Block => {
                         // Hand over what is already in: the consumer this
                         // waits for may be parked waiting for exactly that.
                         self.book_inserted(&buf, n, data);
                         (n, data) = (0, 0);
-                        if unannounced > 0 {
-                            self.shared.not_empty.notify_all();
-                            unannounced = 0;
-                        }
+                        self.announce(std::mem::take(&mut unannounced));
                         drop(buf);
                         before_wait();
                         buf = self.shared.buf.lock();
                         // Re-read the capacity each round: `lift_bound` may
                         // remove it while we wait.
                         let wait_start = std::time::Instant::now();
-                        while buf.len() >= self.capacity.load(Ordering::Relaxed)
-                            && !self.is_closed()
+                        while buf.len >= self.capacity.load(Ordering::Relaxed) && !self.is_closed()
                         {
                             self.shared.not_full.wait(&mut buf);
                         }
@@ -384,26 +742,49 @@ impl StreamQueue {
                         // bookkeeping starts from consistent gauges.
                         self.book_inserted(&buf, n, data);
                         (n, data) = (0, 0);
-                        if let Some(old) = buf.pop_front() {
+                        if let Some(old) = buf.pop_message() {
                             let old_data = old.as_data().is_some() as usize;
                             self.book_removed(&buf, 1, old_data, false);
                         }
                     }
                 }
             }
-            data += msg.as_data().is_some() as usize;
+            data += buf.push_message(msg) as usize;
             n += 1;
             unannounced += 1;
-            buf.push_back(msg);
         }
         self.book_inserted(&buf, n, data);
         drop(buf);
-        if unannounced > 1 {
-            self.shared.not_empty.notify_all();
-        } else if unannounced == 1 {
-            self.shared.not_empty.notify_one();
-        }
+        self.announce(unannounced);
         result.map(|()| stalled)
+    }
+
+    /// Tells the consumers that `n` messages came in: every waiting one if
+    /// more than one did.
+    fn announce(&self, n: usize) {
+        match n {
+            0 => {}
+            1 => {
+                self.shared.not_empty.notify_one();
+            }
+            _ => {
+                self.shared.not_empty.notify_all();
+            }
+        }
+    }
+
+    /// Tells the producers that `n` slots came free: every blocked one if
+    /// more than one did.
+    fn release(&self, n: usize) {
+        match n {
+            0 => {}
+            1 => {
+                self.shared.not_full.notify_one();
+            }
+            _ => {
+                self.shared.not_full.notify_all();
+            }
+        }
     }
 
     /// The timestamp of the oldest queued message, if any (see
@@ -413,14 +794,14 @@ impl StreamQueue {
     /// the length, so a consumer that sees its queue non-empty reads the
     /// head it will pop (a concurrent reader may lag by one operation,
     /// like [`StreamQueue::len`]).
-    pub fn peek_ts(&self) -> Option<crate::time::Timestamp> {
+    pub fn peek_ts(&self) -> Option<Timestamp> {
         (self.len.load(Ordering::Acquire) > 0)
-            .then(|| crate::time::Timestamp(self.head_ts.load(Ordering::Relaxed)))
+            .then(|| Timestamp(self.head_ts.load(Ordering::Relaxed)))
     }
 
     /// Pops the oldest message under the held lock and books it.
-    fn take_one(&self, buf: &mut VecDeque<Message>) -> Option<Message> {
-        let msg = buf.pop_front()?;
+    fn take_one(&self, buf: &mut Buffer) -> Option<Message> {
+        let msg = buf.pop_message()?;
         self.book_removed(buf, 1, msg.as_data().is_some() as usize, true);
         Some(msg)
     }
@@ -428,7 +809,7 @@ impl StreamQueue {
     /// Removes the oldest message without blocking.
     pub fn try_pop(&self) -> Option<Message> {
         let msg = self.take_one(&mut self.shared.buf.lock())?;
-        self.shared.not_full.notify_one();
+        self.release(1);
         Some(msg)
     }
 
@@ -437,20 +818,35 @@ impl StreamQueue {
     /// metrics and one notification (to every blocked producer if more than
     /// one slot became free). Returns how many were moved.
     pub fn pop_batch(&self, max: usize, out: &mut Vec<Message>) -> usize {
+        self.pop_with(|buf| {
+            let mut scratch = std::mem::take(&mut buf.scratch);
+            let moved = buf.pop_into(max, &mut scratch);
+            out.extend(scratch.drain());
+            buf.scratch = scratch;
+            moved
+        })
+    }
+
+    /// [`StreamQueue::pop_batch`] in the queue's own shape: the messages
+    /// are appended to `batch`, and a long run that fits whole goes to
+    /// `batch.run` as the buffer it is in while `batch.run` is empty (whose
+    /// own buffer the queue keeps for the next run). Returns how many
+    /// messages were moved.
+    pub fn pop_runs(&self, max: usize, batch: &mut Batch) -> usize {
+        self.pop_with(|buf| buf.pop_into(max, batch))
+    }
+
+    /// Runs `pop` — which returns `(messages, data elements)` removed —
+    /// under the lock, and books and announces what it removed.
+    fn pop_with(&self, pop: impl FnOnce(&mut Buffer) -> (usize, usize)) -> usize {
         let mut buf = self.shared.buf.lock();
-        let n = max.min(buf.len());
+        let (n, data) = pop(&mut buf);
         if n == 0 {
             return 0;
         }
-        let mut data = 0;
-        out.extend(buf.drain(..n).inspect(|m| data += m.as_data().is_some() as usize));
         self.book_removed(&buf, n, data, true);
         drop(buf);
-        if n > 1 {
-            self.shared.not_full.notify_all();
-        } else {
-            self.shared.not_full.notify_one();
-        }
+        self.release(n);
         n
     }
 
@@ -461,7 +857,7 @@ impl StreamQueue {
         loop {
             if let Some(msg) = self.take_one(&mut buf) {
                 drop(buf);
-                self.shared.not_full.notify_one();
+                self.release(1);
                 return Some(msg);
             }
             if self.is_closed() {
@@ -479,7 +875,7 @@ impl StreamQueue {
         loop {
             if let Some(msg) = self.take_one(&mut buf) {
                 drop(buf);
-                self.shared.not_full.notify_one();
+                self.release(1);
                 return Some(msg);
             }
             if self.is_closed() {
@@ -707,7 +1103,7 @@ mod tests {
     #[test]
     fn drain_empties_and_updates_gauge() {
         let gauge = Arc::new(AtomicUsize::new(0));
-        let q = StreamQueue::unbounded_with_gauge("q", Arc::clone(&gauge));
+        let q = StreamQueue::new("q", None, Some(Arc::clone(&gauge)));
         q.push(data(1)).unwrap();
         q.push(data(2)).unwrap();
         q.push(Message::eos()).unwrap();
@@ -722,8 +1118,8 @@ mod tests {
     #[test]
     fn shared_gauge_aggregates_across_queues() {
         let gauge = Arc::new(AtomicUsize::new(0));
-        let a = StreamQueue::unbounded_with_gauge("a", Arc::clone(&gauge));
-        let b = StreamQueue::unbounded_with_gauge("b", Arc::clone(&gauge));
+        let a = StreamQueue::new("a", None, Some(Arc::clone(&gauge)));
+        let b = StreamQueue::new("b", None, Some(Arc::clone(&gauge)));
         a.push(data(1)).unwrap();
         b.push(data(2)).unwrap();
         b.push(data(3)).unwrap();
@@ -740,10 +1136,18 @@ mod tests {
         let evicted = if q.policy == BackpressurePolicy::DropNewest { 0 } else { m.dropped() };
         assert_eq!(m.enqueued(), m.dequeued() + evicted + q.len() as u64, "{q:?}");
         let buf = q.shared.buf.lock();
-        assert_eq!(q.len(), buf.len());
-        assert_eq!(q.data_len(), buf.iter().filter(|m| m.as_data().is_some()).count());
+        let runs = buf.entries.iter().filter_map(|e| match e {
+            Entry::Run(run) => Some(run.len()),
+            Entry::Punct(_) => None,
+        });
+        let elements = runs.clone().sum::<usize>() + buf.tail.len();
+        assert!(runs.clone().all(|n| n > 0), "no empty run is closed");
+        assert_eq!(q.len(), buf.len);
+        assert_eq!(buf.len, elements + buf.entries.len() - runs.count());
+        assert_eq!(q.data_len(), elements);
         assert_eq!(gauge.load(Ordering::Relaxed), q.data_len());
-        assert_eq!(q.peek_ts(), buf.front().map(|m| m.ts()));
+        assert_eq!(q.peek_ts(), buf.head_ts());
+        assert!(buf.spares.len() <= SPARES);
     }
 
     /// `1..=n` as data messages, with an end-of-stream in the middle to
@@ -773,13 +1177,13 @@ mod tests {
         for (policy, result, kept, dropped) in cases {
             let (gauge, twin_gauge) =
                 (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
-            let q = StreamQueue::bounded_with_gauge("q", 3, policy, Arc::clone(&gauge));
+            let q = StreamQueue::new("q", Some((3, policy)), Some(Arc::clone(&gauge)));
             // 1, 2, <eos>, 3, 4 into three slots, at once ...
             let mut msgs = batch_with_punct(4);
             assert_eq!(q.push_batch(&mut msgs, || {}), result, "{policy:?}");
             assert!(msgs.is_empty(), "{policy:?}: the batch is consumed either way");
             // ... and one `push` at a time into a twin.
-            let twin = StreamQueue::bounded_with_gauge("twin", 3, policy, Arc::clone(&twin_gauge));
+            let twin = StreamQueue::new("twin", Some((3, policy)), Some(Arc::clone(&twin_gauge)));
             let pushed = batch_with_punct(4).into_iter().try_for_each(|m| twin.push(m));
             assert_eq!(pushed, result, "{policy:?}");
             for q in [&q, &twin] {
@@ -812,7 +1216,7 @@ mod tests {
     fn push_batch_blocks_mid_batch_until_the_bound_is_lifted() {
         let gauge = Arc::new(AtomicUsize::new(0));
         let q =
-            StreamQueue::bounded_with_gauge("q", 2, BackpressurePolicy::Block, Arc::clone(&gauge));
+            StreamQueue::new("q", Some((2, BackpressurePolicy::Block)), Some(Arc::clone(&gauge)));
         let producer = {
             let q = Arc::clone(&q);
             thread::spawn(move || q.push_batch(&mut batch_with_punct(4), || {}))
@@ -834,7 +1238,7 @@ mod tests {
     #[test]
     fn push_batch_blocked_mid_batch_fails_on_close() {
         let gauge = Arc::new(AtomicUsize::new(0));
-        let q = StreamQueue::bounded_with_gauge("q", 1, BackpressurePolicy::Block, gauge.clone());
+        let q = StreamQueue::new("q", Some((1, BackpressurePolicy::Block)), Some(gauge.clone()));
         let producer = {
             let q = Arc::clone(&q);
             thread::spawn(move || q.push_batch(&mut (1..=3).map(data).collect(), || {}))
@@ -937,7 +1341,7 @@ mod tests {
     #[test]
     fn peek_ts_follows_the_head_through_every_operation() {
         let q = StreamQueue::bounded("q", 4, BackpressurePolicy::DropOldest);
-        let head = |q: &StreamQueue| q.shared.buf.lock().front().map(|m| m.ts());
+        let head = |q: &StreamQueue| q.shared.buf.lock().head_ts();
         let mut popped = Vec::new();
         type Op = Box<dyn Fn(&StreamQueue, &mut Vec<Message>)>;
         let ops: Vec<(&str, Op)> = vec![
@@ -954,6 +1358,8 @@ mod tests {
                 Box::new(|q, _| q.push_batch(&mut batch_with_punct(4), || {}).unwrap()),
             ),
             ("evicting push", Box::new(|q, _| q.push(data(1)).unwrap())),
+            ("evicting push_run", Box::new(|q, _| q.push_run(&mut run(10, 40), || {}).unwrap())),
+            ("pop_runs", Box::new(|q, _| assert_eq!(q.pop_runs(3, &mut Batch::default()), 3))),
             ("drain", Box::new(|q, _| drop(q.drain()))),
             ("push after drain", Box::new(|q, _| q.push(data(2)).unwrap())),
         ];
@@ -963,6 +1369,52 @@ mod tests {
             assert_eq!(q.peek_ts(), head(&q), "after {what}");
         }
         assert_eq!(q.peek_ts(), Some(Timestamp::from_micros(2)));
+    }
+
+    /// `from..from + n` as a run of data elements.
+    fn run(from: i64, n: i64) -> Vec<Element> {
+        (from..from + n).map(|v| Element::single(v, Timestamp::from_micros(v as u64))).collect()
+    }
+
+    #[test]
+    fn a_run_crosses_the_queue_as_the_buffer_it_is_in() {
+        let q = StreamQueue::unbounded("q");
+        let mut produced = run(0, 32);
+        let buffer = produced.as_ptr();
+        q.push_run(&mut produced, || {}).unwrap();
+        assert!(produced.is_empty());
+        assert_eq!((q.len(), q.data_len(), q.peek_ts()), (32, 32, Some(Timestamp::ZERO)));
+        let mut popped = Batch { run: Vec::with_capacity(32), puncts: Vec::new() };
+        let handed_in = popped.run.as_ptr();
+        assert_eq!(q.pop_runs(32, &mut popped), 32);
+        assert_eq!(popped.run.as_ptr(), buffer, "the producer's buffer, not a copy");
+        assert_eq!(popped.run, run(0, 32));
+        // The buffer the consumer handed in goes to the next producer.
+        let mut next = run(32, 32);
+        q.push_run(&mut next, || {}).unwrap();
+        assert_eq!(next.as_ptr(), handed_in);
+        assert_conserved(&q, &AtomicUsize::new(q.data_len()));
+    }
+
+    #[test]
+    fn short_runs_are_appended_to_the_open_run() {
+        let q = StreamQueue::unbounded("q");
+        let mut one = Vec::with_capacity(1);
+        let buffer = one.as_ptr();
+        for v in 0..RUN as i64 + 1 {
+            one.extend(run(v, 1));
+            q.push_run(&mut one, || {}).unwrap();
+            assert_eq!(one.as_ptr(), buffer, "a short run is copied, its buffer stays");
+        }
+        let closed = |q: &StreamQueue| q.shared.buf.lock().entries.len();
+        assert_eq!((q.len(), closed(&q)), (RUN + 1, 1), "one closed run and the open one");
+        assert_conserved(&q, &AtomicUsize::new(q.data_len()));
+        // Popped one by one, the open run stays in place, empty, for the
+        // next element.
+        while q.try_pop().is_some() {}
+        q.push(data(7)).unwrap();
+        assert_eq!(closed(&q), 0);
+        assert_conserved(&q, &AtomicUsize::new(q.data_len()));
     }
 
     /// `producers` threads push `per_producer` numbered messages each,

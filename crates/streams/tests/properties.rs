@@ -1,12 +1,50 @@
 //! Property-based tests of the stream substrate.
 
-use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::sync::Arc;
+use std::time::Duration;
 
-use hmts_streams::element::Message;
-use hmts_streams::queue::{BackpressurePolicy, StreamQueue};
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+use hmts_streams::element::{Element, Message, Punctuation};
+use hmts_streams::error::StreamError;
+use hmts_streams::queue::{BackpressurePolicy, Batch, StreamQueue};
 use hmts_streams::time::Timestamp;
 use hmts_streams::tuple::Tuple;
 use hmts_streams::value::Value;
+
+thread_local! {
+    /// Bytes this thread holds allocated.
+    static HELD: Cell<isize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// thread-local `Cell` with a const initialiser, which neither allocates nor
+// registers a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        HELD.with(|h| h.set(h.get() + layout.size() as isize));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        HELD.with(|h| h.set(h.get() - layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        HELD.with(|h| h.set(h.get() + new_size as isize - layout.size() as isize));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -161,4 +199,290 @@ fn timestamp_saturation_edges() {
     use std::time::Duration;
     assert_eq!(Timestamp::MAX.add(Duration::from_secs(u64::MAX)), Timestamp::MAX);
     assert_eq!(Timestamp::ZERO.saturating_sub(Duration::from_secs(u64::MAX)), Timestamp::ZERO);
+}
+
+/// The queue as the messages it holds: what `StreamQueue` promises,
+/// written the obvious way — one message at a time, the policy applied to
+/// each.
+struct Model {
+    msgs: VecDeque<Message>,
+    capacity: usize,
+    policy: BackpressurePolicy,
+    closed: bool,
+    enqueued: u64,
+    dequeued: u64,
+    /// Evicted by `DropOldest`, and refused by `DropNewest`.
+    dropped: u64,
+    evicted: u64,
+    high_water: usize,
+}
+
+/// What a push that meets a full `Block` queue is released by.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Release {
+    Close,
+    LiftBound,
+}
+
+impl Model {
+    fn new(bound: Option<(usize, BackpressurePolicy)>) -> Model {
+        let (capacity, policy) = bound.unwrap_or((usize::MAX, BackpressurePolicy::Block));
+        Model {
+            msgs: VecDeque::new(),
+            capacity: capacity.max(1),
+            policy,
+            closed: false,
+            enqueued: 0,
+            dequeued: 0,
+            dropped: 0,
+            evicted: 0,
+            high_water: 0,
+        }
+    }
+
+    /// Whether pushing `n` messages would make a `Block` producer wait.
+    fn blocks(&self, n: usize) -> bool {
+        !self.closed
+            && self.policy == BackpressurePolicy::Block
+            && self.msgs.len() + n > self.capacity
+    }
+
+    fn push(&mut self, msgs: Vec<Message>, release: Release) -> Result<(), StreamError> {
+        if self.closed {
+            return Err(StreamError::QueueClosed);
+        }
+        for msg in msgs {
+            if self.msgs.len() >= self.capacity {
+                match (self.policy, release) {
+                    (BackpressurePolicy::Block, Release::Close) => {
+                        self.closed = true;
+                        return Err(StreamError::QueueClosed);
+                    }
+                    (BackpressurePolicy::Block, Release::LiftBound) => self.capacity = usize::MAX,
+                    (BackpressurePolicy::Fail, _) => return Err(StreamError::QueueFull),
+                    (BackpressurePolicy::DropNewest, _) => {
+                        self.dropped += 1;
+                        continue;
+                    }
+                    (BackpressurePolicy::DropOldest, _) => {
+                        self.msgs.pop_front();
+                        self.dropped += 1;
+                        self.evicted += 1;
+                    }
+                }
+            }
+            self.msgs.push_back(msg);
+            self.enqueued += 1;
+            self.high_water = self.high_water.max(self.msgs.len());
+        }
+        Ok(())
+    }
+
+    fn pop(&mut self, max: usize) -> Vec<Message> {
+        let n = max.min(self.msgs.len());
+        self.dequeued += n as u64;
+        self.msgs.drain(..n).collect()
+    }
+}
+
+/// Builds messages with ascending values and timestamps.
+struct Source(i64);
+
+impl Source {
+    fn element(&mut self) -> Element {
+        self.0 += 1;
+        Element::single(self.0, Timestamp::from_micros(self.0 as u64))
+    }
+
+    fn punct(&mut self, kind: u8) -> Punctuation {
+        self.0 += 1;
+        match kind % 3 {
+            0 => Punctuation::Watermark(Timestamp::from_micros(self.0 as u64)),
+            1 => Punctuation::Barrier(self.0 as u64),
+            _ => Punctuation::EndOfStream,
+        }
+    }
+
+    /// `n` elements with a punctuation at `at` (none if `kind` says so).
+    fn batch(&mut self, n: usize, kind: u8, at: usize) -> Batch {
+        let mut batch = Batch { run: (0..n).map(|_| self.element()).collect(), puncts: vec![] };
+        if kind < 3 {
+            batch.puncts.push((at % (n + 1), self.punct(kind)));
+        }
+        batch
+    }
+}
+
+/// `batch` as the messages it stands for, leaving it as it was.
+fn messages(batch: &mut Batch) -> Vec<Message> {
+    let msgs: Vec<Message> = batch.drain().collect();
+    for msg in &msgs {
+        batch.push(msg.clone());
+    }
+    msgs
+}
+
+/// Runs `push` — which the model says waits for room if `blocks`, in a
+/// queue of `capacity` — on another thread if it does, releasing it as
+/// `release` says once it has put in what fits.
+fn push_released(
+    q: &Arc<StreamQueue>,
+    (blocks, capacity): (bool, usize),
+    release: Release,
+    push: impl FnOnce(&StreamQueue) -> Result<(), StreamError> + Send + 'static,
+) -> Result<(), StreamError> {
+    if !blocks {
+        return push(q);
+    }
+    let producer = {
+        let q = Arc::clone(q);
+        std::thread::spawn(move || push(&q))
+    };
+    while q.len() < capacity {
+        std::thread::yield_now();
+    }
+    match release {
+        Release::Close => q.close(),
+        Release::LiftBound => q.lift_bound(),
+    }
+    producer.join().expect("the producer does not panic")
+}
+
+/// Every count `q` reports against `model`'s.
+fn check(q: &StreamQueue, model: &Model, step: &str) -> Result<(), TestCaseError> {
+    let m = q.metrics();
+    prop_assert_eq!(q.len(), model.msgs.len(), "len after {}", step);
+    let data = model.msgs.iter().filter(|m| m.as_data().is_some()).count();
+    prop_assert_eq!(q.data_len(), data, "data_len after {}", step);
+    prop_assert_eq!(q.peek_ts(), model.msgs.front().map(Message::ts), "peek_ts after {}", step);
+    prop_assert_eq!(m.enqueued(), model.enqueued, "enqueued after {}", step);
+    prop_assert_eq!(m.dequeued(), model.dequeued, "dequeued after {}", step);
+    prop_assert_eq!(m.dropped(), model.dropped, "dropped after {}", step);
+    prop_assert_eq!(m.high_water(), model.high_water, "high_water after {}", step);
+    prop_assert_eq!(m.enqueued(), m.dequeued() + model.evicted + q.len() as u64, "{}", step);
+    prop_assert_eq!(q.is_closed(), model.closed, "closed after {}", step);
+    Ok(())
+}
+
+fn policy(p: u8) -> BackpressurePolicy {
+    [
+        BackpressurePolicy::Block,
+        BackpressurePolicy::Fail,
+        BackpressurePolicy::DropNewest,
+        BackpressurePolicy::DropOldest,
+    ][p as usize % 4]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// Generated operation sequences against the message model: runs and
+    /// messages pushed and popped every way the queue offers, punctuations
+    /// between and inside runs, bounds below, at and above a run's length
+    /// under each policy, `close`, `lift_bound` and `drain`. After every
+    /// step the queue pops what the model pops and reports the model's
+    /// counts.
+    #[test]
+    fn the_queue_of_runs_is_a_queue_of_messages(
+        bound in (0usize..48, 0u8..4),
+        ops in proptest::collection::vec((0u8..12, 0usize..48, 0u8..4, 0usize..64), 1..64),
+    ) {
+        let bound = (bound.0 > 0).then(|| (bound.0, policy(bound.1)));
+        let q = StreamQueue::new("model", bound, None);
+        let mut model = Model::new(bound);
+        let mut src = Source(0);
+        let mut popped = Batch::default();
+        for (step, &(op, n, kind, at)) in ops.iter().enumerate() {
+            let release = if at % 2 == 0 { Release::Close } else { Release::LiftBound };
+            let what = format!("step {step}: op {op} n {n} kind {kind} at {at}");
+            match op {
+                0..=4 => {
+                    // A run, a run with a punctuation in or beside it, one
+                    // element, one punctuation, a batch of messages.
+                    let mut batch = match op {
+                        0 => src.batch(n, 3, at),
+                        2 => src.batch(1, 3, 0),
+                        3 => src.batch(0, kind % 3, 0),
+                        _ => src.batch(n, kind, at),
+                    };
+                    let mut msgs = messages(&mut batch);
+                    let waits = (model.blocks(msgs.len()), model.capacity);
+                    let expected = model.push(msgs.clone(), release);
+                    let got = push_released(&q, waits, release, move |q| match op {
+                        0 => q.push_run(&mut batch.run, || {}),
+                        1 => q.push_runs(&mut batch, || {}),
+                        2 | 3 => q.push(msgs.remove(0)),
+                        _ => q.push_batch(&mut msgs, || {}),
+                    });
+                    prop_assert_eq!(got, expected, "{}", what);
+                }
+                5 => prop_assert_eq!(q.try_pop(), model.pop(1).pop(), "{}", what),
+                6 => {
+                    let mut out = Vec::new();
+                    let moved = q.pop_batch(n, &mut out);
+                    prop_assert_eq!(moved, out.len(), "{}", what);
+                    prop_assert_eq!(out, model.pop(n), "{}", what);
+                }
+                7 => {
+                    let moved = q.pop_runs(n, &mut popped);
+                    let got: Vec<Message> = popped.drain().collect();
+                    prop_assert_eq!(moved, got.len(), "{}", what);
+                    prop_assert_eq!(got, model.pop(n), "{}", what);
+                }
+                8 => {
+                    let expected = model.pop(1).pop();
+                    let got = match (&expected, model.closed) {
+                        // Something to pop, or closed: `pop_blocking` returns.
+                        (Some(_), _) | (None, true) => q.pop_blocking(),
+                        _ => q.pop_timeout(Duration::ZERO),
+                    };
+                    prop_assert_eq!(got, expected, "{}", what);
+                }
+                9 => prop_assert_eq!(q.drain(), model.pop(usize::MAX), "{}", what),
+                10 if kind == 0 => {
+                    q.close();
+                    model.closed = true;
+                }
+                10 => prop_assert_eq!(q.try_pop(), model.pop(1).pop(), "{}", what),
+                _ => {
+                    q.lift_bound();
+                    model.capacity = usize::MAX;
+                }
+            }
+            check(&q, &model, &what)?;
+        }
+    }
+}
+
+/// Held bytes once `fill` has run, less those held before.
+fn held_by(fill: impl FnOnce() -> Box<dyn std::any::Any>) -> (isize, Box<dyn std::any::Any>) {
+    let before = HELD.with(Cell::get);
+    let kept = fill();
+    (HELD.with(Cell::get) - before, kept)
+}
+
+#[test]
+fn a_queue_of_runs_of_one_holds_no_more_than_twice_a_queue_of_messages() {
+    const RUNS: usize = 100_000;
+    // One tuple for every element, so the elements' payloads are not
+    // counted on either side.
+    let el = Element::single(7, Timestamp::from_micros(7));
+    let (messages, _kept) = held_by(|| {
+        let mut buf = VecDeque::new();
+        for _ in 0..RUNS {
+            buf.push_back(Message::Data(el.clone()));
+        }
+        Box::new(buf)
+    });
+    let (runs, _q) = held_by(|| {
+        let q = StreamQueue::unbounded("runs");
+        let mut run = Vec::with_capacity(1);
+        for _ in 0..RUNS {
+            run.push(el.clone());
+            q.push_run(&mut run, || {}).unwrap();
+        }
+        assert_eq!((q.len(), q.data_len()), (RUNS, RUNS));
+        Box::new(q)
+    });
+    assert!(runs <= 2 * messages, "{runs} bytes for {RUNS} runs of one, {messages} as messages");
 }

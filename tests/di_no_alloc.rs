@@ -6,17 +6,24 @@
 //! mirror from a reused list of timestamps. That holds whatever the run's
 //! length, a run of one included. A keyed aggregate in the chain adds its
 //! result tuple per element and nothing else: its groups reuse their slab
-//! slots and its window its ring. Counted under a global allocator that
-//! keeps one counter per thread, which is why this test has a binary of
-//! its own.
+//! slots and its window its ring. Decoupled by a queue before every
+//! selection (the GTS shape), a run crosses each queue as the buffer it is
+//! in, and the queue keeps the buffer the consumer handed back for its next
+//! producer: that allocates nothing either. Counted under a global
+//! allocator that keeps one counter per thread, which is why this test has
+//! a binary of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 use std::time::Duration;
 
-use hmts::engine::executor::{DomainExecutor, ExecConfig, SlotInit, SlotState, Target};
+use hmts::engine::executor::{
+    Budget, DomainExecutor, ExecConfig, InputQueue, RunOutcome, SlotInit, SlotState, Target,
+};
 use hmts::operators::traits::Operator;
 use hmts::prelude::*;
+use hmts::streams::queue::StreamQueue;
 
 thread_local! {
     /// Allocations made by this thread.
@@ -75,6 +82,12 @@ fn chain(operators: Vec<Box<dyn Operator>>) -> (DomainExecutor, SinkHandle) {
     (exec, handle)
 }
 
+/// `tuples` as elements one microsecond apart, the first at `from` µs.
+fn rows(tuples: &[Tuple], from: u64) -> impl Iterator<Item = Element> + '_ {
+    let at = move |i: usize| Timestamp::from_micros(from + i as u64);
+    tuples.iter().enumerate().map(move |(i, tuple)| Element::new(tuple.clone(), at(i)))
+}
+
 /// Puts 4 096 `(i % 1000, i)` rows through a fresh `chain` of `operators`
 /// in runs of 32 and of 1: one pass to warm up, then 25 passes counted.
 /// Every pass stamps its rows one microsecond apart after the last pass's,
@@ -86,13 +99,10 @@ fn allocations(operators: fn() -> Vec<Box<dyn Operator>>) -> Vec<(usize, u64, u6
     let mut counted = Vec::new();
     for run_len in [32, 1] {
         let (mut exec, handle) = chain(operators());
-        let mut run: Vec<Message> = Vec::with_capacity(run_len);
+        let mut run: Vec<Element> = Vec::with_capacity(run_len);
         let mut pass = |exec: &mut DomainExecutor, round: u64| {
             for (start, chunk) in (0..).step_by(run_len).zip(pool.chunks(run_len)) {
-                run.extend(chunk.iter().enumerate().map(|(i, tuple)| {
-                    let ts = Timestamp::from_micros(round * ROWS + start + i as u64);
-                    Message::Data(Element::new(tuple.clone(), ts))
-                }));
+                run.extend(rows(chunk, round * ROWS + start));
                 exec.inject_batch(NodeId(0), 0, &mut run);
             }
         };
@@ -143,5 +153,69 @@ fn a_keyed_aggregate_allocates_its_result_tuple_and_nothing_else() {
         // Keys 0..500 of every 1 000 rows pass: 2 096 results per pass.
         assert_eq!(results, 25 * 2096, "runs of {run_len}");
         assert_eq!(count, results, "allocations for {results} results in runs of {run_len}");
+    }
+}
+
+/// The GTS shape: a queue in front of each of five passing selections, one
+/// domain draining them with `run_slice`, and runs of 32 — a saturated
+/// source's — and of 1 — a paced one's — pushed into the first queue.
+/// Every selection again has a statistics cell.
+#[test]
+fn a_run_through_five_queues_and_five_selections_allocates_nothing() {
+    const ROWS: u64 = 4096;
+    const HOPS: usize = 5;
+    let pool: Vec<Tuple> = (0..ROWS).map(|i| Tuple::pair((i % 1000) as i64, i as i64)).collect();
+    for run_len in [ExecConfig::default().batch, 1] {
+        let queues: Vec<_> = (0..HOPS).map(|i| StreamQueue::unbounded(format!("q{i}"))).collect();
+        let (sink, handle) = CountingSink::new("sink");
+        let mut slots: Vec<SlotInit> = (0..HOPS)
+            .map(|i| {
+                let pass = Filter::new(format!("f{i}"), Expr::field(0).ge(Expr::int(0)));
+                let next = match queues.get(i + 1) {
+                    Some(q) => Target::Queue { queue: Arc::clone(q), wake: None },
+                    None => Target::Inline { node: NodeId(HOPS), port: 0 },
+                };
+                SlotInit::new(SlotState::new(NodeId(i), Box::new(pass)), vec![next])
+            })
+            .collect();
+        slots.push(SlotInit::new(SlotState::new(NodeId(HOPS), Box::new(sink)), vec![]));
+        for slot in &mut slots {
+            slot.stats = Some(hmts::stats::shared_node_stats());
+        }
+        let inputs = (0..HOPS)
+            .map(|i| InputQueue {
+                queue: Arc::clone(&queues[i]),
+                node: NodeId(i),
+                port: 0,
+                exhausted: false,
+            })
+            .collect();
+        let mut exec = DomainExecutor::new(
+            "gts",
+            slots,
+            inputs,
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        let mut run: Vec<Element> = Vec::with_capacity(run_len);
+        let mut pass = |exec: &mut DomainExecutor, round: u64| {
+            for (start, chunk) in (0..).step_by(run_len).zip(pool.chunks(run_len)) {
+                run.extend(rows(chunk, round * ROWS + start));
+                queues[0].push_run(&mut run, || {}).unwrap();
+                assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
+            }
+        };
+        // Warm-up: every buffer reaches its steady size and its steady place.
+        pass(&mut exec, 0);
+        let before = handle.count();
+        ALLOCATIONS.with(|a| a.set(0));
+        for round in 1..=25 {
+            pass(&mut exec, round);
+        }
+        let count = ALLOCATIONS.with(Cell::get);
+        assert!(exec.error().is_none());
+        assert_eq!(handle.count() - before, 25 * ROWS, "every element reached the sink");
+        assert!(queues.iter().all(|q| q.is_empty()));
+        assert_eq!(count, 0, "allocations for {} runs of {run_len}", 25 * ROWS as usize / run_len);
     }
 }

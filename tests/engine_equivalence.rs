@@ -54,6 +54,48 @@ fn every_mode_produces_identical_results() {
     }
 }
 
+/// A queue whose producer and consumer are the same domain wakes nobody:
+/// the domain drains its own queues before it goes idle. A GTS chain, and
+/// a pooled domain hosting two VOs and the queue between them, still
+/// deliver every result — unpaced, and paced so that the domain goes idle
+/// between arrivals.
+#[test]
+fn a_domain_drains_the_queues_it_feeds_itself() {
+    let (probe_graph, _) = selection_chain(COUNT, RATE, THRESHOLDS);
+    let topo = Topology::of(&probe_graph);
+    let ops = topo.operators();
+    let pooled = ExecutionPlan {
+        partitioning: Partitioning::new(vec![vec![ops[0], ops[1]], vec![ops[2], ops[3]]]),
+        domains: vec![DomainSpec {
+            name: "both-vos".into(),
+            partitions: vec![0, 1],
+            execution: DomainExecution::Pooled,
+            strategy: StrategyKind::Fifo,
+            priority: 0,
+        }],
+        workers: 1,
+    };
+    let plans = [("gts", ExecutionPlan::gts(&topo, StrategyKind::Fifo)), ("pooled", pooled)];
+    for (name, plan) in plans {
+        for pace in [false, true] {
+            let (done, finished) = std::sync::mpsc::channel();
+            let plan = plan.clone();
+            std::thread::spawn(move || {
+                let rate = if pace { 400_000.0 } else { RATE };
+                let (graph, handle) = selection_chain(COUNT, rate, THRESHOLDS);
+                let cfg = EngineConfig { pace_sources: pace, ..EngineConfig::default() };
+                let report = Engine::run_with_config(graph, plan, cfg).expect("engine runs");
+                let _ = done.send((report.errors.is_empty(), handle));
+            });
+            let (clean, handle) = finished
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{name}, paced {pace}: did not drain within 60 s"));
+            assert!(clean && handle.is_done(), "{name}, paced {pace}");
+            assert_eq!(collected_values(&handle), expected(), "{name}, paced {pace}");
+        }
+    }
+}
+
 /// Mode set that works for any graph shape (no hand-rolled partitioning).
 fn all_plans_generic(graph: &QueryGraph) -> Vec<(&'static str, ExecutionPlan)> {
     let topo = Topology::of(graph);
