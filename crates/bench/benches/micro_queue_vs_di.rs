@@ -144,11 +144,12 @@ fn queue_transfer(c: &mut Criterion) {
     // 32 elements go round, so only the hand-over is timed.
     g.bench_function("push_pop_run32", |b| {
         let q = StreamQueue::unbounded("bench");
-        let (mut run, mut popped): (Vec<_>, _) = ((0..32).map(element).collect(), Batch::default());
+        let mut staged = Batch { run: (0..32).map(element).collect(), puncts: Vec::new() };
+        let mut popped = Batch::default();
         b.iter(|| {
-            q.push_run(black_box(&mut run), || {}).unwrap();
+            q.push_runs(black_box(&mut staged), || {}).unwrap();
             q.pop_runs(32, black_box(&mut popped));
-            std::mem::swap(&mut run, &mut popped.run);
+            std::mem::swap(&mut staged.run, &mut popped.run);
         })
     });
 
@@ -157,10 +158,11 @@ fn queue_transfer(c: &mut Criterion) {
     // at the engine's default batch, beside `di_chain_5_run32`.
     g.bench_function("queue_chain_5_run32", |b| {
         let (mut exec, queues) = queue_chain(5, 32, true);
-        let (mut run, budget) = (Vec::with_capacity(32), Budget::unlimited());
+        let budget = Budget::unlimited();
+        let mut staged = Batch { run: Vec::with_capacity(32), puncts: Vec::new() };
         b.iter(|| {
-            run.extend((0..32).map(|_| element(7)));
-            queues[0].push_run(&mut run, || {}).unwrap();
+            staged.run.extend((0..32).map(|_| element(7)));
+            queues[0].push_runs(&mut staged, || {}).unwrap();
             exec.run_slice(black_box(&budget));
         })
     });

@@ -229,6 +229,6 @@ fn main() {
         );
     }
     if let Some(dir) = &args.trace {
-        hmts_bench::traced::run_traced(dir, args.seed);
+        hmts_bench::obsrun::run_traced(dir, args.seed);
     }
 }

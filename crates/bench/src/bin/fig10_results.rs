@@ -62,6 +62,6 @@ fn main() {
     // two-partition HMTS plan with sampled per-tuple tracing, writing a
     // Perfetto timeline plus the queue-wait/processing attribution.
     if let Some(dir) = &args.trace {
-        hmts_bench::traced::run_traced(dir, args.seed);
+        hmts_bench::obsrun::run_traced(dir, args.seed);
     }
 }

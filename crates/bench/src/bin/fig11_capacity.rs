@@ -102,6 +102,6 @@ fn main() {
     // the traced run replays the Fig. 9/10 chain under the two-VO HMTS
     // placement and writes the Perfetto timeline + latency attribution.
     if let Some(dir) = &args.trace {
-        hmts_bench::traced::run_traced(dir, args.seed);
+        hmts_bench::obsrun::run_traced(dir, args.seed);
     }
 }

@@ -16,7 +16,6 @@
 
 pub mod fig9;
 pub mod obsrun;
-pub mod traced;
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

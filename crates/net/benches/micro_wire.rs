@@ -9,7 +9,7 @@
 //!   `read_frame` (which reads the whole 64 KiB from the stream and takes
 //!   the first frame), then one `take_data` for the rest — the ingest
 //!   server's and the subscriber's path per socket read, copy included.
-//! * `build_only_64k` — the same messages built from values at hand and
+//! * `build_only_64k` — the same elements built from values at hand and
 //!   dropped: the allocation and drop every decoder pays, no decoding.
 //! * `encode_data_run32` / `encode_frame_run32` — a run of 32 elements
 //!   encoded straight from the elements, against a `Frame` built per
@@ -24,7 +24,7 @@ use std::io::{self, Read};
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use hmts::streams::element::{Element, Message, TraceTag};
+use hmts::streams::element::{Element, TraceTag};
 use hmts::streams::time::Timestamp;
 use hmts::streams::tuple::Tuple;
 use hmts::streams::value::Value;
@@ -86,7 +86,7 @@ fn decode(c: &mut Criterion) {
     });
 
     let mut reader = FrameReader::new(Repeat { bytes: &bytes });
-    let mut run: Vec<Message> = Vec::with_capacity(frames as usize);
+    let mut run: Vec<Element> = Vec::with_capacity(frames as usize);
     g.bench_function("take_data_64k", |b| {
         b.iter(|| {
             let first = reader.read_frame().unwrap().unwrap().into_message();
@@ -100,7 +100,7 @@ fn decode(c: &mut Criterion) {
         b.iter(|| {
             for i in 0..frames as i64 {
                 let t = Tuple::new((0..2).map(|j| Value::Int(black_box(i + j))));
-                run.push(Message::Data(Element::new(t, Timestamp::from_micros(i as u64))));
+                run.push(Element::new(t, Timestamp::from_micros(i as u64)));
             }
             black_box(&run);
             run.clear();

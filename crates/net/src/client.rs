@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use hmts::obs::{trace_id, HopKind, Tracer, NO_PARTITION};
-use hmts::streams::element::{Message, TraceTag};
+use hmts::streams::element::{Element, Message, TraceTag};
 use hmts::streams::time::Timestamp;
 use hmts::workload::arrival::ArrivalProcess;
 use hmts::workload::values::TupleGen;
@@ -25,10 +25,9 @@ use crate::wire::{hello, DecodeError, Frame, FrameReader, FrameWriter, NetError}
 /// stream until end-of-stream.
 pub struct SubscriberClient {
     reader: FrameReader<TcpStream>,
-    /// Data messages decoded from the last read; those before `next` were
-    /// handed out (each replaced by a placeholder).
-    run: Vec<Message>,
-    next: usize,
+    /// Data elements decoded from the last read and not yet handed out,
+    /// newest first.
+    run: Vec<Element>,
     /// The malformed frame that ended the run, reported once the run is out.
     failed: Option<DecodeError>,
     done: bool,
@@ -45,7 +44,6 @@ impl SubscriberClient {
         Ok(SubscriberClient {
             reader: FrameReader::new(socket),
             run: Vec::new(),
-            next: 0,
             failed: None,
             done: false,
         })
@@ -58,14 +56,12 @@ impl SubscriberClient {
             return Ok(None);
         }
         loop {
-            if self.next == self.run.len() {
-                self.run.clear();
-                self.next = 0;
+            if self.run.is_empty() && self.failed.is_none() {
                 self.failed = self.reader.take_data(&mut self.run).err();
+                self.run.reverse();
             }
-            if let Some(slot) = self.run.get_mut(self.next) {
-                self.next += 1;
-                return Ok(Some(std::mem::replace(slot, Message::eos())));
+            if let Some(el) = self.run.pop() {
+                return Ok(Some(Message::Data(el)));
             }
             if let Some(e) = self.failed.take() {
                 return Err(e.into());
@@ -375,6 +371,42 @@ mod tests {
         assert_eq!(s.p50, Duration::from_millis(51));
         assert_eq!(s.p95, Duration::from_millis(95));
         assert_eq!(s.max, Duration::from_millis(100));
+    }
+
+    #[test]
+    fn a_malformed_frame_is_reported_behind_the_run_before_it() {
+        use hmts::streams::tuple::Tuple;
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let data = |i: i64| Frame::Data {
+                ts: Timestamp::from_micros(i as u64),
+                tuple: Tuple::single(i),
+                trace: TraceTag::NONE,
+            };
+            // In one segment: three data frames, one whose value tag is
+            // unknown, and a fourth good one behind it.
+            let mut bytes = Vec::new();
+            (0..3).for_each(|i| crate::wire::encode_frame(&data(i), &mut bytes));
+            bytes.extend_from_slice(&12u32.to_le_bytes());
+            bytes.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 9]);
+            crate::wire::encode_frame(&data(3), &mut bytes);
+            sock.write_all(&bytes).unwrap();
+            let _ = sock.read_to_end(&mut Vec::new());
+        });
+        let mut client = SubscriberClient::connect(addr, "out").unwrap();
+        for i in 0..3 {
+            let msg = client.next_message().unwrap().unwrap();
+            assert_eq!(msg.as_data().unwrap().tuple.field(0).as_int().unwrap(), i);
+        }
+        assert!(
+            matches!(client.next_message(), Err(NetError::Decode(DecodeError::UnknownValueTag(9)))),
+            "the error, not the frame behind it"
+        );
+        drop(client);
+        server.join().unwrap();
     }
 
     #[test]

@@ -28,8 +28,8 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use hmts::obs::{HopKind, Obs, SchedEvent, NO_PARTITION};
-use hmts::streams::element::{Element, Message};
-use hmts::streams::queue::{BackpressurePolicy, StreamQueue};
+use hmts::streams::element::{Element, Punctuation};
+use hmts::streams::queue::{BackpressurePolicy, Batch, StreamQueue};
 
 use crate::source::RemoteSource;
 use crate::wire::{Frame, FrameReader, FrameWriter, NetError};
@@ -390,28 +390,30 @@ fn serve_connection(
         conn_bytes.add(delta);
     };
 
-    // Data frames decoded and not yet in the queue. They go in together —
-    // one lock, one wake-up of the source — as soon as the next frame is
-    // not already in the read buffer (waiting for the socket with decoded
-    // data in hand would delay it for as long as the producer pauses), and
-    // before anything that is ordered against them: a watermark, a `Ping`
-    // (its `Pong` says they are in), a `Resume`, the end of the connection.
-    // `false` means the queue closed under us (the engine shut down).
-    let mut decoded: Vec<Message> = Vec::new();
-    let recv_hops = |run: &[Message]| {
+    // Data frames decoded and not yet in the queue, as one run. They go in
+    // together — one lock, one wake-up of the source, the run as the buffer
+    // it is in — as soon as the next frame is not already in the read
+    // buffer (waiting for the socket with decoded data in hand would delay
+    // it for as long as the producer pauses), and before anything that is
+    // ordered against them: a watermark (which goes in with them, behind
+    // the run), a `Ping` (its `Pong` says they are in), a `Resume`, the end
+    // of the connection. `false` means the queue closed under us (the
+    // engine shut down).
+    let mut decoded = Batch::default();
+    let recv_hops = |run: &[Element]| {
         let Some(t) = &tracer else { return };
-        for e in run.iter().filter_map(Message::as_data) {
+        for e in run {
             if e.trace.is_sampled() {
                 t.record(e.trace.id(), HopKind::NetRecv, &recv_site, NO_PARTITION);
             }
         }
     };
-    let hand_over = |decoded: &mut Vec<Message>| -> bool {
-        let n = decoded.len() as u64;
-        if n == 0 {
+    let hand_over = |decoded: &mut Batch| -> bool {
+        if decoded.is_empty() {
             return true;
         }
-        let Ok(stall) = slot.queue.push_batch_with_stall(decoded) else {
+        let n = decoded.run.len() as u64;
+        let Ok(stall) = slot.queue.push_runs(decoded, || {}) else {
             return false;
         };
         if !stall.is_zero() {
@@ -435,9 +437,9 @@ fn serve_connection(
         // The run: every whole data frame the last read brought, decoded
         // in one pass. What stops it — a control frame, or a frame the
         // read cut — goes through `read_frame` below.
-        let taken = decoded.len();
-        let run = reader.take_data(&mut decoded);
-        recv_hops(&decoded[taken..]);
+        let taken = decoded.run.len();
+        let run = reader.take_data(&mut decoded.run);
+        recv_hops(&decoded.run[taken..]);
         if let Err(e) = run {
             break Err(e.into());
         }
@@ -453,22 +455,19 @@ fn serve_connection(
             Err(e) => break Err(e),
         };
         account(&reader);
+        if let Frame::Watermark { ts } = frame {
+            decoded.puncts.push((decoded.run.len(), Punctuation::Watermark(ts)));
+        }
         if !matches!(frame, Frame::Data { .. }) && !hand_over(&mut decoded) {
             clean = true;
             break Ok(());
         }
         match frame {
             Frame::Data { ts, tuple, trace } => {
-                decoded.push(Message::Data(Element::new(tuple, ts).with_trace(trace)));
-                recv_hops(&decoded[decoded.len() - 1..]);
+                decoded.run.push(Element::new(tuple, ts).with_trace(trace));
+                recv_hops(&decoded.run[decoded.run.len() - 1..]);
             }
-            Frame::Watermark { ts } => {
-                use hmts::streams::element::Punctuation;
-                if slot.queue.push(Message::Punct(Punctuation::Watermark(ts))).is_err() {
-                    clean = true;
-                    break Ok(());
-                }
-            }
+            Frame::Watermark { .. } => {}
             Frame::Ping { nonce } => {
                 writer.write_frame(&Frame::Pong { nonce })?;
                 writer.flush()?;
@@ -560,7 +559,7 @@ fn serve_connection(
 mod tests {
     use super::*;
     use crate::wire::hello;
-    use hmts::streams::element::TraceTag;
+    use hmts::streams::element::{Message, TraceTag};
     use hmts::streams::time::Timestamp;
     use hmts::streams::tuple::Tuple;
 
@@ -705,7 +704,6 @@ mod tests {
 
     #[test]
     fn control_frames_inside_a_run_keep_their_place() {
-        use hmts::streams::element::Punctuation;
         use std::io::Write;
         let server =
             IngestServer::bind("127.0.0.1:0", vec![StreamSpec::new("a")], IngestConfig::default())
@@ -789,19 +787,30 @@ mod tests {
         assert!(whole < torn, "the cut lies inside the third frame");
         sock.write_all(&bytes[..torn]).unwrap();
         let q = server.queue("a").unwrap();
-        let value = |m: Option<Message>| m.unwrap().as_data().unwrap().tuple.field(0).as_int();
-        assert_eq!(value(q.pop_timeout(Duration::from_secs(5))).unwrap(), 0);
-        assert_eq!(value(q.pop_timeout(Duration::from_secs(5))).unwrap(), 1);
-        assert!(q.pop_timeout(Duration::from_millis(50)).is_none(), "the third is incomplete");
+        // The next message within `limit`, as a value.
+        let pop_within = |limit: Duration| {
+            let deadline = std::time::Instant::now() + limit;
+            loop {
+                match q.try_pop() {
+                    Some(m) => break Some(m.as_data().unwrap().tuple.field(0).as_int().unwrap()),
+                    None if std::time::Instant::now() >= deadline => break None,
+                    None => std::thread::sleep(Duration::from_millis(1)),
+                }
+            }
+        };
+        let pop = || pop_within(Duration::from_secs(5));
+        assert_eq!(pop(), Some(0));
+        assert_eq!(pop(), Some(1));
+        assert_eq!(pop_within(Duration::from_millis(50)), None, "the third is incomplete");
         assert_eq!(server.stats().tuples.load(Ordering::Relaxed), 2);
         sock.write_all(&bytes[torn..]).unwrap();
-        assert_eq!(value(q.pop_timeout(Duration::from_secs(5))).unwrap(), 2);
+        assert_eq!(pop(), Some(2));
         // A connection cut mid-frame still delivered the frames before it.
         let mut tail = bytes[whole..].to_vec();
         tail.extend_from_slice(&bytes[whole..torn]);
         sock.write_all(&tail).unwrap();
         drop(sock);
-        assert_eq!(value(q.pop_timeout(Duration::from_secs(5))).unwrap(), 2);
+        assert_eq!(pop(), Some(2));
         assert!(q.pop_blocking().is_none(), "the only producer is gone");
         assert_eq!(server.stats().tuples.load(Ordering::Relaxed), 4);
     }

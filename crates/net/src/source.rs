@@ -3,25 +3,28 @@
 use std::sync::Arc;
 
 use hmts::operators::traits::Source;
-use hmts::streams::element::{Element, Message, Punctuation};
-use hmts::streams::queue::StreamQueue;
+use hmts::streams::element::{Element, Punctuation};
+use hmts::streams::queue::{Batch, StreamQueue};
 use hmts::streams::time::Timestamp;
 use hmts::streams::tuple::Tuple;
 
 /// A [`Source`] that drains an ingest [`StreamQueue`] fed by the network.
 ///
-/// `next` parks on the queue, so a graph driven by a `RemoteSource` is
-/// clocked entirely by external traffic. A source that finds messages
-/// waiting takes up to [`TAKE`] of them under one lock, so a producer
-/// blocked on the full queue is released for that many slots at once
-/// rather than once per element, and hands them out one by one or — to the
-/// engine's source driver — a batch at a time, without ever waiting for
-/// another message while it holds one. The source ends
-/// when the ingest server closes the queue (all expected producers
-/// finished) or an explicit end-of-stream punctuation is drained; the
-/// engine then injects EOS downstream exactly as for a local source.
-/// Watermark punctuations are skipped — the engine synthesizes watermarks
-/// from element timestamps when [`watermark_interval`] is configured.
+/// The source takes what waits in the queue as runs ([`StreamQueue::pop_runs`]),
+/// so a run the ingest server queued reaches the engine's source driver as
+/// the buffer it is in, and a producer blocked on the full queue is released
+/// for a run's worth of slots at once rather than once per element. It
+/// waits ([`StreamQueue::pop_blocking`]) only while it holds nothing, so it
+/// never waits for another message while it holds one, and graphs it drives
+/// are clocked entirely by external traffic. The source ends when the
+/// ingest server closes the queue (all expected producers finished) or an
+/// explicit end-of-stream punctuation is drained; the engine then injects
+/// EOS downstream exactly as for a local source. Watermark punctuations are
+/// skipped — the engine synthesizes watermarks from element timestamps when
+/// [`watermark_interval`] is configured — and so are barriers, which the
+/// engine's own checkpoint coordinator injects fresh at the source driver.
+/// Elements keep their wire-carried trace tag, so a tuple's cross-process
+/// trace stays connected.
 ///
 /// Run remote-fed engines with `pace_sources: false`: elements already
 /// arrive paced by the network, and their timestamps belong to the
@@ -31,31 +34,16 @@ use hmts::streams::tuple::Tuple;
 pub struct RemoteSource {
     name: String,
     queue: Arc<StreamQueue>,
-    /// Messages taken off the queue and not yet handed out, newest first.
-    taken: Vec<Message>,
-    done: bool,
+    /// Where the punctuations of a take land.
+    puncts: Vec<(usize, Punctuation)>,
+    /// The stream ended behind the elements taken.
+    ended: bool,
 }
-
-/// What the next message in arrival order means to the source.
-enum Step {
-    /// Keep the full element: a wire-carried trace tag must survive into
-    /// the engine so the tuple's cross-process trace stays connected.
-    Data(Element),
-    /// Watermarks are resynthesized by the engine; barriers are injected
-    /// fresh by the engine's own checkpoint coordinator at the source
-    /// driver, so inbound ones carry no meaning.
-    Skip,
-    /// The queue was closed and drained, or delivered end-of-stream.
-    End,
-}
-
-/// Most messages taken off the queue in one go.
-const TAKE: usize = 64;
 
 impl RemoteSource {
     /// A source draining `queue` under the given diagnostic name.
     pub fn new(name: impl Into<String>, queue: Arc<StreamQueue>) -> RemoteSource {
-        RemoteSource { name: name.into(), queue, taken: Vec::new(), done: false }
+        RemoteSource { name: name.into(), queue, puncts: Vec::new(), ended: false }
     }
 
     /// The backing queue (for occupancy monitoring).
@@ -63,32 +51,32 @@ impl RemoteSource {
         &self.queue
     }
 
-    /// The next message in arrival order, waiting for one if none is at
-    /// hand; `None` once the queue is closed and drained.
-    fn next_message(&mut self) -> Option<Message> {
-        if let Some(msg) = self.taken.pop() {
-            return Some(msg);
-        }
-        let first = self.queue.pop_blocking()?;
-        self.queue.pop_batch(TAKE - 1, &mut self.taken);
-        self.taken.reverse();
-        Some(first)
-    }
-
-    /// Takes the next message (waiting for one if none is at hand) and
-    /// classifies it; stays at [`Step::End`] once the stream ended.
-    fn step(&mut self) -> Step {
-        if self.done {
-            return Step::End;
-        }
-        match self.next_message() {
-            Some(Message::Data(e)) => Step::Data(e),
-            Some(Message::Punct(Punctuation::Watermark(_) | Punctuation::Barrier(_))) => Step::Skip,
-            Some(Message::Punct(Punctuation::EndOfStream)) | None => {
-                self.done = true;
-                Step::End
+    /// Takes up to `max` messages off the queue and appends their elements
+    /// to `run` — those before an end-of-stream, which ends the stream —
+    /// waiting for one only if `wait` and none is there. Returns how many
+    /// messages it took.
+    fn take(&mut self, max: usize, run: &mut Vec<Element>, wait: bool) -> usize {
+        let mut batch =
+            Batch { run: std::mem::take(run), puncts: std::mem::take(&mut self.puncts) };
+        let mut took = self.queue.pop_runs(max, &mut batch);
+        if took == 0 && wait {
+            match self.queue.pop_blocking() {
+                Some(msg) => {
+                    batch.push(msg);
+                    took = 1;
+                }
+                None => self.ended = true,
             }
         }
+        if let Some(&(at, _)) =
+            batch.puncts.iter().find(|(_, p)| matches!(p, Punctuation::EndOfStream))
+        {
+            batch.run.truncate(at);
+            self.ended = true;
+        }
+        batch.puncts.clear();
+        (*run, self.puncts) = (batch.run, batch.puncts);
+        took
     }
 }
 
@@ -102,37 +90,30 @@ impl Source for RemoteSource {
     }
 
     fn next_element(&mut self) -> Option<Element> {
-        loop {
-            match self.step() {
-                Step::Data(e) => return Some(e),
-                Step::Skip => continue,
-                Step::End => return None,
-            }
-        }
+        let mut one = Vec::with_capacity(1);
+        self.next_batch(1, &mut one);
+        one.pop()
     }
 
-    /// Hands over what is at hand: waits for a message only while it has
-    /// neither appended an element nor holds a taken one, so an element
-    /// never sits in `out` behind a blocked pop.
+    /// Hands over the runs waiting in the queue, and waits for a message
+    /// only while it has appended nothing, so an element never sits in
+    /// `out` behind a blocked pop.
     fn next_batch(&mut self, max: usize, out: &mut Vec<Element>) -> bool {
         let before = out.len();
-        while out.len() - before < max {
-            if self.taken.is_empty() && out.len() > before {
+        while !self.ended {
+            let room = max - (out.len() - before);
+            if room == 0 || self.take(room, out, out.len() == before) == 0 {
                 break;
             }
-            match self.step() {
-                Step::Data(e) => out.push(e),
-                Step::Skip => continue,
-                Step::End => return false,
-            }
         }
-        true
+        !self.ended
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmts::streams::element::Message;
 
     #[test]
     fn drains_data_skips_watermarks_ends_on_close() {
@@ -163,7 +144,7 @@ mod tests {
     fn takes_in_arrival_order_and_frees_a_blocked_producer_many_slots_at_once() {
         use hmts::streams::queue::BackpressurePolicy;
         let q = StreamQueue::bounded("r", 8, BackpressurePolicy::Block);
-        let n = 5 * TAKE as i64 + 3;
+        let n = 323;
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
@@ -178,14 +159,37 @@ mod tests {
             })
         };
         let mut s = RemoteSource::new("r", q);
-        let got: Vec<i64> =
-            std::iter::from_fn(|| s.next()).map(|(_, t)| t.field(0).as_int().unwrap()).collect();
+        let mut got = Vec::new();
+        while s.next_batch(64, &mut got) {}
         producer.join().unwrap();
-        assert_eq!(got, (0..n).collect::<Vec<_>>());
+        assert_eq!(values(&got), (0..n).collect::<Vec<_>>());
     }
 
     fn values(batch: &[Element]) -> Vec<i64> {
         batch.iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect()
+    }
+
+    #[test]
+    fn a_waiting_run_reaches_the_batch_as_the_buffer_it_is_in() {
+        let q = StreamQueue::unbounded("r");
+        let ts = Timestamp::from_micros;
+        // Staged as the ingest server stages a socket read: the run, and a
+        // watermark behind it.
+        let mut staged = Batch {
+            run: (0..32).map(|v| Element::single(v, ts(v as u64))).collect(),
+            puncts: vec![(32, Punctuation::Watermark(ts(31)))],
+        };
+        let buffer = staged.run.as_ptr();
+        q.push_runs(&mut staged, || {}).unwrap();
+        q.push(Message::data(Tuple::single(32), ts(32))).unwrap();
+        let mut s = RemoteSource::new("r", q);
+        let mut out = Vec::new();
+        assert!(s.next_batch(32, &mut out));
+        assert_eq!(out.as_ptr(), buffer, "the ingest server's buffer, not a copy");
+        assert_eq!(values(&out), (0..32).collect::<Vec<_>>());
+        out.clear();
+        assert!(s.next_batch(32, &mut out));
+        assert_eq!(values(&out), [32], "the watermark skipped");
     }
 
     #[test]

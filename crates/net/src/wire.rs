@@ -44,9 +44,9 @@
 //! **The run path.** A [`FrameReader`] reads its stream in chunks of up to
 //! 64 KiB into one buffer of its own, and
 //! [`take_data`](FrameReader::take_data) decodes every whole data frame at
-//! the front of that buffer straight into [`Message`]s — no read, no copy,
-//! no [`Frame`] in between, one allocation per tuple (plus one per string
-//! value). Because it reads ahead, a `FrameReader` owns the read side of
+//! the front of that buffer straight into a run of [`Element`]s — no read,
+//! no copy, no [`Frame`] in between, one allocation per tuple (plus one per
+//! string value). Because it reads ahead, a `FrameReader` owns the read side of
 //! its stream: bytes it buffered are gone from the stream for anyone else.
 //! On the way out, [`encode_data`] writes a data frame straight from the
 //! element's fields.
@@ -343,12 +343,12 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, DecodeError> {
 
 /// Decodes a `Data` or `DataTraced` body straight into its message.
 #[inline]
-fn decode_data(body: &[u8]) -> Result<Message, DecodeError> {
+fn decode_data(body: &[u8]) -> Result<Element, DecodeError> {
     let mut cur = Cursor { body, pos: 0 };
     let kind = cur.u8()?;
     let (ts, trace, tuple) = cur.data(kind)?;
     cur.finish()?;
-    Ok(Message::Data(Element::new(tuple, ts).with_trace(trace)))
+    Ok(Element::new(tuple, ts).with_trace(trace))
 }
 
 #[inline]
@@ -602,8 +602,8 @@ impl<R: Read> FrameReader<R> {
     /// returns how many it appended. It stops at the first frame that is not
     /// a data frame or not yet whole — [`read_frame`](Self::read_frame)
     /// takes that one, with every check. A data frame that does not decode
-    /// is consumed and its error returned, behind the messages before it.
-    pub fn take_data(&mut self, out: &mut Vec<Message>) -> Result<usize, DecodeError> {
+    /// is consumed and its error returned, behind the elements before it.
+    pub fn take_data(&mut self, out: &mut Vec<Element>) -> Result<usize, DecodeError> {
         let before = out.len();
         let mut pos = self.start;
         let result = loop {
@@ -619,7 +619,7 @@ impl<R: Read> FrameReader<R> {
             }
             pos += 4 + body_len;
             match decode_data(body) {
-                Ok(msg) => out.push(msg),
+                Ok(el) => out.push(el),
                 Err(e) => break Err(e),
             }
         };

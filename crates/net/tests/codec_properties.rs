@@ -197,7 +197,10 @@ fn by_runs(stream: &mut Trickle) -> Outcome {
     let mut run = Vec::new();
     loop {
         let taken = reader.take_data(&mut run);
-        out.frames.extend(run.drain(..).map(|m| encoding_of(&Frame::from_message(&m))));
+        out.frames.extend(
+            run.drain(..)
+                .map(|e| encoding_of(&Frame::Data { ts: e.ts, tuple: e.tuple, trace: e.trace })),
+        );
         if let Err(e) = taken {
             out.error = Some(e);
             break;

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use hmts::obs::Obs;
 use hmts::operators::traits::{Operator, Output};
-use hmts::streams::element::{Element, Message, TraceTag};
+use hmts::streams::element::{Element, TraceTag};
 use hmts::streams::time::Timestamp;
 use hmts::streams::tuple::Tuple;
 use hmts::streams::value::Value;
@@ -70,11 +70,11 @@ fn take_data_allocations(tuples: &[Tuple]) -> u64 {
     assert!(bytes.len() <= hmts_net::wire::READ_BUF, "one read brings the whole stream");
     let mut reader = FrameReader::new(&bytes[..]);
     assert_eq!(reader.read_frame().unwrap(), Some(Frame::Ping { nonce: 1 }));
-    let mut run: Vec<Message> = Vec::with_capacity(tuples.len());
+    let mut run: Vec<Element> = Vec::with_capacity(tuples.len());
     let count = allocations_during(|| {
         assert_eq!(reader.take_data(&mut run), Ok(tuples.len()));
     });
-    let decoded: Vec<&Tuple> = run.iter().map(|m| &m.as_data().unwrap().tuple).collect();
+    let decoded: Vec<&Tuple> = run.iter().map(|e| &e.tuple).collect();
     assert_eq!(decoded, tuples.iter().collect::<Vec<_>>());
     assert_eq!(reader.bytes_read(), bytes.len() as u64);
     count

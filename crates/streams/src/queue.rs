@@ -10,13 +10,14 @@
 //!
 //! A queue holds what crosses it in the shape it crosses in: a deque of
 //! entries, each a *run* of data elements or one punctuation, and behind
-//! them the open run new elements are appended to. A long run a producer
-//! staged moves in as the buffer it is in ([`StreamQueue::push_run`],
-//! [`StreamQueue::push_runs`]) and a consumer that takes runs
-//! ([`StreamQueue::pop_runs`]) gets that buffer back out, so a batch crosses
-//! a partition boundary without one element being copied; a short run is
-//! copied, onto the open run and off it. The message API (`push`,
-//! `try_pop`, `pop_batch`, ...) is a view over the same entries.
+//! them the open run new elements are appended to. A batch crosses a queue
+//! one way: a long run a producer staged moves in as the buffer it is in
+//! ([`StreamQueue::push_runs`]) and a consumer that takes runs
+//! ([`StreamQueue::pop_runs`]) gets that buffer back out, without one
+//! element being copied; a short run is copied, onto the open run and off
+//! it. The message API (`push`,
+//! `push_with_stall`, `try_pop`, `pop_blocking`) is a view over the same
+//! entries, one message at a time.
 //! Every count — length, data length, the memory gauge, the metrics, the
 //! capacity bound and what a backpressure policy sheds — is per message,
 //! that is per element or punctuation, whatever runs they sit in.
@@ -179,8 +180,6 @@ struct Buffer {
     len: usize,
     /// Emptied run buffers, for the next runs.
     spares: Vec<VecDeque<Element>>,
-    /// Where the message API's batch pops take runs apart.
-    scratch: Batch,
 }
 
 impl Buffer {
@@ -564,15 +563,16 @@ impl StreamQueue {
     /// Like [`StreamQueue::push`], but reports how long the producer was
     /// blocked by a full [`BackpressurePolicy::Block`] queue
     /// (`Duration::ZERO` on the fast path — no clock is read unless the
-    /// push actually stalls). Network ingest uses this to attribute
-    /// TCP-backpressure stall time without taxing the in-process hot path.
+    /// push actually stalls), as [`StreamQueue::push_runs`] does for a
+    /// batch: network ingest attributes TCP-backpressure stall time that
+    /// way without taxing the in-process hot path.
     pub fn push_with_stall(&self, msg: Message) -> Result<Duration, StreamError> {
         let mut buf = self.shared.buf.lock();
         if self.is_closed() {
             return Err(StreamError::QueueClosed);
         }
         if buf.len >= self.capacity.load(Ordering::Relaxed) {
-            // Full: the policy decides, as for a batch.
+            // Full: the policy decides, as for a batch that does not fit.
             return self.push_each(buf, std::iter::once(msg), || {});
         }
         // The common case without the batch loop, which costs a message
@@ -584,14 +584,20 @@ impl StreamQueue {
         Ok(Duration::ZERO)
     }
 
-    /// Enqueues every message of `msgs` in order — the backpressure policy
-    /// applied to each as by [`StreamQueue::push`] — under one lock, with
-    /// one update of the gauges and metrics and one notification (to every
-    /// waiting consumer if more than one message went in). `msgs` is left
-    /// empty with its capacity intact; on an error ([`StreamError::QueueClosed`],
-    /// or [`StreamError::QueueFull`] under [`BackpressurePolicy::Fail`])
-    /// the rejected message and those after it are discarded, as `push`
-    /// discards its argument.
+    /// Enqueues `batch` — its run, with each punctuation at its position —
+    /// and leaves it empty, with one update of the gauges and metrics and
+    /// one notification (to every waiting consumer if more than one message
+    /// went in). A batch that fits goes in under one lock: a long run moves
+    /// in as the buffer it is in, and `batch.run` is handed an empty one the
+    /// queue had (a short run is copied onto the open run instead, see
+    /// [`RUN`], and `batch.run` keeps its buffer). A batch the bound falls
+    /// inside, or with a punctuation inside its run, goes in one message at
+    /// a time, the backpressure policy applied to each as by
+    /// [`StreamQueue::push`]; on an error ([`StreamError::QueueClosed`], or
+    /// [`StreamError::QueueFull`] under [`BackpressurePolicy::Fail`]) the
+    /// rejected message and those after it are discarded, as `push` discards
+    /// its argument. Reports how long the producer was blocked, as
+    /// [`StreamQueue::push_with_stall`] does for one message.
     ///
     /// `wake` is for a consumer that does not wait on the queue itself but
     /// sleeps until it is told (a pooled domain and its waker; pass `|| {}`
@@ -601,46 +607,15 @@ impl StreamQueue {
     /// after the batch would leave the producer waiting for a consumer that
     /// nobody has told about the part already queued. The queue's lock is
     /// not held while `wake` runs.
-    pub fn push_batch(
+    pub fn push_runs(
         &self,
-        msgs: &mut Vec<Message>,
+        batch: &mut Batch,
         mut wake: impl FnMut(),
-    ) -> Result<(), StreamError> {
-        let result = self.push_messages(msgs.drain(..), &mut wake);
-        wake();
-        result.map(|_| ())
-    }
-
-    /// Like [`StreamQueue::push_batch`] for a consumer that waits on the
-    /// queue, but reports how long the producer was blocked, as
-    /// [`StreamQueue::push_with_stall`] does for one message.
-    pub fn push_batch_with_stall(&self, msgs: &mut Vec<Message>) -> Result<Duration, StreamError> {
-        self.push_messages(msgs.drain(..), || {})
-    }
-
-    /// [`StreamQueue::push_batch`] for a run of data elements: a long run
-    /// that fits moves in as the buffer it is in, and `run` is handed an
-    /// empty one the queue had (a short run is copied onto the open run
-    /// instead, see [`RUN`], and `run` keeps its buffer). A run the bound
-    /// falls inside goes in element by element, the policy applied to each.
-    pub fn push_run(
-        &self,
-        run: &mut Vec<Element>,
-        mut wake: impl FnMut(),
-    ) -> Result<(), StreamError> {
-        let result = self.push_parts(run, &[], &mut wake);
-        wake();
-        result.map(|_| ())
-    }
-
-    /// [`StreamQueue::push_run`] for a run with punctuations in it: the run
-    /// moves in as one buffer unless a punctuation sits inside it. `batch`
-    /// is left empty.
-    pub fn push_runs(&self, batch: &mut Batch, mut wake: impl FnMut()) -> Result<(), StreamError> {
+    ) -> Result<Duration, StreamError> {
         let result = self.push_parts(&mut batch.run, &batch.puncts, &mut wake);
         batch.puncts.clear();
         wake();
-        result.map(|_| ())
+        result
     }
 
     /// Enqueues `run` with `puncts` at their positions in it (`run` is left
@@ -675,18 +650,6 @@ impl StreamQueue {
         drop(buf);
         self.announce(n);
         Ok(Duration::ZERO)
-    }
-
-    fn push_messages(
-        &self,
-        msgs: impl Iterator<Item = Message>,
-        before_wait: impl FnMut(),
-    ) -> Result<Duration, StreamError> {
-        let buf = self.shared.buf.lock();
-        if self.is_closed() {
-            return Err(StreamError::QueueClosed);
-        }
-        self.push_each(buf, msgs, before_wait)
     }
 
     /// Enqueues `msgs` one at a time under the held lock, the backpressure
@@ -813,34 +776,16 @@ impl StreamQueue {
         Some(msg)
     }
 
-    /// Moves up to `max` of the oldest messages onto the end of `out`
+    /// Moves up to `max` of the oldest messages onto the end of `batch`
     /// without blocking, under one lock, with one update of the gauges and
     /// metrics and one notification (to every blocked producer if more than
-    /// one slot became free). Returns how many were moved.
-    pub fn pop_batch(&self, max: usize, out: &mut Vec<Message>) -> usize {
-        self.pop_with(|buf| {
-            let mut scratch = std::mem::take(&mut buf.scratch);
-            let moved = buf.pop_into(max, &mut scratch);
-            out.extend(scratch.drain());
-            buf.scratch = scratch;
-            moved
-        })
-    }
-
-    /// [`StreamQueue::pop_batch`] in the queue's own shape: the messages
-    /// are appended to `batch`, and a long run that fits whole goes to
-    /// `batch.run` as the buffer it is in while `batch.run` is empty (whose
-    /// own buffer the queue keeps for the next run). Returns how many
-    /// messages were moved.
+    /// one slot became free). A long run that fits whole goes to `batch.run`
+    /// as the buffer it is in while `batch.run` is empty (whose own buffer
+    /// the queue keeps for the next run). Returns how many messages were
+    /// moved.
     pub fn pop_runs(&self, max: usize, batch: &mut Batch) -> usize {
-        self.pop_with(|buf| buf.pop_into(max, batch))
-    }
-
-    /// Runs `pop` — which returns `(messages, data elements)` removed —
-    /// under the lock, and books and announces what it removed.
-    fn pop_with(&self, pop: impl FnOnce(&mut Buffer) -> (usize, usize)) -> usize {
         let mut buf = self.shared.buf.lock();
-        let (n, data) = pop(&mut buf);
+        let (n, data) = buf.pop_into(max, batch);
         if n == 0 {
             return 0;
         }
@@ -867,26 +812,6 @@ impl StreamQueue {
         }
     }
 
-    /// Like [`StreamQueue::pop_blocking`] but gives up after `timeout`,
-    /// returning `None` on both timeout and closed-and-empty.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<Message> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut buf = self.shared.buf.lock();
-        loop {
-            if let Some(msg) = self.take_one(&mut buf) {
-                drop(buf);
-                self.release(1);
-                return Some(msg);
-            }
-            if self.is_closed() {
-                return None;
-            }
-            if self.shared.not_empty.wait_until(&mut buf, deadline).timed_out() {
-                return None;
-            }
-        }
-    }
-
     /// Removes and returns all queued messages at once. Used when a queue is
     /// removed at runtime: the paper (§5.1.3) requires that "all remaining
     /// elements in the queue must be entirely processed before" removal, and
@@ -894,9 +819,9 @@ impl StreamQueue {
     /// Drained remnants leave the queue to be replayed downstream, so they
     /// count as dequeued for metric conservation.
     pub fn drain(&self) -> Vec<Message> {
-        let mut msgs = Vec::new();
-        self.pop_batch(usize::MAX, &mut msgs);
-        msgs
+        let mut batch = Batch::default();
+        self.pop_runs(usize::MAX, &mut batch);
+        batch.drain().collect()
     }
 }
 
@@ -979,7 +904,7 @@ mod tests {
         }
         q.try_pop().unwrap();
         q.pop_blocking().unwrap();
-        q.pop_timeout(Duration::from_millis(10)).unwrap();
+        assert_eq!(q.pop_runs(1, &mut Batch::default()), 1);
         assert_eq!(q.metrics().dequeued(), 3);
         // Drained remnants also count as dequeued.
         assert_eq!(q.drain().len(), 1);
@@ -1034,14 +959,6 @@ mod tests {
         q.push(data(9)).unwrap();
         let got = h.join().unwrap().unwrap();
         assert_eq!(got.as_data().unwrap().tuple.field(0).as_int().unwrap(), 9);
-    }
-
-    #[test]
-    fn pop_timeout_times_out() {
-        let q = StreamQueue::unbounded("q");
-        assert!(q.pop_timeout(Duration::from_millis(10)).is_none());
-        q.push(data(1)).unwrap();
-        assert!(q.pop_timeout(Duration::from_millis(10)).is_some());
     }
 
     #[test]
@@ -1150,12 +1067,19 @@ mod tests {
         assert!(buf.spares.len() <= SPARES);
     }
 
+    /// `msgs` staged as a batch.
+    fn batch(msgs: impl IntoIterator<Item = Message>) -> Batch {
+        let mut batch = Batch::default();
+        msgs.into_iter().for_each(|m| batch.push(m));
+        batch
+    }
+
     /// `1..=n` as data messages, with an end-of-stream in the middle to
     /// tell messages from data elements.
-    fn batch_with_punct(n: i64) -> Vec<Message> {
+    fn batch_with_punct(n: i64) -> Batch {
         let mut msgs: Vec<Message> = (1..=n).map(data).collect();
         msgs.insert(n as usize / 2, Message::eos());
-        msgs
+        batch(msgs)
     }
 
     fn values(msgs: &[Message]) -> Vec<i64> {
@@ -1163,6 +1087,10 @@ mod tests {
             .filter_map(|m| m.as_data())
             .map(|e| e.tuple.field(0).as_int().unwrap())
             .collect()
+    }
+
+    fn run_values(run: &[Element]) -> Vec<i64> {
+        run.iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect()
     }
 
     #[test]
@@ -1179,12 +1107,12 @@ mod tests {
                 (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
             let q = StreamQueue::new("q", Some((3, policy)), Some(Arc::clone(&gauge)));
             // 1, 2, <eos>, 3, 4 into three slots, at once ...
-            let mut msgs = batch_with_punct(4);
-            assert_eq!(q.push_batch(&mut msgs, || {}), result, "{policy:?}");
-            assert!(msgs.is_empty(), "{policy:?}: the batch is consumed either way");
+            let mut staged = batch_with_punct(4);
+            assert_eq!(q.push_runs(&mut staged, || {}).map(drop), result, "{policy:?}");
+            assert!(staged.is_empty(), "{policy:?}: the batch is consumed either way");
             // ... and one `push` at a time into a twin.
             let twin = StreamQueue::new("twin", Some((3, policy)), Some(Arc::clone(&twin_gauge)));
-            let pushed = batch_with_punct(4).into_iter().try_for_each(|m| twin.push(m));
+            let pushed = batch_with_punct(4).drain().try_for_each(|m| twin.push(m));
             assert_eq!(pushed, result, "{policy:?}");
             for q in [&q, &twin] {
                 let m = q.metrics();
@@ -1219,17 +1147,17 @@ mod tests {
             StreamQueue::new("q", Some((2, BackpressurePolicy::Block)), Some(Arc::clone(&gauge)));
         let producer = {
             let q = Arc::clone(&q);
-            thread::spawn(move || q.push_batch(&mut batch_with_punct(4), || {}))
+            thread::spawn(move || q.push_runs(&mut batch_with_punct(4), || {}))
         };
         // What is already in is handed over before the producer waits.
         assert_eq!(values(&[q.pop_blocking().unwrap()]), [1]);
         q.lift_bound();
-        assert_eq!(producer.join().unwrap(), Ok(()));
+        assert!(producer.join().unwrap().is_ok());
         assert_conserved(&q, &gauge);
         assert_eq!(q.len(), 4);
         q.close();
-        let mut more = vec![data(9)];
-        assert_eq!(q.push_batch(&mut more, || {}), Err(StreamError::QueueClosed));
+        let mut more = batch([data(9)]);
+        assert_eq!(q.push_runs(&mut more, || {}), Err(StreamError::QueueClosed));
         assert!(more.is_empty());
         assert_eq!(values(&q.drain()), [2, 3, 4]);
         assert_conserved(&q, &gauge);
@@ -1241,7 +1169,7 @@ mod tests {
         let q = StreamQueue::new("q", Some((1, BackpressurePolicy::Block)), Some(gauge.clone()));
         let producer = {
             let q = Arc::clone(&q);
-            thread::spawn(move || q.push_batch(&mut (1..=3).map(data).collect(), || {}))
+            thread::spawn(move || q.push_runs(&mut batch((1..=3).map(data)), || {}))
         };
         assert_eq!(values(&[q.pop_blocking().unwrap()]), [1]);
         // Two messages cannot fit one slot: the producer is (or will be)
@@ -1277,25 +1205,25 @@ mod tests {
             let consumer = {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
-                    let mut got = Vec::new();
+                    let mut got = Batch::default();
                     for wakes in 1.. {
                         woken.recv().unwrap();
-                        q.pop_batch(usize::MAX, &mut got);
+                        q.pop_runs(usize::MAX, &mut got);
                         if got.len() == 5 {
-                            return (values(&got), wakes);
+                            return (run_values(&got.run), wakes);
                         }
                     }
                     unreachable!()
                 })
             };
-            let mut batch: Vec<Message> = (1..=5).map(data).collect();
-            assert_eq!(q.push_batch(&mut batch, || wake.send(()).unwrap()), Ok(()));
-            assert!(batch.is_empty());
+            let mut five = batch((1..=5).map(data));
+            assert!(q.push_runs(&mut five, || wake.send(()).unwrap()).is_ok());
+            assert!(five.is_empty());
             assert_eq!(consumer.join().unwrap(), (vec![1, 2, 3, 4, 5], 3));
             // A batch that fits wakes once, behind its last message.
             let wakes = std::cell::Cell::new(0);
-            let mut fits = vec![data(6), data(7)];
-            q.push_batch(&mut fits, || wakes.set(wakes.get() + q.len())).unwrap();
+            let mut fits = batch([data(6), data(7)]);
+            q.push_runs(&mut fits, || wakes.set(wakes.get() + q.len())).unwrap();
             assert_eq!(wakes.get(), 2);
         });
     }
@@ -1327,9 +1255,9 @@ mod tests {
             // them would leave the joins hanging).
             thread::sleep(Duration::from_millis(20));
             assert_eq!(q.len(), K);
-            let mut popped = Vec::new();
-            assert_eq!(q.pop_batch(K, &mut popped), K);
-            assert_eq!(values(&popped), [0, 1, 2]);
+            let mut popped = Batch::default();
+            assert_eq!(q.pop_runs(K, &mut popped), K);
+            assert_eq!(run_values(&popped.run), [0, 1, 2]);
             for p in producers {
                 p.join().unwrap().unwrap();
             }
@@ -1342,24 +1270,33 @@ mod tests {
     fn peek_ts_follows_the_head_through_every_operation() {
         let q = StreamQueue::bounded("q", 4, BackpressurePolicy::DropOldest);
         let head = |q: &StreamQueue| q.shared.buf.lock().head_ts();
-        let mut popped = Vec::new();
-        type Op = Box<dyn Fn(&StreamQueue, &mut Vec<Message>)>;
+        let mut popped = Batch::default();
+        type Op = Box<dyn Fn(&StreamQueue, &mut Batch)>;
         let ops: Vec<(&str, Op)> = vec![
             ("push into empty", Box::new(|q, _| q.push(data(5)).unwrap())),
             ("push behind a head", Box::new(|q, _| q.push(data(6)).unwrap())),
             ("try_pop", Box::new(|q, _| drop(q.try_pop()))),
             ("push eos", Box::new(|q, _| q.push(Message::eos()).unwrap())),
             ("pop_blocking to the eos head", Box::new(|q, _| drop(q.pop_blocking()))),
-            ("pop_timeout to empty", Box::new(|q, _| drop(q.pop_timeout(Duration::ZERO)))),
-            ("push_batch", Box::new(|q, _| q.push_batch(&mut batch_with_punct(3), || {}).unwrap())),
-            ("pop_batch", Box::new(|q, out| assert_eq!(q.pop_batch(2, out), 2))),
+            ("try_pop to empty", Box::new(|q, _| drop(q.try_pop()))),
             (
-                "evicting push_batch",
-                Box::new(|q, _| q.push_batch(&mut batch_with_punct(4), || {}).unwrap()),
+                "push_runs",
+                Box::new(|q, _| assert!(q.push_runs(&mut batch_with_punct(3), || {}).is_ok())),
+            ),
+            ("pop_runs", Box::new(|q, out| assert_eq!(q.pop_runs(2, out), 2))),
+            (
+                "evicting push_runs",
+                Box::new(|q, _| assert!(q.push_runs(&mut batch_with_punct(4), || {}).is_ok())),
             ),
             ("evicting push", Box::new(|q, _| q.push(data(1)).unwrap())),
-            ("evicting push_run", Box::new(|q, _| q.push_run(&mut run(10, 40), || {}).unwrap())),
-            ("pop_runs", Box::new(|q, _| assert_eq!(q.pop_runs(3, &mut Batch::default()), 3))),
+            (
+                "evicting push_runs of a run",
+                Box::new(|q, _| assert!(q.push_runs(&mut runs(10, 40), || {}).is_ok())),
+            ),
+            (
+                "pop_runs of a run",
+                Box::new(|q, _| assert_eq!(q.pop_runs(3, &mut Batch::default()), 3)),
+            ),
             ("drain", Box::new(|q, _| drop(q.drain()))),
             ("push after drain", Box::new(|q, _| q.push(data(2)).unwrap())),
         ];
@@ -1376,12 +1313,17 @@ mod tests {
         (from..from + n).map(|v| Element::single(v, Timestamp::from_micros(v as u64))).collect()
     }
 
+    /// [`run`] staged as a batch.
+    fn runs(from: i64, n: i64) -> Batch {
+        Batch { run: run(from, n), puncts: Vec::new() }
+    }
+
     #[test]
     fn a_run_crosses_the_queue_as_the_buffer_it_is_in() {
         let q = StreamQueue::unbounded("q");
-        let mut produced = run(0, 32);
-        let buffer = produced.as_ptr();
-        q.push_run(&mut produced, || {}).unwrap();
+        let mut produced = runs(0, 32);
+        let buffer = produced.run.as_ptr();
+        q.push_runs(&mut produced, || {}).unwrap();
         assert!(produced.is_empty());
         assert_eq!((q.len(), q.data_len(), q.peek_ts()), (32, 32, Some(Timestamp::ZERO)));
         let mut popped = Batch { run: Vec::with_capacity(32), puncts: Vec::new() };
@@ -1390,21 +1332,21 @@ mod tests {
         assert_eq!(popped.run.as_ptr(), buffer, "the producer's buffer, not a copy");
         assert_eq!(popped.run, run(0, 32));
         // The buffer the consumer handed in goes to the next producer.
-        let mut next = run(32, 32);
-        q.push_run(&mut next, || {}).unwrap();
-        assert_eq!(next.as_ptr(), handed_in);
+        let mut next = runs(32, 32);
+        q.push_runs(&mut next, || {}).unwrap();
+        assert_eq!(next.run.as_ptr(), handed_in);
         assert_conserved(&q, &AtomicUsize::new(q.data_len()));
     }
 
     #[test]
     fn short_runs_are_appended_to_the_open_run() {
         let q = StreamQueue::unbounded("q");
-        let mut one = Vec::with_capacity(1);
-        let buffer = one.as_ptr();
+        let mut one = Batch { run: Vec::with_capacity(1), puncts: Vec::new() };
+        let buffer = one.run.as_ptr();
         for v in 0..RUN as i64 + 1 {
-            one.extend(run(v, 1));
-            q.push_run(&mut one, || {}).unwrap();
-            assert_eq!(one.as_ptr(), buffer, "a short run is copied, its buffer stays");
+            one.run.extend(run(v, 1));
+            q.push_runs(&mut one, || {}).unwrap();
+            assert_eq!(one.run.as_ptr(), buffer, "a short run is copied, its buffer stays");
         }
         let closed = |q: &StreamQueue| q.shared.buf.lock().entries.len();
         assert_eq!((q.len(), closed(&q)), (RUN + 1, 1), "one closed run and the open one");
@@ -1418,8 +1360,8 @@ mod tests {
     }
 
     /// `producers` threads push `per_producer` numbered messages each,
-    /// mixing `push` and `push_batch`; `consumers` threads pop them mixing
-    /// `pop_batch`, `pop_timeout` and `pop_blocking`; the queue is closed
+    /// mixing `push` and `push_runs`; `consumers` threads pop them mixing
+    /// `pop_runs`, `try_pop` and `pop_blocking`; the queue is closed
     /// once the producers are done. Nothing may be lost or duplicated,
     /// every consumer must see each producer's messages in order, and
     /// nobody may hang.
@@ -1430,7 +1372,7 @@ mod tests {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
                     let mut next = 0;
-                    let mut batch = Vec::new();
+                    let mut staged = Batch::default();
                     while next < per_producer {
                         // Batches of 1..=5 alternate with single pushes.
                         let n = (next % 7).min(5).min(per_producer - next);
@@ -1438,8 +1380,8 @@ mod tests {
                             q.push(data(p * STRIDE + next)).unwrap();
                             next += 1;
                         } else {
-                            batch.extend((next..next + n).map(|i| data(p * STRIDE + i)));
-                            q.push_batch(&mut batch, || {}).unwrap();
+                            (next..next + n).for_each(|i| staged.push(data(p * STRIDE + i)));
+                            q.push_runs(&mut staged, || {}).unwrap();
                             next += n;
                         }
                     }
@@ -1451,13 +1393,15 @@ mod tests {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
                     let mut got: Vec<Message> = Vec::new();
+                    let mut popped = Batch::default();
                     for round in c.. {
                         let before = got.len();
                         match round % 3 {
                             0 => {
-                                q.pop_batch(1 + round % 4, &mut got);
+                                q.pop_runs(1 + round % 4, &mut popped);
+                                got.extend(popped.drain());
                             }
-                            1 => got.extend(q.pop_timeout(Duration::from_micros(50))),
+                            1 => got.extend(q.try_pop()),
                             _ => {}
                         }
                         if got.len() == before {

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use hmts_streams::element::Message;
 use hmts_streams::error::StreamError;
-use hmts_streams::queue::{BackpressurePolicy, StreamQueue};
+use hmts_streams::queue::{BackpressurePolicy, Batch, StreamQueue};
 use hmts_streams::time::Timestamp;
 use hmts_streams::tuple::Tuple;
 
@@ -151,11 +151,15 @@ fn push_with_stall_times_the_block_and_is_zero_on_the_fast_path() {
 
     // The same for a batch: what fits goes in untimed, the rest waits.
     assert!(q.pop_blocking().is_some());
-    let mut fits = vec![msg(0, 2)];
-    assert_eq!(q.push_batch_with_stall(&mut fits).unwrap(), Duration::ZERO);
+    let batch = |seqs: std::ops::Range<i64>| {
+        let mut batch = Batch::default();
+        seqs.for_each(|seq| batch.push(msg(0, seq)));
+        batch
+    };
+    assert_eq!(q.push_runs(&mut batch(2..3), || {}).unwrap(), Duration::ZERO);
     let stalled = {
         let q = Arc::clone(&q);
-        thread::spawn(move || q.push_batch_with_stall(&mut vec![msg(0, 3), msg(0, 4)]))
+        thread::spawn(move || q.push_runs(&mut batch(3..5), || {}))
     };
     thread::sleep(Duration::from_millis(25));
     // Each pop makes room for one more of the batch.

@@ -4,7 +4,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -311,6 +310,24 @@ impl Source {
         }
         batch
     }
+
+    /// `n` elements with two punctuations (`kind`, then the next kind) in
+    /// the middle: after the first `1 + at % (n - 1)` elements, so inside
+    /// the run when it has two elements or more.
+    fn punctuated(&mut self, n: usize, kind: u8, at: usize) -> Batch {
+        let at = (1 + at % n.saturating_sub(1).max(1)).min(n);
+        let mut batch = Batch::default();
+        for i in 0..=n {
+            if i == at {
+                batch.push(Message::Punct(self.punct(kind)));
+                batch.push(Message::Punct(self.punct(kind + 1)));
+            }
+            if i < n {
+                batch.push(Message::Data(self.element()));
+            }
+        }
+        batch
+    }
 }
 
 /// `batch` as the messages it stands for, leaving it as it was.
@@ -398,31 +415,25 @@ proptest! {
             match op {
                 0..=4 => {
                     // A run, a run with a punctuation in or beside it, one
-                    // element, one punctuation, a batch of messages.
+                    // element, one punctuation, a run with punctuations
+                    // inside it (which goes in message by message).
                     let mut batch = match op {
                         0 => src.batch(n, 3, at),
                         2 => src.batch(1, 3, 0),
                         3 => src.batch(0, kind % 3, 0),
+                        4 => src.punctuated(n, kind, at),
                         _ => src.batch(n, kind, at),
                     };
                     let mut msgs = messages(&mut batch);
                     let waits = (model.blocks(msgs.len()), model.capacity);
                     let expected = model.push(msgs.clone(), release);
                     let got = push_released(&q, waits, release, move |q| match op {
-                        0 => q.push_run(&mut batch.run, || {}),
-                        1 => q.push_runs(&mut batch, || {}),
                         2 | 3 => q.push(msgs.remove(0)),
-                        _ => q.push_batch(&mut msgs, || {}),
+                        _ => q.push_runs(&mut batch, || {}).map(drop),
                     });
                     prop_assert_eq!(got, expected, "{}", what);
                 }
-                5 => prop_assert_eq!(q.try_pop(), model.pop(1).pop(), "{}", what),
-                6 => {
-                    let mut out = Vec::new();
-                    let moved = q.pop_batch(n, &mut out);
-                    prop_assert_eq!(moved, out.len(), "{}", what);
-                    prop_assert_eq!(out, model.pop(n), "{}", what);
-                }
+                5 | 6 => prop_assert_eq!(q.try_pop(), model.pop(1).pop(), "{}", what),
                 7 => {
                     let moved = q.pop_runs(n, &mut popped);
                     let got: Vec<Message> = popped.drain().collect();
@@ -434,7 +445,7 @@ proptest! {
                     let got = match (&expected, model.closed) {
                         // Something to pop, or closed: `pop_blocking` returns.
                         (Some(_), _) | (None, true) => q.pop_blocking(),
-                        _ => q.pop_timeout(Duration::ZERO),
+                        _ => q.try_pop(),
                     };
                     prop_assert_eq!(got, expected, "{}", what);
                 }
@@ -476,10 +487,10 @@ fn a_queue_of_runs_of_one_holds_no_more_than_twice_a_queue_of_messages() {
     });
     let (runs, _q) = held_by(|| {
         let q = StreamQueue::unbounded("runs");
-        let mut run = Vec::with_capacity(1);
+        let mut run = Batch { run: Vec::with_capacity(1), puncts: Vec::new() };
         for _ in 0..RUNS {
-            run.push(el.clone());
-            q.push_run(&mut run, || {}).unwrap();
+            run.run.push(el.clone());
+            q.push_runs(&mut run, || {}).unwrap();
         }
         assert_eq!((q.len(), q.data_len()), (RUNS, RUNS));
         Box::new(q)

@@ -9,9 +9,12 @@ echo "==> panic-hygiene grep gate (no .join().unwrap()/.expect() in crates/*/src
 # joined with a bare unwrap/expect that would re-raise the panic payload
 # unhandled. Test modules (everything after a #[cfg(test)] marker) are
 # exempt.
+# Every source file at any depth under crates/*/src (a `**` glob without
+# `globstar` would only reach one directory down).
+src_files=$(find crates/*/src -name '*.rs' | sort)
+
 violations=$(
-  for f in crates/*/src/*.rs crates/*/src/**/*.rs; do
-    [ -e "$f" ] || continue
+  for f in $src_files; do
     awk '/^#\[cfg\(test\)\]/ { exit }
          /\.join\(\)[[:space:]]*\.(unwrap|expect)\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
   done
@@ -29,8 +32,7 @@ echo "==> replica-name grep gate (no \"base[i]\" construction outside crates/sha
 # module; everything else must parse via obs::capacity::parse_replica.
 # The gate rejects the construction idiom `format!("...{x}[{i}]...")`.
 violations=$(
-  for f in crates/*/src/*.rs crates/*/src/**/*.rs; do
-    [ -e "$f" ] || continue
+  for f in $src_files; do
     case "$f" in crates/shard/src/*) continue ;; esac
     grep -Hn '}\[{' "$f" || true
   done

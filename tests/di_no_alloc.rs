@@ -23,7 +23,7 @@ use hmts::engine::executor::{
 };
 use hmts::operators::traits::Operator;
 use hmts::prelude::*;
-use hmts::streams::queue::StreamQueue;
+use hmts::streams::queue::{Batch, StreamQueue};
 
 thread_local! {
     /// Allocations made by this thread.
@@ -197,11 +197,11 @@ fn a_run_through_five_queues_and_five_selections_allocates_nothing() {
             StrategyKind::Fifo.build(None),
             ExecConfig::default(),
         );
-        let mut run: Vec<Element> = Vec::with_capacity(run_len);
+        let mut staged = Batch { run: Vec::with_capacity(run_len), puncts: Vec::new() };
         let mut pass = |exec: &mut DomainExecutor, round: u64| {
             for (start, chunk) in (0..).step_by(run_len).zip(pool.chunks(run_len)) {
-                run.extend(rows(chunk, round * ROWS + start));
-                queues[0].push_run(&mut run, || {}).unwrap();
+                staged.run.extend(rows(chunk, round * ROWS + start));
+                queues[0].push_runs(&mut staged, || {}).unwrap();
                 assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
             }
         };
