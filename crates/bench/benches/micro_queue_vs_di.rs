@@ -8,10 +8,13 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use std::hint::black_box;
 use std::sync::Arc;
 
-use hmts::engine::executor::{Budget, DomainExecutor, ExecConfig, InputQueue, SlotInit, Target};
+use hmts::engine::executor::{
+    Attach, Budget, DomainExecutor, ExecConfig, InputQueue, SlotInit, Target,
+};
+use hmts::obs::{TraceConfig, Tracer};
 use hmts::operators::traits::{EosTracker, Operator, Output, WatermarkTracker};
 use hmts::prelude::*;
-use hmts::streams::element::Message;
+use hmts::streams::element::{Message, TraceTag};
 use hmts::streams::queue::{Batch, StreamQueue};
 
 fn data(v: i64) -> Message {
@@ -138,6 +141,28 @@ fn queue_transfer(c: &mut Criterion) {
             exec.inject_batch(NodeId(0), 0, black_box(&mut run));
         })
     });
+
+    // The same chain with a tracer attached, fed runs of 32 in which one
+    // element in `every` carries a sampled tag: "traced − plain" beside
+    // `di_chain_5_run32`, per element.
+    for every in [1u64, 100] {
+        g.bench_function(format!("di_chain_5_run32_traced_{every}"), |b| {
+            let mut exec = di_chain(5, 32, false);
+            // Sampling is the source's decision; here the tags are set below.
+            let tracer = Arc::new(Tracer::new(TraceConfig::default(), std::time::Instant::now()));
+            exec.attach(Attach { tracer: Some((tracer, 0)), ..Attach::default() });
+            let mut run: Vec<Element> = Vec::with_capacity(32);
+            let mut seq = 0u64;
+            b.iter(|| {
+                run.extend((0..32).map(|_| {
+                    seq += 1;
+                    let id = if seq % every == 0 { seq } else { 0 };
+                    element(7).with_trace(TraceTag::new(id))
+                }));
+                exec.inject_batch(NodeId(0), 0, black_box(&mut run));
+            })
+        });
+    }
 
     // A run of 32 into a queue and out again, as the executor hands it
     // over: pushed as the buffer it is in, popped as that buffer. The same

@@ -83,12 +83,6 @@ impl CheckpointConfig {
         self.interval = interval;
         self
     }
-
-    /// Overrides the retention count.
-    pub fn with_retain(mut self, retain: usize) -> CheckpointConfig {
-        self.retain = retain.max(1);
-        self
-    }
 }
 
 /// One checkpoint attempt in flight: who still has to acknowledge and

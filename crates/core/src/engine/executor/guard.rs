@@ -7,12 +7,14 @@
 //! around `process_batch` (its cost clock stops in between) — one boundary
 //! per run, however many elements it has — and [`DomainExecutor::guarded`]
 //! for `on_eos` / `flush` / `on_watermark` / `end_batch`. Without a fault
-//! plan, `arm` is one `None` branch.
+//! plan, `arm` is one `None` branch; with one, it cuts the run in front of
+//! the element the fault fires on.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use hmts_operators::traits::{Operator, Output};
+use hmts_streams::element::Element;
 use hmts_streams::error::{Result, StreamError};
 
 use super::DomainExecutor;
@@ -38,21 +40,33 @@ pub(super) struct Guard {
     /// Panics that terminated an operator without a restart (no
     /// supervisor, or `DegradeMode::FailQuery`): `(operator, payload)`.
     panics: Vec<(String, String)>,
+    /// What [`arm`] cut off the run being processed, to go through behind
+    /// what the call leaves of it.
+    pub(super) cut: Vec<Element>,
 }
 
-/// Before `process_batch`: counts the invocation against the slot's fault
-/// plan and returns whether [`call`] has to inject a panic. A stall is
-/// served right here, ahead of the cost clock.
+/// Before `process_batch` of `run`: counts its elements against the slot's
+/// fault plan and returns whether [`call`] has to inject a panic — the
+/// fault fires on the first element. Where it fires further back, the run
+/// is cut in front of that element and the part cut off moved to `cut`, to
+/// go through next. A stall is served right here, ahead of the cost clock,
+/// and its element goes through alone. Without a fault plan, one `None`
+/// branch.
 #[inline]
-pub(super) fn arm(fault: &SlotFault) -> bool {
-    match fault.as_ref().and_then(|f| f.on_invocation()) {
-        None => false,
-        Some(FaultKind::Panic) => true,
-        Some(FaultKind::Stall(d)) => {
+pub(super) fn arm(fault: &SlotFault, run: &mut Vec<Element>, cut: &mut Vec<Element>) -> bool {
+    let through = match fault.as_ref().map(|f| f.on_run(run.len())) {
+        None => return false,
+        Some(Ok(through)) => through,
+        Some(Err(FaultKind::Panic)) => return true,
+        Some(Err(FaultKind::Stall(d))) => {
             std::thread::sleep(d);
-            false
+            1
         }
+    };
+    if through < run.len() {
+        *cut = run.split_off(through);
     }
+    false
 }
 
 /// Runs one callback of `op` behind the unwind boundary — the only one in
@@ -106,13 +120,14 @@ impl DomainExecutor {
     }
 
     /// Books how a `process_batch` call over the run in `self.current`
-    /// ended, and leaves in there what the slot is to be invoked with next.
-    /// Nothing, after an `Ok`. After a failure the operator's contract has
-    /// left the failing element first in the run and nothing of it in
-    /// `self.out`: an `Err` is recorded as the domain's first error and
-    /// that element dropped; a panic goes to [`on_panic`](Self::on_panic),
-    /// which has the element retried or — having closed the slot behind
-    /// the outputs of the elements before it — the rest of the run dropped.
+    /// ended, and leaves in there what the slot is to be invoked with next:
+    /// what the call left of the run, then what [`arm`] cut off it. After a
+    /// failure the operator's contract has left the failing element first
+    /// in the run and nothing of it in `self.out`: an `Err` is recorded as
+    /// the domain's first error and that element dropped; a panic goes to
+    /// [`on_panic`](Self::on_panic), which has the element retried or —
+    /// having closed the slot behind the outputs of the elements before it —
+    /// everything behind it dropped.
     #[inline]
     pub(super) fn settle_run(&mut self, i: usize, caught: Caught) {
         match caught {
@@ -123,9 +138,13 @@ impl DomainExecutor {
             }
             Err(payload) => {
                 if !self.on_panic(i, panic_message(payload.as_ref()), true) {
-                    self.current.clear();
+                    self.guard.cut.clear();
+                    return self.current.clear();
                 }
             }
+        }
+        if !self.guard.cut.is_empty() {
+            self.current.append(&mut self.guard.cut);
         }
     }
 
@@ -490,5 +509,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Passes its run on whole and writes down the length of every run it
+    /// was handed.
+    struct Runs(Arc<parking_lot::Mutex<Vec<usize>>>);
+
+    impl Operator for Runs {
+        fn name(&self) -> &str {
+            "runs"
+        }
+
+        fn process(&mut self, _port: usize, el: &Element, out: &mut Output) -> Result<()> {
+            out.push(el.clone());
+            Ok(())
+        }
+
+        fn process_batch(
+            &mut self,
+            _port: usize,
+            run: &mut Vec<Element>,
+            out: &mut Output,
+        ) -> Result<()> {
+            self.0.lock().push(run.len());
+            out.append(run);
+            Ok(())
+        }
+    }
+
+    /// A fault plan cuts a run in front of the element it fires on instead
+    /// of taking the run apart: the operator is handed the elements in
+    /// front of it as one run, then the retried element with the rest
+    /// behind it — and what comes out is what comes out without the fault.
+    #[test]
+    fn a_fault_plan_cuts_the_run_in_front_of_the_element_it_fires_on() {
+        let plan = crate::failure::FaultPlan::seeded(1).panic_at("runs", 40);
+        let outcome = |chaos: Option<Arc<OperatorFaultState>>| {
+            let obs = Obs::enabled();
+            let runs = Arc::default();
+            let q = StreamQueue::unbounded("out");
+            let target = Target::Queue { queue: Arc::clone(&q), wake: None };
+            let mut init = slot(1, Box::new(Runs(Arc::clone(&runs))), vec![target]);
+            init.chaos = chaos;
+            let mut exec = DomainExecutor::new(
+                "d",
+                vec![init],
+                vec![],
+                StrategyKind::Fifo.build(None),
+                ExecConfig::default(),
+            );
+            let supervisor = supervisor(Supervision::Restart, &obs);
+            exec.attach(Attach { supervisor, ..Attach::default() });
+            let mut run: Vec<Element> =
+                (0..64).map(|v| Element::single(v, Timestamp::from_micros(v as u64))).collect();
+            exec.inject_batch(NodeId(1), 0, &mut run);
+            exec.inject(NodeId(1), 0, Message::eos());
+            assert!(exec.error().is_none() && exec.take_panics().is_empty());
+            let runs = runs.lock().clone();
+            (q.drain(), runs)
+        };
+        let (reference, whole) = outcome(None);
+        assert_eq!(whole, [64]);
+        let fault = plan.operator_state("runs").unwrap();
+        let (faulted, runs) = outcome(Some(Arc::clone(&fault)));
+        assert_eq!(runs, [39, 25], "39 in front of element 40, then it and the rest");
+        assert_eq!(faulted, reference, "the same messages, in order");
+        assert_eq!((fault.invocations(), fault.fired()), (65, 1));
     }
 }

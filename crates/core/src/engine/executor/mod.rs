@@ -499,16 +499,16 @@ impl DomainExecutor {
     /// [`process_batch`](hmts_operators::traits::Operator::process_batch)
     /// call behind one unwind boundary, booked by the probe in one piece —
     /// and its outputs delivered once. A closed slot drops the run, a port
-    /// held by barrier alignment holds its elements; where elements have to
-    /// be told apart — the slot has a fault plan, which counts invocations,
-    /// or one of them is traced — they come back one by one over the stack.
+    /// held by barrier alignment holds its elements. A fault plan may cut
+    /// the run in front of the element it fires on; the part cut off goes
+    /// through next.
     ///
     /// A failure at element *k* is settled as a failure of a run of one
     /// always was, and the elements behind *k* go on from there: the contract
     /// of `process_batch` leaves them in the run, *k* first, and the outputs
     /// of the elements before *k* in `out`.
     fn invoke(&mut self, i: usize, port: usize) {
-        let DomainExecutor { slots, current: run, stack, probe, .. } = self;
+        let DomainExecutor { slots, current: run, .. } = self;
         let slot = &mut slots[i];
         if slot.state.closed {
             return run.clear();
@@ -516,13 +516,10 @@ impl DomainExecutor {
         if slot.align.holds(port) {
             return run.drain(..).for_each(|el| slot.align.hold(port, Message::Data(el)));
         }
-        if run.len() > 1 && (slot.fault.is_some() || probe.follows_one_of(run)) {
-            return stack.extend(run.drain(..).rev().map(|el| (i, port, Message::Data(el))));
-        }
         while !self.current.is_empty() {
-            let DomainExecutor { slots, current: run, out, probe, .. } = self;
+            let DomainExecutor { slots, current: run, out, probe, guard: g, .. } = self;
             let slot = &mut slots[i];
-            let inject_panic = guard::arm(&slot.fault);
+            let inject_panic = guard::arm(&slot.fault, run, &mut g.cut);
             let span = probe.begin(&mut slot.probe, run, out);
             let caught = guard::call(&mut *slot.state.op, out, inject_panic, |op, out| {
                 op.process_batch(port, run, out)

@@ -5,9 +5,10 @@
 //!
 //! The core calls in at four fixed points — [`Probe::begin`] / [`Probe::end`]
 //! around `process_batch`, [`Probe::queue_enter`] at a queue push and
-//! [`Probe::queue_exit`] at a queue pop. A slot nothing observes costs one
-//! branch in `begin` and one in `end`; an unsampled tuple costs one branch
-//! at each queue point.
+//! [`Probe::queue_exit`] at a queue pop. Without a tracer, tracing costs one
+//! branch in `begin` and one in `end`, and a slot nothing else observes one
+//! more in each; an unsampled tuple costs one branch at each queue point. A
+//! sampled tuple's process span is the call its run went through.
 //!
 //! Counts are exact, costs are sampled: every element is booked into the
 //! slot's statistics cell (`processed`, selectivity, arrivals) — a run in
@@ -93,9 +94,6 @@ struct TraceCtx {
 pub(super) struct Span {
     /// The cost clock, if a timed invocation falls into this run.
     start: Option<Instant>,
-    /// The tag of a traced tuple (which is a run of its own), else
-    /// [`TraceTag::NONE`].
-    trace: TraceTag,
     /// Elements in the run and in the output buffer before the call.
     len: usize,
     out_before: usize,
@@ -109,6 +107,9 @@ pub(super) struct Probe {
     /// because the operator owns the elements by the time `end` knows how
     /// many of them to book.
     arrivals: Vec<Timestamp>,
+    /// The sampled tags of the run being processed, taken down in `begin`
+    /// for the same reason (empty without a tracer).
+    sampled: Vec<TraceTag>,
 }
 
 impl Probe {
@@ -119,40 +120,30 @@ impl Probe {
         self.trace = Some(TraceCtx { tracer, partition, input_sites });
     }
 
-    /// Whether one of `run`'s tuples is sampled for tracing: its hops are
-    /// its own, so it has to go through the slot as a run of one.
-    #[inline]
-    pub(super) fn follows_one_of(&self, run: &[Element]) -> bool {
-        self.trace.is_some() && run.iter().any(|el| el.trace.is_sampled())
-    }
-
-    /// Before `process_batch` of `run` on `slot`: for a sampled tuple,
-    /// records the process-start hop; starts the cost clock if one of the
-    /// invocations the run stands for is a timed one.
+    /// Before `process_batch` of `run` on `slot`: records the process-start
+    /// hop of every sampled tuple in the run — the run's call is each one's
+    /// process span; starts the cost clock if one of the invocations the
+    /// run stands for is a timed one.
     #[inline]
     pub(super) fn begin(&mut self, slot: &mut SlotProbe, run: &[Element], out: &Output) -> Span {
-        let trace = match run {
-            [el] if self.trace.is_some() => el.trace,
-            _ => TraceTag::NONE,
-        };
-        if trace.is_sampled() {
-            self.record(trace, HopKind::ProcessStart, slot);
+        if self.trace.is_some() {
+            self.sampled.clear();
+            self.sampled.extend(run.iter().map(|el| el.trace).filter(TraceTag::is_sampled));
+            self.record(HopKind::ProcessStart, slot);
         }
         if slot.stats.is_some() {
             self.arrivals.clear();
             self.arrivals.extend(run.iter().map(|el| el.ts));
         }
         let start = (slot.timed && slot.untimed < run.len()).then(Instant::now);
-        Span { start, trace, len: run.len(), out_before: out.len() }
+        Span { start, len: run.len(), out_before: out.len() }
     }
 
     /// After `process_batch` on `slot` (`ok` = it returned `Ok`; `left` =
     /// what it left of the run): stops the cost clock, records the
-    /// process-end hop, and books the elements that went through in one
-    /// piece — with the run's mean cost per invocation, counted once per
-    /// timed invocation in it. A traced tuple's outputs are stamped with its
-    /// trace context — results constructed inside the operator
-    /// (projections, joins) inherit it.
+    /// process-end hop of every tuple `begin` recorded a start for, and
+    /// books the elements that went through in one piece — with the run's
+    /// mean cost per invocation, counted once per timed invocation in it.
     #[inline]
     pub(super) fn end(
         &mut self,
@@ -160,12 +151,10 @@ impl Probe {
         span: Span,
         ok: bool,
         left: usize,
-        out: &mut Output,
+        out: &Output,
     ) {
         let elapsed = span.start.map(|t| t.elapsed());
-        if span.trace.is_sampled() {
-            self.record(span.trace, HopKind::ProcessEnd, slot);
-        }
+        self.record(HopKind::ProcessEnd, slot);
         let booked = span.len - left.min(span.len);
         // A failed invocation was one, for the stride.
         let invoked = booked + usize::from(!ok);
@@ -183,14 +172,16 @@ impl Probe {
                 h.record_duration(c);
             }
         }
-        if span.trace.is_sampled() {
-            out.stamp_trace(span.trace);
-        }
     }
 
-    fn record(&self, trace: TraceTag, kind: HopKind, slot: &SlotProbe) {
-        let tc = self.trace.as_ref().expect("a traced span implies a tracer");
-        tc.tracer.record(trace.id(), kind, &slot.site, tc.partition);
+    /// Records hop `kind` on `slot` for each tuple in `sampled`.
+    fn record(&self, kind: HopKind, slot: &SlotProbe) {
+        let Some(tc) = &self.trace else {
+            return;
+        };
+        for trace in &self.sampled {
+            tc.tracer.record(trace.id(), kind, &slot.site, tc.partition);
+        }
     }
 
     /// At a push of `run` into `queue`.
@@ -220,14 +211,19 @@ impl Probe {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{data, slot};
-    use super::super::{DomainExecutor, ExecConfig};
+    use super::super::{Attach, DomainExecutor, ExecConfig, Target};
     use super::*;
     use crate::scheduler::strategy::StrategyKind;
     use hmts_graph::graph::NodeId;
+    use hmts_obs::{trace_id, TraceConfig};
     use hmts_operators::expr::Expr;
     use hmts_operators::filter::Filter;
+    use hmts_operators::map::Map;
     use hmts_operators::traits::Operator;
+    use hmts_streams::error::Result;
     use hmts_streams::metrics::CostEstimator;
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     /// One executor hosting `op` as node 1, observed by `stats`.
@@ -353,5 +349,159 @@ mod tests {
             agree(busy, busy_ref) && agree(idle, idle_ref) && idle * 10 < busy
         });
         assert!(agreed, "(sampled, per-call) busy then idle, per attempt: {attempts:?}");
+    }
+
+    /// Passes its run on whole and writes down the longest it was handed.
+    struct Longest(Arc<AtomicUsize>);
+
+    impl Operator for Longest {
+        fn name(&self) -> &str {
+            "longest"
+        }
+
+        fn process(&mut self, _port: usize, el: &Element, out: &mut Output) -> Result<()> {
+            out.push(el.clone());
+            Ok(())
+        }
+
+        fn process_batch(
+            &mut self,
+            _port: usize,
+            run: &mut Vec<Element>,
+            out: &mut Output,
+        ) -> Result<()> {
+            self.0.fetch_max(run.len(), Ordering::Relaxed);
+            out.append(run);
+            Ok(())
+        }
+    }
+
+    /// `ops` inline one after the other as nodes 1, 2, …, the last into a
+    /// queue, traced by `tracer` if there is one.
+    fn chain(
+        ops: Vec<Box<dyn Operator>>,
+        tracer: Option<&Arc<Tracer>>,
+    ) -> (DomainExecutor, Arc<StreamQueue>) {
+        let q = StreamQueue::unbounded("out");
+        let n = ops.len();
+        let slots = ops
+            .into_iter()
+            .enumerate()
+            .map(|(i, op)| {
+                let target = match i + 1 < n {
+                    true => Target::Inline { node: NodeId(i + 2), port: 0 },
+                    false => Target::Queue { queue: Arc::clone(&q), wake: None },
+                };
+                slot(i + 1, op, vec![target])
+            })
+            .collect();
+        let cfg = ExecConfig::default();
+        let mut exec = DomainExecutor::new("d", slots, vec![], StrategyKind::Fifo.build(None), cfg);
+        let tracer = tracer.map(|t| (Arc::clone(t), 0));
+        exec.attach(Attach { tracer, ..Attach::default() });
+        (exec, q)
+    }
+
+    fn tracer() -> Arc<Tracer> {
+        let cfg = TraceConfig { sample_every: 1, seed: 0, buffer_capacity: 1 << 12 };
+        Arc::new(Tracer::new(cfg, Instant::now()))
+    }
+
+    /// Elements `0..n`, each sampled for tracing if `traced`.
+    fn run_of(n: u64, traced: bool) -> Vec<Element> {
+        let tag = |v| TraceTag::new(if traced { trace_id(0, v) } else { 0 });
+        (0..n)
+            .map(|v| Element::single(v as i64, Timestamp::from_micros(v)).with_trace(tag(v)))
+            .collect()
+    }
+
+    /// The recorded hops per `(trace id, site, kind)`, with their times.
+    fn hops(tracer: &Tracer) -> HashMap<(u64, String, HopKind), Vec<u64>> {
+        let mut hops: HashMap<_, Vec<u64>> = HashMap::new();
+        for s in tracer.snapshot() {
+            hops.entry((s.trace_id, s.site.to_string(), s.kind)).or_default().push(s.t_ns);
+        }
+        hops
+    }
+
+    /// A run in which every tuple is sampled goes down a chain of five
+    /// selections as the run it is: the operator behind them is handed all
+    /// 32, the output is the untraced run's, and every tuple has its start
+    /// and end at each operator and its queue entry.
+    #[test]
+    fn a_traced_run_goes_down_a_chain_whole() {
+        let outcome = |tracer: Option<&Arc<Tracer>>| {
+            let longest = Arc::new(AtomicUsize::new(0));
+            let mut ops: Vec<Box<dyn Operator>> = (1..=5)
+                .map(|i| {
+                    Box::new(Filter::new(format!("f{i}"), Expr::bool(true))) as Box<dyn Operator>
+                })
+                .collect();
+            ops.push(Box::new(Longest(Arc::clone(&longest))));
+            let (mut exec, q) = chain(ops, tracer);
+            exec.inject_batch(NodeId(1), 0, &mut run_of(32, tracer.is_some()));
+            (q.drain(), longest.load(Ordering::Relaxed))
+        };
+        let (plain, _) = outcome(None);
+        let tracer = tracer();
+        let (traced, longest) = outcome(Some(&tracer));
+        assert_eq!(longest, 32, "the run is not taken apart");
+        assert_eq!(traced, plain);
+        let hops = hops(&tracer);
+        for (v, msg) in traced.iter().enumerate() {
+            let id = trace_id(0, v as u64);
+            assert_eq!(msg.as_data().unwrap().trace, TraceTag::new(id), "tuple {v} keeps its tag");
+            let once = |site: &str, kind| match hops.get(&(id, site.to_string(), kind)) {
+                Some(t) if t.len() == 1 => t[0],
+                other => panic!("tuple {v}: {kind:?} at {site}: {other:?}"),
+            };
+            for site in ["f1", "f2", "f3", "f4", "f5", "longest"] {
+                assert!(once(site, HopKind::ProcessStart) <= once(site, HopKind::ProcessEnd));
+            }
+            assert!(once("longest", HopKind::ProcessEnd) <= once("out", HopKind::QueueEnter));
+        }
+        assert_eq!(hops.len(), 32 * 13, "nothing else recorded");
+    }
+
+    /// An `Err` at element *k* of a traced run ends the call the run's
+    /// tuples started in, and the tuples behind *k* start and end again in
+    /// the next: at every site, each start has its end. The run is not
+    /// taken apart for it.
+    #[test]
+    fn a_traced_run_failing_inside_balances_its_spans() {
+        for k in [0, 5, 31] {
+            let fail = Map::new("fail", move |el, out| {
+                if el.tuple.field(0).as_int()? == k {
+                    return Err(hmts_streams::error::StreamError::Other("boom".into()));
+                }
+                out.push(el.clone());
+                Ok(())
+            });
+            let longest = Arc::new(AtomicUsize::new(0));
+            let ops: Vec<Box<dyn Operator>> =
+                vec![below_five_hundred(), Box::new(fail), Box::new(Longest(Arc::clone(&longest)))];
+            let tracer = tracer();
+            let (mut exec, q) = chain(ops, Some(&tracer));
+            exec.inject_batch(NodeId(1), 0, &mut run_of(32, true));
+            assert!(exec.error().is_some(), "k = {k}");
+            assert_eq!(q.len(), 31, "k = {k}");
+            // What went through either side of *k* goes on as one run.
+            assert_eq!(longest.load(Ordering::Relaxed), 31, "k = {k}");
+            let hops = hops(&tracer);
+            for v in 0..32u64 {
+                let id = trace_id(0, v);
+                for site in ["f", "fail", "longest"] {
+                    let count = |kind| hops.get(&(id, site.to_string(), kind)).map_or(0, Vec::len);
+                    let (starts, ends) = (count(HopKind::ProcessStart), count(HopKind::ProcessEnd));
+                    assert_eq!(starts, ends, "k = {k}, tuple {v} at {site}");
+                    let reached = site != "longest" || v != k as u64;
+                    assert_eq!(starts > 0, reached, "k = {k}, tuple {v} at {site}");
+                }
+            }
+        }
+    }
+
+    fn below_five_hundred() -> Box<dyn Operator> {
+        Box::new(Filter::new("f", Expr::field(0).lt(Expr::int(500))))
     }
 }

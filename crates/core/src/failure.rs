@@ -4,9 +4,11 @@
 //!   at which each fails — a panic or a stall — plus at most one
 //!   checkpoint-file fault. It compiles to per-operator
 //!   [`OperatorFaultState`] handles that the engine hands to executor slots;
-//!   a slot without one pays a single `None` branch per run. Invocation
-//!   counters live in the shared state, so they **survive operator restarts
-//!   and plan switches**: a fault armed for "the 5th invocation, 3 times"
+//!   a slot without one pays a single `None` branch per run. A run counts
+//!   as one invocation per element, and a fault that fires inside it cuts
+//!   it in front of the element it fires on. Invocation counters live in
+//!   the shared state, so they **survive operator restarts and plan
+//!   switches**: a fault armed for "the 5th invocation, 3 times"
 //!   fires on invocations 5, 6 and 7 even if the supervisor restarts the
 //!   operator or the engine re-wires it in between. That is what lets tests
 //!   drive an operator into quarantine deterministically.
@@ -84,33 +86,36 @@ impl OperatorFaultState {
         self.fired.load(Ordering::Relaxed)
     }
 
-    /// Called by the executor once per invocation; returns the fault to
-    /// inject, or `None` to process normally.
-    pub(crate) fn on_invocation(&self) -> Option<FaultKind> {
-        let n = self.invocations.fetch_add(1, Ordering::Relaxed) + 1;
-        if n < self.at {
-            return None;
-        }
+    /// Called by the executor before it hands the operator a run of `len`
+    /// ≥ 1 elements, which stands for `len` invocations: `Ok(k)` lets the
+    /// first `k` through untouched (all of them, or those in front of the
+    /// one the fault fires on, which the executor cuts off to come next);
+    /// `Err` is the fault, firing on the run's first element. Counts what it
+    /// lets through, and one invocation for the element it fires on — a
+    /// restart hands that element back, counted again.
+    pub(crate) fn on_run(&self, len: usize) -> Result<usize, FaultKind> {
+        let len = len as u64;
+        // An operator runs on one thread at a time, so nothing counts
+        // between this load and the add below.
+        let first = self.invocations.load(Ordering::Relaxed) + 1;
         // Fire on consecutive invocations starting at `at` until the
         // budget runs out; a restart retries the same element, so a
         // one-shot fault panics once and the retry passes.
-        let mut left = self.remaining.load(Ordering::Relaxed);
-        loop {
-            if left == 0 {
-                return None;
-            }
-            match self.remaining.compare_exchange_weak(
-                left,
-                left - 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => left = now,
-            }
+        let spend = |left: u64| left.checked_sub(1);
+        let budget = &self.remaining;
+        let fires = first >= self.at
+            && budget.fetch_update(Ordering::Relaxed, Ordering::Relaxed, spend).is_ok();
+        let through = match (fires, first >= self.at) {
+            (true, _) => 1,
+            (false, true) => len,
+            (false, false) => (self.at - first).min(len),
+        };
+        self.invocations.fetch_add(through, Ordering::Relaxed);
+        if !fires {
+            return Ok(through as usize);
         }
         self.fired.fetch_add(1, Ordering::Relaxed);
-        Some(self.kind)
+        Err(self.kind)
     }
 }
 
@@ -577,34 +582,36 @@ mod tests {
     fn fault_fires_at_nth_invocation_once() {
         let plan = FaultPlan::seeded(1).panic_at("f", 3);
         let st = plan.operator_state("f").unwrap();
-        assert_eq!(st.on_invocation(), None);
-        assert_eq!(st.on_invocation(), None);
-        assert_eq!(st.on_invocation(), Some(FaultKind::Panic));
-        // The retry of the same element (invocation 4) passes.
-        assert_eq!(st.on_invocation(), None);
+        // A run of five is cut in front of its third element, which fails.
+        assert_eq!(st.on_run(5), Ok(2));
+        assert_eq!(st.on_run(3), Err(FaultKind::Panic));
+        // The retry of the same element (invocation 4) passes, and the
+        // rest of the run with it.
+        assert_eq!(st.on_run(3), Ok(3));
+        assert_eq!(st.on_run(1), Ok(1));
         assert_eq!(st.fired(), 1);
-        assert_eq!(st.invocations(), 4);
+        assert_eq!(st.invocations(), 7);
     }
 
     #[test]
     fn repeated_fault_fires_consecutively() {
         let plan = FaultPlan::seeded(1).panic_repeatedly("f", 2, 3);
         let st = plan.operator_state("f").unwrap();
-        assert_eq!(st.on_invocation(), None);
-        assert_eq!(st.on_invocation(), Some(FaultKind::Panic));
-        assert_eq!(st.on_invocation(), Some(FaultKind::Panic));
-        assert_eq!(st.on_invocation(), Some(FaultKind::Panic));
-        assert_eq!(st.on_invocation(), None);
+        assert_eq!(st.on_run(1), Ok(1));
+        for _ in 0..3 {
+            assert_eq!(st.on_run(4), Err(FaultKind::Panic));
+        }
+        assert_eq!(st.on_run(4), Ok(4));
         assert_eq!(st.fired(), 3);
+        assert_eq!(st.invocations(), 8);
     }
 
     #[test]
     fn stall_fires_as_a_stall() {
         let plan = FaultPlan::seeded(1).stall_at("s", 1, Duration::from_millis(5));
-        assert_eq!(
-            plan.operator_state("s").unwrap().on_invocation(),
-            Some(FaultKind::Stall(Duration::from_millis(5)))
-        );
+        let st = plan.operator_state("s").unwrap();
+        assert_eq!(st.on_run(32), Err(FaultKind::Stall(Duration::from_millis(5))));
+        assert_eq!((st.invocations(), st.fired()), (1, 1));
     }
 
     #[test]

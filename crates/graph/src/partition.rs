@@ -132,16 +132,6 @@ impl Partitioning {
         g.edges().iter().filter(|e| g.node(e.from).kind.is_source()).copied().collect()
     }
 
-    /// Edges internal to a group (the DI connections inside a VO).
-    pub fn internal_edges(&self, g: &QueryGraph) -> Vec<Edge> {
-        let idx = self.group_index();
-        g.edges()
-            .iter()
-            .filter(|e| matches!((idx.get(&e.from), idx.get(&e.to)), (Some(a), Some(b)) if a == b))
-            .copied()
-            .collect()
-    }
-
     /// Validates the virtual-operator invariants: groups are non-empty,
     /// disjoint, cover every operator, contain no sources, and are weakly
     /// connected.
@@ -272,12 +262,11 @@ mod tests {
         let boundary = p.boundary_edges(&g);
         assert_eq!(boundary.len(), 1);
         assert_eq!((boundary[0].from, boundary[0].to), (b, c));
-        let internal = p.internal_edges(&g);
-        assert_eq!(internal.len(), 1);
-        assert_eq!((internal[0].from, internal[0].to), (a, b));
         let source = p.source_edges(&g);
         assert_eq!(source.len(), 1);
         assert_eq!(source[0].from, s);
+        // The one edge left is internal: a -> b, inside the first group.
+        assert_eq!(g.edges().len(), boundary.len() + source.len() + 1);
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl Topology {
 
     /// Edges that cross partition boundaries (where inter-VO queues go).
     /// Source→operator edges are *not* included; see
-    /// [`Topology::source_out_edges`].
+    /// [`Partitioning::source_edges`].
     pub fn boundary_edges(&self, p: &Partitioning) -> Vec<Edge> {
         let idx = p.group_index();
         self.edges
@@ -130,11 +130,6 @@ impl Topology {
             .filter(|e| matches!((idx.get(&e.from), idx.get(&e.to)), (Some(a), Some(b)) if a != b))
             .copied()
             .collect()
-    }
-
-    /// Edges leaving source nodes.
-    pub fn source_out_edges(&self) -> Vec<Edge> {
-        self.edges.iter().filter(|e| self.is_source(e.from)).copied().collect()
     }
 
     /// The operator nodes of each weakly connected component of the
@@ -266,8 +261,7 @@ mod tests {
         let b = topo.boundary_edges(&p);
         assert_eq!(b.len(), 1);
         assert_eq!((b[0].from, b[0].to), (NodeId(2), NodeId(3)));
-        let s = topo.source_out_edges();
-        assert_eq!(s.len(), 2);
+        assert!(b.iter().all(|e| !topo.is_source(e.from)), "no source edge is a boundary");
     }
 
     #[test]

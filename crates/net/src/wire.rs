@@ -674,27 +674,19 @@ impl<R: Read> FrameReader<R> {
 pub struct FrameWriter<W> {
     inner: W,
     scratch: Vec<u8>,
-    bytes_written: u64,
 }
 
 impl<W: Write> FrameWriter<W> {
     /// Wraps a byte stream.
     pub fn new(inner: W) -> FrameWriter<W> {
-        FrameWriter { inner, scratch: Vec::new(), bytes_written: 0 }
-    }
-
-    /// Total bytes written to the stream so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
+        FrameWriter { inner, scratch: Vec::new() }
     }
 
     /// Encodes and writes one frame.
     pub fn write_frame(&mut self, frame: &Frame) -> io::Result<()> {
         self.scratch.clear();
         encode_frame(frame, &mut self.scratch);
-        self.inner.write_all(&self.scratch)?;
-        self.bytes_written += self.scratch.len() as u64;
-        Ok(())
+        self.inner.write_all(&self.scratch)
     }
 
     /// Flushes the underlying stream.
@@ -948,7 +940,6 @@ mod tests {
             })
             .unwrap();
             w.write_frame(&Frame::Eos).unwrap();
-            assert_eq!(w.bytes_written(), wire.len() as u64);
         }
         let mut r = FrameReader::new(&wire[..]);
         assert_eq!(r.read_frame().unwrap(), Some(hello("a")));

@@ -315,11 +315,6 @@ impl AlertEngine {
         out
     }
 
-    /// The parsed rule set (canonical expressions).
-    pub fn rule_exprs(&self) -> Vec<String> {
-        self.rules.lock().iter().map(|st| st.rule.expr.clone()).collect()
-    }
-
     /// Installs this engine as a pinned collector: every collector pass
     /// (admin scrape or sampler tick) re-evaluates the rules after the
     /// capacity analyzer and the engine's own collectors have refreshed

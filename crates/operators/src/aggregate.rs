@@ -324,9 +324,10 @@ impl Operator for WindowAggregate {
         Ok(())
     }
 
-    /// Moves each element into the window instead of cloning it. An element
-    /// emits only once everything that can fail for it has succeeded, so a
-    /// failing element leaves nothing of itself in `out`.
+    /// Moves each element into the window instead of cloning it; its result
+    /// carries its trace tag. An element emits only once everything that
+    /// can fail for it has succeeded, so a failing element leaves nothing of
+    /// itself in `out`.
     fn process_batch(
         &mut self,
         port: usize,
@@ -341,7 +342,7 @@ impl Operator for WindowAggregate {
         while let Some(element) = rest.0.last() {
             let (slot, result) = self.fold(element)?;
             let element = rest.0.pop().expect("last checked");
-            out.emit(result, element.ts);
+            out.push(Element::new(result, element.ts).with_trace(element.trace));
             self.window.insert_tagged(element, slot);
         }
         Ok(())

@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use hmts_state::StatefulOperator;
-use hmts_streams::element::Element;
+use hmts_streams::element::{Element, TraceTag};
 use hmts_streams::error::Result;
 use hmts_streams::time::Timestamp;
 use hmts_streams::tuple::Tuple;
@@ -167,14 +167,12 @@ impl Output {
         self.elements.append(run);
     }
 
-    /// Stamps every buffered element with the given trace tag.
-    ///
-    /// Called by the executor after a traced input element was processed,
-    /// so results constructed from scratch inside an operator (projections,
-    /// join combinations, aggregates) inherit the trace context of the
-    /// input that produced them.
-    pub fn stamp_trace(&mut self, trace: hmts_streams::element::TraceTag) {
-        for e in &mut self.elements {
+    /// Stamps the buffered elements from position `from` on with `trace`:
+    /// what a sampled input produced carries its tag, including results an
+    /// operator constructs from scratch (projections, join combinations,
+    /// aggregates).
+    pub fn stamp_trace(&mut self, from: usize, trace: TraceTag) {
+        for e in &mut self.elements[from..] {
             e.trace = trace;
         }
     }
@@ -211,12 +209,16 @@ pub trait Operator: Send {
     ///   `out` holds the results of the elements before it and nothing of
     ///   the failing one — so the caller can skip or retry exactly that
     ///   element and go on with the ones behind it.
+    /// - **Tags follow.** The results of an element with a sampled trace
+    ///   tag carry that tag (see [`Output::stamp_trace`]), so a traced tuple
+    ///   is followed through a run like any other.
     ///
-    /// The default lends each element to `process` and keeps both promises
-    /// with a guard that is also dropped by an unwind. An operator
-    /// overrides it when owning the elements saves work — [`Filter`] keeps
-    /// the passing elements in the run and hands the run itself to `out` —
-    /// and a wrapper that forwards `process` unchanged forwards this too.
+    /// The default lends each element to `process`, stamps the results of a
+    /// sampled one, and keeps the first two promises with a guard that is
+    /// also dropped by an unwind. An operator overrides it when owning the
+    /// elements saves work — [`Filter`] keeps the passing elements in the run
+    /// and hands the run itself to `out` — and a wrapper that forwards
+    /// `process` unchanged forwards this too.
     ///
     /// [`Filter`]: crate::filter::Filter
     fn process_batch(
@@ -228,6 +230,9 @@ pub trait Operator: Send {
         let mut rest = RunRest { done: 0, mark: out.len(), run, out };
         while let Some(element) = rest.run.get(rest.done) {
             self.process(port, element, rest.out)?;
+            if element.trace.is_sampled() {
+                rest.out.stamp_trace(rest.mark, element.trace);
+            }
             rest.done += 1;
             rest.mark = rest.out.len();
         }

@@ -9,9 +9,10 @@ use std::time::Duration;
 use hmts::operators::aggregate::{AggregateFunction, WindowAggregate};
 use hmts::operators::cost::{CostMode, Costed};
 use hmts::operators::expr::Expr;
+use hmts::operators::project::Project;
 use hmts::operators::traits::{Operator, Output};
 use hmts::state::{StateBlob, StateError, StatefulOperator};
-use hmts::streams::element::{Element, SeqKind, SeqTag};
+use hmts::streams::element::{Element, SeqKind, SeqTag, TraceTag};
 use hmts::streams::error::Result;
 use hmts::streams::time::Timestamp;
 use hmts::streams::tuple::Tuple;
@@ -224,5 +225,30 @@ fn every_wrapper_hands_every_operator_method_on() {
                 _ => assert_eq!(seen, [*method], "{wrapper}::{method}"),
             }
         }
+    }
+}
+
+/// A wrapper that hands the operator it wraps one element at a time owes
+/// the tag duty of `process_batch`: the results of a sampled element carry
+/// its tag, also where the wrapped operator builds them from scratch.
+#[test]
+fn a_wrapper_tags_what_a_sampled_element_produced() {
+    let project = || Box::new(Project::new("p", vec![0])) as Box<dyn Operator>;
+    let wrappers: [(&str, Box<dyn Operator>); 2] = [
+        ("Costed", Box::new(Costed::new(project(), CostMode::Virtual(Duration::ZERO)))),
+        ("ShardReplica", Box::new(ShardReplica::new("p[0]", project()))),
+    ];
+    for (wrapper, mut op) in wrappers {
+        // The first element is not sampled, the second is.
+        let mut run: Vec<Element> = run()
+            .into_iter()
+            .zip([0, 7])
+            .map(|(el, id)| el.with_trace(TraceTag::new(id)))
+            .collect();
+        let tags: Vec<TraceTag> = run.iter().map(|el| el.trace).collect();
+        let mut out = Output::new();
+        op.process_batch(0, &mut run, &mut out).unwrap();
+        let got: Vec<TraceTag> = out.elements().iter().map(|el| el.trace).collect();
+        assert_eq!(got, tags, "{wrapper}");
     }
 }

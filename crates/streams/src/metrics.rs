@@ -48,11 +48,6 @@ impl Ewma {
         self.value
     }
 
-    /// Current estimate, or `default` before any observation.
-    pub fn value_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
     /// Number-agnostic reset (e.g. after a mode switch invalidates history).
     pub fn reset(&mut self) {
         self.value = None;
@@ -305,43 +300,6 @@ impl TimeSeries {
             })
         })
     }
-
-    /// Renders `time_s,<name>` CSV lines.
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("time_s,{}\n", self.name);
-        for (t, v) in &self.samples {
-            out.push_str(&format!("{:.6},{}\n", t.as_secs_f64(), v));
-        }
-        out
-    }
-}
-
-/// Renders several time series with a shared time axis into one CSV table by
-/// sample index (series are expected to be sampled on the same schedule; any
-/// length mismatch pads with empty cells).
-pub fn merged_csv(series: &[&TimeSeries]) -> String {
-    let mut out = String::from("time_s");
-    for s in series {
-        out.push(',');
-        out.push_str(s.name());
-    }
-    out.push('\n');
-    let rows = series.iter().map(|s| s.len()).max().unwrap_or(0);
-    for i in 0..rows {
-        let t = series
-            .iter()
-            .find_map(|s| s.samples().get(i).map(|(t, _)| *t))
-            .unwrap_or(Timestamp::ZERO);
-        out.push_str(&format!("{:.6}", t.as_secs_f64()));
-        for s in series {
-            match s.samples().get(i) {
-                Some((_, v)) => out.push_str(&format!(",{v}")),
-                None => out.push(','),
-            }
-        }
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -352,7 +310,6 @@ mod tests {
     fn ewma_first_observation_is_exact() {
         let mut e = Ewma::new(0.5);
         assert_eq!(e.value(), None);
-        assert_eq!(e.value_or(9.0), 9.0);
         e.observe(10.0);
         assert_eq!(e.value(), Some(10.0));
     }
@@ -460,22 +417,5 @@ mod tests {
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.max(), Some(30.0));
         assert_eq!(ts.last(), Some((Timestamp::from_secs(3), 20.0)));
-        let csv = ts.to_csv();
-        assert!(csv.starts_with("time_s,mem\n"));
-        assert!(csv.contains("2.000000,30"));
-    }
-
-    #[test]
-    fn merged_csv_pads_short_series() {
-        let mut a = TimeSeries::new("a");
-        let mut b = TimeSeries::new("b");
-        a.record(Timestamp::from_secs(1), 1.0);
-        a.record(Timestamp::from_secs(2), 2.0);
-        b.record(Timestamp::from_secs(1), 9.0);
-        let csv = merged_csv(&[&a, &b]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "time_s,a,b");
-        assert_eq!(lines[1], "1.000000,1,9");
-        assert_eq!(lines[2], "2.000000,2,");
     }
 }

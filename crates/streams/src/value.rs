@@ -79,16 +79,6 @@ impl Value {
         }
     }
 
-    /// True iff this is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
-    /// Whether this value is numeric (`Int` or `Float`).
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Value::Int(_) | Value::Float(_))
-    }
-
     /// Rank used to order values of different runtime types; gives `Value` a
     /// total order so heterogeneous columns still sort deterministically.
     fn type_rank(&self) -> u8 {
@@ -330,10 +320,6 @@ mod tests {
             Value::from("abc").as_int(),
             Err(StreamError::TypeMismatch { expected: "Int", found: "Str" })
         ));
-        assert!(Value::Null.is_null());
-        assert!(Value::Int(1).is_numeric());
-        assert!(Value::Float(1.0).is_numeric());
-        assert!(!Value::from("x").is_numeric());
     }
 
     #[test]

@@ -134,15 +134,6 @@ impl ArrivalProcess {
             )),
         }
     }
-
-    /// Total number of elements the schedule prescribes, if bounded
-    /// (`Bursty` sums its phases; the others are unbounded).
-    pub fn scheduled_count(&self) -> Option<u64> {
-        match self {
-            ArrivalProcess::Bursty { phases, .. } => Some(phases.iter().map(|p| p.count).sum()),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -203,14 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn bursty_scheduled_count() {
-        let a = ArrivalProcess::bursty(vec![Phase::new(3, 1.0), Phase::new(4, 1.0)]);
-        assert_eq!(a.scheduled_count(), Some(7));
-        assert_eq!(ArrivalProcess::constant(1.0).scheduled_count(), None);
-        assert_eq!(ArrivalProcess::poisson(1.0).scheduled_count(), None);
-    }
-
-    #[test]
     fn parse_specs() {
         assert!(matches!(
             ArrivalProcess::parse("constant:1000").unwrap(),
@@ -221,7 +204,11 @@ mod tests {
             ArrivalProcess::Poisson { rate } if rate == 2.5
         ));
         let b = ArrivalProcess::parse("bursty:10x100,20x1e3").unwrap();
-        assert_eq!(b.scheduled_count(), Some(30));
+        let ArrivalProcess::Bursty { phases, .. } = b else { panic!("bursty: {b:?}") };
+        assert_eq!(
+            phases.iter().map(|p| (p.count, p.rate)).collect::<Vec<_>>(),
+            [(10, 100.0), (20, 1e3)]
+        );
         for bad in
             ["", "constant", "constant:-1", "constant:nan", "warp:9", "bursty:", "bursty:5y2"]
         {

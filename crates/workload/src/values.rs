@@ -16,13 +16,6 @@ pub enum FieldGen {
         /// Exclusive upper bound.
         hi: i64,
     },
-    /// Uniform float in `[lo, hi)`.
-    UniformFloat {
-        /// Inclusive lower bound.
-        lo: f64,
-        /// Exclusive upper bound.
-        hi: f64,
-    },
     /// Consecutive integers starting at the given value (element ids).
     Sequence {
         /// The next value to emit.
@@ -39,12 +32,6 @@ impl FieldGen {
         FieldGen::UniformInt { lo, hi }
     }
 
-    /// Uniform floats in `[lo, hi)`.
-    pub fn uniform_float(lo: f64, hi: f64) -> FieldGen {
-        assert!(lo < hi, "empty float range");
-        FieldGen::UniformFloat { lo, hi }
-    }
-
     /// A counter starting at `start`.
     pub fn sequence(start: i64) -> FieldGen {
         FieldGen::Sequence { next: start }
@@ -59,7 +46,6 @@ impl FieldGen {
     pub fn generate(&mut self, rng: &mut impl Rng) -> Value {
         match self {
             FieldGen::UniformInt { lo, hi } => Value::Int(rng.gen_range(*lo..*hi)),
-            FieldGen::UniformFloat { lo, hi } => Value::Float(rng.gen_range(*lo..*hi)),
             FieldGen::Sequence { next } => {
                 let v = *next;
                 *next += 1;
@@ -123,16 +109,6 @@ mod tests {
         let seen: std::collections::HashSet<i64> =
             (0..200).map(|_| g.generate(&mut rng).as_int().unwrap()).collect();
         assert_eq!(seen.len(), 4);
-    }
-
-    #[test]
-    fn uniform_float_in_range() {
-        let mut g = FieldGen::uniform_float(0.0, 1.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..100 {
-            let v = g.generate(&mut rng).as_float().unwrap();
-            assert!((0.0..1.0).contains(&v));
-        }
     }
 
     #[test]
