@@ -194,8 +194,8 @@ impl DomainExecutor {
         let stall_ns = al.started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if routes.is_empty() {
             // A sink's results from before the cut leave before the cut is
-            // acknowledged, not at the end of the batch the barrier is in.
-            state.op.end_batch();
+            // acknowledged, not at the end of the slice the barrier is in.
+            state.op.end_slice();
         }
         let blob = state.op.stateful().map(|s| s.snapshot());
         if let Some(ck) = &self.align.checkpoint {

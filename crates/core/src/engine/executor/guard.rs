@@ -6,7 +6,7 @@
 //! The core calls [`arm`] before and [`call`] + [`DomainExecutor::settle_run`]
 //! around `process_batch` (its cost clock stops in between) — one boundary
 //! per run, however many elements it has — and [`DomainExecutor::guarded`]
-//! for `on_eos` / `flush` / `on_watermark` / `end_batch`. Without a fault
+//! for `on_eos` / `flush` / `on_watermark` / `end_slice`. Without a fault
 //! plan, `arm` is one `None` branch; with one, it cuts the run in front of
 //! the element the fault fires on.
 
@@ -150,7 +150,7 @@ impl DomainExecutor {
 
     /// [`call`] and the booking of how it ended for the callbacks that
     /// carry no element and are therefore never retried: `on_eos`, `flush`,
-    /// `on_watermark`, `end_batch`. On failure what the callback emitted is
+    /// `on_watermark`, `end_slice`. On failure what the callback emitted is
     /// discarded; an `Err` is recorded as the domain's first error, a panic
     /// goes to [`on_panic`](Self::on_panic).
     pub(super) fn guarded(

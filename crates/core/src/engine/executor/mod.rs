@@ -271,8 +271,9 @@ pub struct DomainExecutor {
     /// `(slot, route)` of every non-empty staging buffer, in the order
     /// they were first written.
     dirty: Vec<(usize, usize)>,
-    /// The slots without a route — the sinks — which are told when a batch
-    /// ends (see [`Operator::end_batch`](hmts_operators::traits::Operator::end_batch)).
+    /// The slots without a route — the sinks — which are told when the
+    /// executor gives control back (see
+    /// [`Operator::end_slice`](hmts_operators::traits::Operator::end_slice)).
     sinks: Vec<usize>,
     /// The strategy's view of the inputs, refilled per decision.
     view: Vec<InputSlot>,
@@ -348,7 +349,8 @@ impl DomainExecutor {
 
     /// Synchronously processes one message through the domain (the DI chain
     /// reaction) and hands what it produced for other domains to their
-    /// queues: a batch of one, and — if it is data — a run of one.
+    /// queues: a batch of one, and — if it is data — a run of one. Like a
+    /// slice, it ends by telling the sinks.
     pub fn inject(&mut self, node: NodeId, port: usize, msg: Message) {
         let mut inbox = std::mem::take(&mut self.inbox);
         inbox.push(msg);
@@ -372,6 +374,7 @@ impl DomainExecutor {
         let slot = self.slot_of.get(node).ok_or(node);
         self.feed(slot, port, inbox, &Budget::unlimited(), &mut 0);
         self.flush_staged();
+        self.end_slice();
     }
 
     /// Puts `batch` — all bound for `port` of `slot` — through the domain in
@@ -675,12 +678,10 @@ impl DomainExecutor {
     }
 
     /// Hands every staged batch to its queue: one [`push_and_wake`] per
-    /// queue route written since the last flush; then tells the sinks that
-    /// the batch is over, so what they held back goes out in one piece.
-    /// Runs when a popped batch ends and before `inject` / `run_slice`
-    /// return, so nobody outside a slice ever sees output that is neither
-    /// in the operator nor in the queue, nor a result that a sink has taken
-    /// and not delivered.
+    /// queue route written since the last flush. Runs when a popped batch
+    /// ends and before `inject` / `run_slice` return, so nobody outside a
+    /// slice ever sees output that is neither in the operator nor in the
+    /// queue.
     fn flush_staged(&mut self) {
         for (i, ri) in self.dirty.drain(..) {
             if let Route::Queue { queue, wake, staged } = &mut self.slots[i].routes[ri] {
@@ -688,11 +689,19 @@ impl DomainExecutor {
                 push_and_wake(queue, wake.as_ref(), staged);
             }
         }
+    }
+
+    /// Tells every open sink that the executor is about to give control
+    /// back, so what it held back goes out in one piece: the last thing
+    /// `inject` / `inject_batch` / `run_slice` do, whatever the outcome, so
+    /// nobody outside a slice ever sees a result that a sink has taken and
+    /// not delivered.
+    fn end_slice(&mut self) {
         for k in 0..self.sinks.len() {
             let i = self.sinks[k];
             if !self.slots[i].state.closed {
                 self.guarded(i, |op, _| {
-                    op.end_batch();
+                    op.end_slice();
                     Ok(())
                 });
             }
@@ -717,7 +726,7 @@ impl DomainExecutor {
     /// deadline per batch — and inside it the run: the rest of the budget
     /// is looked at between two runs, and only `max_messages` cuts one
     /// short; what a cut-short batch leaves over waits in `pending`, ahead
-    /// of its queue.
+    /// of its queue. The sinks are told once, when the slice ends.
     pub fn run_slice(&mut self, budget: &Budget) -> RunOutcome {
         let mut processed = 0usize;
         let mut exceeded = false;
@@ -769,6 +778,7 @@ impl DomainExecutor {
             exceeded = exceeded || budget.past_deadline();
         }
         self.inbox = inbox;
+        self.end_slice();
         self.slice_status()
     }
 
@@ -977,7 +987,7 @@ mod tests {
     }
 
     /// A sink that writes down what it is told, in order: an element's
-    /// value, `|` per `end_batch`.
+    /// value, `|` per `end_slice`.
     struct BatchLog(Arc<parking_lot::Mutex<String>>);
 
     impl Operator for BatchLog {
@@ -988,15 +998,15 @@ mod tests {
             self.0.lock().push_str(&el.tuple.field(0).as_int()?.to_string());
             Ok(())
         }
-        fn end_batch(&mut self) {
+        fn end_slice(&mut self) {
             self.0.lock().push('|');
         }
     }
 
     #[test]
-    fn a_sink_hears_the_end_of_every_batch_and_nobody_else_does() {
+    fn a_sink_hears_the_end_of_every_slice_and_nobody_else_does() {
         // 1 -> sink 2, fed by q. The filter has a successor, so it is never
-        // told (its `end_batch` is `BatchLog`'s, and would show in the log).
+        // told (its `end_slice` is `BatchLog`'s, and would show in the log).
         let log = Arc::new(parking_lot::Mutex::new(String::new()));
         let q = StreamQueue::unbounded("in");
         let slots = vec![
@@ -1012,18 +1022,19 @@ mod tests {
             StrategyKind::Fifo.build(None),
             ExecConfig { batch: 4, ..ExecConfig::default() },
         );
-        // Source-driven: every `inject` is a batch of one.
+        // Source-driven: every `inject` gives control back.
         exec.inject(NodeId(2), 0, data(1, 1));
         exec.inject(NodeId(2), 0, data(2, 2));
         assert_eq!(*log.lock(), "1|2|");
-        // Queue-driven: one call per popped batch, after its last element.
+        // Queue-driven: one call per slice, after its last element, however
+        // many batches it popped.
         log.lock().clear();
         for v in 0..6 {
             q.push(data(v, v as u64)).unwrap();
         }
         assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
-        assert_eq!(*log.lock(), "0123|45|");
-        // A checkpoint barrier is the end of a batch too: what came before
+        assert_eq!(*log.lock(), "012345|");
+        // A checkpoint barrier ends what came before it: what came before
         // the cut is out before the sink acknowledges it.
         log.lock().clear();
         q.push(data(7, 7)).unwrap();
@@ -1031,10 +1042,21 @@ mod tests {
         q.push(data(8, 8)).unwrap();
         assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
         assert_eq!(*log.lock(), "7|8|");
+        // A slice its budget cuts short ends with the call all the same.
+        log.lock().clear();
+        for v in 0..5 {
+            q.push(data(v, v as u64)).unwrap();
+        }
+        let cut = Budget { max_messages: 3, ..Budget::default() };
+        assert_eq!(exec.run_slice(&cut), RunOutcome::Budget);
+        assert_eq!(*log.lock(), "012|");
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
+        assert_eq!(*log.lock(), "012|34|");
         // A closed sink is left alone.
         log.lock().clear();
         q.push(Message::eos()).unwrap();
         assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Finished);
+        exec.inject(NodeId(2), 0, data(9, 9));
         assert_eq!(*log.lock(), "");
     }
 
@@ -1624,7 +1646,7 @@ mod tests {
         assert_eq!(wakes_a.0.load(Ordering::Relaxed), 6);
         assert_eq!(wakes_b.0.load(Ordering::Relaxed), 4);
         assert!(one_by_one.is_finished() && batched.is_finished());
-        // While the sink is open, the run's one `end_batch` comes last.
+        // While the sink is open, the run's one `end_slice` comes last.
         let (mut batched, _, _, log) = forked_stage();
         batched.inject_batch(NodeId(1), 0, &mut run(5..=6));
         assert_eq!(*log.lock(), "56|");

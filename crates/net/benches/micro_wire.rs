@@ -14,6 +14,12 @@
 //! * `encode_data_run32` / `encode_frame_run32` — a run of 32 elements
 //!   encoded straight from the elements, against a `Frame` built per
 //!   element (tuple `Arc` cloned) and `encode_frame`d.
+//! * `egress_1024_end_each_run32` / `egress_1024_end_once` — an
+//!   `EgressSink` with one loopback subscriber, drained on a thread, fed 32
+//!   runs of 32 elements: the sink told the slice ended after every run (a
+//!   source-driven domain, one `inject_batch` per run) against once after
+//!   the last (a pool slice that popped all 32). The difference is the
+//!   `write` and the subscriber's wake-up per run.
 //!
 //! The `elem/s` column is frames per second; the time per frame is the
 //! iteration's time over its frame count (printed with each case). Run
@@ -21,14 +27,21 @@
 
 use std::hint::black_box;
 use std::io::{self, Read};
+use std::net::TcpStream;
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
+use hmts::obs::Obs;
+use hmts::operators::traits::{Operator, Output};
 use hmts::streams::element::{Element, TraceTag};
 use hmts::streams::time::Timestamp;
 use hmts::streams::tuple::Tuple;
 use hmts::streams::value::Value;
-use hmts_net::wire::{decode_frame, encode_data, encode_frame, Frame, FrameReader, READ_BUF};
+use hmts_net::wire::{
+    decode_frame, encode_data, encode_frame, hello, Frame, FrameReader, FrameWriter, READ_BUF,
+};
+use hmts_net::{EgressServer, SlowConsumerPolicy};
 
 /// The `i`-th element of the ledger's shape.
 fn element(i: u64) -> Element {
@@ -138,5 +151,50 @@ fn encode(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, decode, encode);
+fn egress(c: &mut Criterion) {
+    const RUN: usize = 32;
+    const RUNS: usize = 32;
+    let server =
+        EgressServer::bind("127.0.0.1:0", SlowConsumerPolicy::Block, Obs::disabled()).unwrap();
+    let mut socket = TcpStream::connect(server.local_addr()).unwrap();
+    FrameWriter::new(socket.try_clone().unwrap()).write_frame(&hello("results")).unwrap();
+    assert!(server.wait_for_subscribers(1, Duration::from_secs(5)));
+    // The subscriber reads what arrives and throws it away.
+    let drain = std::thread::spawn(move || {
+        let mut chunk = vec![0u8; READ_BUF];
+        while let Ok(1..) = socket.read(&mut chunk) {}
+    });
+    let mut sink = server.sink("egress");
+    // Seen once, the call lets the sink hold frames back until the next.
+    sink.end_slice();
+    let pool: Vec<Element> = (0..RUN as u64).map(element).collect();
+    let mut run: Vec<Element> = Vec::with_capacity(RUN);
+    let mut out = Output::new();
+    let mut g = c.benchmark_group("wire");
+    g.throughput(Throughput::Elements((RUN * RUNS) as u64));
+
+    for (name, end_each_run) in
+        [("egress_1024_end_each_run32", true), ("egress_1024_end_once", false)]
+    {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                for _ in 0..RUNS {
+                    run.extend(pool.iter().cloned());
+                    sink.process_batch(0, &mut run, &mut out).unwrap();
+                    if end_each_run {
+                        sink.end_slice();
+                    }
+                }
+                sink.end_slice();
+            })
+        });
+    }
+    g.finish();
+    sink.flush(&mut out).unwrap();
+    drop(sink);
+    drop(server); // closes the subscriber's socket
+    drain.join().unwrap();
+}
+
+criterion_group!(benches, decode, encode, egress);
 criterion_main!(benches);

@@ -5,11 +5,14 @@
 //! with a [`Frame::Hello`]); an [`EgressSink`] placed at the end of a
 //! query graph encodes every result element **once** and fans the bytes
 //! out to all current subscribers, ending with an `Eos` frame when the
-//! query flushes. Under an executor that announces the end of a batch
-//! ([`Operator::end_batch`]) the frames of one batch go out in one `write`
-//! per subscriber; until the first such announcement every frame is
-//! written as it is produced. What happens when a subscriber cannot keep up
-//! is the [`SlowConsumerPolicy`]:
+//! query flushes. Under an executor that says when it gives control back
+//! ([`Operator::end_slice`]) the frames of one time slice go out in one
+//! `write` per subscriber — or sooner, at a punctuation or once
+//! `WRITE_CHUNK` (32 KiB) is pending; until the first such call every
+//! frame is written as it is produced. A result's `NetSend` hop and its
+//! end-to-end latency are taken when its bytes are written, not when they
+//! are encoded. What happens when a subscriber cannot keep up is the
+//! [`SlowConsumerPolicy`]:
 //!
 //! * [`Block`](SlowConsumerPolicy::Block) — `write` blocks until the
 //!   subscriber drains its socket, propagating backpressure *into the
@@ -32,6 +35,7 @@ use hmts::obs::{HopKind, Obs, SchedEvent, Tracer, NO_PARTITION};
 use hmts::operators::traits::{Operator, Output};
 use hmts::streams::element::Element;
 use hmts::streams::error::Result as StreamResult;
+use hmts::streams::time::Timestamp;
 
 use crate::wire::{encode_data, encode_frame, Frame, FrameReader};
 
@@ -58,6 +62,8 @@ struct EgressState {
     subscribers: Mutex<Vec<Subscriber>>,
     tuples: AtomicU64,
     bytes: AtomicU64,
+    /// Buffers handed to the subscribers (one `write` per subscriber each).
+    writes: AtomicU64,
     slow_disconnects: AtomicU64,
 }
 
@@ -145,6 +151,12 @@ impl EgressServer {
         self.state.tuples.load(Ordering::Relaxed)
     }
 
+    /// Buffers written out so far (one `write` per subscriber each), so
+    /// `tuples_sent() / writes_sent()` is the tuples per write.
+    pub fn writes_sent(&self) -> u64 {
+        self.state.writes.load(Ordering::Relaxed)
+    }
+
     /// Subscribers dropped by the `Disconnect` policy.
     pub fn slow_disconnects(&self) -> u64 {
         self.state.slow_disconnects.load(Ordering::Relaxed)
@@ -161,9 +173,12 @@ impl EgressServer {
             state: Arc::clone(&self.state),
             policy: self.policy,
             pending: Vec::new(),
+            pending_traces: Vec::new(),
+            pending_ts: Vec::new(),
             coalesce: false,
             tuples: self.obs.counter("net_egress_tuples"),
             bytes: self.obs.counter("net_egress_bytes"),
+            writes: self.obs.counter("net_egress_writes"),
             slow: self.obs.counter("net_egress_slow_disconnects"),
             obs: self.obs.clone(),
         }
@@ -218,18 +233,25 @@ pub struct EgressSink {
     policy: SlowConsumerPolicy,
     /// Encoded frames not yet written.
     pending: Vec<u8>,
-    /// Whether data frames may wait in `pending` for the end of the batch:
-    /// set by the first [`Operator::end_batch`], because only a host that
+    /// The trace ids of the sampled data frames in `pending` (only while a
+    /// tracer is attached), whose `NetSend` hops are recorded at the write.
+    pending_traces: Vec<u64>,
+    /// The stream timestamps of the data frames in `pending` (only while
+    /// `e2e_latency` is attached), sampled at the write.
+    pending_ts: Vec<Timestamp>,
+    /// Whether data frames may wait in `pending` for the end of the slice:
+    /// set by the first [`Operator::end_slice`], because only a host that
     /// makes that call will come back for them.
     coalesce: bool,
     tuples: hmts::obs::Counter,
     bytes: hmts::obs::Counter,
+    writes: hmts::obs::Counter,
     slow: hmts::obs::Counter,
     obs: Obs,
 }
 
 /// Most bytes a sink holds back before it writes without waiting for the
-/// end of the batch (a join can answer one input with thousands of results).
+/// end of the slice (a join can answer one input with thousands of results).
 const WRITE_CHUNK: usize = 32 * 1024;
 
 impl EgressSink {
@@ -241,27 +263,20 @@ impl EgressSink {
     }
 
     /// Encodes `element`'s data frame once, behind the frames already
-    /// pending, and records its hop and latency; the tuple counters are the
-    /// caller's. The frame waits there for the end of the batch if one will
-    /// be announced; under a host that announces nothing, or with a full
-    /// chunk, everything pending is written at once.
+    /// pending, and notes what its hop and latency need at the write; the
+    /// tuple counters are the caller's. The frame waits there for the end
+    /// of the slice if one will be announced; under a host that announces
+    /// nothing, or with a full chunk, everything pending is written at once.
     fn send(&mut self, element: &Element) {
         encode_data(element.ts, &element.tuple, element.trace, &mut self.pending);
+        if element.trace.is_sampled() && self.tracer.is_some() {
+            self.pending_traces.push(element.trace.id());
+        }
+        if self.e2e_latency.is_some() {
+            self.pending_ts.push(element.ts);
+        }
         if !self.coalesce || self.pending.len() >= WRITE_CHUNK {
             self.write_pending();
-        }
-        if element.trace.is_sampled() {
-            if let Some(t) = &self.tracer {
-                t.record(element.trace.id(), HopKind::NetSend, &self.site, NO_PARTITION);
-            }
-        }
-        if let Some(h) = &self.e2e_latency {
-            // Stream timestamps are µs offsets on the same clock the obs
-            // epoch starts; the difference is admission→egress latency
-            // (clamped at 0 against timestamp-domain skew).
-            let now_ns = self.obs.elapsed().as_nanos();
-            let ts_ns = u128::from(element.ts.as_micros()) * 1_000;
-            h.record(now_ns.saturating_sub(ts_ns).min(u128::from(u64::MAX)) as u64);
         }
     }
 
@@ -272,7 +287,8 @@ impl EgressSink {
     }
 
     /// Writes the pending bytes to every subscriber, dropping those that
-    /// error (and, under `Disconnect`, those that time out).
+    /// error (and, under `Disconnect`, those that time out); then records
+    /// the departures of the data frames among them.
     fn write_pending(&mut self) {
         let mut subs = self.state.subscribers.lock();
         let mut fanout = 0u64;
@@ -306,7 +322,24 @@ impl EgressSink {
         let sent = fanout * self.pending.len() as u64;
         self.state.bytes.fetch_add(sent, Ordering::Relaxed);
         self.bytes.add(sent);
+        self.state.writes.fetch_add(1, Ordering::Relaxed);
+        self.writes.inc();
         self.pending.clear();
+        if let Some(t) = &self.tracer {
+            for id in self.pending_traces.drain(..) {
+                t.record(id, HopKind::NetSend, &self.site, NO_PARTITION);
+            }
+        }
+        if let Some(h) = &self.e2e_latency {
+            // Stream timestamps are µs offsets on the same clock the obs
+            // epoch starts; the difference is admission→egress latency
+            // (clamped at 0 against timestamp-domain skew).
+            let now_ns = self.obs.elapsed().as_nanos();
+            for ts in self.pending_ts.drain(..) {
+                let ts_ns = u128::from(ts.as_micros()) * 1_000;
+                h.record(now_ns.saturating_sub(ts_ns).min(u128::from(u64::MAX)) as u64);
+            }
+        }
     }
 }
 
@@ -341,7 +374,7 @@ impl Operator for EgressSink {
     fn on_watermark(
         &mut self,
         _port: usize,
-        watermark: hmts::streams::time::Timestamp,
+        watermark: Timestamp,
         _out: &mut Output,
     ) -> StreamResult<()> {
         self.broadcast(&Frame::Watermark { ts: watermark });
@@ -356,7 +389,7 @@ impl Operator for EgressSink {
         Ok(())
     }
 
-    fn end_batch(&mut self) {
+    fn end_slice(&mut self) {
         self.coalesce = true;
         if !self.pending.is_empty() {
             self.write_pending();
@@ -375,7 +408,6 @@ mod tests {
     use super::*;
     use crate::client::SubscriberClient;
     use hmts::streams::element::Message;
-    use hmts::streams::time::Timestamp;
     use hmts::streams::tuple::Tuple;
 
     #[test]
@@ -427,15 +459,15 @@ mod tests {
         let mut sink = server.sink("egress");
         let mut out = Output::new();
         let el = |i: i64| Element::new(Tuple::single(i), Timestamp::from_micros(i as u64));
-        // No end of a batch was ever announced: written as produced.
+        // No end of a slice was ever announced: written as produced.
         sink.process(0, &el(1), &mut out).unwrap();
         assert_eq!(next(), Some(1));
         // Announced once, the host will announce the next too: held back.
-        sink.end_batch();
+        sink.end_slice();
         sink.process(0, &el(2), &mut out).unwrap();
         sink.process(0, &el(3), &mut out).unwrap();
         assert_eq!(next(), None);
-        sink.end_batch();
+        sink.end_slice();
         assert_eq!((next(), next(), next()), (Some(2), Some(3), None));
         // A punctuation does not wait, and takes what is pending with it.
         sink.process(0, &el(4), &mut out).unwrap();
@@ -462,6 +494,98 @@ mod tests {
             assert_eq!(next(), Some(i));
         }
         assert_eq!(server.tuples_sent(), 4 + fills as u64);
+    }
+
+    #[test]
+    fn a_departure_is_recorded_when_its_bytes_are_written() {
+        use hmts::obs::{ObsConfig, TraceConfig};
+        let obs = Obs::with_config(ObsConfig {
+            trace: Some(TraceConfig { sample_every: 1, ..TraceConfig::default() }),
+            ..ObsConfig::default()
+        });
+        let server =
+            EgressServer::bind("127.0.0.1:0", SlowConsumerPolicy::Block, obs.clone()).unwrap();
+        let mut sink = server.sink("egress");
+        let histogram = obs.histogram("egress.egress.e2e_latency_ns");
+        let sends = || {
+            let mut ids: Vec<u64> = obs
+                .trace_snapshot()
+                .into_iter()
+                .filter(|span| span.kind == HopKind::NetSend)
+                .map(|span| span.trace_id)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let mut out = Output::new();
+        // The host has announced a slice's end once, so the run is held.
+        sink.end_slice();
+        let mut run: Vec<Element> = (1..=32u64)
+            .map(|i| {
+                Element::new(Tuple::single(i as i64), Timestamp::from_micros(i))
+                    .with_trace(hmts::streams::element::TraceTag::new(i))
+            })
+            .collect();
+        sink.process_batch(0, &mut run, &mut out).unwrap();
+        assert_eq!((sends(), histogram.count()), (vec![], 0), "nothing has left yet");
+        sink.end_slice();
+        assert_eq!(sends(), (1..=32).collect::<Vec<u64>>(), "one send per element");
+        assert_eq!(histogram.count(), 32, "one latency sample per element");
+        assert_eq!(server.writes_sent(), 1);
+    }
+
+    #[test]
+    fn a_slice_goes_out_in_one_write() {
+        use crate::wire::{hello, FrameWriter};
+        use hmts::engine::executor::{
+            Budget, DomainExecutor, ExecConfig, InputQueue, RunOutcome, SlotInit, SlotState,
+        };
+        use hmts::graph::graph::NodeId;
+        use hmts::streams::queue::StreamQueue;
+        use hmts::StrategyKind;
+
+        let server =
+            EgressServer::bind("127.0.0.1:0", SlowConsumerPolicy::Block, Obs::disabled()).unwrap();
+        let socket = TcpStream::connect(server.local_addr()).unwrap();
+        FrameWriter::new(socket.try_clone().unwrap()).write_frame(&hello("results")).unwrap();
+        assert!(server.wait_for_subscribers(1, Duration::from_secs(5)));
+        socket.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+        let mut reader = FrameReader::new(socket);
+        let mut next = move || match reader.read_frame() {
+            Ok(Some(Frame::Data { tuple, .. })) => Some(tuple.field(0).as_int().unwrap()),
+            Ok(other) => panic!("unexpected {other:?}"),
+            Err(_) => None, // nothing within the timeout
+        };
+
+        let q = StreamQueue::unbounded("in");
+        let sink = SlotState::new(NodeId(0), Box::new(server.sink("egress")));
+        let mut exec = DomainExecutor::new(
+            "d",
+            vec![SlotInit::new(sink, vec![])],
+            vec![InputQueue { queue: Arc::clone(&q), node: NodeId(0), port: 0, exhausted: false }],
+            StrategyKind::Fifo.build(None),
+            ExecConfig { batch: 32, ..ExecConfig::default() },
+        );
+        let el = |i: i64| Element::new(Tuple::single(i), Timestamp::from_micros(i as u64));
+        // An idle slice still ends with the call, which the sink has then seen.
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
+        assert_eq!(server.writes_sent(), 0);
+        // Ten popped batches, one slice, one write — and all of it arrives
+        // with nothing pushed afterwards.
+        for i in 0..320 {
+            q.push(Message::Data(el(i))).unwrap();
+        }
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
+        assert_eq!((server.tuples_sent(), server.writes_sent()), (320, 1));
+        for i in 0..320 {
+            assert_eq!(next(), Some(i));
+        }
+        // A lone element into the idle domain is on the socket when the
+        // slice returns, as it always was.
+        q.push(Message::Data(el(320))).unwrap();
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
+        assert_eq!(server.writes_sent(), 2);
+        assert_eq!((next(), next()), (Some(320), None));
     }
 
     /// What a raw subscriber of a fresh server receives while `drive` runs
@@ -513,7 +637,7 @@ mod tests {
             let e = Element::new(Tuple::pair(i, "v"), Timestamp::from_micros(i as u64));
             e.with_trace(hmts::streams::element::TraceTag::new(if i % 97 == 5 { 7 } else { 0 }))
         };
-        // No end of a batch seen yet (written as produced), a run crossing
+        // No end of a slice seen yet (written as produced), a run crossing
         // `WRITE_CHUNK` twice with sampled tags in it, a punctuation, a
         // short run, the end of the stream.
         let runs: Vec<Vec<Element>> = vec![
@@ -542,7 +666,7 @@ mod tests {
                     if i == 1 {
                         sink.on_watermark(0, Timestamp::from_micros(5000), &mut out).unwrap();
                     }
-                    sink.end_batch();
+                    sink.end_slice();
                 }
                 sink.flush(&mut out).unwrap();
                 before_end
@@ -553,7 +677,7 @@ mod tests {
         assert_eq!(batched.len(), one_by_one.len());
         assert!(batched == one_by_one, "the byte streams differ");
         assert_eq!(written_batched, written_one_by_one);
-        // Before any end of a batch was announced, every frame went out.
+        // Before any end of a slice was announced, every frame went out.
         let per_frame = |i: i64| {
             let mut buf = Vec::new();
             let e = el(i);

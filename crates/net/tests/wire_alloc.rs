@@ -122,7 +122,7 @@ fn egress_process_batch_allocates_nothing_per_run() {
         run.extend(pool.iter().cloned());
         sink.process_batch(0, run, &mut out).unwrap();
         assert!(run.is_empty());
-        sink.end_batch();
+        sink.end_slice();
     };
     // Warm-up: the pending buffer reaches the size of a run.
     for _ in 0..4 {

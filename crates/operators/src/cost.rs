@@ -130,8 +130,8 @@ impl<O: Operator> Operator for Costed<O> {
         self.inner.on_eos(port, out)
     }
 
-    fn end_batch(&mut self) {
-        self.inner.end_batch()
+    fn end_slice(&mut self) {
+        self.inner.end_slice()
     }
 }
 

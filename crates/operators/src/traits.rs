@@ -304,14 +304,14 @@ pub trait Operator: Send {
         Ok(())
     }
 
-    /// Called on an operator without successors — a sink — when the
-    /// executor has delivered everything its current batch of input led to
-    /// (and before the sink acknowledges a checkpoint barrier): whatever it
-    /// held back to do in one piece (a network sink's `write`) is due now.
-    /// A host that never calls it is to be assumed, so a sink may hold back
-    /// only after it has seen the first call. Wrapper operators must
-    /// delegate. Default: nothing held back.
-    fn end_batch(&mut self) {}
+    /// Called on a sink (an operator without successors) when the executor
+    /// is about to give control back, and before it acknowledges a barrier:
+    /// the end of a time slice, of an `inject`, of an alignment. Whatever
+    /// the sink held back to do in one piece (a network sink's `write`) is
+    /// due now. A host that never calls it is to be assumed, so a sink may
+    /// hold back only after it has seen the first call. Wrapper operators
+    /// must delegate. Default: nothing held back.
+    fn end_slice(&mut self) {}
 }
 
 /// What the default [`Operator::process_batch`] leaves behind, however it
@@ -436,8 +436,8 @@ impl Operator for Box<dyn Operator> {
         (**self).on_eos(port, out)
     }
 
-    fn end_batch(&mut self) {
-        (**self).end_batch()
+    fn end_slice(&mut self) {
+        (**self).end_slice()
     }
 }
 

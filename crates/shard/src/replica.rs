@@ -100,8 +100,8 @@ impl Operator for ShardReplica {
         self.off_sequence(out, |inner, scratch| inner.on_eos(port, scratch))
     }
 
-    fn end_batch(&mut self) {
-        self.inner.end_batch()
+    fn end_slice(&mut self) {
+        self.inner.end_slice()
     }
 
     fn cost_hint(&self) -> Option<std::time::Duration> {

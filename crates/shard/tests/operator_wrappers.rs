@@ -1,7 +1,7 @@
 //! Every in-repo operator wrapper hands every `Operator` method on to the
 //! operator it wraps. One table, walked once per wrapper: a method added to
-//! the trait gets a row here, and a wrapper that forgets it — as `end_batch`
-//! and `on_eos` were forgotten before — fails its walk.
+//! the trait gets a row here, and a wrapper that forgets it — as the sink's
+//! end-of-slice hook and `on_eos` were forgotten before — fails its walk.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -96,8 +96,8 @@ impl Operator for Recorder {
         Ok(())
     }
 
-    fn end_batch(&mut self) {
-        self.note("end_batch");
+    fn end_slice(&mut self) {
+        self.note("end_slice");
     }
 }
 
@@ -146,7 +146,7 @@ const METHODS: &[Method] = &[
     ("shard_key", |op| drop(op.shard_key(0))),
     ("replicate", |op| drop(op.replicate())),
     ("on_eos", |op| op.on_eos(0, &mut Output::new()).unwrap()),
-    ("end_batch", |op| op.end_batch()),
+    ("end_slice", |op| op.end_slice()),
 ];
 
 /// The operator `keyed_agg_shard2` shards, under its replica wrapper: the
