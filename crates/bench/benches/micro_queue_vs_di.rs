@@ -224,6 +224,19 @@ fn queue_transfer(c: &mut Criterion) {
         })
     });
 
+    // The same with runs of 32, as the saturated chains book statistics:
+    // one record update and one publish per operator and run, beside
+    // `di_chain_5_run32`, per element.
+    g.throughput(Throughput::Elements(32));
+    g.bench_function("di_chain_5_run32_with_stats", |b| {
+        let mut exec = di_chain(5, 32, true);
+        let mut run: Vec<Element> = Vec::with_capacity(32);
+        b.iter(|| {
+            run.extend((0..32).map(|_| element(7)));
+            exec.inject_batch(NodeId(0), 0, black_box(&mut run));
+        })
+    });
+
     g.finish();
 }
 

@@ -214,6 +214,7 @@ mod tests {
     use super::super::{Attach, DomainExecutor, ExecConfig, Target};
     use super::*;
     use crate::scheduler::strategy::StrategyKind;
+    use crate::stats::NodeStats;
     use hmts_graph::graph::NodeId;
     use hmts_obs::{trace_id, TraceConfig};
     use hmts_operators::expr::Expr;
@@ -221,7 +222,6 @@ mod tests {
     use hmts_operators::map::Map;
     use hmts_operators::traits::Operator;
     use hmts_streams::error::Result;
-    use hmts_streams::metrics::CostEstimator;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -252,8 +252,8 @@ mod tests {
         }
         let s = stats.snapshot();
         assert_eq!(s.processed, 10);
-        assert_eq!(s.selectivity.selectivity(), Some(0.5));
-        assert!(s.cost.cost().is_some());
+        assert_eq!(s.selectivity(), Some(0.5));
+        assert!(s.cost().is_some());
     }
 
     #[test]
@@ -267,9 +267,9 @@ mod tests {
             // Counts are exact and there when `inject` returns; cost
             // samples are the first call and every `stride`-th after it.
             assert_eq!(s.processed, n);
-            assert_eq!(s.cost.samples(), n.div_ceil(stride), "after {n} invocations");
+            assert_eq!(s.cost_samples, n.div_ceil(stride), "after {n} invocations");
         }
-        assert_eq!(stats.snapshot().selectivity.selectivity(), Some(4.0 / (3 * stride + 1) as f64));
+        assert_eq!(stats.snapshot().selectivity(), Some(4.0 / (3 * stride + 1) as f64));
     }
 
     #[test]
@@ -283,8 +283,8 @@ mod tests {
             }
             let s = stats.snapshot();
             assert_eq!(s.processed, 10 * wiring);
-            assert_eq!(s.cost.samples(), wiring, "each wiring times its first invocation");
-            assert_eq!(s.selectivity.selectivity(), Some(0.5));
+            assert_eq!(s.cost_samples, wiring, "each wiring times its first invocation");
+            assert_eq!(s.selectivity(), Some(0.5));
         }
     }
 
@@ -311,22 +311,22 @@ mod tests {
     }
 
     /// `c(v)` of a `Spin(spin)` as the probe samples it, and as the same
-    /// estimator reports it when fed a timing of every single call.
+    /// record reports it when fed a timing of every single call.
     fn sampled_and_per_call_cost(spin: Duration, calls: u64) -> (Duration, Duration) {
         let stats = crate::stats::shared_node_stats();
         let mut exec = observed(Box::new(Spin(spin)), &stats);
         for n in 0..calls {
             exec.inject(NodeId(1), 0, data(0, n));
         }
-        let (mut op, mut out, mut per_call) = (Spin(spin), Output::new(), CostEstimator::new());
+        let (mut op, mut out, mut per_call) = (Spin(spin), Output::new(), NodeStats::default());
         let el = Element::single(0, hmts_streams::time::Timestamp::ZERO);
         for _ in 0..calls {
             let start = Instant::now();
             op.process(0, &el, &mut out).unwrap();
-            per_call.observe(start.elapsed());
+            per_call.observe(el.ts, Some(start.elapsed()), 0);
         }
-        let sampled = stats.snapshot().cost;
-        assert_eq!(sampled.samples(), calls.div_ceil(u64::from(COST_STRIDE)));
+        let sampled = stats.snapshot();
+        assert_eq!(sampled.cost_samples, calls.div_ceil(u64::from(COST_STRIDE)));
         (sampled.cost().unwrap(), per_call.cost().unwrap())
     }
 

@@ -85,16 +85,16 @@ impl Engine {
             obs.add_collector(move || {
                 for (stats, rate, operator) in &nodes {
                     let s = stats.snapshot();
-                    if let Some(r) = s.arrivals.rate() {
+                    if let Some(r) = s.rate() {
                         rate.set(r as i64);
                     }
                     let Some((cost, sel, processed)) = operator else {
                         continue;
                     };
-                    if let Some(c) = s.cost.cost() {
+                    if let Some(c) = s.cost() {
                         cost.set(c.as_nanos().min(i64::MAX as u128) as i64);
                     }
-                    if let Some(x) = s.selectivity.selectivity() {
+                    if let Some(x) = s.selectivity() {
                         sel.set((x * 1e6) as i64);
                     }
                     processed.set(s.processed as i64);

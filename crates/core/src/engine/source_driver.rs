@@ -636,7 +636,7 @@ mod tests {
         h.join().unwrap();
         let s = stats.snapshot();
         assert_eq!(s.processed, 100);
-        let rate = s.arrivals.rate().unwrap();
+        let rate = s.rate().unwrap();
         assert!((rate - 1_000_000.0).abs() < 100_000.0, "rate={rate}");
     }
 

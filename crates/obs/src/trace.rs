@@ -9,10 +9,10 @@
 //! * a source stamps every sampled element with a non-zero trace id
 //!   (`hmts_streams::TraceTag`) derived from its sequence number,
 //! * every instrumented site — queue enqueue/dequeue, operator
-//!   process-start/process-end — appends a [`SpanEvent`] to a lock-free
-//!   bounded [`SpanBuffer`] (same claim-a-slot ring as the scheduler
-//!   [`crate::EventJournal`], and the same per-thread token space, so both
-//!   streams merge onto one exported timeline),
+//!   process-start/process-end — appends a [`SpanEvent`] to the
+//!   [`Tracer`]'s lock-free bounded span ring (same claim-a-slot ring as
+//!   the scheduler [`crate::EventJournal`], and the same per-thread token
+//!   space, so both streams merge onto one exported timeline),
 //! * exporters ([`crate::export`]) reassemble the spans into Chrome/Perfetto
 //!   `trace_event` JSON and a per-operator queue-wait vs processing
 //!   latency breakdown.

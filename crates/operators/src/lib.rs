@@ -20,7 +20,8 @@
 //! * [`dedup::Dedup`] — windowed duplicate elimination,
 //! * [`cost::Costed`] / [`cost::BusyPassthrough`] — artificial per-element
 //!   costs for scheduling experiments,
-//! * [`sink`] — collecting / counting / timeline sinks for observation.
+//! * [`sink`] — collecting / counting / discarding / callback sinks for
+//!   observation.
 
 #![warn(missing_docs)]
 
@@ -30,7 +31,6 @@ pub mod dedup;
 pub mod expr;
 pub mod filter;
 pub mod join;
-pub mod latency;
 pub mod map;
 pub mod project;
 pub mod sample;
@@ -45,13 +45,10 @@ pub use dedup::Dedup;
 pub use expr::{CmpOp, Expr};
 pub use filter::Filter;
 pub use join::{JoinCondition, SymmetricHashJoin, SymmetricNestedLoopsJoin};
-pub use latency::{LatencyHistogram, LatencySink};
 pub use map::Map;
 pub use project::{MapExpr, Project};
 pub use sample::{Sample, SamplePolicy};
-pub use sink::{
-    CallbackSink, CollectingSink, CountingSink, NullSink, SinkHandle, TimelineHandle, TimelineSink,
-};
+pub use sink::{CallbackSink, CollectingSink, CountingSink, NullSink, SinkHandle};
 pub use traits::{EosTracker, Operator, Output, Source, WatermarkTracker};
 pub use union::Union;
 pub use window::WindowBuffer;

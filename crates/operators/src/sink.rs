@@ -11,8 +11,7 @@ use parking_lot::Mutex;
 
 use hmts_streams::element::Element;
 use hmts_streams::error::Result;
-use hmts_streams::metrics::TimeSeries;
-use hmts_streams::time::{SharedClock, Timestamp};
+use hmts_streams::time::Timestamp;
 
 use crate::traits::{Operator, Output};
 
@@ -117,78 +116,6 @@ impl Operator for CountingSink {
     }
 }
 
-/// A sink that records the *wall-clock* arrival time of every element
-/// against the cumulative count — producing exactly the "number of results
-/// over time" series of the paper's Fig. 10.
-pub struct TimelineSink {
-    name: String,
-    clock: SharedClock,
-    series: Arc<Mutex<TimeSeries>>,
-    count: u64,
-    state: Arc<SinkState>,
-}
-
-/// Read-side handle of a [`TimelineSink`].
-#[derive(Clone)]
-pub struct TimelineHandle {
-    series: Arc<Mutex<TimeSeries>>,
-    state: Arc<SinkState>,
-}
-
-impl TimelineHandle {
-    /// Snapshot of the (arrival time, cumulative count) series.
-    pub fn series(&self) -> TimeSeries {
-        self.series.lock().clone()
-    }
-
-    /// Number of elements received so far.
-    pub fn count(&self) -> u64 {
-        self.state.count.load(Ordering::Acquire)
-    }
-
-    /// Whether end-of-stream has arrived.
-    pub fn is_done(&self) -> bool {
-        self.state.done.load(Ordering::Acquire)
-    }
-}
-
-impl TimelineSink {
-    /// Creates the sink (timestamping arrivals with `clock`) and its handle.
-    pub fn new(name: impl Into<String>, clock: SharedClock) -> (TimelineSink, TimelineHandle) {
-        let name = name.into();
-        let series = Arc::new(Mutex::new(TimeSeries::new(name.clone())));
-        let state = Arc::new(SinkState::default());
-        (
-            TimelineSink {
-                name,
-                clock,
-                series: Arc::clone(&series),
-                count: 0,
-                state: Arc::clone(&state),
-            },
-            TimelineHandle { series, state },
-        )
-    }
-}
-
-impl Operator for TimelineSink {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, _port: usize, _element: &Element, _out: &mut Output) -> Result<()> {
-        self.count += 1;
-        self.series.lock().record(self.clock.now(), self.count as f64);
-        self.state.count.store(self.count, Ordering::Release);
-        Ok(())
-    }
-
-    fn flush(&mut self, _out: &mut Output) -> Result<()> {
-        self.state.done.store(true, Ordering::Release);
-        Ok(())
-    }
-}
-
 /// A sink that discards everything (for pure-overhead measurements).
 pub struct NullSink {
     name: String,
@@ -238,7 +165,6 @@ impl Operator for CallbackSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmts_streams::time::ManualClock;
 
     fn el(v: i64, secs: u64) -> Element {
         Element::single(v, Timestamp::from_secs(secs))
@@ -268,25 +194,6 @@ mod tests {
         }
         assert_eq!(h.count(), 100);
         assert!(h.elements().is_empty());
-    }
-
-    #[test]
-    fn timeline_sink_records_arrival_series() {
-        let clock = ManualClock::new();
-        let shared: SharedClock = Arc::new(clock.clone());
-        let (mut s, h) = TimelineSink::new("t", shared);
-        let mut out = Output::new();
-        clock.set(Timestamp::from_secs(1));
-        s.process(0, &el(1, 0), &mut out).unwrap();
-        clock.set(Timestamp::from_secs(2));
-        s.process(0, &el(2, 0), &mut out).unwrap();
-        let series = h.series();
-        assert_eq!(series.len(), 2);
-        assert_eq!(series.samples()[0], (Timestamp::from_secs(1), 1.0));
-        assert_eq!(series.samples()[1], (Timestamp::from_secs(2), 2.0));
-        assert_eq!(h.count(), 2);
-        s.flush(&mut out).unwrap();
-        assert!(h.is_done());
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * [`time::Clock`] abstractions for real and virtual time,
 //! * inter-partition [`queue::StreamQueue`]s that hold runs of elements,
 //!   with metrics and backpressure counted per element,
-//! * online estimators for cost `c(v)`, inter-arrival `d(v)`, and
-//!   selectivity in [`metrics`].
+//! * a [`metrics::TimeSeries`] recorder for the experiment figures.
 
 #![warn(missing_docs)]
 

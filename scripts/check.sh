@@ -49,6 +49,16 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> rustdoc with warnings as errors (every crates/* package)"
+# A doc link to a deleted or private item is otherwise only a printed
+# warning. The packages are named, not --workspace: the vendored crates'
+# docs are not this repository's to fix.
+packages=$(for manifest in crates/*/Cargo.toml; do
+  printf ' -p %s' "$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n1)"
+done)
+# shellcheck disable=SC2086 # one word per flag and package
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q $packages
+
 echo "==> cargo build --release"
 cargo build --release
 
