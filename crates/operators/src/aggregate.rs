@@ -12,7 +12,7 @@ use hmts_streams::tuple::Tuple;
 use hmts_streams::value::Value;
 
 use crate::expr::Expr;
-use crate::traits::{Operator, Output};
+use crate::traits::{Operator, Output, RunFront};
 use crate::window::WindowBuffer;
 
 /// The aggregate to compute over the live window (per group).
@@ -297,18 +297,6 @@ fn key_of<'a>(group_by: &'a Option<Expr>, e: &'a Element) -> Result<Cow<'a, Valu
     }
 }
 
-/// A run turned around, so that its next element is the last one and can
-/// be popped off and moved. However the loop over it ends — done, `?` or
-/// unwind — the drop turns what is left the right way round again: the
-/// element that failed first, then the ones behind it.
-struct Reversed<'a>(&'a mut Vec<Element>);
-
-impl Drop for Reversed<'_> {
-    fn drop(&mut self) {
-        self.0.reverse();
-    }
-}
-
 impl Operator for WindowAggregate {
     fn name(&self) -> &str {
         &self.name
@@ -325,9 +313,9 @@ impl Operator for WindowAggregate {
     }
 
     /// Moves each element into the window instead of cloning it; its result
-    /// carries its trace tag. An element emits only once everything that
-    /// can fail for it has succeeded, so a failing element leaves nothing of
-    /// itself in `out`.
+    /// carries its trace and sequence tags. An element emits only once
+    /// everything that can fail for it has succeeded, so a failing element
+    /// leaves nothing of itself in `out`.
     fn process_batch(
         &mut self,
         port: usize,
@@ -337,12 +325,12 @@ impl Operator for WindowAggregate {
         if port != 0 {
             return Err(StreamError::InvalidPort { port, arity: 1 });
         }
-        run.reverse();
-        let rest = Reversed(run);
-        while let Some(element) = rest.0.last() {
+        let mut rest = RunFront::new(run);
+        while let Some(element) = rest.front() {
             let (slot, result) = self.fold(element)?;
-            let element = rest.0.pop().expect("last checked");
-            out.push(Element::new(result, element.ts).with_trace(element.trace));
+            let element = rest.take();
+            let Element { ts, trace, seq, .. } = element;
+            out.push(Element { tuple: result, ts, trace, seq });
             self.window.insert_tagged(element, slot);
         }
         Ok(())

@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use hmts_state::StatefulOperator;
-use hmts_streams::element::{Element, TraceTag};
+use hmts_streams::element::Element;
 use hmts_streams::error::Result;
 use hmts_streams::time::Timestamp;
 use hmts_streams::tuple::Tuple;
@@ -167,13 +167,21 @@ impl Output {
         self.elements.append(run);
     }
 
-    /// Stamps the buffered elements from position `from` on with `trace`:
-    /// what a sampled input produced carries its tag, including results an
-    /// operator constructs from scratch (projections, join combinations,
-    /// aggregates).
-    pub fn stamp_trace(&mut self, from: usize, trace: TraceTag) {
+    /// Stamps the buffered elements from position `from` on with the tags
+    /// `input` carries: what a sampled input produced carries its trace tag,
+    /// and what an input of a sharded section produced its sequence tag,
+    /// including results an operator constructs from scratch (projections,
+    /// join combinations, aggregates). A tag `input` does not carry is left
+    /// as the results have it.
+    pub fn stamp_tags(&mut self, from: usize, input: &Element) {
+        let (trace, seq) = (input.trace, input.seq);
         for e in &mut self.elements[from..] {
-            e.trace = trace;
+            if trace.is_sampled() {
+                e.trace = trace;
+            }
+            if !seq.is_none() {
+                e.seq = seq;
+            }
         }
     }
 }
@@ -210,17 +218,23 @@ pub trait Operator: Send {
     ///   the failing one — so the caller can skip or retry exactly that
     ///   element and go on with the ones behind it.
     /// - **Tags follow.** The results of an element with a sampled trace
-    ///   tag carry that tag (see [`Output::stamp_trace`]), so a traced tuple
-    ///   is followed through a run like any other.
+    ///   tag carry that tag, so a traced tuple is followed through a run like
+    ///   any other; the results of an element with a [`SeqTag`] carry that
+    ///   tag, which is how a shard replica tells whose results are whose
+    ///   after one call over its whole run (see [`Output::stamp_tags`]). An
+    ///   element without a tag leaves its results' tags alone.
     ///
     /// The default lends each element to `process`, stamps the results of a
-    /// sampled one, and keeps the first two promises with a guard that is
+    /// tagged one, and keeps the first two promises with a guard that is
     /// also dropped by an unwind. An operator overrides it when owning the
     /// elements saves work — [`Filter`] keeps the passing elements in the run
-    /// and hands the run itself to `out` — and a wrapper that forwards
-    /// `process` unchanged forwards this too.
+    /// and hands the run itself to `out`, [`WindowAggregate`] moves each into
+    /// its window (see [`RunFront`]) — and a wrapper that forwards `process`
+    /// unchanged forwards this too.
     ///
     /// [`Filter`]: crate::filter::Filter
+    /// [`WindowAggregate`]: crate::aggregate::WindowAggregate
+    /// [`SeqTag`]: hmts_streams::element::SeqTag
     fn process_batch(
         &mut self,
         port: usize,
@@ -230,8 +244,9 @@ pub trait Operator: Send {
         let mut rest = RunRest { done: 0, mark: out.len(), run, out };
         while let Some(element) = rest.run.get(rest.done) {
             self.process(port, element, rest.out)?;
-            if element.trace.is_sampled() {
-                rest.out.stamp_trace(rest.mark, element.trace);
+            // Both tags in one test: an untagged element costs one branch.
+            if (element.trace.id() | element.seq.bits()) != 0 {
+                rest.out.stamp_tags(rest.mark, element);
             }
             rest.done += 1;
             rest.mark = rest.out.len();
@@ -329,6 +344,46 @@ impl Drop for RunRest<'_> {
     fn drop(&mut self) {
         self.out.truncate(self.mark);
         self.run.drain(..self.done);
+    }
+}
+
+/// The front of a run, taken one element at a time by move: what an
+/// operator that owns its input walks in [`Operator::process_batch`]. The
+/// run is turned around on the way in, so that taking the front element is
+/// a `pop`; however the walk ends — done, `?` or an unwind — the drop turns
+/// what is left the right way round again: the element that failed first,
+/// then the ones behind it, as the failure promise asks.
+pub struct RunFront<'a>(&'a mut Vec<Element>);
+
+impl<'a> RunFront<'a> {
+    /// Starts a walk over `run`.
+    #[inline]
+    pub fn new(run: &'a mut Vec<Element>) -> RunFront<'a> {
+        run.reverse();
+        RunFront(run)
+    }
+
+    /// The element at the front, lent.
+    #[inline]
+    pub fn front(&self) -> Option<&Element> {
+        self.0.last()
+    }
+
+    /// Takes the element at the front out of the run.
+    ///
+    /// # Panics
+    ///
+    /// If the run is empty: call it after [`front`](RunFront::front) found
+    /// an element.
+    #[inline]
+    pub fn take(&mut self) -> Element {
+        self.0.pop().expect("the run has a front")
+    }
+}
+
+impl Drop for RunFront<'_> {
+    fn drop(&mut self) {
+        self.0.reverse();
     }
 }
 

@@ -1,8 +1,9 @@
 //! The operator contract's tag duty, as one table: a run in which some
-//! elements carry a sampled trace tag goes through each operator's
-//! `process_batch`, and every output carries the tag of the input that
-//! produced it — whether the operator moves its input on, clones it, or
-//! builds the result from scratch.
+//! elements carry a sampled trace tag and some a shard sequence tag goes
+//! through each operator's `process_batch`, and every output carries the
+//! tags of the input that produced it — whether the operator moves its
+//! input on, clones it, or builds the result from scratch — so an input
+//! without a tag gives results without one.
 
 use std::time::Duration;
 
@@ -15,16 +16,19 @@ use hmts_operators::map::Map;
 use hmts_operators::project::Project;
 use hmts_operators::traits::{Operator, Output};
 use hmts_operators::union::Union;
-use hmts_streams::element::{Element, TraceTag};
+use hmts_streams::element::{Element, SeqKind, SeqTag, TraceTag};
 use hmts_streams::time::Timestamp;
 use hmts_streams::tuple::Tuple;
 
 /// Elements `(i % 3, i)` for `i` in `ids`, every other one sampled (tag
-/// `1000 + i`).
+/// `1000 + i`), four in five carrying sequence number `i`.
 fn run(ids: std::ops::Range<i64>) -> Vec<Element> {
     ids.map(|i| {
         let tag = TraceTag::new(if i % 2 == 1 { 1000 + i as u64 } else { 0 });
-        Element::new(Tuple::pair(i % 3, i), Timestamp::from_micros(i as u64)).with_trace(tag)
+        let seq = if i % 5 == 0 { SeqTag::NONE } else { SeqTag::new(i as u64, SeqKind::Last) };
+        Element::new(Tuple::pair(i % 3, i), Timestamp::from_micros(i as u64))
+            .with_trace(tag)
+            .with_seq(seq)
     })
     .collect()
 }
@@ -96,7 +100,7 @@ fn every_output_of_a_run_carries_the_tag_of_the_input_that_produced_it() {
         for (port, run) in &runs {
             for el in run {
                 op.process(*port, el, &mut out).unwrap();
-                want.extend(out.drain().map(|o| (o, el.trace)));
+                want.extend(out.drain().map(|o| (o, el.trace, el.seq)));
             }
         }
         // The same runs through `process_batch`.
@@ -106,10 +110,13 @@ fn every_output_of_a_run_carries_the_tag_of_the_input_that_produced_it() {
         }
         let got = out.elements();
         assert_eq!(got.len(), want.len(), "{name}: outputs");
-        for (i, (el, (expected, tag))) in got.iter().zip(&want).enumerate() {
+        for (i, (el, (expected, trace, seq))) in got.iter().zip(&want).enumerate() {
             assert_eq!(el, expected, "{name}: output {i}");
-            assert_eq!(el.trace, *tag, "{name}: output {i} carries its input's tag");
+            assert_eq!(el.trace, *trace, "{name}: output {i} carries its input's trace tag");
+            assert_eq!(el.seq, *seq, "{name}: output {i} carries its input's sequence tag");
         }
-        assert!(want.iter().any(|(_, t)| t.is_sampled()), "{name}: a sampled input produced");
+        assert!(want.iter().any(|(_, t, _)| t.is_sampled()), "{name}: a sampled input produced");
+        assert!(want.iter().any(|(_, _, s)| !s.is_none()), "{name}: a sequenced input produced");
+        assert!(want.iter().any(|(_, _, s)| s.is_none()), "{name}: an untagged input produced");
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use hmts_operators::traits::{Operator, Output};
+use hmts_operators::traits::{Operator, Output, RunFront};
 use hmts_state::{StateBlob, StateError, StatefulOperator};
 use hmts_streams::element::{Element, SeqKind, SeqTag};
 use hmts_streams::error::{Result, StreamError};
@@ -116,6 +116,62 @@ impl OrderedMerge {
             }
         }
     }
+
+    /// Whether `element` may arrive on `port` now: its sequence position, or
+    /// `None` for the flush channel. Changes nothing.
+    fn check(&self, port: usize, element: &Element) -> Result<Option<(u64, SeqKind)>> {
+        let arity = self.held.len();
+        let Some(run) = self.held.get(port) else {
+            return Err(StreamError::InvalidPort { port, arity });
+        };
+        if element.seq == SeqTag::FLUSH {
+            return Ok(None);
+        }
+        let Some((seq, kind)) = element.seq.position() else {
+            return Err(StreamError::Other(format!(
+                "merge '{}' received an element without a sequence tag",
+                self.name
+            )));
+        };
+        if seq < self.next_seq {
+            return Err(StreamError::Other(format!(
+                "merge '{}' received seq {seq} behind cursor {} (duplicate delivery?)",
+                self.name, self.next_seq
+            )));
+        }
+        if run.back().is_some_and(|b| position(b).0 > seq) {
+            return Err(StreamError::Other(format!(
+                "merge '{}' received seq {seq} out of order on port {port}",
+                self.name
+            )));
+        }
+        Ok(Some((seq, kind)))
+    }
+
+    /// Takes `element`, which [`check`](Self::check) found at `at` on
+    /// `port`, and emits whatever it makes releasable.
+    fn accept(
+        &mut self,
+        port: usize,
+        at: Option<(u64, SeqKind)>,
+        element: Element,
+        out: &mut Output,
+    ) {
+        let Some((seq, kind)) = at else {
+            return self.flush_buf[port].push(element.with_seq(SeqTag::NONE));
+        };
+        let run = &mut self.held[port];
+        if seq == self.next_seq && kind != SeqKind::More && run.is_empty() {
+            // A whole group at the cursor: straight through.
+            if kind == SeqKind::Last {
+                out.push(element.with_seq(SeqTag::NONE));
+            }
+            self.next_seq += 1;
+        } else {
+            run.push_back(element);
+        }
+        self.advance(out);
+    }
 }
 
 /// Moves the group `seq` off the head of `run` into `out`, untagged (a
@@ -139,42 +195,24 @@ impl Operator for OrderedMerge {
     }
 
     fn process(&mut self, port: usize, element: &Element, out: &mut Output) -> Result<()> {
-        let arity = self.held.len();
-        let Some(run) = self.held.get_mut(port) else {
-            return Err(StreamError::InvalidPort { port, arity });
-        };
-        if element.seq == SeqTag::FLUSH {
-            self.flush_buf[port].push(element.clone().with_seq(SeqTag::NONE));
-            return Ok(());
+        let at = self.check(port, element)?;
+        self.accept(port, at, element.clone(), out);
+        Ok(())
+    }
+
+    /// Moves each element of the run on or into its port's held run; an
+    /// element that fails the checks is left at the front of `run`.
+    fn process_batch(
+        &mut self,
+        port: usize,
+        run: &mut Vec<Element>,
+        out: &mut Output,
+    ) -> Result<()> {
+        let mut rest = RunFront::new(run);
+        while let Some(element) = rest.front() {
+            let at = self.check(port, element)?;
+            self.accept(port, at, rest.take(), out);
         }
-        let Some((seq, kind)) = element.seq.position() else {
-            return Err(StreamError::Other(format!(
-                "merge '{}' received an element without a sequence tag",
-                self.name
-            )));
-        };
-        if seq < self.next_seq {
-            return Err(StreamError::Other(format!(
-                "merge '{}' received seq {seq} behind cursor {} (duplicate delivery?)",
-                self.name, self.next_seq
-            )));
-        }
-        if run.back().is_some_and(|b| position(b).0 > seq) {
-            return Err(StreamError::Other(format!(
-                "merge '{}' received seq {seq} out of order on port {port}",
-                self.name
-            )));
-        }
-        if seq == self.next_seq && kind != SeqKind::More && run.is_empty() {
-            // A whole group at the cursor: straight through.
-            if kind == SeqKind::Last {
-                out.push(element.clone().with_seq(SeqTag::NONE));
-            }
-            self.next_seq += 1;
-        } else {
-            run.push_back(element.clone());
-        }
-        self.advance(out);
         Ok(())
     }
 
@@ -427,6 +465,25 @@ mod tests {
         assert!(m.process(0, &last(4, 2), &mut out).is_err());
         assert!(out.is_empty(), "a refused element emits nothing");
         assert_eq!((m.next_seq(), m.pending_groups()), (1, 1));
+    }
+
+    #[test]
+    fn a_run_is_taken_up_to_the_element_that_fails_its_checks() {
+        let mut m = OrderedMerge::new("m", 2);
+        let mut out = Output::new();
+        // Seq 1 is held for seq 0, which releases both, and the marker for
+        // seq 2 passes at the cursor; seq 0 again is a duplicate and stays
+        // first in the run, ahead of seq 3.
+        m.process_batch(1, &mut vec![last(11, 1)], &mut out).unwrap();
+        let mut run = vec![last(10, 0), marker(2), last(12, 0), last(13, 3)];
+        assert!(m.process_batch(0, &mut run, &mut out).is_err());
+        assert_eq!(run, [last(12, 0), last(13, 3)]);
+        assert_eq!(vals(&mut out), vec![10, 11]);
+        assert_eq!(m.next_seq(), 3);
+        run.remove(0);
+        m.process_batch(0, &mut run, &mut out).unwrap();
+        assert!(run.is_empty());
+        assert_eq!(vals(&mut out), vec![13]);
     }
 
     #[test]

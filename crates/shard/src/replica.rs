@@ -8,26 +8,31 @@ use hmts_streams::time::Timestamp;
 use hmts_streams::tuple::Tuple;
 
 /// Wraps one replica of the sharded operator, translating between the
-/// splitter's tagged stream and the inner operator's untagged world.
+/// splitter's tagged stream and the groups the merge reassembles.
 ///
-/// Inbound, the inner operator gets an untagged pointer copy of the
-/// element — exactly what the unsharded plan would hand it. Outbound, its
-/// results leave tagged with the input's sequence number, `more` … `last`,
-/// so the merge knows when a sequence group is complete. An input that
-/// produced *nothing* still announces itself with an empty-tuple `empty`
-/// marker; without it, a filtered-out element would stall the merge's
-/// cursor forever.
+/// Inbound, the inner operator gets the splitter's elements as they are —
+/// the unsharded plan's tuples, each with its sequence tag beside it — a
+/// whole run in one [`process_batch`](Operator::process_batch). By the
+/// operator contract's tags-follow duty its results come back carrying the
+/// tag of the input that produced them; outbound, the replica re-tags them
+/// `more` … `last` per input, so the merge knows when a sequence group is
+/// complete. An input that produced *nothing* still announces itself with
+/// an empty-tuple `empty` marker; without it, a filtered-out element would
+/// stall the merge's cursor forever.
 pub struct ShardReplica {
     name: String,
     inner: Box<dyn Operator>,
+    /// What the inner operator emits, before it is re-tagged into `out`.
     scratch: Output,
+    /// The sequence tag and timestamp of each input of the run in hand.
+    inputs: Vec<(SeqTag, Timestamp)>,
 }
 
 impl ShardReplica {
     /// Wraps `inner` as the replica named `name` (conventionally
     /// `base[i]`, minted by [`crate::names::replica`]).
     pub fn new(name: impl Into<String>, inner: Box<dyn Operator>) -> ShardReplica {
-        ShardReplica { name: name.into(), inner, scratch: Output::new() }
+        ShardReplica { name: name.into(), inner, scratch: Output::new(), inputs: Vec::new() }
     }
 
     /// The wrapped operator.
@@ -54,6 +59,67 @@ impl ShardReplica {
     }
 }
 
+/// The error for an input that carries no sequence position.
+fn no_tag(replica: &str) -> StreamError {
+    StreamError::Other(format!(
+        "shard replica '{replica}' received an element without a sequence tag"
+    ))
+}
+
+/// Moves the results of `inputs` out of `results` into `out`, each tagged
+/// with its place in its input's group — `more` … `last` — and an `empty`
+/// marker where an input produced nothing. A result belongs to the input
+/// whose tag it carries, and the results come in input order. Returns how
+/// many results belonged to none of `inputs`; those are dropped.
+fn retag(inputs: &[(SeqTag, Timestamp)], results: &mut Output, out: &mut Output) -> usize {
+    let mut results = results.drain().peekable();
+    for &(tag, ts) in inputs {
+        let (seq, _) = tag.position().expect("only positions are noted");
+        let of_input = |e: &Element| e.seq == tag;
+        let Some(mut result) = results.next_if(of_input) else {
+            let marker = Element::new(Tuple::empty(), ts);
+            out.push(marker.with_seq(SeqTag::new(seq, SeqKind::Empty)));
+            continue;
+        };
+        while let Some(next) = results.next_if(of_input) {
+            let more = std::mem::replace(&mut result, next);
+            out.push(more.with_seq(SeqTag::new(seq, SeqKind::More)));
+        }
+        out.push(result.with_seq(SeqTag::new(seq, SeqKind::Last)));
+    }
+    results.count()
+}
+
+/// What [`ShardReplica::process_batch`] leaves behind, however the inner
+/// call ends: the results of the inputs the operator is done with — those
+/// no longer in `run` — re-tagged into `out`, then any untagged rest of the
+/// run put back behind what the call left of it.
+struct Retagged<'a> {
+    inputs: &'a mut Vec<(SeqTag, Timestamp)>,
+    run: &'a mut Vec<Element>,
+    results: &'a mut Output,
+    out: &'a mut Output,
+    untagged: Vec<Element>,
+}
+
+impl Retagged<'_> {
+    /// Re-tags the results of the inputs that left the run and forgets
+    /// those inputs; returns how many results had no input's tag.
+    fn retag(&mut self) -> usize {
+        let done = self.inputs.len().saturating_sub(self.run.len());
+        let orphans = retag(&self.inputs[..done], self.results, self.out);
+        self.inputs.clear();
+        orphans
+    }
+}
+
+impl Drop for Retagged<'_> {
+    fn drop(&mut self) {
+        self.retag();
+        self.run.append(&mut self.untagged);
+    }
+}
+
 impl Operator for ShardReplica {
     fn name(&self) -> &str {
         &self.name
@@ -63,27 +129,47 @@ impl Operator for ShardReplica {
         self.inner.input_arity()
     }
 
-    // `process_batch` is the provided loop over `process`: the tags are per
-    // element, so the inner operator is handed one element at a time.
-    fn process(&mut self, _port: usize, element: &Element, out: &mut Output) -> Result<()> {
-        let Some((seq, _)) = element.seq.position() else {
-            return Err(StreamError::Other(format!(
-                "shard replica '{}' received an element without a sequence tag",
-                self.name
-            )));
-        };
-        self.scratch.clear();
+    fn process(&mut self, port: usize, element: &Element, out: &mut Output) -> Result<()> {
+        if element.seq.position().is_none() {
+            return Err(no_tag(&self.name));
+        }
         // All-or-nothing per sequence number: a failed element contributes
         // no partial group at the merge (`scratch` is cleared on entry).
-        self.inner.process(0, &element.clone().with_seq(SeqTag::NONE), &mut self.scratch)?;
-        let results = self.scratch.len();
-        if results == 0 {
-            let marker = Element::new(Tuple::empty(), element.ts);
-            out.push(marker.with_seq(SeqTag::new(seq, SeqKind::Empty)));
+        self.scratch.clear();
+        self.inner.process(port, element, &mut self.scratch)?;
+        self.scratch.stamp_tags(0, element);
+        retag(&[(element.seq, element.ts)], &mut self.scratch, out);
+        Ok(())
+    }
+
+    /// Hands the inner operator the whole run, still tagged, and re-tags
+    /// what comes back from the tags the results carry. A failure keeps the
+    /// operator contract's promise: the rest of the run stays in `run`, the
+    /// failing element first, and `out` holds the re-tagged results of the
+    /// elements before it — an untagged element fails in its turn.
+    fn process_batch(
+        &mut self,
+        port: usize,
+        run: &mut Vec<Element>,
+        out: &mut Output,
+    ) -> Result<()> {
+        let ShardReplica { name, inner, scratch, inputs } = self;
+        inputs.clear();
+        inputs.extend(run.iter().map_while(|e| e.seq.position().map(|_| (e.seq, e.ts))));
+        let untagged =
+            if inputs.len() < run.len() { run.split_off(inputs.len()) } else { Vec::new() };
+        scratch.clear();
+        let mut rest = Retagged { inputs, run, results: scratch, out, untagged };
+        inner.process_batch(port, rest.run, rest.results)?;
+        let orphans = rest.retag();
+        if orphans > 0 {
+            return Err(StreamError::Other(format!(
+                "shard replica '{name}': {orphans} results of '{}' carry no input's sequence tag",
+                inner.name()
+            )));
         }
-        for (i, e) in self.scratch.drain().enumerate() {
-            let kind = if i + 1 == results { SeqKind::Last } else { SeqKind::More };
-            out.push(e.with_seq(SeqTag::new(seq, kind)));
+        if !rest.untagged.is_empty() {
+            return Err(no_tag(name));
         }
         Ok(())
     }
@@ -105,10 +191,11 @@ impl Operator for ShardReplica {
     }
 
     fn cost_hint(&self) -> Option<std::time::Duration> {
-        // The wrapper's own share — a pointer copy in, a tag per result out
-        // — is about 40 ns (`shard.split_merge_ns` 143 less the splitter's
-        // 35, the merge's 45 and the probe's 24 ns filter): the operator's
-        // hint stands for the replica's.
+        // The wrapper's own share — noting the run, re-tagging what comes
+        // back — is part of the about 75 ns a tuple the trio adds to the
+        // aggregate it shards (`micro_shard`: `shard_trio_run32` less
+        // `aggregate_run32`, one thread, runs of 32): the operator's hint
+        // stands for the replica's.
         self.inner.cost_hint()
     }
 
@@ -137,7 +224,7 @@ mod tests {
         Element::single(v, Timestamp::from_micros(seq)).with_seq(SeqTag::new(seq, SeqKind::Last))
     }
 
-    /// Emits its input `field 0` times; refuses a tagged input.
+    /// Emits its input's tuple `field 0` times, as new (untagged) elements.
     struct Repeat;
 
     impl Operator for Repeat {
@@ -146,11 +233,8 @@ mod tests {
         }
 
         fn process(&mut self, _port: usize, e: &Element, out: &mut Output) -> Result<()> {
-            if !e.seq.is_none() {
-                return Err(StreamError::Other(format!("operator saw tag {:?}", e.seq)));
-            }
             for _ in 0..e.tuple.field(0).as_int()? {
-                out.push(e.clone());
+                out.emit(e.tuple.clone(), e.ts);
             }
             Ok(())
         }
@@ -162,7 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn hides_the_tag_from_the_operator_and_tags_its_outputs() {
+    fn a_passing_element_is_its_groups_last_and_a_dropped_one_a_marker() {
         let inner = Filter::new("f", Expr::field(0).lt(Expr::int(5)));
         let mut r = ShardReplica::new("f[0]", Box::new(inner));
         let mut out = Output::new();
@@ -195,6 +279,34 @@ mod tests {
         assert_eq!(out.elements()[0].tuple, Tuple::single(-1));
     }
 
+    /// A run in one call comes out as the same groups as its elements one
+    /// at a time: `more` … `last`, or a marker for an input with no result.
+    #[test]
+    fn a_run_is_regrouped_from_the_tags_its_results_carry() {
+        let counts = [2, 0, 1, 3, 0, 0, 1];
+        let run = || -> Vec<Element> {
+            counts.iter().enumerate().map(|(seq, n)| tagged(*n, seq as u64 * 3)).collect()
+        };
+        let mut one_by_one = ShardReplica::new("r[0]", Box::new(Repeat));
+        let mut want = Output::new();
+        for e in run() {
+            one_by_one.process(0, &e, &mut want).unwrap();
+        }
+        let mut r = ShardReplica::new("r[0]", Box::new(Repeat));
+        let (mut run, mut out) = (run(), Output::new());
+        r.process_batch(0, &mut run, &mut out).unwrap();
+        assert!(run.is_empty());
+        let tags = |out: &Output| -> Vec<_> {
+            out.elements().iter().map(|e| (e.tuple.clone(), e.ts, e.seq)).collect()
+        };
+        assert_eq!(tags(&out), tags(&want));
+        use SeqKind::{Empty, Last, More};
+        let kinds: Vec<_> = out.elements().iter().map(|e| e.seq.position().unwrap()).collect();
+        let expected = [(0, More), (0, Last), (3, Empty), (6, Last), (9, More), (9, More)];
+        assert_eq!(kinds[..6], expected);
+        assert_eq!(kinds[6..], [(9, Last), (12, Empty), (15, Empty), (18, Last)]);
+    }
+
     #[test]
     fn untagged_input_and_inner_errors_emit_nothing() {
         let inner = Filter::new("f", Expr::field(7).lt(Expr::int(1)));
@@ -205,6 +317,57 @@ mod tests {
         let flush = Element::single(1, Timestamp::ZERO).with_seq(SeqTag::FLUSH);
         assert!(r.process(0, &flush, &mut out).is_err());
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn an_untagged_element_fails_in_its_turn_in_a_run() {
+        let inner = Filter::new("f", Expr::field(0).lt(Expr::int(5)));
+        let mut r = ShardReplica::new("f[0]", Box::new(inner));
+        let untagged = Element::single(2, Timestamp::ZERO);
+        let mut run = vec![tagged(1, 0), tagged(9, 1), untagged.clone(), tagged(3, 2)];
+        let mut out = Output::new();
+        assert!(r.process_batch(0, &mut run, &mut out).is_err());
+        // The two before it went through, a result and a marker; it is
+        // first in what is left, and the one behind it still tagged.
+        let kinds: Vec<_> = out.elements().iter().map(|e| e.seq.position().unwrap()).collect();
+        assert_eq!(kinds, [(0, SeqKind::Last), (1, SeqKind::Empty)]);
+        assert_eq!(run, [untagged, tagged(3, 2)]);
+        assert_eq!(run[1].seq.position(), Some((2, SeqKind::Last)));
+    }
+
+    /// Takes a run and emits one new element for it, ignoring the tags.
+    struct Untagging;
+
+    impl Operator for Untagging {
+        fn name(&self) -> &str {
+            "untagging"
+        }
+
+        fn process(&mut self, _port: usize, _e: &Element, _out: &mut Output) -> Result<()> {
+            Ok(())
+        }
+
+        fn process_batch(
+            &mut self,
+            _port: usize,
+            run: &mut Vec<Element>,
+            out: &mut Output,
+        ) -> Result<()> {
+            run.clear();
+            out.emit(Tuple::single(0), Timestamp::ZERO);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_result_without_its_inputs_tag_is_an_error_not_a_lost_group() {
+        let mut r = ShardReplica::new("u[0]", Box::new(Untagging));
+        let (mut run, mut out) = (vec![tagged(1, 0)], Output::new());
+        let refused = r.process_batch(0, &mut run, &mut out).unwrap_err();
+        assert!(refused.to_string().contains("carry no input's sequence tag"), "{refused}");
+        // The input is still accounted for at the merge.
+        assert_eq!(out.len(), 1);
+        assert_eq!(out.elements()[0].seq.position(), Some((0, SeqKind::Empty)));
     }
 
     #[test]

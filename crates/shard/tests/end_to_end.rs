@@ -8,7 +8,6 @@ use std::time::Duration;
 
 use hmts::operators::traits::{Operator, Output};
 use hmts::prelude::*;
-use hmts::streams::element::SeqTag;
 use hmts_shard::{remap_partitioning, shard_by_name, ShardSpec};
 
 const KEYS: i64 = 7;
@@ -138,9 +137,9 @@ fn single_replica_shard_is_transparent() {
     assert_eq!(sharded.elements(), baseline.elements());
 }
 
-/// What a [`Recorder`] (and every replica of it) was handed: arity, tuple
-/// and sequence tag of each input.
-type Seen = Arc<Mutex<Vec<(usize, Tuple, SeqTag)>>>;
+/// What a [`Recorder`] (and every replica of it) was handed: arity and
+/// tuple of each input.
+type Seen = Arc<Mutex<Vec<(usize, Tuple)>>>;
 
 /// Passes its input on and notes what it looked like.
 struct Recorder(Seen);
@@ -156,7 +155,7 @@ impl Operator for Recorder {
         e: &Element,
         out: &mut Output,
     ) -> hmts::streams::error::Result<()> {
-        self.0.lock().unwrap().push((e.tuple.arity(), e.tuple.clone(), e.seq));
+        self.0.lock().unwrap().push((e.tuple.arity(), e.tuple.clone()));
         out.push(e.clone());
         Ok(())
     }
@@ -167,7 +166,7 @@ impl Operator for Recorder {
 }
 
 #[test]
-fn the_sequence_tag_reaches_neither_the_operator_nor_the_sink() {
+fn replicas_see_the_unsharded_tuples_and_no_sequence_tag_reaches_the_sink() {
     let seen = Seen::default();
     let (graph, baseline) = chain_around(Recorder(Arc::clone(&seen)));
     let report = run(graph, None);
@@ -182,9 +181,10 @@ fn the_sequence_tag_reaches_neither_the_operator_nor_the_sink() {
     let mut replicas = std::mem::take(&mut *seen.lock().unwrap());
 
     // Between them the replicas saw the unsharded operator's inputs, arity
-    // and all (in an order of their own: they run in parallel), and not one
-    // sequence tag.
-    assert!(replicas.iter().all(|(arity, _, tag)| *arity == 2 && tag.is_none()));
+    // and all (in an order of their own: they run in parallel). Each came
+    // with its sequence tag beside the tuple, which the contract lets an
+    // operator see; the tuple carries nothing of it.
+    assert!(replicas.iter().all(|(arity, _)| *arity == 2));
     unsharded.sort_by(|a, b| a.1.cmp(&b.1));
     replicas.sort_by(|a, b| a.1.cmp(&b.1));
     assert_eq!(replicas, unsharded);

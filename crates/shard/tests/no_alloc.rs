@@ -1,9 +1,11 @@
 //! The shard path moves the tuple it was given: between the splitter
 //! receiving an element and the merge emitting it, the steady state
-//! allocates nothing — a tuple is an `Arc` pointer copy per hop, the
-//! sequence tag a word beside it, the route tags two buffers swapped back
-//! and forth. Counted under a global allocator that keeps one counter per
-//! thread, so the tests of this binary do not see each other.
+//! allocates nothing — a run's element is moved from hop to hop and a lent
+//! one is an `Arc` pointer copy, the sequence tag a word beside it, the
+//! route tags two buffers swapped back and forth, and an `empty` marker's
+//! tuple the one shared empty slice. Counted under a global allocator that
+//! keeps one counter per thread, so the tests of this binary do not see
+//! each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,11 +61,12 @@ fn allocations_during(f: impl FnOnce()) -> (u64, usize) {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// Split → two replicas around a passing filter → merge, the way the
-/// executor drives them: a batch through the splitter element by element,
-/// the route tags swapped out after each, each replica's share through the
+/// Split → two replicas around a filter → merge: a batch through the
+/// splitter, the route tags swapped out, each replica's share through the
 /// replica, each replica's results through the merge port by port (so the
-/// merge queues one port's batch until the other's arrives).
+/// merge queues one port's batch until the other's arrives) — one element
+/// per call ([`ShardPath::batch`]) or, the way the executor drives them, a
+/// run per call ([`ShardPath::runs`]).
 struct ShardPath {
     split: ShardSplit,
     replicas: Vec<ShardReplica>,
@@ -78,11 +81,12 @@ struct ShardPath {
 }
 
 impl ShardPath {
-    fn new(shards: usize) -> ShardPath {
-        let pass = || Box::new(Filter::new("pass", Expr::field(1).ge(Expr::int(0))));
+    /// The path with a filter on `predicate` in each replica.
+    fn new(shards: usize, predicate: Expr) -> ShardPath {
+        let filter = || Box::new(Filter::new("f", predicate.clone()));
         ShardPath {
             split: ShardSplit::new("p.split", Expr::field(0), shards),
-            replicas: (0..shards).map(|i| ShardReplica::new(format!("p[{i}]"), pass())).collect(),
+            replicas: (0..shards).map(|i| ShardReplica::new(format!("p[{i}]"), filter())).collect(),
             merge: OrderedMerge::new("p.merge", shards),
             routed: Output::new(),
             tags: Vec::new(),
@@ -116,6 +120,27 @@ impl ShardPath {
         self.emitted += self.merged.len();
         self.merged.clear();
     }
+
+    /// `batch` through the path a run per `process_batch`, its elements
+    /// moved from hop to hop; the run itself is filled from `batch` with
+    /// pointer copies, as a source's would be.
+    fn runs(&mut self, batch: &[Element], run: &mut Vec<Element>) {
+        run.extend(batch.iter().cloned());
+        self.split.process_batch(0, run, &mut self.routed).unwrap();
+        self.routed.swap_routes(&mut self.tags);
+        for (e, shard) in self.routed.drain().zip(&self.tags) {
+            self.to_replica[*shard as usize].push(e);
+        }
+        for (shard, replica) in self.replicas.iter_mut().enumerate() {
+            replica.process_batch(0, &mut self.to_replica[shard], &mut self.tagged).unwrap();
+            self.tagged.swap_elements(&mut self.to_merge[shard]);
+        }
+        for (port, results) in self.to_merge.iter_mut().enumerate() {
+            self.merge.process_batch(port, results, &mut self.merged).unwrap();
+        }
+        self.emitted += self.merged.len();
+        self.merged.clear();
+    }
 }
 
 #[test]
@@ -126,7 +151,7 @@ fn the_shard_path_allocates_nothing_per_element() {
             Element::new(Tuple::pair((i * 7 % 13) as i64, i as i64), Timestamp::from_micros(i))
         })
         .collect();
-    let mut path = ShardPath::new(2);
+    let mut path = ShardPath::new(2, Expr::field(1).ge(Expr::int(0)));
     // Warm-up: every reused buffer reaches its steady size.
     for batch in pool.chunks(BATCH) {
         path.batch(batch);
@@ -142,6 +167,38 @@ fn the_shard_path_allocates_nothing_per_element() {
     assert_eq!(path.emitted - before, 25 * pool.len(), "every element came out of the merge");
     assert!(25 * pool.len() >= 100_000);
     assert_eq!(count, 0, "allocations on the shard path for {} elements", 25 * pool.len());
+}
+
+/// The executor's path: runs through `process_batch` at every hop, with a
+/// filter in the replicas that drops one element in three, so a third of
+/// the sequence numbers reach the merge as `empty` markers. Nothing is
+/// allocated in the steady state, markers included.
+#[test]
+fn the_run_path_allocates_nothing_per_element_markers_included() {
+    const BATCH: usize = 32;
+    let pool: Vec<Element> = (0..4096u64)
+        .map(|i| {
+            let row = Tuple::pair((i * 7 % 13) as i64, (i % 3) as i64);
+            Element::new(row, Timestamp::from_micros(i))
+        })
+        .collect();
+    let passing = pool.iter().filter(|e| e.tuple.field(1).as_int().unwrap() < 2).count();
+    let mut path = ShardPath::new(2, Expr::field(1).lt(Expr::int(2)));
+    let mut run = Vec::with_capacity(BATCH);
+    for batch in pool.chunks(BATCH) {
+        path.runs(batch, &mut run);
+    }
+    let before = path.emitted;
+    let (count, _) = allocations_during(|| {
+        for _ in 0..25 {
+            for batch in pool.chunks(BATCH) {
+                path.runs(batch, &mut run);
+            }
+        }
+    });
+    assert_eq!(path.emitted - before, 25 * passing, "every passing element came out");
+    assert!(25 * (pool.len() - passing) >= 30_000, "markers went through");
+    assert_eq!(count, 0, "allocations on the run path for {} elements", 25 * pool.len());
 }
 
 /// A length a blob claims is never what gets allocated: with 2³⁰ written

@@ -150,9 +150,9 @@ const METHODS: &[Method] = &[
 ];
 
 /// The operator `keyed_agg_shard2` shards, under its replica wrapper: the
-/// replica hands it one element at a time, and what comes out — results,
-/// refusals, state — is what the bare aggregate makes of the same run, its
-/// results tagged as the last of their input's sequence group.
+/// replica hands it the whole run, and what comes out — results, refusals,
+/// state — is what the bare aggregate makes of the same run, its results
+/// tagged as the last of their input's sequence group.
 #[test]
 fn a_window_aggregate_under_a_replica_computes_what_it_computes_bare() {
     let build = || {
@@ -198,14 +198,15 @@ fn a_window_aggregate_under_a_replica_computes_what_it_computes_bare() {
 fn every_wrapper_hands_every_operator_method_on() {
     type Wrap = fn(Recorder) -> Box<dyn Operator>;
     // `forwards_runs`: whether the wrapped operator is handed a run as a
-    // run. A wrapper that does something per element — charge a cost, tag
-    // the results — gets the provided loop and hands on elements.
+    // run. A wrapper that does something per element — charge a cost — gets
+    // the provided loop and hands on elements; the replica re-tags results
+    // from the tags they carry, so it hands on the run.
     let wrappers: [(&str, Wrap, bool); 3] = [
         // A box in a box, so the call goes through the forwarding impl and
         // not straight through the vtable of the inner box.
         ("Box<dyn Operator>", |r| Box::new(Box::new(r) as Box<dyn Operator>), true),
         ("Costed", |r| Box::new(Costed::new(r, CostMode::Virtual(Duration::ZERO))), false),
-        ("ShardReplica", |r| Box::new(ShardReplica::new("recorder[0]", Box::new(r))), false),
+        ("ShardReplica", |r| Box::new(ShardReplica::new("recorder[0]", Box::new(r))), true),
     ];
     for (wrapper, wrap, forwards_runs) in wrappers {
         let log = Log::default();
@@ -228,9 +229,90 @@ fn every_wrapper_hands_every_operator_method_on() {
     }
 }
 
-/// A wrapper that hands the operator it wraps one element at a time owes
-/// the tag duty of `process_batch`: the results of a sampled element carry
-/// its tag, also where the wrapped operator builds them from scratch.
+/// Emits `v % 3` results for an input `v`, as new elements, and fails on
+/// `fail` after a partial result: with an `Err`, and the second time with a
+/// panic.
+struct FailsOn {
+    fail: i64,
+    failures: u32,
+}
+
+impl Operator for FailsOn {
+    fn name(&self) -> &str {
+        "fails-on"
+    }
+
+    fn process(&mut self, _port: usize, element: &Element, out: &mut Output) -> Result<()> {
+        let v = element.tuple.field(0).as_int()?;
+        if v == self.fail {
+            out.emit(Tuple::single(-1), element.ts);
+            self.failures += 1;
+            assert!(self.failures < 2, "{v} again");
+            return Err(hmts::streams::error::StreamError::Other(format!("{v}")));
+        }
+        for i in 0..v % 3 {
+            out.emit(Tuple::pair(v, i), element.ts);
+        }
+        Ok(())
+    }
+}
+
+/// The replica keeps the failure promise of `process_batch` for the run it
+/// hands on whole: wherever in the run its operator fails, with an `Err` or
+/// a panic, the run keeps the failing element first and everything behind
+/// it, still tagged, and `out` holds the re-tagged groups of the elements
+/// before it — markers included — and nothing of the failing one.
+#[test]
+fn a_replica_keeps_the_failure_promise_at_every_position_of_a_run() {
+    let elements: Vec<Element> = (1..=5i64)
+        .map(|v| {
+            let seq = 10 + v as u64;
+            Element::single(v, Timestamp::from_micros(seq))
+                .with_seq(SeqTag::new(seq, SeqKind::Last))
+        })
+        .collect();
+    let seen = |out: &Output| -> Vec<(Tuple, Timestamp, SeqTag)> {
+        out.elements().iter().map(|e| (e.tuple.clone(), e.ts, e.seq)).collect()
+    };
+    let head = Element::single(0, Timestamp::ZERO);
+    // What a replica whose operator never fails makes of `run`, behind `head`.
+    let through = |run: &[Element]| {
+        let mut replica = ShardReplica::new("r[0]", Box::new(FailsOn { fail: -1, failures: 0 }));
+        let mut out = Output::new();
+        out.push(head.clone());
+        replica.process_batch(0, &mut run.to_vec(), &mut out).unwrap();
+        seen(&out)
+    };
+    for k in 0..elements.len() {
+        let fails = FailsOn { fail: k as i64 + 1, failures: 0 };
+        let mut replica = ShardReplica::new("r[0]", Box::new(fails));
+        let (mut run, mut out) = (elements.clone(), Output::new());
+        out.push(head.clone());
+        assert!(replica.process_batch(0, &mut run, &mut out).is_err(), "k = {k}");
+        let rest: Vec<SeqTag> = elements[k..].iter().map(|e| e.seq).collect();
+        assert_eq!(run.iter().map(|e| e.seq).collect::<Vec<_>>(), rest, "k = {k}");
+        assert_eq!(run, elements[k..], "k = {k}");
+        assert_eq!(seen(&out), through(&elements[..k]), "k = {k}");
+        // A panic leaves the same behind.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = replica.process_batch(0, &mut run, &mut out);
+        }));
+        assert!(caught.is_err(), "k = {k}");
+        assert_eq!(run, elements[k..], "k = {k}");
+        assert_eq!(seen(&out), through(&elements[..k]), "k = {k}");
+        // The caller drops the failing element and goes on behind it.
+        run.remove(0);
+        replica.process_batch(0, &mut run, &mut out).unwrap();
+        let mut skipped = elements.clone();
+        skipped.remove(k);
+        assert_eq!(seen(&out), through(&skipped), "k = {k}");
+    }
+}
+
+/// A wrapper owes the tag duty of `process_batch`, whether it hands the
+/// operator it wraps one element at a time (`Costed`) or the run (the
+/// replica): the results of a sampled element carry its tag, also where the
+/// wrapped operator builds them from scratch.
 #[test]
 fn a_wrapper_tags_what_a_sampled_element_produced() {
     let project = || Box::new(Project::new("p", vec![0])) as Box<dyn Operator>;

@@ -8,7 +8,11 @@
 //! * the merged output of a sharded operator — a keyed aggregate, a filter
 //!   (every other group a marker), a fan-out (multi-element groups) — is
 //!   byte-identical to the unsharded run under random arrival
-//!   interleavings of the replica streams;
+//!   interleavings of the replica streams, one element per call;
+//! * the same through `process_batch` at every hop, the executor's path:
+//!   runs of random length into the splitter, each replica handed its
+//!   share as a run, the merge fed its ports' results in runs of random
+//!   length, interleaved with the splitting;
 //! * a damaged `ShardSplit` or `OrderedMerge` snapshot is refused with a
 //!   typed error or restores to exactly what it says.
 //!
@@ -25,6 +29,7 @@ use rand::prelude::*;
 use hmts_operators::aggregate::{AggregateFunction, WindowAggregate};
 use hmts_operators::expr::Expr;
 use hmts_operators::filter::Filter;
+use hmts_operators::map::Map;
 use hmts_operators::traits::{Operator, Output};
 use hmts_shard::names;
 use hmts_shard::{HashPartitioner, OrderedMerge, ShardReplica, ShardSplit};
@@ -75,6 +80,25 @@ impl Operator for FanOut {
     }
 }
 
+/// `elements` under the state encoding: byte-identical means equal here,
+/// not just `Eq`.
+fn encode(elements: &[Element]) -> Vec<u8> {
+    let mut w = BlobWriter::new();
+    for e in elements {
+        w.put_element(e);
+    }
+    w.finish()
+}
+
+/// The bare operator's results for `stream`, one element at a time.
+fn unsharded(make: &dyn Fn() -> Box<dyn Operator>, stream: &[Element]) -> Vec<Element> {
+    let (mut op, mut out) = (make(), Output::new());
+    for e in stream {
+        op.process(0, e, &mut out).unwrap();
+    }
+    out.drain().collect()
+}
+
 /// The sharded plan around `make()`'s operator, by direct calls — split →
 /// per-shard replica → per-port FIFO → merge, the merge consuming its ports
 /// in the order `interleave` picks — against the bare operator.
@@ -84,15 +108,8 @@ fn check_sharded_is_byte_identical(
     n: usize,
     interleave: Vec<usize>,
 ) -> Result<(), TestCaseError> {
-    // Unsharded reference run.
-    let mut reference = make();
+    let expected = unsharded(&make, stream);
     let mut out = Output::new();
-    let mut expected: Vec<Element> = Vec::new();
-    for e in stream {
-        reference.process(0, e, &mut out).unwrap();
-        expected.extend(out.drain());
-    }
-
     let mut split = ShardSplit::new(names::split("op"), Expr::field(0), n);
     let mut replicas: Vec<ShardReplica> =
         (0..n).map(|i| ShardReplica::new(names::replica("op", i), make())).collect();
@@ -130,14 +147,84 @@ fn check_sharded_is_byte_identical(
     // not a tag left on anything.
     prop_assert!(actual.iter().all(|e| e.seq.is_none()));
     prop_assert_eq!(&actual, &expected);
-    let encode = |els: &[Element]| {
-        let mut w = BlobWriter::new();
-        for e in els {
-            w.put_element(e);
-        }
-        w.finish()
-    };
     prop_assert_eq!(encode(&actual), encode(&expected));
+    Ok(())
+}
+
+/// The sharded plan around `make()`'s operator driven the executor's way,
+/// on a stream and a schedule derived from `seed`: runs of 1–64 elements
+/// through `ShardSplit::process_batch`, each replica's share through
+/// `ShardReplica::process_batch` onto its port, and between the runs the
+/// merge fed a port's queued results in a run of 1–64 through
+/// `OrderedMerge::process_batch`. The merged output must be byte-identical
+/// to the bare operator's, with no tag left on it.
+fn sharded_runs_against_unsharded(
+    make: &dyn Fn() -> Box<dyn Operator>,
+    seed: u64,
+) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ts = 0u64;
+    let stream: Vec<Element> = (0..rng.gen_range(0..300))
+        .map(|_| {
+            ts += rng.gen_range(0..500u64);
+            let row = Tuple::pair(rng.gen_range(0..16i64), rng.gen_range(0..1000i64));
+            Element::new(row, Timestamp::from_micros(ts))
+        })
+        .collect();
+    let n = rng.gen_range(1..=4usize);
+    let expected = unsharded(make, &stream);
+
+    let mut split = ShardSplit::new(names::split("op"), Expr::field(0), n);
+    let mut replicas: Vec<ShardReplica> =
+        (0..n).map(|i| ShardReplica::new(names::replica("op", i), make())).collect();
+    let mut merge = OrderedMerge::new(names::merge("op"), n);
+    let (mut routed, mut tags, mut tagged, mut merged) =
+        (Output::new(), Vec::new(), Output::new(), Output::new());
+    let mut shares: Vec<Vec<Element>> = vec![Vec::new(); n];
+    let mut ports: Vec<VecDeque<Element>> = vec![VecDeque::new(); n];
+    let mut run = Vec::new();
+    let mut rest = &stream[..];
+    while !rest.is_empty() || ports.iter().any(|q| !q.is_empty()) {
+        if !rest.is_empty() && rng.gen_bool(0.6) {
+            let (head, tail) = rest.split_at(rng.gen_range(1..=64usize).min(rest.len()));
+            rest = tail;
+            run.extend(head.iter().cloned());
+            split.process_batch(0, &mut run, &mut routed).map_err(|e| e.to_string())?;
+            routed.swap_routes(&mut tags);
+            for (e, shard) in routed.drain().zip(&tags) {
+                shares[*shard as usize].push(e);
+            }
+            for (replica, (share, port)) in
+                replicas.iter_mut().zip(shares.iter_mut().zip(&mut ports))
+            {
+                replica.process_batch(0, share, &mut tagged).map_err(|e| e.to_string())?;
+                port.extend(tagged.drain());
+            }
+        } else {
+            let live: Vec<usize> = (0..n).filter(|p| !ports[*p].is_empty()).collect();
+            let Some(&port) = live.get(rng.gen_range(0..live.len().max(1))) else { continue };
+            let take = rng.gen_range(1..=64usize).min(ports[port].len());
+            run.extend(ports[port].drain(..take));
+            merge.process_batch(port, &mut run, &mut merged).map_err(|e| e.to_string())?;
+        }
+        if !run.is_empty() {
+            return Err("a run was left behind".into());
+        }
+    }
+    if merge.pending_groups() != 0 {
+        return Err(format!("{} groups held after the last run", merge.pending_groups()));
+    }
+    merge.flush(&mut merged).map_err(|e| e.to_string())?;
+    let actual: Vec<Element> = merged.drain().collect();
+    if let Some(e) = actual.iter().find(|e| !e.seq.is_none() || e.trace.is_sampled()) {
+        return Err(format!("emitted {e} with tags {:?} {:?}", e.seq, e.trace));
+    }
+    if encode(&actual) != encode(&expected) {
+        return Err(format!(
+            "{} elements over {n} shards:\n  expected {expected:?}\n  actual   {actual:?}",
+            stream.len()
+        ));
+    }
     Ok(())
 }
 
@@ -365,6 +452,48 @@ proptest! {
             Box::new(Filter::new("half", Expr::field(1).lt(Expr::int(500))))
         };
         check_sharded_is_byte_identical(make, &stream, n, interleave)?;
+    }
+
+    #[test]
+    fn sharded_runs_of_a_filter_are_byte_identical_to_unsharded(seed in any::<u64>()) {
+        // About half the inputs pass: the rest reach the merge as markers.
+        let make = || -> Box<dyn Operator> {
+            Box::new(Filter::new("half", Expr::field(1).lt(Expr::int(500))))
+        };
+        if let Err(why) = sharded_runs_against_unsharded(&make, seed) {
+            return Err(TestCaseError::fail(format!("seed {seed}: {why}")));
+        }
+    }
+
+    #[test]
+    fn sharded_runs_of_a_flat_map_are_byte_identical_to_unsharded(seed in any::<u64>()) {
+        // 0–3 results per input: markers, and groups of `more` … `last`.
+        let make = || -> Box<dyn Operator> {
+            Box::new(Map::new("fan", |e, out| {
+                let payload = e.tuple.field(1).as_int()?;
+                for copy in 0..payload % 4 {
+                    let key = e.tuple.field(0).clone();
+                    out.emit(Tuple::new([key, Value::Int(payload), copy.into()]), e.ts);
+                }
+                Ok(())
+            }))
+        };
+        if let Err(why) = sharded_runs_against_unsharded(&make, seed) {
+            return Err(TestCaseError::fail(format!("seed {seed}: {why}")));
+        }
+    }
+
+    #[test]
+    fn sharded_runs_of_a_keyed_aggregate_are_byte_identical_to_unsharded(seed in any::<u64>()) {
+        let make = || -> Box<dyn Operator> {
+            Box::new(
+                WindowAggregate::new("agg", AggregateFunction::Sum(1), Duration::from_millis(20))
+                    .group_by(Expr::field(0)),
+            )
+        };
+        if let Err(why) = sharded_runs_against_unsharded(&make, seed) {
+            return Err(TestCaseError::fail(format!("seed {seed}: {why}")));
+        }
     }
 
     #[test]

@@ -48,9 +48,11 @@ impl TraceTag {
 /// `more` (further results of this sequence number follow on this port),
 /// `last` (the group is complete) or `empty` (a marker: the input produced
 /// nothing). All-zero is *untagged*, all-one is the flush channel (output
-/// with no arrival position). The splitter and the replica set the tag, the
-/// merge reads and clears it; no operator in between and nothing after the
-/// merge ever sees one, and no codec (checkpoint blobs, wire frames) writes
+/// with no arrival position). The splitter sets the tag; the operator in a
+/// replica sees it and, like a trace tag, copies it onto the results of its
+/// input (the tags-follow duty of `Operator::process_batch`); the replica
+/// sets each result's kind, and the merge reads and clears it. Nothing after
+/// the merge sees one, and no codec (checkpoint blobs, wire frames) writes
 /// it — only the merge's own snapshot stores the tags of what it holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct SeqTag(u64);

@@ -26,9 +26,10 @@ impl Tuple {
         Tuple { values: values.into_iter().map(Into::into).collect() }
     }
 
-    /// The empty tuple (used by pure punctuation-like signals in tests).
+    /// The empty tuple: the payload of a shard replica's `empty` marker.
+    /// It allocates nothing — every empty tuple shares one static slice.
     pub fn empty() -> Self {
-        Tuple { values: Arc::from(Vec::new()) }
+        Tuple { values: Arc::default() }
     }
 
     /// Convenience constructor for the single-integer tuples that dominate
