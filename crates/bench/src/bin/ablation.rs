@@ -215,11 +215,8 @@ fn main() {
     if let Some(dir) = &args.metrics {
         use hmts::workload::scenarios::{fig9_chain, Fig9Params};
         let p = Fig9Params { speedup: 2_000.0, seed: args.seed, ..Fig9Params::default() };
-        let s = fig9_chain(&p);
-        let part = Partitioning::new(vec![
-            vec![s.projection, s.cheap_selection],
-            vec![s.expensive_selection, s.sink],
-        ]);
+        let s = fig9_chain(&p).chain;
+        let part = s.two_vos();
         hmts_bench::obsrun::metrics_run(
             dir,
             "ablation",

@@ -7,7 +7,7 @@
 //! compression) to confirm the burst/drain shape on real queues.
 
 use hmts::prelude::*;
-use hmts::workload::scenarios::{fig9_chain, Fig9Params};
+use hmts::workload::scenarios::{fig9_chain, Fig9Params, Fig9Scenario};
 use hmts_bench::fig9::{run_all, Fig9Run};
 use hmts_bench::{emit_csv, fmt_secs, parse_args, table};
 use std::fmt::Write as _;
@@ -21,7 +21,7 @@ fn run_instrumented(dir: &std::path::Path, seed: u64) {
     // Heavy time compression: the observability demo cares about the
     // scheduler's decisions, not the paper-scale memory curve.
     let p = Fig9Params { speedup: 2_000.0, seed, ..Fig9Params::default() };
-    let s = fig9_chain(&p);
+    let Fig9Scenario { chain: s, handle } = fig9_chain(&p);
     let topo = Topology::of(&s.graph);
     let obs = Obs::enabled();
     let cfg = EngineConfig { obs: obs.clone(), stall_threshold: 500, ..EngineConfig::default() };
@@ -54,7 +54,7 @@ fn run_instrumented(dir: &std::path::Path, seed: u64) {
     }
     println!(
         "instrumented run: {} results in {}, {} metrics, {} journal events",
-        s.handle.count(),
+        handle.count(),
         fmt_secs(report.elapsed.as_secs_f64()),
         obs.metrics_snapshot().len(),
         journal.len(),
@@ -117,7 +117,7 @@ fn main() {
             args.scale,
             (160.0 / args.scale * 1.3).ceil()
         );
-        let s = fig9_chain(&p);
+        let Fig9Scenario { chain: s, handle } = fig9_chain(&p);
         let topo = Topology::of(&s.graph);
         let cfg = EngineConfig {
             memory_sample_interval: Some(std::time::Duration::from_secs_f64(
@@ -138,7 +138,7 @@ fn main() {
             "real GTS-FIFO: peak_queued={} results={} wall={} (times in the CSV are \
              re-expanded to paper scale)",
             report.peak_queue_memory,
-            s.handle.count(),
+            handle.count(),
             fmt_secs(report.elapsed.as_secs_f64()),
         );
     }

@@ -110,15 +110,12 @@ pub const TRACE_SAMPLE_EVERY: u64 = 16;
 /// *attribution* under the paper's bursty workload, not the paper-scale
 /// completion gap.
 pub fn run_traced(dir: &Path, seed: u64) -> Vec<OpLatency> {
-    let s = fig9_chain(&Fig9Params { speedup: 2_000.0, seed, ..Fig9Params::default() });
+    let s = fig9_chain(&Fig9Params { speedup: 2_000.0, seed, ..Fig9Params::default() }).chain;
     // The paper's Fig. 9 placement: {projection, cheap selection} and
     // {expensive selection, sink} as two virtual operators on a two-worker
     // pool, so the trace shows both intra-partition DI hops and the
     // decoupling queue between the partitions.
-    let part = Partitioning::new(vec![
-        vec![s.projection, s.cheap_selection],
-        vec![s.expensive_selection, s.sink],
-    ]);
+    let part = s.two_vos();
     trace_run(
         dir,
         "fig9 chain",

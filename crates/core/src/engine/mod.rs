@@ -276,16 +276,7 @@ impl Engine {
         }
         // Capture a-priori cost hints before the payloads are moved.
         let mut hint_inputs = CostInputs::default();
-        for node in graph.nodes() {
-            if let hmts_graph::graph::NodeKind::Operator(op) = &node.kind {
-                if let Some(c) = op.cost_hint() {
-                    hint_inputs.costs.insert(node.id, c);
-                }
-                if let Some(s) = op.selectivity_hint() {
-                    hint_inputs.selectivities.insert(node.id, s);
-                }
-            }
-        }
+        hint_inputs.add_hints(&graph);
         let (topo, payloads) = graph.decompose();
         let plan_errors = plan.validate(&topo);
         if !plan_errors.is_empty() {
@@ -481,7 +472,7 @@ impl Engine {
     /// queue-placement algorithms and the Chain strategy consume.
     pub fn cost_graph(&self) -> CostGraph {
         let inputs = self.current_cost_inputs();
-        cost_graph_from_topology(&self.topo, &inputs)
+        CostGraph::from_topology(&self.topo, &inputs)
     }
 
     fn current_cost_inputs(&self) -> CostInputs {
@@ -646,27 +637,4 @@ impl Engine {
         self.gate.resume();
         self.wait()
     }
-}
-
-/// Builds a cost graph from a topology and explicit inputs (defaults:
-/// 1 el/s source rate, 1 µs cost, selectivity 1).
-pub fn cost_graph_from_topology(topo: &Topology, inputs: &CostInputs) -> CostGraph {
-    let default_rate = inputs.default_source_rate.unwrap_or(1.0);
-    let default_cost = inputs.default_cost.unwrap_or(Duration::from_micros(1)).as_secs_f64();
-    let default_sel = inputs.default_selectivity.unwrap_or(1.0);
-    let n = topo.node_count();
-    let mut cost = vec![0.0; n];
-    let mut sel = vec![1.0; n];
-    let mut src = vec![None; n];
-    for i in 0..n {
-        let id = NodeId(i);
-        if topo.is_source(id) {
-            src[i] = Some(inputs.source_rates.get(&id).copied().unwrap_or(default_rate));
-        } else {
-            cost[i] = inputs.costs.get(&id).map(|d| d.as_secs_f64()).unwrap_or(default_cost);
-            sel[i] = inputs.selectivities.get(&id).copied().unwrap_or(default_sel);
-        }
-    }
-    let edges = topo.edges().iter().map(|e| (e.from.0, e.to.0)).collect();
-    CostGraph::from_parts(n, edges, cost, sel, src)
 }

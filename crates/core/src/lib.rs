@@ -84,9 +84,7 @@ pub use hmts_state as state;
 pub use hmts_streams as streams;
 pub use hmts_workload as workload;
 
-pub use engine::{
-    cost_graph_from_topology, describe_plan, Engine, EngineConfig, EngineError, EngineReport,
-};
+pub use engine::{describe_plan, Engine, EngineConfig, EngineError, EngineReport};
 pub use plan::{DomainExecution, DomainSpec, ExecutionPlan, PlanError};
 pub use scheduler::strategy::StrategyKind;
 
@@ -95,8 +93,7 @@ pub mod prelude {
     pub use crate::adaptive::{adapt_once, Adaptation, AdaptiveConfig};
     pub use crate::checkpoint::{CheckpointConfig, CheckpointFault};
     pub use crate::engine::{
-        cost_graph_from_topology, describe_plan, Engine, EngineConfig, EngineError, EngineReport,
-        QueueBound,
+        describe_plan, Engine, EngineConfig, EngineError, EngineReport, QueueBound,
     };
     pub use crate::failure::{
         DegradeMode, FaultPlan, RestartPolicy, SupervisionConfig, Supervisor,

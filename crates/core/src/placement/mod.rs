@@ -61,8 +61,8 @@ pub fn suggest_workers(g: &hmts_graph::cost::CostGraph, groups: &[Vec<usize>]) -
 
 /// Converts index-based partitions into a graph-level [`Partitioning`]
 /// (valid when the cost graph's indices coincide with the query graph's
-/// node ids, which [`hmts_graph::cost::CostGraph::from_query_graph`] and
-/// [`crate::engine::cost_graph_from_topology`] guarantee).
+/// node ids, which [`hmts_graph::cost::CostGraph::from_topology`]
+/// guarantees).
 pub fn to_partitioning(groups: &[Vec<usize>]) -> Partitioning {
     Partitioning::new(groups.iter().map(|g| g.iter().map(|&v| NodeId(v)).collect()).collect())
 }

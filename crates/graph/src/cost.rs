@@ -13,7 +13,8 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use crate::graph::{NodeId, QueryGraph};
+use crate::graph::{NodeId, NodeKind, QueryGraph};
+use crate::topology::Topology;
 
 /// A cost-annotated DAG.
 ///
@@ -54,6 +55,23 @@ pub struct CostInputs {
     pub default_selectivity: Option<f64>,
 }
 
+impl CostInputs {
+    /// Adds the cost and selectivity hints of `g`'s operators where no
+    /// entry exists yet.
+    pub fn add_hints(&mut self, g: &QueryGraph) {
+        for node in g.nodes() {
+            if let NodeKind::Operator(op) = &node.kind {
+                if let Some(c) = op.cost_hint() {
+                    self.costs.entry(node.id).or_insert(c);
+                }
+                if let Some(s) = op.selectivity_hint() {
+                    self.selectivities.entry(node.id).or_insert(s);
+                }
+            }
+        }
+    }
+}
+
 impl CostGraph {
     /// Builds a cost graph directly from parts (used by the random-DAG
     /// generator). `source_rate[i] = Some(r)` marks node `i` as a source
@@ -79,41 +97,37 @@ impl CostGraph {
         CostGraph { edges, cost, selectivity, source_rate, succ, pred }
     }
 
-    /// Derives a cost graph from a query graph using hints and overrides.
+    /// Derives a cost graph from a query graph: `inputs`, with each
+    /// operator's hints folded in where `inputs` has no entry, through
+    /// [`CostGraph::from_topology`].
     pub fn from_query_graph(g: &QueryGraph, inputs: &CostInputs) -> CostGraph {
+        let mut inputs = inputs.clone();
+        inputs.add_hints(g);
+        CostGraph::from_topology(&Topology::of(g), &inputs)
+    }
+
+    /// Builds a cost graph from a topology and explicit inputs: an entry of
+    /// `inputs` where there is one, else the default (1 element/second
+    /// source rate, 1 µs cost, selectivity 1).
+    pub fn from_topology(topo: &Topology, inputs: &CostInputs) -> CostGraph {
         let default_rate = inputs.default_source_rate.unwrap_or(1.0);
         let default_cost = inputs.default_cost.unwrap_or(Duration::from_micros(1)).as_secs_f64();
         let default_sel = inputs.default_selectivity.unwrap_or(1.0);
-
-        let n = g.node_count();
+        let n = topo.node_count();
         let mut cost = vec![0.0; n];
         let mut selectivity = vec![1.0; n];
         let mut source_rate = vec![None; n];
-
-        for node in g.nodes() {
-            let id = node.id;
-            match &node.kind {
-                crate::graph::NodeKind::Source(_) => {
-                    source_rate[id.0] =
-                        Some(inputs.source_rates.get(&id).copied().unwrap_or(default_rate));
-                }
-                crate::graph::NodeKind::Operator(op) => {
-                    cost[id.0] = inputs
-                        .costs
-                        .get(&id)
-                        .map(|d| d.as_secs_f64())
-                        .or_else(|| op.cost_hint().map(|d| d.as_secs_f64()))
-                        .unwrap_or(default_cost);
-                    selectivity[id.0] = inputs
-                        .selectivities
-                        .get(&id)
-                        .copied()
-                        .or_else(|| op.selectivity_hint())
-                        .unwrap_or(default_sel);
-                }
+        for i in 0..n {
+            let id = NodeId(i);
+            if topo.is_source(id) {
+                source_rate[i] =
+                    Some(inputs.source_rates.get(&id).copied().unwrap_or(default_rate));
+            } else {
+                cost[i] = inputs.costs.get(&id).map_or(default_cost, Duration::as_secs_f64);
+                selectivity[i] = inputs.selectivities.get(&id).copied().unwrap_or(default_sel);
             }
         }
-        let edges = g.edges().iter().map(|e| (e.from.0, e.to.0)).collect();
+        let edges = topo.edges().iter().map(|e| (e.from.0, e.to.0)).collect();
         CostGraph::from_parts(n, edges, cost, selectivity, source_rate)
     }
 

@@ -23,9 +23,10 @@ use std::time::Duration;
 
 use hmts::obs::AdminServer;
 use hmts::prelude::*;
+use hmts::workload::scenarios::{fig9_chain_into, Fig9Params};
 use hmts_net::{
-    fig9_served_chain, run_load, EgressServer, IngestConfig, IngestServer, LoadConfig,
-    SlowConsumerPolicy, StreamSpec, SubscriberClient,
+    run_load, EgressServer, IngestConfig, IngestServer, LoadConfig, SlowConsumerPolicy, StreamSpec,
+    SubscriberClient,
 };
 
 const COUNT: u64 = 40_000;
@@ -56,12 +57,12 @@ fn run_once(scrape: bool) -> f64 {
     assert!(egress.wait_for_subscribers(1, Duration::from_secs(5)));
     let subscriber = std::thread::spawn(move || subscriber.collect_all());
 
-    let chain = fig9_served_chain(
+    let chain = fig9_chain_into(
+        &Fig9Params { speedup: 50_000.0, ..Fig9Params::default() },
         Box::new(ingest.source("bursty").unwrap()),
         Box::new(egress.sink("egress")),
-        50_000.0,
     );
-    let plan = ExecutionPlan::hmts(chain.partitioning.clone(), StrategyKind::Fifo, 2);
+    let plan = ExecutionPlan::hmts(chain.two_vos(), StrategyKind::Fifo, 2);
     let cfg = EngineConfig { pace_sources: false, obs: obs.clone(), ..EngineConfig::default() };
     let mut engine = Engine::with_config(chain.graph, plan, cfg).unwrap();
     engine.start().unwrap();

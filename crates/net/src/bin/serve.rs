@@ -18,9 +18,8 @@ use hmts::obs::alert::{AlertEngine, AlertRule};
 use hmts::obs::capacity::{self, CapacityConfig};
 use hmts::obs::{export, AdminServer};
 use hmts::prelude::*;
-use hmts_net::{
-    fig9_served_chain, EgressServer, IngestConfig, IngestServer, SlowConsumerPolicy, StreamSpec,
-};
+use hmts::workload::scenarios::{fig9_chain_into, Fig9Params};
+use hmts_net::{EgressServer, IngestConfig, IngestServer, SlowConsumerPolicy, StreamSpec};
 use hmts_shard::{remap_partitioning, shard_by_name, ShardSpec};
 
 struct Args {
@@ -273,13 +272,18 @@ fn main() {
     );
 
     let source = ingest.source(&args.stream).expect("stream just registered");
-    let chain = fig9_served_chain(Box::new(source), Box::new(egress.sink("egress")), args.speedup);
+    let chain = fig9_chain_into(
+        &Fig9Params { speedup: args.speedup, ..Fig9Params::default() },
+        Box::new(source),
+        Box::new(egress.sink("egress")),
+    );
     // Sharding rewrites must run before the topology and engine exist, on
     // cold start and recovery alike: checkpoint blobs are keyed by node
     // name, so a recovering run only finds per-replica state if the graph
     // carries the same `node[i]`/`node.split`/`node.merge` nodes that
     // wrote it.
-    let (mut graph, mut partitioning) = (chain.graph, chain.partitioning);
+    let mut partitioning = chain.two_vos();
+    let mut graph = chain.graph;
     for s in &args.shard {
         let spec = match s.key_field {
             Some(f) => ShardSpec::on_key(s.n, Expr::field(f)),

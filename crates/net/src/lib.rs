@@ -23,8 +23,6 @@
 //! * [`client`] — [`client::SubscriberClient`] and the
 //!   [`client::run_load`] load generator (open/closed loop,
 //!   [`ArrivalProcess`]-shaped, RTT percentiles).
-//! * [`pipeline`] — the served Fig. 9/10 chain used by the `serve` binary
-//!   and the loopback end-to-end test.
 //! * [`resume`] — client-side reconnect with sequence-based resume: a
 //!   producer whose connection dies retransmits exactly the lost suffix
 //!   (no duplicates, no loss) against a resume-mode ingest server.
@@ -36,7 +34,6 @@
 
 pub mod client;
 pub mod egress;
-pub mod pipeline;
 pub mod resume;
 pub mod server;
 pub mod source;
@@ -46,7 +43,6 @@ pub use client::{
     run_load, LoadConfig, LoadMode, LoadReport, LoadTrace, RttSummary, SubscriberClient,
 };
 pub use egress::{EgressServer, EgressSink, SlowConsumerPolicy};
-pub use pipeline::{fig9_served_chain, ServedChain};
 pub use resume::{send_with_resume, ResumeConfig, ResumeReport};
 pub use server::{IngestConfig, IngestServer, IngestStats, StreamSpec};
 pub use source::RemoteSource;

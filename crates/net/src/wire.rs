@@ -22,7 +22,9 @@
 //! | 10   | `DataTraced` | timestamp `u64` µs, trace id `u64`, tuple |
 //!
 //! Tuples are a `u16` arity followed by tagged values (0 null, 1 bool,
-//! 2 `i64`, 3 `f64` bits, 4 length-prefixed UTF-8).
+//! 2 `i64`, 3 `f64` bits, 4 length-prefixed UTF-8): the values, the
+//! strings and the integers are [`hmts::streams::codec`]'s encoding, which
+//! checkpointed operator state uses too.
 //!
 //! **Trace context (protocol v2).** A sampled element's `TraceTag` crosses
 //! the process boundary as a `DataTraced` frame (kind 10): the v1 `Data`
@@ -53,12 +55,11 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 
+use hmts::streams::codec::{self, put_str, put_u16, put_u64, CodecError, Reader};
 use hmts::streams::element::{Element, Message, Punctuation, TraceTag};
 use hmts::streams::time::Timestamp;
 use hmts::streams::tuple::Tuple;
-use hmts::streams::value::Value;
 
 /// Protocol magic carried by every [`Frame::Hello`].
 pub const MAGIC: [u8; 4] = *b"HMTS";
@@ -84,12 +85,6 @@ const KIND_RESUME: u8 = 7;
 const KIND_RESUME_ACK: u8 = 8;
 const KIND_BARRIER: u8 = 9;
 const KIND_DATA_TRACED: u8 = 10;
-
-const TAG_NULL: u8 = 0;
-const TAG_BOOL: u8 = 1;
-const TAG_INT: u8 = 2;
-const TAG_FLOAT: u8 = 3;
-const TAG_STR: u8 = 4;
 
 /// One protocol frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,6 +218,18 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+impl From<CodecError> for DecodeError {
+    #[inline]
+    fn from(e: CodecError) -> DecodeError {
+        match e {
+            // A length beyond the codec's cap is beyond any frame body too.
+            CodecError::UnexpectedEof | CodecError::TooLarge(_) => DecodeError::UnexpectedEof,
+            CodecError::UnknownTag(t) => DecodeError::UnknownValueTag(t),
+            CodecError::BadUtf8 => DecodeError::BadUtf8,
+        }
+    }
+}
+
 /// Appends the full encoding of `frame` (length prefix included) to `buf`.
 pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
     let len_pos = open_frame(buf);
@@ -230,35 +237,17 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
         Frame::Hello { version, stream } => {
             buf.push(KIND_HELLO);
             buf.extend_from_slice(&MAGIC);
-            buf.extend_from_slice(&version.to_le_bytes());
+            put_u16(buf, *version);
             put_str(buf, stream);
         }
         Frame::Data { ts, tuple, trace } => put_data(buf, *ts, tuple, *trace),
-        Frame::Watermark { ts } => {
-            buf.push(KIND_WATERMARK);
-            buf.extend_from_slice(&ts.as_micros().to_le_bytes());
-        }
         Frame::Eos => buf.push(KIND_EOS),
-        Frame::Ping { nonce } => {
-            buf.push(KIND_PING);
-            buf.extend_from_slice(&nonce.to_le_bytes());
-        }
-        Frame::Pong { nonce } => {
-            buf.push(KIND_PONG);
-            buf.extend_from_slice(&nonce.to_le_bytes());
-        }
-        Frame::Resume { seq } => {
-            buf.push(KIND_RESUME);
-            buf.extend_from_slice(&seq.to_le_bytes());
-        }
-        Frame::ResumeAck { seq } => {
-            buf.push(KIND_RESUME_ACK);
-            buf.extend_from_slice(&seq.to_le_bytes());
-        }
-        Frame::Barrier { id } => {
-            buf.push(KIND_BARRIER);
-            buf.extend_from_slice(&id.to_le_bytes());
-        }
+        Frame::Watermark { ts } => put_control(buf, KIND_WATERMARK, ts.as_micros()),
+        Frame::Ping { nonce } => put_control(buf, KIND_PING, *nonce),
+        Frame::Pong { nonce } => put_control(buf, KIND_PONG, *nonce),
+        Frame::Resume { seq } => put_control(buf, KIND_RESUME, *seq),
+        Frame::ResumeAck { seq } => put_control(buf, KIND_RESUME_ACK, *seq),
+        Frame::Barrier { id } => put_control(buf, KIND_BARRIER, *id),
     }
     close_frame(buf, len_pos);
 }
@@ -309,52 +298,64 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), DecodeError> {
 
 /// Decodes a frame body (the bytes after the length prefix).
 pub fn decode_body(body: &[u8]) -> Result<Frame, DecodeError> {
-    let mut cur = Cursor { body, pos: 0 };
-    let kind = cur.u8()?;
+    let mut r = Reader::new(body);
+    let kind = r.u8()?;
     let frame = match kind {
         KIND_HELLO => {
-            let magic = cur.bytes(4)?;
-            if magic != MAGIC {
+            if r.take(MAGIC.len())? != MAGIC {
                 return Err(DecodeError::BadMagic);
             }
-            let version = cur.u16()?;
+            let version = r.u16()?;
             if !(MIN_VERSION..=VERSION).contains(&version) {
                 return Err(DecodeError::UnsupportedVersion(version));
             }
-            let stream = cur.string()?;
-            Frame::Hello { version, stream }
+            Frame::Hello { version, stream: r.str()?.to_owned() }
         }
         KIND_DATA | KIND_DATA_TRACED => {
-            let (ts, trace, tuple) = cur.data(kind)?;
+            let (ts, trace, tuple) = read_data(&mut r, kind)?;
             Frame::Data { ts, tuple, trace }
         }
-        KIND_WATERMARK => Frame::Watermark { ts: Timestamp::from_micros(cur.u64()?) },
+        KIND_WATERMARK => Frame::Watermark { ts: r.timestamp()? },
         KIND_EOS => Frame::Eos,
-        KIND_PING => Frame::Ping { nonce: cur.u64()? },
-        KIND_PONG => Frame::Pong { nonce: cur.u64()? },
-        KIND_RESUME => Frame::Resume { seq: cur.u64()? },
-        KIND_RESUME_ACK => Frame::ResumeAck { seq: cur.u64()? },
-        KIND_BARRIER => Frame::Barrier { id: cur.u64()? },
+        KIND_PING => Frame::Ping { nonce: r.u64()? },
+        KIND_PONG => Frame::Pong { nonce: r.u64()? },
+        KIND_RESUME => Frame::Resume { seq: r.u64()? },
+        KIND_RESUME_ACK => Frame::ResumeAck { seq: r.u64()? },
+        KIND_BARRIER => Frame::Barrier { id: r.u64()? },
         other => return Err(DecodeError::UnknownFrameKind(other)),
     };
-    cur.finish()?;
+    body_ends(&r)?;
     Ok(frame)
 }
 
 /// Decodes a `Data` or `DataTraced` body straight into its message.
 #[inline]
 fn decode_data(body: &[u8]) -> Result<Element, DecodeError> {
-    let mut cur = Cursor { body, pos: 0 };
-    let kind = cur.u8()?;
-    let (ts, trace, tuple) = cur.data(kind)?;
-    cur.finish()?;
+    let mut r = Reader::new(body);
+    let kind = r.u8()?;
+    let (ts, trace, tuple) = read_data(&mut r, kind)?;
+    body_ends(&r)?;
     Ok(Element::new(tuple, ts).with_trace(trace))
 }
 
+/// Whether the body ended with its last field.
 #[inline]
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
+fn body_ends(r: &Reader<'_>) -> Result<(), DecodeError> {
+    match r.remaining() {
+        0 => Ok(()),
+        _ => Err(DecodeError::TrailingBytes),
+    }
+}
+
+/// The payload of a data frame of `kind` (`Data` or `DataTraced`). The
+/// `#[inline]`s on this path are measured: without them `take_data` costs
+/// about twice as much per frame (`micro_wire`).
+#[inline]
+fn read_data(r: &mut Reader<'_>, kind: u8) -> Result<(Timestamp, TraceTag, Tuple), DecodeError> {
+    let ts = r.timestamp()?;
+    let trace = if kind == KIND_DATA_TRACED { TraceTag::new(r.u64()?) } else { TraceTag::NONE };
+    let arity = r.u16()? as usize;
+    Ok((ts, trace, r.tuple(arity)?))
 }
 
 /// The kind byte and payload of a data frame.
@@ -362,153 +363,20 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
 fn put_data(buf: &mut Vec<u8>, ts: Timestamp, tuple: &Tuple, trace: TraceTag) {
     if trace.is_sampled() {
         buf.push(KIND_DATA_TRACED);
-        buf.extend_from_slice(&ts.as_micros().to_le_bytes());
-        buf.extend_from_slice(&trace.id().to_le_bytes());
+        codec::put_timestamp(buf, ts);
+        put_u64(buf, trace.id());
     } else {
         buf.push(KIND_DATA);
-        buf.extend_from_slice(&ts.as_micros().to_le_bytes());
+        codec::put_timestamp(buf, ts);
     }
-    put_tuple(buf, tuple);
+    put_u16(buf, tuple.arity() as u16);
+    codec::put_values(buf, tuple.values());
 }
 
-#[inline]
-fn put_tuple(buf: &mut Vec<u8>, tuple: &Tuple) {
-    buf.extend_from_slice(&(tuple.arity() as u16).to_le_bytes());
-    for v in tuple.values() {
-        match v {
-            Value::Null => buf.push(TAG_NULL),
-            Value::Bool(b) => {
-                buf.push(TAG_BOOL);
-                buf.push(*b as u8);
-            }
-            Value::Int(i) => {
-                buf.push(TAG_INT);
-                buf.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Float(x) => {
-                buf.push(TAG_FLOAT);
-                buf.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-            Value::Str(s) => {
-                buf.push(TAG_STR);
-                put_str(buf, s);
-            }
-        }
-    }
-}
-
-struct Cursor<'a> {
-    body: &'a [u8],
-    pos: usize,
-}
-
-// The `#[inline]`s on the data path are measured, not decoration: without
-// them `take_data` costs about twice as much per frame (`micro_wire`).
-impl Cursor<'_> {
-    #[inline]
-    fn bytes(&mut self, n: usize) -> Result<&[u8], DecodeError> {
-        if self.body.len() - self.pos < n {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let out = &self.body[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    #[inline]
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
-        Ok(self.bytes(N)?.try_into().expect("N bytes"))
-    }
-
-    #[inline]
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    #[inline]
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        self.array().map(u16::from_le_bytes)
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        self.array().map(u32::from_le_bytes)
-    }
-
-    #[inline]
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        self.array().map(u64::from_le_bytes)
-    }
-
-    fn str(&mut self) -> Result<&str, DecodeError> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.bytes(len)?).map_err(|_| DecodeError::BadUtf8)
-    }
-
-    fn string(&mut self) -> Result<String, DecodeError> {
-        self.str().map(str::to_owned)
-    }
-
-    /// Whether the body ended with its last field.
-    fn finish(&self) -> Result<(), DecodeError> {
-        if self.pos == self.body.len() {
-            Ok(())
-        } else {
-            Err(DecodeError::TrailingBytes)
-        }
-    }
-
-    /// The payload of a data frame of `kind` (`Data` or `DataTraced`).
-    #[inline]
-    fn data(&mut self, kind: u8) -> Result<(Timestamp, TraceTag, Tuple), DecodeError> {
-        let ts = Timestamp::from_micros(self.u64()?);
-        let trace =
-            if kind == KIND_DATA_TRACED { TraceTag::new(self.u64()?) } else { TraceTag::NONE };
-        Ok((ts, trace, self.tuple()?))
-    }
-
-    #[inline]
-    fn value(&mut self) -> Result<Value, DecodeError> {
-        Ok(match self.u8()? {
-            TAG_NULL => Value::Null,
-            TAG_BOOL => Value::Bool(self.u8()? != 0),
-            TAG_INT => Value::Int(i64::from_le_bytes(self.array()?)),
-            TAG_FLOAT => Value::Float(f64::from_bits(self.u64()?)),
-            TAG_STR => Value::Str(Arc::from(self.str()?)),
-            other => return Err(DecodeError::UnknownValueTag(other)),
-        })
-    }
-
-    /// A tuple in one allocation: the values are decoded straight into the
-    /// shared slice, which an exact-length iterator sizes up front.
-    #[inline]
-    fn tuple(&mut self) -> Result<Tuple, DecodeError> {
-        let arity = self.u16()? as usize;
-        if arity > self.body.len() - self.pos {
-            // Each value takes at least its tag byte, so the claim cannot
-            // be met: decode what is there for the error it ends in, and
-            // allocate nothing in proportion to the claim.
-            for _ in 0..arity {
-                self.value()?;
-            }
-            return Err(DecodeError::UnexpectedEof);
-        }
-        // A failed value stands in as `Null`, and the ones after it are not
-        // read; the tuple is then dropped for the error.
-        let mut failed = None;
-        let tuple = Tuple::new((0..arity).map(|_| {
-            if failed.is_some() {
-                return Value::Null;
-            }
-            self.value().unwrap_or_else(|e| {
-                failed = Some(e);
-                Value::Null
-            })
-        }));
-        match failed {
-            None => Ok(tuple),
-            Some(e) => Err(e),
-        }
-    }
+/// The kind byte and `u64` payload of a control frame.
+fn put_control(buf: &mut Vec<u8>, kind: u8, v: u64) {
+    buf.push(kind);
+    put_u64(buf, v);
 }
 
 /// Errors on a framed connection: transport failures or malformed frames.
@@ -708,6 +576,8 @@ pub fn hello(stream: &str) -> Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmts::streams::codec::TAG_INT;
+    use hmts::streams::value::Value;
 
     fn round_trip(frame: Frame) -> Frame {
         let mut buf = Vec::new();

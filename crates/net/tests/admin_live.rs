@@ -11,9 +11,10 @@ use std::time::Duration;
 
 use hmts::obs::{json, AdminServer};
 use hmts::prelude::*;
+use hmts::workload::scenarios::{fig9_chain_into, Fig9Params};
 use hmts_net::{
-    fig9_served_chain, run_load, EgressServer, IngestConfig, IngestServer, LoadConfig,
-    SlowConsumerPolicy, StreamSpec, SubscriberClient,
+    run_load, EgressServer, IngestConfig, IngestServer, LoadConfig, SlowConsumerPolicy, StreamSpec,
+    SubscriberClient,
 };
 
 fn http_get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
@@ -45,12 +46,12 @@ fn snapshot_reports_live_queue_depths_and_checkpoint_age() {
     assert!(egress.wait_for_subscribers(1, Duration::from_secs(5)));
     let subscriber = std::thread::spawn(move || subscriber.collect_all());
 
-    let chain = fig9_served_chain(
+    let chain = fig9_chain_into(
+        &Fig9Params { speedup: 50_000.0, ..Fig9Params::default() },
         Box::new(ingest.source("bursty").unwrap()),
         Box::new(egress.sink("egress")),
-        50_000.0,
     );
-    let plan = ExecutionPlan::hmts(chain.partitioning.clone(), StrategyKind::Fifo, 2);
+    let plan = ExecutionPlan::hmts(chain.two_vos(), StrategyKind::Fifo, 2);
     let cfg = EngineConfig {
         pace_sources: false,
         obs: obs.clone(),

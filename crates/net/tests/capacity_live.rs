@@ -21,9 +21,10 @@ use hmts::obs::capacity::{self, CapacityConfig};
 use hmts::obs::{json, AdminServer, ObsConfig, SchedEvent};
 use hmts::prelude::*;
 use hmts::workload::arrival::{ArrivalProcess, Phase};
+use hmts::workload::scenarios::{fig9_chain_into, Fig9Params};
 use hmts_net::{
-    fig9_served_chain, run_load, EgressServer, IngestConfig, IngestServer, LoadConfig,
-    SlowConsumerPolicy, StreamSpec, SubscriberClient,
+    run_load, EgressServer, IngestConfig, IngestServer, LoadConfig, SlowConsumerPolicy, StreamSpec,
+    SubscriberClient,
 };
 
 fn http_get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
@@ -121,12 +122,12 @@ fn analyze_names_bottleneck_predicts_p99_and_alert_fires_and_clears() {
     assert!(egress.wait_for_subscribers(1, Duration::from_secs(5)));
     let subscriber = std::thread::spawn(move || subscriber.collect_all());
 
-    let chain = fig9_served_chain(
+    let chain = fig9_chain_into(
+        &Fig9Params { speedup: SPEEDUP, ..Fig9Params::default() },
         Box::new(ingest.source("bursty").unwrap()),
         Box::new(egress.sink("egress")),
-        SPEEDUP,
     );
-    let plan = ExecutionPlan::hmts(chain.partitioning.clone(), StrategyKind::Fifo, 2);
+    let plan = ExecutionPlan::hmts(chain.two_vos(), StrategyKind::Fifo, 2);
     let cfg = EngineConfig { pace_sources: false, obs: obs.clone(), ..EngineConfig::default() };
     let mut engine = Engine::with_config(chain.graph, plan, cfg).unwrap();
     engine.start().unwrap();

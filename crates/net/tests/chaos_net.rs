@@ -10,10 +10,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hmts::prelude::*;
+use hmts::workload::scenarios::{fig9_chain_into, Fig9Params};
 use hmts_net::wire::{hello, Frame, FrameWriter};
 use hmts_net::{
-    fig9_served_chain, send_with_resume, EgressServer, IngestConfig, IngestServer, ResumeConfig,
-    SlowConsumerPolicy, StreamSpec, SubscriberClient,
+    send_with_resume, EgressServer, IngestConfig, IngestServer, ResumeConfig, SlowConsumerPolicy,
+    StreamSpec, SubscriberClient,
 };
 
 fn seq_tuples(count: u64) -> Vec<(Timestamp, Tuple)> {
@@ -192,12 +193,12 @@ fn served_chain_recovers_from_panic_and_connection_cut() {
     assert!(egress.wait_for_subscribers(1, Duration::from_secs(5)));
     let subscriber = std::thread::spawn(move || subscriber.collect_all());
 
-    let chain = fig9_served_chain(
+    let chain = fig9_chain_into(
+        &Fig9Params { speedup: 50_000.0, ..Fig9Params::default() },
         Box::new(ingest.source("bursty").unwrap()),
         Box::new(egress.sink("egress")),
-        50_000.0,
     );
-    let plan = ExecutionPlan::hmts(chain.partitioning.clone(), StrategyKind::Fifo, 2);
+    let plan = ExecutionPlan::hmts(chain.two_vos(), StrategyKind::Fifo, 2);
     let fault = Arc::new(FaultPlan::seeded(42).panic_at("sel_cheap", 400));
     let cfg = EngineConfig {
         pace_sources: false,

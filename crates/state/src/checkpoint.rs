@@ -85,14 +85,14 @@ impl Checkpoint {
         }
         let id = r.u64()?;
         let n_sources = r.len_prefix()?;
-        let mut sources = Vec::with_capacity(n_sources.min(1024));
+        let mut sources = Vec::new();
         for _ in 0..n_sources {
             let name = r.string()?;
             let offset = r.u64()?;
             sources.push((name, offset));
         }
         let n_ops = r.len_prefix()?;
-        let mut operators = Vec::with_capacity(n_ops.min(1024));
+        let mut operators = Vec::new();
         for _ in 0..n_ops {
             let name = r.string()?;
             let blob = StateBlob::decode_from(&mut r)?;

@@ -1,20 +1,17 @@
-//! Binary state codec: little-endian writer/reader pair, tagged dynamic
-//! values, and CRC-32 — the `hmts-net` wire conventions applied to
-//! operator state. Decoding never panics: every malformed input maps to a
-//! typed [`StateError`].
+//! Binary state codec: a writer/reader pair over the values and tuples of
+//! [`hmts_streams::codec`] — the encoding the wire protocol uses too, with
+//! tuple arities written as `u32` — plus CRC-32. Decoding never panics:
+//! every malformed input maps to a typed [`StateError`].
 
 use std::fmt;
-use std::sync::Arc;
-use std::time::Duration;
 
+use hmts_streams::codec::{self, CodecError, Reader};
 use hmts_streams::element::Element;
 use hmts_streams::time::Timestamp;
 use hmts_streams::tuple::Tuple;
 use hmts_streams::value::Value;
 
-/// Hard cap on any length prefix read while decoding (1 GiB). Corrupt
-/// prefixes otherwise turn into unbounded allocations.
-pub const MAX_LEN: usize = 1 << 30;
+pub use hmts_streams::codec::MAX_LEN;
 
 /// Typed decode/IO failures. Corrupt state is an error, never a panic.
 #[derive(Debug)]
@@ -70,6 +67,17 @@ impl fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
+impl From<CodecError> for StateError {
+    fn from(e: CodecError) -> StateError {
+        match e {
+            CodecError::UnexpectedEof => StateError::UnexpectedEof,
+            CodecError::UnknownTag(t) => StateError::UnknownTag(t),
+            CodecError::BadUtf8 => StateError::BadUtf8,
+            CodecError::TooLarge(n) => StateError::TooLarge(n),
+        }
+    }
+}
+
 impl From<std::io::Error> for StateError {
     fn from(e: std::io::Error) -> StateError {
         StateError::Io(e)
@@ -102,14 +110,8 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-// Value tags, mirroring the `hmts-net` wire codec.
-const TAG_NULL: u8 = 0;
-const TAG_BOOL: u8 = 1;
-const TAG_INT: u8 = 2;
-const TAG_FLOAT: u8 = 3;
-const TAG_STR: u8 = 4;
-
-/// Append-only little-endian encoder for state payloads.
+/// Append-only little-endian encoder for state payloads: the
+/// [`hmts_streams::codec`] encoding, with tuple arities written as `u32`.
 #[derive(Debug, Default)]
 pub struct BlobWriter {
     buf: Vec<u8>,
@@ -143,27 +145,17 @@ impl BlobWriter {
 
     /// Writes a `u16`, little-endian.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        codec::put_u16(&mut self.buf, v);
     }
 
     /// Writes a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        codec::put_u32(&mut self.buf, v);
     }
 
     /// Writes a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes an `i64`, little-endian two's complement.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes an `f64` as its IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
+        codec::put_u64(&mut self.buf, v);
     }
 
     /// Writes raw bytes with a `u32` length prefix.
@@ -174,48 +166,23 @@ impl BlobWriter {
 
     /// Writes a UTF-8 string with a `u32` length prefix.
     pub fn put_str(&mut self, s: &str) {
-        self.put_bytes(s.as_bytes());
+        codec::put_str(&mut self.buf, s);
     }
 
     /// Writes a [`Timestamp`] as its microsecond count.
     pub fn put_timestamp(&mut self, t: Timestamp) {
-        self.put_u64(t.as_micros());
-    }
-
-    /// Writes a [`Duration`] as whole nanoseconds.
-    pub fn put_duration(&mut self, d: Duration) {
-        self.put_u64(d.as_nanos() as u64);
+        codec::put_timestamp(&mut self.buf, t);
     }
 
     /// Writes a tagged dynamic [`Value`].
     pub fn put_value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.put_u8(TAG_NULL),
-            Value::Bool(b) => {
-                self.put_u8(TAG_BOOL);
-                self.put_u8(*b as u8);
-            }
-            Value::Int(i) => {
-                self.put_u8(TAG_INT);
-                self.put_i64(*i);
-            }
-            Value::Float(f) => {
-                self.put_u8(TAG_FLOAT);
-                self.put_f64(*f);
-            }
-            Value::Str(s) => {
-                self.put_u8(TAG_STR);
-                self.put_str(s);
-            }
-        }
+        codec::put_value(&mut self.buf, v);
     }
 
-    /// Writes a [`Tuple`] as an arity-prefixed value list.
+    /// Writes a [`Tuple`] as a `u32` arity and its values.
     pub fn put_tuple(&mut self, t: &Tuple) {
         self.put_u32(t.arity() as u32);
-        for v in t.values() {
-            self.put_value(v);
-        }
+        codec::put_values(&mut self.buf, t.values());
     }
 
     /// Writes an [`Element`] (timestamp + tuple; trace tags are diagnostic
@@ -228,86 +195,58 @@ impl BlobWriter {
     }
 }
 
-/// Bounds-checked little-endian decoder over a state payload.
+/// Bounds-checked little-endian decoder over a state payload: a
+/// [`codec::Reader`] whose errors are [`StateError`]s.
 #[derive(Debug)]
-pub struct BlobReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+pub struct BlobReader<'a>(Reader<'a>);
 
 impl<'a> BlobReader<'a> {
     /// A reader over `bytes`, positioned at the start.
     pub fn new(bytes: &'a [u8]) -> BlobReader<'a> {
-        BlobReader { bytes, pos: 0 }
+        BlobReader(Reader::new(bytes))
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+        self.0.remaining()
     }
 
     /// Errors unless the payload was consumed exactly.
     pub fn expect_end(&self) -> Result<(), StateError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(StateError::TrailingBytes(self.remaining()))
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(StateError::TrailingBytes(n)),
         }
     }
 
     /// Takes `n` raw bytes.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], StateError> {
-        if n > MAX_LEN {
-            return Err(StateError::TooLarge(n));
-        }
-        if self.remaining() < n {
-            return Err(StateError::UnexpectedEof);
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+        Ok(self.0.take(n)?)
     }
 
     /// Reads a single byte.
     pub fn u8(&mut self) -> Result<u8, StateError> {
-        Ok(self.take(1)?[0])
+        Ok(self.0.u8()?)
     }
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, StateError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        Ok(self.0.u16()?)
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, StateError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(self.0.u32()?)
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, StateError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, StateError> {
-        Ok(self.u64()? as i64)
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    pub fn f64(&mut self) -> Result<f64, StateError> {
-        Ok(f64::from_bits(self.u64()?))
+        Ok(self.0.u64()?)
     }
 
     /// Reads a `u32` length prefix, bounded by [`MAX_LEN`].
     pub fn len_prefix(&mut self) -> Result<usize, StateError> {
-        let n = self.u32()? as usize;
-        if n > MAX_LEN {
-            return Err(StateError::TooLarge(n));
-        }
-        Ok(n)
+        Ok(self.0.len_prefix()?)
     }
 
     /// Reads length-prefixed raw bytes.
@@ -318,44 +257,23 @@ impl<'a> BlobReader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, StateError> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| StateError::BadUtf8)
+        Ok(self.0.str()?.to_owned())
     }
 
     /// Reads a [`Timestamp`].
     pub fn timestamp(&mut self) -> Result<Timestamp, StateError> {
-        Ok(Timestamp::from_micros(self.u64()?))
-    }
-
-    /// Reads a [`Duration`] stored as whole nanoseconds.
-    pub fn duration(&mut self) -> Result<Duration, StateError> {
-        Ok(Duration::from_nanos(self.u64()?))
+        Ok(self.0.timestamp()?)
     }
 
     /// Reads a tagged dynamic [`Value`].
     pub fn value(&mut self) -> Result<Value, StateError> {
-        match self.u8()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_BOOL => Ok(Value::Bool(self.u8()? != 0)),
-            TAG_INT => Ok(Value::Int(self.i64()?)),
-            TAG_FLOAT => Ok(Value::Float(self.f64()?)),
-            TAG_STR => {
-                let b = self.bytes()?;
-                let s = std::str::from_utf8(b).map_err(|_| StateError::BadUtf8)?;
-                Ok(Value::Str(Arc::from(s)))
-            }
-            other => Err(StateError::UnknownTag(other)),
-        }
+        Ok(self.0.value()?)
     }
 
-    /// Reads an arity-prefixed [`Tuple`].
+    /// Reads a `u32`-arity [`Tuple`].
     pub fn tuple(&mut self) -> Result<Tuple, StateError> {
         let arity = self.len_prefix()?;
-        let mut values = Vec::with_capacity(arity.min(64));
-        for _ in 0..arity {
-            values.push(self.value()?);
-        }
-        Ok(Tuple::new(values))
+        Ok(self.0.tuple(arity)?)
     }
 
     /// Reads an [`Element`] (restored untraced and untagged — neither tag
@@ -386,22 +304,16 @@ mod tests {
         w.put_u16(300);
         w.put_u32(70_000);
         w.put_u64(1 << 40);
-        w.put_i64(-5);
-        w.put_f64(2.5);
         w.put_str("héllo");
         w.put_timestamp(Timestamp::from_micros(123));
-        w.put_duration(Duration::from_nanos(456));
         let bytes = w.finish();
         let mut r = BlobReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u16().unwrap(), 300);
         assert_eq!(r.u32().unwrap(), 70_000);
         assert_eq!(r.u64().unwrap(), 1 << 40);
-        assert_eq!(r.i64().unwrap(), -5);
-        assert_eq!(r.f64().unwrap(), 2.5);
         assert_eq!(r.string().unwrap(), "héllo");
         assert_eq!(r.timestamp().unwrap(), Timestamp::from_micros(123));
-        assert_eq!(r.duration().unwrap(), Duration::from_nanos(456));
         r.expect_end().unwrap();
     }
 

@@ -9,10 +9,13 @@
 //! * [`time::Clock`] abstractions for real and virtual time,
 //! * inter-partition [`queue::StreamQueue`]s that hold runs of elements,
 //!   with metrics and backpressure counted per element,
-//! * a [`metrics::TimeSeries`] recorder for the experiment figures.
+//! * a [`metrics::TimeSeries`] recorder for the experiment figures,
+//! * the [`codec`] that turns values and tuples into bytes and back, for
+//!   the wire protocol and for checkpointed state alike.
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod element;
 pub mod error;
 pub mod metrics;

@@ -7,6 +7,7 @@
 use std::time::Duration;
 
 use hmts_graph::graph::{NodeId, QueryGraph};
+use hmts_graph::partition::Partitioning;
 use hmts_operators::cost::{CostMode, Costed};
 use hmts_operators::expr::Expr;
 use hmts_operators::filter::Filter;
@@ -288,11 +289,12 @@ impl Fig9Params {
     }
 }
 
-/// A built Fig. 9/10 query.
-pub struct Fig9Scenario {
+/// The Fig. 9/10 operator chain in its own graph, around any source and
+/// sink.
+pub struct Fig9Chain {
     /// The query graph.
     pub graph: QueryGraph,
-    /// The bursty source.
+    /// The source node.
     pub source: NodeId,
     /// The projection node (c = 2.7 µs).
     pub projection: NodeId,
@@ -302,27 +304,32 @@ pub struct Fig9Scenario {
     pub expensive_selection: NodeId,
     /// The sink node.
     pub sink: NodeId,
-    /// Observation handle of the sink.
-    pub handle: SinkHandle,
 }
 
-/// Builds the Fig. 9/10 query graph.
-pub fn fig9_chain(p: &Fig9Params) -> Fig9Scenario {
-    // Values uniform in [1, 10^7]; selection thresholds are chosen so each
-    // operator's selectivity matches the paper exactly on uniform input:
-    // v ≤ 9 000 of 10^7 → 9·10⁻⁴; then v ≤ 2 700 of ≤ 9 000 → 0.3.
-    const RANGE: i64 = 10_000_000;
-    let (c_proj, c_cheap, c_exp) = p.costs();
-    let total: u64 = p.phases().iter().map(|ph| ph.count).sum();
+impl Fig9Chain {
+    /// The paper's HMTS placement: decoupled after the source and between
+    /// the selections, two virtual operators — {projection, cheap
+    /// selection} and {expensive selection, sink}.
+    pub fn two_vos(&self) -> Partitioning {
+        Partitioning::new(vec![
+            vec![self.projection, self.cheap_selection],
+            vec![self.expensive_selection, self.sink],
+        ])
+    }
+}
 
+/// Builds the Fig. 9/10 chain — projection, then selection `v ≤ 9 000`,
+/// then selection `v ≤ 2 700`, with the costs of `p` — between `source`
+/// and `sink`. Feed it values uniform in `[1, 10^7]` for the paper's
+/// selectivities: 9·10⁻⁴, then 0.3 of what passed.
+pub fn fig9_chain_into(
+    p: &Fig9Params,
+    source: Box<dyn Source>,
+    sink: Box<dyn Operator>,
+) -> Fig9Chain {
+    let (c_proj, c_cheap, c_exp) = p.costs();
     let mut graph = QueryGraph::new();
-    let source = graph.add_source(Box::new(SyntheticSource::new(
-        "bursty",
-        ArrivalProcess::bursty(p.phases()),
-        TupleGen::uniform_int(1, RANGE + 1),
-        total,
-        p.seed,
-    )));
+    let source = graph.add_source(source);
     let projection =
         graph.add_operator(Box::new(Costed::new(Project::new("proj", vec![0]), p.mode(c_proj))));
     let cheap_selection = graph.add_operator(Box::new(Costed::new(
@@ -334,13 +341,38 @@ pub fn fig9_chain(p: &Fig9Params) -> Fig9Scenario {
             .with_selectivity_hint(0.3),
         p.mode(c_exp),
     )));
-    let (sink_op, handle) = CountingSink::new("results");
-    let sink = graph.add_operator(Box::new(sink_op));
+    let sink = graph.add_operator(sink);
     graph.connect(source, projection);
     graph.connect(projection, cheap_selection);
     graph.connect(cheap_selection, expensive_selection);
     graph.connect(expensive_selection, sink);
-    Fig9Scenario { graph, source, projection, cheap_selection, expensive_selection, sink, handle }
+    Fig9Chain { graph, source, projection, cheap_selection, expensive_selection, sink }
+}
+
+/// A built Fig. 9/10 query.
+pub struct Fig9Scenario {
+    /// The chain, fed by the bursty source and ending in a counting sink.
+    pub chain: Fig9Chain,
+    /// Observation handle of the sink.
+    pub handle: SinkHandle,
+}
+
+/// Builds the Fig. 9/10 query graph.
+pub fn fig9_chain(p: &Fig9Params) -> Fig9Scenario {
+    // Values uniform in [1, 10^7]; selection thresholds are chosen so each
+    // operator's selectivity matches the paper exactly on uniform input:
+    // v ≤ 9 000 of 10^7 → 9·10⁻⁴; then v ≤ 2 700 of ≤ 9 000 → 0.3.
+    const RANGE: i64 = 10_000_000;
+    let total: u64 = p.phases().iter().map(|ph| ph.count).sum();
+    let source = SyntheticSource::new(
+        "bursty",
+        ArrivalProcess::bursty(p.phases()),
+        TupleGen::uniform_int(1, RANGE + 1),
+        total,
+        p.seed,
+    );
+    let (sink, handle) = CountingSink::new("results");
+    Fig9Scenario { chain: fig9_chain_into(p, Box::new(source), Box::new(sink)), handle }
 }
 
 /// Drains a source into its schedule of due times (used to feed the
@@ -429,7 +461,7 @@ mod tests {
     #[test]
     fn fig9_graph_is_valid_chain() {
         let p = Fig9Params { virtual_costs: true, ..Fig9Params::default() };
-        let s = fig9_chain(&p);
+        let s = fig9_chain(&p).chain;
         assert!(validate(&s.graph).is_empty());
         assert_eq!(s.graph.successors(s.projection).collect::<Vec<_>>(), vec![s.cheap_selection]);
         assert_eq!(s.graph.sinks(), vec![s.sink]);
@@ -441,6 +473,22 @@ mod tests {
         } else {
             panic!("expensive selection is an operator");
         }
+    }
+
+    #[test]
+    fn a_served_chain_is_valid_and_partitioned_in_two() {
+        let source = crate::source::VecSource::counting("remote", 0, 1.0);
+        let (sink, _handle) = CountingSink::new("egress");
+        let p = Fig9Params { speedup: 1000.0, ..Fig9Params::default() };
+        let s = fig9_chain_into(&p, Box::new(source), Box::new(sink));
+        assert!(validate(&s.graph).is_empty());
+        assert_eq!(s.graph.sinks(), vec![s.sink]);
+        assert_eq!(s.graph.node(s.source).name, "remote");
+        let vos = s.two_vos();
+        assert_eq!(
+            vos.groups(),
+            [[s.projection, s.cheap_selection], [s.expensive_selection, s.sink]]
+        );
     }
 
     #[test]

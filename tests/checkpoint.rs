@@ -273,9 +273,9 @@ fn barriers_align_under_gts_ots_and_hmts() {
 
     // Checkpoint-free baseline.
     let base = fig9_chain(&params);
-    let topo = Topology::of(&base.graph);
+    let topo = Topology::of(&base.chain.graph);
     let base_plan = ExecutionPlan::gts(&topo, StrategyKind::Fifo);
-    let report = Engine::run_with_config(base.graph, base_plan, EngineConfig::default())
+    let report = Engine::run_with_config(base.chain.graph, base_plan, EngineConfig::default())
         .expect("baseline runs");
     assert!(report.errors.is_empty(), "baseline errors: {:?}", report.errors);
     let expected = base.handle.count();
@@ -284,14 +284,14 @@ fn barriers_align_under_gts_ots_and_hmts() {
     for mode in ["gts", "ots", "hmts"] {
         let dir = temp_dir(&format!("align-{mode}"));
         let s = fig9_chain(&params);
-        let topo = Topology::of(&s.graph);
+        let topo = Topology::of(&s.chain.graph);
         let plan = match mode {
             "gts" => ExecutionPlan::gts(&topo, StrategyKind::Fifo),
             "ots" => ExecutionPlan::ots(&topo),
             _ => ExecutionPlan::hmts(
                 Partitioning::new(vec![
-                    vec![s.projection],
-                    vec![s.cheap_selection, s.expensive_selection, s.sink],
+                    vec![s.chain.projection],
+                    vec![s.chain.cheap_selection, s.chain.expensive_selection, s.chain.sink],
                 ]),
                 StrategyKind::Fifo,
                 2,
@@ -306,7 +306,7 @@ fn barriers_align_under_gts_ots_and_hmts() {
             checkpoint: Some(CheckpointConfig::new(&dir).with_interval(Duration::from_millis(20))),
             ..EngineConfig::default()
         };
-        let report = Engine::run_with_config(s.graph, plan, cfg)
+        let report = Engine::run_with_config(s.chain.graph, plan, cfg)
             .unwrap_or_else(|e| panic!("{mode} run fails: {e}"));
         assert!(report.errors.is_empty(), "{mode} errors: {:?}", report.errors);
         assert_eq!(s.handle.count(), expected, "{mode}: output identical with barriers");
