@@ -331,7 +331,7 @@ impl Engine {
             worker_panics: Vec::new(),
             checkpoint_shared,
         };
-        engine.publish_view();
+        engine.publish_view(&[]);
         Ok(engine)
     }
 
@@ -535,12 +535,15 @@ impl Engine {
             let series = Arc::clone(&self.memory_series);
             let clock = Arc::clone(&self.clock);
             let stop = Arc::clone(&self.stop_engine);
+            // A sample before the first wait: a run shorter than one
+            // interval still has a point.
             let monitor =
-                std::thread::Builder::new().name("hmts-monitor".into()).spawn(move || {
-                    while !stop.is_stopped() {
-                        std::thread::sleep(interval);
-                        series.lock().record(clock.now(), gauge.load(Ordering::Relaxed) as f64);
+                std::thread::Builder::new().name("hmts-monitor".into()).spawn(move || loop {
+                    series.lock().record(clock.now(), gauge.load(Ordering::Relaxed) as f64);
+                    if stop.is_stopped() {
+                        return;
                     }
+                    std::thread::sleep(interval);
                 });
             self.background.push(monitor.expect("spawn monitor"));
         }

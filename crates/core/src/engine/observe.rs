@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hmts_graph::graph::NodeId;
-use hmts_obs::{DomainView, PlanView, SchedEvent, TopologySpec};
+use hmts_obs::{DomainView, PlanView, QueueSpec, SchedEvent, TopologySpec};
 use hmts_streams::queue::StreamQueue;
 
 use super::Engine;
@@ -104,16 +104,20 @@ impl Engine {
     }
 
     /// Replaces the [`PlanView`] on the `Obs` handle with the current
-    /// plan's: query shape, virtual operators and scheduling domains by
-    /// name. Called at construction (so `/analyze` answers before `start`)
-    /// and from `build_wiring` — the one function `start`, `switch_plan`,
-    /// `insert_queue`, `remove_queue` and `adapt_once` all go through — so
-    /// whatever reads the view follows the plan with no host call. Builds
-    /// nothing when observability is off.
-    pub(super) fn publish_view(&self) {
+    /// plan's: query shape and virtual operators by node index, the queues
+    /// `queue_for` holds (one slot per topology edge; none before `start`),
+    /// and the scheduling domains. Called at construction (so `/analyze`
+    /// answers before `start`) and from `build_wiring` — the one function
+    /// `start`, `switch_plan`, `insert_queue`, `remove_queue` and
+    /// `adapt_once` all go through — so whatever reads the view follows the
+    /// plan with no host call. Builds nothing when observability is off.
+    pub(super) fn publish_view(&self, queue_for: &[Option<Arc<StreamQueue>>]) {
         self.cfg.obs.set_plan_view(|| {
-            let name = |v: &NodeId| self.topo.name(*v).to_string();
-            let edges = self.topo.edges().iter().map(|e| (name(&e.from), name(&e.to)));
+            let edges = self.topo.edges();
+            let queues = edges.iter().zip(queue_for).filter_map(|(e, q)| {
+                let name = q.as_ref()?.name().to_string();
+                Some(QueueSpec { name, from: e.from.0, to: e.to.0 })
+            });
             let groups = self.plan.partitioning.groups().iter();
             let domains = self.plan.domains.iter().map(|d| DomainView {
                 name: d.name.clone(),
@@ -123,9 +127,13 @@ impl Engine {
             });
             PlanView {
                 topology: TopologySpec {
-                    edges: edges.collect(),
-                    sources: self.topo.sources().iter().map(name).collect(),
-                    partitions: groups.map(|g| g.iter().map(name).collect()).collect(),
+                    nodes: (0..self.topo.node_count())
+                        .map(|i| self.topo.name(NodeId(i)).to_string())
+                        .collect(),
+                    sources: self.topo.sources().iter().map(|s| s.0).collect(),
+                    edges: edges.iter().map(|e| (e.from.0, e.to.0)).collect(),
+                    partitions: groups.map(|g| g.iter().map(|v| v.0).collect()).collect(),
+                    queues: queues.collect(),
                 },
                 summary: describe_plan(&self.plan),
                 domains: domains.collect(),

@@ -37,8 +37,6 @@ pub enum SourceTarget {
         queue: Arc<StreamQueue>,
         /// Wakes the consuming domain.
         wake: Option<Arc<dyn Waker>>,
-        /// The consuming operator's input port (informational).
-        port: usize,
     },
     /// Direct interoperability: the source thread executes the consuming
     /// domain inline (synchronized — several sources may drive one domain).
@@ -408,7 +406,7 @@ fn send(
     stop: &Arc<StopFlag>,
 ) {
     match target {
-        SourceTarget::Queue { queue, wake, .. } => {
+        SourceTarget::Queue { queue, wake } => {
             if let Some(st) = trace {
                 for el in batch.run.iter().filter(|el| el.trace.is_sampled()) {
                     st.tracer.record_site(
@@ -457,7 +455,7 @@ mod tests {
     }
 
     fn queue_target(q: &Arc<StreamQueue>) -> SourceTarget {
-        SourceTarget::Queue { queue: Arc::clone(q), wake: None, port: 0 }
+        SourceTarget::Queue { queue: Arc::clone(q), wake: None }
     }
 
     #[test]
@@ -586,11 +584,7 @@ mod tests {
         let clock: SharedClock = Arc::new(SystemClock::new());
         let q = StreamQueue::unbounded("q");
         let shared = SourceShared::new(NodeId(0), "s");
-        shared.set_targets(vec![SourceTarget::Queue {
-            queue: Arc::clone(&q),
-            wake: None,
-            port: 0,
-        }]);
+        shared.set_targets(vec![SourceTarget::Queue { queue: Arc::clone(&q), wake: None }]);
         // 5 elements at 100 el/s → at least 50 ms.
         let src = VecSource::counting("s", 5, 100.0);
         let gate = Arc::new(PauseGate::new());
@@ -644,11 +638,7 @@ mod tests {
     fn stop_flag_aborts_emission() {
         let q = StreamQueue::unbounded("q");
         let shared = SourceShared::new(NodeId(0), "s");
-        shared.set_targets(vec![SourceTarget::Queue {
-            queue: Arc::clone(&q),
-            wake: None,
-            port: 0,
-        }]);
+        shared.set_targets(vec![SourceTarget::Queue { queue: Arc::clone(&q), wake: None }]);
         let gate = Arc::new(PauseGate::new());
         let stop = Arc::new(StopFlag::new());
         stop.stop();

@@ -211,9 +211,7 @@ impl Engine {
                     let (node, port) = (edges[ei].to, edges[ei].to_port);
                     let d = node_domain[&node];
                     match &queue_for[ei] {
-                        Some(q) => {
-                            SourceTarget::Queue { queue: Arc::clone(q), wake: waker_for(d), port }
-                        }
+                        Some(q) => SourceTarget::Queue { queue: Arc::clone(q), wake: waker_for(d) },
                         None => {
                             SourceTarget::Direct { exec: Arc::clone(&executors[d]), node, port }
                         }
@@ -246,7 +244,7 @@ impl Engine {
         });
         let stall_monitor = stall_watch.map(|w| w.spawn(Arc::clone(&stop)));
 
-        self.publish_view();
+        self.publish_view(&queue_for);
         self.register_collectors(&queues);
         self.wiring = Some(Wiring {
             executors,

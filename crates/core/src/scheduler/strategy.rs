@@ -72,7 +72,11 @@ impl StrategyKind {
     }
 }
 
-/// Oldest head element first; ties broken by lowest slot index.
+/// Oldest head element first; ties broken by the highest slot index. An
+/// executor lists its queues in node order, so on a chain that is the
+/// queue farthest downstream, whose head entered the engine first: taking
+/// it drains what is already in flight before admitting more (elements
+/// unpaced at rates above 1 M/s share a microsecond timestamp).
 struct Fifo;
 
 impl Strategy for Fifo {
@@ -84,6 +88,7 @@ impl Strategy for Fifo {
         slots
             .iter()
             .enumerate()
+            .rev()
             .filter(|(_, s)| s.len > 0)
             .min_by_key(|(_, s)| s.head_ts.unwrap_or(Timestamp::MAX))
             .map(|(i, _)| i)
@@ -197,6 +202,12 @@ mod tests {
         assert_eq!(s.select(&slots), Some(1));
         assert_eq!(s.select(&[slot(0, 0, 0), slot(1, 0, 0)]), None);
         assert_eq!(s.select(&[]), None);
+    }
+
+    #[test]
+    fn fifo_breaks_ties_toward_the_later_slot() {
+        let mut s = StrategyKind::Fifo.build(None);
+        assert_eq!(s.select(&[slot(0, 16, 0), slot(1, 5, 0), slot(2, 0, 0)]), Some(1));
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //!   `supervisor_*` restart/panic/stall counters and the quarantine
 //!   gauge. Status degrades to `"degraded"` while operators sit in
 //!   quarantine.
-//! * `GET /snapshot` — structured JSON runtime snapshot: per-queue
-//!   depth/high-water/drops, per-operator cost and selectivity
-//!   estimates, shard replicas grouped under their logical node
+//! * `GET /snapshot` — structured JSON runtime snapshot: depth/high-water/
+//!   drops of the running wiring's queues, per-operator cost and
+//!   selectivity estimates, shard replicas grouped under their logical node
 //!   (`"shards":{"agg":{"display":"agg[0..3]",…}}`), checkpoint id and
 //!   age, engine-level gauges, and a `status` block (plan shape, strategy,
-//!   domain assignments) rendered from the engine's [`PlanView`].
+//!   domain assignments).
 //! * `GET /analyze` — the capacity analyzer's report
 //!   ([`crate::capacity`]): per-node utilization table ranked by ρ,
 //!   per-partition utilization, bottleneck + headroom, predicted
@@ -25,12 +25,12 @@
 //!   the same `spans.json` shape as [`export::spans_json`].
 //!
 //! The server holds only an [`Obs`] clone, so it observes whatever the
-//! engine publishes without any direct coupling to engine types: the
-//! snapshot endpoint reconstructs structure from the metric naming
-//! conventions (`queue.<name>.<field>`, `node.<name>.<field>`,
-//! `checkpoint.*`, `engine.*`) that the engine's collectors maintain, and
-//! the plan comes as the typed view the engine replaces on every
-//! re-wiring — the host publishes nothing.
+//! engine publishes without any direct coupling to engine types. What
+//! exists — queues, operators, sources, terminals — comes from the
+//! [`PlanView`] the engine replaces on every re-wiring; the registry only
+//! supplies their values, by the collectors' naming conventions
+//! (`queue.<name>.<field>`, `node.<name>.<field>`, `checkpoint.*`,
+//! `engine.*`). The host publishes nothing.
 //!
 //! Requests are read bounded: at most 8 KiB of request line and 32 KiB /
 //! 64 header lines in total, all within 2 s of the accept; a request over
@@ -39,7 +39,6 @@
 //!
 //! [`PlanView`]: crate::PlanView
 
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,7 +50,7 @@ use crate::capacity::{self, CapacityConfig};
 use crate::export;
 use crate::json::Writer;
 use crate::registry::{quantile_from_cumulative, Lookup};
-use crate::{MetricValue, Obs};
+use crate::{MetricValue, Obs, TopologySpec};
 
 /// Longest accepted request line (method, target, version), in bytes.
 const MAX_REQUEST_LINE: u64 = 8 * 1024;
@@ -297,24 +296,6 @@ fn analyze_json(obs: &Obs) -> String {
     }
 }
 
-type Groups<'a> = BTreeMap<&'a str, BTreeMap<&'a str, &'a MetricValue>>;
-
-/// Groups `prefix.<name>.<field>` metrics into per-`<name>` field maps,
-/// preserving dots inside `<name>` (queue names like `a->b` or
-/// `ingest:s` pass through; only the final `.<field>` segment splits).
-fn grouped<'a>(metrics: &'a [(String, MetricValue)], prefix: &str) -> Groups<'a> {
-    let mut out = Groups::new();
-    for (name, value) in metrics {
-        let Some(rest) = name.strip_prefix(prefix) else { continue };
-        let Some((entity, field)) = rest.rsplit_once('.') else { continue };
-        if entity.is_empty() || field.is_empty() {
-            continue;
-        }
-        out.entry(entity).or_default().insert(field, value);
-    }
-    out
-}
-
 /// A metric's value: counters and gauges as the integers they are,
 /// histograms as their mean.
 fn metric_value(w: &mut Writer, value: &MetricValue) {
@@ -325,10 +306,30 @@ fn metric_value(w: &mut Writer, value: &MetricValue) {
     }
 }
 
-fn write_groups(w: &mut Writer, groups: &Groups<'_>) {
+/// One object per entity that has `<kind>.<entity>.<field>` values in the
+/// registry snapshot (sorted by name, as the registry keeps it), entities
+/// in name order; only the final `.<field>` segment splits, so any entity
+/// name passes through.
+fn write_entities<'a>(
+    w: &mut Writer,
+    metrics: &[(String, MetricValue)],
+    kind: &str,
+    entities: impl Iterator<Item = &'a str>,
+) {
+    let mut entities: Vec<&str> = entities.collect();
+    entities.sort_unstable();
     w.obj(|w| {
-        for (entity, fields) in groups {
-            w.key(entity).obj(|w| fields.iter().for_each(|(f, v)| metric_value(w.key(f), v)));
+        for entity in entities {
+            let head = format!("{kind}.{entity}.");
+            let from = metrics.partition_point(|(name, _)| *name < head);
+            let fields: Vec<_> = metrics[from..]
+                .iter()
+                .map_while(|(name, value)| Some((name.strip_prefix(&head)?, value)))
+                .filter(|(field, _)| !field.is_empty() && !field.contains('.'))
+                .collect();
+            if !fields.is_empty() {
+                w.key(entity).obj(|w| fields.iter().for_each(|(f, v)| metric_value(w.key(f), v)));
+            }
         }
     });
 }
@@ -339,37 +340,32 @@ fn snapshot_json(obs: &Obs) -> String {
     }
     let metrics = obs.metrics_snapshot();
     let m = Lookup(&metrics);
-    let nodes = grouped(&metrics, "node.");
+    let view = obs.plan_view();
+    let no_plan = TopologySpec::default();
+    let topo = view.as_ref().map_or(&no_plan, |v| &v.topology);
+    let name = |i: usize| topo.nodes[i].as_str();
+    let operators = (0..topo.nodes.len()).filter(|i| !topo.sources.contains(i)).map(name);
+    let terminals = (0..topo.nodes.len()).filter(|&i| topo.edges.iter().all(|e| e.0 != i));
+    let shards = capacity::analyze(&metrics, topo, &CapacityConfig::default()).shards;
     let uptime = uptime_ms(obs);
     Writer::object(|w| {
         w.key("enabled").bool(true);
         w.key("uptime_ms").int(uptime);
-        write_groups(w.key("queues"), &grouped(&metrics, "queue."));
-        write_groups(w.key("operators"), &nodes);
-
-        // Shard replicas (`agg[i]`) grouped under their logical node: the
-        // per-replica operator entries stay as-is above, and this section
-        // indexes them by base name with the summed arrival rate — names are
-        // parsed here, never constructed (see `capacity::parse_replica`).
-        let mut shard_groups: BTreeMap<&str, Vec<(usize, &str)>> = BTreeMap::new();
-        for entity in nodes.keys() {
-            if let Some((base, idx)) = capacity::parse_replica(entity) {
-                shard_groups.entry(base).or_default().push((idx, entity));
-            }
-        }
+        write_entities(w.key("queues"), &metrics, "queue", topo.queues.iter().map(|q| &*q.name));
+        write_entities(w.key("operators"), &metrics, "node", operators);
+        // Shard replicas under their logical node, as the analyzer rolls
+        // them up; the replicas' own entries stay under `operators`.
         w.key("shards").obj(|w| {
-            for (base, members) in &mut shard_groups {
-                members.sort_unstable();
-                let rate = members.iter().filter_map(|(_, name)| nodes[name].get("rate"));
-                w.key(base).obj(|w| {
-                    w.key("display").str(&format!("{base}[0..{}]", members.len()));
-                    w.key("replicas").strs(members.iter().map(|(_, name)| name));
-                    w.key("rate").f64(rate.map(|v| v.as_f64()).sum());
+            for s in &shards {
+                let rate = s.replicas.iter().filter_map(|r| m.get(&format!("node.{r}.rate")));
+                w.key(&s.logical).obj(|w| {
+                    w.key("display").str(&s.display);
+                    w.key("replicas").strs(&s.replicas);
+                    w.key("rate").f64(rate.map(MetricValue::as_f64).sum());
                 });
             }
         });
-
-        write_groups(w.key("sources"), &grouped(&metrics, "source."));
+        write_entities(w.key("sources"), &metrics, "source", topo.sources.iter().map(|&i| name(i)));
         // Engine-level metrics are flat (`engine.domains`), not per-entity.
         w.key("engine").obj(|w| {
             for (name, value) in &metrics {
@@ -387,25 +383,25 @@ fn snapshot_json(obs: &Obs) -> String {
             }),
             None => w.key("checkpoint").null(),
         }
-        // End-to-end latency quantiles per egress, from the histogram buckets.
+        // End-to-end latency quantiles per terminal with an egress histogram.
+        let mut terminals: Vec<&str> = terminals.map(name).collect();
+        terminals.sort_unstable();
         w.key("e2e_latency").obj(|w| {
-            for (name, value) in &metrics {
-                let (Some(rest), MetricValue::Histogram(count, _sum, buckets)) =
-                    (name.strip_prefix("egress."), value)
+            for t in terminals {
+                let Some((count, buckets)) = m.histogram(&format!("egress.{t}.e2e_latency_ns"))
                 else {
                     continue;
                 };
-                let Some(query) = rest.strip_suffix(".e2e_latency_ns") else { continue };
-                w.key(query).obj(|w| {
-                    w.key("count").int(*count);
-                    w.key("p50_ns").int(quantile_from_cumulative(*count, buckets, 0.50));
-                    w.key("p99_ns").int(quantile_from_cumulative(*count, buckets, 0.99));
+                w.key(t).obj(|w| {
+                    w.key("count").int(count);
+                    w.key("p50_ns").int(quantile_from_cumulative(count, buckets, 0.50));
+                    w.key("p99_ns").int(quantile_from_cumulative(count, buckets, 0.99));
                 });
             }
         });
         // The plan as the engine last published it; empty until it has.
         w.key("status").obj(|w| {
-            let Some(view) = obs.plan_view() else { return };
+            let Some(view) = &view else { return };
             w.key("plan").str(&view.summary);
             if let Some(d) = view.domains.first() {
                 w.key("strategy").str(&d.strategy);
@@ -424,13 +420,35 @@ fn snapshot_json(obs: &Obs) -> String {
 mod tests {
     use super::*;
     use crate::trace::{trace_id, TraceConfig};
-    use crate::{DomainView, HopKind, ObsConfig, PlanView, TopologySpec};
+    use crate::{DomainView, HopKind, ObsConfig, PlanView, QueueSpec};
 
-    /// Publishes a view the way the engine does: shape plus one domain.
+    /// Publishes a view the way the engine does under GTS: the shape (nodes
+    /// numbered in order of first mention, `source` first), a queue on
+    /// every edge, and one domain.
     fn publish(obs: &Obs, edges: &[(&str, &str)], source: &str) {
-        let edges = edges.iter().map(|(a, b)| (a.to_string(), b.to_string())).collect();
+        let mut nodes = vec![source];
+        for &(a, b) in edges {
+            for v in [a, b] {
+                if !nodes.contains(&v) {
+                    nodes.push(v);
+                }
+            }
+        }
+        let index = |v: &str| nodes.iter().position(|&x| x == v).expect("a node of the graph");
+        let queue = |&(a, b): &(&str, &str)| QueueSpec {
+            name: format!("{a}->{b}"),
+            from: index(a),
+            to: index(b),
+        };
+        let topology = TopologySpec {
+            edges: edges.iter().map(|&(a, b)| (index(a), index(b))).collect(),
+            sources: vec![0],
+            partitions: Vec::new(),
+            queues: edges.iter().map(queue).collect(),
+            nodes: nodes.iter().map(|v| v.to_string()).collect(),
+        };
         obs.set_plan_view(|| PlanView {
-            topology: TopologySpec { edges, sources: vec![source.into()], partitions: Vec::new() },
+            topology,
             summary: "1 domains (1 pooled) x2 workers".into(),
             domains: vec![DomainView {
                 name: "vo0".into(),
@@ -470,7 +488,7 @@ mod tests {
         let tracer = obs.tracer().unwrap();
         tracer.record_site(trace_id(0, 0), HopKind::NetRecv, "ingest:s", crate::NO_PARTITION);
 
-        publish(&obs, &[("a", "b")], "a");
+        publish(&obs, &[("a", "b"), ("b", "q1")], "a");
         let server = AdminServer::bind("127.0.0.1:0", obs.clone()).expect("bind");
         let addr = server.addr();
 
@@ -768,6 +786,61 @@ mod tests {
         assert_eq!(raw_status(server.addr(), many), Some(431));
         assert_eq!(raw_status(server.addr(), b"\r\n".to_vec()), Some(400));
         assert_eq!(get(server.addr(), "/healthz").0, 200);
+    }
+
+    /// Sends `payload` and closes the write half, so the reader meets the
+    /// end of input instead of its deadline; the peer may hang up early.
+    fn send_all(stream: &TcpStream, payload: Vec<u8>) -> std::thread::JoinHandle<()> {
+        let mut tx = stream.try_clone().unwrap();
+        std::thread::spawn(move || {
+            let _ = tx.write_all(&payload);
+            let _ = tx.shutdown(std::net::Shutdown::Write);
+        })
+    }
+
+    /// Up to 40 KiB of request head: lines of random bytes (non-UTF-8
+    /// included, some past the 8 KiB line cap) cut by random line breaks,
+    /// after a well-formed request line or none.
+    fn hostile_head() -> impl proptest::prelude::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        let line = (
+            proptest::collection::vec(any::<u8>(), 0..10_000),
+            prop_oneof![Just(&b""[..]), Just(&b"\n"[..]), Just(&b"\r\n"[..])],
+        );
+        (any::<bool>(), proptest::collection::vec(line, 0..12)).prop_map(|(valid, lines)| {
+            let mut head = if valid { b"GET /healthz HTTP/1.1\r\n".to_vec() } else { Vec::new() };
+            for (bytes, end) in lines {
+                head.extend(bytes);
+                head.extend(end);
+            }
+            head.truncate(40 * 1024);
+            head
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn a_hostile_head_is_read_or_refused_and_the_server_keeps_answering(
+            head in hostile_head(),
+        ) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let sender = send_all(&client, head.clone());
+            let (accepted, _) = listener.accept().unwrap();
+            let read = read_head(&accepted);
+            proptest::prop_assert!(matches!(read, Ok(_) | Err(400 | 431)), "{read:?}");
+            drop(accepted);
+            sender.join().unwrap();
+
+            let server = AdminServer::bind("127.0.0.1:0", Obs::enabled()).unwrap();
+            let stream = TcpStream::connect(server.addr()).unwrap();
+            let sender = send_all(&stream, head);
+            let _ = (&stream).read_to_end(&mut Vec::new());
+            sender.join().unwrap();
+            proptest::prop_assert_eq!(get(server.addr(), "/healthz").0, 200);
+        }
     }
 
     #[test]

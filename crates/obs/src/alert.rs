@@ -100,13 +100,16 @@ impl MetricRef {
         }
         if let Some((name, q)) = token.rsplit_once(":p") {
             if let Ok(pct) = q.parse::<f64>() {
-                if !(0.0..100.0).contains(&pct) || pct <= 0.0 {
+                // Checked after the division: a subnormal percentage
+                // rounds to a quantile of 0.
+                let quantile = pct / 100.0;
+                if !(quantile > 0.0 && quantile < 1.0) {
                     return Err(format!("quantile p{q} out of range (0, 100)"));
                 }
                 if name.is_empty() {
                     return Err(format!("missing histogram name before :p{q}"));
                 }
-                return Ok(MetricRef::Quantile(name.to_string(), pct / 100.0));
+                return Ok(MetricRef::Quantile(name.to_string(), quantile));
             }
         }
         Ok(MetricRef::Plain(token.to_string()))

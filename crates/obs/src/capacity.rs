@@ -5,10 +5,10 @@
 //! inter-arrival time `d(v)`, and selectivity-propagated rates — is fed
 //! into the registry by the engine's collectors under the
 //! `node.<name>.*` / `source.<name>.*` naming conventions, and the graph
-//! shape comes typed: the [`TopologySpec`] inside the
+//! shape comes typed, by node index: the [`TopologySpec`] inside the
 //! [`PlanView`](crate::PlanView) the engine publishes on its [`Obs`] handle
-//! whenever it (re-)wires a plan. This module turns those raw measurements
-//! into operator-facing answers:
+//! whenever it (re-)wires a plan, with the wiring's queues. This module
+//! turns those raw measurements into operator-facing answers:
 //!
 //! * **per-node utilization** ρ(v) = λ(v) · c(v), the fraction of one
 //!   core the operator consumes at the measured arrival rate;
@@ -71,33 +71,34 @@ impl Default for CapacityConfig {
     }
 }
 
-/// The query graph's shape and the current plan's virtual-operator groups,
-/// by node name — what the analyzer needs besides the metrics. Names are
-/// opaque: any character may appear in them.
+/// The running plan's shape by node index (the engine's `NodeId`s, each
+/// below `nodes.len()`): what the analyzer needs besides the metrics. Names
+/// only label the output and key the registry lookups; any character may
+/// appear in them.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TopologySpec {
-    /// Directed edges by node name.
-    pub edges: Vec<(String, String)>,
-    /// Source node names.
-    pub sources: Vec<String>,
-    /// Virtual-operator groups by node name (empty = unknown).
-    pub partitions: Vec<Vec<String>>,
+    /// Node names, by index.
+    pub nodes: Vec<String>,
+    /// Indices of the source nodes.
+    pub sources: Vec<usize>,
+    /// Directed edges `(from, to)`.
+    pub edges: Vec<(usize, usize)>,
+    /// Virtual-operator groups (empty = unknown).
+    pub partitions: Vec<Vec<usize>>,
+    /// The running wiring's decoupling queues (none before it starts).
+    pub queues: Vec<QueueSpec>,
 }
 
-impl TopologySpec {
-    /// All node names, sources first, then operators in edge-discovery
-    /// order.
-    pub fn nodes(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.sources.clone();
-        for (a, b) in &self.edges {
-            for n in [a, b] {
-                if !out.iter().any(|x| x == n) {
-                    out.push(n.clone());
-                }
-            }
-        }
-        out
-    }
+/// One decoupling queue of the running wiring: its name (the registry's
+/// `queue.<name>.*`) and the edge it sits on.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct QueueSpec {
+    /// Queue name.
+    pub name: String,
+    /// Producing node index.
+    pub from: usize,
+    /// Consuming node index.
+    pub to: usize,
 }
 
 /// Parses a shard-replica node name, `base[i]` → `(base, i)`.
@@ -265,23 +266,23 @@ pub fn analyze(
 ) -> CapacityReport {
     let m = Lookup(metrics);
     let gauge = |name: String| m.gauge(&name).map(|g| g as f64);
-    let names = topo.nodes();
-    let idx_of = |n: &str| names.iter().position(|x| x == n);
+    let names = &topo.nodes;
     let n = names.len();
-    let is_source = |i: usize| topo.sources.iter().any(|s| s == &names[i]);
+    let mut is_source = vec![false; n];
+    topo.sources.iter().for_each(|&s| is_source[s] = true);
 
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (a, b) in &topo.edges {
-        if let (Some(u), Some(v)) = (idx_of(a), idx_of(b)) {
-            preds[v].push(u);
-            succs[u].push(v);
+    for &(u, v) in &topo.edges {
+        preds[v].push(u);
+        succs[u].push(v);
+    }
+    let mut part_of: Vec<Option<usize>> = vec![None; n];
+    for (p, group) in topo.partitions.iter().enumerate() {
+        for &i in group {
+            part_of[i].get_or_insert(p);
         }
     }
-    let part_of: Vec<Option<usize>> = names
-        .iter()
-        .map(|name| topo.partitions.iter().position(|g| g.iter().any(|x| x == name)))
-        .collect();
 
     // Measured inputs per node; arrival rates fall back to selectivity
     // propagation from upstream when a node has not published a rate yet.
@@ -311,7 +312,7 @@ pub fn analyze(
     }
     for &i in &order {
         let name = &names[i];
-        let measured = if is_source(i) {
+        let measured = if is_source[i] {
             gauge(format!("source.{name}.rate")).or_else(|| gauge(format!("node.{name}.rate")))
         } else {
             gauge(format!("node.{name}.rate"))
@@ -335,11 +336,11 @@ pub fn analyze(
     // With no partitioning published, every operator queues (GTS view).
     let station: Vec<bool> = (0..n)
         .map(|i| {
-            !is_source(i)
+            !is_source[i]
                 && (topo.partitions.is_empty()
                     || preds[i]
                         .iter()
-                        .any(|&u| is_source(u) || part_of[u] != part_of[i] || part_of[i].is_none()))
+                        .any(|&u| is_source[u] || part_of[u] != part_of[i] || part_of[i].is_none()))
         })
         .collect();
 
@@ -352,43 +353,39 @@ pub fn analyze(
     let part_busy_ns: Vec<f64> = topo
         .partitions
         .iter()
-        .map(|group| {
-            group
-                .iter()
-                .filter_map(|name| idx_of(name))
-                .map(|i| rate[i] * cost_ns[i])
-                .sum::<f64>()
-                .max(0.0)
+        .map(|group| group.iter().map(|&i| rate[i] * cost_ns[i]).sum::<f64>().max(0.0))
+        .collect();
+    let rho: Vec<f64> = (0..n).map(|i| (rate[i] * cost_ns[i] * 1e-9).max(0.0)).collect();
+    let waits: Vec<f64> = (0..n)
+        .map(|i| {
+            if !station[i] {
+                return 0.0;
+            }
+            let (r_eff, service_ns) = match part_of[i] {
+                Some(p) if rate[i] > 0.0 => (part_busy_ns[p] * 1e-9, part_busy_ns[p] / rate[i]),
+                _ => (rho[i], cost_ns[i]),
+            };
+            let r = r_eff.clamp(0.0, RHO_CLAMP);
+            r * service_ns * (1.0 + cv2) / (2.0 * (1.0 - r))
         })
         .collect();
+    let mut queue_depth: Vec<Option<f64>> = vec![None; n];
+    for q in &topo.queues {
+        if let Some(depth) = gauge(format!("queue.{}.occupancy", q.name)) {
+            *queue_depth[q.to].get_or_insert(0.0) += depth;
+        }
+    }
     let mut nodes: Vec<NodeCapacity> = (0..n)
-        .filter(|&i| !is_source(i))
-        .map(|i| {
-            let rho = (rate[i] * cost_ns[i] * 1e-9).max(0.0);
-            let wait_ns = if station[i] {
-                let (r_eff, service_ns) = match part_of[i] {
-                    Some(p) if rate[i] > 0.0 => (part_busy_ns[p] * 1e-9, part_busy_ns[p] / rate[i]),
-                    _ => (rho, cost_ns[i]),
-                };
-                let r = r_eff.clamp(0.0, RHO_CLAMP);
-                r * service_ns * (1.0 + cv2) / (2.0 * (1.0 - r))
-            } else {
-                0.0
-            };
-            let queue_depth = preds[i]
-                .iter()
-                .filter_map(|&u| gauge(format!("queue.{}->{}.occupancy", names[u], names[i])))
-                .reduce(|a, b| a + b);
-            NodeCapacity {
-                name: names[i].clone(),
-                rate: rate[i],
-                cost_ns: cost_ns[i],
-                selectivity: sel[i],
-                rho,
-                station: station[i],
-                wait_ns,
-                queue_depth,
-            }
+        .filter(|&i| !is_source[i])
+        .map(|i| NodeCapacity {
+            name: names[i].clone(),
+            rate: rate[i],
+            cost_ns: cost_ns[i],
+            selectivity: sel[i],
+            rho: rho[i],
+            station: station[i],
+            wait_ns: waits[i],
+            queue_depth: queue_depth[i],
         })
         .collect();
     nodes.sort_by(|a, b| b.rho.total_cmp(&a.rho));
@@ -426,13 +423,10 @@ pub fn analyze(
         .partitions
         .iter()
         .enumerate()
-        .map(|(index, group)| {
-            let rho = group
-                .iter()
-                .filter_map(|name| idx_of(name))
-                .map(|i| rate[i] * cost_ns[i] * 1e-9)
-                .sum();
-            PartitionCapacity { index, nodes: group.clone(), rho }
+        .map(|(index, group)| PartitionCapacity {
+            index,
+            nodes: group.iter().map(|&i| names[i].clone()).collect(),
+            rho: group.iter().map(|&i| rate[i] * cost_ns[i] * 1e-9).sum(),
         })
         .collect();
 
@@ -442,17 +436,14 @@ pub fn analyze(
         partitions.iter().map(|p| p.rho).fold(0.0, f64::max)
     };
     let headroom = if max_rho > 0.0 { (1.0 / max_rho).min(HEADROOM_CAP) } else { HEADROOM_CAP };
-    let ingest_rate: f64 = (0..n).filter(|&i| is_source(i)).map(|i| rate[i]).sum();
+    let ingest_rate: f64 = topo.sources.iter().map(|&s| rate[s]).sum();
     let max_sustainable_rate = ingest_rate * headroom;
 
     // Paths: every source→terminal chain (bounded DFS — query graphs are
     // small; the cap guards against pathological fan-out).
-    let wait_of = |i: usize| -> f64 {
-        nodes.iter().find(|x| x.name == names[i]).map(|x| x.wait_ns).unwrap_or(0.0)
-    };
     let mut paths: Vec<PathPrediction> = Vec::new();
     const MAX_PATHS: usize = 64;
-    for s in (0..n).filter(|&i| is_source(i)) {
+    for &s in &topo.sources {
         let mut stack: Vec<Vec<usize>> = vec![vec![s]];
         while let Some(path) = stack.pop() {
             if paths.len() >= MAX_PATHS {
@@ -461,7 +452,7 @@ pub fn analyze(
             let last = *path.last().expect("non-empty path");
             if succs[last].is_empty() && path.len() > 1 {
                 let service_ns: f64 = path[1..].iter().map(|&i| cost_ns[i]).sum();
-                let wait_ns: f64 = path[1..].iter().map(|&i| wait_of(i)).sum();
+                let wait_ns: f64 = path[1..].iter().map(|&i| waits[i]).sum();
                 paths.push(PathPrediction {
                     source: names[s].clone(),
                     terminal: names[last].clone(),
@@ -674,12 +665,24 @@ mod tests {
     use super::*;
     use crate::PlanView;
 
+    /// The spec of a graph given by name: nodes numbered in order of first
+    /// mention, `source` (node 0) first.
     fn topo(edges: &[(&str, &str)], source: &str, partitions: &[&[&str]]) -> TopologySpec {
-        let names = |group: &[&str]| group.iter().map(|n| n.to_string()).collect();
+        let mut nodes = vec![source];
+        for &(a, b) in edges {
+            for v in [a, b] {
+                if !nodes.contains(&v) {
+                    nodes.push(v);
+                }
+            }
+        }
+        let index = |v: &str| nodes.iter().position(|&x| x == v).expect("a node of the graph");
         TopologySpec {
-            edges: edges.iter().map(|(a, b)| (a.to_string(), b.to_string())).collect(),
-            sources: vec![source.into()],
-            partitions: partitions.iter().map(|g| names(g)).collect(),
+            edges: edges.iter().map(|&(a, b)| (index(a), index(b))).collect(),
+            sources: vec![0],
+            partitions: partitions.iter().map(|g| g.iter().map(|&v| index(v)).collect()).collect(),
+            queues: Vec::new(),
+            nodes: nodes.iter().map(|v| v.to_string()).collect(),
         }
     }
 
@@ -909,6 +912,25 @@ mod tests {
             let x = report.nodes.iter().find(|x| x.name == name).unwrap();
             assert!((x.rate - 500.0).abs() < 1e-9, "{name} rate: {}", x.rate);
         }
+    }
+
+    /// A node's queue depth is the sum over the view's queues into it; a
+    /// queue the registry still remembers from an earlier wiring counts for
+    /// nothing.
+    #[test]
+    fn queue_depth_sums_the_views_queues_into_a_node() {
+        let obs = Obs::enabled();
+        obs.gauge("queue.s->j.occupancy").set(3);
+        obs.gauge("queue.t->j.occupancy").set(4);
+        obs.gauge("queue.j->k.occupancy").set(9);
+        let mut shape = topo(&[("s", "j"), ("t", "j"), ("j", "k")], "s", &[&["j", "k"]]);
+        shape.sources.push(2);
+        let queue = |name: &str, from, to| QueueSpec { name: name.into(), from, to };
+        shape.queues = vec![queue("s->j", 0, 1), queue("t->j", 2, 1)];
+        let report = analyze(&obs.metrics_snapshot(), &shape, &CapacityConfig::default());
+        let depth = |name: &str| report.nodes.iter().find(|x| x.name == name).unwrap().queue_depth;
+        assert_eq!(depth("j"), Some(7.0));
+        assert_eq!(depth("k"), None, "j->k is a direct call in this wiring");
     }
 
     #[test]

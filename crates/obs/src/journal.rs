@@ -5,12 +5,9 @@
 //! `preempt`, `aging-boost` — thousands per second under HMTS) go to one,
 //! every other event (checkpoints, alerts, quarantines, mode switches, …) to
 //! the other, so a busy scheduler can never evict the rare lifecycle
-//! records an operator is looking for. Producers claim a slot with one
-//! atomic `fetch_add` on the ring's write cursor and then store the record
-//! under that slot's own mutex, so concurrent emitters from different
-//! scheduler threads never contend unless they collide on the same slot
-//! (capacity collisions only). When a ring wraps, its oldest records are
-//! overwritten and counted as dropped — the journal never blocks or grows.
+//! records an operator is looking for. Each is a `Ring` — the same
+//! claim-a-slot, overwrite-oldest ring the span recorder uses — so the
+//! journal never blocks or grows, and counts what a ring overwrote.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -203,25 +200,33 @@ pub struct EventRecord {
     pub event: SchedEvent,
 }
 
-/// One overwrite-oldest ring of records.
+/// A bounded overwrite-oldest ring, the journal's and the span recorder's:
+/// a writer claims a slot with one atomic `fetch_add` on the cursor, then
+/// stores under that slot's own mutex, so concurrent writers only contend
+/// when they collide on a slot. When full, the oldest record is overwritten
+/// and counted as dropped — writing never blocks or grows.
 #[derive(Debug)]
-struct Ring {
-    slots: Vec<Mutex<Option<EventRecord>>>,
+pub(crate) struct Ring<T> {
+    slots: Vec<Mutex<Option<T>>>,
     cursor: AtomicU64,
     dropped: AtomicU64,
 }
 
-impl Ring {
-    fn new(capacity: usize) -> Ring {
+impl<T: Clone> Ring<T> {
+    /// A ring of `capacity` slots (at least one).
+    pub(crate) fn new(capacity: usize) -> Ring<T> {
         Ring {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
             cursor: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
     }
 
-    fn push(&self, record: EventRecord) {
+    /// Claims the next slot and stores `make(claim)` in it, the claim being
+    /// the count of records written before this one.
+    pub(crate) fn push(&self, make: impl FnOnce(u64) -> T) {
         let at = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let record = make(at);
         let mut slot = self.slots[(at % self.slots.len() as u64) as usize].lock();
         if slot.is_some() {
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -229,8 +234,30 @@ impl Ring {
         *slot = Some(record);
     }
 
-    fn high_water(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed).min(self.slots.len() as u64)
+    /// Records ever written.
+    pub(crate) fn pushed(&self) -> u64 {
+        self.cursor.load(Ordering::Relaxed)
+    }
+
+    /// Records overwritten before being part of any snapshot.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Slots in the ring.
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The most slots ever occupied at once: `min(pushed, capacity)`, which
+    /// stays pinned at capacity once the ring wraps.
+    pub(crate) fn high_water(&self) -> u64 {
+        self.pushed().min(self.slots.len() as u64)
+    }
+
+    /// The retained records, in slot order.
+    pub(crate) fn retained(&self) -> impl Iterator<Item = T> + '_ {
+        self.slots.iter().filter_map(|s| s.lock().clone())
     }
 }
 
@@ -240,9 +267,9 @@ pub struct EventJournal {
     /// Global sequence counter: one total order across both rings.
     seq: AtomicU64,
     /// Level-3 per-slice records.
-    slices: Ring,
+    slices: Ring<EventRecord>,
     /// Everything else.
-    lifecycle: Ring,
+    lifecycle: Ring<EventRecord>,
     start: Instant,
 }
 
@@ -258,7 +285,6 @@ impl EventJournal {
     /// the same [`crate::Obs`] handle share one clock and can be merged
     /// onto one exported timeline.
     pub fn with_epoch(capacity: usize, epoch: Instant) -> EventJournal {
-        let capacity = capacity.max(1);
         EventJournal {
             seq: AtomicU64::new(0),
             slices: Ring::new(capacity),
@@ -277,12 +303,13 @@ impl EventJournal {
             | SchedEvent::AgingBoost { .. } => &self.slices,
             _ => &self.lifecycle,
         };
-        ring.push(EventRecord {
+        let record = EventRecord {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             thread: thread_token(),
             elapsed_ns: self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             event,
-        });
+        };
+        ring.push(|_| record);
     }
 
     /// Total events ever pushed.
@@ -292,18 +319,18 @@ impl EventJournal {
 
     /// Events overwritten before being part of any snapshot (both rings).
     pub fn dropped(&self) -> u64 {
-        self.slices.dropped.load(Ordering::Relaxed) + self.lifecycle_dropped()
+        self.slices.dropped() + self.lifecycle_dropped()
     }
 
     /// Lifecycle events (anything but the level-3 per-slice records)
     /// overwritten before being part of any snapshot.
     pub fn lifecycle_dropped(&self) -> u64 {
-        self.lifecycle.dropped.load(Ordering::Relaxed)
+        self.lifecycle.dropped()
     }
 
     /// Capacity of each ring in records.
     pub fn capacity(&self) -> usize {
-        self.lifecycle.slots.len()
+        self.lifecycle.capacity()
     }
 
     /// High-water mark: the most slots of one ring ever occupied at once.
@@ -317,8 +344,8 @@ impl EventJournal {
     /// The retained records of both rings, oldest first (by global
     /// sequence number).
     pub fn snapshot(&self) -> Vec<EventRecord> {
-        let slots = self.slices.slots.iter().chain(&self.lifecycle.slots);
-        let mut out: Vec<EventRecord> = slots.filter_map(|s| s.lock().clone()).collect();
+        let mut out: Vec<EventRecord> =
+            self.slices.retained().chain(self.lifecycle.retained()).collect();
         out.sort_by_key(|r| r.seq);
         out
     }

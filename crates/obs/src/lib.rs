@@ -35,19 +35,20 @@ use parking_lot::Mutex;
 
 pub use admin::AdminServer;
 pub use alert::{AlertEngine, AlertRule};
-pub use capacity::{CapacityConfig, CapacityReport, TopologySpec};
+pub use capacity::{CapacityConfig, CapacityReport, QueueSpec, TopologySpec};
 pub use journal::{EventJournal, EventRecord, Field, SchedEvent};
 pub use registry::{Counter, Gauge, Histogram, Metric, MetricValue, MetricsRegistry};
 pub use sampler::{SamplePoint, SampleStore, Sampler};
 pub use trace::{trace_id, HopKind, SpanEvent, TraceConfig, Tracer, NO_PARTITION};
 
 /// What the engine publishes about the plan it is running: the query
-/// shape with the plan's virtual operators, and the plan's scheduling
-/// domains. Replaced as a whole on every (re-)wiring, so readers follow
-/// mode switches, queue insertion/removal and re-partitioning by themselves.
+/// shape with the plan's virtual operators and queues, and the plan's
+/// scheduling domains. Replaced as a whole on every (re-)wiring, so readers
+/// follow mode switches, queue insertion/removal and re-partitioning by
+/// themselves. It says what exists; the registry only holds values.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PlanView {
-    /// Nodes, edges, sources and virtual-operator groups by node name.
+    /// Nodes, sources, edges, virtual-operator groups and queues.
     pub topology: TopologySpec,
     /// One-line plan shape, e.g. `"3 domains (3 pooled) x2 workers"`.
     pub summary: String,

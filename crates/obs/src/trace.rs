@@ -10,9 +10,9 @@
 //!   (`hmts_streams::TraceTag`) derived from its sequence number,
 //! * every instrumented site — queue enqueue/dequeue, operator
 //!   process-start/process-end — appends a [`SpanEvent`] to the
-//!   [`Tracer`]'s lock-free bounded span ring (same claim-a-slot ring as
-//!   the scheduler [`crate::EventJournal`], and the same per-thread token
-//!   space, so both streams merge onto one exported timeline),
+//!   [`Tracer`]'s bounded span ring (the scheduler [`crate::EventJournal`]'s
+//!   ring type, and the same per-thread token space, so both streams merge
+//!   onto one exported timeline),
 //! * exporters ([`crate::export`]) reassemble the spans into Chrome/Perfetto
 //!   `trace_event` JSON and a per-operator queue-wait vs processing
 //!   latency breakdown.
@@ -27,13 +27,10 @@
 //! handle (`Obs` without a `TraceConfig`) costs one `Option` check in the
 //! executor per message batch.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
-use crate::journal::thread_token;
+use crate::journal::{thread_token, Ring};
 
 /// Partition value used for hops that happen outside any executor
 /// partition (source-side enqueues).
@@ -136,46 +133,13 @@ pub fn trace_id(source: u32, seq: u64) -> u64 {
     ((source as u64 + 1) << 40) | (seq & ((1 << 40) - 1))
 }
 
-/// Lock-free bounded span ring: producers claim a slot with one atomic
-/// `fetch_add`, then store under that slot's own mutex. Overwrites the
-/// oldest span when full, counting drops — recording never blocks the
-/// data path.
-#[derive(Debug)]
-struct SpanBuffer {
-    slots: Vec<Mutex<Option<SpanEvent>>>,
-    cursor: AtomicU64,
-    dropped: AtomicU64,
-}
-
-impl SpanBuffer {
-    fn new(capacity: usize) -> SpanBuffer {
-        let capacity = capacity.max(1);
-        SpanBuffer {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    fn push(&self, make: impl FnOnce(u64) -> SpanEvent) {
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let idx = (seq % self.slots.len() as u64) as usize;
-        let record = make(seq);
-        let mut slot = self.slots[idx].lock();
-        if slot.is_some() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        *slot = Some(record);
-    }
-}
-
 /// The span recorder: deterministic sampling decisions plus the bounded
 /// span buffer. One per enabled-with-tracing [`crate::Obs`] handle, shared
 /// by every source driver and executor via `Arc`.
 #[derive(Debug)]
 pub struct Tracer {
     cfg: TraceConfig,
-    buffer: SpanBuffer,
+    buffer: Ring<SpanEvent>,
     start: Instant,
 }
 
@@ -184,7 +148,7 @@ impl Tracer {
     /// (shared with the owning handle's journal and registry clock).
     pub fn new(cfg: TraceConfig, epoch: Instant) -> Tracer {
         let cfg = TraceConfig { sample_every: cfg.sample_every.max(1), ..cfg };
-        let buffer = SpanBuffer::new(cfg.buffer_capacity);
+        let buffer = Ring::new(cfg.buffer_capacity);
         Tracer { cfg, buffer, start: epoch }
     }
 
@@ -223,24 +187,23 @@ impl Tracer {
 
     /// Total spans ever recorded.
     pub fn recorded(&self) -> u64 {
-        self.buffer.cursor.load(Ordering::Relaxed)
+        self.buffer.pushed()
     }
 
     /// Spans overwritten before being part of any snapshot.
     pub fn dropped(&self) -> u64 {
-        self.buffer.dropped.load(Ordering::Relaxed)
+        self.buffer.dropped()
     }
 
     /// High-water mark of buffer occupancy (`min(recorded, capacity)` for
     /// an overwrite-oldest ring).
     pub fn high_water(&self) -> u64 {
-        self.recorded().min(self.buffer.slots.len() as u64)
+        self.buffer.high_water()
     }
 
     /// The retained spans, oldest first (by record sequence number).
     pub fn snapshot(&self) -> Vec<SpanEvent> {
-        let mut out: Vec<SpanEvent> =
-            self.buffer.slots.iter().filter_map(|s| s.lock().clone()).collect();
+        let mut out: Vec<SpanEvent> = self.buffer.retained().collect();
         out.sort_by_key(|r| r.seq);
         out
     }

@@ -22,8 +22,8 @@ use std::net::{SocketAddr, TcpStream};
 use hmts_obs::export::{self, ProcessTrace};
 use hmts_obs::json::{self, Json};
 use hmts_obs::{
-    trace_id, AdminServer, DomainView, EventRecord, Field, HopKind, Obs, PlanView, SchedEvent,
-    SpanEvent, TopologySpec, NO_PARTITION,
+    trace_id, AdminServer, DomainView, EventRecord, Field, HopKind, Obs, PlanView, QueueSpec,
+    SchedEvent, SpanEvent, TopologySpec, NO_PARTITION,
 };
 
 fn fill_registry(obs: &Obs) {
@@ -74,23 +74,21 @@ fn fill_registry(obs: &Obs) {
     }
 }
 
-const EDGES: [(&str, &str); 6] = [
-    ("src", "f"),
-    ("f", "agg.split"),
-    ("agg.split", "agg[0]"),
-    ("agg.split", "agg[1]"),
-    ("agg[0]", "agg.merge"),
-    ("agg[1]", "agg.merge"),
-];
-const PARTITIONS: [&[&str]; 3] = [&["f", "agg.split"], &["agg[0]"], &["agg[1]", "agg.merge"]];
+const NODES: [&str; 6] = ["src", "f", "agg.split", "agg[0]", "agg[1]", "agg.merge"];
+const EDGES: [(usize, usize); 6] = [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)];
+const PARTITIONS: [&[usize]; 3] = [&[1, 2], &[3], &[4, 5]];
 
 fn plan_view() -> PlanView {
-    let names = |group: &[&str]| group.iter().map(|n| n.to_string()).collect();
+    let queue = |name: &str, from, to| QueueSpec { name: name.into(), from, to };
     PlanView {
         topology: TopologySpec {
-            edges: EDGES.iter().map(|(a, b)| (a.to_string(), b.to_string())).collect(),
-            sources: vec!["src".into()],
-            partitions: PARTITIONS.iter().map(|g| names(g)).collect(),
+            nodes: NODES.iter().map(|v| v.to_string()).collect(),
+            sources: vec![0],
+            edges: EDGES.to_vec(),
+            partitions: PARTITIONS.iter().map(|g| g.to_vec()).collect(),
+            // The hostile name feeds the source, so no operator's
+            // `queue_depth` moves.
+            queues: vec![queue("src->f", 0, 1), queue("we\"ird\\q", 0, 0)],
         },
         summary: "3 domains (3 pooled) x2 workers".into(),
         domains: (0..3)

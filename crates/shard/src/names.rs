@@ -22,12 +22,6 @@ pub fn merge(base: &str) -> String {
     format!("{base}.merge")
 }
 
-/// The display name of the whole replica group (`base[0..n]`), used by the
-/// admin plane when it folds per-replica metrics under the logical node.
-pub fn group(base: &str, n: usize) -> String {
-    format!("{base}[0..{n}]")
-}
-
 /// Decomposes a replica name into `(base, index)`; `None` for anything
 /// that does not look like `base[i]`.
 ///
@@ -52,7 +46,6 @@ mod tests {
         assert_eq!(replica("agg", 3), "agg[3]");
         assert_eq!(split("agg"), "agg.split");
         assert_eq!(merge("agg"), "agg.merge");
-        assert_eq!(group("agg", 4), "agg[0..4]");
         assert_eq!(parse_replica("agg[3]"), Some(("agg", 3)));
         assert_eq!(parse_replica(&replica("a.b", 12)), Some(("a.b", 12)));
     }

@@ -71,10 +71,12 @@ fn mg1_prediction_matches_simulated_tandem_queue() {
         ("node.b.selectivity_ppm".into(), MetricValue::Gauge(1_000_000)),
     ];
     let topo = TopologySpec {
-        edges: vec![("src".into(), "a".into()), ("a".into(), "b".into())],
-        sources: vec!["src".into()],
+        nodes: vec!["src".into(), "a".into(), "b".into()],
+        sources: vec![0],
+        edges: vec![(0, 1), (1, 2)],
         // OTS: every operator its own partition, so both are stations.
-        partitions: vec![vec!["a".into()], vec!["b".into()]],
+        partitions: vec![vec![1], vec![2]],
+        queues: Vec::new(),
     };
     let cfg = CapacityConfig { service_cv2: 0.0 };
     let report = analyze(&metrics, &topo, &cfg);
@@ -122,9 +124,11 @@ fn prediction_tracks_load_sweep() {
             ("node.op.selectivity_ppm".into(), MetricValue::Gauge(1_000_000)),
         ];
         let topo = TopologySpec {
-            edges: vec![("src".into(), "op".into())],
-            sources: vec!["src".into()],
-            partitions: vec![vec!["op".into()]],
+            nodes: vec!["src".into(), "op".into()],
+            sources: vec![0],
+            edges: vec![(0, 1)],
+            partitions: vec![vec![1]],
+            queues: Vec::new(),
         };
         let cfg = CapacityConfig { service_cv2: 0.0 };
         let report = analyze(&metrics, &topo, &cfg);

@@ -143,6 +143,7 @@ fn bounded_queue_block_is_lossless() {
     let cfg = EngineConfig {
         pace_sources: false,
         queue_bound: Some(QueueBound { capacity: 16, policy: BackpressurePolicy::Block }),
+        memory_sample_interval: Some(Duration::from_millis(1)),
         ..EngineConfig::default()
     };
     let report = Engine::run_with_config(graph, ExecutionPlan::gts(&topo, StrategyKind::Fifo), cfg)
@@ -150,7 +151,8 @@ fn bounded_queue_block_is_lossless() {
     assert!(report.errors.is_empty());
     assert_eq!(handle.count(), 2_000, "Block backpressure loses nothing");
     // Bounded queues also bound memory.
-    assert!(report.peak_queue_memory <= 64);
+    assert!(!report.memory_series.is_empty(), "queue memory was sampled");
+    assert!(report.peak_queue_memory <= 64, "peak {}", report.peak_queue_memory);
 }
 
 #[test]
@@ -172,6 +174,7 @@ fn a_burst_longer_than_a_bounded_queue_reaches_a_pooled_consumer() {
     let plan = ExecutionPlan::hmts(Partitioning::new(vec![vec![f, k]]), StrategyKind::Fifo, 2);
     let cfg = EngineConfig {
         queue_bound: Some(QueueBound { capacity: 16, policy: BackpressurePolicy::Block }),
+        memory_sample_interval: Some(Duration::from_micros(100)),
         ..EngineConfig::default()
     };
     let (done, finished) = std::sync::mpsc::channel();
@@ -184,7 +187,8 @@ fn a_burst_longer_than_a_bounded_queue_reaches_a_pooled_consumer() {
         .expect("engine runs");
     assert!(report.errors.is_empty());
     assert_eq!(common::collected_values(&handle), (0..100).collect::<Vec<_>>());
-    assert!(report.peak_queue_memory <= 16);
+    assert!(!report.memory_series.is_empty(), "queue memory was sampled");
+    assert!(report.peak_queue_memory <= 16, "peak {}", report.peak_queue_memory);
 }
 
 #[test]

@@ -180,9 +180,39 @@ fn assert_admin_plane_shows_plan(addr: std::net::SocketAddr, engine: &Engine, wh
     }
 }
 
+/// `/snapshot` lists exactly the running wiring's queues — one on every
+/// source edge and every edge between two virtual operators — and
+/// `/analyze` gives a queue depth to exactly the nodes one of them feeds,
+/// however many queues earlier wirings had.
+fn assert_admin_plane_shows_queues(addr: std::net::SocketAddr, engine: &Engine, when: &str) {
+    let (plan, topo) = (engine.plan(), engine.topology());
+    let group = |v| plan.partitioning.group_of(v);
+    let queued: Vec<_> = topo
+        .edges()
+        .iter()
+        .filter(|e| topo.is_source(e.from) || group(e.from) != group(e.to))
+        .collect();
+    let mut want: Vec<String> =
+        queued.iter().map(|e| format!("{}->{}", topo.name(e.from), topo.name(e.to))).collect();
+    want.sort();
+    let snapshot = scrape(addr, "/snapshot");
+    let got: Vec<&String> =
+        snapshot.get("queues").and_then(Json::as_obj).expect("queues object").keys().collect();
+    assert_eq!(got, want.iter().collect::<Vec<_>>(), "{when}: /snapshot queues");
+
+    let analyze = scrape(addr, "/analyze");
+    for node in analyze.get("nodes").and_then(Json::as_arr).expect("nodes array") {
+        let name = node.get("name").and_then(Json::as_str).expect("node name");
+        let fed = queued.iter().any(|e| topo.name(e.to) == name);
+        let depth = node.get("queue_depth").expect("queue_depth member");
+        assert_eq!(depth != &Json::Null, fed, "{when}: {name}'s queue_depth is {depth:?}");
+    }
+}
+
 /// The admin plane follows the plan by itself: nothing here publishes
 /// anything, yet every scrape — before `start`, under GTS, after a switch to
-/// two-VO HMTS, after a runtime queue insertion — shows the live plan.
+/// two-VO HMTS, after a runtime queue insertion or removal — shows the live
+/// plan and only the live plan's queues.
 #[test]
 fn admin_plane_follows_plan_changes_with_no_host_call() {
     let (graph, _handle) = paced_graph(200_000, 20_000.0);
@@ -195,18 +225,22 @@ fn admin_plane_follows_plan_changes_with_no_host_call() {
     assert_admin_plane_shows_plan(admin.addr(), &engine, "before start");
     engine.start().expect("engine starts");
     assert_admin_plane_shows_plan(admin.addr(), &engine, "under GTS");
+    assert_admin_plane_shows_queues(admin.addr(), &engine, "under GTS");
 
     let ops = topo.operators();
     let part = Partitioning::new(vec![vec![ops[0]], vec![ops[1], ops[2]]]);
     engine.switch_plan(ExecutionPlan::hmts(part, StrategyKind::Fifo, 2)).expect("runtime switch");
     assert_eq!(engine.plan().partitioning.groups().len(), 2);
     assert_admin_plane_shows_plan(admin.addr(), &engine, "after switch_plan");
+    assert_admin_plane_shows_queues(admin.addr(), &engine, "after switch_plan");
 
     assert!(engine.insert_queue(ops[1], ops[2]).expect("queue insertion"), "VO was split");
     assert_eq!(engine.plan().partitioning.groups().len(), 3);
     assert_admin_plane_shows_plan(admin.addr(), &engine, "after insert_queue");
+    assert_admin_plane_shows_queues(admin.addr(), &engine, "after insert_queue");
 
     assert!(engine.remove_queue(ops[0], ops[1]).expect("queue removal"), "VOs were merged");
     assert_admin_plane_shows_plan(admin.addr(), &engine, "after remove_queue");
+    assert_admin_plane_shows_queues(admin.addr(), &engine, "after remove_queue");
     engine.abort();
 }
