@@ -14,6 +14,7 @@ use hmts::engine::executor::{
 use hmts::obs::{TraceConfig, Tracer};
 use hmts::operators::traits::{EosTracker, Operator, Output, WatermarkTracker};
 use hmts::prelude::*;
+use hmts::stats::{Arrivals, StatsWriter};
 use hmts::streams::element::{Message, TraceTag};
 use hmts::streams::queue::{Batch, StreamQueue};
 
@@ -234,6 +235,18 @@ fn queue_transfer(c: &mut Criterion) {
         b.iter(|| {
             run.extend((0..32).map(|_| element(7)));
             exec.inject_batch(NodeId(0), 0, black_box(&mut run));
+        })
+    });
+
+    // The booking alone, as each slot above pays it per run: a run of 32
+    // evenly stamped arrivals and their 32 outputs, untimed, into a cell.
+    g.bench_function("stats_book_run32", |b| {
+        let mut writer = StatsWriter::new(hmts::stats::shared_node_stats(), 1);
+        let mut t = 0;
+        b.iter(|| {
+            let (first, last) = (Timestamp::from_micros(t), Timestamp::from_micros(t + 31));
+            t += 32;
+            writer.observe_run(black_box(Arrivals { port: 0, len: 32, first, last }), None, 0, 32);
         })
     });
 

@@ -174,8 +174,11 @@ pub enum RunOutcome {
 pub struct ExecConfig {
     /// Messages popped per strategy decision.
     pub batch: usize,
-    /// Whether to time operator invocations (one in [`COST_STRIDE`]) for
-    /// the runtime cost model.
+    /// Whether to time operator invocations for the runtime cost model:
+    /// a slot's first and every [`COST_STRIDE`]-th after it, so at the
+    /// default batch three runs in four read no clock. Counts and arrival
+    /// gaps are booked once per run, on or off, wherever a slot has a
+    /// statistics cell.
     pub measure: bool,
 }
 
@@ -523,11 +526,11 @@ impl DomainExecutor {
             let DomainExecutor { slots, current: run, out, probe, guard: g, .. } = self;
             let slot = &mut slots[i];
             let inject_panic = guard::arm(&slot.fault, run, &mut g.cut);
-            let span = probe.begin(&mut slot.probe, run, out);
+            let span = probe.begin(&mut slot.probe, port, run, out);
             let caught = guard::call(&mut *slot.state.op, out, inject_panic, |op, out| {
                 op.process_batch(port, run, out)
             });
-            probe.end(&mut slot.probe, span, matches!(caught, Ok(Ok(()))), run.len(), out);
+            probe.end(&mut slot.probe, span, matches!(caught, Ok(Ok(()))), run, out);
             self.settle_run(i, caught);
         }
         self.deliver_outputs(i);

@@ -11,11 +11,14 @@
 //! sampled tuple's process span is the call its run went through.
 //!
 //! Counts are exact, costs are sampled: every element is booked into the
-//! slot's statistics cell (`processed`, selectivity, arrivals) — a run in
-//! one piece — but only the runs in which a [`COST_STRIDE`] point falls are
-//! timed, and only a timed run feeds `c(v)` and the latency histogram,
-//! with its mean per element — both are means and quantiles of a population
-//! the stride samples evenly.
+//! slot's statistics cell (`processed`, selectivity) — a run in one step,
+//! its arrivals as its port, length and first and last stamps
+//! ([`Arrivals`]), at a price that does not grow with the run — but only
+//! the runs in which a [`COST_STRIDE`] point falls are timed, and only a
+//! timed run feeds `c(v)` and the latency histogram, with its mean per
+//! element — both are means and quantiles of a population the stride
+//! samples evenly. The stride is longer than a default batch, so most runs
+//! read no clock at all.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,18 +27,17 @@ use hmts_obs::{Histogram, HopKind, Tracer};
 use hmts_operators::traits::Output;
 use hmts_streams::element::{Element, TraceTag};
 use hmts_streams::queue::StreamQueue;
-use hmts_streams::time::Timestamp;
 
 use super::InputQueue;
-use crate::stats::{SharedNodeStats, StatsWriter};
+use crate::stats::{Arrivals, SharedNodeStats, StatsWriter};
 
 /// Of a slot's invocations — one per element, however they are cut into
 /// runs — the first and every `COST_STRIDE`-th after it are the timed ones.
-/// Deliberately not a multiple of `ExecConfig::batch` (32 by default, and
-/// 31 is coprime to every power of two): a multiple would time the same
-/// position of every popped batch — its cache-cold head — instead of
-/// walking through all of them.
-pub const COST_STRIDE: u32 = 31;
+/// Four default batches (`ExecConfig::batch`, 32) and a bit, so at most one
+/// run of four reads the clock; and prime, so never a multiple of a batch:
+/// a multiple would time the same position of every popped batch — its
+/// cache-cold head — instead of walking through all of them.
+pub const COST_STRIDE: u32 = 127;
 
 /// What observes one slot.
 pub(super) struct SlotProbe {
@@ -55,14 +57,16 @@ pub(super) struct SlotProbe {
 }
 
 impl SlotProbe {
+    /// Observes an operator with `ports` inputs named `operator`.
     pub(super) fn new(
         stats: Option<SharedNodeStats>,
         latency: Option<Histogram>,
         measure: bool,
         operator: &str,
+        ports: usize,
     ) -> SlotProbe {
         let timed = (measure && stats.is_some()) || latency.is_some();
-        let stats = stats.map(StatsWriter::new);
+        let stats = stats.map(|cell| StatsWriter::new(cell, ports));
         SlotProbe { stats, latency, timed, untimed: 0, site: Arc::from(operator) }
     }
 
@@ -94,8 +98,10 @@ struct TraceCtx {
 pub(super) struct Span {
     /// The cost clock, if a timed invocation falls into this run.
     start: Option<Instant>,
-    /// Elements in the run and in the output buffer before the call.
-    len: usize,
+    /// The run's arrivals — taken down here, because the operator owns the
+    /// elements by the time `end` knows how many of them to book.
+    arrivals: Option<Arrivals>,
+    /// Elements in the output buffer before the call.
     out_before: usize,
 }
 
@@ -103,12 +109,8 @@ pub(super) struct Span {
 #[derive(Default)]
 pub(super) struct Probe {
     trace: Option<TraceCtx>,
-    /// The timestamps of the run being processed — taken down in `begin`,
-    /// because the operator owns the elements by the time `end` knows how
-    /// many of them to book.
-    arrivals: Vec<Timestamp>,
     /// The sampled tags of the run being processed, taken down in `begin`
-    /// for the same reason (empty without a tracer).
+    /// for the same reason as its arrivals (empty without a tracer).
     sampled: Vec<TraceTag>,
 }
 
@@ -120,29 +122,32 @@ impl Probe {
         self.trace = Some(TraceCtx { tracer, partition, input_sites });
     }
 
-    /// Before `process_batch` of `run` on `slot`: records the process-start
-    /// hop of every sampled tuple in the run — the run's call is each one's
-    /// process span; starts the cost clock if one of the invocations the
-    /// run stands for is a timed one.
+    /// Before `process_batch` of `run`, arrived on `port` of `slot`:
+    /// records the process-start hop of every sampled tuple in the run —
+    /// the run's call is each one's process span; takes down the run's
+    /// arrivals; starts the cost clock if one of the invocations the run
+    /// stands for is a timed one.
     #[inline]
-    pub(super) fn begin(&mut self, slot: &mut SlotProbe, run: &[Element], out: &Output) -> Span {
+    pub(super) fn begin(
+        &mut self,
+        slot: &mut SlotProbe,
+        port: usize,
+        run: &[Element],
+        out: &Output,
+    ) -> Span {
         if self.trace.is_some() {
             self.sampled.clear();
             self.sampled.extend(run.iter().map(|el| el.trace).filter(TraceTag::is_sampled));
             self.record(HopKind::ProcessStart, slot);
         }
-        if slot.stats.is_some() {
-            self.arrivals.clear();
-            self.arrivals.extend(run.iter().map(|el| el.ts));
-        }
         let start = (slot.timed && slot.untimed < run.len()).then(Instant::now);
-        Span { start, len: run.len(), out_before: out.len() }
+        Span { start, arrivals: Arrivals::of(port, run), out_before: out.len() }
     }
 
     /// After `process_batch` on `slot` (`ok` = it returned `Ok`; `left` =
     /// what it left of the run): stops the cost clock, records the
     /// process-end hop of every tuple `begin` recorded a start for, and
-    /// books the elements that went through in one piece — with the run's
+    /// books the elements that went through in one step — with the run's
     /// mean cost per invocation, counted once per timed invocation in it.
     #[inline]
     pub(super) fn end(
@@ -150,12 +155,15 @@ impl Probe {
         slot: &mut SlotProbe,
         span: Span,
         ok: bool,
-        left: usize,
+        left: &[Element],
         out: &Output,
     ) {
         let elapsed = span.start.map(|t| t.elapsed());
         self.record(HopKind::ProcessEnd, slot);
-        let booked = span.len - left.min(span.len);
+        let Some(arrivals) = span.arrivals else {
+            return;
+        };
+        let booked = arrivals.len - left.len().min(arrivals.len);
         // A failed invocation was one, for the stride.
         let invoked = booked + usize::from(!ok);
         let timed = if slot.timed { slot.due(invoked) } else { 0 };
@@ -165,7 +173,11 @@ impl Probe {
         let cost = elapsed.filter(|_| timed > 0).map(|e| e / invoked as u32);
         if let Some(stats) = &mut slot.stats {
             let outputs = (out.len() - span.out_before) as u64;
-            stats.observe_run(&self.arrivals[..booked], cost, timed, outputs);
+            // Cut short by a failure, the run left the element it failed
+            // on at the head of `left`: its stamp stands in for the last
+            // booked one, which the operator took.
+            let last = left.first().map_or(arrivals.last, |el| el.ts);
+            stats.observe_run(Arrivals { len: booked, last, ..arrivals }, cost, timed, outputs);
         }
         if let (Some(h), Some(c)) = (&slot.latency, cost) {
             for _ in 0..timed {
@@ -222,6 +234,7 @@ mod tests {
     use hmts_operators::map::Map;
     use hmts_operators::traits::Operator;
     use hmts_streams::error::Result;
+    use hmts_streams::time::Timestamp;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -285,6 +298,68 @@ mod tests {
             assert_eq!(s.processed, 10 * wiring);
             assert_eq!(s.cost_samples, wiring, "each wiring times its first invocation");
             assert_eq!(s.selectivity(), Some(0.5));
+        }
+    }
+
+    /// How an operator fails at element *k* of a run.
+    #[derive(Debug, Clone, Copy)]
+    enum Failure {
+        /// It returns `Err` on every element from *k* on, so each retry
+        /// fails at its head and nothing behind *k* goes through.
+        Err,
+        /// It panics on *k*, closing the slot (no supervisor).
+        Panic,
+        /// The fault plan panics on *k*, cutting the run in front of it.
+        FaultPlan,
+    }
+
+    /// An operator failing at element *k* of a run of 32 evenly stamped
+    /// elements books exactly the *k* elements in front of it and their
+    /// outputs, and a gap within one gap of what booking those *k* one at
+    /// a time reads.
+    #[test]
+    fn a_run_failing_at_k_books_the_k_elements_in_front_of_it() {
+        let step = 10u64;
+        for k in [1u64, 2, 5, 31] {
+            for failure in [Failure::Err, Failure::Panic, Failure::FaultPlan] {
+                let op = Map::new("f", move |el, out| {
+                    let v = el.tuple.field(0).as_int()? as u64;
+                    match failure {
+                        Failure::Err if v >= k => {
+                            return Err(hmts_streams::error::StreamError::Other("boom".into()))
+                        }
+                        Failure::Panic if v == k => panic!("boom"),
+                        _ => out.push(el.clone()),
+                    }
+                    Ok(())
+                });
+                let stats = crate::stats::shared_node_stats();
+                let mut init = slot(1, Box::new(op), vec![]);
+                init.stats = Some(Arc::clone(&stats));
+                let plan = crate::failure::FaultPlan::seeded(1).panic_at("f", k + 1);
+                if let Failure::FaultPlan = failure {
+                    init.chaos = plan.operator_state("f");
+                }
+                let fifo = StrategyKind::Fifo.build(None);
+                let mut exec =
+                    DomainExecutor::new("d", vec![init], vec![], fifo, ExecConfig::default());
+                let stamp = |v: u64| Timestamp::from_micros(v * step);
+                let mut run: Vec<Element> =
+                    (0..32).map(|v| Element::single(v as i64, stamp(v))).collect();
+                exec.inject_batch(NodeId(1), 0, &mut run);
+                let case = format!("k = {k}, {failure:?}");
+                let s = stats.snapshot();
+                assert_eq!((s.processed, s.outputs), (k, k), "{case}");
+                let mut one_at_a_time = NodeStats::default();
+                (0..k).for_each(|v| one_at_a_time.observe(stamp(v), None, 1));
+                match (s.interarrival(), one_at_a_time.interarrival()) {
+                    (Some(gap), Some(want)) => {
+                        let off = gap.max(want) - gap.min(want);
+                        assert!(off <= Duration::from_micros(step), "{case}: {gap:?} for {want:?}");
+                    }
+                    (gap, want) => assert_eq!(gap, want, "{case}"),
+                }
+            }
         }
     }
 

@@ -76,7 +76,13 @@ impl SlotInit {
             })
             .collect();
         Slot {
-            probe: SlotProbe::new(self.stats, self.latency, measure, self.op.name()),
+            probe: SlotProbe::new(
+                self.stats,
+                self.latency,
+                measure,
+                self.op.name(),
+                self.op.input_arity(),
+            ),
             state: SlotState {
                 node: self.node,
                 op: self.op,

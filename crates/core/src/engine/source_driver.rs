@@ -27,7 +27,7 @@ use hmts_streams::time::{SharedClock, Timestamp};
 use crate::checkpoint::CheckpointShared;
 use crate::engine::executor::{push_and_wake, Budget, DomainExecutor, ExecConfig, Waker};
 use crate::engine::sync::{PauseGate, StopFlag};
-use crate::stats::{SharedNodeStats, StatsWriter};
+use crate::stats::{Arrivals, SharedNodeStats, StatsWriter};
 
 /// Where a source delivers its elements.
 pub enum SourceTarget {
@@ -224,7 +224,7 @@ pub fn spawn_source(
             } else {
                 (source.size_hint().unwrap_or(0) / 4096).max(1)
             };
-            let mut stats = stats.map(StatsWriter::new);
+            let mut stats = stats.map(|cell| StatsWriter::new(cell, 1));
             let mut out = Delivery {
                 shared: &shared,
                 trace: cfg.trace.as_ref(),
@@ -278,9 +278,6 @@ pub fn spawn_source(
                 while pulled.last().is_some_and(|el| el.ts <= due_by) {
                     let mut el = pulled.pop().expect("just looked at it");
                     let due = el.ts;
-                    if let Some(s) = &mut stats {
-                        s.observe(due, None, 1);
-                    }
                     // A tag that arrived with the element (wire-carried, v2
                     // frames) wins: the tuple's trace began in another
                     // process and must stay on that id. Otherwise,
@@ -298,6 +295,11 @@ pub fn spawn_source(
                         watermark = Some(due);
                         break;
                     }
+                }
+                // The run is booked as it is delivered: in one step, each
+                // element one arrival and one output.
+                if let (Some(s), Some(run)) = (&mut stats, Arrivals::of(0, &out.staged.run)) {
+                    s.observe_run(run, None, 0, run.len as u64);
                 }
                 let before = emitted;
                 emitted += out.staged.run.len() as u64;

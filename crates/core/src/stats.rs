@@ -8,6 +8,14 @@
 //! selectivity is — and the engine snapshots them into the
 //! [`hmts_graph::cost::CostInputs`] that placement and the Chain strategy
 //! consume, closing the measure → partition → re-schedule loop.
+//!
+//! A run of elements is booked in one step whose price does not depend on
+//! its length: the run is its [`Arrivals`] — input port, length, first and
+//! last stamp — plus its outputs and, if it was timed, its mean cost. The
+//! gap mean is kept per input port and moved once per run by the weight
+//! the run's gaps would have had one at a time; the node's `d(v)` combines
+//! its ports the way rates add, so a union reads the sum of its inputs'
+//! rates however its ports' runs interleave.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,6 +24,7 @@ use std::time::Duration;
 use hmts_graph::cost::CostInputs;
 use hmts_graph::graph::NodeId;
 use hmts_graph::topology::Topology;
+use hmts_streams::element::Element;
 use hmts_streams::time::Timestamp;
 
 /// Weight of the newest cost sample in `c(v)`'s moving average.
@@ -23,10 +32,80 @@ const COST_ALPHA: f64 = 0.2;
 /// Weight of the newest arrival gap in `d(v)`'s moving average.
 const GAP_ALPHA: f64 = 0.1;
 
-/// `mean` moved `alpha` of the way toward `x`; the first observation is
+/// `mean` after `k` ≥ 1 samples, all equal to `x`, each moving it `alpha`
+/// of the way toward itself — `1 − (1 − alpha)^k` of the way in one step
+/// (`alpha` itself for one sample, to the bit); the first observation is
 /// taken as it is.
-fn ewma(mean: Option<f64>, x: f64, alpha: f64) -> Option<f64> {
-    Some(mean.map_or(x, |m| m + alpha * (x - m)))
+#[inline]
+fn ewma(mean: Option<f64>, x: f64, alpha: f64, k: u64) -> Option<f64> {
+    let weight = match k {
+        1 => alpha,
+        k => 1.0 - (1.0 - alpha).powi(k.min(i32::MAX as u64) as i32),
+    };
+    Some(mean.map_or(x, |m| m + weight * (x - m)))
+}
+
+/// A run of elements as the statistics book its arrivals: the input port
+/// it came in on, how many elements it held, and the first and last of
+/// their stamps — everything in between is taken to be evenly spaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arrivals {
+    /// The input port.
+    pub port: usize,
+    /// Elements in the run.
+    pub len: usize,
+    /// Stamp of the run's first element.
+    pub first: Timestamp,
+    /// Stamp of the run's last element.
+    pub last: Timestamp,
+}
+
+impl Arrivals {
+    /// One element stamped `ts`, on `port`.
+    pub fn one(port: usize, ts: Timestamp) -> Arrivals {
+        Arrivals { port, len: 1, first: ts, last: ts }
+    }
+
+    /// The arrivals of `run` on `port`, or `None` for an empty run.
+    #[inline]
+    pub fn of(port: usize, run: &[Element]) -> Option<Arrivals> {
+        let (first, last) = (run.first()?.ts, run.last()?.ts);
+        Some(Arrivals { port, len: run.len(), first, last })
+    }
+}
+
+/// One input port's arrivals: its latest stamp and its gap mean.
+#[derive(Debug, Clone, Copy, Default)]
+struct Port {
+    last: Option<Timestamp>,
+    mean_gap: Option<f64>,
+}
+
+impl Port {
+    /// Books `run`: the gaps it adds — one per element, less the first on
+    /// a port with no arrival before it — count as equal, so the mean
+    /// moves toward their mean with the weight they would have one at a
+    /// time. A run ending before the port's latest arrival adds no gap;
+    /// its last stamp is the latest arrival all the same.
+    fn book(&mut self, run: &Arrivals) {
+        let (from, gaps) = match self.last {
+            Some(last) => (last, run.len as u64),
+            None => (run.first, run.len.saturating_sub(1) as u64),
+        };
+        if gaps > 0 && run.last >= from {
+            let span = (run.last.as_micros() - from.as_micros()) as f64;
+            self.mean_gap = ewma(self.mean_gap, span / (gaps as f64 * 1e6), GAP_ALPHA, gaps);
+        }
+        self.last = Some(run.last);
+    }
+}
+
+/// A node's gap mean from its ports': arrival rates add, so gaps combine
+/// as `1 / Σ 1/d_p` — a port's own mean while it is the only one with one.
+fn combined_gap(ports: &[Port]) -> Option<f64> {
+    let mut gaps = ports.iter().filter_map(|p| p.mean_gap);
+    let first = gaps.next()?;
+    Some(gaps.fold(first, |d, g| 1.0 / (1.0 / d + 1.0 / g)))
 }
 
 /// Statistics of one node: the six values a [`NodeStatsCell`] stores.
@@ -38,7 +117,8 @@ pub struct NodeStats {
     pub outputs: u64,
     /// Stream timestamp of the latest element (zero before the first).
     pub last_arrival: Timestamp,
-    /// Mean gap between arrivals in seconds (`d(v)`), once two arrived.
+    /// Mean gap between arrivals in seconds (`d(v)`), once two arrived on
+    /// one port; over several ports, the gap of their added rates.
     pub mean_gap: Option<f64>,
     /// Mean per-element processing cost in seconds (`c(v)`), once timed.
     pub mean_cost: Option<f64>,
@@ -47,40 +127,28 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
-    /// Records one processed element.
+    /// Records one processed element of a node with one input: the
+    /// booking of a [`StatsWriter`] for a run of one.
     pub fn observe(&mut self, ts: Timestamp, cost: Option<Duration>, outputs: u64) {
-        self.observe_run(&[ts], cost, 1, outputs);
+        let mut port = Port {
+            last: (self.processed > 0).then_some(self.last_arrival),
+            mean_gap: self.mean_gap,
+        };
+        port.book(&Arrivals::one(0, ts));
+        (self.last_arrival, self.mean_gap) = (ts, port.mean_gap);
+        self.count(1, cost, 1, outputs);
     }
 
-    /// Records a run of processed elements — stamped `arrivals`, in order —
-    /// that produced `outputs` elements between them. If the run was timed,
-    /// `cost` is its mean per element and `samples` the number of elements
-    /// in it that a per-element clock would have sampled: the cost counts
-    /// that often, so the sample count does not depend on how a stream was
-    /// cut into runs. A stamp earlier than the one before it is no gap, but
-    /// still the latest arrival.
-    pub fn observe_run(
-        &mut self,
-        arrivals: &[Timestamp],
-        cost: Option<Duration>,
-        samples: usize,
-        outputs: u64,
-    ) {
-        if let Some(c) = cost {
-            let c = c.as_secs_f64();
-            for _ in 0..samples {
-                self.mean_cost = ewma(self.mean_cost, c, COST_ALPHA);
-            }
+    /// Counts `len` processed elements that produced `outputs`; if they
+    /// were timed, `cost` is their mean per element and `samples` the
+    /// number of timed invocations among them, each of which moves the
+    /// cost mean as one sample.
+    fn count(&mut self, len: usize, cost: Option<Duration>, samples: usize, outputs: u64) {
+        if let (Some(c), 1..) = (cost, samples) {
+            self.mean_cost = ewma(self.mean_cost, c.as_secs_f64(), COST_ALPHA, samples as u64);
             self.cost_samples += samples as u64;
         }
-        for &ts in arrivals {
-            if self.processed > 0 && ts >= self.last_arrival {
-                let gap = ts.since(self.last_arrival).as_secs_f64();
-                self.mean_gap = ewma(self.mean_gap, gap, GAP_ALPHA);
-            }
-            self.last_arrival = ts;
-            self.processed += 1;
-        }
+        self.processed += len as u64;
         self.outputs += outputs;
     }
 
@@ -120,11 +188,11 @@ fn estimate(bits: u64) -> Option<f64> {
 ///
 /// The cell has **one writer at a time** — the thread holding the node's
 /// executor, or the source's own thread, through a [`StatsWriter`]; a mode
-/// switch hands it over with the executor — so booking an element is plain
-/// stores, no read-modify-write and no lock, and every element is visible
-/// to [`snapshot`](Self::snapshot) the moment it is booked. A reader running
-/// beside the writer may combine fields of two neighbouring elements (an
-/// arrival gap one element older than the count, say); every consumer is
+/// switch hands it over with the executor — so booking a run is plain
+/// stores, no read-modify-write and no lock, and every run is visible to
+/// [`snapshot`](Self::snapshot) the moment it is booked. A reader running
+/// beside the writer may combine fields of two neighbouring runs (an
+/// arrival gap one run older than the count, say); every consumer is
 /// an estimator of a mean, which that cannot hurt. What a reader may rely
 /// on: `processed` never decreases, and the outputs it sees were produced
 /// by inputs it also sees, so a measured selectivity never exceeds the
@@ -172,7 +240,7 @@ impl NodeStatsCell {
         self.outputs.store(s.outputs, Ordering::Release);
     }
 
-    /// The statistics as of the latest booked element — the one way to
+    /// The statistics as of the latest booked run — the one way to
     /// read the cell.
     #[inline]
     pub fn snapshot(&self) -> NodeStats {
@@ -192,11 +260,12 @@ impl NodeStatsCell {
 pub type SharedNodeStats = Arc<NodeStatsCell>;
 
 /// The writing end of a cell, held by its one writer for as long as it is
-/// the writer: a [`NodeStats`] beside the cell, seeded from it once.
-/// Booking an element updates that record and *stores* it — the cell is
-/// never read back, so a hop pays a handful of relaxed stores, per run
-/// and not per element, and not the six loads of a snapshot first. Every
-/// element is in the cell when [`observe`](Self::observe) or
+/// the writer: a [`NodeStats`] beside the cell, and the per-port arrival
+/// state its gap and latest arrival combine, seeded from the cell once.
+/// Booking a run updates that record and *stores* it — the cell is never
+/// read back, so a run costs a handful of relaxed stores and a few
+/// floating-point operations whatever its length, and not the six loads of
+/// a snapshot first. Every run is in the cell when
 /// [`observe_run`](Self::observe_run) returns, and the next writer (a mode
 /// switch builds new executors around the same cells) seeds itself from
 /// what this one left there.
@@ -204,36 +273,69 @@ pub type SharedNodeStats = Arc<NodeStatsCell>;
 pub struct StatsWriter {
     cell: SharedNodeStats,
     mirror: NodeStats,
+    /// Each input port's arrivals, by port.
+    ports: Vec<Port>,
 }
 
 impl StatsWriter {
-    /// Takes over writing `cell`, continuing from what it holds.
-    pub fn new(cell: SharedNodeStats) -> StatsWriter {
-        StatsWriter { mirror: cell.snapshot(), cell }
+    /// Takes over writing `cell` for a node with `ports` inputs, continuing
+    /// from what it holds: every port from the cell's latest arrival, with
+    /// an equal share of its rate.
+    pub fn new(cell: SharedNodeStats, ports: usize) -> StatsWriter {
+        let mirror = cell.snapshot();
+        let ports = ports.max(1);
+        let seed = Port {
+            last: (mirror.processed > 0).then_some(mirror.last_arrival),
+            mean_gap: mirror.mean_gap.map(|gap| gap * ports as f64),
+        };
+        StatsWriter { cell, mirror, ports: vec![seed; ports] }
     }
 
-    /// Books one processed element stamped `ts` that produced `outputs`
-    /// elements, and its cost if this invocation was timed.
+    /// Books one processed element stamped `ts` on port 0 that produced
+    /// `outputs` elements, and its cost if this invocation was timed.
     #[inline]
     pub fn observe(&mut self, ts: Timestamp, cost: Option<Duration>, outputs: u64) {
-        self.observe_run(&[ts], cost, 1, outputs);
+        self.observe_run(Arrivals::one(0, ts), cost, 1, outputs);
     }
 
-    /// Books a run of processed elements (see [`NodeStats::observe_run`])
-    /// and publishes once: the cell shows the whole run or nothing of it.
+    /// Books a run of processed elements that produced `outputs` elements
+    /// between them, and publishes once: the cell shows the whole run or
+    /// nothing of it. If the run was timed, `cost` is its mean per element
+    /// and `samples` the number of timed invocations in it — the cost
+    /// counts that often, so the sample count does not depend on how a
+    /// stream was cut into runs.
     #[inline]
     pub fn observe_run(
         &mut self,
-        arrivals: &[Timestamp],
+        run: Arrivals,
         cost: Option<Duration>,
         samples: usize,
         outputs: u64,
     ) {
-        if arrivals.is_empty() {
+        if run.len == 0 {
             return;
         }
-        self.mirror.observe_run(arrivals, cost, samples, outputs);
+        match self.ports.as_mut_slice() {
+            // One input: the node's gap and latest arrival are its port's.
+            [only] if run.port == 0 => {
+                only.book(&run);
+                (self.mirror.mean_gap, self.mirror.last_arrival) = (only.mean_gap, run.last);
+            }
+            _ => self.book_ports(&run),
+        }
+        self.mirror.count(run.len, cost, samples, outputs);
         self.cell.publish(&self.mirror, cost.is_some() && samples > 0);
+    }
+
+    /// The arrivals of `run` on a node with several input ports.
+    fn book_ports(&mut self, run: &Arrivals) {
+        if run.port >= self.ports.len() {
+            self.ports.resize(run.port + 1, Port::default());
+        }
+        self.ports[run.port].book(run);
+        let latest = self.ports.iter().filter_map(|p| p.last).max();
+        self.mirror.mean_gap = combined_gap(&self.ports);
+        self.mirror.last_arrival = latest.unwrap_or(run.last);
     }
 }
 
@@ -400,6 +502,20 @@ mod tests {
         assert!((n.mean_gap.unwrap() - 100.0).abs() < 1e-3, "gap={:?}", n.mean_gap);
     }
 
+    /// A writer for a fresh cell of a node with `ports` inputs.
+    fn writer(ports: usize) -> (SharedNodeStats, StatsWriter) {
+        let cell = shared_node_stats();
+        let writer = StatsWriter::new(Arc::clone(&cell), ports);
+        (cell, writer)
+    }
+
+    /// `len` arrivals on `port`, the first stamped `first`, `step` apart.
+    fn even(port: usize, len: usize, first: Timestamp, step: Duration) -> Arrivals {
+        let last =
+            Timestamp::from_micros(first.as_micros() + (len as u64 - 1) * step.as_micros() as u64);
+        Arrivals { port, len, first, last }
+    }
+
     #[test]
     fn gaps_give_interarrival_and_rate() {
         let mut n = NodeStats::default();
@@ -411,38 +527,43 @@ mod tests {
         let rate = n.rate().unwrap();
         assert!((rate - 100.0).abs() < 2.0, "rate={rate}");
         // Arrivals at one instant: a gap of zero, and no rate.
-        let mut burst = NodeStats::default();
-        burst.observe_run(&[Timestamp::from_secs(1); 4], None, 0, 0);
+        let (cell, mut w) = writer(1);
+        w.observe_run(even(0, 4, Timestamp::from_secs(1), Duration::ZERO), None, 0, 0);
+        let burst = cell.snapshot();
         assert_eq!((burst.mean_gap, burst.rate()), (Some(0.0), None));
     }
 
     #[test]
     fn selectivity_is_outputs_over_processed() {
-        let mut n = NodeStats::default();
+        let (cell, mut w) = writer(1);
         for outputs in [0, 1, 1, 0] {
-            n.observe(Timestamp::ZERO, None, outputs);
+            w.observe(Timestamp::ZERO, None, outputs);
         }
-        assert_eq!(n.selectivity(), Some(0.5));
-        n.observe_run(&[Timestamp::ZERO; 4], None, 0, 10);
+        assert_eq!(cell.snapshot().selectivity(), Some(0.5));
+        w.observe_run(even(0, 4, Timestamp::ZERO, Duration::ZERO), None, 0, 10);
+        let n = cell.snapshot();
         assert_eq!((n.processed, n.outputs, n.selectivity()), (8, 12, Some(1.5)));
     }
 
     #[test]
     fn the_cost_mean_tracks_its_samples() {
-        let mut n = NodeStats::default();
+        let (cell, mut w) = writer(1);
         for _ in 0..50 {
-            n.observe(Timestamp::ZERO, Some(Duration::from_micros(100)), 0);
+            w.observe(Timestamp::ZERO, Some(Duration::from_micros(100)), 0);
         }
-        let est = n.cost().unwrap();
+        let est = cell.snapshot().cost().unwrap();
         assert!(est >= Duration::from_micros(99) && est <= Duration::from_micros(101));
-        assert_eq!(n.cost_samples, 50);
+        assert_eq!(cell.snapshot().cost_samples, 50);
         // A timed run counts its mean once per sample in it; an untimed
         // run does not count.
-        n.observe_run(&[Timestamp::ZERO; 32], None, 0, 0);
+        let run = even(0, 32, Timestamp::ZERO, Duration::ZERO);
+        w.observe_run(run, None, 0, 0);
+        let n = cell.snapshot();
         assert_eq!((n.cost_samples, n.cost()), (50, Some(est)));
         for _ in 0..20 {
-            n.observe_run(&[Timestamp::ZERO; 32], Some(Duration::from_micros(300)), 3, 0);
+            w.observe_run(run, Some(Duration::from_micros(300)), 3, 0);
         }
+        let n = cell.snapshot();
         assert_eq!(n.cost_samples, 110);
         assert!((n.cost().unwrap().as_secs_f64() - 300e-6).abs() < 1e-9, "{:?}", n.cost());
     }
@@ -452,90 +573,119 @@ mod tests {
         // Two ways to book the same hundred elements: a plain record, and
         // a cell behind a writer's record — handed from one writer to the
         // next halfway, as a mode switch does.
-        let cell = shared_node_stats();
+        let (cell, mut writer) = writer(1);
         let mut plain = NodeStats::default();
         assert_eq!(cell.snapshot(), plain);
-        let mut writer = StatsWriter::new(Arc::clone(&cell));
         for i in 0..100u64 {
             let cost = (i % 7 == 0).then(|| Duration::from_nanos(500 + i));
             plain.observe(Timestamp::from_micros(i * i), cost, i % 3);
             writer.observe(Timestamp::from_micros(i * i), cost, i % 3);
             assert_eq!(cell.snapshot().processed, i + 1, "visible once booked");
             if i == 49 {
-                writer = StatsWriter::new(Arc::clone(&cell));
+                writer = StatsWriter::new(Arc::clone(&cell), 1);
             }
         }
         assert_eq!(cell.snapshot(), plain, "element by element");
-        // A third way: the same elements booked in runs of 1 to 7 — a run's
-        // outputs in one sum, its cost once per timed element in it (at
-        // most one here: above, every timed element has a cost of its own,
-        // and a run has one cost).
-        let by_run = shared_node_stats();
-        let mut writer = StatsWriter::new(Arc::clone(&by_run));
-        let (mut from, mut len) = (0u64, 1u64);
-        while from < 100 {
-            let run = from..(from + len).min(100);
-            let arrivals: Vec<Timestamp> =
-                run.clone().map(|i| Timestamp::from_micros(i * i)).collect();
-            let timed = run.clone().filter(|i| i % 7 == 0).count();
-            assert!(timed <= 1);
-            let cost = run.clone().find(|i| i % 7 == 0).map(|i| Duration::from_nanos(500 + i));
-            writer.observe_run(&arrivals, cost, timed, run.clone().map(|i| i % 3).sum());
-            assert_eq!(by_run.snapshot().processed, run.end, "a run is visible once booked");
-            (from, len) = (run.end, len % 7 + 1);
-        }
-        assert_eq!(by_run.snapshot(), plain, "run by run");
     }
 
-    /// The booking rules stated a second time, in the shape of separate
-    /// estimators — each with its own count, the gap's with an optional
-    /// previous arrival — to check the record against.
+    /// A node with two inputs, each stamped 10 µs apart and the two
+    /// interleaved (one element every 5 µs between them), booked as a
+    /// domain popping one queue's run at a time books it: runs of 32 from
+    /// either port in turn. Its rate is the sum of the ports' rates, and
+    /// the rate of the same arrivals booked one element at a time.
+    #[test]
+    fn a_two_port_node_fed_in_runs_reads_the_sum_of_its_ports_rates() {
+        let step = Duration::from_micros(10);
+        let (cell, mut writer) = writer(2);
+        let mut one_at_a_time = NodeStats::default();
+        for r in 0..100u64 {
+            for port in 0..2 {
+                let first = Timestamp::from_micros(r * 320 + port as u64 * 5);
+                writer.observe_run(even(port, 32, first, step), None, 0, 32);
+            }
+            // The same 64 arrivals, one at a time in stamp order.
+            for i in 0..64 {
+                one_at_a_time.observe(Timestamp::from_micros(r * 320 + i * 5), None, 1);
+            }
+        }
+        let sum = 2.0 / step.as_secs_f64();
+        let (runs, elements) = (cell.snapshot().rate().unwrap(), one_at_a_time.rate().unwrap());
+        assert!((runs / sum - 1.0).abs() < 0.02, "in runs {runs}/s, ports' sum {sum}/s");
+        assert!(
+            (runs / elements - 1.0).abs() < 0.02,
+            "in runs {runs}/s, one at a time {elements}/s"
+        );
+        assert_eq!(cell.snapshot().last_arrival, Timestamp::from_micros(99 * 320 + 5 + 310));
+    }
+
+    /// The booking rules stated a second time, run by run, in the shape of
+    /// separate estimators — the cost with its own count, each port's gap
+    /// with an optional previous arrival — to check the cell against.
     #[derive(Default)]
     struct Rules {
         cost: Option<f64>,
         cost_samples: u64,
         inputs: u64,
         outputs: u64,
-        gap: Option<f64>,
-        last: Option<Timestamp>,
-        arrivals: u64,
+        /// Per port: the latest arrival and the gap mean.
+        ports: Vec<(Option<Timestamp>, Option<f64>)>,
     }
 
     impl Rules {
-        fn ewma(mean: &mut Option<f64>, alpha: f64, x: f64) {
+        /// `mean` moved as `k` samples equal to `x` move it one at a time.
+        fn ewma(mean: &mut Option<f64>, alpha: f64, x: f64, k: u64) {
+            let weight = if k == 1 { alpha } else { 1.0 - (1.0 - alpha).powi(k as i32) };
             *mean = Some(match *mean {
                 None => x,
-                Some(m) => m + alpha * (x - m),
+                Some(m) => m + weight * (x - m),
             });
         }
 
-        fn book(&mut self, run: &[Timestamp], cost: Option<Duration>, samples: usize, out: u64) {
-            if let Some(c) = cost {
-                for _ in 0..samples {
-                    Self::ewma(&mut self.cost, 0.2, c.as_secs_f64());
-                    self.cost_samples += 1;
-                }
+        /// A new writer for `ports` inputs: each port from the latest
+        /// arrival, with an equal share of the rate.
+        fn hand_over(&mut self, ports: usize) {
+            let now = self.record();
+            let last = (self.inputs > 0).then_some(now.last_arrival);
+            self.ports = vec![(last, now.mean_gap.map(|g| g * ports as f64)); ports];
+        }
+
+        fn book(
+            &mut self,
+            port: usize,
+            run: &[Timestamp],
+            cost: Option<Duration>,
+            samples: usize,
+            out: u64,
+        ) {
+            if let (Some(c), true) = (cost, samples > 0) {
+                Self::ewma(&mut self.cost, 0.2, c.as_secs_f64(), samples as u64);
+                self.cost_samples += samples as u64;
             }
             self.inputs += run.len() as u64;
             self.outputs += out;
-            for &t in run {
-                if let Some(prev) = self.last {
-                    if t >= prev {
-                        Self::ewma(&mut self.gap, 0.1, t.since(prev).as_secs_f64());
-                    }
-                }
-                self.last = Some(t);
-                self.arrivals += 1;
+            let (last, gap) = &mut self.ports[port];
+            let end = *run.last().unwrap();
+            let (from, gaps) = match *last {
+                Some(t) => (t, run.len() as u64),
+                None => (run[0], run.len() as u64 - 1),
+            };
+            if gaps > 0 && end >= from {
+                let span = (end.as_micros() - from.as_micros()) as f64;
+                Self::ewma(gap, 0.1, span / (gaps as f64 * 1e6), gaps);
             }
+            *last = Some(end);
         }
 
         fn record(&self) -> NodeStats {
-            assert_eq!(self.inputs, self.arrivals);
+            let gaps: Vec<f64> = self.ports.iter().filter_map(|p| p.1).collect();
+            let mean_gap = gaps
+                .split_first()
+                .map(|(&d, rest)| rest.iter().fold(d, |d, &g| 1.0 / (1.0 / d + 1.0 / g)));
             NodeStats {
                 processed: self.inputs,
                 outputs: self.outputs,
-                last_arrival: self.last.unwrap_or(Timestamp::ZERO),
-                mean_gap: self.gap,
+                last_arrival: self.ports.iter().filter_map(|p| p.0).max().unwrap_or_default(),
+                mean_gap,
                 mean_cost: self.cost,
                 cost_samples: self.cost_samples,
             }
@@ -543,42 +693,94 @@ mod tests {
     }
 
     /// Books a stream derived from `seed` through a cell, in runs of 1–32
-    /// as an executor does, and through [`Rules`]; `Err` names the first
-    /// run after which the two disagree. The stamps repeat and step back,
-    /// one element in five is a timed invocation (a run's cost is its
-    /// mean, counted once per timed element), the outputs are arbitrary,
+    /// on one or two ports as an executor does, and through [`Rules`];
+    /// `Err` names the first run after which the two disagree. The stamps
+    /// repeat and step back, a run is timed one time in five (its cost
+    /// counted once per timed element in it), the outputs are arbitrary,
     /// and the cell changes writers once, at a generated run.
     fn booked_against_the_rules(seed: u64) -> Result<(), String> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let cell = shared_node_stats();
-        let mut writer = StatsWriter::new(Arc::clone(&cell));
+        let ports = rng.gen_range(1..=2);
+        let (cell, mut writer) = writer(ports);
         let mut rules = Rules::default();
+        rules.hand_over(ports);
         let runs = rng.gen_range(1..40);
         let handover = rng.gen_range(0..=runs);
         let mut t: u64 = rng.gen_range(0..1_000_000);
         for r in 0..runs {
             if r == handover {
-                writer = StatsWriter::new(Arc::clone(&cell));
+                writer = StatsWriter::new(Arc::clone(&cell), ports);
+                rules.hand_over(ports);
             }
+            let port = rng.gen_range(0..ports);
             let len = rng.gen_range(1..=32usize);
-            let mut arrivals = Vec::with_capacity(len);
+            let mut stamps = Vec::with_capacity(len);
             for _ in 0..len {
                 t = match rng.gen_range(0..4) {
                     0 => t,
                     1 => t.saturating_sub(rng.gen_range(1..500)),
                     _ => t + rng.gen_range(1..2_000u64),
                 };
-                arrivals.push(Timestamp::from_micros(t));
+                stamps.push(Timestamp::from_micros(t));
             }
-            let samples = (0..len).filter(|_| rng.gen_bool(0.2)).count();
+            let samples = if rng.gen_bool(0.2) { rng.gen_range(0..=2) } else { 0 };
             let cost = (samples > 0).then(|| Duration::from_nanos(rng.gen_range(1..100_000)));
             let outputs = rng.gen_range(0..=3 * len as u64);
-            writer.observe_run(&arrivals, cost, samples, outputs);
-            rules.book(&arrivals, cost, samples, outputs);
+            let run = Arrivals { port, len, first: stamps[0], last: stamps[len - 1] };
+            writer.observe_run(run, cost, samples, outputs);
+            rules.book(port, &stamps, cost, samples, outputs);
             let (cell, rules) = (cell.snapshot(), rules.record());
             if cell != rules {
                 return Err(format!("after run {r} of {runs}: cell {cell:?}, rules {rules:?}"));
             }
+        }
+        Ok(())
+    }
+
+    /// Books an evenly stamped stream derived from `seed`, cut into runs
+    /// of 1–64 at random, through a cell, and element by element by the
+    /// rules of one update per gap and per timed invocation; `Err` says
+    /// what the two disagree on beyond 1e-12 relative.
+    fn any_cut_books_the_per_element_numbers(seed: u64) -> Result<(), String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let step = Duration::from_micros(rng.gen_range(1..10_000));
+        let start = rng.gen_range(0..1_000_000u64);
+        let elements = rng.gen_range(1..2_000usize);
+        let (cell, mut writer) = writer(1);
+        let (mut gap, mut cost, mut samples_seen) = (None::<f64>, None::<f64>, 0u64);
+        let step_by = |m: &mut Option<f64>, alpha: f64, x: f64| {
+            *m = Some(m.map_or(x, |m| m + alpha * (x - m)));
+        };
+        let mut from = 0;
+        while from < elements {
+            let len = rng.gen_range(1..=64usize).min(elements - from);
+            let first = Timestamp::from_micros(start + from as u64 * step.as_micros() as u64);
+            let samples = if rng.gen_bool(0.3) { rng.gen_range(1..=2) } else { 0 };
+            let c = (samples > 0).then(|| Duration::from_nanos(rng.gen_range(1..100_000)));
+            writer.observe_run(even(0, len, first, step), c, samples, 2 * len as u64);
+            for i in from..from + len {
+                if i > 0 {
+                    step_by(&mut gap, GAP_ALPHA, step.as_secs_f64());
+                }
+            }
+            for _ in 0..samples {
+                step_by(&mut cost, COST_ALPHA, c.unwrap().as_secs_f64());
+            }
+            samples_seen += samples as u64;
+            from += len;
+        }
+        let s = cell.snapshot();
+        let last = Timestamp::from_micros(start + (elements as u64 - 1) * step.as_micros() as u64);
+        let counts = (s.processed, s.outputs, s.last_arrival, s.cost_samples);
+        if counts != (elements as u64, 2 * elements as u64, last, samples_seen) {
+            return Err(format!("counts {counts:?} of {elements} elements"));
+        }
+        let close = |a: Option<f64>, b: Option<f64>| match (a, b) {
+            (Some(a), Some(b)) => (a - b).abs() <= 1e-12 * b.abs(),
+            (a, b) => a == b,
+        };
+        if !close(s.mean_gap, gap) || !close(s.mean_cost, cost) {
+            return Err(format!("cell {s:?}, per element gap {gap:?} cost {cost:?}"));
         }
         Ok(())
     }
@@ -589,6 +791,14 @@ mod tests {
         #[test]
         fn a_cell_booked_in_runs_holds_the_rules_numbers_bit_for_bit(seed in any::<u64>()) {
             if let Err(why) = booked_against_the_rules(seed) {
+                return Err(TestCaseError::fail(format!("seed {seed}: {why}")));
+            }
+        }
+
+        /// Likewise, `any_cut_books_the_per_element_numbers(seed)`.
+        #[test]
+        fn any_cut_of_an_evenly_stamped_stream_books_the_per_element_numbers(seed in any::<u64>()) {
+            if let Err(why) = any_cut_books_the_per_element_numbers(seed) {
                 return Err(TestCaseError::fail(format!("seed {seed}: {why}")));
             }
         }
@@ -613,7 +823,7 @@ mod tests {
                 }
                 snapshots
             });
-            let mut writer = StatsWriter::new(Arc::clone(&cell));
+            let mut writer = StatsWriter::new(Arc::clone(&cell), 1);
             for i in 0..ELEMENTS {
                 writer.observe(Timestamp::from_micros(i), None, FAN_OUT);
             }
@@ -631,7 +841,8 @@ mod tests {
         let topo = topo();
         let stats: Vec<SharedNodeStats> = (0..2).map(|_| shared_node_stats()).collect();
         // Source saw elements 100 ms apart (rate 10/s); filter halves.
-        let mut writers: Vec<StatsWriter> = stats.iter().cloned().map(StatsWriter::new).collect();
+        let mut writers: Vec<StatsWriter> =
+            stats.iter().map(|cell| StatsWriter::new(Arc::clone(cell), 1)).collect();
         for i in 0..50u64 {
             writers[0].observe(Timestamp::from_millis(i * 100), None, 1);
             writers[1].observe(

@@ -244,3 +244,34 @@ fn admin_plane_follows_plan_changes_with_no_host_call() {
     assert_admin_plane_shows_queues(admin.addr(), &engine, "after remove_queue");
     engine.abort();
 }
+
+/// A union fed by two queues under HMTS: its domain pops one queue's run at
+/// a time, so its two ports' arrivals come in turns of up to a batch each,
+/// out of stamp order. `node.u.rate` still reads the sum of the two
+/// sources' rates, `source.<name>.rate`.
+#[test]
+fn a_union_fed_by_two_queues_reports_the_sum_of_its_sources_rates() {
+    let mut b = GraphBuilder::new();
+    let fast = b.source(VecSource::counting("fast", 40_000, 200_000.0));
+    let slow = b.source(VecSource::counting("slow", 20_000, 100_000.0));
+    let u = b.op(Union::new("u", 2));
+    b.connect_port(fast, u, 0).connect_port(slow, u, 1);
+    let (sink, handle) = CollectingSink::new("out");
+    let out = b.op_after(sink, u);
+    let graph = b.build().expect("valid graph");
+    let obs = Obs::enabled();
+    let cfg = EngineConfig { obs: obs.clone(), pace_sources: false, ..EngineConfig::default() };
+    let plan = ExecutionPlan::hmts(Partitioning::new(vec![vec![u, out]]), StrategyKind::Fifo, 1);
+    let report = Engine::run_with_config(graph, plan, cfg).expect("engine runs");
+    assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
+    assert_eq!(handle.count(), 60_000);
+    let metrics = obs.metrics_snapshot();
+    let rate = |name: &str| match metrics.iter().find(|(n, _)| n == name) {
+        Some((_, MetricValue::Gauge(v))) => *v as f64,
+        other => panic!("{name} is a gauge, not {other:?}"),
+    };
+    let sum = rate("source.fast.rate") + rate("source.slow.rate");
+    assert!((sum / 300_000.0 - 1.0).abs() < 0.01, "the sources offer {sum}/s");
+    let union = rate("node.u.rate");
+    assert!((union / sum - 1.0).abs() < 0.1, "node.u.rate {union}/s, its sources {sum}/s");
+}
