@@ -241,7 +241,7 @@ fn queue_transfer(c: &mut Criterion) {
     // The booking alone, as each slot above pays it per run: a run of 32
     // evenly stamped arrivals and their 32 outputs, untimed, into a cell.
     g.bench_function("stats_book_run32", |b| {
-        let mut writer = StatsWriter::new(hmts::stats::shared_node_stats(), 1);
+        let mut writer = StatsWriter::new(hmts::stats::shared_node_stats(), &[true]);
         let mut t = 0;
         b.iter(|| {
             let (first, last) = (Timestamp::from_micros(t), Timestamp::from_micros(t + 31));

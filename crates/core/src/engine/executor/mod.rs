@@ -542,7 +542,12 @@ impl DomainExecutor {
         // the port is booked closed.
         self.guarded(i, |op, out| op.on_eos(port, out));
         self.deliver_outputs(i);
-        if self.slots[i].state.closed || !self.slots[i].state.eos.close(port) {
+        let slot = &mut self.slots[i];
+        if slot.state.closed {
+            return;
+        }
+        slot.probe.close(port);
+        if !slot.state.eos.close(port) {
             return;
         }
         // Last port closed: flush, then close. Either callback may have

@@ -18,7 +18,8 @@
 //! timed run feeds `c(v)` and the latency histogram, with its mean per
 //! element — both are means and quantiles of a population the stride
 //! samples evenly. The stride is longer than a default batch, so most runs
-//! read no clock at all.
+//! read no clock at all. An input port's end-of-stream is booked as well
+//! (`SlotProbe::close`), so an ended input stops counting in the rate.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -57,17 +58,26 @@ pub(super) struct SlotProbe {
 }
 
 impl SlotProbe {
-    /// Observes an operator with `ports` inputs named `operator`.
+    /// Observes an operator named `operator` whose input ports are open
+    /// as `open` says.
     pub(super) fn new(
         stats: Option<SharedNodeStats>,
         latency: Option<Histogram>,
         measure: bool,
         operator: &str,
-        ports: usize,
+        open: &[bool],
     ) -> SlotProbe {
         let timed = (measure && stats.is_some()) || latency.is_some();
-        let stats = stats.map(|cell| StatsWriter::new(cell, ports));
+        let stats = stats.map(|cell| StatsWriter::new(cell, open));
         SlotProbe { stats, latency, timed, untimed: 0, site: Arc::from(operator) }
+    }
+
+    /// Books end-of-stream on input `port`: from here its rate leaves the
+    /// node's (see [`StatsWriter`]).
+    pub(super) fn close(&mut self, port: usize) {
+        if let Some(stats) = &mut self.stats {
+            stats.close(port);
+        }
     }
 
     /// Counts `n` invocations; how many of them are timed ones.
@@ -226,7 +236,7 @@ mod tests {
     use super::super::{Attach, DomainExecutor, ExecConfig, Target};
     use super::*;
     use crate::scheduler::strategy::StrategyKind;
-    use crate::stats::NodeStats;
+    use crate::stats::tests::OneByOne;
     use hmts_graph::graph::NodeId;
     use hmts_obs::{trace_id, TraceConfig};
     use hmts_operators::expr::Expr;
@@ -350,9 +360,9 @@ mod tests {
                 let case = format!("k = {k}, {failure:?}");
                 let s = stats.snapshot();
                 assert_eq!((s.processed, s.outputs), (k, k), "{case}");
-                let mut one_at_a_time = NodeStats::default();
+                let mut one_at_a_time = OneByOne::default();
                 (0..k).for_each(|v| one_at_a_time.observe(stamp(v), None, 1));
-                match (s.interarrival(), one_at_a_time.interarrival()) {
+                match (s.interarrival(), one_at_a_time.stats.interarrival()) {
                     (Some(gap), Some(want)) => {
                         let off = gap.max(want) - gap.min(want);
                         assert!(off <= Duration::from_micros(step), "{case}: {gap:?} for {want:?}");
@@ -393,7 +403,7 @@ mod tests {
         for n in 0..calls {
             exec.inject(NodeId(1), 0, data(0, n));
         }
-        let (mut op, mut out, mut per_call) = (Spin(spin), Output::new(), NodeStats::default());
+        let (mut op, mut out, mut per_call) = (Spin(spin), Output::new(), OneByOne::default());
         let el = Element::single(0, hmts_streams::time::Timestamp::ZERO);
         for _ in 0..calls {
             let start = Instant::now();
@@ -402,7 +412,7 @@ mod tests {
         }
         let sampled = stats.snapshot();
         assert_eq!(sampled.cost_samples, calls.div_ceil(u64::from(COST_STRIDE)));
-        (sampled.cost().unwrap(), per_call.cost().unwrap())
+        (sampled.cost().unwrap(), per_call.stats.cost().unwrap())
     }
 
     #[test]

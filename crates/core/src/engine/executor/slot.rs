@@ -75,14 +75,10 @@ impl SlotInit {
                 }
             })
             .collect();
+        let open: Vec<bool> =
+            (0..self.op.input_arity().max(1)).map(|p| self.eos.is_open(p)).collect();
         Slot {
-            probe: SlotProbe::new(
-                self.stats,
-                self.latency,
-                measure,
-                self.op.name(),
-                self.op.input_arity(),
-            ),
+            probe: SlotProbe::new(self.stats, self.latency, measure, self.op.name(), &open),
             state: SlotState {
                 node: self.node,
                 op: self.op,

@@ -224,7 +224,7 @@ pub fn spawn_source(
             } else {
                 (source.size_hint().unwrap_or(0) / 4096).max(1)
             };
-            let mut stats = stats.map(|cell| StatsWriter::new(cell, 1));
+            let mut stats = stats.map(|cell| StatsWriter::new(cell, &[true]));
             let mut out = Delivery {
                 shared: &shared,
                 trace: cfg.trace.as_ref(),

@@ -15,7 +15,9 @@
 //! gap mean is kept per input port and moved once per run by the weight
 //! the run's gaps would have had one at a time; the node's `d(v)` combines
 //! its ports the way rates add, so a union reads the sum of its inputs'
-//! rates however its ports' runs interleave.
+//! rates however its ports' runs interleave, and an input that has ended
+//! leaves the sum once the node's stream time has passed its next arrival.
+//! [`StatsWriter::observe_run`] is the one way a run is booked.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,11 +63,6 @@ pub struct Arrivals {
 }
 
 impl Arrivals {
-    /// One element stamped `ts`, on `port`.
-    pub fn one(port: usize, ts: Timestamp) -> Arrivals {
-        Arrivals { port, len: 1, first: ts, last: ts }
-    }
-
     /// The arrivals of `run` on `port`, or `None` for an empty run.
     #[inline]
     pub fn of(port: usize, run: &[Element]) -> Option<Arrivals> {
@@ -74,11 +71,13 @@ impl Arrivals {
     }
 }
 
-/// One input port's arrivals: its latest stamp and its gap mean.
-#[derive(Debug, Clone, Copy, Default)]
+/// One input port's arrivals: its latest stamp, its gap mean, and whether
+/// it has seen end-of-stream.
+#[derive(Debug, Clone, Copy)]
 struct Port {
     last: Option<Timestamp>,
     mean_gap: Option<f64>,
+    closed: bool,
 }
 
 impl Port {
@@ -127,31 +126,6 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
-    /// Records one processed element of a node with one input: the
-    /// booking of a [`StatsWriter`] for a run of one.
-    pub fn observe(&mut self, ts: Timestamp, cost: Option<Duration>, outputs: u64) {
-        let mut port = Port {
-            last: (self.processed > 0).then_some(self.last_arrival),
-            mean_gap: self.mean_gap,
-        };
-        port.book(&Arrivals::one(0, ts));
-        (self.last_arrival, self.mean_gap) = (ts, port.mean_gap);
-        self.count(1, cost, 1, outputs);
-    }
-
-    /// Counts `len` processed elements that produced `outputs`; if they
-    /// were timed, `cost` is their mean per element and `samples` the
-    /// number of timed invocations among them, each of which moves the
-    /// cost mean as one sample.
-    fn count(&mut self, len: usize, cost: Option<Duration>, samples: usize, outputs: u64) {
-        if let (Some(c), 1..) = (cost, samples) {
-            self.mean_cost = ewma(self.mean_cost, c.as_secs_f64(), COST_ALPHA, samples as u64);
-            self.cost_samples += samples as u64;
-        }
-        self.processed += len as u64;
-        self.outputs += outputs;
-    }
-
     /// Estimated per-element cost, or `None` before any timed sample.
     pub fn cost(&self) -> Option<Duration> {
         self.mean_cost.map(Duration::from_secs_f64)
@@ -269,6 +243,11 @@ pub type SharedNodeStats = Arc<NodeStatsCell>;
 /// [`observe_run`](Self::observe_run) returns, and the next writer (a mode
 /// switch builds new executors around the same cells) seeds itself from
 /// what this one left there.
+///
+/// A port that has seen end-of-stream ([`close`](Self::close)) counts in
+/// the node's rate until the node's latest arrival is more than one of its
+/// gaps past its own last — until it would have had its next arrival — so
+/// a union whose one input ended reads the other's rate from then on.
 #[derive(Debug)]
 pub struct StatsWriter {
     cell: SharedNodeStats,
@@ -278,24 +257,23 @@ pub struct StatsWriter {
 }
 
 impl StatsWriter {
-    /// Takes over writing `cell` for a node with `ports` inputs, continuing
-    /// from what it holds: every port from the cell's latest arrival, with
-    /// an equal share of its rate.
-    pub fn new(cell: SharedNodeStats, ports: usize) -> StatsWriter {
+    /// Takes over writing `cell` for a node whose input ports are open as
+    /// `open` says (one entry a port), continuing from what the cell
+    /// holds: every port from the cell's latest arrival, each open one
+    /// with an equal share of its rate, a closed one with none.
+    pub fn new(cell: SharedNodeStats, open: &[bool]) -> StatsWriter {
         let mirror = cell.snapshot();
-        let ports = ports.max(1);
-        let seed = Port {
-            last: (mirror.processed > 0).then_some(mirror.last_arrival),
-            mean_gap: mirror.mean_gap.map(|gap| gap * ports as f64),
-        };
-        StatsWriter { cell, mirror, ports: vec![seed; ports] }
-    }
-
-    /// Books one processed element stamped `ts` on port 0 that produced
-    /// `outputs` elements, and its cost if this invocation was timed.
-    #[inline]
-    pub fn observe(&mut self, ts: Timestamp, cost: Option<Duration>, outputs: u64) {
-        self.observe_run(Arrivals::one(0, ts), cost, 1, outputs);
+        let last = (mirror.processed > 0).then_some(mirror.last_arrival);
+        let live = open.iter().filter(|&&open| open).count() as f64;
+        let ports = open
+            .iter()
+            .map(|&open| Port {
+                last,
+                mean_gap: mirror.mean_gap.filter(|_| open).map(|gap| gap * live),
+                closed: !open,
+            })
+            .collect();
+        StatsWriter { cell, mirror, ports }
     }
 
     /// Books a run of processed elements that produced `outputs` elements
@@ -315,27 +293,43 @@ impl StatsWriter {
         if run.len == 0 {
             return;
         }
-        match self.ports.as_mut_slice() {
-            // One input: the node's gap and latest arrival are its port's.
-            [only] if run.port == 0 => {
-                only.book(&run);
-                (self.mirror.mean_gap, self.mirror.last_arrival) = (only.mean_gap, run.last);
-            }
-            _ => self.book_ports(&run),
+        self.ports[run.port].book(&run);
+        self.combine();
+        let timed = cost.filter(|_| samples > 0);
+        if let Some(c) = timed {
+            let m = &mut self.mirror;
+            m.mean_cost = ewma(m.mean_cost, c.as_secs_f64(), COST_ALPHA, samples as u64);
+            m.cost_samples += samples as u64;
         }
-        self.mirror.count(run.len, cost, samples, outputs);
-        self.cell.publish(&self.mirror, cost.is_some() && samples > 0);
+        self.mirror.processed += run.len as u64;
+        self.mirror.outputs += outputs;
+        self.cell.publish(&self.mirror, timed.is_some());
     }
 
-    /// The arrivals of `run` on a node with several input ports.
-    fn book_ports(&mut self, run: &Arrivals) {
-        if run.port >= self.ports.len() {
-            self.ports.resize(run.port + 1, Port::default());
+    /// Books end-of-stream on `port` and publishes the node's gap.
+    pub fn close(&mut self, port: usize) {
+        self.ports[port].closed = true;
+        self.combine();
+        self.cell.publish(&self.mirror, false);
+    }
+
+    /// The node's latest arrival and gap from its ports': first the gap
+    /// of every closed port the latest arrival has passed by more than
+    /// that gap stops counting.
+    #[inline]
+    fn combine(&mut self) {
+        let Some(latest) = self.ports.iter().filter_map(|p| p.last).max() else {
+            return;
+        };
+        for port in self.ports.iter_mut().filter(|p| p.closed) {
+            if let (Some(last), Some(gap)) = (port.last, port.mean_gap) {
+                if latest.since(last).as_secs_f64() > gap {
+                    port.mean_gap = None;
+                }
+            }
         }
-        self.ports[run.port].book(run);
-        let latest = self.ports.iter().filter_map(|p| p.last).max();
+        self.mirror.last_arrival = latest;
         self.mirror.mean_gap = combined_gap(&self.ports);
-        self.mirror.last_arrival = latest.unwrap_or(run.last);
     }
 }
 
@@ -418,7 +412,7 @@ impl StatsSnapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hmts_graph::graph::QueryGraph;
     use hmts_operators::expr::Expr;
@@ -447,66 +441,47 @@ mod tests {
         g.decompose().0
     }
 
-    #[test]
-    fn observe_accumulates() {
-        let mut n = NodeStats::default();
-        n.observe(Timestamp::from_millis(10), Some(Duration::from_micros(5)), 1);
-        n.observe(Timestamp::from_millis(20), Some(Duration::from_micros(5)), 0);
-        assert_eq!(n.processed, 2);
-        assert_eq!(n.selectivity(), Some(0.5));
-        assert!(n.cost().unwrap() >= Duration::from_micros(4));
-        assert!((n.interarrival().unwrap().as_secs_f64() - 0.01).abs() < 1e-6);
+    /// The per-element rules written out on their own, as plain
+    /// estimators: each arrival one step of the gap mean (a stamp behind
+    /// the latest none), each timed element one step of the cost mean —
+    /// the reference that booking in runs is checked against.
+    #[derive(Debug, Default)]
+    pub(crate) struct OneByOne {
+        last: Option<Timestamp>,
+        pub(crate) stats: NodeStats,
     }
 
-    #[test]
-    fn the_first_observation_is_exact() {
-        let mut n = NodeStats::default();
-        assert_eq!(
-            (n.cost(), n.interarrival(), n.rate(), n.selectivity()),
-            (None, None, None, None)
-        );
-        let cost = Duration::from_micros(10);
-        n.observe(Timestamp::from_secs(3), Some(cost), 0);
-        assert_eq!(n.mean_cost, Some(cost.as_secs_f64()));
-        assert_eq!(n.mean_gap, None, "one arrival is no gap");
-        n.observe(Timestamp::from_secs(5), None, 0);
-        assert_eq!(n.mean_gap, Some(2.0));
-        assert_eq!(n.mean_cost, Some(cost.as_secs_f64()), "an untimed element leaves the cost");
-    }
-
-    #[test]
-    fn a_backwards_stamp_is_not_a_gap() {
-        let mut n = NodeStats::default();
-        n.observe(Timestamp::from_secs(10), None, 0);
-        n.observe(Timestamp::from_secs(5), None, 0);
-        assert_eq!(n.mean_gap, None);
-        assert_eq!(n.last_arrival, Timestamp::from_secs(5), "but it is the latest arrival");
-        n.observe(Timestamp::from_secs(6), None, 0);
-        assert_eq!(n.mean_gap, Some(1.0));
-        assert_eq!(n.processed, 3);
-    }
-
-    #[test]
-    fn the_gap_mean_converges_to_a_new_level() {
-        let mut n = NodeStats::default();
-        let mut t = 0;
-        for _ in 0..10 {
-            t += 1;
-            n.observe(Timestamp::from_secs(t), None, 0);
+    impl OneByOne {
+        /// Books one element stamped `ts` that produced `outputs`, timed
+        /// at `cost` if given.
+        pub(crate) fn observe(&mut self, ts: Timestamp, cost: Option<Duration>, outputs: u64) {
+            let step = |mean: &mut Option<f64>, alpha: f64, x: f64| {
+                *mean = Some(mean.map_or(x, |m| m + alpha * (x - m)));
+            };
+            let s = &mut self.stats;
+            if let Some(last) = self.last.filter(|&last| ts >= last) {
+                step(&mut s.mean_gap, 0.1, (ts.as_micros() - last.as_micros()) as f64 / 1e6);
+            }
+            if let Some(c) = cost {
+                step(&mut s.mean_cost, 0.2, c.as_secs_f64());
+                s.cost_samples += 1;
+            }
+            self.last = Some(ts);
+            (s.processed, s.outputs, s.last_arrival) = (s.processed + 1, s.outputs + outputs, ts);
         }
-        assert_eq!(n.mean_gap, Some(1.0));
-        for _ in 0..200 {
-            t += 100;
-            n.observe(Timestamp::from_secs(t), None, 0);
-        }
-        assert!((n.mean_gap.unwrap() - 100.0).abs() < 1e-3, "gap={:?}", n.mean_gap);
     }
 
-    /// A writer for a fresh cell of a node with `ports` inputs.
+    /// A writer for a fresh cell of a node with `ports` open inputs.
     fn writer(ports: usize) -> (SharedNodeStats, StatsWriter) {
         let cell = shared_node_stats();
-        let writer = StatsWriter::new(Arc::clone(&cell), ports);
+        let writer = StatsWriter::new(Arc::clone(&cell), &vec![true; ports]);
         (cell, writer)
+    }
+
+    /// Books one element stamped `ts` on port 0 — a run of one — timed at
+    /// `cost` if given.
+    fn one(w: &mut StatsWriter, ts: Timestamp, cost: Option<Duration>, outputs: u64) {
+        w.observe_run(Arrivals { port: 0, len: 1, first: ts, last: ts }, cost, 1, outputs);
     }
 
     /// `len` arrivals on `port`, the first stamped `first`, `step` apart.
@@ -517,11 +492,74 @@ mod tests {
     }
 
     #[test]
-    fn gaps_give_interarrival_and_rate() {
-        let mut n = NodeStats::default();
-        for i in 0..100u64 {
-            n.observe(Timestamp::from_millis(i * 10), None, 0);
+    fn observe_accumulates() {
+        let (cell, mut w) = writer(1);
+        one(&mut w, Timestamp::from_millis(10), Some(Duration::from_micros(5)), 1);
+        one(&mut w, Timestamp::from_millis(20), Some(Duration::from_micros(5)), 0);
+        let n = cell.snapshot();
+        assert_eq!(n.processed, 2);
+        assert_eq!(n.selectivity(), Some(0.5));
+        assert!(n.cost().unwrap() >= Duration::from_micros(4));
+        assert!((n.interarrival().unwrap().as_secs_f64() - 0.01).abs() < 1e-6);
+    }
+
+    #[test]
+    fn the_first_observation_is_exact() {
+        let (cell, mut w) = writer(1);
+        let n = cell.snapshot();
+        assert_eq!(
+            (n.cost(), n.interarrival(), n.rate(), n.selectivity()),
+            (None, None, None, None)
+        );
+        let cost = Duration::from_micros(10);
+        one(&mut w, Timestamp::from_secs(3), Some(cost), 0);
+        let n = cell.snapshot();
+        assert_eq!(n.mean_cost, Some(cost.as_secs_f64()));
+        assert_eq!(n.mean_gap, None, "one arrival is no gap");
+        one(&mut w, Timestamp::from_secs(5), None, 0);
+        let n = cell.snapshot();
+        assert_eq!(n.mean_gap, Some(2.0));
+        assert_eq!(n.mean_cost, Some(cost.as_secs_f64()), "an untimed element leaves the cost");
+    }
+
+    #[test]
+    fn a_backwards_stamp_is_not_a_gap() {
+        let (cell, mut w) = writer(1);
+        one(&mut w, Timestamp::from_secs(10), None, 0);
+        one(&mut w, Timestamp::from_secs(5), None, 0);
+        let n = cell.snapshot();
+        assert_eq!(n.mean_gap, None);
+        assert_eq!(n.last_arrival, Timestamp::from_secs(5), "but it is the latest arrival");
+        one(&mut w, Timestamp::from_secs(6), None, 0);
+        let n = cell.snapshot();
+        assert_eq!(n.mean_gap, Some(1.0));
+        assert_eq!(n.processed, 3);
+    }
+
+    #[test]
+    fn the_gap_mean_converges_to_a_new_level() {
+        let (cell, mut w) = writer(1);
+        let mut t = 0;
+        for _ in 0..10 {
+            t += 1;
+            one(&mut w, Timestamp::from_secs(t), None, 0);
         }
+        assert_eq!(cell.snapshot().mean_gap, Some(1.0));
+        for _ in 0..200 {
+            t += 100;
+            one(&mut w, Timestamp::from_secs(t), None, 0);
+        }
+        let n = cell.snapshot();
+        assert!((n.mean_gap.unwrap() - 100.0).abs() < 1e-3, "gap={:?}", n.mean_gap);
+    }
+
+    #[test]
+    fn gaps_give_interarrival_and_rate() {
+        let (cell, mut w) = writer(1);
+        for i in 0..100u64 {
+            one(&mut w, Timestamp::from_millis(i * 10), None, 0);
+        }
+        let n = cell.snapshot();
         let gap = n.interarrival().unwrap();
         assert!((gap.as_secs_f64() - 0.010).abs() < 1e-4, "gap={gap:?}");
         let rate = n.rate().unwrap();
@@ -537,7 +575,7 @@ mod tests {
     fn selectivity_is_outputs_over_processed() {
         let (cell, mut w) = writer(1);
         for outputs in [0, 1, 1, 0] {
-            w.observe(Timestamp::ZERO, None, outputs);
+            one(&mut w, Timestamp::ZERO, None, outputs);
         }
         assert_eq!(cell.snapshot().selectivity(), Some(0.5));
         w.observe_run(even(0, 4, Timestamp::ZERO, Duration::ZERO), None, 0, 10);
@@ -549,7 +587,7 @@ mod tests {
     fn the_cost_mean_tracks_its_samples() {
         let (cell, mut w) = writer(1);
         for _ in 0..50 {
-            w.observe(Timestamp::ZERO, Some(Duration::from_micros(100)), 0);
+            one(&mut w, Timestamp::ZERO, Some(Duration::from_micros(100)), 0);
         }
         let est = cell.snapshot().cost().unwrap();
         assert!(est >= Duration::from_micros(99) && est <= Duration::from_micros(101));
@@ -570,22 +608,22 @@ mod tests {
 
     #[test]
     fn cell_books_what_the_plain_estimators_book() {
-        // Two ways to book the same hundred elements: a plain record, and
-        // a cell behind a writer's record — handed from one writer to the
-        // next halfway, as a mode switch does.
+        // Two ways to book the same hundred elements: plain estimators,
+        // and a cell behind a writer's record, in runs of one — handed
+        // from one writer to the next halfway, as a mode switch does.
         let (cell, mut writer) = writer(1);
-        let mut plain = NodeStats::default();
-        assert_eq!(cell.snapshot(), plain);
+        let mut plain = OneByOne::default();
+        assert_eq!(cell.snapshot(), plain.stats);
         for i in 0..100u64 {
             let cost = (i % 7 == 0).then(|| Duration::from_nanos(500 + i));
             plain.observe(Timestamp::from_micros(i * i), cost, i % 3);
-            writer.observe(Timestamp::from_micros(i * i), cost, i % 3);
+            one(&mut writer, Timestamp::from_micros(i * i), cost, i % 3);
             assert_eq!(cell.snapshot().processed, i + 1, "visible once booked");
             if i == 49 {
-                writer = StatsWriter::new(Arc::clone(&cell), 1);
+                writer = StatsWriter::new(Arc::clone(&cell), &[true]);
             }
         }
-        assert_eq!(cell.snapshot(), plain, "element by element");
+        assert_eq!(cell.snapshot(), plain.stats, "element by element");
     }
 
     /// A node with two inputs, each stamped 10 µs apart and the two
@@ -597,7 +635,7 @@ mod tests {
     fn a_two_port_node_fed_in_runs_reads_the_sum_of_its_ports_rates() {
         let step = Duration::from_micros(10);
         let (cell, mut writer) = writer(2);
-        let mut one_at_a_time = NodeStats::default();
+        let mut one_at_a_time = OneByOne::default();
         for r in 0..100u64 {
             for port in 0..2 {
                 let first = Timestamp::from_micros(r * 320 + port as u64 * 5);
@@ -609,13 +647,46 @@ mod tests {
             }
         }
         let sum = 2.0 / step.as_secs_f64();
-        let (runs, elements) = (cell.snapshot().rate().unwrap(), one_at_a_time.rate().unwrap());
+        let (runs, elements) =
+            (cell.snapshot().rate().unwrap(), one_at_a_time.stats.rate().unwrap());
         assert!((runs / sum - 1.0).abs() < 0.02, "in runs {runs}/s, ports' sum {sum}/s");
         assert!(
             (runs / elements - 1.0).abs() < 0.02,
             "in runs {runs}/s, one at a time {elements}/s"
         );
         assert_eq!(cell.snapshot().last_arrival, Timestamp::from_micros(99 * 320 + 5 + 310));
+    }
+
+    /// A node whose port 1 (100 k/s) ends while port 0 (200 k/s) goes on:
+    /// port 1 counts while the node's latest arrival is within one of its
+    /// gaps of its own last one, and from then on the node reads port 0's
+    /// rate — also after a writer handover.
+    #[test]
+    fn a_closed_port_stops_counting_once_its_next_arrival_is_past() {
+        let (fast, slow) = (Duration::from_micros(5), Duration::from_micros(10));
+        let at = Timestamp::from_micros;
+        let (cell, mut w) = writer(2);
+        for r in 0..10 {
+            w.observe_run(even(0, 20, at(r * 100), fast), None, 0, 20);
+            w.observe_run(even(1, 10, at(r * 100), slow), None, 0, 10);
+        }
+        let rate = || cell.snapshot().rate().unwrap();
+        let reads = |want: f64| (rate() / want - 1.0).abs() < 1e-9;
+        assert!(reads(300e3), "both ports: {}/s", rate());
+        // Port 1's last arrival was at 990 µs, port 0's at 995 µs.
+        w.close(1);
+        assert!(reads(300e3), "5 µs after it: {}/s", rate());
+        w.observe_run(even(0, 20, at(1_000), fast), None, 0, 20);
+        assert!(reads(200e3), "past its next arrival: {}/s", rate());
+        let n = cell.snapshot();
+        assert_eq!((n.processed, n.last_arrival), (320, at(1_095)));
+        // A new writer seeds the open port alone, with the whole rate.
+        let mut w = StatsWriter::new(Arc::clone(&cell), &[true, false]);
+        w.observe_run(even(0, 20, at(1_100), fast), None, 0, 20);
+        assert!(reads(200e3), "after a handover: {}/s", rate());
+        // The last port to close keeps the rate it had.
+        w.close(0);
+        assert!(reads(200e3), "all closed: {}/s", rate());
     }
 
     /// The booking rules stated a second time, run by run, in the shape of
@@ -627,8 +698,12 @@ mod tests {
         cost_samples: u64,
         inputs: u64,
         outputs: u64,
-        /// Per port: the latest arrival and the gap mean.
-        ports: Vec<(Option<Timestamp>, Option<f64>)>,
+        /// Per port: the latest arrival, the gap mean, and whether it has
+        /// closed.
+        ports: Vec<(Option<Timestamp>, Option<f64>, bool)>,
+        /// The node's latest arrival and gap, as of the latest booking.
+        latest: Timestamp,
+        gap: Option<f64>,
     }
 
     impl Rules {
@@ -641,12 +716,13 @@ mod tests {
             });
         }
 
-        /// A new writer for `ports` inputs: each port from the latest
-        /// arrival, with an equal share of the rate.
-        fn hand_over(&mut self, ports: usize) {
-            let now = self.record();
-            let last = (self.inputs > 0).then_some(now.last_arrival);
-            self.ports = vec![(last, now.mean_gap.map(|g| g * ports as f64)); ports];
+        /// A new writer for ports open as `open` says: each port from the
+        /// latest arrival, each open one with an equal share of the rate.
+        fn hand_over(&mut self, open: &[bool]) {
+            let last = (self.inputs > 0).then_some(self.latest);
+            let live = open.iter().filter(|&&o| o).count() as f64;
+            let share = |o: bool| self.gap.filter(|_| o).map(|g| g * live);
+            self.ports = open.iter().map(|&o| (last, share(o), !o)).collect();
         }
 
         fn book(
@@ -663,7 +739,7 @@ mod tests {
             }
             self.inputs += run.len() as u64;
             self.outputs += out;
-            let (last, gap) = &mut self.ports[port];
+            let (last, gap, _) = &mut self.ports[port];
             let end = *run.last().unwrap();
             let (from, gaps) = match *last {
                 Some(t) => (t, run.len() as u64),
@@ -674,18 +750,40 @@ mod tests {
                 Self::ewma(gap, 0.1, span / (gaps as f64 * 1e6), gaps);
             }
             *last = Some(end);
+            self.combine();
+        }
+
+        fn close(&mut self, port: usize) {
+            self.ports[port].2 = true;
+            self.combine();
+        }
+
+        /// A closed port's gap stops counting once the latest arrival is
+        /// more than that gap past its own; rates add over the rest.
+        fn combine(&mut self) {
+            let Some(latest) = self.ports.iter().filter_map(|p| p.0).max() else {
+                return;
+            };
+            for (last, gap, closed) in &mut self.ports {
+                if let (true, Some(l), Some(g)) = (*closed, *last, *gap) {
+                    if latest.since(l).as_secs_f64() > g {
+                        *gap = None;
+                    }
+                }
+            }
+            let gaps: Vec<f64> = self.ports.iter().filter_map(|p| p.1).collect();
+            self.gap = gaps
+                .split_first()
+                .map(|(&d, rest)| rest.iter().fold(d, |d, &g| 1.0 / (1.0 / d + 1.0 / g)));
+            self.latest = latest;
         }
 
         fn record(&self) -> NodeStats {
-            let gaps: Vec<f64> = self.ports.iter().filter_map(|p| p.1).collect();
-            let mean_gap = gaps
-                .split_first()
-                .map(|(&d, rest)| rest.iter().fold(d, |d, &g| 1.0 / (1.0 / d + 1.0 / g)));
             NodeStats {
                 processed: self.inputs,
                 outputs: self.outputs,
-                last_arrival: self.ports.iter().filter_map(|p| p.0).max().unwrap_or_default(),
-                mean_gap,
+                last_arrival: self.latest,
+                mean_gap: self.gap,
                 mean_cost: self.cost,
                 cost_samples: self.cost_samples,
             }
@@ -694,93 +792,95 @@ mod tests {
 
     /// Books a stream derived from `seed` through a cell, in runs of 1–32
     /// on one or two ports as an executor does, and through [`Rules`];
-    /// `Err` names the first run after which the two disagree. The stamps
+    /// `Err` names the first step after which the two disagree. The stamps
     /// repeat and step back, a run is timed one time in five (its cost
     /// counted once per timed element in it), the outputs are arbitrary,
-    /// and the cell changes writers once, at a generated run.
+    /// a port closes one step in ten (none arrives on it after), and the
+    /// cell changes writers once, at a generated step.
     fn booked_against_the_rules(seed: u64) -> Result<(), String> {
         let mut rng = StdRng::seed_from_u64(seed);
         let ports = rng.gen_range(1..=2);
+        let mut open = vec![true; ports];
         let (cell, mut writer) = writer(ports);
         let mut rules = Rules::default();
-        rules.hand_over(ports);
+        rules.hand_over(&open);
         let runs = rng.gen_range(1..40);
         let handover = rng.gen_range(0..=runs);
         let mut t: u64 = rng.gen_range(0..1_000_000);
         for r in 0..runs {
             if r == handover {
-                writer = StatsWriter::new(Arc::clone(&cell), ports);
-                rules.hand_over(ports);
+                writer = StatsWriter::new(Arc::clone(&cell), &open);
+                rules.hand_over(&open);
             }
-            let port = rng.gen_range(0..ports);
-            let len = rng.gen_range(1..=32usize);
-            let mut stamps = Vec::with_capacity(len);
-            for _ in 0..len {
-                t = match rng.gen_range(0..4) {
-                    0 => t,
-                    1 => t.saturating_sub(rng.gen_range(1..500)),
-                    _ => t + rng.gen_range(1..2_000u64),
-                };
-                stamps.push(Timestamp::from_micros(t));
+            let live: Vec<usize> = (0..ports).filter(|&p| open[p]).collect();
+            if live.is_empty() {
+                continue;
             }
-            let samples = if rng.gen_bool(0.2) { rng.gen_range(0..=2) } else { 0 };
-            let cost = (samples > 0).then(|| Duration::from_nanos(rng.gen_range(1..100_000)));
-            let outputs = rng.gen_range(0..=3 * len as u64);
-            let run = Arrivals { port, len, first: stamps[0], last: stamps[len - 1] };
-            writer.observe_run(run, cost, samples, outputs);
-            rules.book(port, &stamps, cost, samples, outputs);
+            let port = live[rng.gen_range(0..live.len())];
+            if rng.gen_bool(0.1) {
+                writer.close(port);
+                rules.close(port);
+                open[port] = false;
+            } else {
+                let len = rng.gen_range(1..=32usize);
+                let mut stamps = Vec::with_capacity(len);
+                for _ in 0..len {
+                    t = match rng.gen_range(0..4) {
+                        0 => t,
+                        1 => t.saturating_sub(rng.gen_range(1..500)),
+                        _ => t + rng.gen_range(1..2_000u64),
+                    };
+                    stamps.push(Timestamp::from_micros(t));
+                }
+                let samples = if rng.gen_bool(0.2) { rng.gen_range(0..=2) } else { 0 };
+                let cost = (samples > 0).then(|| Duration::from_nanos(rng.gen_range(1..100_000)));
+                let outputs = rng.gen_range(0..=3 * len as u64);
+                let run = Arrivals { port, len, first: stamps[0], last: stamps[len - 1] };
+                writer.observe_run(run, cost, samples, outputs);
+                rules.book(port, &stamps, cost, samples, outputs);
+            }
             let (cell, rules) = (cell.snapshot(), rules.record());
             if cell != rules {
-                return Err(format!("after run {r} of {runs}: cell {cell:?}, rules {rules:?}"));
+                return Err(format!("after step {r} of {runs}: cell {cell:?}, rules {rules:?}"));
             }
         }
         Ok(())
     }
 
     /// Books an evenly stamped stream derived from `seed`, cut into runs
-    /// of 1–64 at random, through a cell, and element by element by the
-    /// rules of one update per gap and per timed invocation; `Err` says
-    /// what the two disagree on beyond 1e-12 relative.
+    /// of 1–64 at random, through a cell, and element by element through
+    /// [`OneByOne`] — a run's timed invocations its first elements; `Err`
+    /// says what the two disagree on beyond 1e-12 relative.
     fn any_cut_books_the_per_element_numbers(seed: u64) -> Result<(), String> {
         let mut rng = StdRng::seed_from_u64(seed);
         let step = Duration::from_micros(rng.gen_range(1..10_000));
         let start = rng.gen_range(0..1_000_000u64);
         let elements = rng.gen_range(1..2_000usize);
+        let stamp = |i: usize| Timestamp::from_micros(start + i as u64 * step.as_micros() as u64);
         let (cell, mut writer) = writer(1);
-        let (mut gap, mut cost, mut samples_seen) = (None::<f64>, None::<f64>, 0u64);
-        let step_by = |m: &mut Option<f64>, alpha: f64, x: f64| {
-            *m = Some(m.map_or(x, |m| m + alpha * (x - m)));
-        };
+        let mut one_by_one = OneByOne::default();
         let mut from = 0;
         while from < elements {
             let len = rng.gen_range(1..=64usize).min(elements - from);
-            let first = Timestamp::from_micros(start + from as u64 * step.as_micros() as u64);
-            let samples = if rng.gen_bool(0.3) { rng.gen_range(1..=2) } else { 0 };
+            let samples = if rng.gen_bool(0.3) { rng.gen_range(1..=2usize).min(len) } else { 0 };
             let c = (samples > 0).then(|| Duration::from_nanos(rng.gen_range(1..100_000)));
-            writer.observe_run(even(0, len, first, step), c, samples, 2 * len as u64);
-            for i in from..from + len {
-                if i > 0 {
-                    step_by(&mut gap, GAP_ALPHA, step.as_secs_f64());
-                }
+            writer.observe_run(even(0, len, stamp(from), step), c, samples, 2 * len as u64);
+            for i in 0..len {
+                one_by_one.observe(stamp(from + i), c.filter(|_| i < samples), 2);
             }
-            for _ in 0..samples {
-                step_by(&mut cost, COST_ALPHA, c.unwrap().as_secs_f64());
-            }
-            samples_seen += samples as u64;
             from += len;
         }
-        let s = cell.snapshot();
-        let last = Timestamp::from_micros(start + (elements as u64 - 1) * step.as_micros() as u64);
-        let counts = (s.processed, s.outputs, s.last_arrival, s.cost_samples);
-        if counts != (elements as u64, 2 * elements as u64, last, samples_seen) {
-            return Err(format!("counts {counts:?} of {elements} elements"));
+        let (s, want) = (cell.snapshot(), one_by_one.stats);
+        let counts = |s: &NodeStats| (s.processed, s.outputs, s.last_arrival, s.cost_samples);
+        if counts(&s) != counts(&want) {
+            return Err(format!("counts {:?}, per element {:?}", counts(&s), counts(&want)));
         }
         let close = |a: Option<f64>, b: Option<f64>| match (a, b) {
             (Some(a), Some(b)) => (a - b).abs() <= 1e-12 * b.abs(),
             (a, b) => a == b,
         };
-        if !close(s.mean_gap, gap) || !close(s.mean_cost, cost) {
-            return Err(format!("cell {s:?}, per element gap {gap:?} cost {cost:?}"));
+        if !close(s.mean_gap, want.mean_gap) || !close(s.mean_cost, want.mean_cost) {
+            return Err(format!("cell {s:?}, per element {want:?}"));
         }
         Ok(())
     }
@@ -823,9 +923,9 @@ mod tests {
                 }
                 snapshots
             });
-            let mut writer = StatsWriter::new(Arc::clone(&cell), 1);
+            let mut writer = StatsWriter::new(Arc::clone(&cell), &[true]);
             for i in 0..ELEMENTS {
-                writer.observe(Timestamp::from_micros(i), None, FAN_OUT);
+                one(&mut writer, Timestamp::from_micros(i), None, FAN_OUT);
             }
             done.store(true, Ordering::Release);
             assert!(reader.join().expect("reader's assertions hold") > 0);
@@ -842,14 +942,11 @@ mod tests {
         let stats: Vec<SharedNodeStats> = (0..2).map(|_| shared_node_stats()).collect();
         // Source saw elements 100 ms apart (rate 10/s); filter halves.
         let mut writers: Vec<StatsWriter> =
-            stats.iter().map(|cell| StatsWriter::new(Arc::clone(cell), 1)).collect();
+            stats.iter().map(|cell| StatsWriter::new(Arc::clone(cell), &[true])).collect();
         for i in 0..50u64 {
-            writers[0].observe(Timestamp::from_millis(i * 100), None, 1);
-            writers[1].observe(
-                Timestamp::from_millis(i * 100),
-                Some(Duration::from_micros(2)),
-                i % 2,
-            );
+            let ts = Timestamp::from_millis(i * 100);
+            one(&mut writers[0], ts, None, 1);
+            one(&mut writers[1], ts, Some(Duration::from_micros(2)), i % 2);
         }
         let snap = StatsSnapshot::collect(&topo, &stats);
         assert_eq!(snap.node(NodeId(1)).name, "f");

@@ -245,15 +245,13 @@ fn admin_plane_follows_plan_changes_with_no_host_call() {
     engine.abort();
 }
 
-/// A union fed by two queues under HMTS: its domain pops one queue's run at
-/// a time, so its two ports' arrivals come in turns of up to a batch each,
-/// out of stamp order. `node.u.rate` still reads the sum of the two
-/// sources' rates, `source.<name>.rate`.
-#[test]
-fn a_union_fed_by_two_queues_reports_the_sum_of_its_sources_rates() {
+/// A union fed by two queues under HMTS — `fast` at 200 k/s and `slow` at
+/// 100 k/s, `count` elements each — run to the end: the rates of the two
+/// sources and of the union, `source.<name>.rate` and `node.u.rate`.
+fn union_rates(fast_count: u64, slow_count: u64) -> (f64, f64, f64) {
     let mut b = GraphBuilder::new();
-    let fast = b.source(VecSource::counting("fast", 40_000, 200_000.0));
-    let slow = b.source(VecSource::counting("slow", 20_000, 100_000.0));
+    let fast = b.source(VecSource::counting("fast", fast_count, 200_000.0));
+    let slow = b.source(VecSource::counting("slow", slow_count, 100_000.0));
     let u = b.op(Union::new("u", 2));
     b.connect_port(fast, u, 0).connect_port(slow, u, 1);
     let (sink, handle) = CollectingSink::new("out");
@@ -264,14 +262,33 @@ fn a_union_fed_by_two_queues_reports_the_sum_of_its_sources_rates() {
     let plan = ExecutionPlan::hmts(Partitioning::new(vec![vec![u, out]]), StrategyKind::Fifo, 1);
     let report = Engine::run_with_config(graph, plan, cfg).expect("engine runs");
     assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
-    assert_eq!(handle.count(), 60_000);
+    assert_eq!(handle.count(), fast_count + slow_count);
     let metrics = obs.metrics_snapshot();
     let rate = |name: &str| match metrics.iter().find(|(n, _)| n == name) {
         Some((_, MetricValue::Gauge(v))) => *v as f64,
         other => panic!("{name} is a gauge, not {other:?}"),
     };
-    let sum = rate("source.fast.rate") + rate("source.slow.rate");
+    (rate("source.fast.rate"), rate("source.slow.rate"), rate("node.u.rate"))
+}
+
+/// Its domain pops one queue's run at a time, so the union's two ports'
+/// arrivals come in turns of up to a batch each, out of stamp order. With
+/// both inputs spanning the same stream time (0.2 s), `node.u.rate` still
+/// reads the sum of the two sources' rates.
+#[test]
+fn a_union_fed_by_two_queues_reports_the_sum_of_its_sources_rates() {
+    let (fast, slow, union) = union_rates(40_000, 20_000);
+    let sum = fast + slow;
     assert!((sum / 300_000.0 - 1.0).abs() < 0.01, "the sources offer {sum}/s");
-    let union = rate("node.u.rate");
     assert!((union / sum - 1.0).abs() < 0.1, "node.u.rate {union}/s, its sources {sum}/s");
+}
+
+/// `slow` ends at 0.05 s of stream time and `fast` goes on to 0.2 s: from
+/// then on the union is fed by `fast` alone, and `node.u.rate` reads its
+/// rate, not the sum.
+#[test]
+fn a_union_whose_one_input_ended_reports_the_live_inputs_rate() {
+    let (fast, _, union) = union_rates(40_000, 5_000);
+    assert!((fast / 200_000.0 - 1.0).abs() < 0.01, "fast offers {fast}/s");
+    assert!((union / fast - 1.0).abs() < 0.1, "node.u.rate {union}/s, the live input {fast}/s");
 }
