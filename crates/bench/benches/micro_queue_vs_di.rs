@@ -55,6 +55,30 @@ fn di_chain(n: usize, batch: usize, stats: bool) -> DomainExecutor {
     DomainExecutor::new("bench", slots, vec![], StrategyKind::Fifo.build(None), cfg)
 }
 
+/// `first` forked into two inline routes, each a pass-through filter.
+fn di_fork(first: Box<dyn Operator>) -> DomainExecutor {
+    let inline = |node| Target::Inline { node: NodeId(node), port: 0 };
+    let mut head = slot(0, vec![inline(1), inline(2)]);
+    head.op = first;
+    let slots = vec![head, slot(1, vec![]), slot(2, vec![])];
+    let cfg = ExecConfig { batch: 32, measure: false };
+    DomainExecutor::new("bench", slots, vec![], StrategyKind::Fifo.build(None), cfg)
+}
+
+/// Routes the value `v` to out-edge `v % 2`, as a splitter routes by key.
+struct ByParity;
+
+impl Operator for ByParity {
+    fn name(&self) -> &str {
+        "by-parity"
+    }
+
+    fn process(&mut self, _: usize, el: &Element, out: &mut Output) -> hmts::streams::Result<()> {
+        out.push_routed((el.tuple.field(0).as_int()? % 2) as u32, el.clone());
+        Ok(())
+    }
+}
+
 /// `n` pass-through filters with a queue in front of each (GTS: one
 /// executor drains them all), each with a statistics cell if `stats`; and
 /// the queues.
@@ -140,6 +164,37 @@ fn queue_transfer(c: &mut Criterion) {
         b.iter(|| {
             run.extend((0..32).map(|_| element(7)));
             exec.inject_batch(NodeId(0), 0, black_box(&mut run));
+        })
+    });
+
+    // One pass-through filter forked into two: every element of the run
+    // broadcast (one run cloned for route 0, the output buffer itself to
+    // route 1), and every element routed to one route by parity (each
+    // route's run moved out of the output buffer). Per element entering.
+    g.bench_function("di_fanout2_run32", |b| {
+        let mut exec = di_fork(Box::new(Filter::new("f", Expr::bool(true))));
+        let mut run: Vec<Element> = Vec::with_capacity(32);
+        b.iter(|| {
+            run.extend((0..32).map(element));
+            exec.inject_batch(NodeId(0), 0, black_box(&mut run));
+        })
+    });
+    g.bench_function("di_routed2_run32", |b| {
+        let mut exec = di_fork(Box::new(ByParity));
+        let mut run: Vec<Element> = Vec::with_capacity(32);
+        b.iter(|| {
+            run.extend((0..32).map(element));
+            exec.inject_batch(NodeId(0), 0, black_box(&mut run));
+        })
+    });
+    // What the broadcast's second route costs in itself: a run of 32
+    // cloned and the clones dropped.
+    g.bench_function("clone_run32", |b| {
+        let from: Vec<Element> = (0..32).map(element).collect();
+        let mut run: Vec<Element> = Vec::with_capacity(32);
+        b.iter(|| {
+            run.extend_from_slice(black_box(&from));
+            run.clear();
         })
     });
 

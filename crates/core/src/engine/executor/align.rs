@@ -3,9 +3,10 @@
 //!
 //! Once a port of a slot delivered the barrier, everything after it on that
 //! port is parked until the barrier arrives on the remaining ports, so pre-
-//! and post-barrier input never mix in the snapshot. The core calls in at
-//! [`SlotAlign::holds`] (every message; one branch when the slot is not
-//! aligning), [`DomainExecutor::process_barrier`] (a barrier),
+//! and post-barrier input never mix in the snapshot; a run is parked and
+//! replayed as the one entry it is. The core calls in at
+//! [`SlotAlign::holds`] (every run and punctuation; one branch when the
+//! slot is not aligning), [`DomainExecutor::process_barrier`] (a barrier),
 //! [`DomainExecutor::check_alignment`] (a port closed),
 //! [`Align::release`] (a chain reaction ran dry), [`Align::slot_closed`]
 //! (the live-slot quorum) and [`Align::take_remnants`] (re-wiring).
@@ -18,7 +19,7 @@ use std::time::Instant;
 use hmts_graph::graph::NodeId;
 use hmts_streams::element::{Message, Punctuation};
 
-use super::{DomainExecutor, Slot};
+use super::{DomainExecutor, Slot, Work};
 use crate::checkpoint::CheckpointShared;
 
 /// Alignment state of one slot between its first and last barrier for a
@@ -27,7 +28,7 @@ use crate::checkpoint::CheckpointShared;
 struct AlignState {
     id: u64,
     seen: Vec<bool>,
-    held: VecDeque<(usize, Message)>,
+    held: VecDeque<(usize, Work)>,
     started: Instant,
 }
 
@@ -51,10 +52,10 @@ impl SlotAlign {
         self.state.as_deref().is_some_and(|al| al.seen.get(port) == Some(&true))
     }
 
-    /// Parks `msg` until the alignment in progress completes.
-    pub(super) fn hold(&mut self, port: usize, msg: Message) {
+    /// Parks `work` until the alignment in progress completes.
+    pub(super) fn hold(&mut self, port: usize, work: Work) {
         if let Some(al) = self.state.as_deref_mut() {
-            al.held.push_back((port, msg));
+            al.held.push_back((port, work));
         }
     }
 }
@@ -63,10 +64,10 @@ impl SlotAlign {
 #[derive(Default)]
 pub(super) struct Align {
     pub(super) checkpoint: Option<Arc<CheckpointShared>>,
-    /// Messages released from hold-back, re-delivered once the current
-    /// chain reaction (including barrier propagation) completes:
-    /// `(slot, port, message)`.
-    replay: VecDeque<(usize, usize, Message)>,
+    /// Input released from hold-back, re-delivered once the current chain
+    /// reaction (including barrier propagation) completes:
+    /// `(slot, port, work)`.
+    replay: VecDeque<(usize, usize, Work)>,
 }
 
 impl Align {
@@ -76,7 +77,7 @@ impl Align {
     /// propagated through the DI chain, so no post-barrier output can
     /// overtake it on the way to a downstream slot.
     #[inline]
-    pub(super) fn release(&mut self, stack: &mut Vec<(usize, usize, Message)>) -> bool {
+    pub(super) fn release(&mut self, stack: &mut Vec<(usize, usize, Work)>) -> bool {
         if self.replay.is_empty() {
             return false;
         }
@@ -94,20 +95,25 @@ impl Align {
         }
     }
 
-    /// In-flight alignment state does not survive a re-wiring: held
-    /// messages and the replay backlog become ordinary remnants (the
-    /// checkpoint they were parked for is aborted by its timeout and
-    /// retried against the new wiring).
+    /// In-flight alignment state does not survive a re-wiring: held input
+    /// and the replay backlog become ordinary remnants, a run as its
+    /// messages (the checkpoint they were parked for is aborted by its
+    /// timeout and retried against the new wiring).
     pub(super) fn take_remnants(
         &mut self,
         slots: &mut [Slot],
         out: &mut Vec<(NodeId, usize, Message)>,
     ) {
-        let replay = std::mem::take(&mut self.replay);
-        out.extend(replay.into_iter().map(|(i, port, msg)| (slots[i].state.node, port, msg)));
+        let mut remnant = |node: NodeId, port: usize, work: Work| match work {
+            Work::Run(run) => out.extend(run.into_iter().map(|el| (node, port, Message::Data(el)))),
+            Work::Punct(p) => out.push((node, port, Message::Punct(p))),
+        };
+        for (i, port, work) in std::mem::take(&mut self.replay) {
+            remnant(slots[i].state.node, port, work);
+        }
         for s in slots {
             if let Some(al) = s.align.state.take() {
-                out.extend(al.held.into_iter().map(|(port, msg)| (s.state.node, port, msg)));
+                al.held.into_iter().for_each(|(port, work)| remnant(s.state.node, port, work));
             }
         }
     }
@@ -129,22 +135,19 @@ impl DomainExecutor {
                 // alignment is still parked: the old attempt was abandoned
                 // (coordinator timeout, plan switch). The input held back
                 // for it arrived *before* this barrier, so it is
-                // pre-barrier for checkpoint `id`: deliver it through the
-                // operator now, before any alignment state for `id`
+                // pre-barrier for checkpoint `id`: it goes through the
+                // operator next, before any alignment state for `id`
                 // exists, so its effects land in the new snapshot instead
                 // of being re-parked as post-barrier input (which would
-                // lose it — the source's acked offset includes it). A
-                // newer barrier parked inside the held backlog re-enters
-                // here and starts its own alignment at the right point.
+                // lose it — the source's acked offset includes it). The
+                // barrier goes under it on the stack and re-enters here
+                // behind it, unless the backlog terminated the slot (EOS or
+                // quarantine; downstream already got its EOS then). A newer
+                // barrier parked inside the held backlog re-enters here too
+                // and starts its own alignment at the right point.
                 let old = slot.align.state.take().expect("matched above");
-                for (p, msg) in old.held {
-                    self.dispatch(i, p, msg);
-                }
-                // Delivering the backlog may have terminated the slot (EOS
-                // or quarantine); downstream already got its EOS then.
-                if !self.slots[i].state.closed {
-                    self.process_barrier(i, port, id);
-                }
+                self.stack.push((i, port, Work::Punct(Punctuation::Barrier(id))));
+                self.stack.extend(old.held.into_iter().rev().map(|(p, work)| (i, p, work)));
                 return;
             }
             Some(_) => {
@@ -202,17 +205,19 @@ impl DomainExecutor {
             ck.ack_operator(al.id, state.op.name(), blob, stall_ns);
         }
         self.forward_punct(i, Punctuation::Barrier(al.id));
-        self.align.replay.extend(al.held.into_iter().map(|(port, msg)| (i, port, msg)));
+        self.align.replay.extend(al.held.into_iter().map(|(port, work)| (i, port, work)));
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{data, slot};
+    use super::super::tests::{contents, data, slot};
     use super::super::{ExecConfig, Target};
     use super::*;
     use crate::scheduler::strategy::StrategyKind;
+    use hmts_streams::element::Element;
     use hmts_streams::queue::StreamQueue;
+    use hmts_streams::time::Timestamp;
 
     /// Binary union 1 -> queue `out`, injected directly. Barriers and data
     /// forwarded by the union land in `out` in delivery order, so tests
@@ -253,11 +258,12 @@ mod tests {
         // that port is held back.
         exec.inject(NodeId(1), 0, barrier(1));
         exec.inject(NodeId(1), 0, data(10, 1));
-        assert_eq!(out.len(), 0, "element must be parked during alignment");
+        exec.inject(NodeId(1), 0, data(11, 1));
+        assert_eq!(out.len(), 0, "elements must be parked during alignment");
         // Checkpoint 1 was abandoned (its barrier never reaches port 1);
         // checkpoint 2's barrier arrives instead. The held element predates
-        // that barrier, so it must be delivered *before* checkpoint 2's
-        // alignment can park it again.
+        // that barrier, so it must be delivered — in order — *before*
+        // checkpoint 2's alignment can park it again.
         exec.inject(NodeId(1), 1, barrier(2));
         exec.inject(NodeId(1), 0, data(20, 2));
         exec.inject(NodeId(1), 0, barrier(2));
@@ -267,7 +273,7 @@ mod tests {
             .filter_map(|m| m.as_data())
             .map(|e| e.tuple.field(0).as_int().unwrap())
             .collect();
-        assert_eq!(vals, vec![10, 20], "held pre-barrier element must not be lost");
+        assert_eq!(vals, vec![10, 11, 20], "held pre-barrier elements must not be lost");
         let barriers: Vec<u64> = msgs
             .iter()
             .filter_map(|m| match m {
@@ -317,5 +323,32 @@ mod tests {
         let msgs = drain(&out);
         assert_eq!(msgs.len(), 1, "no second barrier forwarded, data not parked");
         assert!(msgs[0].as_data().is_some());
+    }
+
+    #[test]
+    fn a_run_on_a_held_port_is_replayed_in_order_behind_the_barrier() {
+        let (mut exec, out) = union_to_queue();
+        exec.inject(NodeId(1), 0, barrier(1));
+        let run = |values: std::ops::RangeInclusive<i64>| -> Vec<Element> {
+            values.map(|v| Element::single(v, Timestamp::from_micros(v as u64))).collect()
+        };
+        exec.inject_batch(NodeId(1), 0, &mut run(1..=3));
+        exec.inject(NodeId(1), 1, data(4, 4));
+        assert_eq!(contents(&out), ["4"], "the run on port 0 is held");
+        exec.inject(NodeId(1), 1, barrier(1));
+        assert_eq!(contents(&out), ["B", "1", "2", "3"]);
+        // A re-wiring in the middle of an alignment finds a held run as its
+        // messages.
+        exec.inject(NodeId(1), 1, barrier(2));
+        exec.inject_batch(NodeId(1), 1, &mut run(5..=6));
+        let remnants: Vec<i64> = exec
+            .take_input_remnants()
+            .into_iter()
+            .map(|(_, port, m)| {
+                assert_eq!(port, 1);
+                m.as_data().unwrap().tuple.field(0).as_int().unwrap()
+            })
+            .collect();
+        assert_eq!(remnants, [5, 6]);
     }
 }

@@ -151,21 +151,23 @@ impl DomainExecutor {
     /// [`call`] and the booking of how it ended for the callbacks that
     /// carry no element and are therefore never retried: `on_eos`, `flush`,
     /// `on_watermark`, `end_slice`. On failure what the callback emitted is
-    /// discarded; an `Err` is recorded as the domain's first error, a panic
-    /// goes to [`on_panic`](Self::on_panic).
+    /// discarded, and what was in `self.out` before it kept; an `Err` is
+    /// recorded as the domain's first error, a panic goes to
+    /// [`on_panic`](Self::on_panic).
     pub(super) fn guarded(
         &mut self,
         i: usize,
         f: impl FnOnce(&mut dyn Operator, &mut Output) -> Result<()>,
     ) {
+        let before = self.out.len();
         match call(&mut *self.slots[i].state.op, &mut self.out, false, f) {
             Ok(Ok(())) => {}
             Ok(Err(e)) => {
-                self.out.clear();
+                self.out.truncate(before);
                 self.record_error(e);
             }
             Err(payload) => {
-                self.out.clear();
+                self.out.truncate(before);
                 self.on_panic(i, panic_message(payload.as_ref()), false);
             }
         }

@@ -7,12 +7,14 @@
 //! is the *run* — the data messages between two punctuations — which goes
 //! through an operator in one call
 //! ([`Operator::process_batch`](hmts_operators::traits::Operator::process_batch))
-//! and, where the operator has one successor, on to it as a whole; where it
-//! has several, the traversal is depth-first per element over an explicit
-//! LIFO work stack (no recursion, no borrow gymnastics, no stack overflow
-//! on long chains). Edges to operators outside the domain's virtual
-//! operator go through queues instead, a run as the buffer it is in,
-//! waking the consuming domain unless that is this one.
+//! and on as one run per out-edge, holding what that edge takes. A run is
+//! the unit of depth-first order: the chain reaction is a LIFO work stack
+//! of runs and punctuations (no recursion, no borrow gymnastics, no stack
+//! overflow on long chains), and an operator's runs go on it in reverse
+//! edge order, so the first successor's subtree takes its run whole before
+//! the second's. Edges to operators outside the domain's virtual operator
+//! go through queues instead, a run as the buffer it is in, waking the
+//! consuming domain unless that is this one.
 //!
 //! The executor's `run_slice` is the level-2 scheduler: a pluggable
 //! [`Strategy`] picks which input queue to service next, and a [`Budget`]
@@ -202,10 +204,18 @@ enum Route {
         queue: Arc<StreamQueue>,
         wake: Option<Arc<dyn Waker>>,
         /// Messages bound for the queue until the next
-        /// [`DomainExecutor::flush_staged`], in the queue's shape: a run of
-        /// one slot's output is handed here whole, by a buffer swap.
+        /// [`DomainExecutor::flush_staged`], in the queue's shape: the
+        /// route's run is handed here whole, by a buffer swap when nothing
+        /// is staged yet.
         staged: Batch,
     },
+}
+
+/// What the chain-reaction stack carries to a port of a slot.
+enum Work {
+    /// Data for one `process_batch` call.
+    Run(Vec<Element>),
+    Punct(Punctuation),
 }
 
 /// Which slot hosts a node: a table indexed by node id (ids are graph
@@ -255,22 +265,24 @@ pub struct DomainExecutor {
     /// Messages to re-deliver before popping queues (seeded from drained
     /// queues during a mode switch).
     pending: VecDeque<(NodeId, usize, Message)>,
-    /// The DI chain-reaction work stack: `(slot, port, message)`.
-    stack: Vec<(usize, usize, Message)>,
-    /// The run on its way to port `run_to.1` of slot `run_to.0`: gathered
-    /// at the domain's door, or a slot's whole output bound for its one
-    /// successor. Whatever is in here goes before anything on `stack`.
-    run: Vec<Element>,
-    run_to: (usize, usize),
+    /// The DI chain-reaction work stack, `(slot, port, work)`: what goes
+    /// next is on top.
+    stack: Vec<(usize, usize, Work)>,
     /// The run the slot being invoked works on; empty between two
-    /// invocations. `run`, `current` and `out`'s buffer trade places hop by
-    /// hop, so a run moving down a chain allocates nothing.
+    /// invocations. A run popped off `stack` becomes `current`, and the
+    /// buffer it replaces goes to `spare`.
     current: Vec<Element>,
     out: Output,
     /// `out`'s route tags while its elements are being routed: swapped
     /// with `out`'s own vector, so a splitter's tags re-use two buffers
     /// for ever.
     route_tags: Vec<u32>,
+    /// One run per route of the slot being delivered, indexed by route.
+    parts: Vec<Vec<Element>>,
+    /// Empty buffers for the runs pushed on `stack`. A run pushed takes
+    /// one and a run popped gives one back, so runs moving through the
+    /// domain allocate nothing once it has as many as it ever needed.
+    spare: Vec<Vec<Element>>,
     /// `(slot, route)` of every non-empty staging buffer, in the order
     /// they were first written.
     dirty: Vec<(usize, usize)>,
@@ -318,11 +330,11 @@ impl DomainExecutor {
             strategy,
             pending: VecDeque::new(),
             stack: Vec::new(),
-            run: Vec::new(),
-            run_to: (0, 0),
             current: Vec::new(),
             out: Output::new(),
             route_tags: Vec::new(),
+            parts: Vec::new(),
+            spare: Vec::new(),
             dirty: Vec::new(),
             view: Vec::new(),
             inbox: Batch::default(),
@@ -408,7 +420,7 @@ impl DomainExecutor {
                 return budget.exceeded(*done);
             }
         };
-        debug_assert!(self.stack.is_empty() && self.run.is_empty());
+        debug_assert!(self.stack.is_empty());
         debug_assert!(budget.room(*done) > 0, "fed only while the budget has room");
         let Batch { run, puncts } = batch;
         // Elements taken off the front of `run`, punctuations fed.
@@ -417,26 +429,27 @@ impl DomainExecutor {
             let room = budget.room(*done);
             let until = puncts.get(next).map_or(run.len(), |&(at, _)| at - taken);
             let n = until.min(room);
-            if n > 0 {
-                self.run_to = (slot, port);
-                if n == run.len() {
-                    std::mem::swap(run, &mut self.run);
-                } else {
-                    self.run.extend(run.drain(..n));
-                }
-                taken += n;
-            }
-            // Onto the stack, that is behind the run — unless the run used
-            // up the room.
-            if until < room && next < puncts.len() {
-                self.stack.push((slot, port, Message::Punct(puncts[next].1)));
+            // The punctuation goes under the run, that is behind it —
+            // unless the run used up the room.
+            let punct = until < room && next < puncts.len();
+            if punct {
+                self.stack.push((slot, port, Work::Punct(puncts[next].1)));
                 next += 1;
             }
-            if self.run.is_empty() && self.stack.is_empty() {
+            if n > 0 {
+                let mut part = self.spare.pop().unwrap_or_default();
+                if n == run.len() {
+                    std::mem::swap(run, &mut part);
+                } else {
+                    part.extend(run.drain(..n));
+                }
+                self.stack.push((slot, port, Work::Run(part)));
+                taken += n;
+            } else if !punct {
                 puncts.clear();
                 return false;
             }
-            *done += self.run.len() + self.stack.len();
+            *done += n + usize::from(punct);
             self.react();
             if budget.exceeded(*done) {
                 puncts.drain(..next);
@@ -446,23 +459,23 @@ impl DomainExecutor {
         }
     }
 
-    /// The chain reaction: invokes slots until the run on its way and the
-    /// work stack — and what an alignment completed meanwhile released —
-    /// are used up.
+    /// The chain reaction: works off the stack — and what an alignment
+    /// completed meanwhile released — until both are used up.
     fn react(&mut self) {
         if let Some(hb) = &self.guard.heartbeat {
             hb.enter();
         }
         loop {
-            if !self.run.is_empty() {
-                let (i, port) = self.run_to;
-                debug_assert!(self.current.is_empty());
-                std::mem::swap(&mut self.run, &mut self.current);
-                self.invoke(i, port);
-            } else if let Some((i, port, msg)) = self.stack.pop() {
-                self.dispatch(i, port, msg);
-            } else if !self.align.release(&mut self.stack) {
-                break;
+            match self.stack.pop() {
+                Some((i, port, Work::Run(run))) => {
+                    debug_assert!(self.current.is_empty());
+                    let used = std::mem::replace(&mut self.current, run);
+                    self.spare.push(used);
+                    self.invoke(i, port);
+                }
+                Some((i, port, Work::Punct(p))) => self.dispatch(i, port, p),
+                None if self.align.release(&mut self.stack) => {}
+                None => break,
             }
         }
         if let Some(hb) = &self.guard.heartbeat {
@@ -470,23 +483,15 @@ impl DomainExecutor {
         }
     }
 
-    /// Delivers one message to slot `i` on `port`, by kind: an element as a
-    /// run of one. A closed slot takes no more input.
-    fn dispatch(&mut self, i: usize, port: usize, msg: Message) {
-        let p = match msg {
-            Message::Data(el) => {
-                self.current.push(el);
-                return self.invoke(i, port);
-            }
-            Message::Punct(p) => p,
-        };
+    /// Delivers punctuation `p` to slot `i` on `port`. A closed slot takes
+    /// no more input, a port held by barrier alignment holds it.
+    fn dispatch(&mut self, i: usize, port: usize, p: Punctuation) {
         let slot = &mut self.slots[i];
         if slot.state.closed {
             return;
         }
         if slot.align.holds(port) {
-            slot.align.hold(port, Message::Punct(p));
-            return;
+            return slot.align.hold(port, Work::Punct(p));
         }
         match p {
             Punctuation::EndOfStream => {
@@ -505,7 +510,7 @@ impl DomainExecutor {
     /// [`process_batch`](hmts_operators::traits::Operator::process_batch)
     /// call behind one unwind boundary, booked by the probe in one piece —
     /// and its outputs delivered once. A closed slot drops the run, a port
-    /// held by barrier alignment holds its elements. A fault plan may cut
+    /// held by barrier alignment holds it. A fault plan may cut
     /// the run in front of the element it fires on; the part cut off goes
     /// through next.
     ///
@@ -520,7 +525,7 @@ impl DomainExecutor {
             return run.clear();
         }
         if slot.align.holds(port) {
-            return run.drain(..).for_each(|el| slot.align.hold(port, Message::Data(el)));
+            return slot.align.hold(port, Work::Run(std::mem::take(run)));
         }
         while !self.current.is_empty() {
             let DomainExecutor { slots, current: run, out, probe, guard: g, .. } = self;
@@ -541,17 +546,17 @@ impl DomainExecutor {
         // port's progress (the shard merge's held-back sequences) before
         // the port is booked closed.
         self.guarded(i, |op, out| op.on_eos(port, out));
-        self.deliver_outputs(i);
         let slot = &mut self.slots[i];
         if slot.state.closed {
             return;
         }
         slot.probe.close(port);
         if !slot.state.eos.close(port) {
-            return;
+            return self.deliver_outputs(i);
         }
-        // Last port closed: flush, then close. Either callback may have
-        // panicked its way to a verdict that already closed the slot.
+        // Last port closed: flush, then close — what `on_eos` and `flush`
+        // emitted goes out as one run ahead of the EOS. Either callback may
+        // have panicked its way to a verdict that already closed the slot.
         self.guarded(i, |op, out| op.flush(out));
         if !self.slots[i].state.closed {
             self.close_slot(i);
@@ -586,79 +591,87 @@ impl DomainExecutor {
         self.error.get_or_insert(e);
     }
 
-    /// Routes everything in `self.out` along slot `i`'s routes, moving each
-    /// element from the buffer straight to its taker.
+    /// Delivers everything in `self.out` along slot `i`'s routes as one run
+    /// per route, in emission order: a stable partition by route tag. An
+    /// element tagged with a route (see [`Output::push_routed`]) goes to
+    /// the route at the tag's out-edge ordinal, which is its index in
+    /// `routes` because both follow graph edge order; an untagged one goes
+    /// to every route. The last route that takes every element gets the
+    /// output buffer itself, by a swap, and the others clones — so a chain
+    /// stretch moves its run without touching an element. A tag naming no
+    /// route is recorded once as the domain's error and its element
+    /// dropped.
     ///
-    /// One route and no route tags — a stretch of a chain — and the output
-    /// is handed on whole, in emission order: to an inline successor as the
-    /// run on its way (buffers swapped; appended if output for it is
-    /// already on its way), to a queue by appending to its staging buffer
-    /// (FIFO, held until the next flush).
-    ///
-    /// Otherwise element by element: an element tagged with a route (see
-    /// [`Output::push_routed`]) goes to exactly one route — the one at the
-    /// tag's out-edge ordinal, which is its index in `routes` because both
-    /// follow graph edge order — and an untagged one to every route, cloned
-    /// for all but the last, which gets the element itself. Inline routes
-    /// take them over the work stack, where the elements of this call end
-    /// up in reverse so that the LIFO pops realize the paper's depth-first
-    /// traversal — the first element through every inline route, in route
-    /// order, before the second.
+    /// An inline route's run goes on the stack, in reverse route order, so
+    /// route 0's subtree runs whole before route 1's; a queue route's run
+    /// is appended to its staging buffer (FIFO, held until the next flush).
     fn deliver_outputs(&mut self, i: usize) {
-        if self.out.is_empty() {
-            return;
-        }
         let DomainExecutor {
-            out, slots, stack, dirty, error, run, run_to, route_tags: tags, ..
+            out, slots, stack, parts, spare, dirty, error, route_tags: tags, ..
         } = self;
-        let routes = &mut slots[i].routes;
-        if let ([route], false) = (&mut routes[..], out.is_routed()) {
+        let Slot { routes, state, .. } = &mut slots[i];
+        if out.is_empty() || routes.is_empty() {
+            return out.clear();
+        }
+        let n = routes.len();
+        if parts.len() < n {
+            parts.resize_with(n, Vec::new);
+        }
+        let parts = &mut parts[..n];
+        out.swap_routes(tags);
+        let takes_all = |r: usize| tags.iter().all(|&t| t == Output::BROADCAST || t as usize == r);
+        if let Some(whole) = (0..n).rev().find(|&r| takes_all(r)) {
+            for (r, part) in parts.iter_mut().enumerate() {
+                // Only an untagged element reaches a route besides `whole`.
+                if r == whole {
+                    continue;
+                } else if tags.is_empty() {
+                    part.extend_from_slice(out.elements());
+                } else {
+                    let tagged = out.elements().iter().zip(tags.iter());
+                    let untagged = tagged.filter(|(_, &t)| t == Output::BROADCAST);
+                    part.extend(untagged.map(|(e, _)| e.clone()));
+                }
+            }
+            out.swap_elements(&mut parts[whole]);
+        } else {
+            for (el, &t) in out.drain().zip(tags.iter()) {
+                if t == Output::BROADCAST {
+                    let (last, others) = parts.split_last_mut().expect("a route");
+                    others.iter_mut().for_each(|part| part.push(el.clone()));
+                    last.push(el);
+                } else if let Some(part) = parts.get_mut(t as usize) {
+                    part.push(el);
+                } else {
+                    error.get_or_insert_with(|| no_route(state.node, t));
+                }
+            }
+        }
+        for (r, (route, part)) in routes.iter_mut().zip(parts).enumerate().rev() {
+            if part.is_empty() {
+                continue;
+            }
             match route {
-                Route::Inline { slot, port } if run.is_empty() => {
-                    *run_to = (*slot, *port);
-                    return out.swap_elements(run);
+                Route::Inline { slot, port } => {
+                    let run = std::mem::replace(part, spare.pop().unwrap_or_default());
+                    stack.push((*slot, *port, Work::Run(run)));
                 }
-                // Output of the same slot is on its way already (`on_eos`
-                // emitted, now `flush` did): behind it.
-                Route::Inline { slot, port } if *run_to == (*slot, *port) => {
-                    return run.extend(out.drain());
-                }
-                Route::Inline { .. } => {}
                 Route::Queue { staged, .. } => {
                     if staged.is_empty() {
-                        dirty.push((i, 0));
+                        dirty.push((i, r));
                     }
                     if staged.run.is_empty() {
-                        return out.swap_elements(&mut staged.run);
+                        std::mem::swap(part, &mut staged.run);
+                    } else {
+                        staged.run.append(part);
                     }
-                    return staged.run.extend(out.drain());
                 }
                 Route::Dangling(node) => {
                     error.get_or_insert_with(|| no_slot(*node));
-                    return out.clear();
+                    part.clear();
                 }
             }
         }
-        out.swap_routes(tags);
-        let pushed_from = stack.len();
-        let mut to = Takers { stack, dirty, error };
-        if tags.is_empty() {
-            for el in out.drain() {
-                to.broadcast(routes, i, el);
-            }
-        } else {
-            for (idx, el) in out.drain().enumerate() {
-                match tags.get(idx) {
-                    Some(&r) if r != Output::BROADCAST => {
-                        if let Some(route) = routes.get_mut(r as usize) {
-                            to.give(route, (i, r as usize), el);
-                        }
-                    }
-                    _ => to.broadcast(routes, i, el),
-                }
-            }
-        }
-        stack[pushed_from..].reverse();
     }
 
     /// Sends slot `i`'s pending outputs and then `p` to every successor.
@@ -670,7 +683,7 @@ impl DomainExecutor {
     fn forward_punct(&mut self, i: usize, p: Punctuation) {
         for route in self.slots[i].routes.iter().rev() {
             match *route {
-                Route::Inline { slot, port } => self.stack.push((slot, port, Message::Punct(p))),
+                Route::Inline { slot, port } => self.stack.push((slot, port, Work::Punct(p))),
                 Route::Dangling(node) => {
                     self.error.get_or_insert_with(|| no_slot(node));
                 }
@@ -680,7 +693,10 @@ impl DomainExecutor {
         self.deliver_outputs(i);
         for (ri, route) in self.slots[i].routes.iter_mut().enumerate() {
             if let Route::Queue { staged, .. } = route {
-                stage(staged, &mut self.dirty, (i, ri), Message::Punct(p));
+                if staged.is_empty() {
+                    self.dirty.push((i, ri));
+                }
+                staged.puncts.push((staged.run.len(), p));
             }
         }
     }
@@ -835,53 +851,12 @@ impl DomainExecutor {
     }
 }
 
-/// Where [`DomainExecutor::deliver_outputs`] puts an element, by the kind
-/// of its route.
-struct Takers<'a> {
-    stack: &'a mut Vec<(usize, usize, Message)>,
-    dirty: &'a mut Vec<(usize, usize)>,
-    error: &'a mut Option<StreamError>,
-}
-
-impl Takers<'_> {
-    /// Moves `el` into `route` (`at` = its slot and route index). Inlined
-    /// always: called out of line, the element takes two more trips over
-    /// the stack, which is 2 ns of a 44 ns hop.
-    #[inline(always)]
-    fn give(&mut self, route: &mut Route, at: (usize, usize), el: Element) {
-        match route {
-            Route::Inline { slot, port } => self.stack.push((*slot, *port, Message::Data(el))),
-            Route::Queue { staged, .. } => stage(staged, self.dirty, at, Message::Data(el)),
-            Route::Dangling(node) => {
-                self.error.get_or_insert_with(|| no_slot(*node));
-            }
-        }
-    }
-
-    /// Gives `el` to every route of slot `i`: a copy to each but the last.
-    #[inline(always)]
-    fn broadcast(&mut self, routes: &mut [Route], i: usize, el: Element) {
-        if let Some((last, others)) = routes.split_last_mut() {
-            for (ri, route) in others.iter_mut().enumerate() {
-                self.give(route, (i, ri), el.clone());
-            }
-            self.give(last, (i, others.len()), el);
-        }
-    }
-}
-
 fn no_slot(node: NodeId) -> StreamError {
     StreamError::Other(format!("no slot for node {node}"))
 }
 
-/// Appends `msg` to a queue route's staging batch, noting the batch
-/// (`at` = its slot and route index) for the next flush when this is its
-/// first message.
-fn stage(staged: &mut Batch, dirty: &mut Vec<(usize, usize)>, at: (usize, usize), msg: Message) {
-    if staged.is_empty() {
-        dirty.push(at);
-    }
-    staged.push(msg);
+fn no_route(node: NodeId, route: u32) -> StreamError {
+    StreamError::Other(format!("no out-edge {route} at node {node}"))
 }
 
 #[cfg(test)]
@@ -1131,36 +1106,88 @@ mod tests {
         assert_eq!(out_q.try_pop().unwrap().as_data().unwrap().tuple.field(0).as_int().unwrap(), 1);
     }
 
-    #[test]
-    fn fanout_delivers_depth_first_to_both_branches() {
-        // 1 -> {2, 3} (both sinks). Depth-first: per element, branch 2
-        // before branch 3.
-        let (s2, h2) = CollectingSink::new("s2");
-        let (s3, h3) = CollectingSink::new("s3");
-        let slots = vec![
-            slot(
-                1,
-                Box::new(Filter::new("f", Expr::bool(true))),
-                vec![
-                    Target::Inline { node: NodeId(2), port: 0 },
-                    Target::Inline { node: NodeId(3), port: 0 },
-                ],
-            ),
-            slot(2, Box::new(s2), vec![]),
-            slot(3, Box::new(s3), vec![]),
+    /// A sink that writes `name` and the value of each element it takes
+    /// into a log it may share with other taps.
+    struct Tap(&'static str, Arc<parking_lot::Mutex<Vec<String>>>);
+
+    impl Operator for Tap {
+        fn name(&self) -> &str {
+            self.0
+        }
+        fn process(&mut self, _: usize, el: &Element, _: &mut Output) -> Result<(), StreamError> {
+            self.1.lock().push(format!("{}{}", self.0, el.tuple.field(0).as_int()?));
+            Ok(())
+        }
+    }
+
+    /// Routes the value `v` to out-edge `v / 10`.
+    struct RoutesByTens;
+
+    impl Operator for RoutesByTens {
+        fn name(&self) -> &str {
+            "routes-by-tens"
+        }
+        fn process(&mut self, _: usize, el: &Element, out: &mut Output) -> Result<(), StreamError> {
+            out.push_routed((el.tuple.field(0).as_int()? / 10) as u32, el.clone());
+            Ok(())
+        }
+    }
+
+    /// `op` (node 1) -> {tap `a` (node 2), tap `b` (node 3)}, all inline,
+    /// the taps writing into one log.
+    fn forked_into_taps(
+        op: Box<dyn Operator>,
+    ) -> (DomainExecutor, Arc<parking_lot::Mutex<Vec<String>>>) {
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let targets = vec![
+            Target::Inline { node: NodeId(2), port: 0 },
+            Target::Inline { node: NodeId(3), port: 0 },
         ];
-        let mut exec = DomainExecutor::new(
+        let slots = vec![
+            slot(1, op, targets),
+            slot(2, Box::new(Tap("a", Arc::clone(&log))), vec![]),
+            slot(3, Box::new(Tap("b", Arc::clone(&log))), vec![]),
+        ];
+        let exec = DomainExecutor::new(
             "d",
             slots,
             vec![],
             StrategyKind::Fifo.build(None),
             ExecConfig::default(),
         );
-        exec.inject(NodeId(1), 0, data(7, 1));
-        assert_eq!(h2.count(), 1);
-        assert_eq!(h3.count(), 1);
+        (exec, log)
+    }
+
+    fn run_of(values: &[i64]) -> Vec<Element> {
+        values.iter().map(|&v| Element::single(v, Timestamp::from_micros(v as u64))).collect()
+    }
+
+    #[test]
+    fn fanout_delivers_depth_first_to_both_branches() {
+        // A run is the unit of depth-first order: branch `a` takes the
+        // run whole, in sequence, before branch `b` sees any of it.
+        let (mut exec, log) = forked_into_taps(pass_all());
+        exec.inject_batch(NodeId(1), 0, &mut run_of(&[1, 2, 3]));
+        exec.inject(NodeId(1), 0, data(4, 4));
+        assert_eq!(*log.lock(), ["a1", "a2", "a3", "b1", "b2", "b3", "a4", "b4"]);
         exec.inject(NodeId(1), 0, Message::eos());
-        assert!(h2.is_done() && h3.is_done());
+        assert!(exec.is_finished() && exec.error().is_none());
+    }
+
+    #[test]
+    fn routed_output_goes_to_inline_routes_as_one_run_each_in_route_order() {
+        let (mut exec, log) = forked_into_taps(Box::new(RoutesByTens));
+        exec.inject_batch(NodeId(1), 0, &mut run_of(&[1, 11, 2, 12, 3]));
+        assert_eq!(*log.lock(), ["a1", "a2", "a3", "b11", "b12"]);
+        assert!(exec.error().is_none());
+    }
+
+    #[test]
+    fn a_route_tag_naming_no_route_is_one_error_and_the_rest_is_delivered() {
+        let (mut exec, log) = forked_into_taps(Box::new(RoutesByTens));
+        exec.inject_batch(NodeId(1), 0, &mut run_of(&[1, 51, 11, 52]));
+        assert_eq!(exec.error(), Some(&StreamError::Other("no out-edge 5 at node n1".into())));
+        assert_eq!(*log.lock(), ["a1", "b11"]);
     }
 
     #[test]
@@ -1721,9 +1748,9 @@ mod tests {
 
     #[test]
     fn what_on_eos_and_flush_emit_reaches_an_inline_successor_in_that_order_before_eos() {
-        // Two deliveries in one dispatch: the second joins the run the first
-        // put on its way, and the EOS waits on the stack behind both. (Over
-        // the stack alone the EOS used to overtake what `on_eos` emitted.)
+        // Two callbacks in one dispatch: what `on_eos` and `flush` emitted
+        // goes out as one run, and the EOS waits on the stack under it.
+        // (Delivered one by one, the EOS went between the two.)
         let (sink, handle) = CollectingSink::new("s");
         let slots = vec![
             slot(1, Box::new(LastWords), vec![Target::Inline { node: NodeId(2), port: 0 }]),
@@ -1740,6 +1767,54 @@ mod tests {
         let vals: Vec<i64> =
             handle.elements().iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect();
         assert_eq!(vals, [1, 2]);
+        assert!(handle.is_done() && exec.is_finished());
+    }
+
+    /// Emits 1 when a port closes; emits 2 at flush time and fails.
+    struct LastWordsThenFails;
+
+    impl Operator for LastWordsThenFails {
+        fn name(&self) -> &str {
+            "last-words-then-fails"
+        }
+
+        fn process(&mut self, _: usize, _: &Element, _: &mut Output) -> Result<(), StreamError> {
+            Ok(())
+        }
+
+        fn on_eos(&mut self, port: usize, out: &mut Output) -> Result<(), StreamError> {
+            LastWords.on_eos(port, out)
+        }
+
+        fn flush(&mut self, out: &mut Output) -> Result<(), StreamError> {
+            LastWords.flush(out)?;
+            Err(StreamError::Other("flush failed".into()))
+        }
+    }
+
+    #[test]
+    fn a_failing_flush_takes_back_its_own_output_and_not_what_on_eos_emitted() {
+        let (sink, handle) = CollectingSink::new("s");
+        let slots = vec![
+            slot(
+                1,
+                Box::new(LastWordsThenFails),
+                vec![Target::Inline { node: NodeId(2), port: 0 }],
+            ),
+            slot(2, Box::new(sink), vec![]),
+        ];
+        let mut exec = DomainExecutor::new(
+            "d",
+            slots,
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        exec.inject(NodeId(1), 0, Message::eos());
+        let vals: Vec<i64> =
+            handle.elements().iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect();
+        assert_eq!(vals, [1]);
+        assert_eq!(exec.error(), Some(&StreamError::Other("flush failed".into())));
         assert!(handle.is_done() && exec.is_finished());
     }
 

@@ -17,12 +17,16 @@ use hmts_streams::error::Result;
 use hmts_streams::time::Timestamp;
 use hmts_streams::tuple::Tuple;
 
-/// Buffer that collects the outputs of one `process` / `on_punctuation` /
-/// `flush` invocation.
+/// Buffer that collects the outputs of one `process_batch` / `process` /
+/// `on_watermark` / `on_eos` / `flush` invocation.
 ///
 /// Keeping outputs in a buffer (instead of letting operators call successors
 /// themselves) lets the *executor* decide between DI and queueing, and keeps
-/// the depth-first chain reaction iterative rather than recursive.
+/// the depth-first chain reaction iterative rather than recursive. The
+/// executor hands the buffer on as one run per successor — a run is the
+/// unit of depth-first order — so an element reaches its successors in
+/// emission order, and the first successor's subtree takes its run whole
+/// before the second's.
 #[derive(Debug, Default)]
 pub struct Output {
     elements: Vec<Element>,

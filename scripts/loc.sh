@@ -4,11 +4,12 @@
 # first `#[cfg(test)]`, per file and in total. No gate — just one way to
 # count.
 # Usage: scripts/loc.sh [FILE...]
-#   (default: crates/obs/src/*.rs, the engine's observe.rs, serve.rs)
+#   (default: every crates/*/src/**/*.rs, the total ROADMAP quotes)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 if [ "$#" -eq 0 ]; then
-  set -- crates/obs/src/*.rs crates/core/src/engine/observe.rs crates/net/src/bin/serve.rs
+  shopt -s globstar
+  set -- crates/*/src/**/*.rs
 fi
 for f in "$@"; do
   awk '/^#\[cfg\(test\)\]/ { exit }

@@ -6,7 +6,10 @@
 //! mirror from a reused list of timestamps. That holds whatever the run's
 //! length, a run of one included. A keyed aggregate in the chain adds its
 //! result tuple per element and nothing else: its groups reuse their slab
-//! slots and its window its ring. Decoupled by a queue before every
+//! slots and its window its ring. Where an operator forks into two inline
+//! routes — broadcast or routed by tag — each route takes one run, from a
+//! pool of buffers the runs popped off the work stack gave back: that
+//! allocates nothing either. Decoupled by a queue before every
 //! selection (the GTS shape), a run crosses each queue as the buffer it is
 //! in, and the queue keeps the buffer the consumer handed back for its next
 //! producer: that allocates nothing either. Counted under a global
@@ -21,7 +24,7 @@ use std::time::Duration;
 use hmts::engine::executor::{
     Budget, DomainExecutor, ExecConfig, InputQueue, RunOutcome, SlotInit, SlotState, Target,
 };
-use hmts::operators::traits::Operator;
+use hmts::operators::traits::{Operator, Output};
 use hmts::prelude::*;
 use hmts::streams::queue::{Batch, StreamQueue};
 
@@ -54,10 +57,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// `operators`, inline one after the other, into a counting sink — each
-/// slot observed by a statistics cell, as under the engine's default
-/// configuration.
-fn chain(operators: Vec<Box<dyn Operator>>) -> (DomainExecutor, SinkHandle) {
+/// Every slot observed by a statistics cell, as under the engine's default
+/// configuration, and the executor of them.
+fn executor(mut slots: Vec<SlotInit>) -> DomainExecutor {
+    for slot in &mut slots {
+        slot.stats = Some(hmts::stats::shared_node_stats());
+    }
+    DomainExecutor::new("di", slots, vec![], StrategyKind::Fifo.build(None), ExecConfig::default())
+}
+
+/// `operators`, inline one after the other, into a counting sink.
+fn chain(operators: Vec<Box<dyn Operator>>) -> (DomainExecutor, Vec<SinkHandle>) {
     let (sink, handle) = CountingSink::new("sink");
     let hops = operators.len();
     let mut slots: Vec<SlotInit> = operators
@@ -69,17 +79,24 @@ fn chain(operators: Vec<Box<dyn Operator>>) -> (DomainExecutor, SinkHandle) {
         })
         .collect();
     slots.push(SlotInit::new(SlotState::new(NodeId(hops), Box::new(sink)), vec![]));
-    for slot in &mut slots {
-        slot.stats = Some(hmts::stats::shared_node_stats());
-    }
-    let exec = DomainExecutor::new(
-        "chain",
-        slots,
-        vec![],
-        StrategyKind::Fifo.build(None),
-        ExecConfig::default(),
-    );
-    (exec, handle)
+    (executor(slots), vec![handle])
+}
+
+/// `first` (node 0) forked into two inline routes, each a passing
+/// selection (nodes 1 and 2) into a counting sink of its own (3 and 4).
+fn fork(first: Box<dyn Operator>) -> (DomainExecutor, Vec<SinkHandle>) {
+    let inline = |node| Target::Inline { node: NodeId(node), port: 0 };
+    let pass = |i: usize| Box::new(Filter::new(format!("f{i}"), Expr::field(0).ge(Expr::int(0))));
+    let (a, a_handle) = CountingSink::new("a");
+    let (b, b_handle) = CountingSink::new("b");
+    let slots = vec![
+        SlotInit::new(SlotState::new(NodeId(0), first), vec![inline(1), inline(2)]),
+        SlotInit::new(SlotState::new(NodeId(1), pass(1)), vec![inline(3)]),
+        SlotInit::new(SlotState::new(NodeId(2), pass(2)), vec![inline(4)]),
+        SlotInit::new(SlotState::new(NodeId(3), Box::new(a)), vec![]),
+        SlotInit::new(SlotState::new(NodeId(4), Box::new(b)), vec![]),
+    ];
+    (executor(slots), vec![a_handle, b_handle])
 }
 
 /// `tuples` as elements one microsecond apart, the first at `from` µs.
@@ -88,17 +105,18 @@ fn rows(tuples: &[Tuple], from: u64) -> impl Iterator<Item = Element> + '_ {
     tuples.iter().enumerate().map(move |(i, tuple)| Element::new(tuple.clone(), at(i)))
 }
 
-/// Puts 4 096 `(i % 1000, i)` rows through a fresh `chain` of `operators`
-/// in runs of 32 and of 1: one pass to warm up, then 25 passes counted.
-/// Every pass stamps its rows one microsecond apart after the last pass's,
-/// so a window slides on. Returns, per run length, the allocations and the
-/// elements that reached the sink in the counted passes.
-fn allocations(operators: fn() -> Vec<Box<dyn Operator>>) -> Vec<(usize, u64, u64)> {
+/// Puts 4 096 `(i % 1000, i)` rows into node 0 of a fresh executor from
+/// `build` in runs of 32 and of 1: one pass to warm up, then 25 passes
+/// counted. Every pass stamps its rows one microsecond apart after the last
+/// pass's, so a window slides on. Returns, per run length, the allocations
+/// and the elements that reached the sinks in the counted passes.
+fn allocations(build: impl Fn() -> (DomainExecutor, Vec<SinkHandle>)) -> Vec<(usize, u64, u64)> {
     const ROWS: u64 = 4096;
     let pool: Vec<Tuple> = (0..ROWS).map(|i| Tuple::pair((i % 1000) as i64, i as i64)).collect();
     let mut counted = Vec::new();
     for run_len in [32, 1] {
-        let (mut exec, handle) = chain(operators());
+        let (mut exec, handles) = build();
+        let reached = || handles.iter().map(SinkHandle::count).sum::<u64>();
         let mut run: Vec<Element> = Vec::with_capacity(run_len);
         let mut pass = |exec: &mut DomainExecutor, round: u64| {
             for (start, chunk) in (0..).step_by(run_len).zip(pool.chunks(run_len)) {
@@ -108,14 +126,14 @@ fn allocations(operators: fn() -> Vec<Box<dyn Operator>>) -> Vec<(usize, u64, u6
         };
         // Warm-up: every reused buffer reaches its steady size.
         pass(&mut exec, 0);
-        let before = handle.count();
+        let before = reached();
         ALLOCATIONS.with(|a| a.set(0));
         for round in 1..=25 {
             pass(&mut exec, round);
         }
         let count = ALLOCATIONS.with(Cell::get);
         assert!(exec.error().is_none());
-        counted.push((run_len, count, handle.count() - before));
+        counted.push((run_len, count, reached() - before));
     }
     counted
 }
@@ -130,7 +148,7 @@ fn a_run_through_five_selections_allocates_nothing_per_element() {
             })
             .collect()
     };
-    for (run_len, count, reached) in allocations(passing) {
+    for (run_len, count, reached) in allocations(|| chain(passing())) {
         assert_eq!(reached, 25 * 4096, "every element reached the sink");
         assert_eq!(count, 0, "allocations for {reached} elements in runs of {run_len}");
     }
@@ -149,10 +167,42 @@ fn a_keyed_aggregate_allocates_its_result_tuple_and_nothing_else() {
             WindowAggregate::new("sum", AggregateFunction::Sum(1), window).group_by(Expr::field(0));
         vec![Box::new(half), Box::new(sum)]
     };
-    for (run_len, count, results) in allocations(keyed) {
+    for (run_len, count, results) in allocations(|| chain(keyed())) {
         // Keys 0..500 of every 1 000 rows pass: 2 096 results per pass.
         assert_eq!(results, 25 * 2096, "runs of {run_len}");
         assert_eq!(count, results, "allocations for {results} results in runs of {run_len}");
+    }
+}
+
+#[test]
+fn a_run_broadcast_to_two_inline_selections_allocates_nothing() {
+    let pass = || Box::new(Filter::new("f0", Expr::field(0).ge(Expr::int(0))));
+    for (run_len, count, reached) in allocations(|| fork(pass())) {
+        assert_eq!(reached, 2 * 25 * 4096, "every element reached both sinks");
+        assert_eq!(count, 0, "allocations for {reached} elements in runs of {run_len}");
+    }
+}
+
+/// Routes the row `(k, i)` to out-edge `i % 2`, as a splitter routes by
+/// key.
+struct ByParity;
+
+impl Operator for ByParity {
+    fn name(&self) -> &str {
+        "by-parity"
+    }
+
+    fn process(&mut self, _: usize, el: &Element, out: &mut Output) -> hmts::streams::Result<()> {
+        out.push_routed((el.tuple.field(1).as_int()? % 2) as u32, el.clone());
+        Ok(())
+    }
+}
+
+#[test]
+fn a_run_routed_to_two_inline_selections_allocates_nothing() {
+    for (run_len, count, reached) in allocations(|| fork(Box::new(ByParity))) {
+        assert_eq!(reached, 25 * 4096, "every element reached one sink");
+        assert_eq!(count, 0, "allocations for {reached} elements in runs of {run_len}");
     }
 }
 

@@ -256,7 +256,10 @@ fn the_run_length_changes_no_sink_sequence_in_any_shape_or_mode() {
     // what it sees when elements travel one by one (`batch = 1` under DI).
     // Where two threads race into one operator — a union's or a join's two
     // inputs, from two queues or two sources — the order is the race's, and
-    // the results are compared as multisets.
+    // the results are compared as multisets. A union's two inputs meet run
+    // by run even in one thread — a run is the unit of depth-first order —
+    // so the diamond's results carry their branch, each branch's sequence
+    // is compared exactly, and the merged stream as a multiset.
     type Built = (QueryGraph, Vec<SinkHandle>);
     let chain = || -> Built {
         let mut b = GraphBuilder::new();
@@ -291,6 +294,10 @@ fn the_run_length_changes_no_sink_sequence_in_any_shape_or_mode() {
         let f = b.op_after(Filter::new("f", Expr::field(1).lt(Expr::int(2_500))), src);
         let l = b.op_after(Filter::new("l", Expr::field(1).rem(Expr::int(2)).eq(Expr::int(0))), f);
         let r = b.op_after(Filter::new("r", Expr::field(1).rem(Expr::int(3)).eq(Expr::int(0))), f);
+        let branch = |name: &str, tag: i64| {
+            MapExpr::new(name, vec![Expr::field(0), Expr::field(1), Expr::int(tag)])
+        };
+        let (l, r) = (b.op_after(branch("tl", 0), l), b.op_after(branch("tr", 1), r));
         let u = b.op(Union::new("u", 2));
         b.connect_port(l, u, 0).connect_port(r, u, 1);
         let (sink, handle) = CollectingSink::new("out");
@@ -310,16 +317,20 @@ fn the_run_length_changes_no_sink_sequence_in_any_shape_or_mode() {
         b.op_after(sink, j);
         (b.build().expect("valid graph"), vec![handle])
     };
-    /// A shape: its name, its graph, and whether two threads feed one of
-    /// its operators under a given mode.
-    type Shape = (&'static str, fn() -> Built, fn(&str) -> bool);
+    /// A shape: its name, its graph, and the form its sinks' sequences are
+    /// compared in.
+    type Shape = (&'static str, fn() -> Built, fn(&mut Vec<(Timestamp, Tuple)>));
+    let by_branch = |seen: &mut Vec<(Timestamp, Tuple)>| {
+        // Stable: each branch's sequence stays as it was.
+        seen.sort_by_key(|(_, tuple)| tuple.field(2).as_int().expect("a branch tag"));
+    };
     let shapes: [Shape; 4] = [
-        ("chain", chain, |_| false),
-        ("fan-out", fan_out, |_| false),
-        ("diamond", diamond, |mode| mode != "di"),
-        ("join", join, |_| true),
+        ("chain", chain, |_| {}),
+        ("fan-out", fan_out, |_| {}),
+        ("diamond", diamond, by_branch),
+        ("join", join, |seen| seen.sort()),
     ];
-    for (shape, build, races) in shapes {
+    for (shape, build, normalize) in shapes {
         let run = |mode: &str, batch: usize| -> Vec<Vec<(Timestamp, Tuple)>> {
             let (graph, handles) = build();
             let topo = Topology::of(&graph);
@@ -346,9 +357,7 @@ fn the_run_length_changes_no_sink_sequence_in_any_shape_or_mode() {
                 .map(|handle| {
                     assert!(handle.is_done(), "{shape} {mode} {batch}: sink saw EOS");
                     let mut seen = collected_sequence(handle);
-                    if races(mode) {
-                        seen.sort();
-                    }
+                    normalize(&mut seen);
                     seen
                 })
                 .collect()
@@ -356,12 +365,8 @@ fn the_run_length_changes_no_sink_sequence_in_any_shape_or_mode() {
         let one_by_one = run("di", 1);
         assert!(one_by_one.iter().all(|sink| sink.len() > 100), "{shape}: every sink is fed");
         for mode in ["di", "gts", "hmts"] {
-            let mut want = one_by_one.clone();
-            if races(mode) {
-                want.iter_mut().for_each(|sink| sink.sort());
-            }
             for batch in [1, 7, 32] {
-                assert!(run(mode, batch) == want, "{shape} under {mode} with batch {batch}");
+                assert!(run(mode, batch) == one_by_one, "{shape} under {mode} with batch {batch}");
             }
         }
     }
