@@ -631,10 +631,7 @@ impl Engine {
     pub fn abort(self) -> EngineReport {
         self.stop_engine.stop();
         if let Some(w) = &self.wiring {
-            w.stop.stop();
-            for n in &w.notifiers {
-                n.notify();
-            }
+            w.stop();
         }
         // Unpause if paused, so source threads can observe the stop.
         self.gate.resume();

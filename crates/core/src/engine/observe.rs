@@ -157,15 +157,12 @@ impl Engine {
 pub fn describe_plan(plan: &ExecutionPlan) -> String {
     let count = |kind| plan.domains.iter().filter(|d| d.execution == kind).count();
     let pooled = count(DomainExecution::Pooled);
-    let kinds: Vec<String> = [
-        (count(DomainExecution::Dedicated), "dedicated"),
-        (pooled, "pooled"),
-        (count(DomainExecution::SourceDriven), "source-driven"),
-    ]
-    .into_iter()
-    .filter(|(n, _)| *n > 0)
-    .map(|(n, kind)| format!("{n} {kind}"))
-    .collect();
+    let kinds: Vec<String> =
+        [(pooled, "pooled"), (count(DomainExecution::SourceDriven), "source-driven")]
+            .into_iter()
+            .filter(|(n, _)| *n > 0)
+            .map(|(n, kind)| format!("{n} {kind}"))
+            .collect();
     let mut out = format!("{} domains ({})", plan.domains.len(), kinds.join(", "));
     if pooled > 0 {
         out.push_str(&format!(" x{} workers", plan.workers));

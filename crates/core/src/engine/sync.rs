@@ -1,44 +1,8 @@
 //! Synchronization primitives used by the engine's threads.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-
-/// A level-triggered wake-up signal: producers `notify`, one consumer
-/// `wait`s. Multiple notifications before a wait collapse into one (the
-/// consumer re-scans its queues anyway).
-#[derive(Debug, Default)]
-pub struct Notifier {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Notifier {
-    /// A new, unsignalled notifier.
-    pub fn new() -> Notifier {
-        Notifier::default()
-    }
-
-    /// Signals the consumer.
-    pub fn notify(&self) {
-        let mut flag = self.flag.lock();
-        *flag = true;
-        self.cv.notify_all();
-    }
-
-    /// Waits until signalled or `timeout` elapses; consumes the signal.
-    /// Returns `true` if signalled.
-    pub fn wait(&self, timeout: Duration) -> bool {
-        let mut flag = self.flag.lock();
-        if !*flag {
-            self.cv.wait_for(&mut flag, timeout);
-        }
-        let was = *flag;
-        *flag = false;
-        was
-    }
-}
 
 /// A cooperative pause barrier for source threads.
 ///
@@ -149,31 +113,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
-
-    #[test]
-    fn notifier_wakes_waiter() {
-        let n = Arc::new(Notifier::new());
-        let n2 = Arc::clone(&n);
-        let h = thread::spawn(move || n2.wait(Duration::from_secs(5)));
-        thread::sleep(Duration::from_millis(20));
-        n.notify();
-        assert!(h.join().unwrap());
-    }
-
-    #[test]
-    fn notifier_times_out() {
-        let n = Notifier::new();
-        assert!(!n.wait(Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn notifier_signal_before_wait_is_not_lost() {
-        let n = Notifier::new();
-        n.notify();
-        assert!(n.wait(Duration::from_millis(1)));
-        // Signal consumed.
-        assert!(!n.wait(Duration::from_millis(1)));
-    }
+    use std::time::Duration;
 
     #[test]
     fn pause_gate_parks_and_releases_workers() {

@@ -7,7 +7,6 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -17,29 +16,37 @@ use hmts_obs::SchedEvent;
 use hmts_streams::element::Message;
 use hmts_streams::queue::{BackpressurePolicy, StreamQueue};
 
-use super::executor::{
-    Attach, Budget, DomainExecutor, ExecConfig, InputQueue, RunOutcome, SlotInit, Target, Waker,
-};
+use super::executor::{Attach, DomainExecutor, ExecConfig, InputQueue, SlotInit, Target, Waker};
 use super::source_driver::SourceTarget;
-use super::sync::{Notifier, StopFlag};
+use super::sync::StopFlag;
 use super::{Engine, EngineError};
 use crate::failure::{panic_message, StallWatch};
 use crate::plan::{DomainExecution, ExecutionPlan};
-use crate::scheduler::thread_scheduler::{ThreadScheduler, TsConfig, TsShared};
+use crate::scheduler::thread_scheduler::{ThreadScheduler, TsShared};
 
 /// The executors, queues and threads one plan is currently running on.
 pub(super) struct Wiring {
     pub(super) executors: Vec<Arc<Mutex<DomainExecutor>>>,
-    pub(super) notifiers: Vec<Arc<Notifier>>,
-    dedicated: Vec<JoinHandle<()>>,
     pub(super) ts: Option<ThreadScheduler>,
-    pub(super) stop: Arc<StopFlag>,
+    stop: Arc<StopFlag>,
     queues: Vec<Arc<StreamQueue>>,
     /// Heartbeat stall monitor (`StallWatch::new` says when there is one).
     stall_monitor: Option<JoinHandle<()>>,
     /// Domain index → index among the pooled domains (the level-3
     /// scheduler's numbering).
     pub(super) pooled_index: HashMap<usize, usize>,
+}
+
+impl Wiring {
+    /// Asks every thread of the wiring to end: raises its stop flag and
+    /// wakes the idle pool workers to see it. Teardown, an abort and the
+    /// end of a run all stop a wiring here.
+    pub(super) fn stop(&self) {
+        self.stop.stop();
+        if let Some(ts) = &self.ts {
+            ts.stop();
+        }
+    }
 }
 
 impl Engine {
@@ -60,9 +67,6 @@ impl Engine {
         }
         let part_of = self.plan.partitioning.group_index();
 
-        let notifiers: Vec<Arc<Notifier>> =
-            (0..self.plan.domains.len()).map(|_| Arc::new(Notifier::new())).collect();
-
         // Level 3 shared state (created before executors so queue targets
         // can hold TS wakers).
         let pooled: Vec<usize> = self
@@ -76,11 +80,8 @@ impl Engine {
         let pooled_index: HashMap<usize, usize> =
             pooled.iter().enumerate().map(|(pi, &d)| (d, pi)).collect();
         let ts_shared: Option<Arc<TsShared>> = (!pooled.is_empty()).then(|| {
-            let ts = TsShared::create_with_obs(
-                pooled.len(),
-                TsConfig { workers: self.plan.workers.max(1), ..TsConfig::default() },
-                self.cfg.obs.clone(),
-            );
+            let ts =
+                TsShared::create_with_obs(pooled.len(), self.plan.workers, self.cfg.obs.clone());
             for (pi, &d) in pooled.iter().enumerate() {
                 ts.set_priority(pi, self.plan.domains[d].priority as i64);
             }
@@ -89,7 +90,6 @@ impl Engine {
 
         let waker_for = |d: usize| -> Option<Arc<dyn Waker>> {
             match self.plan.domains[d].execution {
-                DomainExecution::Dedicated => Some(Arc::clone(&notifiers[d]) as Arc<dyn Waker>),
                 DomainExecution::Pooled => ts_shared.as_ref().map(|ts| ts.waker(pooled_index[&d])),
                 DomainExecution::SourceDriven => None,
             }
@@ -221,23 +221,7 @@ impl Engine {
             self.source_shared[si].set_targets(targets);
         }
 
-        // Threads: dedicated domains get one each; pooled domains share the
-        // level-3 worker pool.
-        let mut dedicated = Vec::new();
-        for (d, spec) in self.plan.domains.iter().enumerate() {
-            if spec.execution != DomainExecution::Dedicated {
-                continue;
-            }
-            let exec = Arc::clone(&executors[d]);
-            let notifier = Arc::clone(&notifiers[d]);
-            let stop = Arc::clone(&stop);
-            dedicated.push(
-                std::thread::Builder::new()
-                    .name(format!("hmts-{}", spec.name))
-                    .spawn(move || dedicated_loop(&exec, &notifier, &stop))
-                    .expect("spawn dedicated domain thread"),
-            );
-        }
+        // Threads: the pooled domains share the level-3 worker pool.
         let ts = ts_shared.map(|shared| {
             let pool_execs = pooled.iter().map(|&d| Arc::clone(&executors[d])).collect();
             ThreadScheduler::spawn(shared, pool_execs, Arc::clone(&stop))
@@ -246,16 +230,7 @@ impl Engine {
 
         self.publish_view(&queue_for);
         self.register_collectors(&queues);
-        self.wiring = Some(Wiring {
-            executors,
-            notifiers,
-            dedicated,
-            ts,
-            stop,
-            queues,
-            stall_monitor,
-            pooled_index,
-        });
+        self.wiring = Some(Wiring { executors, ts, stop, queues, stall_monitor, pooled_index });
     }
 
     /// The decoupling queue for edge `e`, bounded per the configuration.
@@ -276,16 +251,12 @@ impl Engine {
     /// a plan switch and the end of the run; the caller decides when the
     /// threads are *asked* to end.
     pub(super) fn join_wiring(&mut self, wiring: &mut Wiring) {
-        for h in wiring.dedicated.drain(..) {
-            self.harvest_join(h);
-        }
         if let Some(ts) = wiring.ts.take() {
-            // Workers observe the stop flag via their timed waits.
             self.worker_panics.extend(ts.join());
         }
         // The stall monitor only exits on the stop flag; every processing
         // thread has finished by now.
-        wiring.stop.stop();
+        wiring.stop();
         if let Some(m) = wiring.stall_monitor.take() {
             self.harvest_join(m);
         }
@@ -308,15 +279,12 @@ impl Engine {
         let Some(mut wiring) = self.wiring.take() else {
             return Vec::new();
         };
-        wiring.stop.stop();
+        wiring.stop();
         // Lift capacity bounds first: a producer stalled in a bounded Block
         // push proceeds into the (now unbounded) buffer, so its in-flight
         // element is preserved and drained as a remnant below.
         for q in &wiring.queues {
             q.lift_bound();
-        }
-        for n in &wiring.notifiers {
-            n.notify();
         }
         self.join_wiring(&mut wiring);
         // Journal what each queue still holds, then drop the collectors
@@ -445,20 +413,5 @@ impl Engine {
         let strategy = self.plan.domains.first().map(|d| d.strategy).unwrap_or_default();
         let workers = self.plan.workers.max(2);
         self.switch_plan(ExecutionPlan::hmts(Partitioning::new(groups), strategy, workers))
-    }
-}
-
-fn dedicated_loop(
-    exec: &Arc<Mutex<DomainExecutor>>,
-    notifier: &Arc<Notifier>,
-    stop: &Arc<StopFlag>,
-) {
-    let budget = Budget { stop: Some(Arc::clone(stop)), ..Budget::default() };
-    loop {
-        let outcome = exec.lock().run_slice(&budget);
-        if stop.is_stopped() || outcome == RunOutcome::Finished {
-            return;
-        }
-        notifier.wait(Duration::from_millis(10));
     }
 }

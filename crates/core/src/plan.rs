@@ -8,12 +8,14 @@
 //! * **Level 2** — [`DomainSpec`]s: each domain executes a set of
 //!   partitions "like a graph-threaded scheduler" with its own
 //!   [`StrategyKind`].
-//! * **Level 3** — domains marked [`DomainExecution::Pooled`] are
-//!   multiplexed onto a worker pool by the thread scheduler (TS), with
-//!   per-domain priorities.
+//! * **Level 3** — every domain with a thread of its own is
+//!   [`DomainExecution::Pooled`]: the thread scheduler (TS) multiplexes
+//!   the pooled domains onto `workers` threads, with per-domain priorities.
 //!
 //! GTS, OTS, and pure DI are the special cases the paper describes, and are
-//! provided as constructors.
+//! provided as constructors: GTS is one pooled domain on one worker, OTS
+//! one pooled domain per operator on as many workers, and pure DI has no
+//! thread but its sources'.
 
 use hmts_graph::graph::NodeId;
 use hmts_graph::partition::Partitioning;
@@ -24,15 +26,13 @@ use crate::scheduler::strategy::StrategyKind;
 /// How one scheduling domain (level-2 unit) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomainExecution {
-    /// A dedicated thread blocks on the domain's queues. OTS runs every
-    /// operator this way; GTS runs the single all-operator domain this way.
-    Dedicated,
     /// No thread of its own: the feeding source threads execute the domain
     /// inline (pure direct interoperability, as in the paper's Fig. 6
     /// setting where "each join operator directly ran in the thread of its
     /// autonomous data sources").
     SourceDriven,
-    /// Executed by the level-3 thread scheduler's worker pool.
+    /// Executed by the level-3 thread scheduler's worker pool, one slice
+    /// at a time.
     Pooled,
 }
 
@@ -48,7 +48,7 @@ pub struct DomainSpec {
     /// Which of the domain's input queues to service next.
     pub strategy: StrategyKind,
     /// Base priority for the level-3 thread scheduler (higher runs first);
-    /// ignored for non-pooled domains.
+    /// ignored for a source-driven domain, which the scheduler never runs.
     pub priority: i32,
 }
 
@@ -59,8 +59,8 @@ pub struct ExecutionPlan {
     pub partitioning: Partitioning,
     /// Level 2 (and, via [`DomainExecution::Pooled`], level 3).
     pub domains: Vec<DomainSpec>,
-    /// Worker threads of the level-3 scheduler (used only when at least one
-    /// domain is pooled).
+    /// Worker threads of the level-3 scheduler, shared by the pooled
+    /// domains (unused when there are none).
     pub workers: usize,
 }
 
@@ -118,8 +118,8 @@ impl std::error::Error for PlanError {}
 
 impl ExecutionPlan {
     /// **GTS** — graph-threaded scheduling: queues between every pair of
-    /// adjacent operators (every operator is its own VO), one dedicated
-    /// thread executes all of them under `strategy`.
+    /// adjacent operators (every operator is its own VO), one pooled domain
+    /// on one worker executes all of them under `strategy`.
     pub fn gts(topo: &Topology, strategy: StrategyKind) -> ExecutionPlan {
         let partitioning =
             Partitioning::new(topo.operators().into_iter().map(|id| vec![id]).collect());
@@ -129,17 +129,17 @@ impl ExecutionPlan {
             domains: vec![DomainSpec {
                 name: "gts".into(),
                 partitions: (0..n).collect(),
-                execution: DomainExecution::Dedicated,
+                execution: DomainExecution::Pooled,
                 strategy,
                 priority: 0,
             }],
-            workers: 0,
+            workers: 1,
         }
     }
 
     /// **OTS** — operator-threaded scheduling: queues everywhere, one
-    /// dedicated thread per operator, each parking when its queues are
-    /// empty.
+    /// pooled domain per operator and as many workers, so each operator
+    /// can have a thread to itself.
     pub fn ots(topo: &Topology) -> ExecutionPlan {
         let ops = topo.operators();
         let partitioning = Partitioning::new(ops.iter().map(|&id| vec![id]).collect());
@@ -149,12 +149,12 @@ impl ExecutionPlan {
             .map(|(i, &id)| DomainSpec {
                 name: format!("ots-{}", topo.name(id)),
                 partitions: vec![i],
-                execution: DomainExecution::Dedicated,
+                execution: DomainExecution::Pooled,
                 strategy: StrategyKind::Fifo,
                 priority: 0,
             })
             .collect();
-        ExecutionPlan { partitioning, domains, workers: 0 }
+        ExecutionPlan { partitioning, domains, workers: ops.len() }
     }
 
     /// **Pure DI** — no queues at all: each weakly connected component of
@@ -177,8 +177,8 @@ impl ExecutionPlan {
 
     /// **Decoupled DI** — the paper's Fig. 7 "DI" setting: the whole
     /// operator graph forms VOs with no internal queues, but one queue after
-    /// each source decouples it from its sources, and one dedicated thread
-    /// drives everything.
+    /// each source decouples it from its sources, and one pooled domain on
+    /// one worker drives everything.
     pub fn di_decoupled(topo: &Topology) -> ExecutionPlan {
         let groups = topo.weakly_connected_operator_components();
         let partitioning = Partitioning::new(groups);
@@ -188,11 +188,11 @@ impl ExecutionPlan {
             domains: vec![DomainSpec {
                 name: "di".into(),
                 partitions: (0..n).collect(),
-                execution: DomainExecution::Dedicated,
+                execution: DomainExecution::Pooled,
                 strategy: StrategyKind::Fifo,
                 priority: 0,
             }],
-            workers: 0,
+            workers: 1,
         }
     }
 
@@ -213,22 +213,6 @@ impl ExecutionPlan {
             })
             .collect();
         ExecutionPlan { partitioning, domains, workers: workers.max(1) }
-    }
-
-    /// **HMTS with dedicated threads** — the given VOs, each on its own
-    /// dedicated thread (the paper's Fig. 9 setting uses two partitions on
-    /// two threads).
-    pub fn hmts_dedicated(partitioning: Partitioning, strategy: StrategyKind) -> ExecutionPlan {
-        let domains = (0..partitioning.len())
-            .map(|i| DomainSpec {
-                name: format!("vo-{i}"),
-                partitions: vec![i],
-                execution: DomainExecution::Dedicated,
-                strategy,
-                priority: 0,
-            })
-            .collect();
-        ExecutionPlan { partitioning, domains, workers: 0 }
     }
 
     /// Checks the plan against a topology; empty means executable.
@@ -367,7 +351,8 @@ mod tests {
         let p = ExecutionPlan::gts(&t, StrategyKind::Chain);
         assert_eq!(p.partitioning.len(), 3); // queue between every pair
         assert_eq!(p.domains.len(), 1);
-        assert_eq!(p.domains[0].execution, DomainExecution::Dedicated);
+        assert_eq!(p.domains[0].execution, DomainExecution::Pooled);
+        assert_eq!(p.workers, 1);
         assert_eq!(p.domains[0].strategy, StrategyKind::Chain);
         assert!(p.validate(&t).is_empty());
         assert_eq!(p.domain_nodes(0).len(), 3);
@@ -379,7 +364,8 @@ mod tests {
         let p = ExecutionPlan::ots(&t);
         assert_eq!(p.partitioning.len(), 3);
         assert_eq!(p.domains.len(), 3);
-        assert!(p.domains.iter().all(|d| d.execution == DomainExecution::Dedicated));
+        assert!(p.domains.iter().all(|d| d.execution == DomainExecution::Pooled));
+        assert_eq!(p.workers, 3, "one worker per operator");
         assert!(p.validate(&t).is_empty());
     }
 
@@ -399,7 +385,8 @@ mod tests {
         let p = ExecutionPlan::di_decoupled(&t);
         assert_eq!(p.partitioning.len(), 1);
         assert_eq!(p.domains.len(), 1);
-        assert_eq!(p.domains[0].execution, DomainExecution::Dedicated);
+        assert_eq!(p.domains[0].execution, DomainExecution::Pooled);
+        assert_eq!(p.workers, 1);
         assert!(p.validate(&t).is_empty());
     }
 
@@ -407,15 +394,11 @@ mod tests {
     fn hmts_plan_shape() {
         let (t, [a, b, c]) = topo();
         let part = Partitioning::new(vec![vec![a, b], vec![c]]);
-        let p = ExecutionPlan::hmts(part.clone(), StrategyKind::Fifo, 2);
+        let p = ExecutionPlan::hmts(part, StrategyKind::Fifo, 2);
         assert_eq!(p.domains.len(), 2);
         assert!(p.domains.iter().all(|d| d.execution == DomainExecution::Pooled));
         assert_eq!(p.workers, 2);
         assert!(p.validate(&t).is_empty());
-
-        let pd = ExecutionPlan::hmts_dedicated(part, StrategyKind::Fifo);
-        assert!(pd.domains.iter().all(|d| d.execution == DomainExecution::Dedicated));
-        assert!(pd.validate(&t).is_empty());
     }
 
     #[test]
@@ -426,11 +409,11 @@ mod tests {
             domains: vec![DomainSpec {
                 name: "d".into(),
                 partitions: vec![0],
-                execution: DomainExecution::Dedicated,
+                execution: DomainExecution::Pooled,
                 strategy: StrategyKind::Fifo,
                 priority: 0,
             }],
-            workers: 0,
+            workers: 1,
         };
         let errs = plan.validate(&t);
         assert!(errs
@@ -445,7 +428,7 @@ mod tests {
         let mk = |partitions: Vec<usize>| DomainSpec {
             name: "d".into(),
             partitions,
-            execution: DomainExecution::Dedicated,
+            execution: DomainExecution::Pooled,
             strategy: StrategyKind::Fifo,
             priority: 0,
         };
@@ -453,7 +436,7 @@ mod tests {
         let plan = ExecutionPlan {
             partitioning: part,
             domains: vec![mk(vec![0, 1]), mk(vec![0, 9])],
-            workers: 0,
+            workers: 1,
         };
         let errs = plan.validate(&t);
         assert!(errs.contains(&PlanError::PartitionInMultipleDomains(0)));
@@ -479,7 +462,7 @@ mod tests {
                 DomainSpec {
                     name: "up".into(),
                     partitions: vec![0],
-                    execution: DomainExecution::Dedicated,
+                    execution: DomainExecution::Pooled,
                     strategy: StrategyKind::Fifo,
                     priority: 0,
                 },
@@ -491,7 +474,7 @@ mod tests {
                     priority: 0,
                 },
             ],
-            workers: 0,
+            workers: 1,
         };
         assert!(plan
             .validate(&t)

@@ -6,4 +6,4 @@ pub mod thread_scheduler;
 
 pub use chain::{compute_chain_segments, unary_chains, ChainSegments};
 pub use strategy::{InputSlot, Strategy, StrategyKind};
-pub use thread_scheduler::{ThreadScheduler, TsConfig, TsShared};
+pub use thread_scheduler::{ThreadScheduler, TsShared};

@@ -21,7 +21,10 @@
 //!   invocations, which is the same granularity at which a JVM could
 //!   deschedule the original PIPES operators;
 //! * **runtime-adjustable** — base priorities are atomics that can be
-//!   changed while the scheduler runs.
+//!   changed while the scheduler runs;
+//! * **sliced only when it must be** — a dispatch runs for one `SLICE`
+//!   when domains outnumber workers; with a worker per domain it runs
+//!   until the domain is idle.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
@@ -36,21 +39,9 @@ use crate::engine::sync::StopFlag;
 /// Time slice per dispatch.
 const SLICE: Duration = Duration::from_millis(1);
 
-/// Thread-scheduler configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct TsConfig {
-    /// Number of worker threads.
-    pub workers: usize,
-    /// Priority points gained per second of waiting (starvation
-    /// prevention).
-    pub aging_rate: f64,
-}
-
-impl Default for TsConfig {
-    fn default() -> Self {
-        TsConfig { workers: 2, aging_rate: 10.0 }
-    }
-}
+/// Priority points a queued domain gains per second of waiting (starvation
+/// prevention).
+const AGING_RATE: f64 = 10.0;
 
 struct TsInner {
     queued: Vec<bool>,
@@ -75,27 +66,23 @@ pub struct TsShared {
     cv: Condvar,
     priorities: Vec<AtomicI64>,
     yield_flags: Vec<Arc<AtomicBool>>,
-    stop: StopFlag,
-    cfg: TsConfig,
+    /// Number of worker threads.
+    workers: usize,
     obs: Obs,
     dispatches: Counter,
     preemptions: Counter,
 }
 
 impl TsShared {
-    /// Creates the shared control state for `domains` pooled domains, all
-    /// initially runnable. Created *before* the executors so that queue
-    /// targets inside them can hold [`TsWaker`]s; workers are spawned
-    /// afterwards with [`ThreadScheduler::spawn`].
-    pub fn create(domains: usize, cfg: TsConfig) -> Arc<TsShared> {
-        TsShared::create_with_obs(domains, cfg, Obs::disabled())
-    }
-
-    /// [`TsShared::create`] with an observability handle: every dispatch,
-    /// yield, cooperative preemption, and aging-driven pick is journaled,
-    /// and `ts.dispatches` / `ts.preemptions` counters are maintained.
-    pub fn create_with_obs(domains: usize, cfg: TsConfig, obs: Obs) -> Arc<TsShared> {
-        let shared = Arc::new(TsShared::new(domains, cfg, obs));
+    /// Creates the shared control state for `domains` pooled domains on
+    /// `workers` threads, all domains initially runnable. Created *before*
+    /// the executors so that queue targets inside them can hold
+    /// [`TsWaker`]s; workers are spawned afterwards with
+    /// [`ThreadScheduler::spawn`]. Through `obs` every dispatch, yield,
+    /// cooperative preemption, and aging-driven pick is journaled, and
+    /// `ts.dispatches` / `ts.preemptions` counters are maintained.
+    pub fn create_with_obs(domains: usize, workers: usize, obs: Obs) -> Arc<TsShared> {
+        let shared = Arc::new(TsShared::new(domains, workers.max(1), obs));
         {
             let mut inner = shared.inner.lock();
             for d in 0..domains {
@@ -111,7 +98,7 @@ impl TsShared {
         Arc::new(TsWaker { shared: Arc::clone(self), domain: d })
     }
 
-    fn new(domains: usize, cfg: TsConfig, obs: Obs) -> TsShared {
+    fn new(domains: usize, workers: usize, obs: Obs) -> TsShared {
         let dispatches = obs.counter("ts.dispatches");
         let preemptions = obs.counter("ts.preemptions");
         TsShared {
@@ -126,8 +113,7 @@ impl TsShared {
             cv: Condvar::new(),
             priorities: (0..domains).map(|_| AtomicI64::new(0)).collect(),
             yield_flags: (0..domains).map(|_| Arc::new(AtomicBool::new(false))).collect(),
-            stop: StopFlag::new(),
-            cfg,
+            workers,
             obs,
             dispatches,
             preemptions,
@@ -136,7 +122,7 @@ impl TsShared {
 
     fn effective_priority(&self, d: usize, inner: &TsInner) -> f64 {
         self.priorities[d].load(Ordering::Relaxed) as f64
-            + inner.since[d].elapsed().as_secs_f64() * self.cfg.aging_rate
+            + inner.since[d].elapsed().as_secs_f64() * AGING_RATE
     }
 
     /// Marks domain `d` runnable (new input arrived).
@@ -158,7 +144,7 @@ impl TsShared {
         // above as aging would let it preempt an equal on every wake-up.
         // Aging decides among the queued in `pick_best`, and the slice
         // bounds how long an equal keeps the worker.
-        if inner.running_count >= self.cfg.workers {
+        if inner.running_count >= self.workers {
             let base = |d: usize| self.priorities[d].load(Ordering::Relaxed);
             let weakest =
                 (0..inner.running.len()).filter(|&r| inner.running[r]).min_by_key(|&r| base(r));
@@ -231,31 +217,21 @@ impl Waker for TsWaker {
 /// The level-3 scheduler: worker threads multiplexing pooled domains.
 pub struct ThreadScheduler {
     shared: Arc<TsShared>,
+    stop: Arc<StopFlag>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ThreadScheduler {
-    /// Convenience: creates the shared state and spawns workers in one step
-    /// (used when no queue target needs a waker before construction).
-    pub fn start(
-        executors: Vec<Arc<Mutex<DomainExecutor>>>,
-        cfg: TsConfig,
-        stop: Arc<StopFlag>,
-    ) -> ThreadScheduler {
-        let shared = TsShared::create(executors.len(), cfg);
-        ThreadScheduler::spawn(shared, executors, stop)
-    }
-
     /// Spawns the worker pool over pre-created shared state (two-phase
-    /// construction; see [`TsShared::create`]).
+    /// construction; see [`TsShared::create_with_obs`]). The workers end
+    /// once every domain has finished or `stop` is raised.
     pub fn spawn(
         shared: Arc<TsShared>,
         executors: Vec<Arc<Mutex<DomainExecutor>>>,
         stop: Arc<StopFlag>,
     ) -> ThreadScheduler {
-        let cfg = shared.cfg;
         let executors = Arc::new(executors);
-        let workers = (0..cfg.workers.max(1))
+        let workers = (0..shared.workers)
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 let executors = Arc::clone(&executors);
@@ -266,7 +242,16 @@ impl ThreadScheduler {
                     .expect("spawn TS worker")
             })
             .collect();
-        ThreadScheduler { shared, workers }
+        ThreadScheduler { shared, stop, workers }
+    }
+
+    /// Raises the stop flag the workers were spawned with, and wakes every
+    /// idle one under the lock it waits with, so none sits out its timed
+    /// wait before it sees the flag.
+    pub fn stop(&self) {
+        let _inner = self.shared.inner.lock();
+        self.stop.stop();
+        self.shared.cv.notify_all();
     }
 
     /// Shared control handle (for wakers and priority adjustment).
@@ -300,11 +285,16 @@ fn worker_loop(
     stop: &Arc<StopFlag>,
     worker: usize,
 ) {
+    // A slice needs a quantum only while a domain can be kept waiting for
+    // a worker. With a worker per domain (GTS, OTS, decoupled DI) nobody
+    // waits, so a slice runs until its domain is idle, as on a thread of
+    // its own, and reads no clock.
+    let sliced = executors.len() > shared.workers;
     loop {
         let d = {
             let mut inner = shared.inner.lock();
             loop {
-                if stop.is_stopped() || shared.stop.is_stopped() || inner.all_finished() {
+                if stop.is_stopped() || inner.all_finished() {
                     shared.cv.notify_all();
                     return;
                 }
@@ -312,7 +302,8 @@ fn worker_loop(
                     break d;
                 }
                 // Timed wait so stop/finish conditions are re-checked even
-                // if a notification is missed.
+                // if a notification is missed; `ThreadScheduler::stop`
+                // notifies, so a stop is seen at once.
                 shared.cv.wait_for(&mut inner, Duration::from_millis(20));
             }
         };
@@ -326,7 +317,7 @@ fn worker_loop(
         yield_flag.store(false, Ordering::Release);
         let budget = Budget {
             max_messages: 0,
-            deadline: Some(Instant::now() + SLICE),
+            deadline: sliced.then(|| Instant::now() + SLICE),
             stop: Some(Arc::clone(stop)),
             yield_flag: Some(Arc::clone(&yield_flag)),
         };
@@ -421,6 +412,16 @@ mod tests {
         (Arc::new(Mutex::new(exec)), q, handle)
     }
 
+    /// `workers` workers over `executors`, every domain runnable.
+    fn pool(
+        executors: Vec<Arc<Mutex<DomainExecutor>>>,
+        workers: usize,
+        stop: &Arc<StopFlag>,
+    ) -> ThreadScheduler {
+        let shared = TsShared::create_with_obs(executors.len(), workers, Obs::disabled());
+        ThreadScheduler::spawn(shared, executors, Arc::clone(stop))
+    }
+
     fn push_n(q: &StreamQueue, n: u64) {
         for i in 0..n {
             q.push(Message::data(Tuple::single(i as i64), Timestamp::from_micros(i))).unwrap();
@@ -433,11 +434,7 @@ mod tests {
         let (e1, q1, h1) = simple_domain("a");
         let (e2, q2, h2) = simple_domain("b");
         let stop = Arc::new(StopFlag::new());
-        let ts = ThreadScheduler::start(
-            vec![e1, e2],
-            TsConfig { workers: 2, ..TsConfig::default() },
-            Arc::clone(&stop),
-        );
+        let ts = pool(vec![e1, e2], 2, &stop);
         let shared = ts.shared();
         push_n(&q1, 500);
         shared.wake(0);
@@ -455,11 +452,7 @@ mod tests {
         let domains: Vec<_> = (0..5).map(|i| simple_domain(&format!("d{i}"))).collect();
         let stop = Arc::new(StopFlag::new());
         let execs = domains.iter().map(|(e, _, _)| Arc::clone(e)).collect();
-        let ts = ThreadScheduler::start(
-            execs,
-            TsConfig { workers: 1, ..TsConfig::default() },
-            Arc::clone(&stop),
-        );
+        let ts = pool(execs, 1, &stop);
         let shared = ts.shared();
         for (i, (_, q, _)) in domains.iter().enumerate() {
             push_n(q, 100);
@@ -475,7 +468,7 @@ mod tests {
     fn wake_after_idle_resumes_domain() {
         let (e, q, h) = simple_domain("a");
         let stop = Arc::new(StopFlag::new());
-        let ts = ThreadScheduler::start(vec![e], TsConfig::default(), Arc::clone(&stop));
+        let ts = pool(vec![e], 2, &stop);
         let shared = ts.shared();
         // Let the domain go idle first.
         std::thread::sleep(Duration::from_millis(30));
@@ -493,7 +486,7 @@ mod tests {
         for i in 0..100 {
             q.push(Message::data(Tuple::single(i), Timestamp::from_micros(i as u64))).unwrap();
         }
-        let ts = ThreadScheduler::start(vec![e], TsConfig::default(), Arc::clone(&stop));
+        let ts = pool(vec![e], 2, &stop);
         let shared = ts.shared();
         shared.wake(0);
         std::thread::sleep(Duration::from_millis(20));
@@ -503,10 +496,28 @@ mod tests {
     }
 
     #[test]
+    fn stopping_an_idle_pool_ends_its_workers_at_once() {
+        // No input: the first slice ends idle and nobody wakes the domain,
+        // so both workers sit in their 20 ms timed wait. The stop comes just
+        // after they began their second, which they would sit out nearly
+        // whole if nobody woke them.
+        let (e, _q, _h) = simple_domain("a");
+        let stop = Arc::new(StopFlag::new());
+        let ts = pool(vec![e], 2, &stop);
+        std::thread::sleep(Duration::from_millis(22));
+        let t0 = Instant::now();
+        ts.stop();
+        ts.join();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(10), "workers took {took:?} to see the stop");
+        assert!(stop.is_stopped());
+    }
+
+    #[test]
     fn priorities_adjust_at_runtime() {
         let (e, _q, _h) = simple_domain("a");
         let stop = Arc::new(StopFlag::new());
-        let ts = ThreadScheduler::start(vec![e], TsConfig::default(), Arc::clone(&stop));
+        let ts = pool(vec![e], 2, &stop);
         let shared = ts.shared();
         assert_eq!(shared.priority(0), 0);
         shared.set_priority(0, 42);
@@ -522,7 +533,7 @@ mod tests {
         // domain must wait for the slice to end instead of taking the
         // worker back after each hand-over.
         const N: u64 = 20_000;
-        let shared = TsShared::create(2, TsConfig { workers: 1, ..TsConfig::default() });
+        let shared = TsShared::create_with_obs(2, 1, Obs::disabled());
         let (downstream, mid, sink) = simple_domain("mid");
         let source = StreamQueue::unbounded("src");
         let feed = SlotInit::new(
@@ -550,20 +561,31 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_per_domain_runs_each_slice_until_idle() {
+        // One domain on one worker: nothing can wait for the worker, so the
+        // first slice takes the whole input, however many 1 ms slices its
+        // drain would fill.
+        const N: u64 = 50_000;
+        let (e, q, h) = simple_domain("a");
+        push_n(&q, N);
+        let shared = TsShared::create_with_obs(1, 1, Obs::disabled());
+        ThreadScheduler::spawn(Arc::clone(&shared), vec![e], Arc::new(StopFlag::new())).join();
+        assert_eq!(h.count(), N);
+        assert_eq!(shared.dispatches.get(), 1);
+    }
+
+    #[test]
     fn higher_priority_domain_preferred() {
         // One worker, two domains with lots of input; the high-priority one
         // should finish first (it gets the worker whenever both are
-        // runnable).
+        // runnable: aging makes up 1 000 priority points only after 100 s
+        // of waiting).
         let (e1, q1, h1) = simple_domain("low");
         let (e2, q2, h2) = simple_domain("high");
         let stop = Arc::new(StopFlag::new());
         push_n(&q1, 2000);
         push_n(&q2, 2000);
-        let ts = ThreadScheduler::start(
-            vec![e1, e2],
-            TsConfig { workers: 1, aging_rate: 0.0 },
-            Arc::clone(&stop),
-        );
+        let ts = pool(vec![e1, e2], 1, &stop);
         let shared = ts.shared();
         shared.set_priority(1, 1000);
         shared.wake(0);

@@ -253,8 +253,8 @@ pub fn chrome_trace_json(spans: &[SpanEvent], journal: &[EventRecord]) -> String
 /// sampled at a `netgen` client can be followed across the wire into the
 /// `serve` engine and out through egress on a single timeline.
 ///
-/// Track model, per process: one track per engine thread (worker,
-/// dedicated-domain, or source thread), identified by the shared
+/// Track model, per process: one track per engine thread (pool worker or
+/// source thread), identified by the shared
 /// per-thread token. On those tracks:
 ///
 /// * `ph:"X"` complete events for each operator-processing span of a

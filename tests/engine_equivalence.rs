@@ -1,7 +1,7 @@
 //! The central correctness property of the scheduling framework: the
 //! *results* of a continuous query are independent of the scheduling
 //! architecture. DI, decoupled DI, GTS (FIFO and Chain), OTS, and HMTS
-//! (dedicated and pooled) must produce the identical output multiset —
+//! (FIFO and Chain) must produce the identical output multiset —
 //! queues "do not have an impact on the semantics, but are only introduced
 //! for performance reasons" (paper §2.4).
 
@@ -35,8 +35,12 @@ fn all_plans(graph: &QueryGraph) -> Vec<(&'static str, ExecutionPlan)> {
         ("gts_lq", ExecutionPlan::gts(&topo, StrategyKind::LongestQueue)),
         ("ots", ExecutionPlan::ots(&topo)),
         (
-            "hmts_dedicated",
-            ExecutionPlan::hmts_dedicated(hmts_partitioning.clone(), StrategyKind::Fifo),
+            "hmts_thread_per_vo",
+            ExecutionPlan::hmts(
+                hmts_partitioning.clone(),
+                StrategyKind::Fifo,
+                hmts_partitioning.len(),
+            ),
         ),
         ("hmts_pooled", ExecutionPlan::hmts(hmts_partitioning, StrategyKind::Chain, 2)),
     ]

@@ -159,8 +159,7 @@ fn bounded_queue_block_is_lossless() {
 fn a_burst_longer_than_a_bounded_queue_reaches_a_pooled_consumer() {
     // A paced source whose elements share a due time hands them over as
     // one run — here twice what the `Block` queue holds. The consumer is a
-    // pooled VO, which runs only when its waker says so (a dedicated
-    // thread would look again after 10 ms on its own): it has to be woken
+    // pooled VO, which runs only when its waker says so: it has to be woken
     // for the first half *before* the source waits for room for the second.
     let burst = |at_ms: u64, values: std::ops::Range<i64>| {
         values.map(move |v| (Timestamp::from_millis(at_ms), Tuple::single(v)))

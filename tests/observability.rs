@@ -4,9 +4,9 @@
 //!
 //! * the scheduler-event journal holds the switch in causal order —
 //!   the `mode-switch` record precedes the `queue-drain` records of the
-//!   torn-down wiring, which precede the first pooled `dispatch` (under
-//!   GTS all domains are dedicated, so dispatches can only come from the
-//!   thread scheduler after the switch),
+//!   torn-down wiring, which precede every `dispatch` of domain 1 (GTS
+//!   has one domain, so only the HMTS wiring has a domain 1), and the
+//!   thread scheduler dispatches after the drain,
 //! * counts are exact and costs are sampled: the `node.<name>.processed`
 //!   gauge ends on exactly the elements each operator processed
 //!   (cross-checked against the engine's own stats), and the
@@ -66,27 +66,29 @@ fn journal_orders_switch_causally_and_histograms_match_stats() {
         .find(|r| r.event.kind() == "mode-switch")
         .map(|r| r.seq)
         .expect("journal records the mode switch");
-    let drain_seq = journal
-        .iter()
-        .filter(|r| r.event.kind() == "queue-drain")
+    let drains: Vec<u64> =
+        journal.iter().filter(|r| r.event.kind() == "queue-drain").map(|r| r.seq).collect();
+    assert!(!drains.is_empty(), "the switch drains the old wiring's queues");
+    assert!(drains.iter().all(|&s| s > switch_seq), "a queue drain precedes the mode switch");
+    let drain_seq = drains.iter().copied().max().expect("not empty");
+    // GTS runs on the thread scheduler too, so dispatches of its one
+    // domain come before the switch. Domain 1 exists only in the HMTS
+    // wiring: *every* dispatch of it postdates the drain, not just the
+    // first.
+    let dispatches = || journal.iter().filter(|r| r.event.kind() == "dispatch");
+    let of_domain_1 = |r: &&EventRecord| matches!(r.event, SchedEvent::Dispatch { domain: 1, .. });
+    let first_of_1 = dispatches()
+        .find(of_domain_1)
         .map(|r| r.seq)
-        .find(|&s| s > switch_seq)
-        .expect("the switch drains the old wiring's queues");
-    let dispatch_seq = journal
-        .iter()
-        .find(|r| r.event.kind() == "dispatch")
-        .map(|r| r.seq)
-        .expect("pooled HMTS domains go through the thread scheduler");
+        .expect("HMTS's second domain goes through the thread scheduler");
     assert!(
-        switch_seq < drain_seq && drain_seq < dispatch_seq,
-        "causal order violated: mode-switch seq {switch_seq}, queue-drain seq \
-         {drain_seq}, first dispatch seq {dispatch_seq}"
+        drain_seq < first_of_1,
+        "causal order violated: mode-switch seq {switch_seq}, last queue-drain seq \
+         {drain_seq}, first dispatch of domain 1 seq {first_of_1}"
     );
-    // Dedicated GTS never dispatches, so *every* dispatch postdates the
-    // switch, not just the first.
     assert!(
-        journal.iter().filter(|r| r.event.kind() == "dispatch").all(|r| r.seq > switch_seq),
-        "no dispatch may precede the GTS -> HMTS switch"
+        dispatches().filter(of_domain_1).all(|r| r.seq > drain_seq),
+        "no dispatch of domain 1 may precede the GTS -> HMTS switch's drain"
     );
 
     // --- gauge == elements processed, histogram == timed invocations ----
