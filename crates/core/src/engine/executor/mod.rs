@@ -106,16 +106,15 @@ pub struct InputQueue {
 
 /// Execution limits for one `run_slice` call. Only `max_messages` cuts a
 /// run short (a run is capped to what is left of it); everything else is
-/// looked at *between* runs — the flags after each run, the clock once a
-/// batch's worth of messages has gone through — so a slice overruns a
-/// raised flag by at most the run it was in, which is at most one batch.
+/// looked at *between* runs — the flags after each run, the clock after
+/// each popped batch — so a slice overruns a raised flag by at most the run
+/// it was in, which is at most one batch.
 #[derive(Clone, Default)]
 pub struct Budget {
     /// Stop after this many messages (0 = unlimited).
     pub max_messages: usize,
-    /// Stop at this instant — looked at after a re-delivery, and at the end
-    /// of the popped batch that brings the messages since the last look to
-    /// `batch`; a slice past it stops after less than two batches more.
+    /// Stop at this instant — looked at once per popped batch, so a slice
+    /// overruns it by at most one batch.
     pub deadline: Option<Instant>,
     /// Stop when this flag is raised (engine shutdown / mode switch) —
     /// looked at between two runs.
@@ -149,8 +148,7 @@ impl Budget {
                 .is_some_and(|y| y.load(std::sync::atomic::Ordering::Acquire))
     }
 
-    /// The limit checked once per batch's worth of messages, because it
-    /// costs a clock read.
+    /// The limit checked once per batch, because it costs a clock read.
     fn past_deadline(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
@@ -742,15 +740,11 @@ impl DomainExecutor {
     /// Runs the level-2 scheduling loop until the budget is exhausted, the
     /// inputs run dry, or the domain finishes. The unit at the queue
     /// boundary is the batch — one `pop_runs` per decision, one
-    /// `push_runs` per written queue target per batch — and inside it the
-    /// run: the rest of the budget is looked at between two runs, and only
-    /// `max_messages` cuts one short; what a cut-short batch leaves over
-    /// waits in `pending`, ahead of its queue. The deadline is looked at
-    /// after a re-delivery and after the popped batch that brings the
-    /// messages since the last look to `batch`: a domain that pops a few
-    /// messages from each of many queues reads the clock once per
-    /// `batch` messages, not once per queue. The sinks are told once, when
-    /// the slice ends.
+    /// `push_runs` per written queue target per batch, one look at the
+    /// deadline per batch — and inside it the run: the rest of the budget
+    /// is looked at between two runs, and only `max_messages` cuts one
+    /// short; what a cut-short batch leaves over waits in `pending`, ahead
+    /// of its queue. The sinks are told once, when the slice ends.
     pub fn run_slice(&mut self, budget: &Budget) -> RunOutcome {
         let mut processed = 0usize;
         let mut exceeded = false;
@@ -778,7 +772,6 @@ impl DomainExecutor {
             self.flush_staged();
             exceeded = exceeded || budget.past_deadline();
         }
-        let mut looked = processed;
 
         while !exceeded {
             self.view.clear();
@@ -800,10 +793,7 @@ impl DomainExecutor {
             exceeded = self.feed(slot, port, &mut inbox, budget, &mut processed);
             self.pending.extend(inbox.drain().map(|msg| (node, port, msg)));
             self.flush_staged();
-            if !exceeded && processed - looked >= self.batch {
-                looked = processed;
-                exceeded = budget.past_deadline();
-            }
+            exceeded = exceeded || budget.past_deadline();
         }
         self.inbox = inbox;
         self.end_slice();
@@ -971,53 +961,6 @@ mod tests {
         assert_eq!((out.len(), q.len()), (34, 36));
         assert_eq!(exec.run_slice(&late), RunOutcome::Budget);
         assert_eq!((out.len(), q.len()), (64, 36));
-    }
-
-    #[test]
-    fn a_late_slice_takes_a_batch_of_messages_across_queues() {
-        // Four filters, each behind a queue that holds one message.
-        let four = |batch| {
-            let out = StreamQueue::unbounded("out");
-            let queues: Vec<_> = (0..4).map(|i| StreamQueue::unbounded(format!("in{i}"))).collect();
-            let slots = (0..4)
-                .map(|i| {
-                    let to_out = Target::Queue { queue: Arc::clone(&out), wake: None };
-                    slot(i + 1, pass_all(), vec![to_out])
-                })
-                .collect();
-            let inputs = queues
-                .iter()
-                .enumerate()
-                .map(|(i, q)| InputQueue {
-                    queue: Arc::clone(q),
-                    node: NodeId(i + 1),
-                    port: 0,
-                    exhausted: false,
-                })
-                .collect();
-            let exec = DomainExecutor::new(
-                "d",
-                slots,
-                inputs,
-                StrategyKind::Fifo.build(None),
-                ExecConfig { batch, ..ExecConfig::default() },
-            );
-            for (i, q) in queues.iter().enumerate() {
-                q.push(data(i as i64, i as u64)).unwrap();
-            }
-            (exec, out)
-        };
-        // Already over when the slice starts: the four pops together are
-        // less than one batch (32), so no look at the clock comes between
-        // them.
-        let late = Budget { deadline: Some(Instant::now()), ..Budget::default() };
-        let (mut exec, out) = four(32);
-        assert_eq!(exec.run_slice(&late), RunOutcome::Idle);
-        assert_eq!(out.len(), 4);
-        // With a batch of 2, the look after the second pop ends the slice.
-        let (mut exec, out) = four(2);
-        assert_eq!(exec.run_slice(&late), RunOutcome::Budget);
-        assert_eq!(out.len(), 2);
     }
 
     /// A sink that writes down what it is told, in order: an element's

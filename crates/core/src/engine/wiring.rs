@@ -38,13 +38,14 @@ pub(super) struct Wiring {
 }
 
 impl Wiring {
-    /// Asks every thread of the wiring to end: raises its stop flag and
-    /// wakes the idle pool workers to see it. Teardown, an abort and the
-    /// end of a run all stop a wiring here.
+    /// Asks every thread of the wiring to end: raises its stop flag, and
+    /// with a pool does so through the pool, which wakes its idle workers
+    /// to see it. Teardown, an abort and the end of a run all stop a wiring
+    /// here.
     pub(super) fn stop(&self) {
-        self.stop.stop();
-        if let Some(ts) = &self.ts {
-            ts.stop();
+        match &self.ts {
+            Some(ts) => ts.stop(),
+            None => self.stop.stop(),
         }
     }
 }
