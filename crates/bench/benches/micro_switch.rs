@@ -3,8 +3,9 @@
 //! The paper (§4.2.2, §5.1.3) claims scheduling modes and queues can be
 //! changed at runtime "by interrupting the processing of the graph
 //! shortly". This bench quantifies "shortly" for this implementation: a
-//! full GTS ⇄ OTS switch — pause sources, quiesce executors, drain and
-//! re-seed queues, re-wire, resume — on a live 6-operator graph under load.
+//! full GTS ⇄ OTS switch — pause sources, quiesce executors, drain the
+//! queues, re-wire, carry what they held over, resume — on a live graph
+//! under load.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -14,8 +15,17 @@ use hmts::prelude::*;
 fn running_engine(ops: usize) -> Engine {
     let mut b = GraphBuilder::new();
     // A paced source slow enough to keep the engine alive for the whole
-    // bench (criterion stops long before the stream ends).
-    let src = b.source(VecSource::counting("src", 50_000_000, 50_000.0));
+    // bench (criterion stops long before the stream ends). It generates
+    // each element when it is due: criterion builds an engine per sample,
+    // and a stream held in memory would be built (and dropped) each time.
+    let arrivals = ArrivalProcess::constant(50_000.0);
+    let src = b.source(SyntheticSource::new(
+        "src",
+        arrivals,
+        TupleGen::uniform_int(0, 1000),
+        50_000_000,
+        1,
+    ));
     let mut prev = src;
     for i in 0..ops {
         prev = b.op_after(Filter::new(format!("f{i}"), Expr::bool(true)), prev);

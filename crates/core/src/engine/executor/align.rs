@@ -104,16 +104,14 @@ impl Align {
         slots: &mut [Slot],
         out: &mut Vec<(NodeId, usize, Message)>,
     ) {
-        let mut remnant = |node: NodeId, port: usize, work: Work| match work {
-            Work::Run(run) => out.extend(run.into_iter().map(|el| (node, port, Message::Data(el)))),
-            Work::Punct(p) => out.push((node, port, Message::Punct(p))),
-        };
         for (i, port, work) in std::mem::take(&mut self.replay) {
-            remnant(slots[i].state.node, port, work);
+            work.into_messages(slots[i].state.node, port, out);
         }
         for s in slots {
             if let Some(al) = s.align.state.take() {
-                al.held.into_iter().for_each(|(port, work)| remnant(s.state.node, port, work));
+                al.held
+                    .into_iter()
+                    .for_each(|(port, work)| work.into_messages(s.state.node, port, out));
             }
         }
     }

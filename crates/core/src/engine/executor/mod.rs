@@ -17,9 +17,12 @@
 //! consuming domain unless that is this one.
 //!
 //! The executor's `run_slice` is the level-2 scheduler: a pluggable
-//! [`Strategy`] picks which input queue to service next, and a [`Budget`]
-//! bounds the slice so the level-3 thread scheduler can preempt
-//! cooperatively at operator granularity.
+//! [`Strategy`] picks which input queue to service next, and a [`Budget`],
+//! looked at once per popped batch, bounds the slice so the level-3 thread
+//! scheduler can preempt cooperatively. A popped batch always goes through
+//! whole. Input a re-wiring carries over has no path of its own: it waits
+//! on the chain-reaction stack, which a slice works off before it pops a
+//! queue.
 //!
 //! This file is only that core. What is layered on it lives in one sibling
 //! module each, reached through one call per fixed point of the loop:
@@ -34,7 +37,6 @@ mod guard;
 mod probe;
 mod slot;
 
-use std::collections::VecDeque;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,23 +106,16 @@ pub struct InputQueue {
     pub exhausted: bool,
 }
 
-/// Execution limits for one `run_slice` call. Only `max_messages` cuts a
-/// run short (a run is capped to what is left of it); everything else is
-/// looked at *between* runs — the flags after each run, the clock after
-/// each popped batch — so a slice overruns a raised flag by at most the run
-/// it was in, which is at most one batch.
+/// Execution limits for one `run_slice` call, looked at together once per
+/// popped batch, which always goes through whole: a slice overruns a limit
+/// by at most one batch.
 #[derive(Clone, Default)]
 pub struct Budget {
-    /// Stop after this many messages (0 = unlimited).
-    pub max_messages: usize,
-    /// Stop at this instant — looked at once per popped batch, so a slice
-    /// overruns it by at most one batch.
+    /// Stop at this instant.
     pub deadline: Option<Instant>,
-    /// Stop when this flag is raised (engine shutdown / mode switch) —
-    /// looked at between two runs.
+    /// Stop when this flag is raised (engine shutdown / mode switch).
     pub stop: Option<Arc<StopFlag>>,
-    /// Stop when this flag is raised (level-3 cooperative preemption) —
-    /// looked at between two runs.
+    /// Stop when this flag is raised (level-3 cooperative preemption).
     pub yield_flag: Option<Arc<AtomicBool>>,
 }
 
@@ -130,27 +125,14 @@ impl Budget {
         Budget::default()
     }
 
-    /// How many more messages fit after `processed` of them.
-    fn room(&self, processed: usize) -> usize {
-        match self.max_messages {
-            0 => usize::MAX,
-            max => max.saturating_sub(processed),
-        }
-    }
-
-    /// The limits checked after every run: everything but the clock.
-    fn exceeded(&self, processed: usize) -> bool {
-        self.room(processed) == 0
-            || self.stop.as_ref().is_some_and(|s| s.is_stopped())
+    /// Whether a limit is reached: the flags first, then the clock.
+    fn exceeded(&self) -> bool {
+        self.stop.as_ref().is_some_and(|s| s.is_stopped())
             || self
                 .yield_flag
                 .as_ref()
                 .is_some_and(|y| y.load(std::sync::atomic::Ordering::Acquire))
-    }
-
-    /// The limit checked once per batch, because it costs a clock read.
-    fn past_deadline(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
+            || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -212,6 +194,17 @@ enum Work {
     Punct(Punctuation),
 }
 
+impl Work {
+    /// Appends this work to `out` as the messages it holds, bound for
+    /// `port` of `node` (a remnant of a re-wiring).
+    fn into_messages(self, node: NodeId, port: usize, out: &mut Vec<(NodeId, usize, Message)>) {
+        match self {
+            Work::Run(run) => out.extend(run.into_iter().map(|el| (node, port, Message::Data(el)))),
+            Work::Punct(p) => out.push((node, port, Message::Punct(p))),
+        }
+    }
+}
+
 /// Which slot hosts a node: a table indexed by node id (ids are graph
 /// indices, so it is as long as the domain's highest id and mostly full).
 #[derive(Default)]
@@ -256,11 +249,9 @@ pub struct DomainExecutor {
     /// The slot each input feeds, parallel to `inputs`.
     input_slots: Vec<Option<usize>>,
     strategy: Box<dyn Strategy>,
-    /// Messages to re-deliver before popping queues (seeded from drained
-    /// queues during a mode switch).
-    pending: VecDeque<(NodeId, usize, Message)>,
     /// The DI chain-reaction work stack, `(slot, port, work)`: what goes
-    /// next is on top.
+    /// next is on top. Empty between two slices, except for the input a
+    /// re-wiring carried over (see [`carry_in`](Self::carry_in)).
     stack: Vec<(usize, usize, Work)>,
     /// The run the slot being invoked works on; empty between two
     /// invocations. A run popped off `stack` becomes `current`, and the
@@ -287,8 +278,8 @@ pub struct DomainExecutor {
     /// The strategy's view of the inputs, refilled per decision.
     view: Vec<InputSlot>,
     /// What enters the domain at one port in one go — a batch popped for
-    /// a decision, an injected run or message, a stretch of re-delivery —
-    /// on its way to [`feed`](Self::feed) (reused).
+    /// a decision, an injected run or message — on its way to
+    /// [`feed`](Self::feed) (reused).
     inbox: Batch,
     /// Messages popped per strategy decision.
     batch: usize,
@@ -322,7 +313,6 @@ impl DomainExecutor {
             slot_of,
             inputs,
             strategy,
-            pending: VecDeque::new(),
             stack: Vec::new(),
             current: Vec::new(),
             out: Output::new(),
@@ -350,10 +340,30 @@ impl DomainExecutor {
         &self.name
     }
 
-    /// Queues a message for delivery before normal queue consumption (used
-    /// to re-seed in-flight messages across a mode switch).
-    pub fn seed(&mut self, node: NodeId, port: usize, msg: Message) {
-        self.pending.push_back((node, port, msg));
+    /// Takes out of `carry` — the input a re-wiring carried over, in the
+    /// order it is to go through — what is bound for the nodes this domain
+    /// hosts, and puts it on the stack as runs of up to a batch and
+    /// punctuations, where the next slice works it off before it pops a
+    /// queue. The rest is left for the other domains.
+    pub(crate) fn carry_in(&mut self, carry: &mut Vec<(NodeId, usize, Message)>) {
+        debug_assert!(self.stack.is_empty(), "carry comes before the first slice");
+        let mut work: Vec<(usize, usize, Work)> = Vec::new();
+        for (node, port, msg) in std::mem::take(carry) {
+            let Some(i) = self.slot_of.get(node) else {
+                carry.push((node, port, msg));
+                continue;
+            };
+            match (msg, work.last_mut()) {
+                (Message::Data(el), Some((j, p, Work::Run(run))))
+                    if (*j, *p) == (i, port) && run.len() < self.batch =>
+                {
+                    run.push(el)
+                }
+                (Message::Data(el), _) => work.push((i, port, Work::Run(vec![el]))),
+                (Message::Punct(p), _) => work.push((i, port, Work::Punct(p))),
+            }
+        }
+        self.stack.extend(work.into_iter().rev());
     }
 
     /// Synchronously processes one message through the domain (the DI chain
@@ -381,75 +391,55 @@ impl DomainExecutor {
 
     fn inject_inbox(&mut self, node: NodeId, port: usize, inbox: &mut Batch) {
         let slot = self.slot_of.get(node).ok_or(node);
-        self.feed(slot, port, inbox, &Budget::unlimited(), &mut 0);
+        self.feed(slot, port, inbox);
         self.flush_staged();
         self.end_slice();
     }
 
-    /// Puts `batch` — all bound for `port` of `slot` — through the domain in
-    /// order: the data up to the next punctuation as one run (cut where
-    /// `budget.max_messages` is used up; a whole run by a buffer swap), the
-    /// punctuation behind it in the same chain reaction. What went through
-    /// is added to `done`; the budget is looked at after each chain
-    /// reaction, and once it is exceeded (the return value) what is left
-    /// stays in `batch`. Output for queue targets is only staged; the
-    /// caller owes a [`flush_staged`](Self::flush_staged) before it returns
-    /// control. Messages for a node the domain does not host (`Err`) are a
-    /// routing bug: recorded once and dropped.
-    fn feed(
-        &mut self,
-        slot: Result<usize, NodeId>,
-        port: usize,
-        batch: &mut Batch,
-        budget: &Budget,
-        done: &mut usize,
-    ) -> bool {
+    /// Puts `batch` — all bound for `port` of `slot` — through the domain
+    /// whole and in order, leaving it empty: the data up to the next
+    /// punctuation as one run (a whole run by a buffer swap), the
+    /// punctuation behind it in the same chain reaction. Output for queue
+    /// targets is only staged; the caller owes a
+    /// [`flush_staged`](Self::flush_staged) before it returns control.
+    /// Messages for a node the domain does not host (`Err`) are a routing
+    /// bug: recorded once and dropped.
+    fn feed(&mut self, slot: Result<usize, NodeId>, port: usize, batch: &mut Batch) {
+        let Batch { run, puncts } = batch;
         let slot = match slot {
             Ok(i) => i,
             Err(node) => {
                 self.record_error(no_slot(node));
-                *done += batch.len();
-                batch.run.clear();
-                batch.puncts.clear();
-                return budget.exceeded(*done);
+                run.clear();
+                return puncts.clear();
             }
         };
         debug_assert!(self.stack.is_empty());
-        debug_assert!(budget.room(*done) > 0, "fed only while the budget has room");
-        let Batch { run, puncts } = batch;
         // Elements taken off the front of `run`, punctuations fed.
         let (mut taken, mut next) = (0, 0);
         loop {
-            let room = budget.room(*done);
-            let until = puncts.get(next).map_or(run.len(), |&(at, _)| at - taken);
-            let n = until.min(room);
-            // The punctuation goes under the run, that is behind it —
-            // unless the run used up the room.
-            let punct = until < room && next < puncts.len();
-            if punct {
-                self.stack.push((slot, port, Work::Punct(puncts[next].1)));
+            let (until, punct) = match puncts.get(next) {
+                Some(&(at, p)) => (at - taken, Some(p)),
+                None => (run.len(), None),
+            };
+            // The punctuation goes under the run, that is behind it.
+            if let Some(p) = punct {
+                self.stack.push((slot, port, Work::Punct(p)));
                 next += 1;
             }
-            if n > 0 {
+            if until > 0 {
                 let mut part = self.spare.pop().unwrap_or_default();
-                if n == run.len() {
+                if until == run.len() {
                     std::mem::swap(run, &mut part);
                 } else {
-                    part.extend(run.drain(..n));
+                    part.extend(run.drain(..until));
                 }
                 self.stack.push((slot, port, Work::Run(part)));
-                taken += n;
-            } else if !punct {
-                puncts.clear();
-                return false;
+                taken += until;
+            } else if punct.is_none() {
+                return puncts.clear();
             }
-            *done += n + usize::from(punct);
             self.react();
-            if budget.exceeded(*done) {
-                puncts.drain(..next);
-                puncts.iter_mut().for_each(|(at, _)| *at -= taken);
-                return true;
-            }
         }
     }
 
@@ -477,15 +467,22 @@ impl DomainExecutor {
         }
     }
 
-    /// Delivers punctuation `p` to slot `i` on `port`. A closed slot takes
-    /// no more input, a port held by barrier alignment holds it.
+    /// Delivers punctuation `p` to slot `i` on `port`. A port held by
+    /// barrier alignment holds it, a closed slot takes no more input. An
+    /// EOS exhausts the input queue of the port it reaches, whether it was
+    /// popped from that queue or carried over a re-wiring.
     fn dispatch(&mut self, i: usize, port: usize, p: Punctuation) {
         let slot = &mut self.slots[i];
-        if slot.state.closed {
-            return;
-        }
-        if slot.align.holds(port) {
+        if !slot.state.closed && slot.align.holds(port) {
             return slot.align.hold(port, Work::Punct(p));
+        }
+        if p == Punctuation::EndOfStream {
+            for (q, &s) in self.inputs.iter_mut().zip(&self.input_slots) {
+                q.exhausted |= s == Some(i) && q.port == port;
+            }
+        }
+        if self.slots[i].state.closed {
+            return;
         }
         match p {
             Punctuation::EndOfStream => {
@@ -729,50 +726,29 @@ impl DomainExecutor {
     /// Whether every input queue has delivered end-of-stream and every
     /// operator has completed.
     pub fn is_finished(&self) -> bool {
-        self.pending.is_empty() && self.inputs.iter().all(|q| q.exhausted) && self.live == 0
+        self.stack.is_empty() && self.inputs.iter().all(|q| q.exhausted) && self.live == 0
     }
 
-    /// Whether any input has work pending right now.
+    /// Whether any input — carried or queued — has work pending right now.
     pub fn has_work(&self) -> bool {
-        !self.pending.is_empty() || self.inputs.iter().any(|q| !q.exhausted && !q.queue.is_empty())
+        !self.stack.is_empty() || self.inputs.iter().any(|q| !q.exhausted && !q.queue.is_empty())
     }
 
     /// Runs the level-2 scheduling loop until the budget is exhausted, the
     /// inputs run dry, or the domain finishes. The unit at the queue
     /// boundary is the batch — one `pop_runs` per decision, one
     /// `push_runs` per written queue target per batch, one look at the
-    /// deadline per batch — and inside it the run: the rest of the budget
-    /// is looked at between two runs, and only `max_messages` cuts one
-    /// short; what a cut-short batch leaves over waits in `pending`, ahead
-    /// of its queue. The sinks are told once, when the slice ends.
+    /// budget per batch — and a popped batch always goes through whole.
+    /// Carried input goes first, and counts as the slice's first batch.
+    /// The sinks are told once, when the slice ends.
     pub fn run_slice(&mut self, budget: &Budget) -> RunOutcome {
-        let mut processed = 0usize;
         let mut exceeded = false;
-
-        // Re-delivery first, neighbours bound for the same port together.
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut inbox = std::mem::take(&mut self.inbox);
-        while let (false, Some(&(node, port, _))) = (exceeded, pending.front()) {
-            while pending.front().is_some_and(|m| (m.0, m.1) == (node, port)) {
-                inbox.push(pending.pop_front().expect("just looked at it").2);
-            }
-            let slot = self.slot_of.get(node).ok_or(node);
-            exceeded = self.feed(slot, port, &mut inbox, budget, &mut processed);
-            if !inbox.is_empty() {
-                // Cut short: the rest goes back in front.
-                let mut rest: VecDeque<_> = inbox.drain().map(|msg| (node, port, msg)).collect();
-                rest.append(&mut pending);
-                pending = rest;
-            }
-        }
-        self.pending = pending;
-        // However late it is, a slice does one batch's worth of work; what
-        // was re-delivered above counts as that batch.
-        if processed > 0 {
+        if !self.stack.is_empty() {
+            self.react();
             self.flush_staged();
-            exceeded = exceeded || budget.past_deadline();
+            exceeded = budget.exceeded();
         }
-
+        let mut inbox = std::mem::take(&mut self.inbox);
         while !exceeded {
             self.view.clear();
             self.view.extend(self.inputs.iter().map(|q| InputSlot {
@@ -783,17 +759,12 @@ impl DomainExecutor {
             let Some(i) = self.strategy.select(&self.view) else {
                 break;
             };
-            let (node, port) = (self.inputs[i].node, self.inputs[i].port);
-            let slot = self.input_slots[i].ok_or(node);
+            let slot = self.input_slots[i].ok_or(self.inputs[i].node);
             self.inputs[i].queue.pop_runs(self.batch, &mut inbox);
             self.probe.queue_exit(&inbox.run, i);
-            if inbox.puncts.iter().any(|&(_, p)| p == Punctuation::EndOfStream) {
-                self.inputs[i].exhausted = true;
-            }
-            exceeded = self.feed(slot, port, &mut inbox, budget, &mut processed);
-            self.pending.extend(inbox.drain().map(|msg| (node, port, msg)));
+            self.feed(slot, self.inputs[i].port, &mut inbox);
             self.flush_staged();
-            exceeded = exceeded || budget.past_deadline();
+            exceeded = budget.exceeded();
         }
         self.inbox = inbox;
         self.end_slice();
@@ -816,14 +787,16 @@ impl DomainExecutor {
     }
 
     /// Drains all input queues, returning the in-flight messages together
-    /// with their destination. Called during a mode switch after producers
-    /// have stopped.
+    /// with their destination, FIFO within each. Called during a mode
+    /// switch after producers have stopped.
     pub fn take_input_remnants(&mut self) -> Vec<(NodeId, usize, Message)> {
         // Input held back by an alignment was delivered before anything
-        // still pending, so it goes first.
+        // still to come, so it goes first; then a carry no slice took yet.
         let mut out = Vec::new();
         self.align.take_remnants(&mut self.slots, &mut out);
-        out.extend(std::mem::take(&mut self.pending));
+        for (i, port, work) in self.stack.drain(..).rev() {
+            work.into_messages(self.slots[i].state.node, port, &mut out);
+        }
         for q in &mut self.inputs {
             for msg in q.queue.drain() {
                 out.push((q.node, q.port, msg));
@@ -875,6 +848,13 @@ mod tests {
 
     /// Filter chain 1 -> 2 -> sink 3, all inline (one VO), fed by queue q.
     fn di_chain() -> (DomainExecutor, Arc<StreamQueue>, hmts_operators::sink::SinkHandle) {
+        di_chain_popping(ExecConfig::default().batch)
+    }
+
+    /// [`di_chain`], popping `batch` messages per decision.
+    fn di_chain_popping(
+        batch: usize,
+    ) -> (DomainExecutor, Arc<StreamQueue>, hmts_operators::sink::SinkHandle) {
         let (sink, handle) = CollectingSink::new("sink");
         let q = StreamQueue::unbounded("in");
         let slots = vec![
@@ -897,9 +877,14 @@ mod tests {
             slots,
             inputs,
             StrategyKind::Fifo.build(None),
-            ExecConfig::default(),
+            ExecConfig { batch, ..ExecConfig::default() },
         );
         (exec, q, handle)
+    }
+
+    /// A budget whose yield flag is raised: a slice does one batch.
+    fn raised_yield_flag() -> Budget {
+        Budget { yield_flag: Some(Arc::new(AtomicBool::new(true))), ..Budget::default() }
     }
 
     #[test]
@@ -931,11 +916,11 @@ mod tests {
 
     #[test]
     fn budget_limits_slice() {
-        let (mut exec, q, handle) = di_chain();
+        let (mut exec, q, handle) = di_chain_popping(10);
         for i in 0..100 {
             q.push(data(50, i)).unwrap();
         }
-        let budget = Budget { max_messages: 10, ..Budget::default() };
+        let budget = raised_yield_flag();
         assert_eq!(exec.run_slice(&budget), RunOutcome::Budget);
         assert_eq!(handle.count(), 10);
         // Remaining work completes on the next slices.
@@ -955,12 +940,11 @@ mod tests {
         let late = Budget { deadline: Some(Instant::now()), ..Budget::default() };
         assert_eq!(exec.run_slice(&late), RunOutcome::Budget);
         assert_eq!((out.len(), q.len()), (32, 68));
-        // What a cut-short batch left in `pending` counts as that batch.
-        let cut = Budget { max_messages: 2, ..Budget::default() };
-        assert_eq!(exec.run_slice(&cut), RunOutcome::Budget);
-        assert_eq!((out.len(), q.len()), (34, 36));
-        assert_eq!(exec.run_slice(&late), RunOutcome::Budget);
+        // A raised flag is looked at in the same place, with the clock.
+        assert_eq!(exec.run_slice(&raised_yield_flag()), RunOutcome::Budget);
         assert_eq!((out.len(), q.len()), (64, 36));
+        assert_eq!(exec.run_slice(&late), RunOutcome::Budget);
+        assert_eq!((out.len(), q.len()), (96, 4));
     }
 
     /// A sink that writes down what it is told, in order: an element's
@@ -1024,11 +1008,10 @@ mod tests {
         for v in 0..5 {
             q.push(data(v, v as u64)).unwrap();
         }
-        let cut = Budget { max_messages: 3, ..Budget::default() };
-        assert_eq!(exec.run_slice(&cut), RunOutcome::Budget);
-        assert_eq!(*log.lock(), "012|");
+        assert_eq!(exec.run_slice(&raised_yield_flag()), RunOutcome::Budget);
+        assert_eq!(*log.lock(), "0123|");
         assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
-        assert_eq!(*log.lock(), "012|34|");
+        assert_eq!(*log.lock(), "0123|4|");
         // A closed sink is left alone.
         log.lock().clear();
         q.push(Message::eos()).unwrap();
@@ -1045,19 +1028,20 @@ mod tests {
         }
         let stop = Arc::new(StopFlag::new());
         stop.stop();
-        // The flags are read between two runs, like the deadline: raised
-        // before the slice starts, the slice still does its first run —
-        // here a whole batch of the default 32 — and not a message more.
+        // The flags are read once per popped batch, like the deadline:
+        // raised before the slice starts, the slice still does its first
+        // batch of the default 32 — and not a message more.
         let budget = Budget { stop: Some(Arc::clone(&stop)), ..Budget::default() };
         assert_eq!(exec.run_slice(&budget), RunOutcome::Budget);
         assert_eq!((handle.count(), q.len()), (32, 68));
-        // A punctuation ends a run, so the flag is seen behind it.
+        // A punctuation inside the batch does not cut it.
         let (mut exec, q, handle) = di_chain();
         q.push(data(50, 0)).unwrap();
         q.push(Message::Punct(Punctuation::Watermark(Timestamp::from_micros(1)))).unwrap();
         q.push(data(50, 2)).unwrap();
-        assert_eq!(exec.run_slice(&budget), RunOutcome::Budget);
-        assert_eq!((handle.count(), q.len()), (1, 0), "the third message waits in `pending`");
+        q.push(data(50, 3)).unwrap();
+        assert_eq!(exec.run_slice(&budget), RunOutcome::Idle);
+        assert_eq!((handle.count(), q.len()), (3, 0), "the batch went through whole");
     }
 
     #[test]
@@ -1067,8 +1051,9 @@ mod tests {
         assert_eq!(handle.count(), 1);
         exec.inject(NodeId(1), 0, Message::eos());
         assert!(handle.is_done());
-        // The domain still has an unexhausted input queue, so not finished.
-        assert!(!exec.is_finished());
+        // The port took EOS, so the input queue feeding it is exhausted
+        // too, whichever path brought the EOS.
+        assert!(exec.is_finished());
     }
 
     #[test]
@@ -1216,7 +1201,6 @@ mod tests {
         assert_eq!(handle.count(), 3, "the hosted branch is served");
         // The same goes for an entry point naming such a node.
         exec.inject(NodeId(7), 0, data(0, 9));
-        exec.seed(NodeId(7), 0, data(0, 9));
         assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Idle);
         assert_eq!(exec.error(), Some(&StreamError::Other("no slot for node n9".into())));
         exec.inject(NodeId(1), 0, Message::eos());
@@ -1336,10 +1320,10 @@ mod tests {
         exec.run_slice(&Budget::unlimited());
         q.push(data(60, 2)).unwrap();
         q.push(data(70, 3)).unwrap();
-        exec.seed(NodeId(2), 0, data(80, 4));
+        exec.carry_in(&mut vec![(NodeId(2), 0, data(80, 4))]);
         let remnants = exec.take_input_remnants();
         assert_eq!(remnants.len(), 3);
-        assert_eq!(remnants[0].0, NodeId(2)); // pending first
+        assert_eq!(remnants[0].0, NodeId(2)); // the carry first
         assert_eq!(remnants[1].0, NodeId(1));
         let states = exec.extract();
         assert_eq!(states.len(), 3);
@@ -1397,50 +1381,48 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn budget_cut_batch_is_delivered_and_its_rest_survives_a_rewiring() {
-        let (mut exec, q, out, waker) = queue_stage(pass_all());
-        for v in 1..=5 {
-            q.push(data(v, v as u64)).unwrap();
-        }
-        let one = Budget { max_messages: 1, ..Budget::default() };
-        assert_eq!(exec.run_slice(&one), RunOutcome::Budget);
-        // The whole batch left the input queue, one message was processed,
-        // and its output is in the downstream queue already.
-        assert_eq!(q.len(), 0);
-        assert_eq!(out.len(), 1);
-        assert_eq!(waker.0.load(Ordering::Relaxed), 1);
-        assert!(exec.has_work());
-        q.push(data(6, 6)).unwrap();
-        // A re-wiring right now finds the rest of the batch, in order and
-        // ahead of what is still queued.
-        let remnants: Vec<i64> = exec
-            .take_input_remnants()
-            .into_iter()
-            .map(|(node, port, m)| {
-                assert_eq!((node, port), (NodeId(1), 0));
-                m.as_data().unwrap().tuple.field(0).as_int().unwrap()
-            })
-            .collect();
-        assert_eq!(remnants, vec![2, 3, 4, 5, 6]);
-        assert_eq!(exec.extract().len(), 1);
-        assert_eq!(contents(&out), ["1"]);
+    /// `(node, port, message)` as `"<node>:<value or E>"`.
+    fn labels(msgs: &[(NodeId, usize, Message)]) -> Vec<String> {
+        let label =
+            |m: &Message| m.as_data().map_or("E".into(), |el| el.tuple.field(0).to_string());
+        msgs.iter().map(|(node, _, m)| format!("{}:{}", node.0, label(m))).collect()
     }
 
     #[test]
-    fn budget_cut_batch_resumes_in_order() {
-        let (mut exec, q, out, _) = queue_stage(pass_all());
-        for v in 1..=5 {
-            q.push(data(v, v as u64)).unwrap();
-        }
-        q.push(Message::eos()).unwrap();
-        let two = Budget { max_messages: 2, ..Budget::default() };
-        let mut slices = 0;
-        while exec.run_slice(&two) != RunOutcome::Finished {
-            slices += 1;
-            assert_eq!(out.len(), 2 * slices, "each slice delivers what it processed");
-        }
-        assert_eq!(contents(&out), ["1", "2", "3", "4", "5", "E"]);
+    fn a_carry_for_two_chained_slots_goes_through_downstream_first() {
+        // As a GTS wiring leaves it — node 1's input queue holding 50, 60
+        // and EOS, the queue to node 2 the older 20, 30 — and as
+        // `build_wiring` orders it: the downstream destination first, or
+        // node 1's output, reaching node 2 inline, would overtake its
+        // carry. Node 9's is another domain's.
+        let carry = || {
+            vec![
+                (NodeId(2), 0, data(20, 1)),
+                (NodeId(9), 0, data(99, 1)),
+                (NodeId(2), 0, data(30, 2)),
+                (NodeId(1), 0, data(50, 3)),
+                (NodeId(1), 0, data(60, 4)),
+                (NodeId(1), 0, Message::eos()),
+            ]
+        };
+        let (mut exec, q, handle) = di_chain();
+        let mut rest = carry();
+        exec.carry_in(&mut rest);
+        assert_eq!(labels(&rest), ["9:99"]);
+        assert!(exec.has_work() && !exec.is_finished());
+        // Torn down before its first slice, a domain hands its carry on
+        // unchanged.
+        let mut handed_on = exec.take_input_remnants();
+        assert_eq!(labels(&handed_on), ["2:20", "2:30", "1:50", "1:60", "1:E"]);
+        assert!(!exec.has_work());
+        // The carried EOS closes node 1's port, and with it the input
+        // queue feeding it: nothing more comes from there.
+        exec.carry_in(&mut handed_on);
+        assert_eq!(exec.run_slice(&Budget::unlimited()), RunOutcome::Finished);
+        let vals: Vec<i64> =
+            handle.elements().iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect();
+        assert_eq!(vals, [20, 30, 50, 60]);
+        assert!(handle.is_done() && q.is_empty());
     }
 
     #[test]

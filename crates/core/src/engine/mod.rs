@@ -6,9 +6,9 @@
 //! between these approaches during runtime"): sources are paused at an
 //! element boundary, executors are quiesced and drained, in-flight messages
 //! and per-operator end-of-stream state are carried into the freshly wired
-//! structure, and processing resumes. Queue removal honors the paper's
-//! §5.1.3 requirement that remaining elements are processed (they are
-//! re-seeded into the merged partition).
+//! structure, and processing resumes — every element once, in order. Queue
+//! removal honors the paper's §5.1.3 requirement that remaining elements
+//! are processed (they are carried into the merged partition).
 
 //!
 //! This file is the public surface: configuration, errors, the run report
@@ -57,10 +57,10 @@ pub struct QueueBound {
     /// Maximum queued messages per queue.
     pub capacity: usize,
     /// What happens when a queue is full. `Block` propagates backpressure
-    /// to the producing partition (note: a runtime plan switch closes
-    /// queues to unblock stalled producers, so an element mid-push can be
-    /// dropped then — lossless switching requires unbounded queues or a
-    /// drop-free workload); the `Drop*` policies shed load.
+    /// to the producing partition, losslessly across a runtime plan switch
+    /// too: teardown lifts the bounds, so a producer stalled mid-push
+    /// finishes its push and the element is carried over with the rest;
+    /// the `Drop*` policies shed load.
     pub policy: hmts_streams::queue::BackpressurePolicy,
 }
 
@@ -551,8 +551,8 @@ impl Engine {
     }
 
     /// Switches the running engine to a new plan: pauses sources, quiesces
-    /// and drains the current wiring, re-wires, re-seeds in-flight messages,
-    /// and resumes. This is the paper's runtime GTS ⇄ OTS ⇄ HMTS switch.
+    /// and drains the current wiring, re-wires, carries in-flight messages
+    /// over, and resumes. This is the paper's runtime GTS ⇄ OTS ⇄ HMTS switch.
     pub fn switch_plan(&mut self, plan: ExecutionPlan) -> Result<(), EngineError> {
         if self.started_at.is_none() {
             return Err(EngineError::NotStarted);
@@ -569,9 +569,9 @@ impl Engine {
         });
         self.cfg.obs.counter("engine.plan_switches").inc();
         self.gate.pause_and_wait();
-        let seeds = self.teardown_wiring();
+        let carry = self.teardown_wiring();
         self.plan = plan;
-        self.build_wiring(seeds);
+        self.build_wiring(carry);
         self.gate.resume();
         Ok(())
     }

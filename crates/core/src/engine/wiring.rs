@@ -1,8 +1,11 @@
 //! Wiring: turning the current plan into executors, queues and threads, and
 //! taking that structure apart again — for a runtime plan switch (the
-//! operators and in-flight messages are carried into the next wiring) or at
+//! operators and in-flight messages are carried into the next wiring, the
+//! messages onto the stacks of the executors now hosting their
+//! destinations, so every element goes through once and in order) or at
 //! the end of the run.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -16,7 +19,9 @@ use hmts_obs::SchedEvent;
 use hmts_streams::element::Message;
 use hmts_streams::queue::{BackpressurePolicy, StreamQueue};
 
-use super::executor::{Attach, DomainExecutor, ExecConfig, InputQueue, SlotInit, Target, Waker};
+use super::executor::{
+    Attach, Budget, DomainExecutor, ExecConfig, InputQueue, SlotInit, Target, Waker,
+};
 use super::source_driver::SourceTarget;
 use super::sync::StopFlag;
 use super::{Engine, EngineError};
@@ -51,9 +56,11 @@ impl Wiring {
 }
 
 impl Engine {
-    /// Wires the current plan into executors, queues, and threads, seeding
-    /// in-flight messages carried over from the previous wiring.
-    pub(super) fn build_wiring(&mut self, seeds: Vec<(NodeId, usize, Message)>) {
+    /// Wires the current plan into executors, queues, and threads, handing
+    /// each executor its share of the input `carry` from the previous
+    /// wiring (FIFO within one `(node, port)`), which it works off before
+    /// anything else.
+    pub(super) fn build_wiring(&mut self, mut carry: Vec<(NodeId, usize, Message)>) {
         let stop = Arc::new(StopFlag::new());
         let cost_graph = self.cost_graph();
         let mut stall_watch =
@@ -196,12 +203,16 @@ impl Engine {
             ck.live_slots().store(total_live, Ordering::Release);
         }
 
-        // Seed in-flight messages into the domains that now own their
-        // destination operators.
-        for (node, port, msg) in seeds {
-            if let Some(&d) = node_domain.get(&node) {
-                executors[d].lock().seed(node, port, msg);
-            }
+        // Carried input goes to the executors that now host its
+        // destination, in reverse topological order of the destinations (a
+        // stable sort, so FIFO within one): what a downstream node holds
+        // goes through before anything an upstream one emits can reach it.
+        let mut rank = vec![0; self.topo.node_count()];
+        let order = cost_graph.topological_order().expect("a validated graph is acyclic");
+        order.iter().enumerate().for_each(|(r, &v)| rank[v] = r);
+        carry.sort_by_key(|&(node, ..)| Reverse(rank[node.0]));
+        for exec in &executors {
+            exec.lock().carry_in(&mut carry);
         }
 
         // Source targets.
@@ -228,6 +239,16 @@ impl Engine {
             ThreadScheduler::spawn(shared, pool_execs, Arc::clone(&stop))
         });
         let stall_monitor = stall_watch.map(|w| w.spawn(Arc::clone(&stop)));
+        // A source-driven domain runs only when a source delivers: its carry
+        // goes through now, while the sources are paused, so no new run
+        // overtakes it, and even when every source has finished. The pool is
+        // running, so a bounded queue it feeds drains.
+        for (exec, spec) in executors.iter().zip(&self.plan.domains) {
+            let mut exec = exec.lock();
+            if spec.execution == DomainExecution::SourceDriven && exec.has_work() {
+                exec.run_slice(&Budget { stop: Some(Arc::clone(&stop)), ..Budget::default() });
+            }
+        }
 
         self.publish_view(&queue_for);
         self.register_collectors(&queues);
@@ -275,7 +296,8 @@ impl Engine {
     }
 
     /// Stops and joins the current wiring, returning all in-flight messages
-    /// and parking every operator's state back in the engine.
+    /// (the carry into the next wiring) and parking every operator's state
+    /// back in the engine.
     pub(super) fn teardown_wiring(&mut self) -> Vec<(NodeId, usize, Message)> {
         let Some(mut wiring) = self.wiring.take() else {
             return Vec::new();
@@ -298,16 +320,16 @@ impl Engine {
             });
         }
         self.cfg.obs.clear_collectors();
-        let mut seeds = Vec::new();
+        let mut carry = Vec::new();
         for exec in &wiring.executors {
             let mut e = exec.lock();
-            seeds.extend(e.take_input_remnants());
+            carry.extend(e.take_input_remnants());
             for state in e.extract() {
                 let n = state.node.0;
                 self.slots[n] = Some(state);
             }
         }
-        seeds
+        carry
     }
 
     /// Joins a thread handle, converting a panic payload into a recorded

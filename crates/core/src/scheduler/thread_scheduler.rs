@@ -328,7 +328,6 @@ fn worker_loop(
         let yield_flag = Arc::clone(&shared.yield_flags[d]);
         yield_flag.store(false, Ordering::Release);
         let budget = Budget {
-            max_messages: 0,
             deadline: shared.contended.then(|| Instant::now() + SLICE),
             stop: Some(Arc::clone(stop)),
             yield_flag: Some(Arc::clone(&yield_flag)),

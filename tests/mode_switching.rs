@@ -1,15 +1,17 @@
 //! Runtime mode switching (paper §4.2.2): "We can seamlessly switch between
 //! these approaches during runtime." These tests switch a *running* engine
-//! between GTS, OTS, DI, and HMTS mid-stream and verify exactly-once
-//! results, correct draining of removed queues (§5.1.3), and clean
-//! completion.
+//! between GTS, OTS, DI, and HMTS mid-stream and verify exactly-once,
+//! in-order results, correct draining of removed queues (§5.1.3), and
+//! clean completion. Every graph here is a single chain, so the sink's
+//! arrival order is the stream's order under every plan.
 
-#[path = "common/mod.rs"]
-mod common;
-
-use common::collected_values;
 use hmts::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The integer payloads a sink collected, in arrival order.
+fn arrivals(handle: &SinkHandle) -> Vec<i64> {
+    handle.elements().iter().map(|e| e.tuple.field(0).as_int().unwrap()).collect()
+}
 
 /// Source slow enough that switches happen mid-stream: `count` elements at
 /// `rate` el/s, values 0..count.
@@ -43,7 +45,7 @@ fn run_with_switches(count: u64, rate: f64, interval: Duration, plans: Vec<Execu
     let report = engine.wait();
     assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
     assert!(handle.is_done(), "sink saw EOS after switches");
-    assert_eq!(collected_values(&handle), expected_evens(count), "exactly-once");
+    assert_eq!(arrivals(&handle), expected_evens(count), "exactly-once, in order");
     // Every wiring's executors booked into the same statistics cells, each
     // taking over where the last one stopped: the counts cover the whole
     // stream, once.
@@ -129,7 +131,7 @@ fn queue_drain_on_switch_loses_nothing() {
     engine.switch_plan(ExecutionPlan::di_decoupled(&topo)).expect("switch");
     let report = engine.wait();
     assert!(report.errors.is_empty());
-    assert_eq!(collected_values(&handle), expected_evens(50_000));
+    assert_eq!(arrivals(&handle), expected_evens(50_000));
 }
 
 #[test]
@@ -148,7 +150,7 @@ fn switch_after_completion_is_safe() {
     engine.switch_plan(ExecutionPlan::ots(&topo)).expect("switch after EOS");
     let report = engine.wait();
     assert!(report.errors.is_empty());
-    assert_eq!(collected_values(&handle), expected_evens(100));
+    assert_eq!(arrivals(&handle), expected_evens(100));
 }
 
 #[test]
@@ -163,7 +165,7 @@ fn switch_rejects_invalid_plan_and_keeps_running() {
     assert!(matches!(engine.switch_plan(bad), Err(EngineError::InvalidPlan(_))));
     let report = engine.wait();
     assert!(report.errors.is_empty());
-    assert_eq!(collected_values(&handle), expected_evens(2_000));
+    assert_eq!(arrivals(&handle), expected_evens(2_000));
 }
 
 #[test]
@@ -188,7 +190,7 @@ fn priorities_adjust_at_runtime() {
     engine.set_domain_priority(0, -10);
     let report = engine.wait();
     assert!(report.errors.is_empty());
-    assert_eq!(collected_values(&handle), expected_evens(2_000));
+    assert_eq!(arrivals(&handle), expected_evens(2_000));
 }
 
 #[test]
@@ -233,4 +235,169 @@ fn many_operator_rapid_switching() {
     }
     let report = engine.abort();
     assert!(report.errors.is_empty());
+}
+
+/// A plan to switch to, built from the graph's topology.
+type PlanOf = fn(&Topology) -> ExecutionPlan;
+
+/// Switches a running engine through `plans`, 2 ms apart.
+fn switch_through(engine: &mut Engine, plans: &[PlanOf]) {
+    for (i, plan) in plans.iter().enumerate() {
+        if i > 0 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let plan = plan(engine.topology());
+        engine.switch_plan(plan).expect("switch");
+    }
+}
+
+/// A switch case: its name, the queue bound it runs under, the switch.
+type SwitchCase = (&'static str, Option<QueueBound>, fn(&mut Engine));
+
+/// Each switch the in-flight input crosses by a different path — into a
+/// source-driven domain, into a pooled DI domain, into one pooled VO, into
+/// a VO merged across a removed queue (§5.1.3) — and, with every queue
+/// bounded by `Block`, back and forth between GTS and OTS.
+fn switch_table() -> Vec<SwitchCase> {
+    let block = QueueBound { capacity: 16, policy: BackpressurePolicy::Block };
+    vec![
+        ("GTS -> DI", None, |e| switch_through(e, &[ExecutionPlan::di])),
+        ("GTS -> decoupled DI", None, |e| switch_through(e, &[ExecutionPlan::di_decoupled])),
+        ("GTS -> HMTS, one VO", None, |e| {
+            switch_through(
+                e,
+                &[|t| {
+                    ExecutionPlan::hmts(
+                        Partitioning::new(vec![t.operators()]),
+                        StrategyKind::Fifo,
+                        1,
+                    )
+                }],
+            )
+        }),
+        ("remove_queue(a, slow)", None, |e| {
+            assert!(e.remove_queue(NodeId(1), NodeId(2)).expect("remove"), "a queue went");
+        }),
+        ("GTS -> OTS -> GTS -> OTS, bounded(16, Block)", Some(block), |e| {
+            let gts: PlanOf = |t| ExecutionPlan::gts(t, StrategyKind::Fifo);
+            switch_through(e, &[ExecutionPlan::ots, gts, ExecutionPlan::ots])
+        }),
+    ]
+}
+
+/// src -> a (1 µs busy) -> slow (2 µs busy) -> sink, started under GTS,
+/// whose one worker falls behind the source, so every queue holds
+/// elements when a switch comes: `count` elements at `rate` (paced), or
+/// flat out.
+fn busy_chain(
+    count: u64,
+    rate: Option<f64>,
+    queue_bound: Option<QueueBound>,
+) -> (Engine, SinkHandle) {
+    let busy = |name, us| BusyPassthrough::new(name, CostMode::Busy(Duration::from_micros(us)));
+    let mut b = GraphBuilder::new();
+    let src = b.source(VecSource::counting("src", count, rate.unwrap_or(1e9)));
+    let a = b.op_after(busy("a", 1), src);
+    let slow = b.op_after(busy("slow", 2), a);
+    let (sink, handle) = CollectingSink::new("sink");
+    b.op_after(sink, slow);
+    let graph = b.build().expect("valid graph");
+    let plan = ExecutionPlan::gts(&Topology::of(&graph), StrategyKind::Fifo);
+    let cfg = EngineConfig { pace_sources: rate.is_some(), queue_bound, ..EngineConfig::default() };
+    let mut engine = Engine::with_config(graph, plan, cfg).expect("engine builds");
+    engine.start().expect("engine starts");
+    (engine, handle)
+}
+
+/// Waits for `engine` to complete — a bounded wait: an engine that never
+/// completes fails the case instead of hanging the test — and says how the
+/// sink's stream differs from `0..count` once each, in order, then EOS.
+fn completes_in_order(engine: Engine, handle: &SinkHandle, count: u64) -> Result<(), String> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !engine.is_complete() {
+        if Instant::now() > deadline {
+            engine.abort();
+            return Err(format!(
+                "not complete after 5 s, {} of {count} at the sink",
+                handle.count()
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let report = engine.wait();
+    let got = arrivals(handle);
+    let mut latest = -1;
+    let behind_a_later_one = got
+        .iter()
+        .filter(|&&v| {
+            let behind = v < latest;
+            latest = latest.max(v);
+            behind
+        })
+        .count();
+    if !report.errors.is_empty() {
+        Err(format!("errors {:?}", report.errors))
+    } else if !got.iter().copied().eq(0..count as i64) {
+        Err(format!(
+            "{} of {count} at the sink, {behind_a_later_one} behind a later one",
+            got.len()
+        ))
+    } else if !handle.is_done() {
+        Err("the sink saw no EOS".into())
+    } else {
+        Ok(())
+    }
+}
+
+/// Runs every case of [`switch_table`] that `keep` keeps on a fresh
+/// [`busy_chain`] of `count` elements at `rate`: `ready` waits for the
+/// condition under test, then the case switches. Fails naming every case
+/// that did not complete in order.
+fn each_switch_completes_in_order(
+    count: u64,
+    rate: Option<f64>,
+    keep: fn(&Option<QueueBound>) -> bool,
+    ready: fn(&Engine, &SinkHandle),
+) {
+    let failed: Vec<String> = switch_table()
+        .into_iter()
+        .filter(|(_, bound, _)| keep(bound))
+        .filter_map(|(case, bound, switch)| {
+            let (mut engine, handle) = busy_chain(count, rate, bound);
+            ready(&engine, &handle);
+            switch(&mut engine);
+            completes_in_order(engine, &handle, count).err().map(|e| format!("{case}: {e}"))
+        })
+        .collect();
+    assert!(failed.is_empty(), "{failed:#?}");
+}
+
+#[test]
+fn a_switch_keeps_order_and_completes_while_the_source_runs() {
+    // 30 000 elements at 1 M/s: a switch 10 ms in finds the source still
+    // running and elements in every queue.
+    each_switch_completes_in_order(
+        30_000,
+        Some(1e6),
+        |_| true,
+        |_, _| std::thread::sleep(Duration::from_millis(10)),
+    );
+}
+
+#[test]
+fn a_switch_keeps_order_and_completes_after_the_source_finished() {
+    // 20 000 elements flat out: the source is done and its EOS queued
+    // long before GTS, at 3 µs of busy work an element, has worked them
+    // off. Under `Block` the source finishes only once the queues are
+    // nearly drained, so that case runs in the test above only.
+    each_switch_completes_in_order(20_000, None, Option::is_none, |engine, handle| {
+        let emitted = || engine.source_timelines()[0].last().map_or(0.0, |(_, n)| n);
+        while emitted() < 20_000.0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The EOS follows the last run at once. (`is_complete` would wait
+        // for the slice in progress, which runs until idle.)
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(handle.count() < 10_000, "the run was nearly done before the switch");
+    });
 }
