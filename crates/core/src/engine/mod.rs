@@ -576,13 +576,14 @@ impl Engine {
         Ok(())
     }
 
-    /// Whether all sources have finished and every domain completed.
+    /// Whether all sources have finished and every domain completed. Does
+    /// not wait for a slice in progress: an executor someone holds is
+    /// mid-slice, so it counts as not finished.
     pub fn is_complete(&self) -> bool {
         self.source_shared.iter().all(|s| s.is_done())
-            && self
-                .wiring
-                .as_ref()
-                .is_some_and(|w| w.executors.iter().all(|e| e.lock().is_finished()))
+            && self.wiring.as_ref().is_some_and(|w| {
+                w.executors.iter().all(|e| e.try_lock().is_some_and(|e| e.is_finished()))
+            })
     }
 
     /// Adjusts a pooled domain's level-3 priority at runtime.

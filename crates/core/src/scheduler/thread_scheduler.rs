@@ -25,10 +25,22 @@
 //! * **sliced and aged only when it must be** — a dispatch runs for one
 //!   `SLICE` and waiting ages when domains outnumber workers; with a
 //!   worker per domain a dispatch runs until the domain is idle, and no
-//!   clock is read.
+//!   clock is read;
+//! * **a short watch before a sleep** — a worker that finds nothing to run
+//!   releases the lock and spins on one word, `TsShared::epoch`, which
+//!   every enqueue, domain finish and stop moves under the lock; once
+//!   `IDLE_WATCH` has passed it takes the lock, looks again and parks. One
+//!   worker per pool watches at a time (the others park at once), and a
+//!   wake-up that finds it hands it the domain without a `notify`: the
+//!   futex wake-up of a parked worker was most of a pooled hand-off's
+//!   latency. A watch that ran out is not repeated, so an idle pool's
+//!   workers are all parked `IDLE_WATCH` after its last event; a worker
+//!   whose watches keep running out backs off (see `worker_loop`), and a
+//!   process that can run on one CPU only never watches: there the watch
+//!   would hold the CPU the producer needs.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use hmts_obs::{Counter, Obs, SchedEvent};
@@ -44,6 +56,27 @@ const SLICE: Duration = Duration::from_millis(1);
 /// prevention).
 const AGING_RATE: f64 = 10.0;
 
+/// How long an idle worker spins on `TsShared::epoch` before it parks:
+/// about what the park and wake-up it saves cost (19–43 µs on a 2-vCPU
+/// host, `micro_handoff`'s `handoff_idle_1ms`), so a watch that ends in a
+/// park burns about one wake-up's worth of CPU. The watch never yields: a
+/// yielded watcher that shares its CPU with a busy-waiting producer (a
+/// paced source spins out gaps under 500 µs) is handed work without a
+/// wake-up, and the work waits out the producer's time slice (3–4 ms a
+/// hand-off when the kernel put both threads on one CPU).
+const IDLE_WATCH: Duration = Duration::from_micros(25);
+
+/// The pool's idle worker that watches instead of parking; at most one.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Watcher {
+    /// Nobody watches: a wake-up notifies a parked worker.
+    None,
+    /// A worker watches `epoch` and takes what is queued next.
+    Watching,
+    /// The watcher was handed a wake-up: the next one notifies.
+    Handed,
+}
+
 struct TsInner {
     queued: Vec<bool>,
     running: Vec<bool>,
@@ -53,6 +86,7 @@ struct TsInner {
     /// Enqueue instants, for aging (kept only in a contended pool).
     since: Vec<Instant>,
     running_count: usize,
+    watcher: Watcher,
 }
 
 impl TsInner {
@@ -74,9 +108,28 @@ pub struct TsShared {
     /// per domain (GTS, OTS, decoupled DI) nobody waits: a dispatch runs
     /// until its domain is idle, and neither reads the clock.
     contended: bool,
+    /// An idle worker watches `epoch` before it parks (see
+    /// `several_cpus`).
+    watches: bool,
+    /// Moved under the lock by every enqueue, domain finish and stop; the
+    /// watching worker reads it without the lock and ends its watch when it
+    /// moves. The lock stays the only authority: the word publishes nothing,
+    /// since the watcher takes the lock before it reads any state, so its
+    /// accesses are `Relaxed`.
+    epoch: AtomicU64,
     obs: Obs,
     dispatches: Counter,
     preemptions: Counter,
+    spin_hits: Counter,
+    parks: Counter,
+    /// Workers inside `watch` now, the most there ever were, and the
+    /// watches begun.
+    #[cfg(test)]
+    watching: std::sync::atomic::AtomicUsize,
+    #[cfg(test)]
+    peak_watching: std::sync::atomic::AtomicUsize,
+    #[cfg(test)]
+    watches_begun: std::sync::atomic::AtomicUsize,
 }
 
 impl TsShared {
@@ -85,10 +138,16 @@ impl TsShared {
     /// the executors so that queue targets inside them can hold
     /// [`TsWaker`]s; workers are spawned afterwards with
     /// [`ThreadScheduler::spawn`]. Through `obs` every dispatch, yield,
-    /// cooperative preemption, and aging-driven pick is journaled, and
-    /// `ts.dispatches` / `ts.preemptions` counters are maintained.
+    /// cooperative preemption, and aging-driven pick is journaled, and the
+    /// `ts.dispatches`, `ts.preemptions`, `ts.spin_hits` (idle periods a
+    /// watch ended with work) and `ts.parks` (times a worker parked)
+    /// counters are maintained.
     pub fn create_with_obs(domains: usize, workers: usize, obs: Obs) -> Arc<TsShared> {
-        let shared = Arc::new(TsShared::new(domains, workers.max(1), obs));
+        TsShared::create(domains, workers, obs, several_cpus())
+    }
+
+    fn create(domains: usize, workers: usize, obs: Obs, watches: bool) -> Arc<TsShared> {
+        let shared = Arc::new(TsShared::new(domains, workers.max(1), obs, watches));
         {
             let mut inner = shared.inner.lock();
             for d in 0..domains {
@@ -103,9 +162,11 @@ impl TsShared {
         Arc::new(TsWaker { shared: Arc::clone(self), domain: d })
     }
 
-    fn new(domains: usize, workers: usize, obs: Obs) -> TsShared {
+    fn new(domains: usize, workers: usize, obs: Obs, watches: bool) -> TsShared {
         let dispatches = obs.counter("ts.dispatches");
         let preemptions = obs.counter("ts.preemptions");
+        let spin_hits = obs.counter("ts.spin_hits");
+        let parks = obs.counter("ts.parks");
         TsShared {
             inner: Mutex::new(TsInner {
                 queued: vec![false; domains],
@@ -114,15 +175,26 @@ impl TsShared {
                 rerun: vec![false; domains],
                 since: vec![Instant::now(); domains],
                 running_count: 0,
+                watcher: Watcher::None,
             }),
             cv: Condvar::new(),
             priorities: (0..domains).map(|_| AtomicI64::new(0)).collect(),
             yield_flags: (0..domains).map(|_| Arc::new(AtomicBool::new(false))).collect(),
             workers,
             contended: domains > workers,
+            watches,
+            epoch: AtomicU64::new(0),
             obs,
             dispatches,
             preemptions,
+            spin_hits,
+            parks,
+            #[cfg(test)]
+            watching: Default::default(),
+            #[cfg(test)]
+            peak_watching: Default::default(),
+            #[cfg(test)]
+            watches_begun: Default::default(),
         }
     }
 
@@ -135,12 +207,49 @@ impl TsShared {
         }
     }
 
-    /// Queues domain `d` for a worker; waiting ages it from now on.
+    /// Queues domain `d` for a worker (its waiting ages from now on) and
+    /// hands it on: to the watching worker if there is one (it sees `epoch`
+    /// move), else to a parked one.
     fn enqueue(&self, inner: &mut TsInner, d: usize) {
         inner.queued[d] = true;
         if self.contended {
             inner.since[d] = Instant::now();
         }
+        self.advance(inner);
+        if inner.watcher == Watcher::Watching {
+            inner.watcher = Watcher::Handed;
+        } else {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Moves `epoch`; the guard it takes is the proof it runs under the lock.
+    fn advance(&self, _inner: &TsInner) {
+        self.epoch.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Spins on `epoch` until it moves from `seen` or `IDLE_WATCH` has
+    /// passed. Returns whether the word moved.
+    fn watch(&self, seen: u64) -> bool {
+        #[cfg(test)]
+        {
+            let now = self.watching.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak_watching.fetch_max(now, Ordering::SeqCst);
+            self.watches_begun.fetch_add(1, Ordering::SeqCst);
+        }
+        let start = Instant::now();
+        let moved = loop {
+            if self.epoch.load(Ordering::Relaxed) != seen {
+                break true;
+            }
+            if start.elapsed() >= IDLE_WATCH {
+                break false;
+            }
+            std::hint::spin_loop();
+        };
+        #[cfg(test)]
+        self.watching.fetch_sub(1, Ordering::SeqCst);
+        moved
     }
 
     /// Marks domain `d` runnable (new input arrived).
@@ -173,7 +282,6 @@ impl TsShared {
                 }
             }
         }
-        self.cv.notify_one();
     }
 
     /// Adjusts a domain's base priority at runtime.
@@ -217,6 +325,13 @@ impl TsShared {
         inner.running_count += 1;
         Some(d)
     }
+}
+
+/// Whether this process may run on more than one CPU, read once. On one,
+/// an idle worker's watch would only delay the producer it waits for.
+fn several_cpus() -> bool {
+    static SEVERAL: OnceLock<bool> = OnceLock::new();
+    *SEVERAL.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
 }
 
 /// A [`Waker`] that marks one pooled domain runnable.
@@ -264,10 +379,11 @@ impl ThreadScheduler {
 
     /// Raises the stop flag the workers were spawned with, and wakes every
     /// idle one under the lock it waits with, so none sits out its timed
-    /// wait before it sees the flag.
+    /// wait (or its watch) before it sees the flag.
     pub fn stop(&self) {
-        let _inner = self.shared.inner.lock();
+        let inner = self.shared.inner.lock();
         self.stop.stop();
+        self.shared.advance(&inner);
         self.shared.cv.notify_all();
     }
 
@@ -302,20 +418,60 @@ fn worker_loop(
     stop: &Arc<StopFlag>,
     worker: usize,
 ) {
+    // Watches in a row that ran out, and idle periods left to park in
+    // without watching. From the second miss in a row a worker skips
+    // 2^(misses - 1) - 1 idle periods (at most 63), so watches that keep
+    // running out — sparse input, or a producer on this worker's CPU that
+    // the spin only holds up — cost next to nothing; a watch that ends
+    // with work resets the count.
+    let mut misses = 0u32;
+    let mut skip = 0u32;
     loop {
         let d = {
             let mut inner = shared.inner.lock();
+            // No watch (any more) in this idle period: park from now on.
+            let mut spent = !shared.watches;
+            // The look below follows a watch (and no park).
+            let mut watched = false;
             loop {
                 if stop.is_stopped() || inner.all_finished() {
                     shared.cv.notify_all();
                     return;
                 }
                 if let Some(d) = shared.pick_best(&mut inner) {
+                    if watched {
+                        shared.spin_hits.inc();
+                        misses = 0;
+                    }
                     break d;
+                }
+                if !spent && skip > 0 {
+                    skip -= 1;
+                    spent = true;
+                }
+                if !spent && inner.watcher == Watcher::None {
+                    inner.watcher = Watcher::Watching;
+                    let seen = shared.epoch.load(Ordering::Relaxed);
+                    drop(inner);
+                    spent = !shared.watch(seen);
+                    if spent {
+                        misses += 1;
+                        skip = (1u32 << (misses - 1).min(6)) - 1;
+                    }
+                    watched = true;
+                    inner = shared.inner.lock();
+                    // Cleared under the lock every waker takes, before this
+                    // worker looks again: a wake-up from here on notifies,
+                    // and if this worker parks, it is a waiter before any
+                    // waker can take the lock.
+                    inner.watcher = Watcher::None;
+                    continue;
                 }
                 // Timed wait so stop/finish conditions are re-checked even
                 // if a notification is missed; `ThreadScheduler::stop`
                 // notifies, so a stop is seen at once.
+                watched = false;
+                shared.parks.inc();
                 shared.cv.wait_for(&mut inner, Duration::from_millis(20));
             }
         };
@@ -347,19 +503,16 @@ fn worker_loop(
         match outcome {
             RunOutcome::Finished => {
                 inner.finished[d] = true;
+                shared.advance(&inner);
                 if inner.all_finished() {
                     shared.cv.notify_all();
                 }
             }
-            RunOutcome::Budget => {
-                shared.enqueue(&mut inner, d);
-                shared.cv.notify_one();
-            }
+            RunOutcome::Budget => shared.enqueue(&mut inner, d),
             RunOutcome::Idle => {
                 if inner.rerun[d] {
                     inner.rerun[d] = false;
                     shared.enqueue(&mut inner, d);
-                    shared.cv.notify_one();
                 }
             }
         }
@@ -421,13 +574,14 @@ mod tests {
         (Arc::new(Mutex::new(exec)), q, handle)
     }
 
-    /// `workers` workers over `executors`, every domain runnable.
+    /// `workers` workers over `executors`, every domain runnable; an idle
+    /// worker watches, as on a host with several CPUs.
     fn pool(
         executors: Vec<Arc<Mutex<DomainExecutor>>>,
         workers: usize,
         stop: &Arc<StopFlag>,
     ) -> ThreadScheduler {
-        let shared = TsShared::create_with_obs(executors.len(), workers, Obs::disabled());
+        let shared = TsShared::create(executors.len(), workers, Obs::disabled(), true);
         ThreadScheduler::spawn(shared, executors, Arc::clone(stop))
     }
 
@@ -529,6 +683,221 @@ mod tests {
         };
         let took = (0..3).map(|_| stop_idle_pool()).min().expect("three stops");
         assert!(took < Duration::from_millis(10), "the worker took {took:?} to see the stop");
+    }
+
+    /// Polls the pool until a worker watches (true) or `parked` workers
+    /// have parked without one caught watching (false).
+    fn caught_watching(shared: &TsShared, parked: u64) -> bool {
+        loop {
+            if shared.inner.lock().watcher == Watcher::Watching {
+                return true;
+            }
+            if shared.parks.get() >= parked {
+                return false;
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn stopping_a_watching_worker_ends_it_at_once() {
+        // Stopped right after its domain went idle, the worker is inside its
+        // watch; it must end without parking. Only tries that caught the
+        // watch count (it lasts `IDLE_WATCH`), and the best of three must be
+        // under the bound of the test above.
+        let stop_watching_pool = || {
+            let (e, _q, _h) = simple_domain("a");
+            let stop = Arc::new(StopFlag::new());
+            let ts = pool(vec![e], 1, &stop);
+            let shared = ts.shared();
+            let caught = caught_watching(&shared, 1);
+            let t0 = Instant::now();
+            ts.stop();
+            ts.join();
+            let took = t0.elapsed();
+            caught.then(|| {
+                assert_eq!(shared.parks.get(), 0, "the watching worker parked");
+                took
+            })
+        };
+        let took: Vec<Duration> = (0..100).filter_map(|_| stop_watching_pool()).take(3).collect();
+        let best = took.iter().min().expect("no try caught the worker watching");
+        assert!(*best < Duration::from_millis(10), "the worker took {best:?} to see the stop");
+    }
+
+    #[test]
+    fn one_idle_worker_of_a_pool_watches_and_all_park_after() {
+        // Four idle domains on four workers, woken in rounds, each round
+        // inside or after the last one's watch: never more than one worker
+        // watches, and once the watch has run out every worker is parked.
+        let domains: Vec<_> = (0..4).map(|i| simple_domain(&format!("d{i}"))).collect();
+        let stop = Arc::new(StopFlag::new());
+        let ts = pool(domains.iter().map(|(e, _, _)| Arc::clone(e)).collect(), 4, &stop);
+        let shared = ts.shared();
+        for round in 0..20u64 {
+            for (i, (_, q, _)) in domains.iter().enumerate() {
+                q.push(Message::data(Tuple::single(1), Timestamp::from_micros(round))).unwrap();
+                shared.wake(i);
+            }
+            if round % 2 == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let t0 = Instant::now();
+        while domains.iter().any(|(_, _, h)| h.count() < 20) {
+            assert!(t0.elapsed() < Duration::from_secs(5), "the rounds never arrived");
+            std::thread::yield_now();
+        }
+        // A watch lasts `IDLE_WATCH`; a busy host may take its CPU for longer.
+        let t0 = Instant::now();
+        while {
+            let inner = shared.inner.lock();
+            inner.running_count > 0 || inner.watcher != Watcher::None
+        } || shared.watching.load(Ordering::SeqCst) > 0
+        {
+            assert!(t0.elapsed() < Duration::from_secs(5), "a worker still watches");
+            std::thread::sleep(IDLE_WATCH);
+        }
+        assert_eq!(shared.peak_watching.load(Ordering::SeqCst), 1);
+        assert!(shared.parks.get() >= 4, "{} parks", shared.parks.get());
+        ts.stop();
+        ts.join();
+    }
+
+    #[test]
+    fn a_pool_for_one_cpu_parks_without_watching() {
+        let (e, q, h) = simple_domain("a");
+        let shared = TsShared::create(1, 1, Obs::disabled(), false);
+        let stop = Arc::new(StopFlag::new());
+        let ts = ThreadScheduler::spawn(Arc::clone(&shared), vec![e], Arc::clone(&stop));
+        for i in 0..50u64 {
+            q.push(Message::data(Tuple::single(1), Timestamp::from_micros(i))).unwrap();
+            shared.wake(0);
+            while h.count() <= i {
+                std::thread::yield_now();
+            }
+        }
+        ts.stop();
+        ts.join();
+        assert_eq!(shared.peak_watching.load(Ordering::SeqCst), 0);
+        assert_eq!(shared.spin_hits.get(), 0);
+    }
+
+    #[test]
+    fn a_worker_whose_watches_run_out_backs_off() {
+        // One element a millisecond: every watch runs out. From the second
+        // miss in a row the worker skips 1, 3, 7, … idle periods, so 40
+        // idle periods hold 6 watches (periods 1, 2, 4, 8, 16 and 32).
+        let (e, q, h) = simple_domain("a");
+        let stop = Arc::new(StopFlag::new());
+        let ts = pool(vec![e], 1, &stop);
+        let shared = ts.shared();
+        for i in 0..39u64 {
+            std::thread::sleep(Duration::from_millis(1));
+            q.push(Message::data(Tuple::single(1), Timestamp::from_micros(i))).unwrap();
+            shared.wake(0);
+            while h.count() <= i {
+                std::thread::yield_now();
+            }
+        }
+        ts.stop();
+        ts.join();
+        let watches = shared.watches_begun.load(Ordering::SeqCst);
+        assert!((1..=6).contains(&watches), "{watches} watches in 40 idle periods");
+        assert_eq!(shared.spin_hits.get(), 0);
+    }
+
+    #[test]
+    fn two_wake_ups_during_one_watch_reach_two_workers() {
+        // Two domains are queued under the lock of one look that sees the
+        // watcher: it takes the first without a notify, and the second must
+        // notify the parked worker. `a` (picked first) is held at its
+        // executor's lock, so `b` reaches its sink only through the parked
+        // worker, which would otherwise sit out its 20 ms wait (it parked
+        // just before). Only tries that caught the watch count; best of
+        // three.
+        let two_wakes = || {
+            let (ea, qa, _) = simple_domain("a");
+            let (eb, qb, hb) = simple_domain("b");
+            let stop = Arc::new(StopFlag::new());
+            let ts = pool(vec![Arc::clone(&ea), eb], 2, &stop);
+            let shared = ts.shared();
+            while shared.parks.get() < 2 {
+                std::thread::yield_now();
+            }
+            let parked = shared.parks.get();
+            // A dispatch of `a` makes its worker the watcher.
+            qa.push(Message::data(Tuple::single(0), Timestamp::from_micros(0))).unwrap();
+            shared.wake(0);
+            qb.push(Message::data(Tuple::single(1), Timestamp::from_micros(1))).unwrap();
+            let held = loop {
+                let mut inner = shared.inner.lock();
+                if inner.watcher == Watcher::Watching {
+                    let held = ea.lock();
+                    shared.enqueue(&mut inner, 0);
+                    shared.enqueue(&mut inner, 1);
+                    break Some(held);
+                }
+                if shared.parks.get() > parked {
+                    break None;
+                }
+            };
+            let t0 = Instant::now();
+            let took = held.as_ref().map(|_| {
+                while hb.count() < 1 {
+                    assert!(t0.elapsed() < Duration::from_secs(5), "`b` never ran");
+                    std::thread::yield_now();
+                }
+                t0.elapsed()
+            });
+            drop(held);
+            ts.stop();
+            ts.join();
+            took
+        };
+        let took: Vec<Duration> = (0..100).filter_map(|_| two_wakes()).take(3).collect();
+        let best = took.iter().min().expect("no try caught a worker watching");
+        assert!(*best < Duration::from_millis(10), "`b` waited {best:?}");
+    }
+
+    #[test]
+    fn a_domain_finishing_during_a_watch_lets_join_return_at_once() {
+        // Two domains on two workers. `b` is dispatched with its whole input
+        // but held at its executor's lock; `a` finishes on the other worker,
+        // which then watches. Released, `b` finishes while that worker
+        // watches, and `join` must return at once. Only tries that caught
+        // the watch count; best of three.
+        let finish_during_watch = || {
+            let (ea, qa, _) = simple_domain("a");
+            let (eb, qb, hb) = simple_domain("b");
+            let stop = Arc::new(StopFlag::new());
+            let ts = pool(vec![ea, Arc::clone(&eb)], 2, &stop);
+            let shared = ts.shared();
+            // Both domains' first slices end idle; both workers park.
+            while shared.parks.get() < 2 {
+                std::thread::yield_now();
+            }
+            let held = eb.lock();
+            push_n(&qb, 10);
+            shared.wake(1);
+            while shared.dispatches.get() < 3 {
+                std::thread::yield_now();
+            }
+            let parked = shared.parks.get();
+            push_n(&qa, 10);
+            shared.wake(0);
+            let caught = caught_watching(&shared, parked + 1);
+            let t0 = Instant::now();
+            drop(held);
+            ts.join();
+            let took = t0.elapsed();
+            assert_eq!(hb.count(), 10);
+            assert!(shared.is_all_finished());
+            caught.then_some(took)
+        };
+        let took: Vec<Duration> = (0..100).filter_map(|_| finish_during_watch()).take(3).collect();
+        let best = took.iter().min().expect("no try caught a worker watching");
+        assert!(*best < Duration::from_millis(10), "join took {best:?}");
     }
 
     #[test]

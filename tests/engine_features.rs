@@ -293,3 +293,50 @@ fn suggested_workers_drive_a_plan() {
     assert!(report.errors.is_empty());
     assert_eq!(handle.count(), 3_000);
 }
+
+#[test]
+fn is_complete_does_not_wait_for_a_running_slice() {
+    // GTS runs a slice until the domain is idle, so one element that costs
+    // 200 ms holds the executor for that long. A poll must answer at once
+    // ("not complete") instead of waiting the slice out; the slowest poll
+    // of the best of three runs must be well under the slice.
+    let slowest_poll = || {
+        let mut b = GraphBuilder::new();
+        let src = b.source(VecSource::counting("src", 1, 1_000.0));
+        let slow = b.op_after(
+            Costed::new(
+                Filter::new("slow", Expr::bool(true)),
+                CostMode::Busy(Duration::from_millis(200)),
+            ),
+            src,
+        );
+        let (sink, handle) = CollectingSink::new("out");
+        b.op_after(sink, slow);
+        let graph = b.build().expect("valid graph");
+        let topo = Topology::of(&graph);
+        let cfg = EngineConfig { pace_sources: false, ..EngineConfig::default() };
+        let mut engine =
+            Engine::with_config(graph, ExecutionPlan::gts(&topo, StrategyKind::Fifo), cfg)
+                .expect("engine builds");
+        let t0 = std::time::Instant::now();
+        engine.start().expect("engine starts");
+        let mut slowest = Duration::ZERO;
+        loop {
+            let poll = std::time::Instant::now();
+            let complete = engine.is_complete();
+            slowest = slowest.max(poll.elapsed());
+            if complete {
+                break;
+            }
+            assert!(t0.elapsed() < Duration::from_secs(10), "the engine never completed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(t0.elapsed() >= Duration::from_millis(200), "completed inside the slice");
+        let report = engine.wait();
+        assert!(report.errors.is_empty());
+        assert_eq!(handle.count(), 1);
+        slowest
+    };
+    let best = (0..3).map(|_| slowest_poll()).min().expect("three runs");
+    assert!(best < Duration::from_millis(10), "a poll waited {best:?}");
+}
