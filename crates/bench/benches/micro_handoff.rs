@@ -7,10 +7,10 @@
 //! and the worker's wake-up a scheduler round trip). The time per
 //! iteration is one hand-off's latency; the idle gap before it is not
 //! timed. Where the kernel puts this thread and the worker matters: on two
-//! CPUs the watch takes the element in 1.3–2 µs against the parked path's
-//! 6–10 µs (2-vCPU host); on one CPU (where the kernel mostly puts them
-//! here) every watch runs out, the worker backs off and parks, and the
-//! run reads like the parked path.
+//! CPUs the watch takes the element in 1.3–3 µs against the parked path's
+//! 6–10 µs (2-vCPU host); on one CPU (where the kernel put them in most
+//! runs on that host) the watch holds the CPU this thread needs, and a
+//! hand-off reads 60–75 µs on either path.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use parking_lot::Mutex;

@@ -33,11 +33,10 @@
 //!   worker per pool watches at a time (the others park at once), and a
 //!   wake-up that finds it hands it the domain without a `notify`: the
 //!   futex wake-up of a parked worker was most of a pooled hand-off's
-//!   latency. A watch that ran out is not repeated, so an idle pool's
-//!   workers are all parked `IDLE_WATCH` after its last event; a worker
-//!   whose watches keep running out backs off (see `worker_loop`), and a
-//!   process that can run on one CPU only never watches: there the watch
-//!   would hold the CPU the producer needs.
+//!   latency. A watch that ran out, or a park, ends the watching for the
+//!   idle period, so an idle pool's workers are all parked `IDLE_WATCH`
+//!   after its last event; a process that can run on one CPU only never
+//!   watches: there the watch would hold the CPU the producer needs.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -122,14 +121,11 @@ pub struct TsShared {
     preemptions: Counter,
     spin_hits: Counter,
     parks: Counter,
-    /// Workers inside `watch` now, the most there ever were, and the
-    /// watches begun.
+    /// Workers inside `watch` now, and the most there ever were.
     #[cfg(test)]
     watching: std::sync::atomic::AtomicUsize,
     #[cfg(test)]
     peak_watching: std::sync::atomic::AtomicUsize,
-    #[cfg(test)]
-    watches_begun: std::sync::atomic::AtomicUsize,
 }
 
 impl TsShared {
@@ -140,8 +136,9 @@ impl TsShared {
     /// [`ThreadScheduler::spawn`]. Through `obs` every dispatch, yield,
     /// cooperative preemption, and aging-driven pick is journaled, and the
     /// `ts.dispatches`, `ts.preemptions`, `ts.spin_hits` (idle periods a
-    /// watch ended with work) and `ts.parks` (times a worker parked)
-    /// counters are maintained.
+    /// watch ended with work) and `ts.parks` (idle periods in which a
+    /// worker parked, however many timed waits it sat out) counters are
+    /// maintained.
     pub fn create_with_obs(domains: usize, workers: usize, obs: Obs) -> Arc<TsShared> {
         TsShared::create(domains, workers, obs, several_cpus())
     }
@@ -193,8 +190,6 @@ impl TsShared {
             watching: Default::default(),
             #[cfg(test)]
             peak_watching: Default::default(),
-            #[cfg(test)]
-            watches_begun: Default::default(),
         }
     }
 
@@ -235,7 +230,6 @@ impl TsShared {
         {
             let now = self.watching.fetch_add(1, Ordering::SeqCst) + 1;
             self.peak_watching.fetch_max(now, Ordering::SeqCst);
-            self.watches_begun.fetch_add(1, Ordering::SeqCst);
         }
         let start = Instant::now();
         let moved = loop {
@@ -418,47 +412,32 @@ fn worker_loop(
     stop: &Arc<StopFlag>,
     worker: usize,
 ) {
-    // Watches in a row that ran out, and idle periods left to park in
-    // without watching. From the second miss in a row a worker skips
-    // 2^(misses - 1) - 1 idle periods (at most 63), so watches that keep
-    // running out — sparse input, or a producer on this worker's CPU that
-    // the spin only holds up — cost next to nothing; a watch that ends
-    // with work resets the count.
-    let mut misses = 0u32;
-    let mut skip = 0u32;
     loop {
         let d = {
             let mut inner = shared.inner.lock();
             // No watch (any more) in this idle period: park from now on.
             let mut spent = !shared.watches;
-            // The look below follows a watch (and no park).
-            let mut watched = false;
+            // The last watch ended with `epoch` moved (and no park since).
+            let mut hit = false;
+            // This idle period has parked (and been counted) once.
+            let mut parked = false;
             loop {
                 if stop.is_stopped() || inner.all_finished() {
                     shared.cv.notify_all();
                     return;
                 }
                 if let Some(d) = shared.pick_best(&mut inner) {
-                    if watched {
+                    if hit {
                         shared.spin_hits.inc();
-                        misses = 0;
                     }
                     break d;
-                }
-                if !spent && skip > 0 {
-                    skip -= 1;
-                    spent = true;
                 }
                 if !spent && inner.watcher == Watcher::None {
                     inner.watcher = Watcher::Watching;
                     let seen = shared.epoch.load(Ordering::Relaxed);
                     drop(inner);
-                    spent = !shared.watch(seen);
-                    if spent {
-                        misses += 1;
-                        skip = (1u32 << (misses - 1).min(6)) - 1;
-                    }
-                    watched = true;
+                    hit = shared.watch(seen);
+                    spent = !hit;
                     inner = shared.inner.lock();
                     // Cleared under the lock every waker takes, before this
                     // worker looks again: a wake-up from here on notifies,
@@ -469,9 +448,14 @@ fn worker_loop(
                 }
                 // Timed wait so stop/finish conditions are re-checked even
                 // if a notification is missed; `ThreadScheduler::stop`
-                // notifies, so a stop is seen at once.
-                watched = false;
-                shared.parks.inc();
+                // notifies, so a stop is seen at once. A worker that parked
+                // does not watch again in the same idle period.
+                hit = false;
+                spent = true;
+                if !parked {
+                    parked = true;
+                    shared.parks.inc();
+                }
                 shared.cv.wait_for(&mut inner, Duration::from_millis(20));
             }
         };
@@ -784,27 +768,34 @@ mod tests {
     }
 
     #[test]
-    fn a_worker_whose_watches_run_out_backs_off() {
-        // One element a millisecond: every watch runs out. From the second
-        // miss in a row the worker skips 1, 3, 7, … idle periods, so 40
-        // idle periods hold 6 watches (periods 1, 2, 4, 8, 16 and 32).
+    fn an_idle_period_counts_one_park_however_long_it_lasts() {
+        // The first slice ends idle, the watch runs out and the worker
+        // parks, then sits out several 20 ms timed waits: one park. A
+        // wake-up of the parked worker is no spin hit, and the next idle
+        // period parks (and counts) once more.
         let (e, q, h) = simple_domain("a");
         let stop = Arc::new(StopFlag::new());
         let ts = pool(vec![e], 1, &stop);
         let shared = ts.shared();
-        for i in 0..39u64 {
-            std::thread::sleep(Duration::from_millis(1));
-            q.push(Message::data(Tuple::single(1), Timestamp::from_micros(i))).unwrap();
-            shared.wake(0);
-            while h.count() <= i {
-                std::thread::yield_now();
+        let parks_reach = |n: u64| {
+            let t0 = Instant::now();
+            while shared.parks.get() < n {
+                assert!(t0.elapsed() < Duration::from_secs(5), "the worker never parked");
+                std::thread::sleep(Duration::from_millis(1));
             }
+            std::thread::sleep(Duration::from_millis(70));
+            assert_eq!(shared.parks.get(), n);
+        };
+        parks_reach(1);
+        q.push(Message::data(Tuple::single(1), Timestamp::from_micros(0))).unwrap();
+        shared.wake(0);
+        while h.count() < 1 {
+            std::thread::yield_now();
         }
+        parks_reach(2);
+        assert_eq!(shared.spin_hits.get(), 0);
         ts.stop();
         ts.join();
-        let watches = shared.watches_begun.load(Ordering::SeqCst);
-        assert!((1..=6).contains(&watches), "{watches} watches in 40 idle periods");
-        assert_eq!(shared.spin_hits.get(), 0);
     }
 
     #[test]
