@@ -58,19 +58,30 @@ pub use slot::{Attach, SlotInit, SlotState};
 pub trait Waker: Send + Sync {
     /// Deliver the wake-up.
     fn wake(&self);
+
+    /// Deliver the wake-up to a consumer the caller waits for next; a
+    /// scheduler must not keep it back for the caller's own worker.
+    fn wake_now(&self) {
+        self.wake();
+    }
 }
 
 /// Moves `batch` into `queue` and wakes its consumer: the one way a batch
 /// enters a queue whose consumer may be asleep. The wake-up also goes out
 /// each time a full `Block` queue makes the push wait — a pooled consumer
 /// runs only once it is told, and the producer must not wait for room with
-/// a part of the batch queued that nobody has been told about. A closed
+/// a part of the batch queued that nobody has been told about; a full
+/// queue (the producer waits for room next) wakes with `wake_now`. A closed
 /// queue only happens during teardown; the messages are intentionally
 /// dropped then.
 pub(crate) fn push_and_wake(queue: &StreamQueue, wake: Option<&Arc<dyn Waker>>, batch: &mut Batch) {
     let _ = queue.push_runs(batch, || {
         if let Some(w) = wake {
-            w.wake();
+            if queue.capacity().is_some_and(|c| queue.len() >= c) {
+                w.wake_now();
+            } else {
+                w.wake();
+            }
         }
     });
 }

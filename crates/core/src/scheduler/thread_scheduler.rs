@@ -36,8 +36,17 @@
 //!   latency. A watch that ran out, or a park, ends the watching for the
 //!   idle period, so an idle pool's workers are all parked `IDLE_WATCH`
 //!   after its last event; a process that can run on one CPU only never
-//!   watches: there the watch would hold the CPU the producer needs.
+//!   watches: there the watch would hold the CPU the producer needs;
+//! * **a wake-up stays with the worker that made it** — in a contended
+//!   pool the first domain a dispatch wakes is queued and `epoch` moved,
+//!   but no parked worker is notified: the worker takes it itself when the
+//!   dispatch ends, within one `SLICE`, where a woken peer mostly found it
+//!   gone already. A second domain woken in the same dispatch, and one the
+//!   dispatch is about to wait for (a full `Block` queue), wake a peer as
+//!   before; with a worker per domain a dispatch may last the whole stream,
+//!   so nothing is held.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -74,6 +83,27 @@ enum Watcher {
     Watching,
     /// The watcher was handed a wake-up: the next one notifies.
     Handed,
+}
+
+thread_local! {
+    /// The dispatch this thread runs for a contended pool, if any.
+    static DISPATCH: Cell<Dispatch> = const { Cell::new(Dispatch::NONE) };
+}
+
+/// A worker's dispatch in a contended pool, as its thread sees it: what
+/// the dispatch's first wake-up was held for (see `TsShared::wake`).
+#[derive(Clone, Copy)]
+struct Dispatch {
+    /// The pool, by address; null outside a dispatch.
+    pool: *const TsShared,
+    /// The dispatch has made its first wake-up.
+    held: bool,
+    /// The domain that wake-up queued without telling another worker.
+    owed: Option<usize>,
+}
+
+impl Dispatch {
+    const NONE: Dispatch = Dispatch { pool: std::ptr::null(), held: false, owed: None };
 }
 
 struct TsInner {
@@ -121,11 +151,15 @@ pub struct TsShared {
     preemptions: Counter,
     spin_hits: Counter,
     parks: Counter,
+    held: Counter,
     /// Workers inside `watch` now, and the most there ever were.
     #[cfg(test)]
     watching: std::sync::atomic::AtomicUsize,
     #[cfg(test)]
     peak_watching: std::sync::atomic::AtomicUsize,
+    /// `notify_one` calls made to hand a queued domain on.
+    #[cfg(test)]
+    notifies: AtomicU64,
 }
 
 impl TsShared {
@@ -136,9 +170,10 @@ impl TsShared {
     /// [`ThreadScheduler::spawn`]. Through `obs` every dispatch, yield,
     /// cooperative preemption, and aging-driven pick is journaled, and the
     /// `ts.dispatches`, `ts.preemptions`, `ts.spin_hits` (idle periods a
-    /// watch ended with work) and `ts.parks` (idle periods in which a
-    /// worker parked, however many timed waits it sat out) counters are
-    /// maintained.
+    /// watch ended with work), `ts.parks` (idle periods in which a worker
+    /// parked, however many timed waits it sat out) and `ts.held`
+    /// (wake-ups kept for the worker whose dispatch made them) counters
+    /// are maintained.
     pub fn create_with_obs(domains: usize, workers: usize, obs: Obs) -> Arc<TsShared> {
         TsShared::create(domains, workers, obs, several_cpus())
     }
@@ -164,6 +199,7 @@ impl TsShared {
         let preemptions = obs.counter("ts.preemptions");
         let spin_hits = obs.counter("ts.spin_hits");
         let parks = obs.counter("ts.parks");
+        let held = obs.counter("ts.held");
         TsShared {
             inner: Mutex::new(TsInner {
                 queued: vec![false; domains],
@@ -186,10 +222,13 @@ impl TsShared {
             preemptions,
             spin_hits,
             parks,
+            held,
             #[cfg(test)]
             watching: Default::default(),
             #[cfg(test)]
             peak_watching: Default::default(),
+            #[cfg(test)]
+            notifies: Default::default(),
         }
     }
 
@@ -203,17 +242,28 @@ impl TsShared {
     }
 
     /// Queues domain `d` for a worker (its waiting ages from now on) and
-    /// hands it on: to the watching worker if there is one (it sees `epoch`
-    /// move), else to a parked one.
+    /// hands it on.
     fn enqueue(&self, inner: &mut TsInner, d: usize) {
+        self.queue(inner, d);
+        self.hand_on(inner);
+    }
+
+    fn queue(&self, inner: &mut TsInner, d: usize) {
         inner.queued[d] = true;
         if self.contended {
             inner.since[d] = Instant::now();
         }
+    }
+
+    /// Tells a worker that a domain is queued: the watching worker if
+    /// there is one (it sees `epoch` move), else a parked one.
+    fn hand_on(&self, inner: &mut TsInner) {
         self.advance(inner);
         if inner.watcher == Watcher::Watching {
             inner.watcher = Watcher::Handed;
         } else {
+            #[cfg(test)]
+            self.notifies.fetch_add(1, Ordering::Relaxed);
             self.cv.notify_one();
         }
     }
@@ -247,16 +297,56 @@ impl TsShared {
     }
 
     /// Marks domain `d` runnable (new input arrived).
+    ///
+    /// In a contended pool the first domain a worker's dispatch wakes is
+    /// held for that worker: it is queued and `epoch` moves (a watching
+    /// worker takes it as from `enqueue`), but no parked worker is
+    /// notified; the worker takes it, or hands it on, when the dispatch
+    /// ends, at most one `SLICE` later — no longer than any queued domain
+    /// already waits. A woken peer would mostly find the domain taken by
+    /// then, and pay a futex wake-up for nothing. It is queued under the
+    /// lock, which its worker takes again before it parks, so no wake-up
+    /// is lost.
     pub fn wake(&self, d: usize) {
+        self.wake_as(d, false);
+    }
+
+    /// `wake`; with `now`, for a caller that waits for `d` next (a producer
+    /// about to wait for room in `d`'s full input queue): nothing is held,
+    /// and a wake-up this thread holds for `d` is handed on at once.
+    fn wake_as(&self, d: usize, now: bool) {
+        // An uncontended pool never holds, and leaves the thread-local be.
+        let mut dispatch = if self.contended { DISPATCH.get() } else { Dispatch::NONE };
+        let mine = std::ptr::eq(dispatch.pool, self);
         let mut inner = self.inner.lock();
-        if inner.finished[d] || inner.queued[d] {
+        if inner.finished[d] {
+            return;
+        }
+        if inner.queued[d] {
+            if now && mine && dispatch.owed == Some(d) {
+                DISPATCH.set(Dispatch { owed: None, ..dispatch });
+                self.hand_on(&mut inner);
+            }
             return;
         }
         if inner.running[d] {
             inner.rerun[d] = true;
             return;
         }
-        self.enqueue(&mut inner, d);
+        if mine && !now && !dispatch.held {
+            self.queue(&mut inner, d);
+            dispatch.held = true;
+            if inner.watcher == Watcher::Watching {
+                self.hand_on(&mut inner);
+            } else {
+                self.advance(&inner);
+                dispatch.owed = Some(d);
+                self.held.inc();
+            }
+            DISPATCH.set(dispatch);
+        } else {
+            self.enqueue(&mut inner, d);
+        }
         // Cooperative preemption: if every worker is busy and the woken
         // domain outranks the weakest running one, ask that one to yield.
         // Base priority against base priority: the woken domain has waited
@@ -338,6 +428,10 @@ impl Waker for TsWaker {
     fn wake(&self) {
         self.shared.wake(self.domain);
     }
+
+    fn wake_now(&self) {
+        self.shared.wake_as(self.domain, true);
+    }
 }
 
 /// The level-3 scheduler: worker threads multiplexing pooled domains.
@@ -412,9 +506,11 @@ fn worker_loop(
     stop: &Arc<StopFlag>,
     worker: usize,
 ) {
+    let mut inner = shared.inner.lock();
+    // A domain the last dispatch held for this worker and told nobody of.
+    let mut owed = None;
     loop {
         let d = {
-            let mut inner = shared.inner.lock();
             // No watch (any more) in this idle period: park from now on.
             let mut spent = !shared.watches;
             // The last watch ended with `epoch` moved (and no park since).
@@ -426,7 +522,13 @@ fn worker_loop(
                     shared.cv.notify_all();
                     return;
                 }
-                if let Some(d) = shared.pick_best(&mut inner) {
+                let picked = shared.pick_best(&mut inner);
+                // The held domain is queued beyond the one this worker
+                // takes: hand it on as `enqueue` would have.
+                if owed.take().is_some_and(|h| inner.queued[h]) {
+                    shared.hand_on(&mut inner);
+                }
+                if let Some(d) = picked {
                     if hit {
                         shared.spin_hits.inc();
                     }
@@ -459,6 +561,7 @@ fn worker_loop(
                 shared.cv.wait_for(&mut inner, Duration::from_millis(20));
             }
         };
+        drop(inner);
         shared.dispatches.inc();
         shared.obs.emit_with(|| SchedEvent::Dispatch {
             domain: d,
@@ -472,7 +575,13 @@ fn worker_loop(
             stop: Some(Arc::clone(stop)),
             yield_flag: Some(Arc::clone(&yield_flag)),
         };
+        if shared.contended {
+            DISPATCH.set(Dispatch { pool: Arc::as_ptr(shared), ..Dispatch::NONE });
+        }
         let outcome = executors[d].lock().run_slice(&budget);
+        if shared.contended {
+            owed = DISPATCH.replace(Dispatch::NONE).owed;
+        }
         shared.obs.emit_with(|| SchedEvent::Yield {
             domain: d,
             outcome: match outcome {
@@ -481,24 +590,26 @@ fn worker_loop(
                 RunOutcome::Idle => "idle",
             },
         });
-        let mut inner = shared.inner.lock();
+        inner = shared.inner.lock();
         inner.running[d] = false;
         inner.running_count -= 1;
-        match outcome {
+        let requeue = match outcome {
             RunOutcome::Finished => {
                 inner.finished[d] = true;
                 shared.advance(&inner);
                 if inner.all_finished() {
                     shared.cv.notify_all();
                 }
+                false
             }
-            RunOutcome::Budget => shared.enqueue(&mut inner, d),
-            RunOutcome::Idle => {
-                if inner.rerun[d] {
-                    inner.rerun[d] = false;
-                    shared.enqueue(&mut inner, d);
-                }
-            }
+            RunOutcome::Budget => true,
+            RunOutcome::Idle => std::mem::take(&mut inner.rerun[d]),
+        };
+        if requeue {
+            // Its hand-on tells a worker of the one queued domain this
+            // worker does not take, the held one or `d`.
+            shared.enqueue(&mut inner, d);
+            owed = None;
         }
     }
 }
@@ -509,53 +620,67 @@ mod tests {
     use crate::engine::executor::{ExecConfig, InputQueue, SlotInit, SlotState, Target};
     use crate::scheduler::strategy::StrategyKind;
     use hmts_graph::graph::NodeId;
+    use hmts_operators::cost::{CostMode, Costed};
     use hmts_operators::expr::Expr;
     use hmts_operators::filter::Filter;
-    use hmts_operators::sink::{CollectingSink, SinkHandle};
-    use hmts_operators::traits::{EosTracker, WatermarkTracker};
+    use hmts_operators::sink::{CallbackSink, CollectingSink, SinkHandle};
+    use hmts_operators::traits::Operator;
     use hmts_streams::element::Message;
-    use hmts_streams::queue::StreamQueue;
+    use hmts_streams::queue::{BackpressurePolicy, StreamQueue};
     use hmts_streams::time::Timestamp;
     use hmts_streams::tuple::Tuple;
 
     /// One domain: queue -> filter(true) -> sink.
     fn simple_domain(qname: &str) -> (Arc<Mutex<DomainExecutor>>, Arc<StreamQueue>, SinkHandle) {
         let q = StreamQueue::unbounded(qname);
+        let (exec, handle) = sink_domain(&q, Box::new(Filter::new("f", Expr::bool(true))));
+        (exec, q, handle)
+    }
+
+    /// One domain: `q` -> `op` -> sink.
+    fn sink_domain(
+        q: &Arc<StreamQueue>,
+        op: Box<dyn Operator>,
+    ) -> (Arc<Mutex<DomainExecutor>>, SinkHandle) {
         let (sink, handle) = CollectingSink::new("sink");
         let slots = vec![
-            SlotInit {
-                node: NodeId(1),
-                op: Box::new(Filter::new("f", Expr::bool(true))),
-                eos: EosTracker::new(1),
-                wm: WatermarkTracker::new(1),
-                closed: false,
-                targets: vec![Target::Inline { node: NodeId(2), port: 0 }],
-                stats: None,
-                latency: None,
-                chaos: None,
-            },
-            SlotInit {
-                node: NodeId(2),
-                op: Box::new(sink),
-                eos: EosTracker::new(1),
-                wm: WatermarkTracker::new(1),
-                closed: false,
-                targets: vec![],
-                stats: None,
-                latency: None,
-                chaos: None,
-            },
+            SlotInit::new(
+                SlotState::new(NodeId(1), op),
+                vec![Target::Inline { node: NodeId(2), port: 0 }],
+            ),
+            SlotInit::new(SlotState::new(NodeId(2), Box::new(sink)), vec![]),
         ];
+        (executor(q.name(), slots, q, ExecConfig::default()), handle)
+    }
+
+    /// One domain: a new queue -> `op` -> `targets`, popping runs of up to
+    /// `batch`.
+    fn feeder(
+        name: &str,
+        op: Box<dyn Operator>,
+        targets: Vec<Target>,
+        batch: usize,
+    ) -> (Arc<Mutex<DomainExecutor>>, Arc<StreamQueue>) {
+        let q = StreamQueue::unbounded(name);
+        let slots = vec![SlotInit::new(SlotState::new(NodeId(1), op), targets)];
+        (executor(name, slots, &q, ExecConfig { batch, ..ExecConfig::default() }), q)
+    }
+
+    fn executor(
+        name: &str,
+        slots: Vec<SlotInit>,
+        q: &Arc<StreamQueue>,
+        config: ExecConfig,
+    ) -> Arc<Mutex<DomainExecutor>> {
         let inputs =
-            vec![InputQueue { queue: Arc::clone(&q), node: NodeId(1), port: 0, exhausted: false }];
-        let exec = DomainExecutor::new(
-            qname,
-            slots,
-            inputs,
-            StrategyKind::Fifo.build(None),
-            ExecConfig::default(),
-        );
-        (Arc::new(Mutex::new(exec)), q, handle)
+            vec![InputQueue { queue: Arc::clone(q), node: NodeId(1), port: 0, exhausted: false }];
+        let exec = DomainExecutor::new(name, slots, inputs, StrategyKind::Fifo.build(None), config);
+        Arc::new(Mutex::new(exec))
+    }
+
+    /// A filter that passes everything after spinning `cost` per element.
+    fn costed(cost: Duration) -> Box<dyn Operator> {
+        Box::new(Costed::new(Filter::new("f", Expr::bool(true)), CostMode::Busy(cost)))
     }
 
     /// `workers` workers over `executors`, every domain runnable; an idle
@@ -913,20 +1038,12 @@ mod tests {
         const N: u64 = 20_000;
         let shared = TsShared::create_with_obs(2, 1, Obs::disabled());
         let (downstream, mid, sink) = simple_domain("mid");
-        let source = StreamQueue::unbounded("src");
-        let feed = SlotInit::new(
-            SlotState::new(NodeId(1), Box::new(Filter::new("f", Expr::bool(true)))),
-            vec![Target::Queue { queue: mid, wake: Some(shared.waker(1)) }],
-        );
-        let input =
-            InputQueue { queue: Arc::clone(&source), node: NodeId(1), port: 0, exhausted: false };
-        let upstream = Arc::new(Mutex::new(DomainExecutor::new(
+        let (upstream, source) = feeder(
             "src",
-            vec![feed],
-            vec![input],
-            StrategyKind::Fifo.build(None),
-            ExecConfig::default(),
-        )));
+            Box::new(Filter::new("f", Expr::bool(true))),
+            vec![Target::Queue { queue: mid, wake: Some(shared.waker(1)) }],
+            ExecConfig::default().batch,
+        );
         push_n(&source, N);
         let stop = Arc::new(StopFlag::new());
         let ts = ThreadScheduler::spawn(Arc::clone(&shared), vec![upstream, downstream], stop);
@@ -978,5 +1095,241 @@ mod tests {
         ts.join();
         assert_eq!(h1.count(), 2000);
         assert_eq!(h2.count(), 2000);
+    }
+
+    /// Waits until `n` idle periods have parked.
+    fn parks_reach(shared: &TsShared, n: u64) {
+        let t0 = Instant::now();
+        while shared.parks.get() < n {
+            assert!(t0.elapsed() < Duration::from_secs(5), "the workers never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Waits until `sink` has `n` elements.
+    fn sink_reaches(sink: &SinkHandle, n: u64) {
+        let t0 = Instant::now();
+        while sink.count() < n {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "{} of {n} reached the sink",
+                sink.count()
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// The worker that domain `d`'s last journaled dispatch ran on.
+    fn last_worker(obs: &Obs, d: usize) -> Option<usize> {
+        obs.journal_snapshot().iter().rev().find_map(|r| match r.event {
+            SchedEvent::Dispatch { domain, worker, .. } if domain == d => Some(worker),
+            _ => None,
+        })
+    }
+
+    fn one(i: u64) -> Message {
+        Message::data(Tuple::single(i as i64), Timestamp::from_micros(i))
+    }
+
+    #[test]
+    fn a_chained_wake_up_runs_on_the_worker_that_made_it() {
+        // Three domains on two workers: `d0` feeds `d1`, `d2` stays idle.
+        // Both workers parked, one element for `d0` wakes one of them; the
+        // wake-up of `d1` inside that dispatch is held, and the same worker
+        // runs `d1` after it without notifying its parked peer. A peer whose
+        // 20 ms timed wait runs out just then takes `d1` itself: one try in
+        // five must show the hold.
+        let chain = || {
+            let obs = Obs::enabled();
+            let shared = TsShared::create(3, 2, obs.clone(), true);
+            let (down, mid, sink) = simple_domain("d1");
+            let to_d1 = vec![Target::Queue { queue: mid, wake: Some(shared.waker(1)) }];
+            let (up, src) = feeder("d0", Box::new(Filter::new("f", Expr::bool(true))), to_d1, 32);
+            let (idle, _, _) = simple_domain("d2");
+            let stop = Arc::new(StopFlag::new());
+            let ts = ThreadScheduler::spawn(Arc::clone(&shared), vec![up, down, idle], stop);
+            parks_reach(&shared, 2);
+            let notifies = shared.notifies.load(Ordering::Relaxed);
+            src.push(one(0)).unwrap();
+            shared.wake(0);
+            sink_reaches(&sink, 1);
+            let kept = shared.held.get() == 1
+                && shared.notifies.load(Ordering::Relaxed) == notifies + 1
+                && last_worker(&obs, 0) == last_worker(&obs, 1);
+            ts.stop();
+            ts.join();
+            kept
+        };
+        assert!((0..5).any(|_| chain()), "`d1` never stayed with the worker that woke it");
+    }
+
+    #[test]
+    fn a_second_wake_up_in_one_dispatch_reaches_the_parked_peer() {
+        // `d0` feeds `d1` and `d2` and pops one element at a time; its second
+        // element stops at a gate, after the first element's two wake-ups.
+        // The first was held (no watcher: both workers had parked), so the
+        // second must have notified the parked peer, which runs `d1` or `d2`
+        // while `d0`'s dispatch waits at the gate. A peer whose timed wait
+        // ran out just as `d0` was queued takes `d0` and leaves its waker
+        // watching, and nothing is held: such tries do not count.
+        let gated = || {
+            let shared = TsShared::create(3, 2, Obs::disabled(), true);
+            let (q1, q2) = (StreamQueue::unbounded("d1"), StreamQueue::unbounded("d2"));
+            let (d1, s1) = sink_domain(&q1, Box::new(Filter::new("f", Expr::bool(true))));
+            let (d2, s2) = sink_domain(&q2, Box::new(Filter::new("f", Expr::bool(true))));
+            let (reached, open) =
+                (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+            let gate = {
+                let (reached, open) = (Arc::clone(&reached), Arc::clone(&open));
+                let mut calls = 0;
+                CallbackSink::new("gate", move |_| {
+                    calls += 1;
+                    if calls == 2 {
+                        reached.store(true, Ordering::SeqCst);
+                        while !open.load(Ordering::SeqCst) {
+                            std::hint::spin_loop();
+                        }
+                    }
+                })
+            };
+            let pass = Box::new(Filter::new("f", Expr::bool(true)));
+            let targets = vec![
+                Target::Queue { queue: q1, wake: Some(shared.waker(1)) },
+                Target::Queue { queue: q2, wake: Some(shared.waker(2)) },
+                Target::Inline { node: NodeId(2), port: 0 },
+            ];
+            let slots = vec![
+                SlotInit::new(SlotState::new(NodeId(1), pass), targets),
+                SlotInit::new(SlotState::new(NodeId(2), Box::new(gate)), vec![]),
+            ];
+            let src = StreamQueue::unbounded("d0");
+            let d0 = executor("d0", slots, &src, ExecConfig { batch: 1, ..ExecConfig::default() });
+            let stop = Arc::new(StopFlag::new());
+            let ts = ThreadScheduler::spawn(Arc::clone(&shared), vec![d0, d1, d2], stop);
+            parks_reach(&shared, 2);
+            let notifies = shared.notifies.load(Ordering::SeqCst);
+            src.push(one(0)).unwrap();
+            src.push(one(1)).unwrap();
+            shared.wake(0);
+            let t0 = Instant::now();
+            while !reached.load(Ordering::SeqCst) {
+                assert!(t0.elapsed() < Duration::from_secs(5), "`d0` never reached the gate");
+                std::thread::yield_now();
+            }
+            let caught = shared.held.get() > 0;
+            let woke_peer =
+                shared.held.get() == 1 && shared.notifies.load(Ordering::SeqCst) == notifies + 2;
+            if caught && woke_peer {
+                while s1.count() + s2.count() == 0 {
+                    assert!(t0.elapsed() < Duration::from_secs(5), "the peer never ran");
+                    std::thread::yield_now();
+                }
+                assert!(shared.inner.lock().running[0], "`d0` left the gate");
+            }
+            open.store(true, Ordering::SeqCst);
+            sink_reaches(&s1, 2);
+            sink_reaches(&s2, 2);
+            ts.stop();
+            ts.join();
+            caught.then_some(woke_peer)
+        };
+        let tries: Vec<bool> = (0..20).filter_map(|_| gated()).take(3).collect();
+        assert!(!tries.is_empty(), "no try held a wake-up");
+        assert!(tries.iter().all(|&woke| woke), "a second wake-up left the peer parked");
+    }
+
+    #[test]
+    fn a_worker_per_domain_never_holds_a_wake_up() {
+        // Two domains on two workers: `d0` spins 100 µs an element through
+        // 1 000 of them, one dispatch of about 100 ms (no slice), and wakes
+        // `d1` after each run it pushes. Nothing is held, so `d1`'s sink
+        // sees output while that dispatch still runs.
+        let shared = TsShared::create(2, 2, Obs::disabled(), true);
+        let (down, mid, sink) = simple_domain("d1");
+        let to_d1 = vec![Target::Queue { queue: mid, wake: Some(shared.waker(1)) }];
+        let (up, src) = feeder("d0", costed(Duration::from_micros(100)), to_d1, 32);
+        let stop = Arc::new(StopFlag::new());
+        let ts = ThreadScheduler::spawn(Arc::clone(&shared), vec![up, down], stop);
+        parks_reach(&shared, 2);
+        push_n(&src, 1000);
+        shared.wake(0);
+        sink_reaches(&sink, 1);
+        assert!(shared.inner.lock().running[0], "`d1` ran only after `d0`'s dispatch");
+        ts.join();
+        assert_eq!(sink.count(), 1000);
+        assert_eq!(shared.held.get(), 0);
+    }
+
+    #[test]
+    fn stopping_a_pool_that_holds_a_wake_up_ends_its_workers_at_once() {
+        // Three domains on two workers; `d0` spins 200 µs an element and
+        // pops one at a time, so its dispatch wakes `d1` early and holds it
+        // for the rest of its 1 ms slice. Stopped while `d1` is held, both
+        // workers (one in the dispatch, one parked) must end within the
+        // bound of the idle-pool test. Only tries that caught the hold
+        // count; best of three.
+        let stop_holding = || {
+            let shared = TsShared::create(3, 2, Obs::disabled(), true);
+            let (down, mid, _sink) = simple_domain("d1");
+            let to_d1 = vec![Target::Queue { queue: mid, wake: Some(shared.waker(1)) }];
+            let (up, src) = feeder("d0", costed(Duration::from_micros(200)), to_d1, 1);
+            let (idle, _, _) = simple_domain("d2");
+            let stop = Arc::new(StopFlag::new());
+            let ts = ThreadScheduler::spawn(Arc::clone(&shared), vec![up, down, idle], stop);
+            parks_reach(&shared, 2);
+            for i in 0..1000 {
+                src.push(one(i)).unwrap();
+            }
+            shared.wake(0);
+            let t0 = Instant::now();
+            let caught = loop {
+                let inner = shared.inner.lock();
+                if shared.held.get() > 0 && inner.queued[1] && inner.running[0] {
+                    break true;
+                }
+                if t0.elapsed() > Duration::from_millis(100) {
+                    break false;
+                }
+            };
+            let t0 = Instant::now();
+            ts.stop();
+            ts.join();
+            caught.then(|| t0.elapsed())
+        };
+        let took: Vec<Duration> = (0..20).filter_map(|_| stop_holding()).take(3).collect();
+        let best = took.iter().min().expect("no try caught a held wake-up");
+        assert!(*best < Duration::from_millis(10), "the workers took {best:?} to see the stop");
+    }
+
+    #[test]
+    fn a_dispatch_waiting_for_room_wakes_its_consumer_at_once() {
+        // Three domains on two workers; `d0` pushes a run of 32 into a
+        // `Block` queue that holds 16, which `d1` drains. The dispatch
+        // waits for room, so its wake-up of `d1` must not be held for its
+        // own (blocked) worker: the peer, parked just before, runs `d1` at
+        // once instead of after its 20 ms timed wait. Best of three.
+        let through_full_queue = || {
+            let shared = TsShared::create(3, 2, Obs::disabled(), true);
+            let mid = StreamQueue::bounded("d1", 16, BackpressurePolicy::Block);
+            let (down, sink) = sink_domain(&mid, Box::new(Filter::new("f", Expr::bool(true))));
+            let to_d1 = vec![Target::Queue { queue: mid, wake: Some(shared.waker(1)) }];
+            let (up, src) = feeder("d0", Box::new(Filter::new("f", Expr::bool(true))), to_d1, 32);
+            let (idle, _, _) = simple_domain("d2");
+            let stop = Arc::new(StopFlag::new());
+            let ts = ThreadScheduler::spawn(Arc::clone(&shared), vec![up, down, idle], stop);
+            parks_reach(&shared, 2);
+            for i in 0..32 {
+                src.push(one(i)).unwrap();
+            }
+            let t0 = Instant::now();
+            shared.wake(0);
+            sink_reaches(&sink, 32);
+            let took = t0.elapsed();
+            ts.stop();
+            ts.join();
+            took
+        };
+        let best = (0..3).map(|_| through_full_queue()).min().expect("three tries");
+        assert!(best < Duration::from_millis(10), "32 elements took {best:?}");
     }
 }

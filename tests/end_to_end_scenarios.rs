@@ -1,6 +1,7 @@
 //! Scaled-down versions of the paper's experiments run end-to-end, checking
 //! the *qualitative* claims (who wins, what stalls) at test-suite speed.
-//! The full-scale reproductions live in `crates/bench/src/bin/fig*.rs`.
+//! The full-scale reproductions live in `crates/bench/src/bin/fig*.rs`;
+//! Fig. 7's wall-clock race is `tests/fig7_race.rs`.
 
 #[path = "common/mod.rs"]
 mod common;
@@ -10,7 +11,7 @@ use hmts::prelude::*;
 use hmts::scheduler::chain::compute_chain_segments;
 use hmts::sim::{simulate, SimConfig, SimPolicy, SimStrategy};
 use hmts_graph::cost::CostGraph;
-use hmts_workload::scenarios::{fig6_join, fig7_chain, Fig6Params, Fig7Params, JoinKind};
+use hmts_workload::scenarios::{fig6_join, Fig6Params, JoinKind};
 use std::time::Duration;
 
 /// Runs Fig. 6's nested-loops join, charged `cost` of busy work per element,
@@ -66,32 +67,6 @@ fn fig6_di_join_stalls_sources_but_decoupling_does_not() {
         "decoupled sources stay on schedule: {dec_end:.2}s vs offered {offered:.2}s"
     );
     assert!(di_end > dec_end, "decoupling helps: {di_end:.2} vs {dec_end:.2}");
-}
-
-#[test]
-fn fig7_di_beats_gts_in_real_engine() {
-    // Unpaced throughput race of the Fig. 7 query: DI (one queue after the
-    // source, everything else inline) versus GTS (queues everywhere). The
-    // queueing overhead must make GTS measurably slower.
-    let p = Fig7Params { elements: 150_000, ..Fig7Params::default() };
-    let run = |plan_for: fn(&Topology) -> ExecutionPlan| -> f64 {
-        let s = fig7_chain(&p);
-        let topo = Topology::of(&s.graph);
-        let cfg =
-            EngineConfig { pace_sources: false, measure_stats: false, ..EngineConfig::default() };
-        let report = Engine::run_with_config(s.graph, plan_for(&topo), cfg).expect("engine runs");
-        assert!(report.errors.is_empty());
-        report.elapsed.as_secs_f64()
-    };
-    // The two alternate, so a stretch of load from the rest of the suite
-    // falls on both, and each side's fastest of five is what it costs
-    // when nothing else runs.
-    let (mut di, mut gts) = (f64::MAX, f64::MAX);
-    for _ in 0..5 {
-        di = di.min(run(ExecutionPlan::di_decoupled));
-        gts = gts.min(run(|t| ExecutionPlan::gts(t, StrategyKind::Fifo)));
-    }
-    assert!(di < gts, "DI ({di:.3}s) must beat GTS ({gts:.3}s) — queueing overhead is real");
 }
 
 /// The Fig. 9 cost graph: src -> projection -> cheap selective -> expensive
