@@ -137,9 +137,9 @@ pub struct TsShared {
     /// per domain (GTS, OTS, decoupled DI) nobody waits: a dispatch runs
     /// until its domain is idle, and neither reads the clock.
     contended: bool,
-    /// An idle worker watches `epoch` before it parks (see
-    /// `several_cpus`).
-    watches: bool,
+    /// How long an idle worker watches `epoch` before it parks:
+    /// `IDLE_WATCH`, or not at all on one CPU (see `several_cpus`).
+    watch: Option<Duration>,
     /// Moved under the lock by every enqueue, domain finish and stop; the
     /// watching worker reads it without the lock and ends its watch when it
     /// moves. The lock stays the only authority: the word publishes nothing,
@@ -160,6 +160,9 @@ pub struct TsShared {
     /// `notify_one` calls made to hand a queued domain on.
     #[cfg(test)]
     notifies: AtomicU64,
+    /// Watches that ended because `epoch` moved.
+    #[cfg(test)]
+    moved_watches: AtomicU64,
 }
 
 impl TsShared {
@@ -175,11 +178,11 @@ impl TsShared {
     /// (wake-ups kept for the worker whose dispatch made them) counters
     /// are maintained.
     pub fn create_with_obs(domains: usize, workers: usize, obs: Obs) -> Arc<TsShared> {
-        TsShared::create(domains, workers, obs, several_cpus())
+        TsShared::create(domains, workers, obs, several_cpus().then_some(IDLE_WATCH))
     }
 
-    fn create(domains: usize, workers: usize, obs: Obs, watches: bool) -> Arc<TsShared> {
-        let shared = Arc::new(TsShared::new(domains, workers.max(1), obs, watches));
+    fn create(domains: usize, workers: usize, obs: Obs, watch: Option<Duration>) -> Arc<TsShared> {
+        let shared = Arc::new(TsShared::new(domains, workers.max(1), obs, watch));
         {
             let mut inner = shared.inner.lock();
             for d in 0..domains {
@@ -194,7 +197,7 @@ impl TsShared {
         Arc::new(TsWaker { shared: Arc::clone(self), domain: d })
     }
 
-    fn new(domains: usize, workers: usize, obs: Obs, watches: bool) -> TsShared {
+    fn new(domains: usize, workers: usize, obs: Obs, watch: Option<Duration>) -> TsShared {
         let dispatches = obs.counter("ts.dispatches");
         let preemptions = obs.counter("ts.preemptions");
         let spin_hits = obs.counter("ts.spin_hits");
@@ -215,7 +218,7 @@ impl TsShared {
             yield_flags: (0..domains).map(|_| Arc::new(AtomicBool::new(false))).collect(),
             workers,
             contended: domains > workers,
-            watches,
+            watch,
             epoch: AtomicU64::new(0),
             obs,
             dispatches,
@@ -229,6 +232,8 @@ impl TsShared {
             peak_watching: Default::default(),
             #[cfg(test)]
             notifies: Default::default(),
+            #[cfg(test)]
+            moved_watches: Default::default(),
         }
     }
 
@@ -273,9 +278,10 @@ impl TsShared {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Spins on `epoch` until it moves from `seen` or `IDLE_WATCH` has
-    /// passed. Returns whether the word moved.
+    /// Spins on `epoch` until it moves from `seen` or the pool's watch has
+    /// run out. Returns whether the word moved.
     fn watch(&self, seen: u64) -> bool {
+        let watch_for = self.watch.unwrap_or_default();
         #[cfg(test)]
         {
             let now = self.watching.fetch_add(1, Ordering::SeqCst) + 1;
@@ -286,13 +292,16 @@ impl TsShared {
             if self.epoch.load(Ordering::Relaxed) != seen {
                 break true;
             }
-            if start.elapsed() >= IDLE_WATCH {
+            if start.elapsed() >= watch_for {
                 break false;
             }
             std::hint::spin_loop();
         };
         #[cfg(test)]
-        self.watching.fetch_sub(1, Ordering::SeqCst);
+        {
+            self.watching.fetch_sub(1, Ordering::SeqCst);
+            self.moved_watches.fetch_add(u64::from(moved), Ordering::SeqCst);
+        }
         moved
     }
 
@@ -512,7 +521,7 @@ fn worker_loop(
     loop {
         let d = {
             // No watch (any more) in this idle period: park from now on.
-            let mut spent = !shared.watches;
+            let mut spent = shared.watch.is_none();
             // The last watch ended with `epoch` moved (and no park since).
             let mut hit = false;
             // This idle period has parked (and been counted) once.
@@ -690,7 +699,7 @@ mod tests {
         workers: usize,
         stop: &Arc<StopFlag>,
     ) -> ThreadScheduler {
-        let shared = TsShared::create(executors.len(), workers, Obs::disabled(), true);
+        let shared = TsShared::create(executors.len(), workers, Obs::disabled(), Some(IDLE_WATCH));
         ThreadScheduler::spawn(shared, executors, Arc::clone(stop))
     }
 
@@ -876,7 +885,7 @@ mod tests {
     #[test]
     fn a_pool_for_one_cpu_parks_without_watching() {
         let (e, q, h) = simple_domain("a");
-        let shared = TsShared::create(1, 1, Obs::disabled(), false);
+        let shared = TsShared::create(1, 1, Obs::disabled(), None);
         let stop = Arc::new(StopFlag::new());
         let ts = ThreadScheduler::spawn(Arc::clone(&shared), vec![e], Arc::clone(&stop));
         for i in 0..50u64 {
@@ -978,41 +987,55 @@ mod tests {
 
     #[test]
     fn a_domain_finishing_during_a_watch_lets_join_return_at_once() {
-        // Two domains on two workers. `b` is dispatched with its whole input
-        // but held at its executor's lock; `a` finishes on the other worker,
-        // which then watches. Released, `b` finishes while that worker
-        // watches, and `join` must return at once. Only tries that caught
-        // the watch count; best of three.
+        // Two domains on two workers. `b`'s one element waits at a gate;
+        // `a` finishes on the other worker, which then watches, and the
+        // gate lets `b` finish once it sees that watch: `join` must return
+        // at once. The gate sleeps between looks, so it gets a CPU during
+        // the watch even where the kernel put both workers on one, and the
+        // watch lasts 5 ms, so `b`'s finish lands inside it on a slow host
+        // too; the gate gives up if the watcher parks. A try counts if the
+        // watching worker records that `epoch` moved (`b`'s finish is the
+        // one move after `a`'s) and ended its watch; best of three.
         let finish_during_watch = || {
-            let (ea, qa, _) = simple_domain("a");
-            let (eb, qb, hb) = simple_domain("b");
+            let shared = TsShared::create(2, 2, Obs::disabled(), Some(Duration::from_millis(5)));
+            let (ea, qa, ha) = simple_domain("a");
+            let qb = StreamQueue::unbounded("b");
+            let reached = Arc::new(AtomicBool::new(false));
+            let gate = {
+                let (shared, reached) = (Arc::clone(&shared), Arc::clone(&reached));
+                CallbackSink::new("gate", move |_| {
+                    let parks = shared.parks.get();
+                    reached.store(true, Ordering::SeqCst);
+                    while (ha.count() < 10 || shared.watching.load(Ordering::SeqCst) == 0)
+                        && shared.parks.get() == parks
+                    {
+                        std::thread::sleep(Duration::from_micros(1));
+                    }
+                })
+            };
+            let (eb, _) = sink_domain(&qb, Box::new(gate));
             let stop = Arc::new(StopFlag::new());
-            let ts = pool(vec![ea, Arc::clone(&eb)], 2, &stop);
-            let shared = ts.shared();
+            let ts = ThreadScheduler::spawn(Arc::clone(&shared), vec![ea, eb], stop);
             // Both domains' first slices end idle; both workers park.
-            while shared.parks.get() < 2 {
-                std::thread::yield_now();
-            }
-            let held = eb.lock();
-            push_n(&qb, 10);
+            parks_reach(&shared, 2);
+            push_n(&qb, 1);
             shared.wake(1);
-            while shared.dispatches.get() < 3 {
+            let t0 = Instant::now();
+            while !reached.load(Ordering::SeqCst) {
+                assert!(t0.elapsed() < Duration::from_secs(5), "`b` never reached the gate");
                 std::thread::yield_now();
             }
-            let parked = shared.parks.get();
+            let moved = shared.moved_watches.load(Ordering::SeqCst);
             push_n(&qa, 10);
-            shared.wake(0);
-            let caught = caught_watching(&shared, parked + 1);
             let t0 = Instant::now();
-            drop(held);
+            shared.wake(0);
             ts.join();
             let took = t0.elapsed();
-            assert_eq!(hb.count(), 10);
             assert!(shared.is_all_finished());
-            caught.then_some(took)
+            (shared.moved_watches.load(Ordering::SeqCst) > moved).then_some(took)
         };
         let took: Vec<Duration> = (0..100).filter_map(|_| finish_during_watch()).take(3).collect();
-        let best = took.iter().min().expect("no try caught a worker watching");
+        let best = took.iter().min().expect("no try finished `b` during a watch");
         assert!(*best < Duration::from_millis(10), "join took {best:?}");
     }
 
@@ -1141,7 +1164,7 @@ mod tests {
         // five must show the hold.
         let chain = || {
             let obs = Obs::enabled();
-            let shared = TsShared::create(3, 2, obs.clone(), true);
+            let shared = TsShared::create(3, 2, obs.clone(), Some(IDLE_WATCH));
             let (down, mid, sink) = simple_domain("d1");
             let to_d1 = vec![Target::Queue { queue: mid, wake: Some(shared.waker(1)) }];
             let (up, src) = feeder("d0", Box::new(Filter::new("f", Expr::bool(true))), to_d1, 32);
@@ -1173,7 +1196,7 @@ mod tests {
         // ran out just as `d0` was queued takes `d0` and leaves its waker
         // watching, and nothing is held: such tries do not count.
         let gated = || {
-            let shared = TsShared::create(3, 2, Obs::disabled(), true);
+            let shared = TsShared::create(3, 2, Obs::disabled(), Some(IDLE_WATCH));
             let (q1, q2) = (StreamQueue::unbounded("d1"), StreamQueue::unbounded("d2"));
             let (d1, s1) = sink_domain(&q1, Box::new(Filter::new("f", Expr::bool(true))));
             let (d2, s2) = sink_domain(&q2, Box::new(Filter::new("f", Expr::bool(true))));
@@ -1244,7 +1267,7 @@ mod tests {
         // 1 000 of them, one dispatch of about 100 ms (no slice), and wakes
         // `d1` after each run it pushes. Nothing is held, so `d1`'s sink
         // sees output while that dispatch still runs.
-        let shared = TsShared::create(2, 2, Obs::disabled(), true);
+        let shared = TsShared::create(2, 2, Obs::disabled(), Some(IDLE_WATCH));
         let (down, mid, sink) = simple_domain("d1");
         let to_d1 = vec![Target::Queue { queue: mid, wake: Some(shared.waker(1)) }];
         let (up, src) = feeder("d0", costed(Duration::from_micros(100)), to_d1, 32);
@@ -1269,7 +1292,7 @@ mod tests {
         // bound of the idle-pool test. Only tries that caught the hold
         // count; best of three.
         let stop_holding = || {
-            let shared = TsShared::create(3, 2, Obs::disabled(), true);
+            let shared = TsShared::create(3, 2, Obs::disabled(), Some(IDLE_WATCH));
             let (down, mid, _sink) = simple_domain("d1");
             let to_d1 = vec![Target::Queue { queue: mid, wake: Some(shared.waker(1)) }];
             let (up, src) = feeder("d0", costed(Duration::from_micros(200)), to_d1, 1);
@@ -1309,7 +1332,7 @@ mod tests {
         // own (blocked) worker: the peer, parked just before, runs `d1` at
         // once instead of after its 20 ms timed wait. Best of three.
         let through_full_queue = || {
-            let shared = TsShared::create(3, 2, Obs::disabled(), true);
+            let shared = TsShared::create(3, 2, Obs::disabled(), Some(IDLE_WATCH));
             let mid = StreamQueue::bounded("d1", 16, BackpressurePolicy::Block);
             let (down, sink) = sink_domain(&mid, Box::new(Filter::new("f", Expr::bool(true))));
             let to_d1 = vec![Target::Queue { queue: mid, wake: Some(shared.waker(1)) }];

@@ -10,10 +10,11 @@
 //!   the first frame), then one `take_data` for the rest — the ingest
 //!   server's and the subscriber's path per socket read, copy included.
 //! * `build_only_64k` — the same elements built from values at hand and
-//!   dropped: the allocation and drop every decoder pays, no decoding.
+//!   dropped: what every decoder pays besides decoding (no allocation: a
+//!   pair is held inline).
 //! * `encode_data_run32` / `encode_frame_run32` — a run of 32 elements
 //!   encoded straight from the elements, against a `Frame` built per
-//!   element (tuple `Arc` cloned) and `encode_frame`d.
+//!   element (tuple cloned) and `encode_frame`d.
 //! * `egress_1024_end_each_run32` / `egress_1024_end_once` — an
 //!   `EgressSink` with one loopback subscriber, drained on a thread, fed 32
 //!   runs of 32 elements: the sink told the slice ended after every run (a

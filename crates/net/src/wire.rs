@@ -47,8 +47,9 @@
 //! 64 KiB into one buffer of its own, and
 //! [`take_data`](FrameReader::take_data) decodes every whole data frame at
 //! the front of that buffer straight into a run of [`Element`]s — no read,
-//! no copy, no [`Frame`] in between, one allocation per tuple (plus one per
-//! string value). Because it reads ahead, a `FrameReader` owns the read side of
+//! no copy, no [`Frame`] in between, no allocation for a tuple of up to two
+//! fields, one for a wider tuple (plus one per string value). Because it
+//! reads ahead, a `FrameReader` owns the read side of
 //! its stream: bytes it buffered are gone from the stream for anyone else.
 //! On the way out, [`encode_data`] writes a data frame straight from the
 //! element's fields.

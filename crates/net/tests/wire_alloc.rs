@@ -1,8 +1,9 @@
 //! What the wire hop allocates, counted under a global allocator that keeps
 //! one counter per thread (so the tests of this binary, and the server's
 //! accept thread, do not see each other): decoding a run costs one
-//! allocation per tuple and one per string value, and encoding a run costs
-//! nothing once the sink's buffer has grown.
+//! allocation per tuple of more than two fields (a tuple of up to two holds
+//! them inline) and one per string value, and encoding a run costs nothing
+//! once the sink's buffer has grown.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -81,22 +82,28 @@ fn take_data_allocations(tuples: &[Tuple]) -> u64 {
 }
 
 #[test]
-fn take_data_allocates_once_per_int_tuple() {
+fn take_data_allocates_only_for_an_int_tuple_of_more_than_two_fields() {
     let tuples: Vec<Tuple> = (0..1000i64)
-        .map(|i| match i % 4 {
+        .map(|i| match i % 5 {
             0 => Tuple::single(i),
             1 => Tuple::pair(i, -i),
             2 => Tuple::new([i, 2 * i, 3 * i]),
+            3 => Tuple::empty(),
             _ => Tuple::new([Value::Int(i), Value::Float(0.5), Value::Bool(true), Value::Null]),
         })
         .collect();
-    assert_eq!(take_data_allocations(&tuples), tuples.len() as u64);
+    let wide = tuples.iter().filter(|t| t.arity() > 2).count();
+    assert_eq!(wide, 400);
+    assert_eq!(take_data_allocations(&tuples), wide as u64);
 }
 
 #[test]
 fn a_string_value_costs_one_allocation_more() {
     let tuples: Vec<Tuple> = (0..500i64).map(|i| Tuple::pair(i, format!("k{i}"))).collect();
-    assert_eq!(take_data_allocations(&tuples), 2 * tuples.len() as u64);
+    assert_eq!(take_data_allocations(&tuples), tuples.len() as u64);
+    let wide: Vec<Tuple> =
+        (0..500i64).map(|i| Tuple::new([Value::Int(i), "a".into(), "b".into()])).collect();
+    assert_eq!(take_data_allocations(&wide), 3 * wide.len() as u64);
 }
 
 #[test]

@@ -222,9 +222,9 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads the values of a tuple of `arity`, which the caller read in
-    /// its format's width, into one allocation: the values are decoded
-    /// straight into the shared slice, which an exact-length iterator
-    /// sizes up front.
+    /// its format's width. Up to two values are decoded into the tuple
+    /// itself, with no allocation; more go straight into one shared slice,
+    /// which an exact-length iterator sizes up front.
     #[inline]
     pub fn tuple(&mut self, arity: usize) -> Result<Tuple, CodecError> {
         if arity > self.remaining() {

@@ -292,15 +292,20 @@ mod tests {
         assert_eq!(e.to_string(), "(5)@1.000000s");
     }
 
-    /// `Element` is tuple (a fat `Arc` pointer), timestamp, trace tag and
-    /// sequence tag; `Message` hides its discriminant in the pointer's
-    /// niche. One more word puts `Message` at 48 bytes, and every queue
-    /// slot, staging buffer and DI stack entry with it — `chain_di` paid
-    /// about 3 % for the step from 32 to 40.
+    /// `Element` is tuple (up to two 24-byte values inline, or a fat `Arc`
+    /// pointer), timestamp, trace tag and sequence tag; `Message` hides its
+    /// discriminant in the tuple's. Holding two fields inline grew both from
+    /// 40 to 72 bytes, and every queue slot, staging buffer and DI stack
+    /// entry with them, for no heap block per tuple: on the perf ledger
+    /// `chain_di` went from 7.9 to 11.0 M tuples/s (1.39×, ten alternating
+    /// pairs on a 2-vCPU host; EXPERIMENTS.md), and `chain_gts` (1.35×) and
+    /// `chain_hmts` (1.25×), whose elements cross queues, rose too. A wider
+    /// element must pay for itself there.
     #[test]
-    fn element_and_message_are_five_words() {
-        assert_eq!(std::mem::size_of::<Element>(), 40);
-        assert_eq!(std::mem::size_of::<Message>(), 40);
+    fn element_and_message_are_nine_words() {
+        assert_eq!(std::mem::size_of::<Tuple>(), 48);
+        assert_eq!(std::mem::size_of::<Element>(), 72);
+        assert_eq!(std::mem::size_of::<Message>(), 72);
     }
 
     #[test]

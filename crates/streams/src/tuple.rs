@@ -1,6 +1,8 @@
 //! Fixed-arity tuples of dynamic [`Value`]s — the payload of stream elements.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::error::StreamError;
@@ -8,95 +10,167 @@ use crate::value::Value;
 
 /// An immutable tuple of [`Value`]s.
 ///
-/// Tuples are shared between operators by reference counting: cloning a
-/// `Tuple` copies one pointer, so fan-out in a query graph (the paper's
-/// subquery sharing, Fig. 1) does not copy payloads.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Tuple {
-    values: Arc<[Value]>,
+/// A tuple of up to two fields holds them inline: building, moving and
+/// dropping it allocates nothing, so the single-integer and key/value
+/// tuples that dominate the paper's experiments cross a thread without a
+/// heap block of their own. A wider tuple shares its fields by reference
+/// counting: cloning it copies one pointer, so fan-out in a query graph
+/// (the paper's subquery sharing, Fig. 1) does not copy payloads.
+///
+/// Equality, ordering and hashing are those of [`Tuple::values`], whichever
+/// way the fields are held.
+#[derive(Clone)]
+pub struct Tuple(Repr);
+
+/// Where a tuple's fields live. Every constructor holds arity 0–2 inline
+/// (`new` trusts its iterator's size hint); the variants are a storage
+/// choice and never part of a tuple's identity.
+#[derive(Clone)]
+enum Repr {
+    Two([Value; 2]),
+    One(Value),
+    Empty,
+    Wide(Arc<[Value]>),
 }
 
 impl Tuple {
     /// Builds a tuple from any collection of values.
+    ///
+    /// Up to two values are read into the tuple itself. An iterator that
+    /// promises more than two (its `size_hint`) is collected straight into
+    /// the shared slice, one allocation for an exact-length one.
     pub fn new<I>(values: I) -> Self
     where
         I: IntoIterator,
         I::Item: Into<Value>,
     {
-        Tuple { values: values.into_iter().map(Into::into).collect() }
+        let mut values = values.into_iter().map(Into::into);
+        if values.size_hint().0 > 2 {
+            return Tuple(Repr::Wide(values.collect()));
+        }
+        let Some(a) = values.next() else { return Tuple::empty() };
+        let Some(b) = values.next() else { return Tuple(Repr::One(a)) };
+        let Some(c) = values.next() else { return Tuple(Repr::Two([a, b])) };
+        Tuple(Repr::Wide([a, b, c].into_iter().chain(values).collect()))
     }
 
     /// The empty tuple: the payload of a shard replica's `empty` marker.
-    /// It allocates nothing — every empty tuple shares one static slice.
     pub fn empty() -> Self {
-        Tuple { values: Arc::default() }
+        Tuple(Repr::Empty)
     }
 
     /// Convenience constructor for the single-integer tuples that dominate
     /// the paper's synthetic experiments.
-    ///
-    /// Here and in [`Tuple::pair`] the fields go from an array straight
-    /// into the shared slice: one allocation, no collect.
     pub fn single(v: impl Into<Value>) -> Self {
-        Tuple { values: Arc::from([v.into()]) }
+        Tuple(Repr::One(v.into()))
     }
 
     /// Convenience constructor for key/value pair tuples.
     pub fn pair(a: impl Into<Value>, b: impl Into<Value>) -> Self {
-        Tuple { values: Arc::from([a.into(), b.into()]) }
+        Tuple(Repr::Two([a.into(), b.into()]))
     }
 
     /// Number of fields.
     pub fn arity(&self) -> usize {
-        self.values.len()
+        self.values().len()
     }
 
     /// Whether the tuple has no fields.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values().is_empty()
     }
 
     /// Borrow field `index`, with a descriptive error when out of bounds.
     #[inline]
     pub fn get(&self, index: usize) -> Result<&Value, StreamError> {
-        self.values
-            .get(index)
-            .ok_or(StreamError::FieldOutOfBounds { index, arity: self.values.len() })
+        let values = self.values();
+        values.get(index).ok_or(StreamError::FieldOutOfBounds { index, arity: values.len() })
     }
 
     /// Borrow field `index` without the error wrapper; panics if out of
     /// bounds. Use in hot paths where the index was validated at graph
     /// construction time.
+    #[inline]
     pub fn field(&self, index: usize) -> &Value {
-        &self.values[index]
+        &self.values()[index]
     }
 
     /// All fields, in order.
+    #[inline]
     pub fn values(&self) -> &[Value] {
-        &self.values
+        match &self.0 {
+            Repr::Two(values) => values,
+            Repr::One(value) => std::slice::from_ref(value),
+            Repr::Empty => &[],
+            Repr::Wide(values) => values,
+        }
     }
 
     /// A new tuple containing the fields at `indices`, in that order
     /// (relational projection, duplicates allowed).
     pub fn project(&self, indices: &[usize]) -> Result<Tuple, StreamError> {
-        let mut out = Vec::with_capacity(indices.len());
-        for &i in indices {
-            out.push(self.get(i)?.clone());
-        }
-        Ok(Tuple { values: out.into() })
+        Ok(match *indices {
+            [] => Tuple::empty(),
+            [a] => Tuple(Repr::One(self.get(a)?.clone())),
+            [a, b] => Tuple(Repr::Two([self.get(a)?.clone(), self.get(b)?.clone()])),
+            _ => {
+                let mut out = Vec::with_capacity(indices.len());
+                for &i in indices {
+                    out.push(self.get(i)?.clone());
+                }
+                Tuple(Repr::Wide(out.into()))
+            }
+        })
     }
 
     /// Concatenation of two tuples (used by joins to combine probe and build
     /// sides).
     ///
-    /// Two allocations on purpose, here and in [`Tuple::project`]:
-    /// collecting straight into the `Arc<[Value]>` saves the `Vec` and
-    /// measures slower (EXPERIMENTS.md, "Dead ends worth keeping").
+    /// A wide result costs two allocations on purpose, here and in
+    /// [`Tuple::project`]: collecting straight into the `Arc<[Value]>` saves
+    /// the `Vec` and measures slower (EXPERIMENTS.md, "Dead ends worth
+    /// keeping").
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut out = Vec::with_capacity(self.arity() + other.arity());
-        out.extend_from_slice(&self.values);
-        out.extend_from_slice(&other.values);
-        Tuple { values: out.into() }
+        let (a, b) = (self.values(), other.values());
+        match (a, b) {
+            (_, []) => self.clone(),
+            ([], _) => other.clone(),
+            ([x], [y]) => Tuple(Repr::Two([x.clone(), y.clone()])),
+            _ => {
+                let mut out = Vec::with_capacity(a.len() + b.len());
+                out.extend_from_slice(a);
+                out.extend_from_slice(b);
+                Tuple(Repr::Wide(out.into()))
+            }
+        }
+    }
+}
+
+impl PartialEq for Tuple {
+    #[inline]
+    fn eq(&self, other: &Tuple) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for Tuple {}
+
+impl PartialOrd for Tuple {
+    fn partial_cmp(&self, other: &Tuple) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Tuple {
+    fn cmp(&self, other: &Tuple) -> Ordering {
+        self.values().cmp(other.values())
+    }
+}
+
+impl Hash for Tuple {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().hash(state)
     }
 }
 
@@ -109,7 +183,7 @@ impl fmt::Debug for Tuple {
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, v) in self.values.iter().enumerate() {
+        for (i, v) in self.values().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -175,10 +249,29 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_shallow() {
-        let t = Tuple::new([1i64, 2, 3]);
-        let c = t.clone();
-        assert!(Arc::ptr_eq(&t.values, &c.values));
+    fn a_wide_clone_shares_and_a_small_tuple_is_inline() {
+        let wide = Tuple::new([1i64, 2, 3]);
+        let (Repr::Wide(a), Repr::Wide(b)) = (&wide.0, &wide.clone().0) else {
+            panic!("a tuple of three fields is shared");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        // Whichever way a small tuple is built, its fields are inline, and
+        // its clone holds copies of them, not of a pointer.
+        let small = [
+            Tuple::empty(),
+            Tuple::new(Vec::<Value>::new()),
+            Tuple::single(1),
+            Tuple::new(vec![1i64]),
+            Tuple::pair(1, "x"),
+            Tuple::new(vec![Value::Int(1), Value::from("x")]),
+            (0..2i64).filter(|_| true).collect(),
+            wide.project(&[2, 0]).unwrap(),
+            Tuple::single(1).concat(&Tuple::single(2)),
+            wide.project(&[]).unwrap().concat(&Tuple::single(3)),
+        ];
+        for t in small {
+            assert!(!matches!(t.clone().0, Repr::Wide(_)), "{t} is not inline");
+        }
     }
 
     #[test]

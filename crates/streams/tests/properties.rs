@@ -2,12 +2,15 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
+use hmts_streams::codec::{put_values, Reader};
 use hmts_streams::element::{Element, Message, Punctuation};
 use hmts_streams::error::StreamError;
 use hmts_streams::queue::{BackpressurePolicy, Batch, StreamQueue};
@@ -18,6 +21,8 @@ use hmts_streams::value::Value;
 thread_local! {
     /// Bytes this thread holds allocated.
     static HELD: Cell<isize> = const { Cell::new(0) };
+    /// Allocations (and reallocations) this thread made.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -28,6 +33,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         HELD.with(|h| h.set(h.get() + layout.size() as isize));
+        ALLOCS.with(|a| a.set(a.get() + 1));
         System.alloc(layout)
     }
 
@@ -38,6 +44,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         HELD.with(|h| h.set(h.get() + new_size as isize - layout.size() as isize));
+        ALLOCS.with(|a| a.set(a.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -191,6 +198,113 @@ proptest! {
         prop_assert_eq!(q.len() as u64 + popped, pushes.len() as u64);
         prop_assert!(q.metrics().high_water() <= pushes.len());
     }
+}
+
+fn hash_of<T: Hash + ?Sized>(t: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #[test]
+    fn a_tuple_compares_and_hashes_as_its_values(
+        a in proptest::collection::vec(arb_value(), 0..5),
+        b in proptest::collection::vec(arb_value(), 0..5),
+    ) {
+        let (ta, tb) = (Tuple::new(a.clone()), Tuple::new(b.clone()));
+        prop_assert_eq!(ta == tb, a[..] == b[..]);
+        prop_assert_eq!(ta.cmp(&tb), a[..].cmp(&b[..]));
+        prop_assert_eq!(ta.partial_cmp(&tb), a[..].partial_cmp(&b[..]));
+        prop_assert_eq!(hash_of(&ta), hash_of(&a[..]));
+        prop_assert_eq!(hash_of(&tb), hash_of(&b[..]));
+    }
+
+    #[test]
+    fn every_build_path_gives_the_same_tuple(
+        values in proptest::collection::vec(arb_value(), 0..5),
+        split in 0usize..5,
+    ) {
+        let n = values.len();
+        let t = Tuple::new(values.clone());
+        prop_assert_eq!(t.values(), &values[..]);
+        prop_assert_eq!(t.arity(), n);
+        // Wider than any small tuple, so a projection of it reads a shared
+        // slice.
+        let padded = Tuple::new(values.iter().cloned().chain([Value::Null, Value::Null, Value::Null]));
+        let all: Vec<usize> = (0..n).collect();
+        let k = split.min(n);
+        let mut bytes = Vec::new();
+        put_values(&mut bytes, &values);
+        let mut built = vec![
+            ("collect", values.iter().cloned().collect::<Tuple>()),
+            ("collect, no exact size", values.iter().filter(|_| true).cloned().collect()),
+            ("project", padded.project(&all).unwrap()),
+            ("project itself", t.project(&all).unwrap()),
+            ("concat", Tuple::new(values[..k].to_vec()).concat(&Tuple::new(values[k..].to_vec()))),
+            ("codec", Reader::new(&bytes).tuple(n).unwrap()),
+        ];
+        match &values[..] {
+            [] => built.push(("empty", Tuple::empty())),
+            [a] => built.push(("single", Tuple::single(a.clone()))),
+            [a, b] => {
+                built.push(("pair", Tuple::pair(a.clone(), b.clone())));
+                built.push((
+                    "two singles",
+                    Tuple::single(a.clone()).concat(&Tuple::single(b.clone())),
+                ));
+            }
+            _ => {}
+        }
+        for (path, u) in built {
+            prop_assert_eq!(&u, &t, "{}", path);
+            prop_assert_eq!(u.cmp(&t), std::cmp::Ordering::Equal, "{}", path);
+            prop_assert_eq!(hash_of(&u), hash_of(&t), "{}", path);
+        }
+    }
+}
+
+/// Allocations this thread made while running `f`.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+#[test]
+fn a_tuple_of_up_to_two_fields_is_built_without_an_allocation() {
+    let fields = [Value::Int(-3), Value::Float(0.5), Value::Bool(true), Value::Null];
+    let wide = Tuple::new(fields.clone());
+    let mut bytes = Vec::new();
+    put_values(&mut bytes, &fields);
+    for n in 0..=2 {
+        let values = fields[..n].to_vec();
+        let (a, b) = (Tuple::new(fields[..n / 2].to_vec()), Tuple::new(fields[n / 2..n].to_vec()));
+        let indices: Vec<usize> = (0..n).collect();
+        let (count, built) = allocations_during(|| {
+            [
+                Tuple::new(values),
+                fields[..n].iter().cloned().collect(),
+                fields[..n].iter().filter(|_| true).cloned().collect(),
+                wide.project(&indices).unwrap(),
+                a.concat(&b),
+                Reader::new(&bytes).tuple(n).unwrap(),
+            ]
+        });
+        assert_eq!(count, 0, "allocations for {n} fields");
+        assert!(built.iter().all(|t| t.values() == &fields[..n]));
+    }
+    let (count, _) = allocations_during(|| {
+        (Tuple::empty(), Tuple::single(1), Tuple::pair(1, 2.5), Tuple::pair(true, Value::Null))
+    });
+    assert_eq!(count, 0, "allocations for `empty`, `single` and `pair`");
+    // A wider tuple is one shared slice, sized up front; its clone shares it.
+    let (count, built) = allocations_during(|| {
+        let t = Reader::new(&bytes).tuple(4).unwrap();
+        (Tuple::new(fields.clone()), t.clone(), t)
+    });
+    assert_eq!(count, 2, "allocations for two wide tuples and a clone");
+    assert!(built.0 == wide && built.1 == wide && built.2 == wide);
 }
 
 #[test]
