@@ -87,15 +87,8 @@ proptest! {
 
     #[test]
     fn value_hash_consistent_with_eq(a in arb_value(), b in arb_value()) {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let h = |v: &Value| {
-            let mut s = DefaultHasher::new();
-            v.hash(&mut s);
-            s.finish()
-        };
         if a == b {
-            prop_assert_eq!(h(&a), h(&b));
+            prop_assert_eq!(hash_of(&a), hash_of(&b));
         }
     }
 
