@@ -90,6 +90,13 @@ thread_local! {
     static DISPATCH: Cell<Dispatch> = const { Cell::new(Dispatch::NONE) };
 }
 
+#[cfg(test)]
+thread_local! {
+    /// The hand-ons this thread made: to the watching worker, and by
+    /// `notify_one`.
+    static HAND_ONS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
 /// A worker's dispatch in a contended pool, as its thread sees it: what
 /// the dispatch's first wake-up was held for (see `TsShared::wake`).
 #[derive(Clone, Copy)]
@@ -266,9 +273,14 @@ impl TsShared {
         self.advance(inner);
         if inner.watcher == Watcher::Watching {
             inner.watcher = Watcher::Handed;
+            #[cfg(test)]
+            HAND_ONS.set((HAND_ONS.get().0 + 1, HAND_ONS.get().1));
         } else {
             #[cfg(test)]
-            self.notifies.fetch_add(1, Ordering::Relaxed);
+            {
+                self.notifies.fetch_add(1, Ordering::Relaxed);
+                HAND_ONS.set((HAND_ONS.get().0, HAND_ONS.get().1 + 1));
+            }
             self.cv.notify_one();
         }
     }
@@ -1180,26 +1192,33 @@ mod tests {
 
     #[test]
     fn a_second_wake_up_in_one_dispatch_reaches_the_parked_peer() {
-        // `d0` feeds `d1` and `d2` and pops one element at a time; its second
-        // element stops at a gate, after the first element's two wake-ups.
-        // The first was held (no watcher: both workers had parked), so the
-        // second must have notified the parked peer, which runs `d1` or `d2`
-        // while `d0`'s dispatch waits at the gate. A peer whose timed wait
-        // ran out just as `d0` was queued takes `d0` and leaves its waker
-        // watching, and nothing is held: such tries do not count.
+        // `d0` feeds `d1` and `d2` and pops one element at a time; an inline
+        // gate behind both queues passes the first element and stops the
+        // second, by when the dispatch has flushed the first element's two
+        // wake-ups. At each call the gate reads the dispatching worker's own
+        // record: its hand-ons and what its dispatch holds. A try counts if
+        // the dispatch holds a domain (its first wake-up, made with nobody
+        // watching) and its second wake-up went to no watching worker; that
+        // one must have notified, and the parked peer runs `d1` or `d2`
+        // while `d0`'s dispatch waits at the gate. A peer that took `d0`
+        // itself, a slice that ended between the two elements, or a peer
+        // awake and watching leaves a try that does not count.
         let gated = || {
             let shared = TsShared::create(3, 2, Obs::disabled(), Some(IDLE_WATCH));
             let (q1, q2) = (StreamQueue::unbounded("d1"), StreamQueue::unbounded("d2"));
             let (d1, s1) = sink_domain(&q1, Box::new(Filter::new("f", Expr::bool(true))));
             let (d2, s2) = sink_domain(&q2, Box::new(Filter::new("f", Expr::bool(true))));
+            let records = Arc::new(Mutex::new(Vec::new()));
             let (reached, open) =
                 (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
             let gate = {
-                let (reached, open) = (Arc::clone(&reached), Arc::clone(&open));
-                let mut calls = 0;
+                let (records, reached, open) =
+                    (Arc::clone(&records), Arc::clone(&reached), Arc::clone(&open));
                 CallbackSink::new("gate", move |_| {
-                    calls += 1;
-                    if calls == 2 {
+                    let mut records = records.lock();
+                    records.push((HAND_ONS.get(), DISPATCH.get().owed));
+                    if records.len() == 2 {
+                        drop(records);
                         reached.store(true, Ordering::SeqCst);
                         while !open.load(Ordering::SeqCst) {
                             std::hint::spin_loop();
@@ -1222,7 +1241,6 @@ mod tests {
             let stop = Arc::new(StopFlag::new());
             let ts = ThreadScheduler::spawn(Arc::clone(&shared), vec![d0, d1, d2], stop);
             parks_reach(&shared, 2);
-            let notifies = shared.notifies.load(Ordering::SeqCst);
             src.push(one(0)).unwrap();
             src.push(one(1)).unwrap();
             shared.wake(0);
@@ -1231,10 +1249,14 @@ mod tests {
                 assert!(t0.elapsed() < Duration::from_secs(5), "`d0` never reached the gate");
                 std::thread::yield_now();
             }
-            let caught = shared.held.get() > 0;
-            let woke_peer =
-                shared.held.get() == 1 && shared.notifies.load(Ordering::SeqCst) == notifies + 2;
-            if caught && woke_peer {
+            let [((watched, notified), _), ((watched_after, notified_after), owed)] =
+                records.lock()[..]
+            else {
+                unreachable!("the gate stops its second element")
+            };
+            let counts = owed.is_some() && watched_after == watched;
+            let woke_peer = notified_after == notified + 1;
+            if counts && woke_peer {
                 while s1.count() + s2.count() == 0 {
                     assert!(t0.elapsed() < Duration::from_secs(5), "the peer never ran");
                     std::thread::yield_now();
@@ -1246,7 +1268,7 @@ mod tests {
             sink_reaches(&s2, 2);
             ts.stop();
             ts.join();
-            caught.then_some(woke_peer)
+            counts.then_some(woke_peer)
         };
         let tries: Vec<bool> = (0..20).filter_map(|_| gated()).take(3).collect();
         assert!(!tries.is_empty(), "no try held a wake-up");

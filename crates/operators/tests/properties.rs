@@ -168,6 +168,130 @@ fn arb_expr(rng: &mut StdRng, depth: u32) -> Expr {
     }
 }
 
+/// A `(key, value)` stream for the aggregate: keys 0..6, `Int` values, and
+/// elements an aggregate may refuse — no fields, or a value that is not a
+/// number. Half the streams mix `Float`s into the `Int` groups; their
+/// values are odd multiples of 0.5, so every sum is exact in `f64` and no
+/// float equals an integer. The other half add values near `i64::MAX`: one
+/// alone, which overflows a sum it joins, and a key fed -10, `i64::MAX`, 5,
+/// whose live sum leaves `i64` when -10 is retracted first.
+fn aggregate_stream(rng: &mut StdRng) -> Vec<Element> {
+    let len = rng.gen_range(1..120usize);
+    let floats = rng.gen_bool(0.5);
+    let mut ts = 0u64;
+    let mut stream: Vec<Element> = (0..len)
+        .map(|_| {
+            ts += rng.gen_range(0..300u64);
+            let value = if floats && rng.gen_bool(0.25) {
+                Value::Float(rng.gen_range(-50..50i64) as f64 + 0.5)
+            } else {
+                Value::Int(rng.gen_range(-50..50i64))
+            };
+            Element::new(Tuple::pair(rng.gen_range(0..6i64), value), Timestamp::from_micros(ts))
+        })
+        .collect();
+    for _ in 0..rng.gen_range(1..3) {
+        let at = rng.gen_range(0..stream.len());
+        let key = rng.gen_range(0..6i64);
+        let row = match rng.gen_range(0..if floats { 2 } else { 3 }) {
+            0 => Tuple::empty(),
+            1 => Tuple::pair(key, "x"),
+            _ => Tuple::pair(key, i64::MAX),
+        };
+        stream[at] = Element::new(row, stream[at].ts);
+    }
+    if !floats && len >= 4 {
+        let at = rng.gen_range(0..len - 3);
+        let key = rng.gen_range(0..6i64);
+        for (e, v) in stream[at..].iter_mut().zip([-10, i64::MAX, 5]) {
+            *e = Element::new(Tuple::pair(key, v), e.ts);
+        }
+    }
+    stream
+}
+
+/// What an aggregate must emit for `stream`, element by element, from the
+/// live `(key, value)` list alone: the results, the positions of the
+/// refused elements, and the number of live groups at the end. Sums are
+/// exact, in halves (every generated float is a multiple of 0.5); a sum is
+/// emitted as a `Float` if a `Float` joined its group since the group was
+/// last empty, and an `Int` one must fit in `i64` or the element is refused.
+/// A snapshot keeps only the live elements: after the first `cut` elements
+/// a group is a float group if a live element is a `Float`.
+fn reference_aggregate(
+    func: AggregateFunction,
+    grouped: bool,
+    window: Duration,
+    stream: &[Element],
+    cut: usize,
+) -> (Vec<Element>, Vec<usize>, usize) {
+    let halves = |v: &Value| match *v {
+        Value::Int(i) => i128::from(i) * 2,
+        Value::Float(f) => (f * 2.0) as i128,
+        _ => unreachable!("only numbers are summed"),
+    };
+    let mut live: Vec<(Timestamp, Value, Value)> = Vec::new();
+    let mut float_groups: Vec<Value> = Vec::new();
+    let (mut results, mut refused) = (Vec::new(), Vec::new());
+    for (at, e) in stream.iter().enumerate() {
+        if at == cut {
+            float_groups = live
+                .iter()
+                .filter(|(.., v)| matches!(v, Value::Float(_)))
+                .map(|(_, k, _)| k.clone())
+                .collect();
+        }
+        let cutoff = e.ts.saturating_sub(window);
+        live.retain(|(ts, ..)| *ts >= cutoff);
+        float_groups.retain(|k| live.iter().any(|(_, key, _)| key == k));
+        let key = if grouped { e.tuple.get(0).ok().cloned() } else { Some(Value::Null) };
+        let field = match func {
+            AggregateFunction::Count => Some(Value::Null),
+            _ => e.tuple.get(1).ok().cloned(),
+        };
+        let (Some(key), Some(field)) = (key, field) else {
+            refused.push(at);
+            continue;
+        };
+        let mut group: Vec<&Value> =
+            live.iter().filter(|(_, k, _)| *k == key).map(|(.., v)| v).collect();
+        group.push(&field);
+        let count = group.len();
+        let agg = match func {
+            AggregateFunction::Count => Value::Int(count as i64),
+            AggregateFunction::Min(_) => group.iter().min().map(|v| (*v).clone()).unwrap(),
+            AggregateFunction::Max(_) => group.iter().max().map(|v| (*v).clone()).unwrap(),
+            AggregateFunction::Sum(_) | AggregateFunction::Avg(_) => {
+                if !matches!(field, Value::Int(_) | Value::Float(_)) {
+                    refused.push(at);
+                    continue;
+                }
+                let sum: i128 = group.iter().map(|v| halves(v)).sum();
+                let float = float_groups.contains(&key) || matches!(field, Value::Float(_));
+                if !float && i64::try_from(sum / 2).is_err() {
+                    refused.push(at);
+                    continue;
+                }
+                match func {
+                    AggregateFunction::Sum(_) if float => Value::Float(sum as f64 / 2.0),
+                    AggregateFunction::Sum(_) => Value::Int((sum / 2) as i64),
+                    _ => Value::Float(sum as f64 / 2.0 / count as f64),
+                }
+            }
+        };
+        if matches!(field, Value::Float(_)) && !float_groups.contains(&key) {
+            float_groups.push(key.clone());
+        }
+        let row = if grouped { Tuple::pair(key.clone(), agg) } else { Tuple::single(agg) };
+        results.push(Element::new(row, e.ts));
+        live.push((e.ts, key, field));
+    }
+    let mut keys: Vec<&Value> = live.iter().map(|(_, k, _)| k).collect();
+    keys.sort();
+    keys.dedup();
+    (results, refused, keys.len())
+}
+
 /// What one way of feeding an aggregate left behind: every result, the
 /// positions of the elements it refused, its snapshot at the cut and at the
 /// end, and its live group count at the end.
@@ -240,27 +364,7 @@ proptest! {
     #[test]
     fn an_aggregate_run_computes_what_its_elements_compute(case_seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(case_seed);
-        let len = rng.gen_range(1..120usize);
-        let mut ts = 0u64;
-        let mut stream: Vec<Element> = (0..len)
-            .map(|_| {
-                ts += rng.gen_range(0..300u64);
-                let row = Tuple::pair(rng.gen_range(0..6i64), rng.gen_range(-50..50i64));
-                Element::new(row, Timestamp::from_micros(ts))
-            })
-            .collect();
-        // Elements an aggregate may refuse: no fields, a value that is not
-        // a number, or one that overflows a sum.
-        for _ in 0..rng.gen_range(1..3) {
-            let at = rng.gen_range(0..stream.len());
-            let key = rng.gen_range(0..6i64);
-            let row = match rng.gen_range(0..3) {
-                0 => Tuple::empty(),
-                1 => Tuple::pair(key, "x"),
-                _ => Tuple::pair(key, i64::MAX),
-            };
-            stream[at] = Element::new(row, stream[at].ts);
-        }
+        let stream = aggregate_stream(&mut rng);
         let cut = rng.gen_range(0..=stream.len());
         let window = Duration::from_micros(rng.gen_range(1..1_500));
         let functions = [
@@ -277,6 +381,13 @@ proptest! {
                     if grouped { agg.group_by(Expr::field(0)) } else { agg }
                 };
                 let want = feed(&build, &stream, cut, None);
+                let (results, refused, live_groups) =
+                    reference_aggregate(func, grouped, window, &stream, cut);
+                prop_assert_eq!(
+                    (&want.results, &want.refused, want.live_groups),
+                    (&results, &refused, live_groups),
+                    "case_seed={} func={:?} grouped={}", case_seed, func, grouped
+                );
                 for run_len in [1, 7, 32] {
                     prop_assert_eq!(
                         &feed(&build, &stream, cut, Some(run_len)), &want,

@@ -9,30 +9,51 @@
 # and their total. The reading includes the warm-up pass; compare two
 # binaries at the same workload and scale.
 #
+# With --whole the binary runs as the ledger runs it (`--seconds <s>`, no
+# --scale) and is left to finish, so the CPU spent below saturation — the
+# paced passes, an idle worker's watch — counts too. The per-thread rows
+# are the last samples (a thread that ends between two samples loses up to
+# 10 ms); a last `process` row is the whole process's `user` and `sys` as
+# the kernel reports them when it is reaped (wait4), which is exact.
+#
 # Without --bin the benchmark is built from this checkout's perfledger/
 # (which this script only reads) into target/ledger_pair/build-change, the
 # directory scripts/ledger_pair.sh builds the change side in; the parent
 # side's binary that script builds is
 # target/ledger_pair/build-parent/release/benchmark.
 # Usage: scripts/thread_cpu.sh [--bin <benchmark>] <workload> [scale=100]
+#        scripts/thread_cpu.sh [--bin <benchmark>] --whole <workload> [seconds=5]
 #   e.g. scripts/thread_cpu.sh served_loopback 100
+#        scripts/thread_cpu.sh --whole keyed_agg 5
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: scripts/thread_cpu.sh [--bin <benchmark>] <workload> [scale=100]" >&2
+  echo "usage: scripts/thread_cpu.sh [--bin <benchmark>] [--whole] <workload>" \
+    "[scale=100 | seconds=5 with --whole]" >&2
   exit 2
 }
 bin=""
-if [ "${1:-}" = "--bin" ]; then
-  [ $# -ge 2 ] || usage
-  bin=$2
-  shift 2
-fi
+whole=0
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --bin)
+      [ $# -ge 2 ] || usage
+      bin=$2
+      shift 2
+      ;;
+    --whole)
+      whole=1
+      shift
+      ;;
+    *) break ;;
+  esac
+done
 [ $# -ge 1 ] && [ $# -le 2 ] || usage
 workload=$1
-scale=${2:-100}
+if [ "$whole" = 1 ]; then amount=${2:-5}; else amount=${2:-100}; fi
 case "$workload" in -*) usage ;; esac
+case "$amount" in '' | *[!0-9.]*) usage ;; esac
 if [ -z "$bin" ]; then
   CARGO_TARGET_DIR=$PWD/target/ledger_pair/build-change cargo build --release --offline \
     --quiet --manifest-path perfledger/Cargo.toml --bin benchmark
@@ -43,16 +64,18 @@ fi
   exit 2
 }
 
-python3 - "$bin" "$workload" "$scale" "$(getconf CLK_TCK)" <<'PY'
+python3 - "$bin" "$workload" "$amount" "$(getconf CLK_TCK)" "$whole" <<'PY'
 import os
 import subprocess
 import sys
 import threading
 import time
 
-binary, workload, scale, ticks = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+binary, workload, amount, ticks = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+whole = sys.argv[5] == "1"
+run = ["--seconds", amount] if whole else ["--scale", amount, "--seconds", "1"]
 proc = subprocess.Popen(
-    [binary, "--workload", workload, "--scale", scale, "--seconds", "1", "--trace", "0"],
+    [binary, "--workload", workload, "--trace", "0"] + run,
     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
 passes = []
 failed = []
@@ -71,7 +94,24 @@ reader.start()
 
 tasks = f"/proc/{proc.pid}/task"
 last = {}  # tid -> (name, utime ticks, stime ticks)
-while len(passes) < 2 and proc.poll() is None:
+reaped = None  # (exit status, resource usage) once --whole reaps the binary
+
+
+def running():
+    """Whether to sample on: the binary is alive and, without --whole, has
+    not finished its first saturation pass. --whole reaps the binary here,
+    with its resource usage."""
+    global reaped
+    if not whole:
+        return len(passes) < 2 and proc.poll() is None
+    pid, status, rusage = os.wait4(proc.pid, os.WNOHANG)
+    if pid:
+        reaped = (status, rusage)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return not pid
+
+
+while running():
     try:
         tids = os.listdir(tasks)
     except FileNotFoundError:
@@ -87,10 +127,13 @@ while len(passes) < 2 and proc.poll() is None:
         fields = stat[stat.rindex(")") + 2:].split()
         last[int(tid)] = (name, int(fields[11]), int(fields[12]))
     time.sleep(0.01)
-proc.kill()
-proc.wait()
+if not whole:
+    proc.kill()
+    proc.wait()
 reader.join(timeout=1)
 
+if whole and (proc.returncode != 0 or failed):
+    sys.exit(f"error: the benchmark exited with {proc.returncode}\n" + "\n".join(failed))
 if len(passes) < 2:
     sys.exit(f"error: the benchmark ended after {len(passes)} pass line(s)\n"
              + "\n".join(failed))
@@ -104,8 +147,18 @@ for tid, (name, user, sys_) in last.items():
 rows.sort(key=lambda r: r[2] + r[3], reverse=True)
 width = max([len("thread")] + [len(r[0]) for r in rows])
 print(f"{'thread':<{width}}  {'tid':>8}  {'user_ms':>8}  {'sys_ms':>8}")
+idle = 0
 for name, tid, user, sys_ in rows:
+    if whole and user + sys_ == 0:
+        idle += 1  # --whole meets many short-lived threads; count, don't list
+        continue
     print(f"{name:<{width}}  {tid:>8}  {user:>8.0f}  {sys_:>8.0f}")
+if idle:
+    print(f"({idle} threads under one tick not listed)")
 print(f"{'total':<{width}}  {'':>8}  {sum(r[2] for r in rows):>8.0f}  "
       f"{sum(r[3] for r in rows):>8.0f}")
+if reaped:
+    rusage = reaped[1]
+    print(f"{'process':<{width}}  {proc.pid:>8}  {rusage.ru_utime * 1000:>8.0f}  "
+          f"{rusage.ru_stime * 1000:>8.0f}")
 PY
