@@ -133,11 +133,13 @@ struct Groups {
     ordered: Vec<BTreeMap<Value, usize>>,
     free: Vec<u32>,
     index: HashMap<Value, u32>,
-    /// The slot last found for an `Int` key, by the key's low bits: a
-    /// table at least twice as long as the slab, looked at before `index`.
-    /// An entry counts only if its slot's group has the key, so a stale
-    /// entry, or two keys on one line, only miss and go on to the index:
-    /// keys crafted to share a line cost a probe each, never a chain.
+    /// The slot last found for an `Int` key, on the key's [`line`]: a table
+    /// at least twice as long as the slab, looked at before `index`. An
+    /// entry counts only if its slot's group has the key, so a stale entry,
+    /// or two keys on one line, only miss and go on to the index: keys
+    /// crafted to share a line cost a probe each, never a chain.
+    ///
+    /// [`line`]: Groups::line
     recent: Vec<u32>,
 }
 
@@ -207,9 +209,15 @@ impl Groups {
         slot
     }
 
-    /// `k`'s entry in `recent`.
+    /// `k`'s entry in `recent`: its low bits, xor the top bits of the rest
+    /// of it times 2^64 / φ. A key from 0 up to the table's length keeps its
+    /// own line, so small hot keys share a few cache lines, and keys that differ
+    /// only above the low bits (multiples of a power of two) are spread
+    /// instead of all meeting on one line. Past the table when it is empty.
     fn line(&self, k: i64) -> usize {
-        k as usize & self.recent.len().wrapping_sub(1)
+        let bits = self.recent.len().trailing_zeros();
+        let high = (k as u64).wrapping_shr(bits).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (k as usize & self.recent.len().wrapping_sub(1)) ^ high.wrapping_shr(64 - bits) as usize
     }
 
     /// `enter` through the index.
@@ -605,13 +613,14 @@ mod tests {
 
     #[test]
     fn keys_on_one_line_and_reused_slots_keep_their_own_sums() {
-        // 0, 4, 8 and -4 share an entry of `recent` while it has four, and
-        // the groups of 0 and 4 go at t = 10, so 8 and -4 take their slots.
+        // 0, 17, -13 and -8 share an entry of `recent` at every length it
+        // takes here, and the groups of 0 and 17 go at t = 10, so -13 and
+        // -8 take their slots.
         let mut a = WindowAggregate::new("g", AggregateFunction::Sum(1), Duration::from_secs(5))
             .group_by(Expr::field(0));
         let mut out = Output::new();
-        let rows = [(0, 1, 0), (4, 2, 0), (0, 3, 1), (4, 4, 1), (8, 5, 10), (-4, 6, 10)];
-        for (k, v, t) in rows.into_iter().chain([(8, 7, 11), (-4, 8, 11), (0, 9, 11)]) {
+        let rows = [(0, 1, 0), (17, 2, 0), (0, 3, 1), (17, 4, 1), (-13, 5, 10), (-8, 6, 10)];
+        for (k, v, t) in rows.into_iter().chain([(-13, 7, 11), (-8, 8, 11), (0, 9, 11)]) {
             a.process(0, &Element::new(Tuple::pair(k, v), Timestamp::from_secs(t)), &mut out)
                 .unwrap();
         }
@@ -621,9 +630,33 @@ mod tests {
             .collect();
         assert_eq!(
             sums,
-            [(0, 1), (4, 2), (0, 4), (4, 6), (8, 5), (-4, 6), (8, 12), (-4, 14), (0, 9)]
+            [(0, 1), (17, 2), (0, 4), (17, 6), (-13, 5), (-8, 6), (-13, 12), (-8, 14), (0, 9)]
         );
         assert_eq!(a.groups.slab.len(), 3);
+        assert_eq!(a.groups.recent.len(), 8);
+        assert!([17, -13, -8].iter().all(|&k| a.groups.line(k) == a.groups.line(0)));
+    }
+
+    #[test]
+    fn int_keys_of_any_stride_spread_over_recent() {
+        // 1024 groups fill a table of 2048 lines; keys 2^11 apart would all
+        // share one line under their low bits, and keys 0..1024 keep theirs.
+        for stride in [0, 1, 8, 11, 16, 32, 40] {
+            let mut a = WindowAggregate::new("g", AggregateFunction::Count, Duration::from_secs(5))
+                .group_by(Expr::field(0));
+            let mut out = Output::new();
+            for k in 0..1024i64 {
+                a.process(0, &el(k << stride, 0), &mut out).unwrap();
+            }
+            assert_eq!(a.groups.recent.len(), 2048);
+            let mut lines: Vec<usize> = (0..1024).map(|k| a.groups.line(k << stride)).collect();
+            lines.sort_unstable();
+            lines.dedup();
+            assert!(lines.len() > 3 * 1024 / 4, "stride 2^{stride}: {} lines", lines.len());
+            if stride == 0 {
+                assert!((0..1024).all(|k| a.groups.line(k) == k as usize));
+            }
+        }
     }
 
     #[test]

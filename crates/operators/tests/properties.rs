@@ -169,12 +169,13 @@ fn arb_expr(rng: &mut StdRng, depth: u32) -> Expr {
 }
 
 /// A `(key, value)` stream for the aggregate: keys 0..6, `Int` values, and
-/// elements an aggregate may refuse — no fields, or a value that is not a
-/// number. Half the streams mix `Float`s into the `Int` groups; their
-/// values are odd multiples of 0.5, so every sum is exact in `f64` and no
-/// float equals an integer. The other half add values near `i64::MAX`: one
-/// alone, which overflows a sum it joins, and a key fed -10, `i64::MAX`, 5,
-/// whose live sum leaves `i64` when -10 is retracted first.
+/// one or two elements that are out of the ordinary — no fields, a value
+/// that is not a number, or `i64::MAX`, which overflows an `Int` sum it
+/// joins and makes a float sum inexact. Half the streams mix `Float`s into
+/// the `Int` groups; their values are odd multiples of 0.5, so a sum of
+/// them and small integers is exact in `f64` and no float equals an
+/// integer. In the other half a key is fed -10, `i64::MAX`, 5, whose live
+/// sum leaves `i64` when -10 is retracted first.
 fn aggregate_stream(rng: &mut StdRng) -> Vec<Element> {
     let len = rng.gen_range(1..120usize);
     let floats = rng.gen_bool(0.5);
@@ -193,7 +194,7 @@ fn aggregate_stream(rng: &mut StdRng) -> Vec<Element> {
     for _ in 0..rng.gen_range(1..3) {
         let at = rng.gen_range(0..stream.len());
         let key = rng.gen_range(0..6i64);
-        let row = match rng.gen_range(0..if floats { 2 } else { 3 }) {
+        let row = match rng.gen_range(0..3) {
             0 => Tuple::empty(),
             1 => Tuple::pair(key, "x"),
             _ => Tuple::pair(key, i64::MAX),
@@ -365,6 +366,11 @@ proptest! {
     fn an_aggregate_run_computes_what_its_elements_compute(case_seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(case_seed);
         let stream = aggregate_stream(&mut rng);
+        // The reference sums in exact halves, which a float sum holding
+        // `i64::MAX` is not; the run is still checked against its elements.
+        let holds = |f: fn(&Value) -> bool| stream.iter().any(|e| e.tuple.get(1).is_ok_and(f));
+        let exact = !(holds(|v| matches!(v, Value::Float(_)))
+            && holds(|v| *v == Value::Int(i64::MAX)));
         let cut = rng.gen_range(0..=stream.len());
         let window = Duration::from_micros(rng.gen_range(1..1_500));
         let functions = [
@@ -381,13 +387,15 @@ proptest! {
                     if grouped { agg.group_by(Expr::field(0)) } else { agg }
                 };
                 let want = feed(&build, &stream, cut, None);
-                let (results, refused, live_groups) =
-                    reference_aggregate(func, grouped, window, &stream, cut);
-                prop_assert_eq!(
-                    (&want.results, &want.refused, want.live_groups),
-                    (&results, &refused, live_groups),
-                    "case_seed={} func={:?} grouped={}", case_seed, func, grouped
-                );
+                if exact || !matches!(func, AggregateFunction::Sum(_) | AggregateFunction::Avg(_)) {
+                    let (results, refused, live_groups) =
+                        reference_aggregate(func, grouped, window, &stream, cut);
+                    prop_assert_eq!(
+                        (&want.results, &want.refused, want.live_groups),
+                        (&results, &refused, live_groups),
+                        "case_seed={} func={:?} grouped={}", case_seed, func, grouped
+                    );
+                }
                 for run_len in [1, 7, 32] {
                     prop_assert_eq!(
                         &feed(&build, &stream, cut, Some(run_len)), &want,

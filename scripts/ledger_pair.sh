@@ -9,7 +9,8 @@
 #
 # The parent's files are unpacked (`git archive`) under target/ledger_pair/
 # and removed again on exit; the two build directories beside them are kept,
-# so a second comparison only rebuilds what changed. The command line, the
+# so a second comparison only rebuilds what changed (against another parent
+# commit, the parent side whole). The command line, the
 # workload names and the metric names come from BENCHMARK.json, which (like
 # perfledger/) this script only reads.
 #
@@ -70,6 +71,13 @@ trap cleanup EXIT
 cleanup
 mkdir "$parent"
 git archive "$commit" | tar -C "$parent" -xf -
+# The archive's files carry the commit's time, and cargo rebuilds only what
+# is newer than its last build: a parent older than the one build-parent
+# holds would run the stale binary. A new parent's files are made new.
+if [ "$(cat "$root/build-parent.commit" 2>/dev/null)" != "$commit" ]; then
+  find "$parent" -type f -exec touch {} +
+  echo "$commit" >"$root/build-parent.commit"
+fi
 # The benchmark is the same program on both sides; only the engine differs.
 rm -rf "$parent/perfledger"
 mkdir "$parent/perfledger"
