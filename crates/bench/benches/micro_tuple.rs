@@ -11,6 +11,10 @@
 //!   memory moves between the threads.
 //! - `pair_clone_broadcast2`: a pair cloned into two runs and both clones
 //!   dropped, as a two-way broadcast does.
+//!
+//! The `str_pair_*` cases are the same three with a string key: the price
+//! of a string's own block (built from a `&str`, freed by the thread that
+//! drops its last handle, a count moved by a clone).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -22,17 +26,31 @@ use hmts::prelude::*;
 /// Tuples per run.
 const RUN: usize = 1024;
 
+/// String keys, each of a length a sensor or host name might have.
+const KEYS: [&str; 4] = ["sensor-17", "eu-west-1/host-042", "k", "tcp:10.0.0.7:443"];
+
 /// A run of pairs, keyed by position.
 fn fill(run: &mut Vec<Tuple>) {
     run.extend((0..RUN as i64).map(|i| Tuple::pair(black_box(i), 3 * i)));
 }
 
+/// A run of pairs, keyed by a string chosen by position.
+fn fill_str(run: &mut Vec<Tuple>) {
+    run.extend((0..RUN as i64).map(|i| Tuple::pair(black_box(KEYS[i as usize % 4]), 3 * i)));
+}
+
 fn tuples(c: &mut Criterion) {
     let mut g = c.benchmark_group("tuple");
     g.throughput(Throughput::Elements(RUN as u64));
+    cases(&mut g, "pair", fill);
+    cases(&mut g, "str_pair", fill_str);
+    g.finish();
+}
 
+/// The three cases over runs that `fill` makes, named `<name>_<case>`.
+fn cases(g: &mut criterion::BenchmarkGroup<'_>, name: &str, fill: fn(&mut Vec<Tuple>)) {
     let mut run = Vec::with_capacity(RUN);
-    g.bench_function("pair_build_drop", |b| {
+    g.bench_function(format!("{name}_build_drop"), |b| {
         b.iter(|| {
             fill(&mut run);
             black_box(&run);
@@ -53,7 +71,7 @@ fn tuples(c: &mut Criterion) {
             }
         }
     });
-    g.bench_function("pair_build_drop_across_threads", |b| {
+    g.bench_function(format!("{name}_build_drop_across_threads"), |b| {
         b.iter(|| {
             let mut run = empty_rx.recv().expect("dropper is alive");
             fill(&mut run);
@@ -66,7 +84,7 @@ fn tuples(c: &mut Criterion) {
     let mut source = Vec::with_capacity(RUN);
     fill(&mut source);
     let (mut left, mut right) = (Vec::with_capacity(RUN), Vec::with_capacity(RUN));
-    g.bench_function("pair_clone_broadcast2", |b| {
+    g.bench_function(format!("{name}_clone_broadcast2"), |b| {
         b.iter(|| {
             left.extend(source.iter().cloned());
             right.extend(source.iter().cloned());
@@ -75,7 +93,6 @@ fn tuples(c: &mut Criterion) {
             right.clear();
         })
     });
-    g.finish();
 }
 
 criterion_group! {

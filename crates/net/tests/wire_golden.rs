@@ -72,3 +72,33 @@ fn a_hello_frame_has_fixed_bytes() {
     assert_eq!(buf, HELLO);
     assert_eq!(decode_frame(HELLO).unwrap(), (hello("s-1"), HELLO.len()));
 }
+
+/// Lower-case hex of `bytes`.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// An untraced `Data` frame of an inline pair of strings, one of them empty:
+/// what a string is held in (one pointer, a block of count, length and
+/// bytes) is not in its bytes.
+#[test]
+fn an_inline_pair_of_strings_has_fixed_bytes() {
+    let frame = Frame::Data {
+        ts: Timestamp::from_micros(0x0304),
+        tuple: Tuple::pair("sensor-7", ""),
+        trace: TraceTag::NONE,
+    };
+    let golden = [
+        "1d000000",                   // body length u32
+        "02",                         // kind 2 (`Data`)
+        "0403000000000000",           // timestamp u64 µs
+        "0200",                       // u16 arity
+        "040800000073656e736f722d37", // Str("sensor-7")
+        "0400000000",                 // Str("")
+    ]
+    .concat();
+    let mut buf = Vec::new();
+    encode_frame(&frame, &mut buf);
+    assert_eq!(hex(&buf), golden);
+    assert_eq!(decode_frame(&buf).unwrap(), (frame, buf.len()));
+}

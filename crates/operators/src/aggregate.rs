@@ -1,6 +1,7 @@
 //! Windowed, optionally grouped aggregation.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
@@ -102,6 +103,28 @@ struct Group {
     sum: Acc,
 }
 
+/// A value in a `Min`/`Max` multiset, ordered as `Value` orders values
+/// except that an `Int` comes before a `Float` that `Value`'s order calls
+/// equal to it (`1` and `1.0`). Under `Value`'s order alone the two would
+/// share one entry, and the first to arrive would stand for both: its
+/// expiry would leave the other counted under its value. Here two values
+/// are one entry exactly when `==` says they are equal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Ranked(Value);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Ranked) -> Ordering {
+        let is_float = |v: &Value| matches!(v, Value::Float(_));
+        self.0.cmp(&other.0).then_with(|| is_float(&self.0).cmp(&is_float(&other.0)))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Ranked) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// The group an element belongs to, resolved from `group_by` once.
 #[derive(Debug, Clone)]
 enum GroupKey {
@@ -130,7 +153,7 @@ impl GroupKey {
 struct Groups {
     slab: Vec<Group>,
     /// `Min`/`Max` only: the multiset of each slot's live values.
-    ordered: Vec<BTreeMap<Value, usize>>,
+    ordered: Vec<BTreeMap<Ranked, usize>>,
     free: Vec<u32>,
     index: HashMap<Value, u32>,
     /// The slot last found for an `Int` key, on the key's [`line`]: a table
@@ -184,7 +207,7 @@ impl Groups {
                 if self.ordered.len() <= slot as usize {
                     self.ordered.resize_with(slot as usize + 1, BTreeMap::new);
                 }
-                *self.ordered[slot as usize].entry(field.clone()).or_insert(0) += 1;
+                *self.ordered[slot as usize].entry(Ranked(field.clone())).or_insert(0) += 1;
                 slot
             }
         };
@@ -257,11 +280,11 @@ impl Groups {
             }
             AggregateFunction::Min(i) | AggregateFunction::Max(i) => {
                 let values = &mut self.ordered[slot as usize];
-                let v = tuple.field(i);
-                if let Some(n) = values.get_mut(v) {
+                let v = Ranked(tuple.field(i).clone());
+                if let Some(n) = values.get_mut(&v) {
                     *n -= 1;
                     if *n == 0 {
-                        values.remove(v);
+                        values.remove(&v);
                     }
                 }
             }
@@ -288,10 +311,10 @@ impl Groups {
             AggregateFunction::Sum(_) => group.sum.value(),
             AggregateFunction::Avg(_) => Value::Float(group.sum.float() / group.count as f64),
             AggregateFunction::Min(_) => {
-                self.ordered[slot as usize].keys().next().cloned().unwrap_or(Value::Null)
+                self.ordered[slot as usize].keys().next().map_or(Value::Null, |v| v.0.clone())
             }
             AggregateFunction::Max(_) => {
-                self.ordered[slot as usize].keys().next_back().cloned().unwrap_or(Value::Null)
+                self.ordered[slot as usize].keys().next_back().map_or(Value::Null, |v| v.0.clone())
             }
         }
     }
@@ -566,6 +589,31 @@ mod tests {
         assert_eq!(last_agg(&out), Value::Int(9));
         mx.process(0, &el(3, 13), &mut out).unwrap(); // 5,9 expired; {2,3} live? cutoff=3 → 2@2 expired too
         assert_eq!(last_agg(&out), Value::Int(3));
+    }
+
+    #[test]
+    fn an_int_and_an_equal_float_are_two_values_of_the_min_multiset() {
+        let mut mn = WindowAggregate::new("mn", AggregateFunction::Min(0), Duration::from_secs(3));
+        let mut out = Output::new();
+        let at = |v: Value, secs| Element::new(Tuple::single(v), Timestamp::from_secs(secs));
+        mn.process(0, &at(Value::Int(1), 0), &mut out).unwrap();
+        assert_eq!(last_agg(&out), Value::Int(1));
+        // Both live: the `Int` comes first of two values `Value`'s order
+        // calls equal.
+        mn.process(0, &at(Value::Float(1.0), 2), &mut out).unwrap();
+        assert_eq!(last_agg(&out), Value::Int(1));
+        // At 4 s `Int(1)` has left the window and `Float(1.0)` has not.
+        mn.process(0, &at(Value::Int(5), 4), &mut out).unwrap();
+        assert_eq!(last_agg(&out), Value::Float(1.0));
+        // And the other way round, for `Max`.
+        let mut mx = WindowAggregate::new("mx", AggregateFunction::Max(0), Duration::from_secs(3));
+        out.clear();
+        mx.process(0, &at(Value::Float(7.0), 0), &mut out).unwrap();
+        mx.process(0, &at(Value::Int(7), 2), &mut out).unwrap();
+        mx.process(0, &at(Value::Int(-5), 4), &mut out).unwrap();
+        assert_eq!(last_agg(&out), Value::Int(7));
+        mx.process(0, &at(Value::Int(-5), 6), &mut out).unwrap();
+        assert_eq!(last_agg(&out), Value::Int(-5));
     }
 
     #[test]

@@ -172,10 +172,11 @@ fn arb_expr(rng: &mut StdRng, depth: u32) -> Expr {
 /// one or two elements that are out of the ordinary — no fields, a value
 /// that is not a number, or `i64::MAX`, which overflows an `Int` sum it
 /// joins and makes a float sum inexact. Half the streams mix `Float`s into
-/// the `Int` groups; their values are odd multiples of 0.5, so a sum of
-/// them and small integers is exact in `f64` and no float equals an
-/// integer. In the other half a key is fed -10, `i64::MAX`, 5, whose live
-/// sum leaves `i64` when -10 is retracted first.
+/// the `Int` groups; their values are multiples of 0.5, so a sum of them
+/// and small integers is exact in `f64`, and half of them are whole, equal
+/// under `Value`'s order to an `Int` a group may hold beside them. In the
+/// other half a key is fed -10, `i64::MAX`, 5, whose live sum leaves `i64`
+/// when -10 is retracted first.
 fn aggregate_stream(rng: &mut StdRng) -> Vec<Element> {
     let len = rng.gen_range(1..120usize);
     let floats = rng.gen_bool(0.5);
@@ -184,7 +185,7 @@ fn aggregate_stream(rng: &mut StdRng) -> Vec<Element> {
         .map(|_| {
             ts += rng.gen_range(0..300u64);
             let value = if floats && rng.gen_bool(0.25) {
-                Value::Float(rng.gen_range(-50..50i64) as f64 + 0.5)
+                Value::Float(rng.gen_range(-100..100i64) as f64 * 0.5)
             } else {
                 Value::Int(rng.gen_range(-50..50i64))
             };
@@ -217,6 +218,7 @@ fn aggregate_stream(rng: &mut StdRng) -> Vec<Element> {
 /// exact, in halves (every generated float is a multiple of 0.5); a sum is
 /// emitted as a `Float` if a `Float` joined its group since the group was
 /// last empty, and an `Int` one must fit in `i64` or the element is refused.
+/// `Min`/`Max` tell an `Int` from an equal `Float` (the `Int` ranks first).
 /// A snapshot keeps only the live elements: after the first `cut` elements
 /// a group is a float group if a live element is a `Float`.
 fn reference_aggregate(
@@ -226,6 +228,10 @@ fn reference_aggregate(
     stream: &[Element],
     cut: usize,
 ) -> (Vec<Element>, Vec<usize>, usize) {
+    let ranked = |a: &Value, b: &Value| {
+        let is_float = |v: &Value| matches!(v, Value::Float(_));
+        a.cmp(b).then_with(|| is_float(a).cmp(&is_float(b)))
+    };
     let halves = |v: &Value| match *v {
         Value::Int(i) => i128::from(i) * 2,
         Value::Float(f) => (f * 2.0) as i128,
@@ -260,8 +266,12 @@ fn reference_aggregate(
         let count = group.len();
         let agg = match func {
             AggregateFunction::Count => Value::Int(count as i64),
-            AggregateFunction::Min(_) => group.iter().min().map(|v| (*v).clone()).unwrap(),
-            AggregateFunction::Max(_) => group.iter().max().map(|v| (*v).clone()).unwrap(),
+            AggregateFunction::Min(_) => {
+                group.iter().min_by(|a, b| ranked(a, b)).map(|v| (*v).clone()).unwrap()
+            }
+            AggregateFunction::Max(_) => {
+                group.iter().max_by(|a, b| ranked(a, b)).map(|v| (*v).clone()).unwrap()
+            }
             AggregateFunction::Sum(_) | AggregateFunction::Avg(_) => {
                 if !matches!(field, Value::Int(_) | Value::Float(_)) {
                     refused.push(at);

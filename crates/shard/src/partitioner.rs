@@ -105,6 +105,25 @@ mod tests {
     }
 
     #[test]
+    fn string_keys_hash_and_route_to_pinned_shards() {
+        // Pinned like the integers above: a string's route is its bytes',
+        // whatever holds them.
+        let cases = [
+            ("", 0xaf72_a84c_8601_b113, [1, 3, 0]),
+            ("a", 0x3aeb_1a07_b4e0_84b6, [0, 2, 2]),
+            ("b", 0x3aeb_0a07_b4e0_8303, [1, 3, 4]),
+            ("sensor-7", 0x0122_fbe4_5f7e_3d35, [1, 1, 3]),
+            ("hé", 0x543d_ca60_4562_d87d, [1, 1, 3]),
+        ];
+        for (key, hash, shards) in cases {
+            let key = Value::from(key);
+            assert_eq!(hash_value(&key), hash, "{key:?}");
+            let routes = [2, 4, 7].map(|n| HashPartitioner::new(n).shard_of(&key));
+            assert_eq!(routes, shards, "{key:?}");
+        }
+    }
+
+    #[test]
     fn zero_shards_clamps_to_one() {
         let p = HashPartitioner::new(0);
         assert_eq!(p.shards(), 1);

@@ -105,3 +105,51 @@ fn an_encoded_checkpoint_has_fixed_bytes() {
     assert_eq!(checkpoint().encode(), CHECKPOINT);
     assert_eq!(Checkpoint::decode(CHECKPOINT).unwrap(), checkpoint());
 }
+
+/// Lower-case hex of `bytes`.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// A blob of strings — empty, in an inline pair, in an element beside a
+/// float: what a string is held in is not in its bytes.
+#[test]
+fn a_blob_of_strings_has_fixed_bytes() {
+    let blob = || {
+        StateBlob::build(4, |w| {
+            w.put_value(&Value::from(""));
+            w.put_tuple(&Tuple::pair("k", "vé"));
+            w.put_element(&Element::new(Tuple::pair("key", 1.5), Timestamp::from_micros(0x0102)));
+        })
+    };
+    let golden = [
+        "34000000",           // payload length u32
+        "0400",               // version u16
+        "6cbb496a",           // CRC-32 of the payload
+        "0400000000",         // Str("")
+        "02000000",           // tuple: u32 arity
+        "04010000006b",       // Str("k")
+        "040300000076c3a9",   // Str("vé")
+        "0201000000000000",   // element: timestamp u64 µs
+        "02000000",           // its tuple's u32 arity
+        "0403000000",         // Str("key"): tag, length,
+        "6b6579",             // UTF-8
+        "03000000000000f83f", // Float(1.5)
+    ]
+    .concat();
+    let mut w = BlobWriter::new();
+    blob().encode_into(&mut w);
+    let bytes = w.finish();
+    assert_eq!(hex(&bytes), golden);
+
+    let mut r = BlobReader::new(&bytes);
+    let back = StateBlob::decode_from(&mut r).unwrap();
+    r.expect_end().unwrap();
+    assert_eq!(back, blob());
+    let mut p = back.reader_for(4).unwrap();
+    assert_eq!(p.value().unwrap(), Value::from(""));
+    assert_eq!(p.tuple().unwrap(), Tuple::pair("k", "vé"));
+    let element = p.element().unwrap();
+    assert_eq!(element, Element::new(Tuple::pair("key", 1.5), Timestamp::from_micros(0x0102)));
+    p.expect_end().unwrap();
+}

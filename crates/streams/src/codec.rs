@@ -21,8 +21,7 @@
 //! Decoding never panics: malformed input is a [`CodecError`], which each
 //! format maps onto its own error type.
 
-use std::sync::Arc;
-
+use crate::shared_str::SharedStr;
 use crate::time::Timestamp;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -216,7 +215,7 @@ impl<'a> Reader<'a> {
             TAG_BOOL => Value::Bool(self.u8()? != 0),
             TAG_INT => Value::Int(self.u64()? as i64),
             TAG_FLOAT => Value::Float(f64::from_bits(self.u64()?)),
-            TAG_STR => Value::Str(Arc::from(self.str()?)),
+            TAG_STR => Value::Str(SharedStr::new(self.str()?)),
             other => return Err(CodecError::UnknownTag(other)),
         })
     }

@@ -292,20 +292,21 @@ mod tests {
         assert_eq!(e.to_string(), "(5)@1.000000s");
     }
 
-    /// `Element` is tuple (up to two 24-byte values inline, or a fat `Arc`
+    /// `Element` is tuple (up to two 16-byte values inline, or a fat `Arc`
     /// pointer), timestamp, trace tag and sequence tag; `Message` hides its
     /// discriminant in the tuple's. Holding two fields inline grew both from
     /// 40 to 72 bytes, and every queue slot, staging buffer and DI stack
     /// entry with them, for no heap block per tuple: on the perf ledger
     /// `chain_di` went from 7.9 to 11.0 M tuples/s (1.39×, ten alternating
-    /// pairs on a 2-vCPU host; EXPERIMENTS.md), and `chain_gts` (1.35×) and
-    /// `chain_hmts` (1.25×), whose elements cross queues, rose too. A wider
-    /// element must pay for itself there.
+    /// pairs on a 2-vCPU host; EXPERIMENTS.md). A string held in one word
+    /// (`SharedStr`, not the fat `Arc<str>`) then made a `Value` two words
+    /// and took both back to 56 bytes. A wider element must pay for itself.
     #[test]
-    fn element_and_message_are_nine_words() {
-        assert_eq!(std::mem::size_of::<Tuple>(), 48);
-        assert_eq!(std::mem::size_of::<Element>(), 72);
-        assert_eq!(std::mem::size_of::<Message>(), 72);
+    fn element_and_message_are_seven_words() {
+        assert_eq!(std::mem::size_of::<crate::value::Value>(), 16);
+        assert_eq!(std::mem::size_of::<Tuple>(), 32);
+        assert_eq!(std::mem::size_of::<Element>(), 56);
+        assert_eq!(std::mem::size_of::<Message>(), 56);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! (Cammert et al., *Flexible Multi-Threaded Scheduling for Continuous
 //! Queries over Data Streams*, ICDE 2007):
 //!
-//! * dynamically typed [`value::Value`]s and [`tuple::Tuple`]s,
+//! * dynamically typed [`value::Value`]s (two words; a string is one
+//!   [`shared_str::SharedStr`] pointer) and [`tuple::Tuple`]s,
 //! * timestamped [`element::Element`]s and in-band [`element::Punctuation`]s,
 //! * [`time::Clock`] abstractions for real and virtual time,
 //! * inter-partition [`queue::StreamQueue`]s that hold runs of elements,
@@ -20,6 +21,7 @@ pub mod element;
 pub mod error;
 pub mod metrics;
 pub mod queue;
+pub mod shared_str;
 pub mod time;
 pub mod tuple;
 pub mod value;
@@ -27,6 +29,7 @@ pub mod value;
 pub use element::{Element, Message, Punctuation, SeqKind, SeqTag, TraceTag};
 pub use error::{Result, StreamError};
 pub use queue::{BackpressurePolicy, Batch, QueueMetrics, StreamQueue};
+pub use shared_str::SharedStr;
 pub use time::{Clock, ManualClock, SharedClock, SystemClock, Timestamp};
 pub use tuple::Tuple;
 pub use value::Value;
