@@ -24,12 +24,11 @@
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use hmts::obs::{HopKind, Obs, SchedEvent, Tracer, NO_PARTITION};
 use hmts::operators::traits::{Operator, Output};
@@ -37,6 +36,7 @@ use hmts::streams::element::Element;
 use hmts::streams::error::Result as StreamResult;
 use hmts::streams::time::Timestamp;
 
+use crate::accept::Acceptor;
 use crate::wire::{encode_data, encode_frame, Frame, FrameReader};
 
 /// What to do with a subscriber whose socket stays full.
@@ -60,6 +60,8 @@ struct Subscriber {
 #[derive(Default)]
 struct EgressState {
     subscribers: Mutex<Vec<Subscriber>>,
+    /// Notified whenever a subscriber is admitted.
+    admitted: Condvar,
     tuples: AtomicU64,
     bytes: AtomicU64,
     /// Buffers handed to the subscribers (one `write` per subscriber each).
@@ -69,11 +71,9 @@ struct EgressState {
 
 /// Accepts result subscribers for an [`EgressSink`] to write to.
 pub struct EgressServer {
-    addr: SocketAddr,
     policy: SlowConsumerPolicy,
     state: Arc<EgressState>,
-    stop: Arc<AtomicBool>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
+    acceptor: Acceptor,
     obs: Obs,
 }
 
@@ -86,45 +86,29 @@ impl EgressServer {
         obs: Obs,
     ) -> io::Result<EgressServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let server = EgressServer {
-            addr,
-            policy,
-            state: Arc::new(EgressState::default()),
-            stop: Arc::new(AtomicBool::new(false)),
-            accept_thread: Mutex::new(None),
-            obs,
-        };
-        let state = Arc::clone(&server.state);
-        let stop = Arc::clone(&server.stop);
-        let gauge = server.obs.gauge("net_egress_subscribers");
-        let handle = std::thread::Builder::new()
-            .name("net-egress-accept".into())
-            .spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((socket, peer)) => {
-                            if admit(&socket, policy).is_ok() {
-                                state.subscribers.lock().push(Subscriber { socket, peer });
-                                gauge.set(state.subscribers.lock().len() as i64);
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
-                    }
+        let state = Arc::new(EgressState::default());
+        let admitted = Arc::clone(&state);
+        let gauge = obs.gauge("net_egress_subscribers");
+        // Each `Hello` is read on a thread of its own, so a client that
+        // connects and says nothing holds up no other subscriber.
+        let acceptor = Acceptor::spawn(listener, "net-egress-accept", move |socket, peer| {
+            let state = Arc::clone(&admitted);
+            let gauge = gauge.clone();
+            let _ = std::thread::Builder::new().name("net-egress-hello".into()).spawn(move || {
+                if admit(&socket, policy).is_ok() {
+                    let mut subscribers = state.subscribers.lock();
+                    subscribers.push(Subscriber { socket, peer });
+                    gauge.set(subscribers.len() as i64);
+                    state.admitted.notify_all();
                 }
-            })
-            .expect("spawn egress accept thread");
-        *server.accept_thread.lock() = Some(handle);
-        Ok(server)
+            });
+        })?;
+        Ok(EgressServer { policy, state, acceptor, obs })
     }
 
     /// The address the server actually listens on.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.local_addr()
     }
 
     /// Number of currently connected subscribers.
@@ -137,11 +121,11 @@ impl EgressServer {
     /// starting a query whose first results must not race the subscribers.
     pub fn wait_for_subscribers(&self, n: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        while self.subscriber_count() < n {
-            if Instant::now() >= deadline {
-                return false;
+        let mut subscribers = self.state.subscribers.lock();
+        while subscribers.len() < n {
+            if self.state.admitted.wait_until(&mut subscribers, deadline).timed_out() {
+                return subscribers.len() >= n;
             }
-            std::thread::sleep(Duration::from_millis(2));
         }
         true
     }
@@ -184,26 +168,18 @@ impl EgressServer {
         }
     }
 
-    /// Stops accepting new subscribers and joins the accept thread.
-    /// Connected subscribers are kept; the sink keeps writing to them.
+    /// Stops accepting new subscribers and joins the accept thread (also
+    /// done on drop). Connected subscribers are kept; the sink keeps
+    /// writing to them.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept_thread.lock().take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for EgressServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.acceptor.stop();
     }
 }
 
 /// Reads the subscriber's `Hello` and applies socket options for `policy`.
 fn admit(socket: &TcpStream, policy: SlowConsumerPolicy) -> io::Result<()> {
     socket.set_nodelay(true)?;
-    // A garbage client must not wedge the accept thread.
+    // A client that sends nothing gives up its reader thread after 2 s.
     socket.set_read_timeout(Some(Duration::from_secs(2)))?;
     // The reader reads ahead and is dropped with what it buffered; a
     // subscriber sends nothing after its `Hello`, so nothing is lost.

@@ -32,6 +32,7 @@
 //! [`Source`]: hmts::operators::traits::Source
 //! [`ArrivalProcess`]: hmts::workload::arrival::ArrivalProcess
 
+mod accept;
 pub mod client;
 pub mod egress;
 pub mod resume;

@@ -20,17 +20,17 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use hmts::obs::{HopKind, Obs, SchedEvent, NO_PARTITION};
+use hmts::obs::{Gauge, HopKind, Obs, SchedEvent, NO_PARTITION};
 use hmts::streams::element::{Element, Punctuation};
 use hmts::streams::queue::{BackpressurePolicy, Batch, StreamQueue};
 
+use crate::accept::Acceptor;
 use crate::source::RemoteSource;
 use crate::wire::{Frame, FrameReader, FrameWriter, NetError};
 
@@ -156,12 +156,9 @@ struct ConnOptions {
 
 /// A multi-client TCP server feeding per-stream [`StreamQueue`]s.
 pub struct IngestServer {
-    addr: SocketAddr,
     streams: Arc<Vec<StreamSlot>>,
     stats: Arc<IngestStats>,
-    stop: Arc<AtomicBool>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
-    obs: Obs,
+    acceptor: Acceptor,
 }
 
 impl IngestServer {
@@ -176,8 +173,6 @@ impl IngestServer {
         cfg: IngestConfig,
     ) -> io::Result<IngestServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let slots: Vec<StreamSlot> = streams
             .into_iter()
             .map(|s| {
@@ -211,21 +206,16 @@ impl IngestServer {
             heartbeat_timeout: cfg.heartbeat_timeout,
             reconnect_window: cfg.reconnect_window,
         });
-        let server = IngestServer {
-            addr,
-            streams: Arc::new(slots),
-            stats: Arc::new(IngestStats::default()),
-            stop: Arc::new(AtomicBool::new(false)),
-            accept_thread: Mutex::new(None),
-            obs: cfg.obs,
-        };
+        let streams = Arc::new(slots);
+        let stats = Arc::new(IngestStats::default());
+        let obs = cfg.obs;
         // Arrival-rate SLO gauge: tuples/sec over the window since the last
         // metrics collection (sampler tick or admin scrape).
-        if server.obs.is_enabled() {
-            let stats = Arc::clone(&server.stats);
-            let rate = server.obs.gauge("net_ingest_arrival_rate");
+        if obs.is_enabled() {
+            let stats = Arc::clone(&stats);
+            let rate = obs.gauge("net_ingest_arrival_rate");
             let last = Mutex::new((std::time::Instant::now(), 0u64));
-            server.obs.add_collector(move || {
+            obs.add_collector(move || {
                 let now = std::time::Instant::now();
                 let tuples = stats.tuples.load(Ordering::Relaxed);
                 let mut prev = last.lock();
@@ -236,21 +226,14 @@ impl IngestServer {
                 }
             });
         }
-        let streams = Arc::clone(&server.streams);
-        let stats = Arc::clone(&server.stats);
-        let stop = Arc::clone(&server.stop);
-        let obs = server.obs.clone();
-        let handle = std::thread::Builder::new()
-            .name("net-ingest-accept".into())
-            .spawn(move || accept_loop(listener, streams, stats, stop, obs, opts))
-            .expect("spawn accept thread");
-        *server.accept_thread.lock() = Some(handle);
-        Ok(server)
+        let admit = admitter(Arc::clone(&streams), Arc::clone(&stats), obs, opts);
+        let acceptor = Acceptor::spawn(listener, "net-ingest-accept", admit)?;
+        Ok(IngestServer { streams, stats, acceptor })
     }
 
     /// The address the server actually listens on.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.local_addr()
     }
 
     /// The queue backing `stream`, if registered.
@@ -269,64 +252,73 @@ impl IngestServer {
         &self.stats
     }
 
-    /// Stops accepting new connections and joins the accept thread.
-    /// Existing connections keep draining until their clients finish.
+    /// Stops accepting new connections and joins the accept thread (also
+    /// done on drop). Existing connections keep draining until their
+    /// clients finish.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept_thread.lock().take() {
-            let _ = h.join();
-        }
+        self.acceptor.stop();
     }
 }
 
-impl Drop for IngestServer {
+/// One open connection in `connections_active` and the `net_connections`
+/// gauge, for as long as the value lives: it moves into the connection's
+/// thread, and a thread that fails to start drops it with its closure, as
+/// one that panics does in unwinding.
+struct Open {
+    stats: Arc<IngestStats>,
+    gauge: Gauge,
+}
+
+impl Open {
+    fn new(stats: &Arc<IngestStats>, gauge: &Gauge) -> Open {
+        stats.connections_active.fetch_add(1, Ordering::Relaxed);
+        gauge.add(1);
+        Open { stats: Arc::clone(stats), gauge: gauge.clone() }
+    }
+}
+
+impl Drop for Open {
     fn drop(&mut self) {
-        self.shutdown();
+        self.stats.connections_active.fetch_sub(1, Ordering::Relaxed);
+        self.gauge.add(-1);
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
+/// What the accept thread does with each connection: serve it on a thread
+/// of its own.
+fn admitter(
     streams: Arc<Vec<StreamSlot>>,
     stats: Arc<IngestStats>,
-    stop: Arc<AtomicBool>,
     obs: Obs,
     opts: Arc<ConnOptions>,
-) {
+) -> impl FnMut(TcpStream, SocketAddr) + Send + 'static {
     let gauge = obs.gauge("net_connections");
     let total = obs.counter("net_connections_accepted");
     let mut conn_id: u64 = 0;
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((socket, peer)) => {
-                conn_id += 1;
-                let id = conn_id;
+    move |socket, peer| {
+        conn_id += 1;
+        let id = conn_id;
+        let open = Open::new(&stats, &gauge);
+        let streams = Arc::clone(&streams);
+        let obs = obs.clone();
+        let opts = Arc::clone(&opts);
+        let spawned =
+            std::thread::Builder::new().name(format!("net-ingest-{id}")).spawn(move || {
+                let stats = &open.stats;
+                if let Err(NetError::Decode(d)) =
+                    serve_connection(socket, id, &streams, stats, &obs, &opts)
+                {
+                    stats.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    obs.counter("net_decode_errors").inc();
+                    eprintln!("net-ingest: {peer} dropped: {d}");
+                }
+            });
+        match spawned {
+            Ok(_) => {
                 stats.connections_total.fetch_add(1, Ordering::Relaxed);
-                stats.connections_active.fetch_add(1, Ordering::Relaxed);
                 total.inc();
-                gauge.add(1);
-                let streams = Arc::clone(&streams);
-                let stats = Arc::clone(&stats);
-                let gauge = gauge.clone();
-                let obs = obs.clone();
-                let opts = Arc::clone(&opts);
-                let _ =
-                    std::thread::Builder::new().name(format!("net-ingest-{id}")).spawn(move || {
-                        if let Err(NetError::Decode(d)) =
-                            serve_connection(socket, id, &streams, &stats, &obs, &opts)
-                        {
-                            stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            obs.counter("net_decode_errors").inc();
-                            eprintln!("net-ingest: {peer} dropped: {d}");
-                        }
-                        stats.connections_active.fetch_sub(1, Ordering::Relaxed);
-                        gauge.add(-1);
-                    });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+            Err(e) => eprintln!("net-ingest: {peer} not served: {e}"),
         }
     }
 }

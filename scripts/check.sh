@@ -43,6 +43,23 @@ if [ -n "$violations" ]; then
   exit 1
 fi
 
+echo "==> blocking-accept grep gate (no set_nonblocking(true) in crates/*/src)"
+# A listener is accepted on with a blocking `accept` (hmts-net's acceptor,
+# the admin plane's loop), so a connection is served the moment it
+# arrives. A non-blocking listener means an accept poll and its sleep,
+# which every fresh connection would wait out.
+violations=$(
+  for f in $src_files; do
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         /set_nonblocking\(true\)/ { print FILENAME ":" FNR ": " $0 }' "$f"
+  done
+)
+if [ -n "$violations" ]; then
+  echo "error: non-blocking socket found (accept with a blocking accept instead):"
+  echo "$violations"
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
