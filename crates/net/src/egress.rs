@@ -87,12 +87,12 @@ impl EgressServer {
     ) -> io::Result<EgressServer> {
         let listener = TcpListener::bind(addr)?;
         let state = Arc::new(EgressState::default());
-        let admitted = Arc::clone(&state);
+        let shared = Arc::clone(&state);
         let gauge = obs.gauge("net_egress_subscribers");
         // Each `Hello` is read on a thread of its own, so a client that
         // connects and says nothing holds up no other subscriber.
         let acceptor = Acceptor::spawn(listener, "net-egress-accept", move |socket, peer| {
-            let state = Arc::clone(&admitted);
+            let state = Arc::clone(&shared);
             let gauge = gauge.clone();
             let _ = std::thread::Builder::new().name("net-egress-hello".into()).spawn(move || {
                 if admit(&socket, policy).is_ok() {
