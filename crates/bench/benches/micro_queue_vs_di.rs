@@ -9,14 +9,19 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use hmts::engine::executor::{
-    Attach, Budget, DomainExecutor, ExecConfig, InputQueue, SlotInit, Target,
+    Attach, Budget, DomainExecutor, ExecConfig, InputQueue, SlotInit, SlotState, Target,
 };
+use hmts::engine::source_driver::{spawn_source, SourceDriverConfig, SourceShared, SourceTarget};
+use hmts::engine::sync::{PauseGate, StopFlag};
 use hmts::obs::{TraceConfig, Tracer};
 use hmts::operators::traits::{EosTracker, Operator, Output, WatermarkTracker};
 use hmts::prelude::*;
 use hmts::stats::{Arrivals, StatsWriter};
 use hmts::streams::element::{Message, TraceTag};
 use hmts::streams::queue::{Batch, StreamQueue};
+use hmts::streams::time::SystemClock;
+use hmts::workload::source::VecSource;
+use parking_lot::Mutex;
 
 fn data(v: i64) -> Message {
     Message::data(Tuple::single(v), Timestamp::from_micros(v as u64))
@@ -269,6 +274,51 @@ fn queue_transfer(c: &mut Criterion) {
                 let _ = black_box(predicate.eval_bool(black_box(&element.tuple)));
             }
         })
+    });
+
+    // The source-driven DI path whole, which the traced ledger cannot time
+    // (its span wrapper pulls runs of one): a source thread pulling
+    // `SOURCE_ROWS` unpaced rows 32 at a time and handing each pull as one
+    // run to five of the ledger's selections, which pass every element,
+    // and a sink — `chain_di`'s shape. Thread start and join included; per
+    // element.
+    const SOURCE_ROWS: u64 = 1 << 15;
+    g.throughput(Throughput::Elements(SOURCE_ROWS));
+    g.bench_function("source_di_chain_5", |b| {
+        b.iter_batched(
+            || {
+                let mut slots: Vec<SlotInit> = (0..5)
+                    .map(|i| {
+                        let select = Box::new(Filter::new(format!("f{i}"), predicate.clone()));
+                        let next = Target::Inline { node: NodeId(i + 1), port: 0 };
+                        SlotInit::new(SlotState::new(NodeId(i), select), vec![next])
+                    })
+                    .collect();
+                let sink = Box::new(CountingSink::new("sink").0);
+                slots.push(SlotInit::new(SlotState::new(NodeId(5), sink), vec![]));
+                let strategy = StrategyKind::Fifo.build(None);
+                let exec =
+                    DomainExecutor::new("bench", slots, vec![], strategy, ExecConfig::default());
+                let shared = SourceShared::new(NodeId(100), "s");
+                shared.set_targets(vec![SourceTarget::Direct {
+                    exec: Arc::new(Mutex::new(exec)),
+                    node: NodeId(0),
+                    port: 0,
+                }]);
+                let rows = (0..SOURCE_ROWS as i64)
+                    .map(|v| (Timestamp::from_micros(v as u64), Tuple::single(v)));
+                (VecSource::new("s", rows.collect()), shared)
+            },
+            |(source, shared)| {
+                let cfg = SourceDriverConfig { pace: false, ..SourceDriverConfig::default() };
+                let (gate, stop) = (Arc::new(PauseGate::new()), Arc::new(StopFlag::new()));
+                let clock = Arc::new(SystemClock::new());
+                spawn_source(Box::new(source), shared, clock, gate, stop, None, cfg)
+                    .join()
+                    .unwrap();
+            },
+            BatchSize::LargeInput,
+        )
     });
     g.throughput(Throughput::Elements(1));
 

@@ -8,6 +8,7 @@
 //! setting — where an expensive operator in the source's own thread makes
 //! the source fall behind its offered rate).
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -241,16 +242,20 @@ pub fn spawn_source(
             // after a checkpoint already finished (plan-switch re-wiring)
             // does not inject a barrier for it retroactively.
             let mut last_barrier = cfg.checkpoint.as_ref().map(|ck| ck.requested()).unwrap_or(0);
-            // Pulled and not yet delivered, the next one due at the back.
-            let mut pulled: Vec<Element> = Vec::with_capacity(batch);
+            // Pulled and not yet delivered, the next one due at the front.
+            let mut pulled: VecDeque<Element> = VecDeque::new();
             let mut exhausted = false;
             loop {
                 if pulled.is_empty() {
                     if exhausted {
                         break;
                     }
-                    exhausted = !source.next_batch(batch, &mut pulled);
-                    pulled.reverse();
+                    // The buffer the last delivery handed back may have no
+                    // room: it gets room for a whole pull here, at once.
+                    let mut buffer = Vec::from(std::mem::take(&mut pulled));
+                    buffer.reserve(batch);
+                    exhausted = !source.next_batch(batch, &mut buffer);
+                    pulled = VecDeque::from(buffer);
                     continue;
                 }
                 gate.checkpoint();
@@ -263,7 +268,7 @@ pub fn spawn_source(
                     inject_barrier(ck, &mut last_barrier, &mut out, &name, emitted);
                 }
                 let due_by = if cfg.pace {
-                    let first = pulled.last().expect("checked non-empty").ts;
+                    let first = pulled.front().expect("checked non-empty").ts;
                     pace_until_or_stop(clock.as_ref(), first, Some(&stop));
                     if stop.is_stopped() {
                         break;
@@ -272,28 +277,18 @@ pub fn spawn_source(
                 } else {
                     Timestamp::MAX
                 };
-                // The run ends early behind an element that a watermark
-                // has to follow.
-                let mut watermark = None;
-                while pulled.last().is_some_and(|el| el.ts <= due_by) {
-                    let mut el = pulled.pop().expect("just looked at it");
-                    let due = el.ts;
-                    // A tag that arrived with the element (wire-carried, v2
-                    // frames) wins: the tuple's trace began in another
-                    // process and must stay on that id. Otherwise,
-                    // deterministic 1-in-N sampling keyed off the
-                    // source-local sequence number: untraced elements carry
-                    // TraceTag::NONE and cost one branch here.
-                    if let (false, Some(st)) = (el.trace.is_sampled(), &cfg.trace) {
-                        let seq = emitted + out.staged.run.len() as u64;
-                        if st.tracer.sampled(seq) {
+                let (due, watermark) =
+                    due_run(&pulled, due_by, cfg.watermark_interval, last_watermark);
+                out.stage(&mut pulled, due);
+                // A tag that arrived with the element (wire-carried, v2
+                // frames) wins: the tuple's trace began in another process
+                // and must stay on that id. Otherwise, deterministic 1-in-N
+                // sampling keyed off the source-local sequence number.
+                if let Some(st) = &cfg.trace {
+                    for (seq, el) in (emitted..).zip(&mut out.staged.run) {
+                        if !el.trace.is_sampled() && st.tracer.sampled(seq) {
                             el.trace = TraceTag::new(trace_id(st.source, seq));
                         }
-                    }
-                    out.staged.run.push(el);
-                    if cfg.watermark_interval.is_some_and(|i| due.since(last_watermark) >= i) {
-                        watermark = Some(due);
-                        break;
                     }
                 }
                 // The run is booked as it is delivered: in one step, each
@@ -333,6 +328,26 @@ pub fn spawn_source(
             gate.deregister();
         })
         .expect("spawn source thread")
+}
+
+/// How many elements at the front of `pulled` make the next run, and the
+/// watermark that follows it, if any: every element due by `due_by`, but
+/// the run ends behind the first one whose timestamp is `interval` or more
+/// past the last watermark's.
+fn due_run(
+    pulled: &VecDeque<Element>,
+    due_by: Timestamp,
+    interval: Option<Duration>,
+    last_watermark: Timestamp,
+) -> (usize, Option<Timestamp>) {
+    let mut due = 0;
+    for el in pulled.iter().take_while(|el| el.ts <= due_by) {
+        due += 1;
+        if interval.is_some_and(|i| el.ts.since(last_watermark) >= i) {
+            return (due, Some(el.ts));
+        }
+    }
+    (due, None)
 }
 
 /// If the coordinator published a new barrier id, injects the barrier
@@ -389,6 +404,20 @@ impl Delivery<'_> {
         }
         staged.run.clear();
         staged.puncts.clear();
+    }
+
+    /// Stages the first `due` elements of `pulled` as the run: the whole
+    /// pull by a buffer swap (`pulled` gets the emptied staging buffer), or
+    /// only its front, moved out with no shift of the rest.
+    fn stage(&mut self, pulled: &mut VecDeque<Element>, due: usize) {
+        debug_assert!(self.staged.is_empty());
+        if due == pulled.len() {
+            let mut whole = Vec::from(std::mem::take(pulled));
+            std::mem::swap(&mut whole, &mut self.staged.run);
+            *pulled = VecDeque::from(whole);
+        } else {
+            self.staged.run.extend(pulled.drain(..due));
+        }
     }
 
     /// A punctuation is a delivery of its own, between two runs.
@@ -450,6 +479,7 @@ mod tests {
     use hmts_operators::sink::CollectingSink;
     use hmts_operators::traits::{EosTracker, WatermarkTracker};
     use hmts_streams::time::{ManualClock, SystemClock};
+    use hmts_streams::tuple::Tuple;
     use hmts_workload::source::VecSource;
 
     fn shared_clock() -> SharedClock {
@@ -758,6 +788,73 @@ mod tests {
         assert!(shared.is_done());
     }
 
+    #[test]
+    fn a_watermark_inside_a_pull_cuts_the_run_where_the_element_rule_does() {
+        // 40 elements 3 µs apart, pulled 8 at a time, a watermark every
+        // 7 µs of stream time — behind every third element, so most cuts
+        // fall inside a pull — and one element in three traced.
+        let items: Vec<(Timestamp, Tuple)> = (0..40)
+            .map(|i| (Timestamp::from_micros(3 * (i + 1)), Tuple::single(i as i64)))
+            .collect();
+        let interval = Duration::from_micros(7);
+        let tracer = Arc::new(Tracer::new(
+            hmts_obs::TraceConfig { sample_every: 3, ..hmts_obs::TraceConfig::default() },
+            std::time::Instant::now(),
+        ));
+        // The rule, element by element: each one tagged by its sequence
+        // number, and a watermark behind it once it is `interval` past the
+        // last.
+        let mut want = Vec::new();
+        let mut last = Timestamp::ZERO;
+        for (seq, (ts, _)) in (0..).zip(&items) {
+            let id = if tracer.sampled(seq) { trace_id(7, seq) } else { 0 };
+            want.push(format!("{seq}@{} #{id}", ts.as_micros()));
+            if ts.since(last) >= interval {
+                want.push(format!("wm {}", ts.as_micros()));
+                last = *ts;
+            }
+        }
+        want.push("eos".to_string());
+        let q = StreamQueue::unbounded("q");
+        let shared = SourceShared::new(NodeId(7), "s");
+        shared.set_targets(vec![queue_target(&q)]);
+        let h = spawn_source(
+            Box::new(VecSource::new("s", items)),
+            Arc::clone(&shared),
+            shared_clock(),
+            Arc::new(PauseGate::new()),
+            Arc::new(StopFlag::new()),
+            None,
+            SourceDriverConfig {
+                pace: false,
+                batch: 8,
+                watermark_interval: Some(interval),
+                trace: Some(SourceTrace { tracer, source: 7 }),
+                ..SourceDriverConfig::default()
+            },
+        );
+        h.join().unwrap();
+        let got: Vec<String> = q
+            .drain()
+            .iter()
+            .map(|m| match m {
+                Message::Data(el) => format!(
+                    "{}@{} #{}",
+                    el.tuple.field(0).as_int().unwrap(),
+                    el.ts.as_micros(),
+                    el.trace.id()
+                ),
+                Message::Punct(Punctuation::Watermark(wm)) => format!("wm {}", wm.as_micros()),
+                Message::Punct(Punctuation::EndOfStream) => "eos".to_string(),
+                Message::Punct(p) => panic!("unexpected {p:?}"),
+            })
+            .collect();
+        assert_eq!(got, want);
+        let cuts_inside_a_pull =
+            (0..40).filter(|i| i % 8 != 7 && want.contains(&format!("wm {}", 3 * (i + 1)))).count();
+        assert!(cuts_inside_a_pull >= 8, "{cuts_inside_a_pull} cuts inside a pull");
+    }
+
     /// A source that asks for checkpoint 1 once it has handed over `at`
     /// elements — a request that arrives while the driver holds a pulled
     /// batch.
@@ -772,7 +869,7 @@ mod tests {
         fn name(&self) -> &str {
             self.inner.name()
         }
-        fn next(&mut self) -> Option<(Timestamp, hmts_streams::tuple::Tuple)> {
+        fn next(&mut self) -> Option<(Timestamp, Tuple)> {
             self.inner.next()
         }
         fn next_batch(&mut self, max: usize, out: &mut Vec<Element>) -> bool {

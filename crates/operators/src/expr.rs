@@ -339,6 +339,16 @@ impl BoundPredicate {
         &self.expr
     }
 
+    /// `(i, op, c)` if the predicate is `$[i] <op> c` for an `Int` constant
+    /// `c`: a caller that decides many tuples can compare an `Int` field
+    /// itself, and ask [`holds`](Self::holds) about any other value.
+    pub fn int_comparison(&self) -> Option<(usize, CmpOp, i64)> {
+        match self.bound {
+            Bound::FieldCmp { field, op, constant: Value::Int(c) } => Some((field, op, c)),
+            _ => None,
+        }
+    }
+
     /// Whether the predicate holds for `tuple`: what
     /// [`Expr::eval_bool`] answers.
     #[inline]

@@ -4,8 +4,9 @@ use std::time::Duration;
 
 use hmts_streams::element::Element;
 use hmts_streams::error::Result;
+use hmts_streams::value::Value;
 
-use crate::expr::{BoundPredicate, Expr};
+use crate::expr::{BoundPredicate, CmpOp, Expr};
 use crate::traits::{Operator, Output};
 
 enum Predicate {
@@ -95,6 +96,37 @@ struct Compacted<'a> {
     decided: usize,
 }
 
+impl Compacted<'_> {
+    /// Decides the run element by element, in order, with `decide`.
+    fn compact(mut self, mut decide: impl FnMut(&Element) -> Result<bool>) -> Result<()> {
+        while let Some(element) = self.run.get(self.decided) {
+            if decide(element)? {
+                if self.kept != self.decided {
+                    self.run.swap(self.kept, self.decided);
+                }
+                self.kept += 1;
+            }
+            self.decided += 1;
+        }
+        Ok(())
+    }
+}
+
+/// The decision of `$[field] <op> Int` given the compare of an `Int` field
+/// with the constant: `compare` for an `Int` field, and what `p` answers —
+/// the interpreter's answer or error — for any other value or a missing
+/// field.
+fn int_or_holds<'p>(
+    p: &'p BoundPredicate,
+    field: usize,
+    compare: impl Fn(i64) -> bool + 'p,
+) -> impl FnMut(&Element) -> Result<bool> + 'p {
+    move |element| match element.tuple.values().get(field) {
+        Some(&Value::Int(v)) => Ok(compare(v)),
+        _ => p.holds(&element.tuple),
+    }
+}
+
 impl Drop for Compacted<'_> {
     fn drop(&mut self) {
         let Compacted { run, out, kept, decided } = self;
@@ -124,21 +156,33 @@ impl Operator for Filter {
     /// behind the ones that passed before it, and when the run is decided
     /// it is handed to `out` whole ([`Output::append`]). A failure at
     /// element *k* leaves *k* first in `run` (see `Compacted`).
+    ///
+    /// The decision is picked once per run: `$[i] <op> Int` is one typed
+    /// compare, its operator fixed outside the loop, which reads an `Int`
+    /// field inline and asks [`BoundPredicate::holds`] about any other
+    /// value; every other predicate is asked per element.
     fn process_batch(
         &mut self,
         _port: usize,
         run: &mut Vec<Element>,
         out: &mut Output,
     ) -> Result<()> {
-        let mut rest = Compacted { run, out, kept: 0, decided: 0 };
-        while let Some(element) = rest.run.get(rest.decided) {
-            if self.predicate.holds(element)? {
-                rest.run.swap(rest.kept, rest.decided);
-                rest.kept += 1;
-            }
-            rest.decided += 1;
+        let rest = Compacted { run, out, kept: 0, decided: 0 };
+        let p = match &mut self.predicate {
+            Predicate::Expr(p) => &*p,
+            Predicate::Fn(f) => return rest.compact(|element| Ok(f(element))),
+        };
+        let Some((field, op, c)) = p.int_comparison() else {
+            return rest.compact(|element| p.holds(&element.tuple));
+        };
+        match op {
+            CmpOp::Eq => rest.compact(int_or_holds(p, field, move |v| v == c)),
+            CmpOp::Ne => rest.compact(int_or_holds(p, field, move |v| v != c)),
+            CmpOp::Lt => rest.compact(int_or_holds(p, field, move |v| v < c)),
+            CmpOp::Le => rest.compact(int_or_holds(p, field, move |v| v <= c)),
+            CmpOp::Gt => rest.compact(int_or_holds(p, field, move |v| v > c)),
+            CmpOp::Ge => rest.compact(int_or_holds(p, field, move |v| v >= c)),
         }
-        Ok(())
     }
 
     fn cost_hint(&self) -> Option<Duration> {
@@ -255,6 +299,51 @@ mod tests {
             let all: Vec<i64> =
                 std::iter::once(-1).chain((0..80).filter(|&v| v != k && v % 2 == 1)).collect();
             assert_eq!(ints(out.elements()), all, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn an_int_comparison_over_a_run_is_the_per_element_answer() {
+        // `(i, i % 7 - 3)` rows, but for a `Float`, a `Str`, a `Null` and a
+        // row without field 1 at known positions: the typed compare runs
+        // between them, the predicate is asked about them, and the short
+        // row is an error at its position.
+        let row = |i: i64| -> Tuple {
+            match i {
+                5 => Tuple::pair(i, -0.5),
+                12 => Tuple::pair(i, "s"),
+                19 => Tuple::pair(i, Value::Null),
+                26 => Tuple::single(i),
+                _ => Tuple::pair(i, i % 7 - 3),
+            }
+        };
+        let run: Vec<Element> = (0..40).map(|i| Element::new(row(i), Timestamp::ZERO)).collect();
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        for op in ops {
+            let expr = Expr::Cmp(op, Box::new(Expr::field(1)), Box::new(Expr::int(0)));
+            let mut one_by_one = Filter::new("f", expr.clone());
+            let verdicts: Vec<Result<bool>> = run
+                .iter()
+                .map(|e| {
+                    let mut out = Output::new();
+                    one_by_one.process(0, e, &mut out).map(|()| !out.is_empty())
+                })
+                .collect();
+            let passes = |end: usize| -> Vec<i64> {
+                (0..end as i64).filter(|&at| verdicts[at as usize] == Ok(true)).collect()
+            };
+            let mut f = Filter::new("f", expr);
+            let mut out = Output::new();
+            let mut rest = run.clone();
+            while let Err(e) = f.process_batch(0, &mut rest, &mut out) {
+                let at = run.len() - rest.len();
+                assert_eq!((at, Err(e)), (26, verdicts[at].clone()), "{op:?}");
+                assert_eq!(rest[0], run[at], "{op:?}: the failing element first");
+                assert_eq!(ints(out.elements()), passes(at), "{op:?}: the passes before it");
+                rest.remove(0);
+            }
+            assert!(rest.is_empty(), "{op:?}");
+            assert_eq!(ints(out.elements()), passes(run.len()), "{op:?}");
         }
     }
 

@@ -12,7 +12,11 @@
 //! allocates nothing either. Decoupled by a queue before every
 //! selection (the GTS shape), a run crosses each queue as the buffer it is
 //! in, and the queue keeps the buffer the consumer handed back for its next
-//! producer: that allocates nothing either. Counted under a global
+//! producer: that allocates nothing either. A source thread hands each
+//! pull over as the run: into five selections through direct
+//! interoperability that allocates nothing once warm, and into a queue
+//! that nobody drains — which keeps every buffer it is given — at most
+//! the one buffer the next pull goes into. Counted under a global
 //! allocator that keeps one counter per thread, which is why this test has
 //! a binary of its own.
 
@@ -21,12 +25,18 @@ use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
+use parking_lot::Mutex;
+
 use hmts::engine::executor::{
     Budget, DomainExecutor, ExecConfig, InputQueue, RunOutcome, SlotInit, SlotState, Target,
 };
-use hmts::operators::traits::{Operator, Output};
+use hmts::engine::source_driver::{spawn_source, SourceDriverConfig, SourceShared, SourceTarget};
+use hmts::engine::sync::{PauseGate, StopFlag};
+use hmts::operators::traits::{Operator, Output, Source};
 use hmts::prelude::*;
 use hmts::streams::queue::{Batch, StreamQueue};
+use hmts::streams::time::SystemClock;
+use hmts::workload::source::VecSource;
 
 thread_local! {
     /// Allocations made by this thread.
@@ -268,4 +278,116 @@ fn a_run_through_five_queues_and_five_selections_allocates_nothing() {
         assert!(queues.iter().all(|q| q.is_empty()));
         assert_eq!(count, 0, "allocations for {} runs of {run_len}", 25 * ROWS as usize / run_len);
     }
+}
+
+/// A source that reads, at the start of every pull, the allocations its
+/// thread made since the last pull began — what delivering the last run
+/// and readying this pull cost — and hands the readings over when the
+/// source thread drops it.
+struct CountsPerPull {
+    inner: VecSource,
+    readings: Vec<u64>,
+    report: Arc<Mutex<Vec<u64>>>,
+}
+
+impl Source for CountsPerPull {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn next(&mut self) -> Option<(Timestamp, Tuple)> {
+        self.inner.next()
+    }
+
+    fn next_batch(&mut self, max: usize, out: &mut Vec<Element>) -> bool {
+        self.readings.push(ALLOCATIONS.with(|a| a.replace(0)));
+        self.inner.next_batch(max, out)
+    }
+}
+
+impl Drop for CountsPerPull {
+    fn drop(&mut self) {
+        *self.report.lock() = std::mem::take(&mut self.readings);
+    }
+}
+
+/// Runs an unpaced source of 64 × 4 096 `(i % 1000, i)` rows, pulled
+/// `ExecConfig::default().batch` at a time, into `target`, and returns the
+/// allocations read at each pull after the first 128 — the warm-up —
+/// each of which covers one run.
+fn allocations_per_run(target: SourceTarget) -> Vec<u64> {
+    const PULLS: usize = 64 * 4096 / 32;
+    assert_eq!(ExecConfig::default().batch, 32);
+    let items = (0..PULLS as u64 * 32)
+        .map(|i| (Timestamp::from_micros(i), Tuple::pair((i % 1000) as i64, i as i64)))
+        .collect();
+    let report = Arc::new(Mutex::new(Vec::new()));
+    let source = CountsPerPull {
+        inner: VecSource::new("s", items),
+        // Room for every reading up front: the source's own book keeping
+        // allocates nothing on the counted thread.
+        readings: Vec::with_capacity(PULLS + 1),
+        report: Arc::clone(&report),
+    };
+    let shared = SourceShared::new(NodeId(100), "s");
+    shared.set_targets(vec![target]);
+    let cfg = SourceDriverConfig {
+        pace: false,
+        // One timeline point for the whole stream, at its end.
+        sample_every: u64::MAX,
+        ..SourceDriverConfig::default()
+    };
+    let gate = Arc::new(PauseGate::new());
+    let stop = Arc::new(StopFlag::new());
+    let clock = Arc::new(SystemClock::new());
+    spawn_source(Box::new(source), Arc::clone(&shared), clock, gate, stop, None, cfg)
+        .join()
+        .unwrap();
+    assert_eq!(shared.emitted(), PULLS as u64 * 32);
+    let readings = std::mem::take(&mut *report.lock());
+    assert_eq!(readings.len(), PULLS, "one reading per pull");
+    readings[128..].to_vec()
+}
+
+#[test]
+fn a_source_hands_its_pull_to_five_selections_without_allocating() {
+    let passing = (0..5)
+        .map(|i| {
+            let pass = Filter::new(format!("f{i}"), Expr::field(0).ge(Expr::int(0)));
+            Box::new(pass) as Box<dyn Operator>
+        })
+        .collect();
+    let (exec, handles) = chain(passing);
+    let exec = Arc::new(Mutex::new(exec));
+    let target = SourceTarget::Direct { exec: Arc::clone(&exec), node: NodeId(0), port: 0 };
+    let readings = allocations_per_run(target);
+    assert_eq!(handles[0].count(), 64 * 4096, "every element reached the sink");
+    assert!(exec.lock().error().is_none());
+    assert_eq!(tally(&readings), [(0, readings.len())].into(), "runs by allocations made");
+}
+
+/// The queue keeps every run it is given, so the staging buffer comes back
+/// empty each time: the next pull goes into one buffer, sized to a pull at
+/// once. Besides that only the queue's list of runs grows, by doubling.
+#[test]
+fn a_source_into_an_undrained_queue_allocates_one_pull_buffer_per_run() {
+    let queue = StreamQueue::unbounded("q");
+    let readings =
+        allocations_per_run(SourceTarget::Queue { queue: Arc::clone(&queue), wake: None });
+    assert_eq!(queue.len(), 64 * 4096 + 1, "every element, then end-of-stream");
+    let runs = tally(&readings);
+    let doublings = (readings.len() as f64).log2().ceil() as usize + 1;
+    assert!(
+        runs.keys().all(|&n| n == 1 || n == 2) && runs.get(&2).copied().unwrap_or(0) <= doublings,
+        "runs by allocations made: {runs:?}"
+    );
+}
+
+/// How many readings there are of each value.
+fn tally(readings: &[u64]) -> std::collections::BTreeMap<u64, usize> {
+    let mut tally = std::collections::BTreeMap::new();
+    for &n in readings {
+        *tally.entry(n).or_default() += 1;
+    }
+    tally
 }
